@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks backing the paper's figures: point lookups and
 //! inserts on every index (Figures 2–5), bulk loading, range scans
-//! (Figure 13) and PLA hardness computation (§3.2).
+//! (Figure 13), inserts into dense clusters (the gapped-array shift path) and
+//! PLA hardness computation (§3.2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
@@ -94,13 +95,41 @@ fn bench_range(c: &mut Criterion) {
         }
         let mut index = entry.index;
         index.bulk_load(&entries);
+        // One fixed start per case, at the 1st / 50th / 99th percentile key:
+        // a scan must cost the same wherever it starts, and a start that
+        // strides over the key space would average a position-dependent
+        // cost (a node walked from its first slot) into one flat number.
+        for pct in [1, 50, 99] {
+            let start = entries[entries.len() * pct / 100].0;
+            group.bench_function(BenchmarkId::new(entry.name, format!("p{pct}")), |b| {
+                let mut out = Vec::with_capacity(128);
+                b.iter(|| {
+                    out.clear();
+                    black_box(index.range(RangeSpec::new(black_box(start), 100), &mut out))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The shift path: `osm` keys come in tight clusters, so inserting every
+/// other key between its bulk-loaded neighbours packs the slots around each
+/// cluster solid and the next insert there has to move keys to reach a gap.
+fn bench_insert_dense_cluster(c: &mut Criterion) {
+    let mut group = c.benchmark_group("insert_dense_cluster");
+    group.sample_size(10);
+    let entries = dataset_entries(Dataset::Osm);
+    let bulk: Vec<(u64, u64)> = entries.iter().copied().step_by(2).collect();
+    let rest: Vec<(u64, u64)> = entries.iter().copied().skip(1).step_by(2).collect();
+    for entry in single_thread_indexes() {
+        let mut index = entry.index;
+        index.bulk_load(&bulk);
         group.bench_function(entry.name, |b| {
-            let mut out = Vec::with_capacity(128);
             let mut i = 0usize;
             b.iter(|| {
-                i = (i + 8191) % entries.len();
-                out.clear();
-                black_box(index.range(RangeSpec::new(entries[i].0, 100), &mut out))
+                i = (i + 1) % rest.len();
+                black_box(index.insert(rest[i].0, rest[i].1))
             })
         });
     }
@@ -151,6 +180,7 @@ criterion_group! {
         bench_insert,
         bench_bulk_load,
         bench_range,
+        bench_insert_dense_cluster,
         bench_concurrent_insert,
         bench_pla
 }

@@ -6,10 +6,38 @@
 //! absorb inserts. Lookups predict a slot and run an exponential "last-mile"
 //! search around it; inserts either land in a nearby gap or shift existing
 //! keys toward the closest gap (the write amplification the paper analyses in
-//! Figure 3 / Table 3). When a node becomes too dense a structural
-//! modification operation (SMO) expands or splits it, driven by a simple
-//! cost model on the node's runtime statistics (performance-driven design,
-//! §2.1).
+//! Figure 3 / Table 3). A structural modification operation (SMO) rebuilds a
+//! node whose insert found no room or whose density passed
+//! `AlexConfig::max_density`: expanded and retrained in place while it holds
+//! fewer than `max_node_entries` entries, split at the median key otherwise.
+//! (The paper picks between these from a cost model over per-node runtime
+//! statistics; this reproduction keeps no such statistics — the size budget
+//! and the density bounds are the whole rule.)
+//!
+//! # Data-node layout
+//!
+//! A node is three parallel arrays over `capacity` slots plus a linear model:
+//!
+//! * `keys` is **gap-filled**: an occupied slot holds its key, a gap holds
+//!   the key of the next occupied slot to its right, and the trailing gaps
+//!   hold the sentinel `K::MAX`. The array is therefore non-decreasing, and
+//!   the last-mile search is a plain exponential + binary search over it —
+//!   no occupancy test on the search path. The slot it returns is either
+//!   occupied or the start of the gap run in front of the occupied slot with
+//!   the same key. `K::MAX` stays a legal key: a slot is live only if its bit
+//!   is set, so the sentinel neither surfaces in a scan nor hides an entry.
+//! * `values` holds payloads at the same slots (gaps hold stale data).
+//! * `bitmap` has one bit per slot in `u64` words (`capacity.div_ceil(64)` of
+//!   them, unused high bits of the last word zero). "Next occupied slot" and
+//!   "closest gap" are `trailing_zeros` / `leading_zeros` over words; a range
+//!   scan starts at the lower bound of its start key and walks set bits.
+//!
+//! Shift rule: an insert whose lower bound has a gap run in front of it takes
+//! the gap of that run closest to the model's prediction and re-fills the
+//! gaps before it. Otherwise it finds the closest gap on either side from the
+//! bitmap (ties go right), moves the keys and values in between by one slot
+//! with a single `memmove` each, and sets one bit. A remove clears one bit
+//! and re-fills the freed slot and the gap run before it.
 //!
 //! Our implementation keeps ALEX's two defining choices — model-predicted
 //! positions in gapped arrays, and a model-routed inner level — with one
@@ -61,18 +89,17 @@ impl AlexConfig {
     }
 }
 
-/// A gapped-array data node.
+/// A gapped-array data node (layout in the module doc).
 #[derive(Debug)]
 pub struct DataNode<K> {
     model: LinearModel,
+    /// Gap-filled and non-decreasing: a gap repeats the key of the next
+    /// occupied slot to its right, trailing gaps hold `K::MAX`.
     keys: Vec<K>,
     values: Vec<Payload>,
-    occupied: Vec<bool>,
+    /// Bit `i` is set iff slot `i` is occupied; bits past `capacity()` are 0.
+    bitmap: Vec<u64>,
     num_keys: usize,
-    /// Runtime statistics feeding the cost model.
-    num_shifts: u64,
-    num_search_iterations: u64,
-    num_inserts: u64,
 }
 
 impl<K: Key> DataNode<K> {
@@ -80,232 +107,234 @@ impl<K: Key> DataNode<K> {
     fn build(entries: &[(K, Payload)], density: f64) -> Self {
         let n = entries.len();
         let capacity = ((n as f64 / density.max(0.05)).ceil() as usize).max(n.max(4));
-        let keys_only: Vec<K> = entries.iter().map(|e| e.0).collect();
         let expansion = if n > 1 {
             (capacity - 1) as f64 / (n - 1) as f64
         } else {
             1.0
         };
-        let model = LinearModel::fit_keys_with_expansion(&keys_only, expansion);
-        let mut node = DataNode {
-            model,
-            keys: vec![K::MIN; capacity],
-            values: vec![0; capacity],
-            occupied: vec![false; capacity],
-            num_keys: 0,
-            num_shifts: 0,
-            num_search_iterations: 0,
-            num_inserts: 0,
-        };
+        let model = LinearModel::fit_points(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.0.to_model_input(), i as f64 * expansion)),
+        );
+        let mut values = vec![0; capacity];
+        let mut bitmap = vec![0u64; capacity.div_ceil(64)];
         // Model-based placement: put each entry at its predicted slot, pushed
         // right past already-filled slots and pulled left just enough to
         // guarantee the remaining entries still fit.
         let mut next_free = 0usize;
         for (i, &(k, v)) in entries.iter().enumerate() {
-            let predicted = node.model.predict_clamped(k, capacity);
-            let upper = capacity - (n - i);
-            let pos = predicted.max(next_free).min(upper);
-            debug_assert!(!node.occupied[pos]);
-            node.keys[pos] = k;
-            node.values[pos] = v;
-            node.occupied[pos] = true;
-            node.num_keys += 1;
+            let predicted = model.predict_clamped(k, capacity);
+            let pos = predicted.max(next_free).min(capacity - (n - i));
+            values[pos] = v;
+            bitmap[pos / 64] |= 1 << (pos % 64);
             next_free = pos + 1;
         }
-        node
+        // Gap fill: a slot takes the key of the first entry placed at or
+        // after it. That is entry number `rank`, the count of occupied slots
+        // before it; past the last entry it is the sentinel. (One write per
+        // slot and no data-dependent branch: filling each entry's gap run
+        // inside the loop above mispredicts once per entry.)
+        let mut rank = 0usize;
+        let keys = (0..capacity)
+            .map(|slot| {
+                let key = entries.get(rank).map_or(K::MAX, |e| e.0);
+                rank += (bitmap[slot / 64] >> (slot % 64) & 1) as usize;
+                key
+            })
+            .collect();
+        DataNode {
+            model,
+            keys,
+            values,
+            bitmap,
+            num_keys: n,
+        }
     }
 
+    /// Number of slots; never below 4, so a model prediction always has a
+    /// slot to land in.
     fn capacity(&self) -> usize {
         self.keys.len()
     }
 
     fn density(&self) -> f64 {
-        if self.capacity() == 0 {
-            1.0
-        } else {
-            self.num_keys as f64 / self.capacity() as f64
-        }
+        self.num_keys as f64 / self.capacity() as f64
     }
 
-    /// Key of the nearest occupied slot at or before `i`.
-    fn effective_key(&self, i: usize) -> Option<K> {
-        let mut p = i;
-        loop {
-            if self.occupied[p] {
-                return Some(self.keys[p]);
-            }
-            if p == 0 {
-                return None;
-            }
-            p -= 1;
-        }
+    /// The slot the node's model predicts for `key`.
+    #[inline]
+    fn predict(&self, key: K) -> usize {
+        self.model.predict_clamped(key, self.capacity())
     }
 
-    /// Position of the first occupied slot with key `>= key`
-    /// (or `capacity()` if none), found by exponential search around the
-    /// model prediction — ALEX's "last-mile" search.
-    fn lower_bound(&mut self, key: K) -> usize {
+    /// First slot `>= from` whose occupancy equals `occupied`, or
+    /// `capacity()` if there is none.
+    fn next_slot(&self, from: usize, occupied: bool) -> usize {
         let cap = self.capacity();
-        if cap == 0 || self.num_keys == 0 {
-            return cap;
-        }
-        let pred = self.model.predict_clamped(key, cap);
-        // Predicate: effective_key(i) >= key, monotone in i.
-        let above = |node: &Self, i: usize| match node.effective_key(i) {
-            Some(k) => k >= key,
-            None => false,
-        };
-        let mut iters = 1u64;
-        let (mut lo, mut hi);
-        if above(self, pred) {
-            // Answer is at or before pred: grow a bracket to the left.
-            let mut step = 1usize;
-            let mut left = pred;
-            while left > 0 && above(self, left.saturating_sub(step)) {
-                left = left.saturating_sub(step);
-                step *= 2;
-                iters += 1;
+        let flip = if occupied { 0 } else { !0u64 };
+        let mut mask = !0u64 << (from % 64);
+        for w in from / 64..self.bitmap.len() {
+            let word = (self.bitmap[w] ^ flip) & mask;
+            if word != 0 {
+                // A zero bit past `capacity()` is not a gap.
+                return (w * 64 + word.trailing_zeros() as usize).min(cap);
             }
-            lo = left.saturating_sub(step);
+            mask = !0;
+        }
+        cap
+    }
+
+    /// Last slot `< before` whose occupancy equals `occupied`.
+    fn prev_slot(&self, before: usize, occupied: bool) -> Option<usize> {
+        let last = before.checked_sub(1)?;
+        let flip = if occupied { 0 } else { !0u64 };
+        let mut mask = !0u64 >> (63 - last % 64);
+        for w in (0..=last / 64).rev() {
+            let word = (self.bitmap[w] ^ flip) & mask;
+            if word != 0 {
+                return Some(w * 64 + 63 - word.leading_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// First slot whose (gap-filled) key is `>= key`, or `capacity()` if
+    /// every slot holds a smaller key: ALEX's "last-mile" search, an
+    /// exponential search outward from the model's prediction `pred` and a
+    /// binary search inside the bracket it finds. The slot is occupied or
+    /// starts the gap run that ends at the occupied slot holding that key.
+    fn lower_bound(&self, key: K, pred: usize) -> usize {
+        let keys = &self.keys[..];
+        let (mut lo, mut hi) = (0, keys.len());
+        let mut step = 1usize;
+        if keys[pred] >= key {
             hi = pred;
-        } else {
-            // Answer is after pred: grow a bracket to the right.
-            let mut step = 1usize;
-            let mut right = pred;
-            while right < cap - 1 && !above(self, (right + step).min(cap - 1)) {
-                right = (right + step).min(cap - 1);
+            while step <= pred {
+                if keys[pred - step] < key {
+                    lo = pred - step + 1;
+                    break;
+                }
+                hi = pred - step;
                 step *= 2;
-                iters += 1;
             }
-            lo = right;
-            hi = (right + step).min(cap - 1);
-            if !above(self, hi) {
-                self.num_search_iterations += iters;
-                return cap;
-            }
-        }
-        // Binary search for the smallest i in (lo, hi] with above(i).
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            iters += 1;
-            if above(self, mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
+        } else {
+            lo = pred + 1;
+            while pred + step < keys.len() {
+                if keys[pred + step] >= key {
+                    hi = pred + step;
+                    break;
+                }
+                lo = pred + step + 1;
+                step *= 2;
             }
         }
-        self.num_search_iterations += iters;
-        // `lo` satisfies the predicate; move to the occupied slot itself.
-        let mut p = lo;
-        while !self.occupied[p] {
-            p -= 1;
+        lo + keys[lo..hi].partition_point(|k| *k < key)
+    }
+
+    /// The occupied slot holding `key`, searching from the prediction `pred`.
+    fn find(&self, key: K, pred: usize) -> Option<usize> {
+        let first = self.lower_bound(key, pred);
+        if self.keys.get(first) != Some(&key) {
+            return None;
         }
-        p
+        // A gap that repeats `key` ends at the slot holding it — except in
+        // the trailing run, whose `K::MAX` fill stands for no entry.
+        let slot = self.next_slot(first, true);
+        (slot < self.capacity()).then_some(slot)
+    }
+
+    /// Point probe from a precomputed model prediction, shared by the scalar
+    /// and batched read paths.
+    #[inline]
+    fn probe(&self, key: K, pred: usize) -> Option<Payload> {
+        self.find(key, pred).map(|slot| self.values[slot])
     }
 
     /// Insert. Returns `(newly_inserted, keys_shifted)` or `Err(())` if the
     /// node has no room and needs an SMO first.
     fn insert(&mut self, key: K, value: Payload) -> Result<(bool, u64), ()> {
         let cap = self.capacity();
-        if self.num_keys == 0 {
-            if cap == 0 {
-                return Err(());
-            }
-            let pos = self.model.predict_clamped(key, cap);
-            self.keys[pos] = key;
-            self.values[pos] = value;
-            self.occupied[pos] = true;
-            self.num_keys += 1;
-            self.num_inserts += 1;
-            return Ok((true, 0));
-        }
-        let lb = self.lower_bound(key);
-        if lb < cap && self.occupied[lb] && self.keys[lb] == key {
+        let pred = self.predict(key);
+        // The legal insertion region is `[first, lb)`: the run of gaps
+        // between the last occupied key < `key` and the first one >= `key`.
+        let first = self.lower_bound(key, pred);
+        let lb = self.next_slot(first, true);
+        if lb < cap && self.keys[lb] == key {
             self.values[lb] = value;
             return Ok((false, 0));
         }
         if self.num_keys >= cap {
             return Err(());
         }
-        self.num_inserts += 1;
-        // The legal insertion region is the run of gaps immediately before
-        // `lb` (all of which sit between the previous occupied key < `key`
-        // and the next occupied key >= `key`).
-        let mut g = lb;
-        while g > 0 && !self.occupied[g - 1] {
-            g -= 1;
-        }
-        if g < lb {
+        let (pos, taken) = if first < lb {
             // A gap is available without shifting: use the one closest to
-            // the model's prediction.
-            let pred = self.model.predict_clamped(key, cap).clamp(g, lb - 1);
-            self.keys[pred] = key;
-            self.values[pred] = value;
-            self.occupied[pred] = true;
-            self.num_keys += 1;
-            return Ok((true, 0));
-        }
-        // No adjacent gap: shift towards the nearest gap.
-        if let Some(gap) = (lb..cap).find(|&p| !self.occupied[p]) {
-            // Shift [lb, gap) one slot to the right.
-            let shifted = (gap - lb) as u64;
-            for p in (lb..gap).rev() {
-                self.keys[p + 1] = self.keys[p];
-                self.values[p + 1] = self.values[p];
-                self.occupied[p + 1] = true;
+            // the model's prediction; the gaps before it now precede `key`.
+            let pos = pred.clamp(first, lb - 1);
+            self.keys[first..pos].fill(key);
+            (pos, pos)
+        } else {
+            // Slots `lb - 1` and `lb` are both occupied (or a node edge):
+            // shift the shorter run of keys one slot into the closest gap.
+            // The gap's own run already repeats the key that moves into it,
+            // so the fill needs no repair.
+            let right = self.next_slot(lb, false);
+            match self.prev_slot(lb, false) {
+                Some(left) if right == cap || lb - 1 - left < right - lb => {
+                    self.keys.copy_within(left + 1..lb, left);
+                    self.values.copy_within(left + 1..lb, left);
+                    (lb - 1, left)
+                }
+                _ => {
+                    self.keys.copy_within(lb..right, lb + 1);
+                    self.values.copy_within(lb..right, lb + 1);
+                    (lb, right)
+                }
             }
-            self.keys[lb] = key;
-            self.values[lb] = value;
-            self.occupied[lb] = true;
-            self.num_keys += 1;
-            self.num_shifts += shifted;
-            return Ok((true, shifted));
-        }
-        if let Some(gap) = (0..lb).rev().find(|&p| !self.occupied[p]) {
-            // Shift (gap, lb) one slot to the left and insert at lb - 1.
-            let shifted = (lb - 1 - gap) as u64;
-            for p in gap..lb - 1 {
-                self.keys[p] = self.keys[p + 1];
-                self.values[p] = self.values[p + 1];
-                self.occupied[p] = true;
-            }
-            self.keys[lb - 1] = key;
-            self.values[lb - 1] = value;
-            self.occupied[lb - 1] = true;
-            self.num_keys += 1;
-            self.num_shifts += shifted;
-            return Ok((true, shifted));
-        }
-        Err(())
+        };
+        self.keys[pos] = key;
+        self.values[pos] = value;
+        self.bitmap[taken / 64] |= 1 << (taken % 64);
+        self.num_keys += 1;
+        Ok((true, pos.abs_diff(taken) as u64))
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
-        let lb = self.lower_bound(key);
-        if lb < self.capacity() && self.occupied[lb] && self.keys[lb] == key {
-            self.occupied[lb] = false;
-            self.num_keys -= 1;
-            Some(self.values[lb])
-        } else {
-            None
-        }
+        let slot = self.find(key, self.predict(key))?;
+        self.bitmap[slot / 64] &= !(1 << (slot % 64));
+        self.num_keys -= 1;
+        // The freed slot joins the gap run before it, and the whole run now
+        // precedes the next key to the right.
+        let run = self.prev_slot(slot, true).map_or(0, |p| p + 1);
+        let fill = self.keys.get(slot + 1).copied().unwrap_or(K::MAX);
+        self.keys[run..=slot].fill(fill);
+        Some(self.values[slot])
     }
 
     /// All live entries in key order.
     fn entries(&self) -> Vec<(K, Payload)> {
-        (0..self.capacity())
-            .filter(|&i| self.occupied[i])
-            .map(|i| (self.keys[i], self.values[i]))
-            .collect()
+        let mut out = Vec::with_capacity(self.num_keys);
+        self.scan_from(0, usize::MAX, &mut out);
+        out
     }
 
-    /// Append live entries with key >= start until `count` collected.
-    fn scan_into(&self, start: K, count: usize, out: &mut Vec<(K, Payload)>) {
-        for i in 0..self.capacity() {
-            if out.len() >= count {
-                return;
-            }
-            if self.occupied[i] && self.keys[i] >= start {
-                out.push((self.keys[i], self.values[i]));
+    /// Append the live entries of slots `>= from`, in key order, until `out`
+    /// holds `limit` entries: walks set bits, so it costs O(entries
+    /// appended), not O(slots).
+    fn scan_from(&self, from: usize, limit: usize, out: &mut Vec<(K, Payload)>) {
+        let mut mask = !0u64 << (from % 64);
+        for w in from / 64..self.bitmap.len() {
+            let mut word = self.bitmap[w] & mask;
+            mask = !0;
+            while word != 0 {
+                if out.len() >= limit {
+                    return;
+                }
+                let slot = w * 64 + word.trailing_zeros() as usize;
+                out.push((self.keys[slot], self.values[slot]));
+                word &= word - 1;
             }
         }
     }
@@ -314,58 +343,37 @@ impl<K: Key> DataNode<K> {
         std::mem::size_of::<Self>()
             + self.keys.capacity() * std::mem::size_of::<K>()
             + self.values.capacity() * std::mem::size_of::<Payload>()
-            + self.occupied.capacity()
+            + self.bitmap.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Stats-free point probe from a precomputed model prediction: the same
-    /// exponential "last-mile" search as [`DataNode::lower_bound`], without
-    /// the `&mut` statistics updates, shared by the scalar and batched read
-    /// paths. `pred` must be `< capacity()`.
-    fn probe(&self, key: K, pred: usize) -> Option<Payload> {
+    /// Panic unless the layout invariants of the module doc hold.
+    #[cfg(any(test, debug_assertions))]
+    fn check(&self) {
         let cap = self.capacity();
-        if cap == 0 || self.num_keys == 0 {
-            return None;
+        assert_eq!(self.values.len(), cap);
+        assert_eq!(self.bitmap.len(), cap.div_ceil(64));
+        let live: u32 = self.bitmap.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(live as usize, self.num_keys, "popcount != num_keys");
+        if cap % 64 != 0 {
+            assert_eq!(self.bitmap[cap / 64] >> (cap % 64), 0, "bits past capacity");
         }
-        let above = |i: usize| match self.effective_key(i) {
-            Some(k) => k >= key,
-            None => false,
-        };
-        let (mut lo, mut hi);
-        if above(pred) {
-            let mut step = 1usize;
-            let mut left = pred;
-            while left > 0 && above(left.saturating_sub(step)) {
-                left = left.saturating_sub(step);
-                step *= 2;
-            }
-            lo = left.saturating_sub(step);
-            hi = pred;
-        } else {
-            let mut step = 1usize;
-            let mut right = pred;
-            while right < cap - 1 && !above((right + step).min(cap - 1)) {
-                right = (right + step).min(cap - 1);
-                step *= 2;
-            }
-            lo = right;
-            hi = (right + step).min(cap - 1);
-            if !above(hi) {
-                return None;
-            }
-        }
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if above(mid) {
-                hi = mid;
+        // Right to left: a gap repeats the next occupied key (or the
+        // sentinel), occupied keys strictly ascend — so `keys` never descends.
+        let mut next: Option<K> = None;
+        for i in (0..cap).rev() {
+            if self.bitmap[i / 64] >> (i % 64) & 1 == 1 {
+                assert!(
+                    next.map_or(true, |n| self.keys[i] < n),
+                    "slot {i} out of order"
+                );
+                next = Some(self.keys[i]);
             } else {
-                lo = mid + 1;
+                assert_eq!(self.keys[i], next.unwrap_or(K::MAX), "gap {i} not filled");
             }
         }
-        let mut p = lo;
-        while !self.occupied[p] {
-            p -= 1;
-        }
-        (self.keys[p] == key).then_some(self.values[p])
+        let bitmap_bytes = self.bitmap.len() * std::mem::size_of::<u64>();
+        let slot_bytes = std::mem::size_of::<K>() + std::mem::size_of::<Payload>();
+        assert!(self.memory() >= cap * slot_bytes + bitmap_bytes);
     }
 }
 
@@ -485,17 +493,10 @@ impl<K: Key> Alex<K> {
             for (j, &key) in group.iter().enumerate() {
                 let (idx, _) = self.locate(key);
                 let node = &self.nodes[idx];
-                let cap = node.capacity();
-                let pred = if cap == 0 {
-                    0
-                } else {
-                    node.model.predict_clamped(key, cap)
-                };
+                let pred = node.predict(key);
                 staged[j] = (idx, pred);
-                if cap != 0 {
-                    prefetch_read(node.keys.as_ptr().wrapping_add(pred));
-                    prefetch_read(node.occupied.as_ptr().wrapping_add(pred));
-                }
+                prefetch_read(node.keys.as_ptr().wrapping_add(pred));
+                prefetch_read(node.bitmap.as_ptr().wrapping_add(pred / 64));
             }
             // Stage 2: bounded local searches on the prefetched positions.
             for (j, &key) in group.iter().enumerate() {
@@ -506,9 +507,11 @@ impl<K: Key> Alex<K> {
     }
 
     /// Rebuild or split node `idx` after its insert failed or its density
-    /// exceeded the budget. The cost-model decision is the paper's: expand
-    /// and retrain while the node is under the size budget, split otherwise.
+    /// exceeded the budget: expand and retrain while the node is under the
+    /// size budget, split otherwise.
     fn smo(&mut self, idx: usize) {
+        #[cfg(debug_assertions)]
+        self.nodes[idx].check();
         let entries = self.nodes[idx].entries();
         if entries.len() < self.config.max_node_entries {
             // Expand & retrain in place.
@@ -555,14 +558,8 @@ impl<K: Key> Index<K> for Alex<K> {
 
     fn get(&self, key: K) -> Option<Payload> {
         let (idx, _) = self.locate(key);
-        // `lower_bound` updates search statistics, which needs `&mut`; the
-        // read path runs the stats-free probe on the const node.
         let node = &self.nodes[idx];
-        let cap = node.capacity();
-        if cap == 0 || node.num_keys == 0 {
-            return None;
-        }
-        node.probe(key, node.model.predict_clamped(key, cap))
+        node.probe(key, node.predict(key))
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
@@ -638,11 +635,18 @@ impl<K: Key> Index<K> for Alex<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
-        let (mut idx, _) = self.locate(spec.start);
-        let target = before + spec.count;
-        while idx < self.nodes.len() && out.len() < target {
-            self.nodes[idx].scan_into(spec.start, target, out);
-            idx += 1;
+        let (first, _) = self.locate(spec.start);
+        let target = before.saturating_add(spec.count);
+        // Only the first node is searched; every later one holds larger keys
+        // and is scanned from its first slot.
+        let node = &self.nodes[first];
+        let mut from = node.lower_bound(spec.start, node.predict(spec.start));
+        for node in &self.nodes[first..] {
+            if out.len() >= target {
+                break;
+            }
+            node.scan_from(from, target, out);
+            from = 0;
         }
         out.len() - before
     }
@@ -783,12 +787,69 @@ mod tests {
                 1 => assert_eq!(alex.remove(key), model.remove(&key), "remove {key}"),
                 _ => assert_eq!(alex.get(key), model.get(&key).copied(), "get {key}"),
             }
+            alex.nodes.iter().for_each(DataNode::check);
         }
         assert_eq!(alex.len(), model.len());
         let mut out = Vec::new();
         alex.range(RangeSpec::new(0, usize::MAX), &mut out);
         let expected: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn dense_cluster_shifts_both_ways_and_retries_after_smo() {
+        // Sparse keys fit the model; a cluster that grows from both of its
+        // ends then packs the slots around one prediction solid, so inserts
+        // at its bottom find the closest gap on the left and inserts at its
+        // top find it on the right. `max_density: 1.0` turns the proactive
+        // trigger off: the node fills to the last slot and the insert that
+        // finds no room takes the SMO-then-retry path.
+        let mut alex = Alex::with_config(AlexConfig {
+            max_density: 1.0,
+            ..Default::default()
+        });
+        let sparse: Vec<(u64, Payload)> = (0..64u64).map(|i| (i << 32, i)).collect();
+        alex.bulk_load(&sparse);
+        let mut model: BTreeMap<u64, u64> = sparse.iter().copied().collect();
+        let middle = (32u64 << 32) + (1 << 31);
+        let (mut left, mut right, mut retries, mut densest) = (0, 0, 0, 0.0f64);
+        for i in 0..3_000u64 {
+            let key = if i % 2 == 0 { middle - i } else { middle + i };
+            let before = alex.nodes[0].bitmap.clone();
+            assert!(alex.insert(key, i));
+            model.insert(key, i);
+            let node = &alex.nodes[0];
+            node.check();
+            densest = densest.max(node.density());
+            let stats = alex.last_insert_stats();
+            if stats.triggered_smo {
+                retries += 1;
+            } else if stats.keys_shifted > 0 {
+                let taken = before
+                    .iter()
+                    .zip(&node.bitmap)
+                    .enumerate()
+                    .find_map(|(w, (old, new))| {
+                        (old != new).then(|| w * 64 + (old ^ new).trailing_zeros() as usize)
+                    })
+                    .expect("one slot became occupied");
+                let pos = node.find(key, node.predict(key)).expect("just inserted");
+                assert_eq!(stats.keys_shifted, pos.abs_diff(taken) as u64);
+                if taken < pos {
+                    left += 1;
+                } else {
+                    right += 1;
+                }
+            }
+        }
+        assert!(
+            left > 0 && right > 0 && retries > 0,
+            "{left} {right} {retries}"
+        );
+        assert!(densest >= 0.8);
+        let mut out = Vec::new();
+        alex.range(RangeSpec::new(0, usize::MAX), &mut out);
+        assert_eq!(out, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

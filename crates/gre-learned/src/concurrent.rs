@@ -7,12 +7,14 @@
 //! statistics in every node on its path (§4.2).
 //!
 //! In safe Rust we realize the same designs over the single-threaded
-//! implementations (see DESIGN.md §4): the key space is partitioned so that
-//! writers touching different data regions never contend (the effect
-//! per-data-node locking achieves in ALEX+), and LIPP+ additionally updates a
-//! set of *shared* path-statistics counters on every insert — the exact
-//! source of cache-line contention the paper identifies — so its write path
-//! degrades under concurrency while ALEX+'s does not.
+//! implementations (the substitution is disclosed in `docs/BENCHMARKS.md`,
+//! "ALEX+ node layout and what differs from the paper"): the key space is
+//! split into 64 `RwLock`-guarded partitions so that writers touching
+//! different data regions never contend (the effect per-data-node locking
+//! achieves in ALEX+), and LIPP+ additionally updates a set of *shared*
+//! path-statistics counters on every insert — the exact source of cache-line
+//! contention the paper identifies — so its write path degrades under
+//! concurrency while ALEX+'s does not.
 
 use crate::alex::{Alex, AlexConfig};
 use crate::lipp::{Lipp, LippConfig};
@@ -175,14 +177,18 @@ impl<K: Key> ConcurrentIndex<K> for AlexPlus<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
-        let mut part = self.partition_for(spec.start);
         let mut remaining = spec.count;
-        while part < self.partitions.len() && remaining > 0 {
-            let got = self.partitions[part]
+        // Only the first partition is searched for `spec.start`; every later
+        // one holds larger keys and is scanned from its first slot.
+        let mut start = spec.start;
+        for partition in &self.partitions[self.partition_for(spec.start)..] {
+            if remaining == 0 {
+                break;
+            }
+            remaining -= partition
                 .read()
-                .range(RangeSpec::new(spec.start, remaining), out);
-            remaining -= got;
-            part += 1;
+                .range(RangeSpec::new(start, remaining), out);
+            start = K::MIN;
         }
         out.len() - before
     }

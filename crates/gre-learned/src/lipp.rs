@@ -172,8 +172,12 @@ impl<K: Key> LippNode<K> {
     }
 
     /// Collect entries with key >= start, stopping once `count` collected.
+    /// The model is monotone, so every slot before the one it predicts for
+    /// `start` holds only smaller keys: the walk begins there, and only the
+    /// child in that first slot can still straddle `start`.
     fn collect_from(&self, start: K, count: usize, out: &mut Vec<(K, Payload)>) {
-        for slot in &self.slots {
+        let first = self.model.predict_clamped(start, self.slots.len());
+        for slot in &self.slots[first..] {
             if out.len() >= count {
                 return;
             }
@@ -445,7 +449,8 @@ impl<K: Key> Index<K> for Lipp<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
-        self.root.collect_from(spec.start, before + spec.count, out);
+        self.root
+            .collect_from(spec.start, before.saturating_add(spec.count), out);
         out.len() - before
     }
 

@@ -112,8 +112,8 @@ impl<K: Key> StaticPgm<K> {
     }
 
     /// Entries with key >= start, in order.
-    pub fn iter_from(&self, start: K) -> impl Iterator<Item = &(K, Payload)> {
-        self.entries[self.lower_bound(start)..].iter()
+    pub fn entries_from(&self, start: K) -> &[(K, Payload)] {
+        &self.entries[self.lower_bound(start)..]
     }
 
     pub fn memory(&self) -> usize {
@@ -338,43 +338,42 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         // K-way merge over the buffer and every level, newest wins, skipping
-        // tombstones.
+        // tombstones. Each source is a sorted slice consumed from the front:
+        // a level lends its tail from the lower bound of `start`, nothing is
+        // copied but the buffer entries the scan can reach.
         let before = out.len();
-        let mut sources: Vec<Vec<(K, Payload)>> = Vec::new();
         // The unsorted buffer can hold several versions of the same key
-        // (e.g. an insert followed by a tombstone); only the newest one may
-        // participate in the merge.
-        let mut buf_newest: std::collections::BTreeMap<K, Payload> =
-            std::collections::BTreeMap::new();
-        for e in &self.buffer {
-            if e.0 >= spec.start {
-                buf_newest.insert(e.0, e.1);
-            }
-        }
-        sources.push(buf_newest.into_iter().collect());
-        for level in self.levels.iter().flatten() {
-            sources.push(level.iter_from(spec.start).copied().collect());
-        }
-        let mut cursors = vec![0usize; sources.len()];
+        // (e.g. an insert followed by a tombstone); the stable sort keeps
+        // them in arrival order, so the newest one survives the dedup.
+        let mut buffered: Vec<(K, Payload)> = self
+            .buffer
+            .iter()
+            .filter(|e| e.0 >= spec.start)
+            .copied()
+            .collect();
+        buffered.sort_by_key(|e| e.0);
+        dedup_last_wins(&mut buffered);
+        let mut sources: Vec<&[(K, Payload)]> = vec![&buffered];
+        sources.extend(
+            self.levels
+                .iter()
+                .flatten()
+                .map(|level| level.entries_from(spec.start)),
+        );
         while out.len() - before < spec.count {
             // Pick the smallest key across sources; the earliest source
             // (newest data) wins ties.
-            let mut best: Option<(K, usize)> = None;
-            for (s, src) in sources.iter().enumerate() {
-                if let Some(&(k, _)) = src.get(cursors[s]) {
-                    match best {
-                        None => best = Some((k, s)),
-                        Some((bk, _)) if k < bk => best = Some((k, s)),
-                        _ => {}
-                    }
-                }
-            }
-            let Some((k, s)) = best else { break };
-            let v = sources[s][cursors[s]].1;
-            // Advance every cursor positioned at this key (older duplicates).
-            for (s2, src) in sources.iter().enumerate() {
-                while src.get(cursors[s2]).is_some_and(|e| e.0 == k) {
-                    cursors[s2] += 1;
+            let Some(&(k, v)) = sources
+                .iter()
+                .filter_map(|src| src.first())
+                .min_by_key(|e| e.0)
+            else {
+                break;
+            };
+            // Advance every source positioned at this key (older duplicates).
+            for src in &mut sources {
+                if src.first().is_some_and(|e| e.0 == k) {
+                    *src = &src[1..];
                 }
             }
             if v != TOMBSTONE {
