@@ -5,6 +5,7 @@
 //! workload) so `--verbose` can report per-kind latency tails next to the
 //! throughput cells.
 use gre_bench::report::print_phase_latency;
+use gre_bench::runopts::thread_axis_note;
 use gre_bench::{registry::concurrent_indexes, RunOpts};
 use gre_datasets::Dataset;
 use gre_workloads::driver::Driver;
@@ -22,6 +23,7 @@ fn main() {
         "# Figure 5: scalability (Mop/s); hyper-threaded points are those beyond {} threads",
         opts.threads
     );
+    println!("{}", thread_axis_note());
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
         for ratio in [

@@ -1,7 +1,9 @@
 //! Figure 6: scalability across sockets. The paper interleaves memory across
 //! 1–4 NUMA sockets; this host-independent reproduction continues the thread
-//! sweep past one socket's worth of cores (see DESIGN.md substitutions) —
-//! the qualitative signal is each index's trend as parallelism keeps growing.
+//! sweep past one socket's worth of cores (see "Substitutions" in
+//! `docs/BENCHMARKS.md`) — the qualitative signal is each index's trend as
+//! parallelism keeps growing.
+use gre_bench::runopts::thread_axis_note;
 use gre_bench::{registry::concurrent_indexes, RunOpts};
 use gre_datasets::Dataset;
 use gre_workloads::{run_concurrent, WorkloadBuilder, WriteRatio};
@@ -20,6 +22,7 @@ fn main() {
         "# Figure 6: socket-count scaling (thread counts {:?})",
         socket_equivalents
     );
+    println!("{}", thread_axis_note());
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
         for ratio in [

@@ -12,11 +12,12 @@
 //! first saturated rung of the ladder.
 //!
 //! Results (per-point achieved rate, merged and per-interval p99s, knee
-//! estimates) land in `figs_knee.json`, round-tripped through the repo's
-//! JSON parser. `--quick` shrinks spans for a CI smoke run.
+//! estimates) land in `figs_knee.json`. `--quick` shrinks spans for a CI
+//! smoke run.
 
 use gre_bench::registry::IndexBuilder;
-use gre_bench::{perfjson, RunOpts};
+use gre_bench::RunOpts;
+use gre_core::json::JsonWriter;
 use gre_core::RequestKind;
 use gre_datasets::Dataset;
 use gre_durability::util::TempDir;
@@ -87,7 +88,6 @@ fn main() {
     }
 
     let json = report_json(&opts, span, &curves);
-    perfjson::Json::parse(&json).expect("knee report must round-trip the JSON parser");
     std::fs::write(REPORT_OUT, &json).expect("write knee report");
     println!("\nreport -> {REPORT_OUT} ({} bytes)", json.len());
 }
@@ -223,53 +223,83 @@ fn knee_point(offered: f64, phase: &PhaseResult) -> KneePoint {
 }
 
 fn report_json(opts: &RunOpts, span: Duration, curves: &[KneeCurve]) -> String {
-    let f = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.3}")
-        } else {
-            String::from("null")
-        }
-    };
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"span_ms\": {},\n", span.as_millis()));
-    out.push_str(&format!("  \"saturation_fraction\": {SATURATION},\n"));
-    out.push_str("  \"targets\": [\n");
-    for (i, curve) in curves.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"target\": \"{}\", \"capacity_ops_s\": {}, \"knee_ops_s\": {},\n",
-            curve.target,
-            f(curve.capacity_ops_s),
-            curve
-                .knee_ops_s
-                .map(f)
-                .unwrap_or_else(|| String::from("null")),
-        ));
-        out.push_str("     \"points\": [\n");
-        for (j, p) in curve.points.iter().enumerate() {
-            let series: Vec<String> = p.interval_p99_us.iter().map(|&v| f(v)).collect();
-            out.push_str(&format!(
-                "       {{\"offered_ops_s\": {}, \"achieved_ops_s\": {}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"max_us\": {}, \"saturated\": {}, \
-                 \"interval_p99_us\": [{}]}}{}\n",
-                f(p.offered),
-                f(p.achieved),
-                f(p.p50_us),
-                f(p.p99_us),
-                f(p.max_us),
-                p.saturated,
-                series.join(", "),
-                if j + 1 < curve.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("     ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < curves.len() { "," } else { "" }
-        ));
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("schema").u64(1);
+        w.key("quick").bool(opts.quick);
+        w.key("seed").u64(opts.seed);
+        w.key("span_ms").u64(span.as_millis() as u64);
+        w.key("saturation_fraction").f64(SATURATION);
+        w.key("targets").array(|w| {
+            for curve in curves {
+                w.object(|w| {
+                    w.key("target").str(curve.target);
+                    w.key("capacity_ops_s").f64(curve.capacity_ops_s);
+                    w.key("knee_ops_s");
+                    match curve.knee_ops_s {
+                        Some(knee) => w.f64(knee),
+                        None => w.null(),
+                    };
+                    w.key("points").array(|w| {
+                        for p in &curve.points {
+                            w.object(|w| {
+                                w.key("offered_ops_s").f64(p.offered);
+                                w.key("achieved_ops_s").f64(p.achieved);
+                                w.key("p50_us").f64(p.p50_us);
+                                w.key("p99_us").f64(p.p99_us);
+                                w.key("max_us").f64(p.max_us);
+                                w.key("saturated").bool(p.saturated);
+                                w.key("interval_p99_us").array(|w| {
+                                    for &v in &p.interval_p99_us {
+                                        w.f64(v);
+                                    }
+                                });
+                            });
+                        }
+                    });
+                });
+            }
+        });
+    });
+    w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_golden_bytes() {
+        let opts = RunOpts::parse([String::from("--quick")]);
+        let point = |offered: f64, achieved: f64| KneePoint {
+            offered,
+            achieved,
+            p50_us: 1.5,
+            p99_us: f64::NAN,
+            max_us: 9.0,
+            interval_p99_us: vec![0.0, 2.25],
+            saturated: achieved < offered * SATURATION,
+        };
+        let curves = [
+            KneeCurve {
+                target: "pipe\"line",
+                capacity_ops_s: 1000.0,
+                points: vec![point(250.0, 250.0), point(1500.0, 1000.0)],
+                knee_ops_s: Some(1500.0),
+            },
+            KneeCurve {
+                target: "replicated",
+                capacity_ops_s: f64::INFINITY,
+                points: vec![],
+                knee_ops_s: None,
+            },
+        ];
+        const POINT: &str = r#""p50_us": 1.5, "p99_us": null, "max_us": 9, "saturated": "#;
+        assert_eq!(
+            report_json(&opts, Duration::from_millis(250), &curves),
+            format!(
+                r#"{{"schema": 1, "quick": true, "seed": 42, "span_ms": 250, "saturation_fraction": 0.9, "targets": [{{"target": "pipe\"line", "capacity_ops_s": 1000, "knee_ops_s": 1500, "points": [{{"offered_ops_s": 250, "achieved_ops_s": 250, {POINT}false, "interval_p99_us": [0, 2.25]}}, {{"offered_ops_s": 1500, "achieved_ops_s": 1000, {POINT}true, "interval_p99_us": [0, 2.25]}}]}}, {{"target": "replicated", "capacity_ops_s": null, "knee_ops_s": null, "points": []}}]}}"#
+            )
+        );
     }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -7,22 +7,21 @@
 //! * each phase reports its per-interval p50/p99 latency series next to the
 //!   completions-per-interval throughput series;
 //! * the final metrics snapshot is exported as Prometheus text (run through
-//!   the strict validator) and as the repo's JSON dialect (run through the
-//!   `perfjson` parser);
+//!   the strict validator) and as JSON;
 //! * the sampled request spans are dumped as Chrome trace-event JSON to
 //!   `figs_observability_trace.json` (load it at `chrome://tracing` or
 //!   <https://ui.perfetto.dev>);
-//! * a closing overhead probe runs the read-only trajectory cell with and
+//! * a closing overhead probe runs a read-only pipeline cell with and
 //!   without telemetry and prints the throughput ratio (budget: within 3%,
 //!   see `docs/OBSERVABILITY.md`).
 //!
 //! `--quick` shrinks spans for a CI smoke run; `--verbose` adds per-kind
 //! latency breakdowns and the full Prometheus exposition.
 
+use gre_bench::overhead::telemetry_overhead_probe;
 use gre_bench::registry::IndexBuilder;
 use gre_bench::report::{interval_latency_series, interval_series, print_phase_latency};
-use gre_bench::trajectory::telemetry_overhead_probe;
-use gre_bench::{perfjson, RunOpts};
+use gre_bench::RunOpts;
 use gre_datasets::Dataset;
 use gre_shard::PipelineTarget;
 use gre_telemetry::{
@@ -159,10 +158,9 @@ fn main() {
     let prom = prometheus_text(&snap);
     let samples = validate_prometheus(&prom).expect("prometheus exposition must validate");
     let json = json_text(&snap);
-    perfjson::Json::parse(&json).expect("json snapshot must parse");
     println!("\n## Snapshot exporters");
     println!(
-        "  prometheus: {samples} samples (validated)   json: {} bytes (parsed)",
+        "  prometheus: {samples} samples (validated)   json: {} bytes",
         json.len()
     );
     if opts.verbose {

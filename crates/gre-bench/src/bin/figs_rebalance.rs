@@ -36,6 +36,7 @@
 use gre_bench::registry::IndexBuilder;
 use gre_bench::report::interval_series;
 use gre_bench::RunOpts;
+use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
 use gre_elastic::{ElasticController, ElasticPolicy};
 use gre_shard::{PipelineTarget, Scheme};
@@ -306,7 +307,7 @@ fn main() {
          (got {ratio:.2}x)"
     );
 
-    write_report(
+    let json = report_json(
         &elastic,
         &hash,
         &changes,
@@ -315,6 +316,7 @@ fn main() {
         probes,
         max_probe_gap,
     );
+    std::fs::write(REPORT_OUT, json).expect("write report");
     println!("  report -> {REPORT_OUT}");
 }
 
@@ -374,9 +376,9 @@ fn print_phases(run: &ScenarioResult) {
     }
 }
 
-/// Hand-rolled JSON (the repo's perfjson dialect): interval series per phase
-/// for both runs, the committed topology changes, and the recovery verdict.
-fn write_report(
+/// Interval series per phase for both runs, the committed topology changes,
+/// and the recovery verdict.
+fn report_json(
     elastic: &ScenarioResult,
     hash: &ScenarioResult,
     changes: &[gre_elastic::BoundaryChange],
@@ -384,50 +386,105 @@ fn write_report(
     steady: u64,
     probes: u64,
     max_probe_gap: Duration,
-) {
-    let series = |run: &ScenarioResult| {
-        run.phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"phase\":\"{}\",\"ops\":{},\"elapsed_ns\":{},\"intervals\":[{}]}}",
-                    p.phase,
-                    p.ops(),
-                    p.elapsed_ns,
-                    p.intervals
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
+) -> String {
+    let series = |w: &mut JsonWriter, run: &ScenarioResult| {
+        w.array(|w| {
+            for p in &run.phases {
+                w.object(|w| {
+                    w.key("phase").str(&p.phase);
+                    w.key("ops").u64(p.ops());
+                    w.key("elapsed_ns").u64(p.elapsed_ns);
+                    w.key("intervals").array(|w| {
+                        for &ops in &p.intervals {
+                            w.u64(ops);
+                        }
+                    });
+                });
+            }
+        });
     };
-    let changes_json = changes
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"kind\":\"{:?}\",\"from\":{},\"to\":{},\"keys_moved\":{},\
-                 \"pause_micros\":{},\"epoch\":{}}}",
-                c.kind, c.from, c.to, c.keys_moved, c.pause_micros, c.epoch
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\"elastic\":[{}],\"hash\":[{}],\"changes\":[{}],\
-         \"baseline_ops_per_interval\":{},\"steady_ops_per_interval\":{},\
-         \"probes\":{probes},\"max_probe_gap_micros\":{},\
-         \"recovery_ratio\":{:.4},\"recovery_floor\":{}}}\n",
-        series(elastic),
-        series(hash),
-        changes_json,
-        baseline,
-        steady,
-        max_probe_gap.as_micros(),
-        steady as f64 / baseline as f64,
-        RECOVERY_FLOOR
-    );
-    std::fs::write(REPORT_OUT, json).expect("write report");
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        series(w.key("elastic"), elastic);
+        series(w.key("hash"), hash);
+        w.key("changes").array(|w| {
+            for c in changes {
+                w.object(|w| {
+                    w.key("kind").str(&format!("{:?}", c.kind));
+                    w.key("from").u64(c.from as u64);
+                    w.key("to").u64(c.to as u64);
+                    w.key("keys_moved").u64(c.keys_moved as u64);
+                    w.key("pause_micros").u64(c.pause_micros);
+                    w.key("epoch").u64(c.epoch);
+                });
+            }
+        });
+        w.key("baseline_ops_per_interval").u64(baseline);
+        w.key("steady_ops_per_interval").u64(steady);
+        w.key("probes").u64(probes);
+        w.key("max_probe_gap_micros")
+            .u64(max_probe_gap.as_micros() as u64);
+        w.key("recovery_ratio").f64(steady as f64 / baseline as f64);
+        w.key("recovery_floor").f64(RECOVERY_FLOOR);
+    });
+    w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gre_core::{BoundaryChange, TopologyKind};
+    use gre_workloads::driver::Tally;
+
+    fn run(phase: &str, ops: u64, intervals: Vec<u64>) -> ScenarioResult {
+        ScenarioResult {
+            scenario: String::from("s"),
+            target: String::from("t"),
+            bulk_load_ns: 0,
+            phases: vec![PhaseResult {
+                phase: phase.to_string(),
+                threads: 2,
+                offered_rate: None,
+                elapsed_ns: 1_000,
+                tally: Tally {
+                    ops,
+                    ..Tally::default()
+                },
+                latency: Default::default(),
+                intervals,
+                interval_latency: Vec::new(),
+                interval_ns: 500,
+            }],
+        }
+    }
+
+    /// A zero baseline used to print `recovery_ratio` as a bare `NaN`, and a
+    /// phase name went out unescaped.
+    #[test]
+    fn report_json_golden_bytes() {
+        let change = BoundaryChange {
+            id: 1,
+            kind: TopologyKind::Split,
+            lo: None,
+            hi: Some(9),
+            from: 3,
+            to: 0,
+            keys_moved: 128,
+            epoch: 2,
+            pause_micros: 77,
+        };
+        let json = report_json(
+            &run("hot\"spot", 30, vec![10, 20]),
+            &run("uniform", 0, vec![]),
+            &[change],
+            0,
+            0,
+            5,
+            Duration::from_micros(1_250),
+        );
+        assert_eq!(
+            json,
+            r#"{"elastic": [{"phase": "hot\"spot", "ops": 30, "elapsed_ns": 1000, "intervals": [10, 20]}], "hash": [{"phase": "uniform", "ops": 0, "elapsed_ns": 1000, "intervals": []}], "changes": [{"kind": "Split", "from": 3, "to": 0, "keys_moved": 128, "pause_micros": 77, "epoch": 2}], "baseline_ops_per_interval": 0, "steady_ops_per_interval": 0, "probes": 5, "max_probe_gap_micros": 1250, "recovery_ratio": null, "recovery_floor": 0.75}"#
+        );
+    }
 }

@@ -17,12 +17,12 @@
 //!   index equals the model exactly — no lost ack, no ghost op — reporting
 //!   recovery time and replayed ops per cell.
 //!
-//! Results land in `figs_recovery_report.json` (round-tripped through the
-//! repo's JSON parser; CI uploads it as an artifact). `--quick` shrinks the
-//! spans for a CI smoke run.
+//! Results land in `figs_recovery_report.json` (CI uploads it as an
+//! artifact). `--quick` shrinks the spans for a CI smoke run.
 
 use gre_bench::registry::IndexBuilder;
-use gre_bench::{perfjson, RunOpts};
+use gre_bench::RunOpts;
+use gre_core::json::JsonWriter;
 use gre_core::{ConcurrentIndex, Payload, RangeSpec, Response};
 use gre_datasets::Dataset;
 use gre_durability::util::TempDir;
@@ -50,7 +50,6 @@ fn main() {
     let matrix = crash_matrix(&opts);
 
     let json = report_json(&opts, &cost, &matrix);
-    perfjson::Json::parse(&json).expect("recovery report must round-trip the JSON parser");
     std::fs::write(REPORT_OUT, &json).expect("write recovery report");
     println!("\nreport -> {REPORT_OUT} ({} bytes)", json.len());
 }
@@ -392,41 +391,72 @@ fn crash_cell(
 // ---------------------------------------------------------------------------
 
 fn report_json(opts: &RunOpts, cost: &CostProbe, matrix: &[CrashCell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!(
-        "  \"cost\": {{\n    \"backend\": \"{}\",\n    \"base_mops\": {:.4},\n    \
-         \"every_group_mops\": {:.4},\n    \"every_n_mops\": {:.4},\n    \
-         \"wal_appends\": {},\n    \"wal_fsyncs\": {},\n    \"recovery_ms\": {:.3},\n    \
-         \"replayed_ops\": {},\n    \"recovered_entries\": {}\n  }},\n",
-        cost.backend,
-        cost.base_mops,
-        cost.every_group_mops,
-        cost.every_n_mops,
-        cost.wal.appends,
-        cost.wal.fsyncs,
-        cost.recovery_ms,
-        cost.replayed_ops,
-        cost.recovered_entries
-    ));
-    out.push_str("  \"crash_matrix\": [\n");
-    for (i, cell) in matrix.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"scenario\": \"{}\", \"accepted\": {}, \
-             \"refused\": {}, \"replayed_ops\": {}, \"recovery_ms\": {:.3}, \
-             \"equivalent\": {}}}{}\n",
-            cell.backend,
-            cell.scenario,
-            cell.accepted,
-            cell.refused,
-            cell.replayed_ops,
-            cell.recovery_ms,
-            cell.equivalent,
-            if i + 1 < matrix.len() { "," } else { "" }
-        ));
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("schema").u64(1);
+        w.key("quick").bool(opts.quick);
+        w.key("seed").u64(opts.seed);
+        w.key("cost").object(|w| {
+            w.key("backend").str(&cost.backend);
+            w.key("base_mops").f64(cost.base_mops);
+            w.key("every_group_mops").f64(cost.every_group_mops);
+            w.key("every_n_mops").f64(cost.every_n_mops);
+            w.key("wal_appends").u64(cost.wal.appends);
+            w.key("wal_fsyncs").u64(cost.wal.fsyncs);
+            w.key("recovery_ms").f64(cost.recovery_ms);
+            w.key("replayed_ops").u64(cost.replayed_ops);
+            w.key("recovered_entries")
+                .u64(cost.recovered_entries as u64);
+        });
+        w.key("crash_matrix").array(|w| {
+            for cell in matrix {
+                w.object(|w| {
+                    w.key("backend").str(cell.backend);
+                    w.key("scenario").str(cell.scenario);
+                    w.key("accepted").u64(cell.accepted as u64);
+                    w.key("refused").u64(cell.refused as u64);
+                    w.key("replayed_ops").u64(cell.replayed_ops);
+                    w.key("recovery_ms").f64(cell.recovery_ms);
+                    w.key("equivalent").bool(cell.equivalent);
+                });
+            }
+        });
+    });
+    w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_golden_bytes() {
+        let opts = RunOpts::parse([String::from("--seed"), String::from("7")]);
+        let cost = CostProbe {
+            backend: String::from("sharded(\"ALEX+\",4)"),
+            base_mops: 2.5,
+            every_group_mops: 0.5,
+            every_n_mops: f64::NAN,
+            wal: WalStats {
+                appends: 10,
+                fsyncs: 4,
+            },
+            recovery_ms: 12.25,
+            replayed_ops: 640,
+            recovered_entries: 3000,
+        };
+        let matrix = [CrashCell {
+            backend: "ALEX+",
+            scenario: "clean-kill",
+            accepted: 100,
+            refused: 2,
+            replayed_ops: 98,
+            recovery_ms: 0.5,
+            equivalent: true,
+        }];
+        assert_eq!(
+            report_json(&opts, &cost, &matrix),
+            r#"{"schema": 1, "quick": false, "seed": 7, "cost": {"backend": "sharded(\"ALEX+\",4)", "base_mops": 2.5, "every_group_mops": 0.5, "every_n_mops": null, "wal_appends": 10, "wal_fsyncs": 4, "recovery_ms": 12.25, "replayed_ops": 640, "recovered_entries": 3000}, "crash_matrix": [{"backend": "ALEX+", "scenario": "clean-kill", "accepted": 100, "refused": 2, "replayed_ops": 98, "recovery_ms": 0.5, "equivalent": true}]}"#
+        );
     }
-    out.push_str("  ]\n}\n");
-    out
 }

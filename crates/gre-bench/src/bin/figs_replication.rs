@@ -17,15 +17,15 @@
 //!
 //! The sweep runs replica count × read fraction, asserts every cell is
 //! error-free and every replica quiesces byte-identical to the primary's
-//! committed watermark, and requires the 3-replica 95/5 cell to out-serve
-//! the 1-replica cell. Results land in `BENCH_replication.json` in the
-//! standard perf-trajectory schema (targets `replica×N`), round-tripped
-//! through the repo's JSON parser. `--check FILE` re-validates a committed
-//! report without running the sweep (the CI smoke step).
+//! committed watermark, requires the 3-replica 95/5 cell to out-serve the
+//! 1-replica cell, and prints its table. The floor makes this a plumbing
+//! drill, not a performance result: nothing is written to disk, and the
+//! repo's numbers come from the ledger (`BENCHMARK.json`).
 
-use gre_bench::perfjson::{BenchConfig, BenchReport, BenchResult, SCHEMA_VERSION};
 use gre_bench::RunOpts;
-use gre_core::{ConcurrentIndex, IndexMeta, InsertStats, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{
+    ConcurrentIndex, IndexMeta, InsertStats, Payload, RangeSpec, RequestKind, StatsSnapshot,
+};
 use gre_datasets::Dataset;
 use gre_durability::util::TempDir;
 use gre_learned::AlexPlus;
@@ -33,10 +33,8 @@ use gre_replica::ReplicatedTarget;
 use gre_shard::{Partitioner, ShardedIndex};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::Driver;
-use std::process::Command;
 use std::time::Duration;
 
-const REPORT_OUT: &str = "BENCH_replication.json";
 const SHARDS: usize = 4;
 /// Per-read service floor charged by replica backends (see module docs).
 const READ_FLOOR: Duration = Duration::from_micros(50);
@@ -118,17 +116,7 @@ impl ConcurrentIndex<u64> for Throttled {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).map(String::as_str).unwrap_or(REPORT_OUT);
-        if let Err(e) = check(path) {
-            eprintln!("replication report check FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let opts = RunOpts::parse(args);
+    let opts = RunOpts::from_env();
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
     let ops: u64 = if opts.quick { 6_000 } else { 24_000 };
     let (replica_axis, pct_axis): (&[usize], &[u32]) = if opts.quick {
@@ -151,15 +139,11 @@ fn main() {
         "target", "mix", "ops/s", "p50 us", "p99 us"
     );
 
-    let mut results: Vec<BenchResult> = Vec::new();
+    // (replicas, read %, ops/s) per cell; `run_cell` prints the table row.
+    let mut results: Vec<(usize, u32, f64)> = Vec::new();
     for &pct in pct_axis {
         for &replicas in replica_axis {
-            let row = run_cell(&opts, &keys, replicas, pct, ops);
-            println!(
-                "{:<12} {:<16} {:>12.0} {:>10.1} {:>10.1}",
-                row.target, row.mix, row.throughput_ops_s, row.p50_us, row.p99_us
-            );
-            results.push(row);
+            results.push((replicas, pct, run_cell(&opts, &keys, replicas, pct, ops)));
         }
     }
 
@@ -171,8 +155,8 @@ fn main() {
     let rate_at = |replicas: usize| {
         results
             .iter()
-            .find(|r| r.target == format!("replica×{replicas}") && r.mix == "read95/write5")
-            .map(|r| r.throughput_ops_s)
+            .find(|&&(r, pct, _)| r == replicas && pct == 95)
+            .map(|&(_, _, ops_s)| ops_s)
             .expect("95/5 cell measured")
     };
     let (one, three) = (rate_at(1), rate_at(3));
@@ -183,30 +167,11 @@ fn main() {
         "3-replica throughput ({three:.0} ops/s) must beat 1-replica ({one:.0} ops/s) \
          by >{MIN_SPEEDUP}x, got {speedup:.2}x"
     );
-
-    let report = BenchReport {
-        schema_version: SCHEMA_VERSION,
-        commit: current_commit(),
-        config: BenchConfig {
-            keys: keys.len(),
-            ops,
-            threads: DRIVER_THREADS,
-            shards: SHARDS,
-            seed: opts.seed,
-            quick: opts.quick,
-            batched_compare: Vec::new(),
-        },
-        results,
-    };
-    let json = report.to_json();
-    let back = BenchReport::from_json(&json).expect("report must round-trip the JSON parser");
-    replication_check(&back).expect("fresh report passes its own smoke check");
-    std::fs::write(REPORT_OUT, &json).expect("write replication report");
-    println!("report -> {REPORT_OUT} ({} bytes)", json.len());
 }
 
-/// Drive one (replica count, read fraction) cell and return its result row.
-fn run_cell(opts: &RunOpts, keys: &[u64], replicas: usize, read_pct: u32, ops: u64) -> BenchResult {
+/// Drive one (replica count, read fraction) cell, print its table row and
+/// return its throughput in ops/s.
+fn run_cell(opts: &RunOpts, keys: &[u64], replicas: usize, read_pct: u32, ops: u64) -> f64 {
     let mix = Mix::read_mostly(100 - read_pct);
     let scenario = Scenario::new("replication-scaling", opts.seed, keys).phase(Phase::new(
         "serve",
@@ -253,87 +218,14 @@ fn run_cell(opts: &RunOpts, keys: &[u64], replicas: usize, read_pct: u32, ops: u
         );
     }
 
-    BenchResult::from_phase(
-        &format!("sharded(ALEX+,{SHARDS})+{}µs-floor", READ_FLOOR.as_micros()),
-        &format!("replica×{replicas}"),
-        &format!("read{read_pct}/write{}", 100 - read_pct),
-        phase,
-    )
-}
-
-/// Validate a `BENCH_replication.json` document: trajectory schema, only
-/// `replica×N` targets, finite numbers, and the 3-vs-1 replica ordering on
-/// the 95/5 mix still holding in the stored data.
-fn replication_check(report: &BenchReport) -> Result<(), String> {
-    if report.schema_version != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {} != expected {SCHEMA_VERSION}",
-            report.schema_version
-        ));
-    }
-    if report.results.is_empty() {
-        return Err(String::from("no results"));
-    }
-    for r in &report.results {
-        let cell = format!("{}/{}/{}", r.backend, r.target, r.mix);
-        if !r.target.starts_with("replica×") {
-            return Err(format!("{cell}: unexpected target `{}`", r.target));
-        }
-        if r.ops == 0 {
-            return Err(format!("{cell}: zero completed ops"));
-        }
-        for (name, v) in [
-            ("throughput_ops_s", r.throughput_ops_s),
-            ("p50_us", r.p50_us),
-            ("p99_us", r.p99_us),
-            ("p999_us", r.p999_us),
-            ("mean_us", r.mean_us),
-            ("max_us", r.max_us),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{cell}: `{name}` = {v} is not finite non-negative"));
-            }
-        }
-    }
-    let tput = |target: &str| {
-        report
-            .results
-            .iter()
-            .find(|r| r.target == target && r.mix == "read95/write5")
-            .map(|r| r.throughput_ops_s)
-            .ok_or_else(|| format!("missing {target} read95/write5 cell"))
-    };
-    let (one, three) = (tput("replica×1")?, tput("replica×3")?);
-    if three <= one {
-        return Err(format!(
-            "stored 95/5 throughput does not scale: replica×3 {three:.0} <= replica×1 {one:.0}"
-        ));
-    }
-    Ok(())
-}
-
-fn check(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let report = BenchReport::from_json(&text).map_err(|e| format!("`{path}`: {e}"))?;
-    replication_check(&report).map_err(|e| format!("`{path}`: {e}"))?;
+    let hist = phase.latency.merged(&RequestKind::ALL);
     println!(
-        "{path}: ok — schema v{}, commit {}, {} replication cells",
-        report.schema_version,
-        report.commit,
-        report.results.len()
+        "{:<12} {:<16} {:>12.0} {:>10.1} {:>10.1}",
+        format!("replica×{replicas}"),
+        format!("read{read_pct}/write{}", 100 - read_pct),
+        phase.achieved_rate(),
+        hist.percentile(0.50) as f64 / 1e3,
+        hist.percentile(0.99) as f64 / 1e3,
     );
-    Ok(())
-}
-
-/// `git rev-parse HEAD`, or `unknown` outside a work tree.
-fn current_commit() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| String::from("unknown"))
+    phase.achieved_rate()
 }

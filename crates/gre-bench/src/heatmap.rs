@@ -7,6 +7,7 @@
 
 use crate::registry::{concurrent_indexes, single_thread_indexes, IndexKind};
 use crate::runopts::RunOpts;
+use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
 use gre_pla::{DataHardness, HardnessConfig};
 use gre_workloads::{run_concurrent, run_single, Workload, WorkloadBuilder, WriteRatio};
@@ -81,59 +82,29 @@ impl Heatmap {
         out
     }
 
-    /// Serialize to JSON for GRE-style plotting scripts.
+    /// Serialize to JSON for GRE-style plotting scripts; infinite ratios
+    /// (possible in degenerate cells) are written as `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"dataset\": {}, \"write_ratio\": {}, \"hardness_local\": {}, \
-                 \"hardness_global\": {}, \"best_learned\": {}, \"best_learned_mops\": {}, \
-                 \"best_traditional\": {}, \"best_traditional_mops\": {}, \"ratio\": {}}}{comma}\n",
-                json_string(&c.dataset),
-                json_string(&c.write_ratio),
-                c.hardness_local,
-                c.hardness_global,
-                json_string(&c.best_learned),
-                json_f64(c.best_learned_mops),
-                json_string(&c.best_traditional),
-                json_f64(c.best_traditional_mops),
-                json_f64(c.ratio),
-            ));
-        }
-        out.push_str("  ]\n}");
-        out
-    }
-}
-
-/// Quote and escape a string for JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format an `f64` as a JSON number; infinities (possible in degenerate
-/// heatmap ratios) have no JSON representation and are emitted as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("title").str(&self.title);
+            w.key("cells").array(|w| {
+                for c in &self.cells {
+                    w.object(|w| {
+                        w.key("dataset").str(&c.dataset);
+                        w.key("write_ratio").str(&c.write_ratio);
+                        w.key("hardness_local").u64(c.hardness_local as u64);
+                        w.key("hardness_global").u64(c.hardness_global as u64);
+                        w.key("best_learned").str(&c.best_learned);
+                        w.key("best_learned_mops").f64(c.best_learned_mops);
+                        w.key("best_traditional").str(&c.best_traditional);
+                        w.key("best_traditional_mops").f64(c.best_traditional_mops);
+                        w.key("ratio").f64(c.ratio);
+                    });
+                }
+            });
+        });
+        w.finish()
     }
 }
 
@@ -296,6 +267,28 @@ mod tests {
         assert!(rendered.contains("covid"));
         assert!(!hm.to_json().is_empty());
         assert!((0.0..=1.0).contains(&hm.learned_win_fraction()));
+    }
+
+    #[test]
+    fn to_json_golden_bytes() {
+        let hm = Heatmap {
+            title: String::from("t \"1\""),
+            cells: vec![HeatmapCell {
+                dataset: String::from("osm"),
+                write_ratio: String::from("50%"),
+                hardness_local: 7,
+                hardness_global: 2,
+                best_learned: String::from("ALEX"),
+                best_learned_mops: 2.5,
+                best_traditional: String::from("-"),
+                best_traditional_mops: 0.0,
+                ratio: -f64::INFINITY,
+            }],
+        };
+        assert_eq!(
+            hm.to_json(),
+            r#"{"title": "t \"1\"", "cells": [{"dataset": "osm", "write_ratio": "50%", "hardness_local": 7, "hardness_global": 2, "best_learned": "ALEX", "best_learned_mops": 2.5, "best_traditional": "-", "best_traditional_mops": 0, "ratio": null}]}"#
+        );
     }
 
     #[test]

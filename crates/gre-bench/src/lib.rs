@@ -2,18 +2,22 @@
 //!
 //! The GRE benchmark harness: index registries, the heatmap machinery of
 //! Figures 2/4/7/14/16, and shared helpers used by the per-figure binaries
-//! in `src/bin/` (one binary per table/figure of the paper; see DESIGN.md §5
-//! and EXPERIMENTS.md for the mapping).
+//! in `src/bin/` (one binary per table/figure of the paper, named after it:
+//! `fig2_heatmap` … `table3_insert_stats`; the `figs_*` binaries drill the
+//! serving, durability, elasticity and replication tiers).
+//!
+//! Performance is measured by the layer-tax ledger (`BENCHMARK.json` +
+//! `benchmark/` at the repo root), not by this crate; where the code under
+//! test departs from the paper's setup is listed under "Substitutions" in
+//! `docs/BENCHMARKS.md`.
 
 pub mod heatmap;
-pub mod perfjson;
+pub mod overhead;
 pub mod registry;
 pub mod report;
 pub mod runopts;
-pub mod trajectory;
 
 pub use heatmap::{Heatmap, HeatmapCell};
-pub use perfjson::{BenchReport, BenchResult, SCHEMA_VERSION};
 pub use registry::{
     backend, concurrent_backend, concurrent_indexes, sharded_concurrent_indexes, sharded_index,
     single_thread_indexes, IndexKind,

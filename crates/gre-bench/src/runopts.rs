@@ -89,6 +89,17 @@ impl RunOpts {
     }
 }
 
+/// The caveat `fig5_scalability` and `fig6_numa` print above their tables:
+/// how many hardware threads the host has, and what the thread axis can
+/// therefore show.
+pub fn thread_axis_note() -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "# note: this host has {cpus} hardware thread(s); beyond that the thread axis \
+         oversubscribes them, so read the columns as a shape check, not a NUMA/scaling result"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! accidental lock, syscall, or per-op clock read on the hot path), which
 //! shows up as tens of percent, not single digits.
 
-use gre_bench::trajectory::telemetry_overhead_probe;
+use gre_bench::overhead::telemetry_overhead_probe;
 use gre_bench::RunOpts;
 
 #[test]

@@ -31,11 +31,14 @@
 //!   (per-shard applied-sequence [`replica::Watermark`]s, the
 //!   [`replica::ReadPolicy`] for read placement) spoken between
 //!   `gre-replica`'s mechanism and the serving/benchmark layers.
+//! * [`json`] — [`json::JsonWriter`], the one JSON emitter every report in
+//!   the workspace is written through.
 //! * [`error`] — the shared error type.
 
 pub mod elastic;
 pub mod error;
 pub mod index;
+pub mod json;
 pub mod key;
 pub mod latency;
 pub mod ops;

@@ -9,8 +9,8 @@
 //! reproduces the published CDF characteristics that matter to the paper's
 //! analysis (local and global PLA hardness, duplicate structure, outliers)
 //! so the relative hardness ordering of the datasets — and therefore which
-//! index wins where — is preserved. See DESIGN.md §4 for the substitution
-//! rationale.
+//! index wins where — is preserved. The substitution is listed with the
+//! others under "Substitutions" in `docs/BENCHMARKS.md`.
 //!
 //! ```
 //! use gre_datasets::Dataset;

@@ -1,7 +1,6 @@
-//! Snapshot exporters: Prometheus text format and the repo's hand-rolled
-//! JSON style, plus a strict parser-validator for the Prometheus output
-//! (used by the CI smoke checks alongside the JSON validator in
-//! `gre-bench`).
+//! Snapshot exporters: Prometheus text format and JSON (through
+//! [`gre_core::json::JsonWriter`]), plus a strict parser-validator for the
+//! Prometheus output (used by the CI smoke checks).
 //!
 //! All metric names carry a `gre_` namespace prefix. Histograms export as
 //! Prometheus *summaries*: `{quantile="..."}` samples plus `_sum`/`_count`,
@@ -9,6 +8,7 @@
 //! like (quantiles are computed at snapshot time, not by the server).
 
 use crate::metrics::{CounterId, GaugeId, GlobalHistId, MetricsSnapshot, ShardHistId};
+use gre_core::json::JsonWriter;
 use gre_core::LatencyHistogram;
 use std::fmt::Write as _;
 
@@ -82,53 +82,47 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     out
 }
 
-fn json_hist(out: &mut String, hist: &LatencyHistogram) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-        hist.count(),
-        hist.mean(),
-        hist.percentile(0.5),
-        hist.percentile(0.99),
-        hist.percentile(0.999),
-        hist.max()
-    );
+fn json_hist(w: &mut JsonWriter, hist: &LatencyHistogram) {
+    w.object(|w| {
+        w.key("count").u64(hist.count());
+        w.key("mean").f64(hist.mean());
+        w.key("p50").u64(hist.percentile(0.5));
+        w.key("p99").u64(hist.percentile(0.99));
+        w.key("p999").u64(hist.percentile(0.999));
+        w.key("max").u64(hist.max());
+    });
 }
 
-/// Render a snapshot in the repo's hand-rolled JSON style (same dialect as
-/// `gre-bench`'s `BENCH_*.json` reports; parseable by its `Json` parser).
+/// Render a snapshot as JSON: `schema_version`, a counters object, one
+/// object per shard, then the global histograms.
 pub fn json_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema_version\": 1,\n  \"counters\": {");
-    for (i, id) in CounterId::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("schema_version").u64(1);
+        w.key("counters").object(|w| {
+            for id in CounterId::ALL {
+                w.key(id.name()).u64(snap.counter(id));
+            }
+        });
+        w.key("shards").array(|w| {
+            for (s, shard) in snap.shards.iter().enumerate() {
+                w.object(|w| {
+                    w.key("shard").u64(s as u64);
+                    for id in GaugeId::ALL {
+                        w.key(id.name()).i64(shard.gauge(id));
+                    }
+                    w.key("ops_completed").u64(shard.ops_completed);
+                    for id in ShardHistId::ALL {
+                        json_hist(w.key(id.name()), shard.hist(id));
+                    }
+                });
+            }
+        });
+        for id in GlobalHistId::ALL {
+            json_hist(w.key(id.name()), snap.global(id));
         }
-        let _ = write!(out, "\n    \"{}\": {}", id.name(), snap.counter(*id));
-    }
-    out.push_str("\n  },\n  \"shards\": [");
-    for (s, shard) in snap.shards.iter().enumerate() {
-        if s > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    {{\"shard\": {s}");
-        for id in GaugeId::ALL {
-            let _ = write!(out, ", \"{}\": {}", id.name(), shard.gauge(id));
-        }
-        let _ = write!(out, ", \"ops_completed\": {}", shard.ops_completed);
-        for id in ShardHistId::ALL {
-            let _ = write!(out, ", \"{}\": ", id.name());
-            json_hist(&mut out, shard.hist(id));
-        }
-        out.push('}');
-    }
-    out.push_str("\n  ]");
-    for id in GlobalHistId::ALL {
-        let _ = write!(out, ",\n  \"{}\": ", id.name());
-        json_hist(&mut out, snap.global(id));
-    }
-    out.push_str("\n}\n");
-    out
+    });
+    w.finish()
 }
 
 /// Strictly validate Prometheus text output: every non-comment line must be
@@ -268,5 +262,20 @@ mod tests {
         assert!(json.contains("\"session_window\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn json_text_golden_bytes() {
+        let reg = MetricsRegistry::new(1, 1);
+        reg.stripe(0).add(CounterId::OpsCompleted, 3);
+        reg.shard(0).hist(ShardHistId::ServiceNs).record(1000);
+        let json = json_text(&reg.snapshot());
+        const EMPTY: &str = r#"{"count": 0, "mean": 0, "p50": 0, "p99": 0, "p999": 0, "max": 0}"#;
+        assert!(json.starts_with(
+            r#"{"schema_version": 1, "counters": {"ops_submitted": 0, "ops_completed": 3, "#
+        ));
+        assert!(json.ends_with(&format!(
+            r#""replica_applied_ops": 0}}, "shards": [{{"shard": 0, "shard_queue_depth": 0, "shard_inflight_ops": 0, "shard_replica_lag": 0, "ops_completed": 0, "sub_batch_size": {EMPTY}, "queue_wait_ns": {EMPTY}, "service_ns": {{"count": 1, "mean": 1000, "p50": 1000, "p99": 1000, "p999": 1000, "max": 1000}}}}], "session_window": {EMPTY}, "batch_ops": {EMPTY}, "replica_apply_ns": {EMPTY}}}"#
+        )));
     }
 }

@@ -13,7 +13,7 @@
 //!   of operation spans with seqlock-style readers, fed by a deterministic
 //!   1-in-N [`trace::Sampler`] and dumpable as Chrome trace-event JSON.
 //! * [`export`] — snapshot exporters: Prometheus text format (with a
-//!   strict validator used by CI) and the repo's hand-rolled JSON style.
+//!   strict validator used by CI) and JSON.
 //!
 //! [`Telemetry`] bundles the three with a shared monotonic epoch; the
 //! serving layer (`gre-shard`) takes an `Option<Arc<Telemetry>>` and

@@ -4,8 +4,8 @@
 //! in its multi-threaded experiments (§4.2). The original C++ implementations
 //! synchronize with optimistic lock coupling (OLC) or ROWEX protocols over
 //! shared node memory. In safe Rust we substitute two schemes that preserve
-//! the *observable* concurrency behaviour the paper analyses (see DESIGN.md
-//! §4):
+//! the *observable* concurrency behaviour the paper analyses (see
+//! "Substitutions" in `docs/BENCHMARKS.md`):
 //!
 //! * [`Sharded`] — the key space is range-partitioned into many shards, each
 //!   an independent single-threaded index behind a reader-writer lock. Reads

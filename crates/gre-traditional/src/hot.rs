@@ -2,13 +2,13 @@
 //!
 //! The original HOT (Binna et al., SIGMOD'18) combines multiple radix levels
 //! into compound nodes selected by discriminative bits and navigated with
-//! SIMD masks. We implement the simplification described in DESIGN.md §4: a
-//! nibble-span (4-bit) trie with path compression and *compact* child
-//! storage (children are kept in a sorted, exactly-sized vector rather than a
-//! fixed 16-slot array). This preserves the two properties the paper relies
-//! on — a very small memory footprint (Figure 8 shows HOT as the most
-//! space-efficient index) and robust lookup performance — while omitting the
-//! SIMD machinery.
+//! SIMD masks. We implement a simplification (listed under "Substitutions"
+//! in `docs/BENCHMARKS.md`): a nibble-span (4-bit) trie with path
+//! compression and *compact* child storage (children are kept in a sorted,
+//! exactly-sized vector rather than a fixed 16-slot array). This preserves
+//! the two properties the paper relies on — a very small memory footprint
+//! (Figure 8 shows HOT as the most space-efficient index) and robust lookup
+//! performance — while omitting the SIMD machinery.
 
 use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 

@@ -4,9 +4,10 @@
 //! whose layers are B+-trees over consecutive 8-byte key slices. For the
 //! fixed 8-byte integer keys of this study the trie degenerates to a single
 //! B+-tree layer with Masstree's small node fanout (15 keys per node), which
-//! is the simplification we implement (see DESIGN.md §4). The behaviours the
-//! paper attributes to Masstree in this setting — B-tree-like write
-//! amplification and heavier per-key overhead than ART — are preserved.
+//! is the simplification we implement (see "Substitutions" in
+//! `docs/BENCHMARKS.md`). The behaviours the paper attributes to Masstree in
+//! this setting — B-tree-like write amplification and heavier per-key
+//! overhead than ART — are preserved.
 
 use crate::btree::{BPlusTree, BPlusTreeConfig};
 use gre_core::{Index, IndexMeta, InsertStats, Key, Payload, RangeSpec, StatsSnapshot};

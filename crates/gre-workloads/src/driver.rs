@@ -669,9 +669,7 @@ impl PhaseResult {
 
     /// Merged read-side (get + range) latency summary.
     pub fn read_summary(&self) -> LatencySummary {
-        LatencySummary::from_histogram(
-            &self.latency.merged(&[RequestKind::Get, RequestKind::Range]),
-        )
+        LatencySummary::reads(&self.latency)
     }
 
     /// Per-interval latency percentile series (ns): one value per entry of
@@ -686,11 +684,7 @@ impl PhaseResult {
 
     /// Merged write-side (insert + update + remove) latency summary.
     pub fn write_summary(&self) -> LatencySummary {
-        LatencySummary::from_histogram(&self.latency.merged(&[
-            RequestKind::Insert,
-            RequestKind::Update,
-            RequestKind::Remove,
-        ]))
+        LatencySummary::writes(&self.latency)
     }
 }
 

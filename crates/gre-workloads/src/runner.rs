@@ -18,7 +18,9 @@
 //!   non-bare serving targets (`ShardPipeline`/`Session` in `gre-shard`).
 //! * [`run_single`] keeps its direct loop: single-threaded indexes
 //!   (`Index`, `&mut self`) sit outside the concurrent `ServeTarget`
-//!   surface.
+//!   surface. It records its samples into the same [`KindLatency`]
+//!   histograms the driver uses, so the single- and multi-thread columns
+//!   of one table carry the same percentile definition.
 //!
 //! Latencies on the closed-loop paths are sampled (1 op in
 //! [`LATENCY_SAMPLE_RATE`], as in §6.1) to keep measurement overhead
@@ -49,37 +51,8 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Build a summary from raw samples (order irrelevant).
-    pub fn from_samples(mut samples: Vec<u64>) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        samples.sort_unstable();
-        let n = samples.len();
-        let sum: u128 = samples.iter().map(|&v| v as u128).sum();
-        let mean = sum as f64 / n as f64;
-        let var = samples
-            .iter()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        LatencySummary {
-            samples: n,
-            mean_ns: mean,
-            p50_ns: percentile(&samples, 0.50),
-            p99_ns: percentile(&samples, 0.99),
-            p999_ns: percentile(&samples, 0.999),
-            max_ns: samples[n - 1],
-            std_ns: var.sqrt(),
-        }
-    }
-
-    /// Build a summary from a recorded histogram (the scenario driver's
-    /// representation; percentiles carry the histogram's ~3% bucket
-    /// resolution, mean and max are exact).
+    /// Build a summary from a recorded histogram (percentiles carry the
+    /// histogram's ~3% bucket resolution, mean and max are exact).
     pub fn from_histogram(hist: &LatencyHistogram) -> Self {
         if hist.is_empty() {
             return LatencySummary::default();
@@ -94,24 +67,16 @@ impl LatencySummary {
             std_ns: hist.std_dev(),
         }
     }
-}
 
-/// The `p`-quantile of an ascending-sorted sample set, with linear
-/// interpolation between the two straddling ranks (the nearest-rank
-/// `.round()` this replaces biased p999 low on small sample sets, where the
-/// rounded rank collapses onto an interior sample).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+    /// Merged read-side (get + range) summary.
+    pub fn reads(latency: &KindLatency) -> Self {
+        Self::from_histogram(&latency.merged(&[OpKind::Get, OpKind::Range]))
     }
-    let rank = (sorted.len() - 1) as f64 * p.clamp(0.0, 1.0);
-    let lo = rank.floor() as usize;
-    let hi = (rank.ceil() as usize).min(sorted.len() - 1);
-    if lo == hi {
-        return sorted[lo];
+
+    /// Merged write-side (insert + update + remove) summary.
+    pub fn writes(latency: &KindLatency) -> Self {
+        Self::from_histogram(&latency.merged(&[OpKind::Insert, OpKind::Update, OpKind::Remove]))
     }
-    let frac = rank - lo as f64;
-    (sorted[lo] as f64 + (sorted[hi] - sorted[lo]) as f64 * frac).round() as u64
 }
 
 /// Per-[`OpKind`] latency summaries (Get vs Insert vs Update vs Remove vs
@@ -123,11 +88,6 @@ impl KindSummaries {
     /// The summary for one kind.
     pub fn get(&self, kind: OpKind) -> &LatencySummary {
         &self.0[kind.index()]
-    }
-
-    /// Build from per-kind raw sample vectors.
-    pub fn from_samples(per_kind: [Vec<u64>; OpKind::COUNT]) -> Self {
-        KindSummaries(per_kind.map(LatencySummary::from_samples))
     }
 
     /// Build from a kind-indexed histogram recorder.
@@ -205,7 +165,7 @@ pub fn run_single<I: Index<u64> + ?Sized>(index: &mut I, workload: &Workload) ->
 
     let mut hits = 0usize;
     let mut scanned = 0usize;
-    let mut kind_samples: [Vec<u64>; OpKind::COUNT] = Default::default();
+    let mut latency = KindLatency::new();
     let mut scan_buf: Vec<(u64, u64)> = Vec::new();
 
     let timer = Instant::now();
@@ -233,23 +193,10 @@ pub fn run_single<I: Index<u64> + ?Sized>(index: &mut I, workload: &Workload) ->
             }
         }
         if let Some(start) = start {
-            let ns = start.elapsed().as_nanos() as u64;
-            kind_samples[op.kind().index()].push(ns);
+            latency.record(op.kind(), start.elapsed().as_nanos() as u64);
         }
     }
     let elapsed_ns = timer.elapsed().as_nanos() as u64;
-
-    let read_samples: Vec<u64> = kind_samples[OpKind::Get.index()]
-        .iter()
-        .chain(kind_samples[OpKind::Range.index()].iter())
-        .copied()
-        .collect();
-    let write_samples: Vec<u64> = kind_samples[OpKind::Insert.index()]
-        .iter()
-        .chain(kind_samples[OpKind::Update.index()].iter())
-        .chain(kind_samples[OpKind::Remove.index()].iter())
-        .copied()
-        .collect();
 
     RunResult {
         index: index.meta().name.to_string(),
@@ -260,9 +207,9 @@ pub fn run_single<I: Index<u64> + ?Sized>(index: &mut I, workload: &Workload) ->
         bulk_load_ns,
         hits,
         scanned_keys: scanned,
-        read_latency: LatencySummary::from_samples(read_samples),
-        write_latency: LatencySummary::from_samples(write_samples),
-        kind_latency: KindSummaries::from_samples(kind_samples),
+        read_latency: LatencySummary::reads(&latency),
+        write_latency: LatencySummary::writes(&latency),
+        kind_latency: KindSummaries::from_kind_latency(&latency),
         memory_bytes: index.memory_usage(),
     }
 }
@@ -451,66 +398,40 @@ mod tests {
 
     #[test]
     fn latency_summary_statistics() {
-        let s = LatencySummary::from_samples(vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 1000]);
+        let mut hist = LatencyHistogram::new();
+        for v in [10, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
+            hist.record(v);
+        }
+        let s = LatencySummary::from_histogram(&hist);
         assert_eq!(s.samples, 10);
         assert_eq!(s.max_ns, 1000);
         assert!(s.p999_ns >= s.p99_ns && s.p99_ns >= s.p50_ns);
         assert!(s.std_ns > 0.0);
         assert!(s.mean_ns > 0.0);
-        let empty = LatencySummary::from_samples(vec![]);
+        let empty = LatencySummary::from_histogram(&LatencyHistogram::new());
         assert_eq!(empty.samples, 0);
         assert_eq!(empty.p999_ns, 0);
     }
 
     #[test]
-    fn percentile_interpolates_between_ranks() {
-        // Ten evenly spaced samples: p50 sits exactly between ranks 4 and 5.
-        let samples: Vec<u64> = (1..=10).map(|i| i * 10).collect();
-        assert_eq!(percentile(&samples, 0.50), 55);
-        assert_eq!(percentile(&samples, 0.0), 10);
-        assert_eq!(percentile(&samples, 1.0), 100);
-        // p25 rank = 2.25 → 30 + 0.25 * 10 = 32.5 → 33 (round half up).
-        assert_eq!(percentile(&samples, 0.25), 33);
-
-        // The motivating case: a 10-sample set with one outlier. The old
-        // nearest-rank round() collapsed p999 (rank 8.991) onto the 1000
-        // outlier only via rounding to rank 9; interpolation instead blends
-        // 90 and 1000: 90 + 0.991 * 910 = 991.81 → 992.
-        let skewed = vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 1000];
-        assert_eq!(percentile(&skewed, 0.999), 992);
-        // p99 rank = 8.91 → 90 + 0.91 * 910 = 918.1 → 918 (the old code
-        // reported the raw 1000 here, overstating p99 by 9%).
-        assert_eq!(percentile(&skewed, 0.99), 918);
-
-        // Exact ranks are returned untouched, and the summary fields stay
-        // consistent with the function.
-        let s = LatencySummary::from_samples(skewed.clone());
-        assert_eq!(s.p50_ns, 55);
-        assert_eq!(s.p99_ns, 918);
-        assert_eq!(s.p999_ns, 992);
-        assert_eq!(percentile(&[42], 0.999), 42);
-        assert_eq!(percentile(&[], 0.5), 0);
-    }
-
-    #[test]
     fn summary_from_histogram_matches_samples_within_resolution() {
-        let samples: Vec<u64> = (1..=10_000u64).map(|i| i * 7).collect();
+        // The samples are 7, 14, …, 70 000, so the exact statistics are
+        // closed-form: the q-quantile is 70 000 q and the mean 7 · 5000.5.
         let mut hist = LatencyHistogram::new();
-        for &s in &samples {
-            hist.record(s);
+        for i in 1..=10_000u64 {
+            hist.record(i * 7);
         }
-        let from_samples = LatencySummary::from_samples(samples);
         let from_hist = LatencySummary::from_histogram(&hist);
-        assert_eq!(from_hist.samples, from_samples.samples);
-        assert_eq!(from_hist.max_ns, from_samples.max_ns);
-        assert!((from_hist.mean_ns - from_samples.mean_ns).abs() < 1e-6);
-        for (a, b) in [
-            (from_hist.p50_ns, from_samples.p50_ns),
-            (from_hist.p99_ns, from_samples.p99_ns),
-            (from_hist.p999_ns, from_samples.p999_ns),
+        assert_eq!(from_hist.samples, 10_000);
+        assert_eq!(from_hist.max_ns, 70_000);
+        assert!((from_hist.mean_ns - 35_003.5).abs() < 1e-6);
+        for (got, exact) in [
+            (from_hist.p50_ns, 35_000.0),
+            (from_hist.p99_ns, 69_300.0),
+            (from_hist.p999_ns, 69_930.0),
         ] {
-            let rel = (a as f64 - b as f64).abs() / b as f64;
-            assert!(rel < 0.05, "histogram {a} vs samples {b}");
+            let rel = (got as f64 - exact).abs() / exact;
+            assert!(rel < 0.05, "histogram {got} vs exact {exact}");
         }
         assert_eq!(
             LatencySummary::from_histogram(&LatencyHistogram::new()).samples,

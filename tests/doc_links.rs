@@ -1,0 +1,125 @@
+//! Doc truth: a file or binary that `README.md`, `docs/*.md`, the CI workflow
+//! or a doc comment under `crates/`, `src/`, `examples/` names must exist.
+//!
+//! Three kinds of mention are checked: a path ending in `.md` or `.json`
+//! (resolved against the repo root, the citing file's directory, or — for a
+//! bare `NAME.md` — `docs/`), and `--bin <name>` (a file in some crate's
+//! `src/bin/`). A bare `name.json` may instead be a run artifact the root
+//! `.gitignore` declares: the figure binaries write those, nothing commits
+//! them.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `(file, line number, text)` the check reads: whole Markdown and
+/// YAML files, and only the doc-comment lines of Rust sources.
+fn scanned_lines() -> Vec<(PathBuf, usize, String)> {
+    let root = root();
+    let mut files = vec![
+        root.join("README.md"),
+        root.join(".github/workflows/ci.yml"),
+    ];
+    for entry in fs::read_dir(root.join("docs")).expect("docs/ exists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            files.push(path);
+        }
+    }
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+
+    let mut lines = Vec::new();
+    for file in files {
+        let text = fs::read_to_string(&file).expect("scanned file is UTF-8");
+        let rust = file.extension().is_some_and(|e| e == "rs");
+        for (i, line) in text.lines().enumerate() {
+            let doc = line.trim_start();
+            if !rust || doc.starts_with("//!") || doc.starts_with("///") {
+                lines.push((file.clone(), i + 1, line.to_string()));
+            }
+        }
+    }
+    lines
+}
+
+fn bin_exists(name: &str) -> bool {
+    fs::read_dir(root().join("crates"))
+        .expect("crates/ exists")
+        .any(|c| {
+            c.expect("directory entry")
+                .path()
+                .join("src/bin")
+                .join(format!("{name}.rs"))
+                .is_file()
+        })
+}
+
+/// Whether `token`, found in `file`, is a `.md` / `.json` path naming nothing.
+fn dangling(token: &str, file: &Path, ignored: &[String]) -> bool {
+    let name = token.rsplit('/').next().expect("rsplit yields an item");
+    let bare = name == token;
+    let (md, json) = (name.ends_with(".md"), name.ends_with(".json"));
+    if !(md || json) || name.starts_with('.') {
+        return false;
+    }
+    let root = root();
+    let mut homes = vec![root.clone(), file.parent().expect("file in a dir").into()];
+    if bare && md {
+        homes.push(root.join("docs"));
+    }
+    let exists = homes.iter().any(|home| home.join(token).is_file());
+    let run_artifact = bare && json && ignored.iter().any(|line| line == token);
+    !(exists || run_artifact)
+}
+
+#[test]
+fn every_named_file_and_binary_exists() {
+    let root = root();
+    let ignored: Vec<String> = fs::read_to_string(root.join(".gitignore"))
+        .expect(".gitignore exists")
+        .lines()
+        .map(|l| l.trim().to_string())
+        .collect();
+
+    let mut problems = Vec::new();
+    for (file, line_no, line) in scanned_lines() {
+        let shown = file.strip_prefix(&root).unwrap_or(&file).display();
+        let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+        for token in line.split(|c| !is_path_char(c)) {
+            let token = token.trim_end_matches('.');
+            if dangling(token, &file, &ignored) {
+                problems.push(format!("{shown}:{line_no}: `{token}` does not exist"));
+            }
+        }
+        for (at, _) in line.match_indices("--bin ") {
+            let name: String = line[at + "--bin ".len()..]
+                .chars()
+                .take_while(|&c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+                .collect();
+            if !name.is_empty() && !bin_exists(&name) {
+                problems.push(format!("{shown}:{line_no}: no binary `{name}`"));
+            }
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "documentation names files or binaries that do not exist:\n{}",
+        problems.join("\n")
+    );
+}
