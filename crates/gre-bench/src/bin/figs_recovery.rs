@@ -5,10 +5,12 @@
 //!
 //! * **Group-commit cost probe** — the same seeded write-heavy scenario
 //!   served three times through a `PipelineTarget`: WAL detached, WAL with
-//!   `SyncPolicy::EveryGroup` (a barrier per sub-batch), and WAL with
+//!   `SyncPolicy::EveryGroup` (a barrier per group: whatever a shard had
+//!   queued when its worker turned to it), and WAL with
 //!   `SyncPolicy::EveryN(8)`. Reports throughput for each, the WAL
-//!   append/fsync counts, and then a timed full recovery whose rebuilt
-//!   state is compared entry-for-entry against the live store.
+//!   append/fsync counts and the mean group size (logged writes per
+//!   record), and then a timed full recovery whose rebuilt state is
+//!   compared entry-for-entry against the live store.
 //! * **Crash matrix** — for ALEX+ and B+treeOLC, a seeded write stream is
 //!   killed at scripted failpoints (clean kill, crash during the sync
 //!   barrier, a torn short-write, an append error, a crash between snapshot
@@ -64,6 +66,9 @@ struct CostProbe {
     every_group_mops: f64,
     every_n_mops: f64,
     wal: WalStats,
+    /// Mean writes per WAL record (`writes / appends`), per policy row.
+    every_group_ops_per_group: f64,
+    every_n_ops_per_group: f64,
     recovery_ms: f64,
     replayed_ops: u64,
     recovered_entries: usize,
@@ -117,17 +122,24 @@ fn cost_probe(opts: &RunOpts) -> CostProbe {
         assert_eq!(p.tally.errors, 0, "{label}: no refusals without faults");
         let log = Arc::clone(target.durability().expect("durable target is loaded"));
         let stats = log.stats();
+        // The load's checkpoint emptied the log, so once the policy's
+        // unsynced tail is flushed it holds exactly the run's writes.
+        log.sync_all().expect("flush the run's tail");
+        let writes = Recovery::recover(tmp.path())
+            .expect("scan WAL dir")
+            .replayed_ops();
+        let ops_per_group = writes as f64 / stats.appends as f64;
         println!(
-            "  {label:<22} {:.3} Mop/s  ({} appends, {} fsyncs)",
+            "  {label:<22} {:.3} Mop/s  ({} appends, {} fsyncs, {ops_per_group:.1} ops/group)",
             p.throughput_mops(),
             stats.appends,
             stats.fsyncs
         );
-        (p.throughput_mops(), stats, tmp, target)
+        (p.throughput_mops(), stats, ops_per_group, tmp, target)
     };
-    let (every_group_mops, wal, tmp, target) =
+    let (every_group_mops, wal, every_group_ops_per_group, tmp, target) =
         run_durable("wal sync=every-group", SyncPolicy::EveryGroup);
-    let (every_n_mops, _, _tmp_n, _target_n) =
+    let (every_n_mops, _, every_n_ops_per_group, _tmp_n, _target_n) =
         run_durable("wal sync=every-8", SyncPolicy::EveryN(8));
 
     // Timed recovery of the every-group run, checked entry-for-entry: the
@@ -167,6 +179,8 @@ fn cost_probe(opts: &RunOpts) -> CostProbe {
         every_group_mops,
         every_n_mops,
         wal,
+        every_group_ops_per_group,
+        every_n_ops_per_group,
         recovery_ms,
         replayed_ops,
         recovered_entries: rebuilt.len(),
@@ -403,6 +417,10 @@ fn report_json(opts: &RunOpts, cost: &CostProbe, matrix: &[CrashCell]) -> String
             w.key("every_n_mops").f64(cost.every_n_mops);
             w.key("wal_appends").u64(cost.wal.appends);
             w.key("wal_fsyncs").u64(cost.wal.fsyncs);
+            w.key("every_group_ops_per_group")
+                .f64(cost.every_group_ops_per_group);
+            w.key("every_n_ops_per_group")
+                .f64(cost.every_n_ops_per_group);
             w.key("recovery_ms").f64(cost.recovery_ms);
             w.key("replayed_ops").u64(cost.replayed_ops);
             w.key("recovered_entries")
@@ -441,6 +459,8 @@ mod tests {
                 appends: 10,
                 fsyncs: 4,
             },
+            every_group_ops_per_group: 64.0,
+            every_n_ops_per_group: 51.5,
             recovery_ms: 12.25,
             replayed_ops: 640,
             recovered_entries: 3000,
@@ -456,7 +476,7 @@ mod tests {
         }];
         assert_eq!(
             report_json(&opts, &cost, &matrix),
-            r#"{"schema": 1, "quick": false, "seed": 7, "cost": {"backend": "sharded(\"ALEX+\",4)", "base_mops": 2.5, "every_group_mops": 0.5, "every_n_mops": null, "wal_appends": 10, "wal_fsyncs": 4, "recovery_ms": 12.25, "replayed_ops": 640, "recovered_entries": 3000}, "crash_matrix": [{"backend": "ALEX+", "scenario": "clean-kill", "accepted": 100, "refused": 2, "replayed_ops": 98, "recovery_ms": 0.5, "equivalent": true}]}"#
+            r#"{"schema": 1, "quick": false, "seed": 7, "cost": {"backend": "sharded(\"ALEX+\",4)", "base_mops": 2.5, "every_group_mops": 0.5, "every_n_mops": null, "wal_appends": 10, "wal_fsyncs": 4, "every_group_ops_per_group": 64, "every_n_ops_per_group": 51.5, "recovery_ms": 12.25, "replayed_ops": 640, "recovered_entries": 3000}, "crash_matrix": [{"backend": "ALEX+", "scenario": "clean-kill", "accepted": 100, "refused": 2, "replayed_ops": 98, "recovery_ms": 0.5, "equivalent": true}]}"#
         );
     }
 }

@@ -14,8 +14,8 @@
 //!   [`failpoint::InjectingSink`] that turns them into deterministic
 //!   errors, short writes, and crashes.
 //! * [`wal`] — [`wal::DurableLog`]: one log per shard, one record per
-//!   pipeline sub-batch (group commit), log-then-execute fail-stop
-//!   semantics, checkpoints.
+//!   group (whatever the pipeline had queued for the shard), log-then-execute
+//!   fail-stop semantics, checkpoints.
 //! * [`snapshot`] — CRC-trailed, atomically renamed per-shard snapshots.
 //! * [`recover`] — [`recover::Recovery`]: scan, classify how each shard's
 //!   history ends (clean / torn / corrupt / sequence break), replay into

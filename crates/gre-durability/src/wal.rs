@@ -1,13 +1,17 @@
 //! Per-shard write-ahead logs with group commit.
 //!
 //! [`DurableLog`] owns one append-only log per shard. The serving pipeline
-//! already batches operations into per-shard sub-batches ("groups"), so the
-//! natural group-commit unit falls out for free: **one WAL record per
-//! group**, logged and synced *before* the group executes in memory
-//! (log-then-execute). Because each shard's groups are processed FIFO by the
-//! pipeline, each shard's log is a faithful serial history of that shard's
-//! accepted writes — no cross-shard ordering is needed, since every key
-//! routes to exactly one shard.
+//! already batches operations into per-shard sub-batches and queues them
+//! FIFO, so the group-commit unit falls out for free: a **group** is the
+//! writes of every sub-batch a shard had queued when its worker turned to
+//! it — one sub-batch when the queue is shallow, the whole backlog when a
+//! slow barrier made it pile up — and it is **one WAL record**, logged and
+//! synced *before* any of it executes in memory (log-then-execute). This
+//! crate does not choose the grouping: a group is whatever one
+//! [`DurableLog::log_group`] call carries. Because each shard's groups are
+//! processed FIFO by the pipeline, each shard's log is a faithful serial
+//! history of that shard's accepted writes — no cross-shard ordering is
+//! needed, since every key routes to exactly one shard.
 //!
 //! ## Durability contract
 //!
@@ -18,9 +22,11 @@
 //! * Under [`SyncPolicy::EveryN`], sync barriers are amortized over `n`
 //!   groups. Recovery still rebuilds a *prefix-consistent* state (a clean
 //!   per-shard prefix of accepted groups), but up to `n - 1` acknowledged
-//!   groups per shard may be lost in a crash. This is the classic
-//!   group-commit latency/durability dial; the recovery benchmark quantifies
-//!   the throughput gap.
+//!   groups per shard may be lost in a crash — and a group is a shard's
+//!   whole queued backlog, so under load that is many more operations than
+//!   `n - 1` sub-batches. This is the classic group-commit
+//!   latency/durability dial; the recovery benchmark quantifies the
+//!   throughput gap and prints the mean group size beside it.
 //! * Any sink failure **fail-stops the shard's log**: the failed group is
 //!   reported as not-logged (the pipeline answers it with a shutdown error
 //!   and executes nothing), and every later group on that shard fails too.
@@ -52,12 +58,18 @@ pub enum SyncPolicy {
     EveryGroup,
     /// A barrier every `n` groups per shard (and on checkpoint/shutdown).
     /// Up to `n - 1` acknowledged groups per shard may be lost in a crash.
+    /// The bound counts groups, not operations: the pipeline logs whatever
+    /// a shard had queued as one group (up to its queue capacity in
+    /// sub-batches), so under load `n - 1` groups hold far more writes than
+    /// `n - 1` sub-batches would.
     EveryN(u32),
     /// Time-based group commit: a shard's unsynced groups are made durable
     /// within `ms` milliseconds of the *first* unsynced append — by the
     /// append path once the interval has elapsed, and by a background
     /// flusher thread for idle shards. Acknowledged groups younger than the
-    /// interval may be lost in a crash; nothing older can be.
+    /// interval may be lost in a crash; nothing older can be. The bound is
+    /// in time, so it does not widen when groups grow with the shard's
+    /// backlog — only the number of writes inside the window does.
     EveryMillis(u64),
 }
 

@@ -47,8 +47,9 @@
 //!
 //! Durability attaches the same way: an optional per-shard write-ahead log
 //! ([`gre_durability::DurableLog`], via [`ShardPipeline::with_durability`]
-//! or `PipelineTarget::durable`) group-commits each sub-batch's writes
-//! before execution, with fail-stop refusal
+//! or `PipelineTarget::durable`) group-commits the writes of whatever a
+//! shard has queued — one record, one barrier — before any of it executes,
+//! with fail-stop refusal
 //! ([`gre_core::IndexError::Shutdown`]) when the log cannot accept a group.
 //! [`retry`] adds the client-side complement for the bounded queues:
 //! [`RetryPolicy`]-driven jittered backoff on [`Backpressure`].

@@ -37,22 +37,31 @@
 //! ## Durability
 //!
 //! A pipeline built with [`ShardPipeline::with_durability`] carries an
-//! optional per-shard write-ahead log ([`DurableLog`]): each sub-batch's
-//! writes are logged and synced as **one group-commit record** before any of
-//! them executes (log-then-execute), so durability rides the batching the
-//! pipeline already does and per-shard FIFO order makes the log a faithful
-//! replay script. The semantics are **fail-stop**: if the log cannot accept
-//! a group, the sub-batch does not execute and every op in it answers
+//! optional per-shard write-ahead log ([`DurableLog`]). The group-commit
+//! unit is **what the shard has queued, not one sub-batch**: when a worker
+//! turns to a sub-batch whose writes are not yet logged, it takes every
+//! sub-batch of that shard waiting in its queue (up to the first drain
+//! barrier), logs all their writes, in submission order, as **one record
+//! under one sync barrier**, and only then executes and answers them one by
+//! one in FIFO order (log-then-execute). Group size therefore adapts to
+//! load — one sub-batch when the queue is shallow, the whole backlog (at
+//! most the queue capacity) when a barrier made it pile up — and per-shard
+//! FIFO order keeps the log a faithful replay script. The contract is
+//! **acknowledged ⇒ durable, refused ⇒ never in the log**, and the semantics
+//! are **fail-stop**: if the log cannot accept a group, no member of it
+//! executes and every op in every member answers
 //! [`Response::Error`]\([`IndexError::Shutdown`]) — memory never runs ahead
 //! of the durable state. [`ShardPipeline::shutdown`] flips the same terminal
-//! answer for all subsequent submissions, letting clients distinguish
-//! "drained and executed" from "refused". Detached (the default), the WAL
-//! path costs nothing.
+//! answer for all subsequent submissions and for queued sub-batches no
+//! record covers yet (one whose writes already reached the log still
+//! executes and is acknowledged), letting clients distinguish "drained and
+//! executed" from "refused". Detached (the default), the gate is one branch
+//! per sub-batch.
 
 use crate::retry::RetryPolicy;
 use crate::sharded::ShardedIndex;
 use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Response};
-use gre_durability::DurableLog;
+use gre_durability::{DurableLog, GroupReceipt};
 use gre_telemetry::{
     CounterId, CounterStripe, GaugeId, GlobalHistId, ShardHistId, SpanRecord, Telemetry,
 };
@@ -60,7 +69,7 @@ use gre_workloads::{split_indexed_ops_by_shard, Op};
 use rand::RngCore;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -328,6 +337,26 @@ struct Job {
     /// is FIFO, a completed barrier proves every job enqueued before it has
     /// finished — the elasticity controller's drain step.
     barrier: bool,
+    /// Where this job stands at its worker's durability gate.
+    gate: Gate,
+}
+
+/// A queued job's standing at the worker's durability gate (see
+/// `Worker::admit`). The stamp is what keeps the contract at group
+/// granularity: a job whose writes reached the log executes and is
+/// acknowledged whatever happens later, a job whose group was refused
+/// executes nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Undecided: none of its writes is in the log.
+    Open,
+    /// Its writes are in the group being logged right now; it takes that
+    /// group's verdict before the worker looks at it again.
+    Grouped,
+    /// Cleared to execute: its writes are logged, or it has none to log.
+    Admitted,
+    /// Its group was refused: every op answers [`IndexError::Shutdown`].
+    Refused,
 }
 
 /// Submit-side half of a sampled span, completed by the executing worker.
@@ -406,8 +435,9 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     }
 
     /// Like [`ShardPipeline::with_queue_capacity`], with every sub-batch's
-    /// writes group-committed to `durability` before execution
-    /// (log-then-execute; see the module docs' durability section).
+    /// writes group-committed to `durability` before execution — one record
+    /// for everything its shard had queued (log-then-execute; see the module
+    /// docs' durability section).
     ///
     /// # Panics
     /// If `durability` was created for a different shard count than `index`.
@@ -481,152 +511,23 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                 // Capability metadata is static per backend; resolve it once
                 // instead of per operation (composite meta takes locks).
                 let index_meta = index.meta();
-                let backend_metas: Vec<IndexMeta> = (0..index.num_shards())
+                let backend_metas = (0..index.num_shards())
                     .map(|s| index.backend(s).meta())
                     .collect();
-                while let Ok(job) = rx.recv() {
-                    if job.barrier {
-                        // A drain barrier proves the queue ahead of it is
-                        // empty; it carries no ops, so it skips durability,
-                        // execution, and all telemetry (nothing entered the
-                        // submit-side counters for it either — only the
-                        // depth gauge, reversed here).
-                        {
-                            let mut state = job.shared.state.lock().expect("pipeline poisoned");
-                            state.pending -= 1;
-                            if state.pending == 0 {
-                                job.shared.ready.notify_all();
-                            }
-                        }
-                        gauge.depths[job.shard].fetch_sub(1, Ordering::SeqCst);
-                        if gauge.waiters.load(Ordering::SeqCst) > 0 {
-                            let _g = gauge.lock.lock().expect("pipeline poisoned");
-                            gauge.freed.notify_all();
-                        }
-                        continue;
-                    }
-                    // Dequeue-side telemetry: queue wait and sub-batch size,
-                    // stamped before execution so service time is separable.
-                    let execute_ns = telemetry.as_deref().map(|t| {
-                        let now = t.now_ns();
-                        let scope = t.metrics().shard(job.shard);
-                        scope
-                            .hist(ShardHistId::QueueWaitNs)
-                            .record(now.saturating_sub(job.enqueue_ns));
-                        scope
-                            .hist(ShardHistId::SubBatchSize)
-                            .record(job.ops.len() as u64);
-                        now
-                    });
-                    // The durability gate, before anything touches memory:
-                    // group-commit this sub-batch's writes (one WAL record,
-                    // one sync barrier per the log's policy). A refused
-                    // group — log fail-stopped, sink error, or pipeline
-                    // shutting down — means the *whole* sub-batch answers
-                    // the terminal `Shutdown` error and executes nothing,
-                    // so the in-memory state never runs ahead of the log.
-                    let mut receipt = None;
-                    let refused = if stopping.load(Ordering::SeqCst) {
-                        true
-                    } else if let Some(log) = durability.as_deref() {
-                        let writes: Vec<Op> = job
-                            .ops
-                            .iter()
-                            .filter(|(_, op)| op.is_write())
-                            .map(|&(_, op)| op)
-                            .collect();
-                        if writes.is_empty() {
-                            false
-                        } else {
-                            match log.log_group(job.shard, &writes) {
-                                Ok(r) => {
-                                    receipt = Some(r);
-                                    false
-                                }
-                                Err(_) => true,
-                            }
-                        }
-                    } else {
-                        false
-                    };
-                    let (responses, batched_gets) = if refused {
-                        let refusals = job
-                            .ops
-                            .iter()
-                            .map(|&(slot, _)| (slot, Response::Error(IndexError::Shutdown)))
-                            .collect();
-                        (refusals, 0)
-                    } else {
-                        execute_sub_batch(&index, &backend_metas[job.shard], &index_meta, &job)
-                    };
-                    debug_assert_eq!(
-                        responses.len(),
-                        job.ops.len(),
-                        "every submitted op must have exactly one response"
-                    );
-                    // All counters and gauges a snapshot must reconcile are
-                    // updated *before* the responses become visible below:
-                    // once a client observes its batch complete, a snapshot
-                    // accounts for every one of its ops.
-                    let complete_ns = telemetry.as_deref().map(|t| {
-                        let now = t.now_ns();
-                        let stripe = t.metrics().stripe(worker_id);
-                        let scope = t.metrics().shard(job.shard);
-                        scope
-                            .hist(ShardHistId::ServiceNs)
-                            .record(now.saturating_sub(execute_ns.unwrap_or(now)));
-                        stripe.inc(CounterId::SubBatchesExecuted);
-                        stripe.add(CounterId::BatchedGetOps, batched_gets as u64);
-                        if let Some(r) = &receipt {
-                            stripe.inc(CounterId::WalAppends);
-                            stripe.add(CounterId::WalFsyncs, r.fsyncs);
-                        }
-                        count_outcomes(stripe, &responses);
-                        scope.gauge_add(GaugeId::QueueDepth, -1);
-                        scope.gauge_add(GaugeId::InFlightOps, -(job.ops.len() as i64));
-                        scope.add_ops_completed(job.ops.len() as u64);
-                        now
-                    });
-                    {
-                        let mut state = job.shared.state.lock().expect("pipeline poisoned");
-                        for (slot, response) in responses {
-                            state.slots[slot] = Some(response);
-                        }
-                        state.pending -= 1;
-                        if state.pending == 0 {
-                            job.shared.ready.notify_all();
-                        }
-                    }
-                    gauge.depths[job.shard].fetch_sub(1, Ordering::SeqCst);
-                    // Wake blocking submitters — but only when someone is
-                    // actually parked: a waiter registers itself (SeqCst)
-                    // *before* its final capacity check, so either this load
-                    // sees it, or the waiter's check sees the freed slot.
-                    // Notifying under the lock closes the remaining window
-                    // between a waiter's failed check and its wait.
-                    if gauge.waiters.load(Ordering::SeqCst) > 0 {
-                        let _g = gauge.lock.lock().expect("pipeline poisoned");
-                        gauge.freed.notify_all();
-                    }
-                    if let Some(t) = telemetry.as_deref() {
-                        if let (Some(ring), Some(span)) = (t.trace(), &job.trace) {
-                            let (_, op) = job.ops[span.pos];
-                            ring.record(SpanRecord {
-                                op_id: span.op_id,
-                                kind: op.kind(),
-                                shard: job.shard as u32,
-                                batch_ops: job.ops.len() as u32,
-                                submit_ns: span.submit_ns,
-                                route_ns: span.route_ns,
-                                enqueue_ns: job.enqueue_ns,
-                                execute_ns: execute_ns.unwrap_or(0),
-                                complete_ns: complete_ns.unwrap_or(0),
-                                respond_ns: t.now_ns(),
-                            });
-                            t.metrics().stripe(worker_id).inc(CounterId::TraceSpans);
-                        }
-                    }
+                Worker {
+                    worker_id,
+                    rx,
+                    index,
+                    index_meta,
+                    backend_metas,
+                    gauge,
+                    telemetry,
+                    durability,
+                    stopping,
+                    backlog: VecDeque::new(),
+                    writes: Vec::new(),
                 }
+                .run()
             }));
             queues.push(tx);
         }
@@ -655,10 +556,12 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     }
 
     /// Stop accepting and executing work. Every subsequent submission — and
-    /// every sub-batch still queued when its worker reaches it — answers all
-    /// its operations with [`Response::Error`]\([`IndexError::Shutdown`]),
-    /// so a submitter can tell *refused* from *completed* per operation.
-    /// Writes never half-apply: a refused sub-batch executes nothing.
+    /// every sub-batch still queued when its worker reaches it, unless its
+    /// writes are already in the durable log — answers all its operations
+    /// with [`Response::Error`]\([`IndexError::Shutdown`]), so a submitter
+    /// can tell *refused* from *completed* per operation. Writes never
+    /// half-apply: a refused sub-batch executes nothing and is in no log
+    /// record; a logged one always executes and is acknowledged.
     ///
     /// Idempotent; does not wait for in-flight work (drop the pipeline or
     /// wait on outstanding handles for that).
@@ -819,6 +722,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                     enqueue_ns,
                     trace,
                     barrier: false,
+                    gate: Gate::Open,
                 })
                 .expect("pipeline worker exited early");
         }
@@ -849,6 +753,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                     enqueue_ns: 0,
                     trace: None,
                     barrier: true,
+                    gate: Gate::Open,
                 })
                 .expect("pipeline worker exited early");
         }
@@ -953,6 +858,234 @@ impl<B: ConcurrentIndex<u64> + 'static> Drop for ShardPipeline<B> {
             let _ = log.sync_all();
         }
     }
+}
+
+/// One worker thread's state: its queue, the index and services it works
+/// against, and the two buffers it reuses for its whole life.
+struct Worker<B: ConcurrentIndex<u64> + 'static> {
+    worker_id: usize,
+    rx: Receiver<Job>,
+    index: Arc<ShardedIndex<u64, B>>,
+    index_meta: IndexMeta,
+    backend_metas: Vec<IndexMeta>,
+    gauge: Arc<QueueGauge>,
+    telemetry: Option<Arc<Telemetry>>,
+    durability: Option<Arc<DurableLog>>,
+    stopping: Arc<AtomicBool>,
+    /// Jobs taken off the channel while forming a group, in arrival order.
+    /// They still count against their shard's queue depth, so the backlog —
+    /// and with it a group — is bounded by the queue capacity.
+    backlog: VecDeque<Job>,
+    /// Scratch for one group's concatenated writes.
+    writes: Vec<Op>,
+}
+
+impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
+    /// Serve jobs in arrival order — the backlog first, then the channel —
+    /// until every sender is gone and everything queued has been answered.
+    fn run(mut self) {
+        loop {
+            let job = match self.backlog.pop_front() {
+                Some(job) => job,
+                None => match self.rx.recv() {
+                    Ok(job) => job,
+                    Err(_) => return,
+                },
+            };
+            if job.barrier {
+                self.complete_barrier(job);
+            } else {
+                self.serve(job);
+            }
+        }
+    }
+
+    /// A drain barrier proves the queue ahead of it is empty; it carries no
+    /// ops, so it skips durability, execution, and all telemetry (nothing
+    /// entered the submit-side counters for it either — only the depth
+    /// gauge, reversed here).
+    fn complete_barrier(&self, job: Job) {
+        {
+            let mut state = job.shared.state.lock().expect("pipeline poisoned");
+            state.pending -= 1;
+            if state.pending == 0 {
+                job.shared.ready.notify_all();
+            }
+        }
+        self.release_slot(job.shard);
+    }
+
+    /// Give `shard`'s queue slot back and wake blocking submitters — but
+    /// only when someone is actually parked: a waiter registers itself
+    /// (SeqCst) *before* its final capacity check, so either this load sees
+    /// it, or the waiter's check sees the freed slot. Notifying under the
+    /// lock closes the remaining window between a waiter's failed check and
+    /// its wait.
+    fn release_slot(&self, shard: usize) {
+        self.gauge.depths[shard].fetch_sub(1, Ordering::SeqCst);
+        if self.gauge.waiters.load(Ordering::SeqCst) > 0 {
+            let _g = self.gauge.lock.lock().expect("pipeline poisoned");
+            self.gauge.freed.notify_all();
+        }
+    }
+
+    /// The durability gate, before anything of `job` touches memory.
+    /// Contract: **acknowledged ⇒ durable, refused ⇒ never in the log.**
+    ///
+    /// A job stamped by an earlier group keeps its stamp. An undecided one
+    /// is refused if the pipeline is shutting down (so shutdown refuses
+    /// only what no record covers); otherwise its writes open a group: the
+    /// worker empties its channel into the backlog and appends, in arrival
+    /// order, the writes of every undecided job of the same shard queued
+    /// before the first drain barrier. The group is logged as **one** record
+    /// under one barrier (per the log's policy) and every member is stamped
+    /// with the verdict — a refused group (log fail-stopped, sink error)
+    /// executes none of its members, so memory never runs ahead of the log.
+    /// The group stops at a barrier because whoever waits on it may seal or
+    /// checkpoint the shard once it completes. With nothing else queued the
+    /// group is the job alone: one record, one barrier per sub-batch.
+    ///
+    /// Returns the receipt of the record this call wrote, if it wrote one.
+    fn admit(&mut self, job: &mut Job) -> Option<GroupReceipt> {
+        if job.gate != Gate::Open {
+            return None;
+        }
+        if self.stopping.load(Ordering::SeqCst) {
+            job.gate = Gate::Refused;
+            return None;
+        }
+        job.gate = Gate::Admitted;
+        let log = self.durability.as_deref()?;
+        self.writes.clear();
+        self.writes.extend(writes_of(job));
+        if self.writes.is_empty() {
+            return None;
+        }
+        self.backlog.extend(self.rx.try_iter());
+        let shard = job.shard;
+        for queued in self.backlog.iter_mut().take_while(|j| !j.barrier) {
+            if queued.shard == shard && queued.gate == Gate::Open {
+                let before = self.writes.len();
+                self.writes.extend(writes_of(queued));
+                if self.writes.len() > before {
+                    queued.gate = Gate::Grouped;
+                }
+            }
+        }
+        let receipt = log.log_group(shard, &self.writes).ok();
+        let verdict = match receipt {
+            Some(_) => Gate::Admitted,
+            None => Gate::Refused,
+        };
+        job.gate = verdict;
+        for queued in self.backlog.iter_mut().take_while(|j| !j.barrier) {
+            if queued.gate == Gate::Grouped {
+                queued.gate = verdict;
+            }
+        }
+        receipt
+    }
+
+    /// Gate, execute and answer one sub-batch.
+    fn serve(&mut self, mut job: Job) {
+        // Dequeue-side telemetry: queue wait and sub-batch size, stamped
+        // before the gate so service time is separable. A group's log time
+        // is therefore service time of the member that opened it; the other
+        // members are still queued while it runs, so per-job service
+        // intervals never overlap.
+        let execute_ns = self.telemetry.as_deref().map(|t| {
+            let now = t.now_ns();
+            let scope = t.metrics().shard(job.shard);
+            scope
+                .hist(ShardHistId::QueueWaitNs)
+                .record(now.saturating_sub(job.enqueue_ns));
+            scope
+                .hist(ShardHistId::SubBatchSize)
+                .record(job.ops.len() as u64);
+            now
+        });
+        let receipt = self.admit(&mut job);
+        let (responses, batched_gets) = if job.gate == Gate::Refused {
+            let refusals = job
+                .ops
+                .iter()
+                .map(|&(slot, _)| (slot, Response::Error(IndexError::Shutdown)))
+                .collect();
+            (refusals, 0)
+        } else {
+            execute_sub_batch(
+                &self.index,
+                &self.backend_metas[job.shard],
+                &self.index_meta,
+                &job,
+            )
+        };
+        debug_assert_eq!(
+            responses.len(),
+            job.ops.len(),
+            "every submitted op must have exactly one response"
+        );
+        // All counters and gauges a snapshot must reconcile are updated
+        // *before* the responses become visible below: once a client
+        // observes its batch complete, a snapshot accounts for every one of
+        // its ops. A group's record is counted once, with the member that
+        // wrote it.
+        let complete_ns = self.telemetry.as_deref().map(|t| {
+            let now = t.now_ns();
+            let stripe = t.metrics().stripe(self.worker_id);
+            let scope = t.metrics().shard(job.shard);
+            scope
+                .hist(ShardHistId::ServiceNs)
+                .record(now.saturating_sub(execute_ns.unwrap_or(now)));
+            stripe.inc(CounterId::SubBatchesExecuted);
+            stripe.add(CounterId::BatchedGetOps, batched_gets as u64);
+            if let Some(r) = &receipt {
+                stripe.inc(CounterId::WalAppends);
+                stripe.add(CounterId::WalFsyncs, r.fsyncs);
+            }
+            count_outcomes(stripe, &responses);
+            scope.gauge_add(GaugeId::QueueDepth, -1);
+            scope.gauge_add(GaugeId::InFlightOps, -(job.ops.len() as i64));
+            scope.add_ops_completed(job.ops.len() as u64);
+            now
+        });
+        {
+            let mut state = job.shared.state.lock().expect("pipeline poisoned");
+            for (slot, response) in responses {
+                state.slots[slot] = Some(response);
+            }
+            state.pending -= 1;
+            if state.pending == 0 {
+                job.shared.ready.notify_all();
+            }
+        }
+        self.release_slot(job.shard);
+        if let Some(t) = self.telemetry.as_deref() {
+            if let (Some(ring), Some(span)) = (t.trace(), &job.trace) {
+                let (_, op) = job.ops[span.pos];
+                ring.record(SpanRecord {
+                    op_id: span.op_id,
+                    kind: op.kind(),
+                    shard: job.shard as u32,
+                    batch_ops: job.ops.len() as u32,
+                    submit_ns: span.submit_ns,
+                    route_ns: span.route_ns,
+                    enqueue_ns: job.enqueue_ns,
+                    execute_ns: execute_ns.unwrap_or(0),
+                    complete_ns: complete_ns.unwrap_or(0),
+                    respond_ns: t.now_ns(),
+                });
+                t.metrics()
+                    .stripe(self.worker_id)
+                    .inc(CounterId::TraceSpans);
+            }
+        }
+    }
+}
+
+/// The writes of one sub-batch, in submission order (what its group logs).
+fn writes_of(job: &Job) -> impl Iterator<Item = Op> + '_ {
+    job.ops.iter().map(|&(_, op)| op).filter(|op| op.is_write())
 }
 
 /// Execute one per-shard sub-batch, producing `(slot, response)` pairs.
@@ -1692,6 +1825,331 @@ mod tests {
         assert!(stats.appends > 0 && stats.fsyncs > 0);
         assert_eq!(snap.counter(CounterId::WalAppends), stats.appends);
         assert_eq!(snap.counter(CounterId::WalFsyncs), stats.fsyncs);
+    }
+
+    #[test]
+    fn one_batch_in_flight_logs_one_record_and_one_barrier_per_sub_batch() {
+        use gre_durability::util::TempDir;
+        use gre_durability::{DurableLog, SyncPolicy};
+
+        let tmp = TempDir::new("pipeline-wal-depth1");
+        let high = u64::MAX / 2 + 1;
+        let mut idx = ShardedIndex::from_factory(Partitioner::range(2), |_| {
+            MutexIndex::new(MapIndex::default(), "map-shard")
+        });
+        idx.bulk_load(&[(0, 0), (high, 0)]);
+        let log = DurableLog::create(tmp.path(), 2, SyncPolicy::EveryGroup).unwrap();
+        let p = ShardPipeline::with_durability(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, log);
+        for b in 1..=10u64 {
+            // Both shards write, then only shard 1, then nobody.
+            p.submit(OpBatch::new(vec![
+                Op::Insert(b, b),
+                Op::Get(b),
+                Op::Insert(high + b, b),
+            ]))
+            .wait();
+            p.submit(OpBatch::new(vec![Op::Get(b), Op::Update(high + b, b + 1)]))
+                .wait();
+            p.submit(OpBatch::new(vec![Op::Get(b), Op::Get(high + b)]))
+                .wait();
+        }
+        // With nothing queued behind it, a group is its sub-batch.
+        let stats = p.durability().unwrap().stats();
+        assert_eq!((stats.appends, stats.fsyncs), (30, 30));
+    }
+
+    /// A map whose next write, once [`WriteGate::arm`]ed, parks inside the
+    /// backend until the test releases it — the worker is then provably
+    /// past that job's log and busy, so whatever the test submits meanwhile
+    /// is one backlog when the worker comes back.
+    struct GatedIndex {
+        map: MapIndex,
+        gate: Arc<WriteGate>,
+    }
+
+    #[derive(Default)]
+    struct WriteGate {
+        state: Mutex<GateState>,
+        changed: Condvar,
+    }
+
+    #[derive(Default, Clone, Copy, PartialEq, Debug)]
+    enum GateState {
+        #[default]
+        Idle,
+        Armed,
+        Holding,
+    }
+
+    impl WriteGate {
+        fn set(&self, to: GateState) {
+            *self.state.lock().unwrap() = to;
+            self.changed.notify_all();
+        }
+        fn wait_while(&self, held: impl Fn(GateState) -> bool) {
+            let mut state = self.state.lock().unwrap();
+            while held(*state) {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+        fn arm(&self) {
+            self.set(GateState::Armed);
+        }
+        /// Block until a write is parked inside the backend.
+        fn wait_held(&self) {
+            self.wait_while(|s| s != GateState::Holding);
+        }
+        fn release(&self) {
+            self.set(GateState::Idle);
+        }
+        /// Called by the backend at the top of every write.
+        fn pass(&self) {
+            let mut state = self.state.lock().unwrap();
+            if *state == GateState::Armed {
+                *state = GateState::Holding;
+                self.changed.notify_all();
+                while *state == GateState::Holding {
+                    state = self.changed.wait(state).unwrap();
+                }
+            }
+        }
+    }
+
+    impl Index<u64> for GatedIndex {
+        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
+            self.map.bulk_load(entries);
+        }
+        fn get(&self, key: u64) -> Option<Payload> {
+            self.map.get(key)
+        }
+        fn insert(&mut self, key: u64, value: Payload) -> bool {
+            self.gate.pass();
+            self.map.insert(key, value)
+        }
+        fn update(&mut self, key: u64, value: Payload) -> bool {
+            self.gate.pass();
+            self.map.update(key, value)
+        }
+        fn remove(&mut self, key: u64) -> Option<Payload> {
+            self.gate.pass();
+            self.map.remove(key)
+        }
+        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
+            self.map.range(spec, out)
+        }
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+        fn memory_usage(&self) -> usize {
+            self.map.memory_usage()
+        }
+        fn meta(&self) -> IndexMeta {
+            self.map.meta()
+        }
+    }
+
+    /// One shard, one worker, empty store, logging to `log`.
+    fn gated_pipeline(
+        log: Arc<DurableLog>,
+    ) -> (ShardPipeline<MutexIndex<GatedIndex>>, Arc<WriteGate>) {
+        let gate = Arc::new(WriteGate::default());
+        let idx = ShardedIndex::from_factory(Partitioner::range(1), |_| {
+            MutexIndex::new(
+                GatedIndex {
+                    map: MapIndex::default(),
+                    gate: Arc::clone(&gate),
+                },
+                "gated",
+            )
+        });
+        let p = ShardPipeline::with_durability(Arc::new(idx), 1, DEFAULT_QUEUE_CAPACITY, log);
+        (p, gate)
+    }
+
+    /// The store a restart would rebuild from the log directory `dir`.
+    fn recovered_entries(dir: &std::path::Path) -> Vec<(u64, Payload)> {
+        let mut replayed = MutexIndex::new(MapIndex::default(), "replayed");
+        gre_durability::Recovery::recover(dir)
+            .unwrap()
+            .replay_into(&mut replayed);
+        let mut out = Vec::new();
+        replayed.range(RangeSpec::new(0, usize::MAX), &mut out);
+        out
+    }
+
+    #[test]
+    fn shutdown_after_a_group_is_logged_still_executes_and_acknowledges_its_members() {
+        use gre_durability::util::TempDir;
+        use gre_durability::{DurableLog, SyncPolicy};
+
+        let tmp = TempDir::new("pipeline-wal-shutdown");
+        let log = DurableLog::create(tmp.path(), 1, SyncPolicy::EveryGroup).unwrap();
+        let (p, gate) = gated_pipeline(log);
+        gate.arm();
+        let a = p.submit(OpBatch::new(vec![Op::Insert(1, 1)]));
+        gate.wait_held();
+        let b = p.submit(OpBatch::new(vec![Op::Insert(2, 2)]));
+        let c = p.submit(OpBatch::new(vec![Op::Insert(3, 3), Op::Get(2)]));
+        // Let `a` finish and park the worker inside `b`: by then the record
+        // for {b, c} is on disk, and `c` has not touched memory yet.
+        gate.arm();
+        gate.wait_held();
+        assert_eq!(p.durability().unwrap().stats().appends, 2);
+        p.shutdown();
+        let d = p.submit(OpBatch::new(vec![Op::Insert(4, 4)]));
+        gate.release();
+        assert_eq!(a.wait(), vec![Response::Insert(true)]);
+        assert_eq!(b.wait(), vec![Response::Insert(true)]);
+        // Logged before the shutdown, so executed and acknowledged after it:
+        // refusing `c` here would resurrect a refused write at recovery.
+        assert_eq!(
+            c.wait(),
+            vec![Response::Insert(true), Response::Get(Some(2))]
+        );
+        assert_eq!(d.wait(), vec![Response::Error(IndexError::Shutdown)]);
+        assert_eq!(p.index().len(), 3);
+        drop(p);
+        assert_eq!(recovered_entries(tmp.path()), vec![(1, 1), (2, 2), (3, 3)]);
+    }
+
+    #[test]
+    fn a_group_the_log_refuses_refuses_every_member_and_executes_none() {
+        use gre_durability::util::TempDir;
+        use gre_durability::{DurableLog, FailAction, FailpointRegistry, SyncPolicy, Trigger};
+
+        let tmp = TempDir::new("pipeline-wal-refused-group");
+        let registry = FailpointRegistry::new();
+        // Barrier 1 is `a`'s own record; barrier 2 is the group behind it.
+        registry.script("wal/0/sync", Trigger::OnHit(2), FailAction::Error);
+        let log = DurableLog::create_injected(
+            tmp.path(),
+            1,
+            SyncPolicy::EveryGroup,
+            Arc::clone(&registry),
+        )
+        .unwrap();
+        let (p, gate) = gated_pipeline(log);
+        gate.arm();
+        let a = p.submit(OpBatch::new(vec![Op::Insert(1, 1)]));
+        gate.wait_held();
+        let b = p.submit(OpBatch::new(vec![Op::Insert(2, 2)]));
+        let reads = p.submit(OpBatch::new(vec![Op::Get(1), Op::Get(2)]));
+        let c = p.submit(OpBatch::new(vec![Op::Get(1), Op::Update(1, 9)]));
+        gate.release();
+        assert_eq!(a.wait(), vec![Response::Insert(true)]);
+        assert_eq!(b.wait(), vec![Response::Error(IndexError::Shutdown)]);
+        // A sub-batch with nothing to log is no member: it is served, and
+        // sees that `b` never executed.
+        assert_eq!(
+            reads.wait(),
+            vec![Response::Get(Some(1)), Response::Get(None)]
+        );
+        // Refusal is per sub-batch, reads included.
+        assert_eq!(c.wait(), vec![Response::Error(IndexError::Shutdown); 2]);
+        assert!(registry.fired("wal/0/sync"));
+        assert_eq!(p.durability().unwrap().stats().appends, 1);
+        assert_eq!(p.index().get(1), Some(1));
+        assert_eq!(p.index().len(), 1);
+        drop(p);
+        assert_eq!(recovered_entries(tmp.path()), vec![(1, 1)]);
+    }
+
+    #[test]
+    fn queued_sub_batches_coalesce_into_one_record_split_at_a_drain_barrier() {
+        use gre_durability::util::TempDir;
+        use gre_durability::{decode_record, DurableLog, SyncPolicy};
+
+        let tmp = TempDir::new("pipeline-wal-coalesce");
+        let log = DurableLog::create(tmp.path(), 1, SyncPolicy::EveryGroup).unwrap();
+        let (p, gate) = gated_pipeline(log);
+        let stats = || p.durability().unwrap().stats();
+        // Batch `b`: overwrite the shared key, read it back, add an own key.
+        let batch = |b: u64| vec![Op::Insert(7, b), Op::Get(7), Op::Insert(100 + b, b)];
+        let writes = |b: u64| vec![Op::Insert(7, b), Op::Insert(100 + b, b)];
+        let answers = |b: u64| {
+            vec![
+                Response::Insert(false),
+                Response::Get(Some(b)),
+                Response::Insert(true),
+            ]
+        };
+
+        // Park the worker inside job 0's first write: its record (alone, the
+        // queue was empty) is on disk, and N more batches pile up behind it.
+        gate.arm();
+        let blocked = p.submit(OpBatch::new(vec![Op::Insert(7, 0)]));
+        gate.wait_held();
+        assert_eq!(stats().appends, 1);
+        const N: u64 = 6;
+        let queued: Vec<SubmitHandle> = (1..=N).map(|b| p.submit(OpBatch::new(batch(b)))).collect();
+        assert_eq!(
+            stats().appends,
+            1,
+            "nothing is logged while the worker is busy"
+        );
+        gate.release();
+        assert_eq!(blocked.wait(), vec![Response::Insert(true)]);
+        // Same-key writes answer in FIFO order: batch b reads its own value.
+        for (b, handle) in (1..=N).zip(queued) {
+            assert_eq!(handle.wait(), answers(b), "batch {b}");
+        }
+        // Exactly two records: job 0's, then one for the N behind it, one
+        // barrier each; the second is the N batches' writes in order.
+        let s = stats();
+        assert_eq!((s.appends, s.fsyncs), (2, 2));
+        let bytes = std::fs::read(tmp.path().join("shard-0.wal")).unwrap();
+        let first = decode_record(&bytes, 0).unwrap();
+        assert_eq!(first.ops, vec![Op::Insert(7, 0)]);
+        let second = decode_record(&bytes, first.frame_len).unwrap();
+        assert_eq!((first.seq, second.seq), (1, 2));
+        assert_eq!(second.ops, (1..=N).flat_map(writes).collect::<Vec<_>>());
+        assert_eq!(first.frame_len + second.frame_len, bytes.len());
+
+        // Again with a drain barrier queued mid-backlog: the group stops at
+        // it, so the backlog becomes two records, and the barrier completes
+        // only once everything queued before it has answered.
+        gate.arm();
+        let blocked = p.submit(OpBatch::new(vec![Op::Insert(7, 10)]));
+        gate.wait_held();
+        let before: Vec<SubmitHandle> = (11..=13)
+            .map(|b| p.submit(OpBatch::new(batch(b))))
+            .collect();
+        let barrier = p.drain_barrier();
+        let after: Vec<SubmitHandle> = (14..=16)
+            .map(|b| p.submit(OpBatch::new(batch(b))))
+            .collect();
+        assert!(
+            !barrier.is_ready(),
+            "the barrier waits for its predecessors"
+        );
+        gate.release();
+        assert!(barrier.wait().is_empty());
+        assert!(
+            before.iter().all(SubmitHandle::is_ready),
+            "a completed barrier proves everything queued before it answered"
+        );
+        assert_eq!(blocked.wait(), vec![Response::Insert(false)]);
+        for (b, handle) in (11..=16).zip(before.into_iter().chain(after)) {
+            assert_eq!(handle.wait(), answers(b), "batch {b}");
+        }
+        let s = stats();
+        assert_eq!((s.appends, s.fsyncs), (5, 5));
+        let bytes = std::fs::read(tmp.path().join("shard-0.wal")).unwrap();
+        let mut at = first.frame_len + second.frame_len;
+        let mut groups = Vec::new();
+        while at < bytes.len() {
+            let record = decode_record(&bytes, at).unwrap();
+            at += record.frame_len;
+            groups.push(record.ops);
+        }
+        assert_eq!(
+            groups,
+            vec![
+                vec![Op::Insert(7, 10)],
+                (11..=13).flat_map(writes).collect::<Vec<_>>(),
+                (14..=16).flat_map(writes).collect::<Vec<_>>(),
+            ]
+        );
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! backends (ALEX+ and B+treeOLC) and a matrix of scripted crash points.
 //!
 //! Protocol under test (see `docs/DURABILITY.md`): every sub-batch's writes
-//! are group-committed to the per-shard WAL *before* execution, and a group
-//! the log cannot accept answers `IndexError::Shutdown` without executing.
+//! are group-committed to the per-shard WAL *before* execution — one record
+//! for whatever the shard had queued — and a group the log cannot accept
+//! answers `IndexError::Shutdown`, every member of it, without executing.
 //! So at any crash point the set of accepted (non-error) responses is
 //! exactly the durable state: rebuilding an index purely from disk must
 //! reproduce the model of accepted operations — no lost ack, no ghost op.
 
-use gre_core::{ConcurrentIndex, Payload, Response};
+use gre_core::{ConcurrentIndex, IndexError, Payload, Response};
 use gre_durability::util::TempDir;
 use gre_durability::{DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger};
 use gre_learned::AlexPlus;
-use gre_shard::{OpBatch, Partitioner, ShardPipeline, ShardedIndex};
+use gre_shard::{OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::Op;
 use rand::rngs::StdRng;
@@ -33,8 +34,8 @@ fn backends() -> Vec<(&'static str, BackendFactory)> {
 const SHARDS: usize = 4;
 
 /// Apply `op` to the model iff the pipeline accepted it, asserting the live
-/// response matched the model's prediction (single sequential submitter, so
-/// accepted responses are deterministic).
+/// response matched the model's prediction (one submitter and per-shard
+/// FIFO, so accepted responses are deterministic).
 fn apply_accepted(
     model: &mut BTreeMap<u64, Payload>,
     op: Op,
@@ -71,6 +72,23 @@ fn random_write_or_get(rng: &mut StdRng) -> Op {
     }
 }
 
+/// The bulk load bypasses the pipeline; checkpoint it per shard so recovery
+/// starts from the loaded state.
+fn checkpoint_bulk_load(
+    log: &DurableLog,
+    idx: &ShardedIndex<u64, DynBackend>,
+    bulk: &[(u64, Payload)],
+) {
+    for shard in 0..SHARDS {
+        let mine: Vec<(u64, Payload)> = bulk
+            .iter()
+            .copied()
+            .filter(|&(k, _)| idx.partitioner().shard_of(k) == shard)
+            .collect();
+        log.checkpoint(shard, &mine).unwrap();
+    }
+}
+
 /// Rebuild a single flat backend purely from the on-disk state (shards
 /// partition the key space, so their union replays into one index), then
 /// check it holds exactly the accepted-op model.
@@ -90,12 +108,63 @@ fn assert_disk_matches_model(
     rec
 }
 
+/// Batches a [`serve_pipelined`] client keeps in flight: deep enough that a
+/// worker paying a barrier per group finds several sub-batches queued behind
+/// it, so the groups the faults hit really are coalesced ones.
+const WINDOW: usize = 8;
+
+/// What one [`serve_pipelined`] stream came to.
+#[derive(Default)]
+struct Served {
+    /// Ops answered `IndexError::Shutdown`.
+    refused: usize,
+    /// Per-shard sub-batches with at least one acknowledged write. Each is
+    /// in exactly one WAL record, so more of these than records appended
+    /// means some record carried more than one sub-batch.
+    logged_sub_batches: u64,
+}
+
+/// Serve `batches` seeded 32-op batches through a [`Session`] holding
+/// [`WINDOW`] of them in flight, applying every accepted response to `model`
+/// in submission order (per-shard FIFO keeps that exact: same-key ops share
+/// a shard, and a refused op never executed).
+fn serve_pipelined(
+    pipeline: &ShardPipeline<DynBackend>,
+    rng: &mut StdRng,
+    batches: usize,
+    model: &mut BTreeMap<u64, Payload>,
+    ctx: &str,
+) -> Served {
+    let sent: Vec<Vec<Op>> = (0..batches)
+        .map(|_| (0..32).map(|_| random_write_or_get(rng)).collect())
+        .collect();
+    let mut session = Session::with_max_inflight(pipeline, WINDOW);
+    for ops in &sent {
+        session.submit(OpBatch::new(ops.clone()));
+    }
+    let partitioner = pipeline.index().partitioner();
+    let mut served = Served::default();
+    for (ops, responses) in sent.iter().zip(session.drain()) {
+        let mut logged = [false; SHARDS];
+        for (&op, resp) in ops.iter().zip(&responses) {
+            if !apply_accepted(model, op, resp, ctx) {
+                served.refused += 1;
+            } else if let Op::Insert(k, _) | Op::Update(k, _) | Op::Remove(k) = op {
+                logged[partitioner.shard_of(k)] = true;
+            }
+        }
+        served.logged_sub_batches += logged.iter().filter(|&&l| l).count() as u64;
+    }
+    served
+}
+
 /// One full kill-and-recover round: bulk load + checkpoint, serve a seeded
-/// write stream through a durable pipeline whose WAL crashes at a scripted
-/// failpoint, "kill" the process (drop the pipeline; the injected sink has
-/// already dropped whatever a real crash would lose), then recover from
-/// disk and demand exact accepted-op equivalence. Returns the number of
-/// refused ops so callers can assert the crash actually bit.
+/// write stream — pipelined, so groups coalesce — through a durable pipeline
+/// whose WAL crashes at a scripted failpoint, "kill" the process (drop the
+/// pipeline; the injected sink has already dropped whatever a real crash
+/// would lose), then recover from disk and demand exact accepted-op
+/// equivalence. Returns the number of refused ops so callers can assert the
+/// crash actually bit.
 fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, FailAction)) -> usize {
     let (point, trigger, action) = script;
     let ctx = format!("{name}/{point:?}");
@@ -115,32 +184,21 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
         Arc::clone(&registry),
     )
     .unwrap();
-    // The bulk load bypasses the pipeline; checkpoint it per shard so
-    // recovery starts from the loaded state.
-    for shard in 0..SHARDS {
-        let mine: Vec<(u64, Payload)> = bulk
-            .iter()
-            .copied()
-            .filter(|&(k, _)| idx.partitioner().shard_of(k) == shard)
-            .collect();
-        log.checkpoint(shard, &mine).unwrap();
-    }
+    checkpoint_bulk_load(&log, &idx, &bulk);
 
-    let pipeline = ShardPipeline::with_durability(Arc::new(idx), 2, 64, log);
+    let pipeline = ShardPipeline::with_durability(Arc::new(idx), 2, 64, Arc::clone(&log));
     let mut rng = StdRng::seed_from_u64(0xC4A54u64 ^ point.len() as u64);
-    let mut refused = 0usize;
-    for _ in 0..40 {
-        let ops: Vec<Op> = (0..32).map(|_| random_write_or_get(&mut rng)).collect();
-        let responses = pipeline.submit(OpBatch::new(ops.clone())).wait();
-        for (&op, resp) in ops.iter().zip(&responses) {
-            if !apply_accepted(&mut model, op, resp, &ctx) {
-                refused += 1;
-            }
-        }
-    }
+    let served = serve_pipelined(&pipeline, &mut rng, 40, &mut model, &ctx);
     assert!(
         registry.fired(point),
         "{ctx}: the scripted failpoint never fired — the scenario is vacuous"
+    );
+    assert!(
+        log.stats().appends < served.logged_sub_batches,
+        "{ctx}: {} records for {} logged sub-batches — no group ever held more than one job, \
+         so the fault never hit a coalesced group",
+        log.stats().appends,
+        served.logged_sub_batches
     );
     let live = Arc::clone(pipeline.index());
     drop(pipeline); // the "kill": workers join, survivor shards sync
@@ -158,17 +216,14 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     let entries: Vec<(u64, Payload)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     idx2.bulk_load(&entries);
     let pipeline = ShardPipeline::with_durability(Arc::new(idx2), 2, 64, resumed);
-    for _ in 0..10 {
-        let ops: Vec<Op> = (0..32).map(|_| random_write_or_get(&mut rng)).collect();
-        let responses = pipeline.submit(OpBatch::new(ops.clone())).wait();
-        for (&op, resp) in ops.iter().zip(&responses) {
-            let accepted = apply_accepted(&mut model, op, resp, &ctx);
-            assert!(accepted, "{ctx}: resumed log must accept every group");
-        }
-    }
+    let resumed = serve_pipelined(&pipeline, &mut rng, 10, &mut model, &ctx);
+    assert_eq!(
+        resumed.refused, 0,
+        "{ctx}: resumed log must accept every group"
+    );
     drop(pipeline);
     assert_disk_matches_model(tmp.path(), factory, &model, &format!("{ctx}/resumed"));
-    refused
+    served.refused
 }
 
 /// The crash matrix, elementwise: each scripted fault against each backend.
@@ -226,5 +281,87 @@ fn crash_at_byte_offset_recovers_to_accepted_state() {
             factory,
             ("wal/3/append", Trigger::AtByte(600), FailAction::Crash),
         );
+    }
+}
+
+/// A sink *error* (not a crash) on the barrier of a coalesced group: the
+/// shard fail-stops with the group's bytes still buffered, so every member
+/// must be refused, none may have executed, and none may recover — the same
+/// exact equivalence as a crash, with the sink left usable.
+#[test]
+fn sync_error_on_a_coalesced_group_refuses_every_member() {
+    for (name, factory) in backends() {
+        let refused = crash_round(
+            name,
+            factory,
+            ("wal/0/sync", Trigger::OnHit(3), FailAction::Error),
+        );
+        assert!(refused > 0, "{name}: the failed group must be refused");
+    }
+}
+
+/// Shutdown landing on a backlog. A group is logged for everything the shard
+/// had queued, then its members execute one by one — so `shutdown()` may
+/// arrive when some members' writes are on disk but not yet in memory. Those
+/// must still execute and be acknowledged (refusing them would resurrect
+/// refused writes at recovery); only jobs no record covers are refused.
+/// Checked as exact equivalence: the live store and the store rebuilt from
+/// disk both equal the model of acknowledged ops, for shutdowns landing
+/// behind bursts of 8 to 32 in-flight batches.
+#[test]
+fn shutdown_with_backlog_refuses_only_what_no_record_covers() {
+    for (name, factory) in backends() {
+        for burst in [8usize, 12, 16, 24, 32] {
+            let ctx = format!("{name}/shutdown-behind-{burst}");
+            let tmp = TempDir::new("durable-shutdown");
+            let mut idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+            let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 7, i)).collect();
+            idx.bulk_load(&bulk);
+            let mut model: BTreeMap<u64, Payload> = bulk.iter().copied().collect();
+            let log = DurableLog::create(tmp.path(), SHARDS, SyncPolicy::EveryGroup).unwrap();
+            checkpoint_bulk_load(&log, &idx, &bulk);
+            let pipeline = ShardPipeline::with_durability(Arc::new(idx), 2, 64, log);
+
+            let mut rng = StdRng::seed_from_u64(0x5D0u64 + burst as u64);
+            let mut batch =
+                || -> Vec<Op> { (0..32).map(|_| random_write_or_get(&mut rng)).collect() };
+            // One batch served to completion (something is acknowledged),
+            // a burst left in flight, shutdown, then a few more (something
+            // is refused: a shut-down pipeline refuses at the door).
+            let sent: Vec<Vec<Op>> = (0..1 + burst + 4).map(|_| batch()).collect();
+            let mut replies = vec![pipeline.submit(OpBatch::new(sent[0].clone())).wait()];
+            let mut inflight = Vec::new();
+            for ops in &sent[1..=burst] {
+                inflight.push(pipeline.submit(OpBatch::new(ops.clone())));
+            }
+            pipeline.shutdown();
+            for ops in &sent[1 + burst..] {
+                inflight.push(pipeline.submit(OpBatch::new(ops.clone())));
+            }
+            replies.extend(inflight.into_iter().map(|handle| handle.wait()));
+
+            let (mut accepted, mut refused) = (0usize, 0usize);
+            for (ops, responses) in sent.iter().zip(&replies) {
+                for (&op, resp) in ops.iter().zip(responses) {
+                    if apply_accepted(&mut model, op, resp, &ctx) {
+                        accepted += 1;
+                    } else {
+                        assert_eq!(*resp, Response::Error(IndexError::Shutdown), "{ctx}");
+                        refused += 1;
+                    }
+                }
+            }
+            assert!(
+                accepted >= 32 && refused >= 4 * 32,
+                "{ctx}: both outcomes occur"
+            );
+            let live = Arc::clone(pipeline.index());
+            drop(pipeline);
+            assert_eq!(live.len(), model.len(), "{ctx}: live size");
+            for (&k, &v) in &model {
+                assert_eq!(live.get(k), Some(v), "{ctx}: live key {k}");
+            }
+            assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
+        }
     }
 }
