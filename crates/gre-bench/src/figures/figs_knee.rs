@@ -15,8 +15,8 @@
 //! estimates) land in `figs_knee.json`. `--quick` shrinks spans for a CI
 //! smoke run.
 
-use gre_bench::registry::IndexBuilder;
-use gre_bench::RunOpts;
+use crate::registry::IndexBuilder;
+use crate::RunOpts;
 use gre_core::json::JsonWriter;
 use gre_core::RequestKind;
 use gre_datasets::Dataset;
@@ -54,8 +54,7 @@ struct KneeCurve {
     knee_ops_s: Option<f64>,
 }
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
     let span = if opts.quick {
         Duration::from_millis(250)
@@ -70,8 +69,8 @@ fn main() {
     );
 
     let curves = vec![
-        sweep("pipeline", &opts, &keys, span),
-        sweep("replicated", &opts, &keys, span),
+        sweep("pipeline", opts, &keys, span),
+        sweep("replicated", opts, &keys, span),
     ];
 
     for curve in &curves {
@@ -87,7 +86,7 @@ fn main() {
         }
     }
 
-    let json = report_json(&opts, span, &curves);
+    let json = report_json(opts, span, &curves);
     std::fs::write(REPORT_OUT, &json).expect("write knee report");
     println!("\nreport -> {REPORT_OUT} ({} bytes)", json.len());
 }
@@ -270,7 +269,7 @@ mod tests {
 
     #[test]
     fn report_json_golden_bytes() {
-        let opts = RunOpts::parse([String::from("--quick")]);
+        let opts = RunOpts::parse([String::from("--quick")]).expect("valid flags");
         let point = |offered: f64, achieved: f64| KneePoint {
             offered,
             achieved,

@@ -18,17 +18,16 @@
 //! `--quick` shrinks spans for a CI smoke run; `--verbose` adds per-kind
 //! latency breakdowns and the full Prometheus exposition.
 
-use gre_bench::overhead::telemetry_overhead_probe;
-use gre_bench::registry::IndexBuilder;
-use gre_bench::report::{interval_latency_series, interval_series, print_phase_latency};
-use gre_bench::RunOpts;
+use crate::overhead::telemetry_overhead_probe;
+use crate::registry::IndexBuilder;
+use crate::report::{interval_latency_series, interval_series, print_phase_latency};
+use crate::RunOpts;
 use gre_datasets::Dataset;
 use gre_shard::PipelineTarget;
 use gre_telemetry::{
     chrome_trace_json, json_text, prometheus_text, validate_prometheus, CounterId,
 };
 use gre_workloads::driver::Driver;
-use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +36,7 @@ use std::time::Duration;
 /// artifact).
 const TRACE_OUT: &str = "figs_observability_trace.json";
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
     let spec = IndexBuilder::backend("alex+")
         .expect("alex+ registered")
@@ -57,67 +55,18 @@ fn main() {
         spec.display_name()
     );
 
-    let hotspot = |start: f64| KeyDist::Hotspot {
-        start,
-        span: 0.05,
-        hot_access: 0.9,
-    };
-    let mix = Mix::read_mostly(10);
-    let scenario = Scenario::new("shifting-hotspot", opts.seed, &keys)
-        .phase(Phase::new(
-            "hot@0.05",
-            mix,
-            hotspot(0.05),
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ))
-        .phase(Phase::new(
-            "hot@0.45",
-            mix,
-            hotspot(0.45),
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ))
-        .phase(Phase::new(
-            "hot@0.85",
-            mix,
-            hotspot(0.85),
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ));
+    let scenario = super::shifting_hotspot_scenario(opts.seed, &keys, phase_ops, threads);
 
     let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256)
         .instrumented_with(|c| c.trace_sample(trace_one_in));
     let telemetry = Arc::clone(target.telemetry().expect("instrumented"));
 
-    // The monitor thread is the "live dashboard": it only ever reads the
-    // shared registry, concurrently with the serving hot path.
     let stop = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let telemetry = Arc::clone(&telemetry);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let shards = telemetry.metrics().shard_count();
-            let mut last = vec![0u64; shards];
-            let mut series: Vec<Vec<u64>> = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(monitor_interval);
-                let deltas: Vec<u64> = (0..shards)
-                    .map(|s| {
-                        let total = telemetry.metrics().shard(s).ops_completed();
-                        let d = total - last[s];
-                        last[s] = total;
-                        d
-                    })
-                    .collect();
-                series.push(deltas);
-            }
-            series
-        })
-    };
+    let monitor =
+        super::spawn_shard_monitor(Arc::clone(&telemetry), Arc::clone(&stop), monitor_interval);
 
     let result = Driver::new().interval(interval).run(&scenario, &mut target);
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
     let shard_series = monitor.join().expect("monitor thread panicked");
 
     println!("\n## {} on {}", result.scenario, result.target);
@@ -180,7 +129,7 @@ fn main() {
         snap.counter(CounterId::TraceDropped),
     );
 
-    let probe = telemetry_overhead_probe(&opts, if opts.quick { 1 } else { 3 });
+    let probe = telemetry_overhead_probe(opts, if opts.quick { 1 } else { 3 });
     println!(
         "\n## Overhead probe (read-only pipeline cell, best of runs)\n  \
          base {:.3} Mop/s  instrumented {:.3} Mop/s  ratio {:.3}",

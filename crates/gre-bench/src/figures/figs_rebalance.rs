@@ -33,9 +33,9 @@
 //! exported to `figs_rebalance.json` (uploaded as a CI artifact). `--quick`
 //! shrinks the spans for a CI smoke run.
 
-use gre_bench::registry::IndexBuilder;
-use gre_bench::report::interval_series;
-use gre_bench::RunOpts;
+use crate::registry::IndexBuilder;
+use crate::report::interval_series;
+use crate::RunOpts;
 use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
 use gre_elastic::{ElasticController, ElasticPolicy};
@@ -58,8 +58,7 @@ const RECOVERY_FLOOR: f64 = 0.75;
 /// transfer) but far above scheduler noise on a loaded CI box.
 const MAX_PROBE_GAP: Duration = Duration::from_millis(250);
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
     // Exactly 4 shards with one worker each: the hot quarter is exactly one
     // shard, and that shard's FIFO queue serializes on its pinned worker —
@@ -158,28 +157,11 @@ fn main() {
     };
     // A second observer samples the per-shard load so the figure can show
     // the hot shard's share collapsing back to fair after the splits.
-    let monitor = {
-        let telemetry = Arc::clone(target.telemetry().expect("instrumented"));
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let shards = telemetry.metrics().shard_count();
-            let mut last = vec![0u64; shards];
-            let mut series: Vec<Vec<u64>> = Vec::new();
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(interval);
-                let deltas: Vec<u64> = (0..shards)
-                    .map(|s| {
-                        let total = telemetry.metrics().shard(s).ops_completed();
-                        let d = total - last[s];
-                        last[s] = total;
-                        d
-                    })
-                    .collect();
-                series.push(deltas);
-            }
-            series
-        })
-    };
+    let monitor = super::spawn_shard_monitor(
+        Arc::clone(target.telemetry().expect("instrumented")),
+        Arc::clone(&stop),
+        interval,
+    );
 
     // The liveness prober: read the store's minimum key in a tight loop.
     // Splits freeze only the *upper* half `[mid, hi)` of a segment, so this

@@ -22,8 +22,8 @@
 //! Results land in `figs_recovery_report.json` (CI uploads it as an
 //! artifact). `--quick` shrinks the spans for a CI smoke run.
 
-use gre_bench::registry::IndexBuilder;
-use gre_bench::RunOpts;
+use crate::registry::IndexBuilder;
+use crate::RunOpts;
 use gre_core::json::JsonWriter;
 use gre_core::{ConcurrentIndex, Payload, RangeSpec, Response};
 use gre_datasets::Dataset;
@@ -44,14 +44,13 @@ use std::time::Instant;
 const REPORT_OUT: &str = "figs_recovery_report.json";
 const SHARDS: usize = 4;
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     println!("# Durability: group-commit cost and fault-injected crash recovery");
 
-    let cost = cost_probe(&opts);
-    let matrix = crash_matrix(&opts);
+    let cost = cost_probe(opts);
+    let matrix = crash_matrix(opts);
 
-    let json = report_json(&opts, &cost, &matrix);
+    let json = report_json(opts, &cost, &matrix);
     std::fs::write(REPORT_OUT, &json).expect("write recovery report");
     println!("\nreport -> {REPORT_OUT} ({} bytes)", json.len());
 }
@@ -449,7 +448,8 @@ mod tests {
 
     #[test]
     fn report_json_golden_bytes() {
-        let opts = RunOpts::parse([String::from("--seed"), String::from("7")]);
+        let opts =
+            RunOpts::parse([String::from("--seed"), String::from("7")]).expect("valid flags");
         let cost = CostProbe {
             backend: String::from("sharded(\"ALEX+\",4)"),
             base_mops: 2.5,

@@ -22,7 +22,7 @@
 //! drill, not a performance result: nothing is written to disk, and the
 //! repo's numbers come from the ledger (`BENCHMARK.json`).
 
-use gre_bench::RunOpts;
+use crate::RunOpts;
 use gre_core::{
     ConcurrentIndex, IndexMeta, InsertStats, Payload, RangeSpec, RequestKind, StatsSnapshot,
 };
@@ -115,8 +115,7 @@ impl ConcurrentIndex<u64> for Throttled {
     }
 }
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
     let ops: u64 = if opts.quick { 6_000 } else { 24_000 };
     let (replica_axis, pct_axis): (&[usize], &[u32]) = if opts.quick {
@@ -143,7 +142,7 @@ fn main() {
     let mut results: Vec<(usize, u32, f64)> = Vec::new();
     for &pct in pct_axis {
         for &replicas in replica_axis {
-            results.push((replicas, pct, run_cell(&opts, &keys, replicas, pct, ops)));
+            results.push((replicas, pct, run_cell(opts, &keys, replicas, pct, ops)));
         }
     }
 

@@ -13,23 +13,22 @@
 //!   rate, then a write-burst phase at a higher rate. Latency is measured
 //!   from each op's *intended* send time (coordinated-omission-safe), so
 //!   the burst's queueing delay is charged to the requests that suffered
-//!   it. The binary asserts the achieved rate lands within 10% of the
+//!   it. The run asserts the achieved rate lands within 10% of the
 //!   offered rate — the open-loop pacing contract.
 //!
 //! `--quick` shrinks spans and rates for a CI smoke run; `--verbose` prints
 //! per-kind latency breakdowns.
 
-use gre_bench::registry::IndexBuilder;
-use gre_bench::report::{interval_series, print_phase_latency};
-use gre_bench::RunOpts;
+use crate::registry::IndexBuilder;
+use crate::report::{interval_series, print_phase_latency};
+use crate::RunOpts;
 use gre_core::ops::RequestKind;
 use gre_datasets::Dataset;
 use gre_shard::SessionTarget;
 use gre_workloads::driver::{Driver, PhaseResult, ScenarioResult};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
     let spec = IndexBuilder::backend("alex+")
         .expect("alex+ registered")
@@ -40,42 +39,15 @@ fn main() {
         spec.display_name()
     );
 
-    shifting_hotspot(&opts, &keys, &spec);
-    read_mostly_then_write_burst(&opts, &keys, &spec);
+    shifting_hotspot(opts, &keys, &spec);
+    read_mostly_then_write_burst(opts, &keys, &spec);
 }
 
 /// Closed-loop script: the hot window drifts across the key space.
 fn shifting_hotspot(opts: &RunOpts, keys: &[u64], spec: &IndexBuilder) {
     let phase_ops = if opts.quick { 40_000 } else { 400_000 } as u64;
     let threads = opts.threads.clamp(1, 8);
-    let hotspot = |start: f64| KeyDist::Hotspot {
-        start,
-        span: 0.05,
-        hot_access: 0.9,
-    };
-    let mix = Mix::read_mostly(10);
-    let scenario = Scenario::new("shifting-hotspot", opts.seed, keys)
-        .phase(Phase::new(
-            "hot@0.05",
-            mix,
-            hotspot(0.05),
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ))
-        .phase(Phase::new(
-            "hot@0.45",
-            mix,
-            hotspot(0.45),
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ))
-        .phase(Phase::new(
-            "hot@0.85",
-            mix,
-            hotspot(0.85),
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ));
+    let scenario = super::shifting_hotspot_scenario(opts.seed, keys, phase_ops, threads);
 
     let mut index = spec.build_sharded();
     let result = Driver::new().run(&scenario, &mut index);

@@ -19,9 +19,9 @@
 //! `--shards N` caps the shard-count axis, `--threads T` the thread axis,
 //! `--verbose` adds per-kind latency breakdowns per path.
 
-use gre_bench::registry::IndexBuilder;
-use gre_bench::report::print_phase_latency;
-use gre_bench::RunOpts;
+use crate::registry::IndexBuilder;
+use crate::report::print_phase_latency;
+use crate::RunOpts;
 use gre_datasets::Dataset;
 use gre_shard::{PipelineTarget, SessionTarget};
 use gre_workloads::driver::{Driver, PhaseResult, ServeTarget};
@@ -34,8 +34,7 @@ const BATCH: usize = 1024;
 /// In-flight batch window per client session.
 const INFLIGHT: usize = 8;
 
-fn main() {
-    let opts = RunOpts::from_env();
+pub fn run(opts: &RunOpts) {
     let backends: Vec<&str> = if opts.quick {
         vec!["ALEX+", "B+treeOLC"]
     } else {

@@ -115,21 +115,8 @@ pub enum HeatmapMode {
     Deletes,
 }
 
-/// Build one workload for a heatmap cell.
-fn cell_workload(
-    builder: &WorkloadBuilder,
-    dataset: &Dataset,
-    keys: &[u64],
-    ratio: WriteRatio,
-    mode: HeatmapMode,
-) -> Workload {
-    match mode {
-        HeatmapMode::Inserts => builder.insert_workload(&dataset.name(), keys, ratio),
-        HeatmapMode::Deletes => {
-            builder.delete_workload(&dataset.name(), keys, ratio.write_fraction())
-        }
-    }
-}
+/// One contender's result in one cell: name, family, throughput in Mop/s.
+type Contender = (String, IndexKind, f64);
 
 /// Compute a single-threaded heatmap over `datasets` × the five write ratios.
 pub fn single_thread_heatmap(
@@ -138,39 +125,17 @@ pub fn single_thread_heatmap(
     opts: &RunOpts,
     mode: HeatmapMode,
 ) -> Heatmap {
-    let builder = WorkloadBuilder::new(opts.seed);
-    let mut cells = Vec::new();
-    for dataset in datasets {
-        let keys = dataset.generate(opts.keys, opts.seed);
-        let mut dedup = keys.clone();
-        dedup.dedup();
-        let hardness = DataHardness::compute_sampled(&dedup, HardnessConfig::default(), 100_000);
-        for ratio in WriteRatio::ALL {
-            let workload = cell_workload(&builder, dataset, &keys, ratio, mode);
-            let mut best: [(String, f64); 2] = [("-".into(), 0.0), ("-".into(), 0.0)];
-            for entry in single_thread_indexes() {
-                // Skip indexes that cannot run this workload.
-                if mode == HeatmapMode::Deletes && !entry.index.meta().supports_delete {
-                    continue;
-                }
-                let mut index = entry.index;
-                let result = run_single(index.as_mut(), &workload);
-                let mops = result.throughput_mops();
-                let slot = match entry.kind {
-                    IndexKind::Learned => &mut best[0],
-                    IndexKind::Traditional => &mut best[1],
-                };
-                if mops > slot.1 {
-                    *slot = (entry.name.to_string(), mops);
-                }
-            }
-            cells.push(make_cell(dataset, ratio, &hardness, best));
-        }
-    }
-    Heatmap {
-        title: title.to_string(),
-        cells,
-    }
+    heatmap(title, datasets, opts, mode, |workload| {
+        single_thread_indexes()
+            .into_iter()
+            // Skip indexes that cannot run this workload.
+            .filter(|e| mode == HeatmapMode::Inserts || e.index.meta().supports_delete)
+            .map(|mut e| {
+                let result = run_single(e.index.as_mut(), workload);
+                (e.name.to_string(), e.kind, result.throughput_mops())
+            })
+            .collect()
+    })
 }
 
 /// Compute a multi-threaded heatmap with `opts.threads` worker threads.
@@ -180,6 +145,27 @@ pub fn concurrent_heatmap(
     opts: &RunOpts,
     include_parallelized: bool,
 ) -> Heatmap {
+    heatmap(title, datasets, opts, HeatmapMode::Inserts, |workload| {
+        concurrent_indexes(include_parallelized)
+            .into_iter()
+            .map(|mut e| {
+                let result = run_concurrent(e.index.as_mut(), workload, opts.threads);
+                (e.name, e.kind, result.throughput_mops())
+            })
+            .collect()
+    })
+}
+
+/// The cell loop both heatmaps share: per dataset its hardness, per write
+/// ratio one workload, and per cell the best learned and best traditional
+/// of the contenders `run` measured on that workload.
+fn heatmap(
+    title: &str,
+    datasets: &[Dataset],
+    opts: &RunOpts,
+    mode: HeatmapMode,
+    run: impl Fn(&Workload) -> Vec<Contender>,
+) -> Heatmap {
     let builder = WorkloadBuilder::new(opts.seed);
     let mut cells = Vec::new();
     for dataset in datasets {
@@ -188,18 +174,20 @@ pub fn concurrent_heatmap(
         dedup.dedup();
         let hardness = DataHardness::compute_sampled(&dedup, HardnessConfig::default(), 100_000);
         for ratio in WriteRatio::ALL {
-            let workload = builder.insert_workload(&dataset.name(), &keys, ratio);
+            let workload = match mode {
+                HeatmapMode::Inserts => builder.insert_workload(&dataset.name(), &keys, ratio),
+                HeatmapMode::Deletes => {
+                    builder.delete_workload(&dataset.name(), &keys, ratio.write_fraction())
+                }
+            };
             let mut best: [(String, f64); 2] = [("-".into(), 0.0), ("-".into(), 0.0)];
-            for entry in concurrent_indexes(include_parallelized) {
-                let mut index = entry.index;
-                let result = run_concurrent(index.as_mut(), &workload, opts.threads);
-                let mops = result.throughput_mops();
-                let slot = match entry.kind {
+            for (name, kind, mops) in run(&workload) {
+                let slot = match kind {
                     IndexKind::Learned => &mut best[0],
                     IndexKind::Traditional => &mut best[1],
                 };
                 if mops > slot.1 {
-                    *slot = (entry.name.to_string(), mops);
+                    *slot = (name, mops);
                 }
             }
             cells.push(make_cell(dataset, ratio, &hardness, best));

@@ -1,16 +1,17 @@
 //! # gre-bench
 //!
 //! The GRE benchmark harness: index registries, the heatmap machinery of
-//! Figures 2/4/7/14/16, and shared helpers used by the per-figure binaries
-//! in `src/bin/` (one binary per table/figure of the paper, named after it:
-//! `fig2_heatmap` … `table3_insert_stats`; the `figs_*` binaries drill the
-//! serving, durability, elasticity and replication tiers).
+//! Figures 2/4/7/14/16, and the figure table ([`figures::FIGURES`]) the one
+//! `gre-figs` binary dispatches over — a row per table/figure of the paper,
+//! named after it (`fig2_heatmap` … `table3_insert_stats`), plus the `figs_*`
+//! rows that drill the serving, durability, elasticity and replication tiers.
 //!
 //! Performance is measured by the layer-tax ledger (`BENCHMARK.json` +
 //! `benchmark/` at the repo root), not by this crate; where the code under
 //! test departs from the paper's setup is listed under "Substitutions" in
 //! `docs/BENCHMARKS.md`.
 
+pub mod figures;
 pub mod heatmap;
 pub mod overhead;
 pub mod registry;
@@ -18,8 +19,5 @@ pub mod report;
 pub mod runopts;
 
 pub use heatmap::{Heatmap, HeatmapCell};
-pub use registry::{
-    backend, concurrent_backend, concurrent_indexes, sharded_concurrent_indexes, sharded_index,
-    single_thread_indexes, IndexKind,
-};
+pub use registry::{concurrent_indexes, single_thread_indexes, IndexKind};
 pub use runopts::RunOpts;

@@ -1,5 +1,5 @@
 //! The telemetry overhead probe shared by `tests/telemetry_overhead.rs` and
-//! the `figs_observability` binary.
+//! the `figs_observability` figure.
 
 use crate::registry::IndexBuilder;
 use crate::RunOpts;

@@ -1,25 +1,18 @@
 //! Index registries: every evaluated index behind a uniform constructor so
-//! the per-figure binaries can iterate over them.
+//! the figure table's rows can iterate over them.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * The **typed builder** ([`IndexBuilder`]) is the canonical configuration
-//!   surface: `IndexBuilder::backend("alex+")?.shards(8)
-//!   .partitioner(Scheme::Hash).build()` resolves a backend by name and
-//!   wraps it in the `gre-shard` serving layer. Everything else is sugar
-//!   over it.
-//! * The **string layer** ([`concurrent_backend`], [`backend`],
-//!   [`sharded_index`], [`IndexBuilder::parse`]) is a thin CLI parser on
-//!   top of the builder, for binaries and scripts that take index specs as
-//!   text (`"alex+"`, `"alex+:8"`, `"alex+:8:hash"`).
+//! * The **typed builder** ([`IndexBuilder`]) is the one configuration
+//!   surface for concurrent backends: `IndexBuilder::backend("alex+")?
+//!   .shards(8).partitioner(Scheme::Hash).build()` resolves a backend by
+//!   name and wraps it in the `gre-shard` serving layer.
 //! * The **list registries** ([`single_thread_indexes`],
-//!   [`concurrent_indexes`], [`sharded_concurrent_indexes`]) return fresh
-//!   instances of whole index families for figure sweeps.
+//!   [`concurrent_indexes`]) return fresh instances of whole index families
+//!   for figure sweeps.
 
 use gre_core::{ConcurrentIndex, Index};
-use gre_learned::{
-    Alex, AlexConfig, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, LockGranularity, XIndex,
-};
+use gre_learned::{Alex, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
 use gre_shard::{Partitioner, Scheme, ShardedIndex};
 use gre_traditional::{
     art_olc, btree_olc, hot_rowex, masstree_concurrent, wormhole_concurrent, Art, BPlusTree, Hot,
@@ -172,10 +165,7 @@ impl IndexBuilder {
             .to_ascii_lowercase();
         let (canonical, kind, ctor): (&'static str, IndexKind, BackendCtor) = match canon.as_str() {
             "alex+" | "alexplus" => ("ALEX+", IndexKind::Learned, || {
-                Box::new(AlexPlus::<u64>::with_config(
-                    AlexConfig::default(),
-                    LockGranularity::PerNode,
-                ))
+                Box::new(AlexPlus::<u64>::new())
             }),
             "lipp+" | "lippplus" => ("LIPP+", IndexKind::Learned, || {
                 Box::new(LippPlus::<u64>::new())
@@ -210,27 +200,6 @@ impl IndexBuilder {
             shards: 1,
             scheme: Scheme::Range,
         })
-    }
-
-    /// Parse a textual index spec: `"backend"`, `"backend:shards"` or
-    /// `"backend:shards:scheme"` (e.g. `"alex+:8:hash"`). This is the CLI
-    /// form of the builder; flags parse into the same struct.
-    pub fn parse(spec: &str) -> Result<IndexBuilder, UnknownBackend> {
-        let mut parts = spec.splitn(3, ':');
-        let name = parts.next().unwrap_or_default();
-        let mut builder = IndexBuilder::backend(name)?;
-        if let Some(shards) = parts.next() {
-            let shards = shards
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| UnknownBackend(spec.to_string()))?;
-            builder = builder.shards(shards);
-        }
-        if let Some(scheme) = parts.next() {
-            let scheme = Scheme::parse(scheme).ok_or_else(|| UnknownBackend(spec.to_string()))?;
-            builder = builder.partitioner(scheme);
-        }
-        Ok(builder)
     }
 
     /// Serve the backend behind `n` shards (clamped to at least 1; `1`
@@ -299,24 +268,6 @@ impl IndexBuilder {
     }
 }
 
-/// Resolve a concurrent backend by name. Returns `None` for unknown names.
-/// (String sugar over [`IndexBuilder::backend`].)
-pub fn concurrent_backend(name: &str) -> Option<Box<dyn ConcurrentIndex<u64>>> {
-    IndexBuilder::backend(name).ok().map(|b| b.build())
-}
-
-/// Build a [`ShardedIndex`] of `partitioner.shards()` instances of the named
-/// backend. The composite reports itself as `sharded(NAME,N)` (range
-/// partitioning) or `sharded(NAME,N,hash)`.
-pub fn sharded_index(
-    name: &str,
-    partitioner: Partitioner<u64>,
-) -> Option<ShardedIndex<u64, Box<dyn ConcurrentIndex<u64>>>> {
-    let builder = IndexBuilder::backend(name).ok()?;
-    let display = sharded_name(builder.canonical, &partitioner);
-    Some(ShardedIndex::from_factory(partitioner, |_| (builder.ctor)()).with_name(intern(display)))
-}
-
 /// The display name of a sharded composite, e.g. `sharded(ALEX+,8)`.
 pub fn sharded_name(backend: &str, partitioner: &Partitioner<u64>) -> String {
     if partitioner.is_ordered() {
@@ -330,18 +281,8 @@ pub fn sharded_name(backend: &str, partitioner: &Partitioner<u64>) -> String {
     }
 }
 
-/// The string-keyed factory: the named backend behind `shards` range
-/// partitions (`shards <= 1` returns the bare backend). String sugar over
-/// [`IndexBuilder`]; binaries taking `backend:shards:scheme` specs should
-/// prefer [`IndexBuilder::parse`].
-pub fn backend(name: &str, shards: usize) -> Option<Box<dyn ConcurrentIndex<u64>>> {
-    IndexBuilder::backend(name)
-        .ok()
-        .map(|b| b.shards(shards).build())
-}
-
 /// Intern a computed index name: `IndexMeta::name` is `&'static str` (every
-/// figure binary formats it by value), so computed sharded names are leaked
+/// figure formats it by value), so computed sharded names are leaked
 /// once per distinct name and reused afterwards.
 fn intern(name: String) -> &'static str {
     static INTERNED: Mutex<Option<HashMap<String, &'static str>>> = Mutex::new(None);
@@ -365,25 +306,9 @@ pub fn concurrent_indexes(include_parallelized: bool) -> Vec<ConcurrentEntry> {
         .map(|&(name, kind)| ConcurrentEntry {
             name: name.to_string(),
             kind,
-            index: concurrent_backend(name).expect("registry name resolves"),
-        })
-        .collect()
-}
-
-/// `sharded(X, shards)` variants of every concurrent backend: the serving
-/// layer over the full §4.2 index set, for shard-scalability sweeps.
-pub fn sharded_concurrent_indexes(shards: usize) -> Vec<ConcurrentEntry> {
-    CONCURRENT_BACKENDS
-        .iter()
-        .map(|&(name, kind)| {
-            let builder = IndexBuilder::backend(name)
+            index: IndexBuilder::backend(name)
                 .expect("registry name resolves")
-                .shards(shards);
-            ConcurrentEntry {
-                name: builder.display_name(),
-                kind,
-                index: builder.build(),
-            }
+                .build(),
         })
         .collect()
 }
@@ -455,12 +380,6 @@ mod tests {
         let err = IndexBuilder::backend("no-such-index").unwrap_err();
         assert!(err.to_string().contains("no-such-index"));
         assert!(IndexBuilder::backend("").is_err());
-        // The string layer mirrors the builder.
-        assert!(concurrent_backend("no-such-index").is_none());
-        assert_eq!(
-            concurrent_backend("wormhole").unwrap().meta().name,
-            "Wormhole"
-        );
     }
 
     #[test]
@@ -470,6 +389,7 @@ mod tests {
         assert_eq!(b.scheme(), Scheme::Range);
         assert_eq!(b.display_name(), "sharded(LIPP+,4)");
         assert_eq!(b.build().meta().name, "sharded(LIPP+,4)");
+        assert!(b.build().meta().concurrent);
 
         let b = IndexBuilder::backend("xindex")
             .unwrap()
@@ -489,38 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_strings_parse_into_builders() {
-        let b = IndexBuilder::parse("alex+").unwrap();
-        assert_eq!(b.shard_count(), 1);
-        let b = IndexBuilder::parse("alex+:8").unwrap();
-        assert_eq!((b.backend_name(), b.shard_count()), ("ALEX+", 8));
-        assert_eq!(b.scheme(), Scheme::Range);
-        let b = IndexBuilder::parse("b+treeolc:4:hash").unwrap();
-        assert_eq!(b.backend_name(), "B+treeOLC");
-        assert_eq!((b.shard_count(), b.scheme()), (4, Scheme::Hash));
-        assert!(IndexBuilder::parse("alex+:eight").is_err());
-        assert!(IndexBuilder::parse("alex+:8:spiral").is_err());
-        assert!(IndexBuilder::parse("nope:8").is_err());
-    }
-
-    #[test]
-    fn string_factory_builds_sharded_composites() {
-        let idx = backend("lipp+", 4).expect("sharded lipp+");
-        assert_eq!(idx.meta().name, "sharded(LIPP+,4)");
-        assert!(idx.meta().concurrent);
-        // shards <= 1 yields the bare backend.
-        let idx = backend("lipp+", 1).expect("bare lipp+");
-        assert_eq!(idx.meta().name, "LIPP+");
-        assert!(backend("nope", 4).is_none());
-        // Hash scheme shows in the name.
-        let idx = sharded_index("xindex", Partitioner::hash(2)).expect("hash-sharded");
-        assert_eq!(idx.meta().name, "sharded(XIndex,2,hash)");
-    }
-
-    #[test]
     fn interned_names_are_stable() {
-        let a = backend("alex+", 2).unwrap().meta().name;
-        let b = backend("alex+", 2).unwrap().meta().name;
+        let builder = IndexBuilder::backend("alex+").unwrap().shards(2);
+        let a = builder.build().meta().name;
+        let b = builder.build().meta().name;
         assert!(
             std::ptr::eq(a, b),
             "same name must intern to one allocation"

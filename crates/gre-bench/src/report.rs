@@ -1,4 +1,4 @@
-//! Shared latency-report formatting for the per-figure binaries' verbose
+//! Shared latency-report formatting for the figures' verbose
 //! mode: per-[`RequestKind`](gre_core::RequestKind) summary lines so read
 //! and write tails stay separable in the printed output.
 

@@ -1,6 +1,6 @@
-//! Command-line options shared by every per-figure binary.
+//! Command-line options shared by every row of the figure table.
 //!
-//! All binaries accept the same flags so the whole evaluation can be scaled
+//! Every figure accepts the same flags so the whole evaluation can be scaled
 //! to the machine at hand:
 //!
 //! ```text
@@ -12,6 +12,9 @@
 //! --verbose     per-kind latency breakdowns (get/insert/update/remove/range)
 //! ```
 
+/// The flag list, appended to every parse error.
+const FLAGS: &str = "flags: --keys N  --threads T  --seed S  --shards N  --quick  --verbose";
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
@@ -19,11 +22,11 @@ pub struct RunOpts {
     pub threads: usize,
     pub seed: u64,
     /// Upper bound of the shard-count axis in serving-layer sweeps
-    /// (`figs_shard_scalability`); other binaries ignore it.
+    /// (`figs_shard_scalability`); other figures ignore it.
     pub shards: usize,
     pub quick: bool,
     /// Print per-`RequestKind` latency summaries next to the throughput
-    /// rows (binaries with latency reporting honor this).
+    /// rows (figures with latency reporting honor this).
     pub verbose: bool,
 }
 
@@ -43,35 +46,32 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Parse from an iterator of arguments (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parse from an iterator of arguments (without the program and figure
+    /// names). An unknown flag, a missing value or an unparsable value is an
+    /// error naming the offender; out-of-range values are clamped.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            it: &mut impl Iterator<Item = String>,
+        ) -> Result<T, String> {
+            let v = it
+                .next()
+                .ok_or_else(|| format!("{flag} needs a value\n{FLAGS}"))?;
+            v.parse()
+                .map_err(|_| format!("{flag}: not a number: {v:?}\n{FLAGS}"))
+        }
+
         let mut opts = RunOpts::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--keys" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        opts.keys = v;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        opts.threads = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        opts.seed = v;
-                    }
-                }
-                "--shards" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        opts.shards = v;
-                    }
-                }
+                "--keys" => opts.keys = value(&arg, &mut it)?,
+                "--threads" => opts.threads = value(&arg, &mut it)?,
+                "--seed" => opts.seed = value(&arg, &mut it)?,
+                "--shards" => opts.shards = value(&arg, &mut it)?,
                 "--quick" => opts.quick = true,
                 "--verbose" => opts.verbose = true,
-                _ => {}
+                _ => return Err(format!("unknown flag {arg:?}\n{FLAGS}")),
             }
         }
         if opts.quick {
@@ -80,40 +80,24 @@ impl RunOpts {
         opts.keys = opts.keys.max(1_000);
         opts.threads = opts.threads.max(1);
         opts.shards = opts.shards.max(1);
-        opts
+        Ok(opts)
     }
-
-    /// Parse from the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-}
-
-/// The caveat `fig5_scalability` and `fig6_numa` print above their tables:
-/// how many hardware threads the host has, and what the thread axis can
-/// therefore show.
-pub fn thread_axis_note() -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(
-        "# note: this host has {cpus} hardware thread(s); beyond that the thread axis \
-         oversubscribes them, so read the columns as a shape check, not a NUMA/scaling result"
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
+    fn parse(v: &[&str]) -> Result<RunOpts, String> {
+        RunOpts::parse(v.iter().map(|x| x.to_string()))
     }
 
     #[test]
     fn defaults_and_flags() {
-        let o = RunOpts::parse(s(&[]));
+        let o = parse(&[]).unwrap();
         assert_eq!(o.keys, 200_000);
         assert!(!o.quick);
-        let o = RunOpts::parse(s(&["--keys", "50000", "--threads", "2", "--seed", "7"]));
+        let o = parse(&["--keys", "50000", "--threads", "2", "--seed", "7"]).unwrap();
         assert_eq!(o.keys, 50_000);
         assert_eq!(o.threads, 2);
         assert_eq!(o.seed, 7);
@@ -122,28 +106,37 @@ mod tests {
 
     #[test]
     fn verbose_flag_parses() {
-        assert!(!RunOpts::parse(s(&[])).verbose);
-        assert!(RunOpts::parse(s(&["--verbose"])).verbose);
-        assert!(RunOpts::parse(s(&["--quick", "--verbose"])).quick);
+        assert!(!parse(&[]).unwrap().verbose);
+        assert!(parse(&["--verbose"]).unwrap().verbose);
+        assert!(parse(&["--quick", "--verbose"]).unwrap().quick);
     }
 
     #[test]
     fn shards_flag_parses_and_clamps() {
-        let o = RunOpts::parse(s(&["--shards", "16"]));
+        let o = parse(&["--shards", "16"]).unwrap();
         assert_eq!(o.shards, 16);
-        let o = RunOpts::parse(s(&["--shards", "0"]));
+        let o = parse(&["--shards", "0"]).unwrap();
         assert_eq!(o.shards, 1);
-        let o = RunOpts::parse(s(&["--shards", "junk"]));
-        assert_eq!(o.shards, 8);
+        let err = parse(&["--shards", "junk"]).unwrap_err();
+        assert!(err.contains("--shards") && err.contains("junk"), "{err}");
     }
 
     #[test]
-    fn quick_caps_keys_and_bad_values_are_ignored() {
-        let o = RunOpts::parse(s(&["--keys", "999999", "--quick"]));
+    fn quick_caps_keys_and_bad_values_are_rejected() {
+        let o = parse(&["--keys", "999999", "--quick"]).unwrap();
         assert!(o.quick);
         assert_eq!(o.keys, 20_000);
-        let o = RunOpts::parse(s(&["--keys", "nonsense", "--threads", "0"]));
-        assert_eq!(o.keys, 200_000);
-        assert_eq!(o.threads.max(1), o.threads);
+        let o = parse(&["--keys", "5", "--threads", "0"]).unwrap();
+        assert_eq!((o.keys, o.threads), (1_000, 1));
+        for (bad, names) in [
+            (&["--keys", "nonsense"][..], "nonsense"),
+            (&["--thraeds", "2"][..], "--thraeds"),
+            (&["--seed"][..], "--seed"),
+            (&["fig2_heatmap"][..], "fig2_heatmap"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains(names), "{bad:?}: {err}");
+            assert!(err.contains("--verbose"), "error lists the flags: {err}");
+        }
     }
 }

@@ -2,14 +2,12 @@
 //! survives a tiny insert/lookup round-trip, so registry regressions (a
 //! renamed entry, a broken constructor, a trait-impl typo) surface in
 //! milliseconds without the heavy end-to-end suite. Covers the plain
-//! registries, the `sharded(...)` serving-layer entries, and the
-//! string-keyed backend factory.
+//! registries and the `sharded(...)` serving-layer composites of the typed
+//! builder.
 
 use gre_bench::registry::{
-    backend, concurrent_backend, concurrent_indexes, sharded_concurrent_indexes,
-    single_thread_indexes, IndexBuilder, CONCURRENT_BACKENDS,
+    concurrent_indexes, single_thread_indexes, IndexBuilder, CONCURRENT_BACKENDS,
 };
-use gre_core::ConcurrentIndex;
 use gre_shard::Scheme;
 
 const TINY: u64 = 64;
@@ -23,7 +21,6 @@ fn registries_are_non_empty() {
     assert!(!single_thread_indexes().is_empty());
     assert!(!concurrent_indexes(true).is_empty());
     assert!(!concurrent_indexes(false).is_empty());
-    assert!(!sharded_concurrent_indexes(4).is_empty());
 }
 
 #[test]
@@ -37,7 +34,6 @@ fn registry_names_are_unique() {
     let mut names: Vec<String> = concurrent_indexes(true)
         .into_iter()
         .map(|e| e.name)
-        .chain(sharded_concurrent_indexes(4).into_iter().map(|e| e.name))
         .collect();
     names.sort_unstable();
     let len = names.len();
@@ -76,42 +72,6 @@ fn every_concurrent_entry_round_trips() {
 }
 
 #[test]
-fn every_sharded_entry_round_trips() {
-    let entries = tiny_entries();
-    for shards in [2usize, 4] {
-        for mut e in sharded_concurrent_indexes(shards) {
-            assert!(
-                e.name.starts_with("sharded(") && e.name.ends_with(&format!(",{shards})")),
-                "sharded entry name encodes backend and shard count: {}",
-                e.name
-            );
-            e.index.bulk_load(&entries);
-            assert_eq!(e.index.len(), entries.len(), "{} bulk load", e.name);
-            for &(k, v) in &entries {
-                assert_eq!(e.index.get(k), Some(v), "{} lookup {k}", e.name);
-            }
-            assert!(e.index.insert(2, 999), "{} fresh insert", e.name);
-            assert_eq!(e.index.get(2), Some(999), "{} read-own-insert", e.name);
-            assert_eq!(e.index.get(0), None, "{} absent key", e.name);
-            assert_eq!(e.index.meta().name, e.name, "{} meta name", e.name);
-        }
-    }
-}
-
-#[test]
-fn backend_factory_covers_every_registry_name() {
-    for (name, _) in CONCURRENT_BACKENDS {
-        let bare = concurrent_backend(name)
-            .unwrap_or_else(|| panic!("factory must resolve registry name {name}"));
-        assert_eq!(bare.meta().name, name);
-        let sharded =
-            backend(name, 3).unwrap_or_else(|| panic!("factory must build sharded({name},3)"));
-        assert_eq!(sharded.meta().name, format!("sharded({name},3)"));
-    }
-    assert!(backend("definitely-not-an-index", 3).is_none());
-}
-
-#[test]
 fn index_builder_covers_every_registry_name() {
     let entries = tiny_entries();
     for (name, kind) in CONCURRENT_BACKENDS {
@@ -119,17 +79,26 @@ fn index_builder_covers_every_registry_name() {
             .unwrap_or_else(|_| panic!("builder must resolve registry name {name}"));
         assert_eq!(builder.backend_name(), name);
         assert_eq!(builder.kind(), kind);
-        // A hash-sharded composite built through the typed surface serves a
-        // tiny round-trip.
-        let mut idx = builder.shards(2).partitioner(Scheme::Hash).build_sharded();
-        gre_core::ConcurrentIndex::bulk_load(&mut idx, &entries);
-        assert_eq!(idx.meta().name, format!("sharded({name},2,hash)"));
-        assert_eq!(idx.len(), entries.len(), "{name} bulk load");
-        assert!(idx.insert(2, 999), "{name} fresh insert");
-        assert_eq!(idx.get(2), Some(999), "{name} read-own-insert");
+        assert_eq!(builder.build().meta().name, name, "bare backend");
+        // Range- and hash-sharded composites built through the typed surface
+        // report the `sharded(NAME,N[,hash])` name and serve a tiny round-trip.
+        for (shards, scheme, shown) in [
+            (3, Scheme::Range, format!("sharded({name},3)")),
+            (2, Scheme::Hash, format!("sharded({name},2,hash)")),
+        ] {
+            let builder = builder.clone().shards(shards).partitioner(scheme);
+            assert_eq!(builder.display_name(), shown);
+            let mut idx = builder.build();
+            idx.bulk_load(&entries);
+            assert_eq!(idx.meta().name, shown);
+            assert_eq!(idx.len(), entries.len(), "{shown} bulk load");
+            for &(k, v) in &entries {
+                assert_eq!(idx.get(k), Some(v), "{shown} lookup {k}");
+            }
+            assert!(idx.insert(2, 999), "{shown} fresh insert");
+            assert_eq!(idx.get(2), Some(999), "{shown} read-own-insert");
+            assert_eq!(idx.get(0), None, "{shown} absent key");
+        }
     }
     assert!(IndexBuilder::backend("definitely-not-an-index").is_err());
-    // The CLI spec form resolves to the same configurations.
-    let b = IndexBuilder::parse("masstree:2:hash").expect("spec parses");
-    assert_eq!(b.display_name(), "sharded(Masstree,2,hash)");
 }

@@ -15,7 +15,8 @@ fn instrumented_throughput_stays_within_budget() {
         ["--quick", "--threads", "4", "--shards", "4"]
             .iter()
             .map(|s| s.to_string()),
-    );
+    )
+    .expect("valid flags");
     let probe = telemetry_overhead_probe(&opts, 2);
     assert!(
         probe.base_mops > 0.0 && probe.instrumented_mops > 0.0,

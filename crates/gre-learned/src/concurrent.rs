@@ -19,30 +19,16 @@
 use crate::alex::{Alex, AlexConfig};
 use crate::lipp::{Lipp, LippConfig};
 use gre_core::{ConcurrentIndex, Index, IndexMeta, Key, Payload, RangeSpec};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of key-range partitions (data-node-level write independence).
 pub const DEFAULT_PARTITIONS: usize = 64;
 
-/// Lock granularity studied in Appendix A (Figure A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockGranularity {
-    /// One optimistic lock per data node (the adopted design).
-    PerNode,
-    /// One lock per 256 records; admits more concurrency but requires
-    /// acquiring several locks per operation and restart-on-conflict to stay
-    /// deadlock free, which costs more than it gains.
-    PerRecordGroup,
-}
-
 /// ALEX+: the concurrent ALEX.
 pub struct AlexPlus<K: Key> {
     partitions: Vec<RwLock<Alex<K>>>,
     boundaries: Vec<K>,
-    /// Fine-grained record-group locks used only in `PerRecordGroup` mode.
-    record_locks: Vec<Mutex<()>>,
-    granularity: LockGranularity,
     name: &'static str,
 }
 
@@ -54,44 +40,22 @@ impl<K: Key> Default for AlexPlus<K> {
 
 impl<K: Key> AlexPlus<K> {
     pub fn new() -> Self {
-        Self::with_config(AlexConfig::default(), LockGranularity::PerNode)
+        Self::with_config(AlexConfig::default())
     }
 
-    pub fn with_config(config: AlexConfig, granularity: LockGranularity) -> Self {
+    pub fn with_config(config: AlexConfig) -> Self {
         AlexPlus {
             partitions: (0..DEFAULT_PARTITIONS)
                 .map(|_| RwLock::new(Alex::with_config(config)))
                 .collect(),
             boundaries: Vec::new(),
-            record_locks: (0..DEFAULT_PARTITIONS * 16)
-                .map(|_| Mutex::new(()))
-                .collect(),
-            granularity,
             name: "ALEX+",
         }
-    }
-
-    /// The lock granularity in use (Appendix A experiment).
-    pub fn granularity(&self) -> LockGranularity {
-        self.granularity
     }
 
     #[inline]
     fn partition_for(&self, key: K) -> usize {
         self.boundaries.partition_point(|b| *b <= key)
-    }
-
-    /// In per-256-record mode every write acquires the record-group locks
-    /// covering the touched region in address order (deadlock-free), which
-    /// adds acquisition overhead — the effect Figure A measures.
-    #[inline]
-    fn record_group_guard(&self, key: K) -> Option<[parking_lot::MutexGuard<'_, ()>; 2]> {
-        if self.granularity == LockGranularity::PerNode {
-            return None;
-        }
-        let h = (key.to_model_input().to_bits() as usize) % (self.record_locks.len() - 1);
-        let (a, b) = (h, h + 1);
-        Some([self.record_locks[a].lock(), self.record_locks[b].lock()])
     }
 }
 
@@ -155,7 +119,6 @@ impl<K: Key> ConcurrentIndex<K> for AlexPlus<K> {
     }
 
     fn insert(&self, key: K, value: Payload) -> bool {
-        let _groups = self.record_group_guard(key);
         self.partitions[self.partition_for(key)]
             .write()
             .insert(key, value)
@@ -164,14 +127,12 @@ impl<K: Key> ConcurrentIndex<K> for AlexPlus<K> {
     /// Presence check and write happen under one partition write lock, so
     /// the trait's single-critical-section atomicity contract holds.
     fn update(&self, key: K, value: Payload) -> bool {
-        let _groups = self.record_group_guard(key);
         self.partitions[self.partition_for(key)]
             .write()
             .update(key, value)
     }
 
     fn remove(&self, key: K) -> Option<Payload> {
-        let _groups = self.record_group_guard(key);
         self.partitions[self.partition_for(key)].write().remove(key)
     }
 
@@ -469,26 +430,6 @@ mod tests {
             }
         });
         assert_eq!(a.len(), 10_000 + 8_000);
-    }
-
-    #[test]
-    fn alex_plus_record_group_granularity_still_correct() {
-        let mut a: AlexPlus<u64> =
-            AlexPlus::with_config(AlexConfig::default(), LockGranularity::PerRecordGroup);
-        assert_eq!(a.granularity(), LockGranularity::PerRecordGroup);
-        ConcurrentIndex::bulk_load(&mut a, &entries(5_000));
-        let a = Arc::new(a);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let a = Arc::clone(&a);
-                s.spawn(move || {
-                    for i in 0..1_000u64 {
-                        a.insert(10_000_000 + t * 1_000_000 + i, i);
-                    }
-                });
-            }
-        });
-        assert_eq!(a.len(), 5_000 + 4_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`xindex`] — XIndex (group models + per-group delta, two-phase merge).
 //! * [`finedex`] — FINEdex (per-record level bins).
 //! * [`concurrent`] — ALEX+ and LIPP+, the concurrent derivatives the paper
-//!   contributes, including the lock-granularity variant of Appendix A.
+//!   contributes.
 
 pub mod alex;
 pub mod concurrent;
@@ -21,7 +21,7 @@ pub mod pgm;
 pub mod xindex;
 
 pub use alex::{Alex, AlexConfig, BATCH_WIDTH};
-pub use concurrent::{AlexPlus, LippPlus, LockGranularity};
+pub use concurrent::{AlexPlus, LippPlus};
 pub use finedex::{Finedex, FinedexConfig};
 pub use lipp::{Lipp, LippConfig};
 pub use pgm::{DynamicPgm, StaticPgm};

@@ -40,20 +40,11 @@ impl Scheme {
         }
     }
 
-    /// Scheme name as used in display names and CLI specs.
+    /// Scheme name as used in display names.
     pub fn name(self) -> &'static str {
         match self {
             Scheme::Range => "range",
             Scheme::Hash => "hash",
-        }
-    }
-
-    /// Parse a scheme name (the inverse of [`Scheme::name`]).
-    pub fn parse(s: &str) -> Option<Scheme> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "range" => Some(Scheme::Range),
-            "hash" => Some(Scheme::Hash),
-            _ => None,
         }
     }
 }
@@ -521,13 +512,10 @@ mod tests {
     fn scheme_round_trips_names_and_builds_partitioners() {
         assert_eq!(Scheme::default(), Scheme::Range);
         for scheme in [Scheme::Range, Scheme::Hash] {
-            assert_eq!(Scheme::parse(scheme.name()), Some(scheme));
             let p: Partitioner<u64> = scheme.partitioner(4);
             assert_eq!(p.shards(), 4);
             assert_eq!(p.scheme(), scheme.name());
             assert_eq!(p.is_ordered(), scheme == Scheme::Range);
         }
-        assert_eq!(Scheme::parse("HASH"), Some(Scheme::Hash));
-        assert_eq!(Scheme::parse("nope"), None);
     }
 }

@@ -1,13 +1,16 @@
-//! Doc truth: a file or binary that `README.md`, `docs/*.md`, the CI workflow
-//! or a doc comment under `crates/`, `src/`, `examples/` names must exist.
+//! Doc truth: a file, binary or figure that `README.md`, `docs/*.md`, the CI
+//! workflow or a doc comment under `crates/`, `src/`, `examples/` names must
+//! exist.
 //!
-//! Three kinds of mention are checked: a path ending in `.md` or `.json`
+//! Four kinds of mention are checked: a path ending in `.md` or `.json`
 //! (resolved against the repo root, the citing file's directory, or — for a
-//! bare `NAME.md` — `docs/`), and `--bin <name>` (a file in some crate's
-//! `src/bin/`). A bare `name.json` may instead be a run artifact the root
-//! `.gitignore` declares: the figure binaries write those, nothing commits
-//! them.
+//! bare `NAME.md` — `docs/`), `--bin <name>` (a file in some crate's
+//! `src/bin/`), and the figure a `gre-figs <name>` or `gre-figs -- <name>`
+//! command line names (a row of `gre_bench::figures::FIGURES`). A bare
+//! `name.json` may instead be a run artifact the root `.gitignore` declares:
+//! the `figs_*` figures write those, nothing commits them.
 
+use gre_bench::figures::FIGURES;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -70,6 +73,23 @@ fn bin_exists(name: &str) -> bool {
         })
 }
 
+/// The names `line` passes to `gre-figs` as its figure argument, directly or
+/// after cargo's `--`, that are not rows of the figure table. A placeholder
+/// (`gre-figs <figure>`) or a flag names no figure.
+fn unknown_figures(line: &str) -> Vec<&str> {
+    line.match_indices("gre-figs ")
+        .filter_map(|(at, cmd)| {
+            let rest = &line[at + cmd.len()..];
+            let rest = rest.strip_prefix("-- ").unwrap_or(rest);
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let name = &rest[..end];
+            (!name.is_empty() && FIGURES.iter().all(|f| f.name != name)).then_some(name)
+        })
+        .collect()
+}
+
 /// Whether `token`, found in `file`, is a `.md` / `.json` path naming nothing.
 fn dangling(token: &str, file: &Path, ignored: &[String]) -> bool {
     let name = token.rsplit('/').next().expect("rsplit yields an item");
@@ -116,10 +136,29 @@ fn every_named_file_and_binary_exists() {
                 problems.push(format!("{shown}:{line_no}: no binary `{name}`"));
             }
         }
+        for name in unknown_figures(&line) {
+            problems.push(format!("{shown}:{line_no}: no figure `{name}`"));
+        }
     }
     assert!(
         problems.is_empty(),
-        "documentation names files or binaries that do not exist:\n{}",
+        "documentation names files, binaries or figures that do not exist:\n{}",
         problems.join("\n")
+    );
+}
+
+#[test]
+fn a_cited_figure_must_be_a_table_row() {
+    let ok = "$ cargo run --release -p gre-bench --bin gre-figs -- fig2_heatmap --quick";
+    assert!(unknown_figures(ok).is_empty());
+    assert!(unknown_figures("run: target/release/gre-figs figs_knee --quick").is_empty());
+    assert!(unknown_figures("`gre-figs <figure> [flags]`, the `gre-figs` binary").is_empty());
+    assert!(unknown_figures("cargo run --bin gre-figs -- --quick").is_empty());
+
+    let gone = "$ cargo run -p gre-bench --bin gre-figs -- figa_lock_granularity";
+    assert_eq!(unknown_figures(gone), ["figa_lock_granularity"]);
+    assert_eq!(
+        unknown_figures("target/release/gre-figs fig2 && target/release/gre-figs fig8_memory"),
+        ["fig2"]
     );
 }

@@ -10,9 +10,7 @@
 //! 100 from it crosses into the next one) without knowing where they are; `0`
 //! and `u64::MAX` cover "below the first key" and "past the last key".
 
-use gre::learned::{
-    Alex, AlexConfig, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, LockGranularity, XIndex,
-};
+use gre::learned::{Alex, AlexConfig, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
 use gre::traditional::{Art, BPlusTree};
 use gre_core::index::MutexIndex;
 use gre_core::{ConcurrentIndex, RangeSpec};
@@ -36,10 +34,7 @@ fn backends() -> Vec<(&'static str, Backend)> {
             "Alex",
             Box::new(MutexIndex::new(Alex::with_config(SMALL_NODES), "ALEX")),
         ),
-        (
-            "AlexPlus",
-            Box::new(AlexPlus::with_config(SMALL_NODES, LockGranularity::PerNode)),
-        ),
+        ("AlexPlus", Box::new(AlexPlus::with_config(SMALL_NODES))),
         ("Lipp", Box::new(MutexIndex::new(Lipp::new(), "LIPP"))),
         ("LippPlus", Box::new(LippPlus::new())),
         (
