@@ -57,7 +57,7 @@ pub fn run(opts: &RunOpts) {
 
     let scenario = super::shifting_hotspot_scenario(opts.seed, &keys, phase_ops, threads);
 
-    let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256)
+    let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256, 0)
         .instrumented_with(|c| c.trace_sample(trace_one_in));
     let telemetry = Arc::clone(target.telemetry().expect("instrumented"));
 

@@ -126,7 +126,7 @@ pub fn run(opts: &RunOpts) {
         .shards(shards);
     println!("# Rebalance: {} + elastic controller", spec.display_name());
     let elastic_scenario = scenario("hotspot-collapse");
-    let mut target = PipelineTarget::new(spec.build_sharded(), shards, 256).instrumented();
+    let mut target = PipelineTarget::new(spec.build_sharded(), shards, 256, 0).instrumented();
     // Pre-load so the pipeline exists before the driver starts; the
     // driver's own load() call then no-ops (loading is idempotent).
     use gre_workloads::driver::ServeTarget;
@@ -227,7 +227,7 @@ pub fn run(opts: &RunOpts) {
         .shards(shards)
         .partitioner(Scheme::Hash);
     println!("\n# Control: {} (no controller)", hash_spec.display_name());
-    let mut hash_target = PipelineTarget::new(hash_spec.build_sharded(), shards, 256);
+    let mut hash_target = PipelineTarget::new(hash_spec.build_sharded(), shards, 256, 0);
     let hash = Driver::new()
         .interval(interval)
         .run(&scenario("hotspot-collapse-hash"), &mut hash_target);

@@ -31,7 +31,7 @@ use gre_durability::util::TempDir;
 use gre_durability::{
     DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger, WalStats,
 };
-use gre_shard::{OpBatch, Partitioner, PipelineTarget, RetryPolicy, ShardPipeline};
+use gre_shard::{OpBatch, Partitioner, PipelineTarget, ShardPipeline};
 use gre_workloads::driver::Driver;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::Op;
@@ -102,7 +102,7 @@ fn cost_probe(opts: &RunOpts) -> CostProbe {
     );
 
     let run_plain = |label: &str| {
-        let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256);
+        let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256, 0);
         let result = Driver::new().run(&scenario, &mut target);
         let p = &result.phases[0];
         assert_eq!(p.tally.errors, 0, "{label}: no refusals without faults");
@@ -113,9 +113,8 @@ fn cost_probe(opts: &RunOpts) -> CostProbe {
 
     let run_durable = |label: &str, policy: SyncPolicy| {
         let tmp = TempDir::new("figs-recovery-cost");
-        let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256)
-            .durable(tmp.path(), policy)
-            .with_retry(RetryPolicy::default());
+        let mut target =
+            PipelineTarget::new(spec.build_sharded(), threads, 256, 0).durable(tmp.path(), policy);
         let result = Driver::new().run(&scenario, &mut target);
         let p = &result.phases[0];
         assert_eq!(p.tally.errors, 0, "{label}: no refusals without faults");
@@ -345,7 +344,7 @@ fn crash_cell(
     }
 
     let pipeline: ShardPipeline<Box<dyn ConcurrentIndex<u64>>> =
-        ShardPipeline::with_durability(Arc::new(idx), 2, 64, log);
+        ShardPipeline::with_services(Arc::new(idx), 2, 64, None, Some(log));
     let mut rng = StdRng::seed_from_u64(opts.seed ^ label.len() as u64);
     let (mut accepted, mut refused) = (0usize, 0usize);
     for round in 0..rounds {

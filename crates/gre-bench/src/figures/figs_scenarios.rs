@@ -24,7 +24,7 @@ use crate::report::{interval_series, print_phase_latency};
 use crate::RunOpts;
 use gre_core::ops::RequestKind;
 use gre_datasets::Dataset;
-use gre_shard::SessionTarget;
+use gre_shard::PipelineTarget;
 use gre_workloads::driver::{Driver, PhaseResult, ScenarioResult};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 
@@ -91,7 +91,7 @@ fn read_mostly_then_write_burst(opts: &RunOpts, keys: &[u64], spec: &IndexBuilde
             },
         ));
 
-    let mut target = SessionTarget::new(spec.build_sharded(), opts.threads.clamp(1, 8), 64, 8);
+    let mut target = PipelineTarget::new(spec.build_sharded(), opts.threads.clamp(1, 8), 64, 8);
     let result = Driver::new()
         .open_loop_senders(opts.threads.clamp(1, 4))
         .run(&scenario, &mut target);

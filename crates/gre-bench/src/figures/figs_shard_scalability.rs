@@ -8,13 +8,14 @@
 //! * `direct`  — driver threads call the composite `ConcurrentIndex`
 //!   directly (the blanket bare-backend target), one routing decision
 //!   per op.
-//! * `batched` — `PipelineTarget`: the request stream is buffered into
-//!   `BATCH`-op `OpBatch`es and submitted to the `ShardPipeline` worker
-//!   pool one batch at a time (submit, then wait), amortizing routing and
-//!   thread hand-off with per-shard FIFO execution.
-//! * `session` — `SessionTarget`: the same batches submitted through
-//!   per-thread `Session`s that keep up to `INFLIGHT` batches in flight
-//!   each, overlapping submission with execution.
+//! * `batched` — `PipelineTarget` at window 0: the request stream is
+//!   buffered into `BATCH`-op `OpBatch`es and submitted to the
+//!   `ShardPipeline` worker pool one batch at a time (submit, then wait),
+//!   amortizing routing and thread hand-off with per-shard FIFO execution.
+//! * `session` — `PipelineTarget` at window `INFLIGHT`: each full batch is
+//!   submitted, then the oldest batches are waited out until at most
+//!   `INFLIGHT` remain in flight per thread, overlapping submission with
+//!   execution.
 //!
 //! `--shards N` caps the shard-count axis, `--threads T` the thread axis,
 //! `--verbose` adds per-kind latency breakdowns per path.
@@ -23,7 +24,7 @@ use crate::registry::IndexBuilder;
 use crate::report::print_phase_latency;
 use crate::RunOpts;
 use gre_datasets::Dataset;
-use gre_shard::{PipelineTarget, SessionTarget};
+use gre_shard::PipelineTarget;
 use gre_workloads::driver::{Driver, PhaseResult, ServeTarget};
 use gre_workloads::scenario::{Pacing, Scenario};
 use gre_workloads::{Workload, WorkloadBuilder, WriteRatio};
@@ -31,7 +32,7 @@ use gre_workloads::{Workload, WorkloadBuilder, WriteRatio};
 /// Ops per submitted batch on the batched and session paths.
 const BATCH: usize = 1024;
 
-/// In-flight batch window per client session.
+/// In-flight batch window per client on the session path.
 const INFLIGHT: usize = 8;
 
 pub fn run(opts: &RunOpts) {
@@ -103,7 +104,7 @@ pub fn run(opts: &RunOpts) {
                         tails.push((format!("direct/{threads}T"), phase));
                     }
 
-                    let mut batched = PipelineTarget::new(spec.build_sharded(), threads, BATCH);
+                    let mut batched = PipelineTarget::new(spec.build_sharded(), threads, BATCH, 0);
                     let phase = run_path(&scenario, &mut batched, &workload);
                     rows[1]
                         .1
@@ -113,7 +114,7 @@ pub fn run(opts: &RunOpts) {
                     }
 
                     let mut session =
-                        SessionTarget::new(spec.build_sharded(), threads, BATCH, INFLIGHT);
+                        PipelineTarget::new(spec.build_sharded(), threads, BATCH, INFLIGHT);
                     let phase = run_path(&scenario, &mut session, &workload);
                     rows[2]
                         .1

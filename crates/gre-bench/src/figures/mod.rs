@@ -1,13 +1,11 @@
 //! The figure table: every table and figure this repo reproduces is one row
 //! of [`FIGURES`], and the `gre-figs` binary runs the row its first argument
 //! names. `paper` holds the paper's own tables and figures; the `figs_*`
-//! modules drill the serving, durability, elasticity and replication tiers.
+//! modules drill the serving, durability and elasticity tiers.
 
-mod figs_knee;
 mod figs_observability;
 mod figs_rebalance;
 mod figs_recovery;
-mod figs_replication;
 mod figs_scenarios;
 mod figs_shard_scalability;
 mod paper;
@@ -157,16 +155,6 @@ pub static FIGURES: &[Figure] = &[
         title: "Elasticity: hotspot collapse, live split and recovery",
         run: figs_rebalance::run,
     },
-    Figure {
-        name: "figs_replication",
-        title: "Replication: read throughput over replica count x read fraction",
-        run: figs_replication::run,
-    },
-    Figure {
-        name: "figs_knee",
-        title: "Replication: latency vs offered rate up to the saturation knee",
-        run: figs_knee::run,
-    },
 ];
 
 /// The closed-loop script `figs_scenarios` and `figs_observability` serve:
@@ -226,7 +214,7 @@ mod tests {
 
     #[test]
     fn table_names_are_unique_and_complete() {
-        assert_eq!(FIGURES.len(), 27);
+        assert_eq!(FIGURES.len(), 25);
         for (i, f) in FIGURES.iter().enumerate() {
             assert!(!f.name.is_empty() && !f.title.is_empty());
             assert!(

@@ -56,7 +56,7 @@ pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe 
     let run = |instrument: bool| -> f64 {
         let driver = Driver::new().sample_stride(SAMPLE_STRIDE);
         let mut target =
-            PipelineTarget::new(builder.build_sharded(), workers, DEFAULT_DRIVER_BATCH);
+            PipelineTarget::new(builder.build_sharded(), workers, DEFAULT_DRIVER_BATCH, 0);
         if instrument {
             target = target.instrumented();
         }

@@ -12,6 +12,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Shipper idle poll interval: how quickly a replica notices new WAL
+/// records once the stream goes quiet.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
 /// The failpoint name a replica's shipper evaluates once per applied
 /// record: `replica/{id}/apply`. Script it with
 /// [`FailAction::Crash`] to kill the shipper mid-stream (the position
@@ -125,7 +129,6 @@ pub(crate) struct ShipperConfig {
     pub log: Arc<DurableLog>,
     pub telemetry: Option<Arc<Telemetry>>,
     pub failpoints: Option<Arc<FailpointRegistry>>,
-    pub poll_interval: Duration,
     /// Counter-stripe index this shipper records into.
     pub stripe: usize,
 }
@@ -204,7 +207,7 @@ pub(crate) fn spawn_shipper<B: ConcurrentIndex<u64> + 'static>(
             }
             publish_lag(&node, &cfg);
             if !progressed {
-                std::thread::sleep(cfg.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
         publish_lag(&node, &cfg);

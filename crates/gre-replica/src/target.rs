@@ -11,13 +11,12 @@ use crate::set::{spawn_shipper, ReplicaNode, ShipperConfig};
 use crate::slo::SloTarget;
 use gre_core::ops::RequestKind;
 use gre_core::{ConcurrentIndex, IndexError, Payload, RangeSpec, ReadPolicy, Response};
-use gre_durability::{DurableLog, FailpointRegistry, LogFollower, SyncPolicy};
-use gre_shard::{PipelineTarget, RetryPolicy, ShardPipeline};
+use gre_durability::{DurableLog, FailpointRegistry, LogFollower};
+use gre_shard::{PipelineTarget, ShardPipeline};
 use gre_telemetry::{CounterId, Telemetry};
 use gre_workloads::driver::{Connection, PhaseRecorder, ServeTarget};
 use gre_workloads::Op;
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,59 +34,47 @@ const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 /// starting its shipper thread). The driver's own `load` call makes this
 /// transparent; a test may also `load` ahead of the driver to grab handles.
 pub struct ReplicatedTarget<B: ConcurrentIndex<u64> + 'static> {
-    /// Always `Some`; optional only so the consuming builder methods can
-    /// move it despite the `Drop` impl.
-    primary: Option<PipelineTarget<B>>,
+    primary: PipelineTarget<B>,
     /// Builds one backend instance per (replica, shard); locked because
     /// `ServeTarget` requires `Sync` while `FnMut` is not.
     factory: Mutex<Box<dyn FnMut(usize) -> B + Send>>,
-    wal_dir: PathBuf,
     replica_count: usize,
-    replica_workers: usize,
-    batch: usize,
     policy: ReadPolicy,
     slo: Option<SloTarget>,
-    poll_interval: Duration,
     failpoints: Option<Arc<FailpointRegistry>>,
-    /// Stripe the connections and shippers count into (the submitter
-    /// stripe of the primary's telemetry topology).
-    stripe: usize,
     nodes: Vec<Arc<ReplicaNode<B>>>,
     shippers: Vec<Option<JoinHandle<()>>>,
 }
 
 impl<B: ConcurrentIndex<u64> + 'static> ReplicatedTarget<B> {
-    /// A replicated target serving `index` as the primary through a
-    /// `workers`-thread pipeline in `batch`-op batches, with the WAL (and
-    /// therefore the shipping stream) rooted at `wal_dir`. `factory` builds
-    /// one replica backend per shard; it must produce the same index type
-    /// the primary runs so replica state stays model-comparable.
+    /// A replicated target over an already configured `primary`: its WAL
+    /// (the shipping stream), batch size, worker count, sync policy and
+    /// telemetry carry over — replica pipelines get the primary's worker
+    /// count, and shed, redirect and shipping metrics land in the
+    /// primary's registry when it is instrumented. `factory` builds one
+    /// replica backend per shard; it must produce the same index type the
+    /// primary runs so replica state stays model-comparable.
     ///
-    /// Defaults: 1 replica, replica pipelines sized like the primary,
-    /// [`ReadPolicy::RoundRobin`], no SLO admission, `EveryGroup` syncs.
+    /// Defaults: 1 replica, [`ReadPolicy::RoundRobin`], no SLO admission.
+    ///
+    /// # Panics
+    /// If `primary` is not [`PipelineTarget::durable`]: replicas follow
+    /// its write-ahead log, so there is nothing to ship without one.
     pub fn new(
-        index: gre_shard::ShardedIndex<u64, B>,
-        workers: usize,
-        batch: usize,
-        wal_dir: impl AsRef<Path>,
+        primary: PipelineTarget<B>,
         factory: impl FnMut(usize) -> B + Send + 'static,
     ) -> Self {
-        let wal_dir = wal_dir.as_ref().to_path_buf();
+        assert!(
+            primary.wal_dir().is_some(),
+            "replicated target: the primary must be durable (call .durable(dir, policy) on it)"
+        );
         ReplicatedTarget {
-            primary: Some(
-                PipelineTarget::new(index, workers, batch)
-                    .durable(&wal_dir, SyncPolicy::EveryGroup),
-            ),
+            primary,
             factory: Mutex::new(Box::new(factory)),
-            wal_dir,
             replica_count: 1,
-            replica_workers: workers,
-            batch: batch.max(1),
             policy: ReadPolicy::RoundRobin,
             slo: None,
-            poll_interval: Duration::from_micros(200),
             failpoints: None,
-            stripe: workers,
             nodes: Vec::new(),
             shippers: Vec::new(),
         }
@@ -97,13 +84,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedTarget<B> {
     /// baseline where every read serves from the primary).
     pub fn with_replicas(mut self, n: usize) -> Self {
         self.replica_count = n;
-        self
-    }
-
-    /// Worker threads per replica pipeline (clamped to the shard count by
-    /// the pipeline itself).
-    pub fn replica_workers(mut self, workers: usize) -> Self {
-        self.replica_workers = workers.max(1);
         self
     }
 
@@ -122,13 +102,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedTarget<B> {
         self
     }
 
-    /// Shipper idle poll interval (how quickly replicas notice new WAL
-    /// records when the stream goes quiet).
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
-        self
-    }
-
     /// Attach a failpoint registry; shippers evaluate
     /// [`crate::set::apply_failpoint`] once per applied record.
     pub fn with_failpoints(mut self, registry: Arc<FailpointRegistry>) -> Self {
@@ -136,37 +109,21 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedTarget<B> {
         self
     }
 
-    fn map_primary(mut self, f: impl FnOnce(PipelineTarget<B>) -> PipelineTarget<B>) -> Self {
-        self.primary = Some(f(self.primary.take().expect("primary present")));
-        self
-    }
-
-    /// Override the primary WAL's sync policy.
-    pub fn sync(self, policy: SyncPolicy) -> Self {
-        let dir = self.wal_dir.clone();
-        self.map_primary(|p| p.durable(dir, policy))
-    }
-
-    /// Retry rejected primary submissions per `policy` (see
-    /// [`PipelineTarget::with_retry`]).
-    pub fn with_retry(self, policy: RetryPolicy) -> Self {
-        self.map_primary(|p| p.with_retry(policy))
-    }
-
-    /// Attach runtime telemetry (sized for the primary's topology; shed,
-    /// redirect, and shipping metrics land in the same registry).
-    pub fn instrumented(self) -> Self {
-        self.map_primary(PipelineTarget::instrumented)
-    }
-
-    /// The attached telemetry, when [`ReplicatedTarget::instrumented`].
+    /// The primary's telemetry, when it was
+    /// [`PipelineTarget::instrumented`].
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.primary().telemetry()
+        self.primary.telemetry()
     }
 
     /// The primary serve target.
     pub fn primary(&self) -> &PipelineTarget<B> {
-        self.primary.as_ref().expect("primary present")
+        &self.primary
+    }
+
+    /// Stripe the connections and shippers count into: the submitter
+    /// stripe of the primary's telemetry topology.
+    fn stripe(&self) -> usize {
+        self.primary.workers()
     }
 
     /// The replica set (empty until loaded).
@@ -215,8 +172,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedTarget<B> {
                 log,
                 telemetry: self.telemetry().cloned(),
                 failpoints: self.failpoints.clone(),
-                poll_interval: self.poll_interval,
-                stripe: self.stripe,
+                stripe: self.stripe(),
             },
         ));
         Ok(())
@@ -263,12 +219,12 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for ReplicatedTarget<B> {
     }
 
     fn load(&mut self, entries: &[(u64, Payload)]) {
-        let primary = self.primary.as_mut().expect("primary present");
-        primary.load(entries);
+        self.primary.load(entries);
         if !self.nodes.is_empty() {
             return;
         }
-        let primary = self.primary.as_ref().expect("primary present");
+        let stripe = self.stripe();
+        let primary = &self.primary;
         let log = primary
             .durability()
             .expect("replicated target primary is always durable")
@@ -287,7 +243,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for ReplicatedTarget<B> {
             let mut index = primary_index.sibling_from_factory(&mut **factory);
             index.bulk_load(&seed);
             let index = Arc::new(index);
-            let pipeline = Arc::new(ShardPipeline::new(Arc::clone(&index), self.replica_workers));
+            let pipeline = Arc::new(ShardPipeline::new(Arc::clone(&index), primary.workers()));
             let node = ReplicaNode::new(id, index, pipeline, &baselines, self.slo);
             let follower =
                 LogFollower::resume(log.dir(), &baselines).expect("wal readable for shipping");
@@ -298,8 +254,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for ReplicatedTarget<B> {
                     log: Arc::clone(&log),
                     telemetry: primary.telemetry().cloned(),
                     failpoints: self.failpoints.clone(),
-                    poll_interval: self.poll_interval,
-                    stripe: self.stripe,
+                    stripe,
                 },
             )));
             self.nodes.push(node);
@@ -312,12 +267,13 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for ReplicatedTarget<B> {
             .pipeline_handle()
             .expect("connect before load");
         let shards = self.primary().index().num_shards();
+        let batch = self.primary.batch();
         Box::new(ReplicatedConn {
             target: self,
             primary,
-            batch: self.batch,
-            buf: Vec::with_capacity(self.batch),
-            meta: Vec::with_capacity(self.batch),
+            batch,
+            buf: Vec::with_capacity(batch),
+            meta: Vec::with_capacity(batch),
             session_req: vec![0; shards],
             rr: 0,
             batches: 0,
@@ -401,7 +357,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedConn<'_, B> {
         }
         if !writes.is_empty() {
             let responses = self.primary.submit(gre_shard::OpBatch::new(writes)).wait();
-            record_batch(rec, &wmeta, &responses);
+            rec.complete_batch(&wmeta, &responses);
             // The log's committed sequences now cover this batch; remember
             // them as the session's freshness floor for bounded reads.
             let log = self.target.log().expect("loaded");
@@ -429,15 +385,15 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedConn<'_, B> {
                 if let Some(slo) = node.slo() {
                     slo.record(t0.elapsed().as_nanos() as u64);
                 }
-                record_batch(rec, &rmeta, &responses);
+                rec.complete_batch(&rmeta, &responses);
             }
             Placement::Primary => {
                 let responses = self.primary.submit(gre_shard::OpBatch::new(reads)).wait();
-                record_batch(rec, &rmeta, &responses);
+                rec.complete_batch(&rmeta, &responses);
             }
             Placement::Shed => {
                 let responses = vec![Response::Error(IndexError::Overloaded); reads.len()];
-                record_batch(rec, &rmeta, &responses);
+                rec.complete_batch(&rmeta, &responses);
                 self.count(CounterId::ReadsShed, n);
             }
         }
@@ -533,7 +489,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ReplicatedConn<'_, B> {
 
     fn count(&self, id: CounterId, n: u64) {
         if let Some(t) = self.target.telemetry() {
-            t.metrics().stripe(self.target.stripe).add(id, n);
+            t.metrics().stripe(self.target.stripe()).add(id, n);
         }
     }
 }
@@ -549,21 +505,5 @@ impl<B: ConcurrentIndex<u64> + 'static> Connection for ReplicatedConn<'_, B> {
 
     fn flush(&mut self, rec: &mut PhaseRecorder) {
         self.send(rec);
-    }
-}
-
-/// Record one completed batch, stamping every timed op with the batch's
-/// completion time (the same contract as the `gre-shard` adapters).
-fn record_batch(
-    rec: &mut PhaseRecorder,
-    meta: &[(RequestKind, Option<Instant>)],
-    responses: &[Response<u64>],
-) {
-    let now = Instant::now();
-    for ((kind, intended), response) in meta.iter().zip(responses) {
-        match intended {
-            Some(t0) => rec.complete_timed(*kind, *t0, now, response),
-            None => rec.complete_untimed(response),
-        }
     }
 }

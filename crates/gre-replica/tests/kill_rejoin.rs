@@ -5,10 +5,10 @@
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_durability::util::TempDir;
-use gre_durability::{FailAction, FailpointRegistry, Trigger};
+use gre_durability::{FailAction, FailpointRegistry, SyncPolicy, Trigger};
 use gre_learned::AlexPlus;
 use gre_replica::{apply_failpoint, ReplicatedTarget};
-use gre_shard::{Partitioner, ShardedIndex};
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::Driver;
 use std::sync::Arc;
@@ -51,9 +51,10 @@ fn crashed_replica_rejoins_from_its_watermark_without_loss_or_duplication() {
     );
 
     let tmp = TempDir::new("kill-rejoin");
-    let mut target = ReplicatedTarget::new(sharded(), 2, 128, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
-    })
+    let mut target = ReplicatedTarget::new(
+        PipelineTarget::new(sharded(), 2, 128, 0).durable(tmp.path(), SyncPolicy::EveryGroup),
+        |_| Box::new(AlexPlus::<u64>::new()) as DynBackend,
+    )
     .with_replicas(2)
     .with_failpoints(Arc::clone(&failpoints));
 
@@ -116,9 +117,10 @@ fn graceful_kill_freezes_and_rejoin_catches_up() {
     // The controlled half of the drill: kill_replica stops shipping
     // cooperatively; writes keep committing; re-join replays the gap.
     let tmp = TempDir::new("kill-graceful");
-    let mut target = ReplicatedTarget::new(sharded(), 2, 128, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
-    })
+    let mut target = ReplicatedTarget::new(
+        PipelineTarget::new(sharded(), 2, 128, 0).durable(tmp.path(), SyncPolicy::EveryGroup),
+        |_| Box::new(AlexPlus::<u64>::new()) as DynBackend,
+    )
     .with_replicas(1);
 
     let scenario = write_heavy();

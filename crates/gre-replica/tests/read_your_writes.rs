@@ -6,9 +6,10 @@
 
 use gre_core::{ConcurrentIndex, ReadPolicy};
 use gre_durability::util::TempDir;
+use gre_durability::SyncPolicy;
 use gre_learned::AlexPlus;
 use gre_replica::ReplicatedTarget;
-use gre_shard::{Partitioner, ShardedIndex};
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_workloads::driver::{PhaseRecorder, ServeTarget};
 use gre_workloads::Op;
 use std::time::{Duration, Instant};
@@ -22,9 +23,10 @@ fn sharded() -> ShardedIndex<u64, DynBackend> {
 }
 
 fn target(policy: ReadPolicy, tmp: &TempDir) -> ReplicatedTarget<DynBackend> {
-    ReplicatedTarget::new(sharded(), 2, 8, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
-    })
+    ReplicatedTarget::new(
+        PipelineTarget::new(sharded(), 2, 8, 0).durable(tmp.path(), SyncPolicy::EveryGroup),
+        |_| Box::new(AlexPlus::<u64>::new()) as DynBackend,
+    )
     .with_replicas(1)
     .read_policy(policy)
 }

@@ -5,9 +5,10 @@
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec, ReadPolicy};
 use gre_durability::util::TempDir;
+use gre_durability::SyncPolicy;
 use gre_learned::AlexPlus;
 use gre_replica::ReplicatedTarget;
-use gre_shard::{Partitioner, ShardedIndex};
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::Driver;
@@ -68,10 +69,13 @@ fn replicas_match_primary_exactly_after_quiesce_across_backends_and_policies() {
     for (name, factory) in backends() {
         for policy in ReadPolicy::ALL {
             let tmp = TempDir::new("replication-equivalence");
-            let mut target =
-                ReplicatedTarget::new(sharded(factory), 2, 256, tmp.path(), move |_| factory())
-                    .with_replicas(3)
-                    .read_policy(policy);
+            let mut target = ReplicatedTarget::new(
+                PipelineTarget::new(sharded(factory), 2, 256, 0)
+                    .durable(tmp.path(), SyncPolicy::EveryGroup),
+                move |_| factory(),
+            )
+            .with_replicas(3)
+            .read_policy(policy);
             let result = Driver::new().run(&scenario, &mut target);
             assert_eq!(result.total_ops(), 16_000, "{name}/{policy}");
             for phase in &result.phases {
@@ -118,9 +122,12 @@ fn all_replicas_apply_the_same_stream() {
     let scenario = scenario();
     let (_, factory) = backends()[0];
     let tmp = TempDir::new("replication-counters");
-    let mut target =
-        ReplicatedTarget::new(sharded(factory), 2, 128, tmp.path(), move |_| factory())
-            .with_replicas(2);
+    let mut target = ReplicatedTarget::new(
+        PipelineTarget::new(sharded(factory), 2, 128, 0)
+            .durable(tmp.path(), SyncPolicy::EveryGroup),
+        move |_| factory(),
+    )
+    .with_replicas(2);
     Driver::new().run(&scenario, &mut target);
     target.quiesce();
     let nodes = target.nodes();

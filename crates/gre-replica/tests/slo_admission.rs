@@ -6,9 +6,10 @@
 
 use gre_core::ConcurrentIndex;
 use gre_durability::util::TempDir;
+use gre_durability::SyncPolicy;
 use gre_learned::AlexPlus;
 use gre_replica::{ReplicatedTarget, SloTarget};
-use gre_shard::{Partitioner, ShardedIndex};
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_telemetry::CounterId;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::{Driver, ServeTarget};
@@ -37,12 +38,12 @@ fn read_only() -> Scenario {
 /// bits stay exactly where `publish_for_test` put them.
 fn slo_target(replicas: usize) -> (TempDir, ReplicatedTarget<DynBackend>) {
     let tmp = TempDir::new("slo-admission");
-    let target = ReplicatedTarget::new(sharded(), 2, 64, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
-    })
-    .with_replicas(replicas)
-    .with_slo(SloTarget::p99(1_000_000).with_interval(Duration::from_secs(3600)))
-    .instrumented();
+    let primary = PipelineTarget::new(sharded(), 2, 64, 0)
+        .durable(tmp.path(), SyncPolicy::EveryGroup)
+        .instrumented();
+    let target = ReplicatedTarget::new(primary, |_| Box::new(AlexPlus::<u64>::new()) as DynBackend)
+        .with_replicas(replicas)
+        .with_slo(SloTarget::p99(1_000_000).with_interval(Duration::from_secs(3600)));
     (tmp, target)
 }
 
@@ -102,9 +103,10 @@ fn fully_breached_replica_set_sheds_reads() {
 #[test]
 fn no_slo_means_no_admission_control() {
     let tmp = TempDir::new("slo-off");
-    let mut target = ReplicatedTarget::new(sharded(), 2, 64, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
-    })
+    let mut target = ReplicatedTarget::new(
+        PipelineTarget::new(sharded(), 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup),
+        |_| Box::new(AlexPlus::<u64>::new()) as DynBackend,
+    )
     .with_replicas(2);
     let result = Driver::new().run(&read_only(), &mut target);
     let phase = &result.phases[0];

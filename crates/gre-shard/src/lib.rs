@@ -32,31 +32,32 @@
 //!   [`SubmitHandle`]; [`Session`] pipelines many in-flight batches per
 //!   client with FIFO completion, and bounded shard queues reject overload
 //!   with [`Backpressure`] instead of queueing without limit.
-//! * [`serve`] — scenario-driver adapters ([`PipelineTarget`],
-//!   [`SessionTarget`]) that plug the batched and pipelined client paths
-//!   into the `gre-workloads` scenario [`Driver`](gre_workloads::Driver) as
-//!   [`ServeTarget`](gre_workloads::ServeTarget)s, next to the blanket
-//!   bare-backend target.
+//! * [`serve`] — [`PipelineTarget`], the scenario-driver adapter that plugs
+//!   the batched client path into the `gre-workloads` scenario
+//!   [`Driver`](gre_workloads::Driver) as a
+//!   [`ServeTarget`](gre_workloads::ServeTarget), next to the blanket
+//!   bare-backend target: each driver thread submits through its own
+//!   [`Session`] with a configured in-flight window (`0` = submit-then-wait).
 //!
-//! The pipeline and both serve targets can carry a
+//! The pipeline and the serve target can carry a
 //! [`Telemetry`](gre_telemetry::Telemetry) registry
-//! ([`ShardPipeline::with_telemetry`], `PipelineTarget::instrumented`):
+//! ([`ShardPipeline::with_services`], `PipelineTarget::instrumented`):
 //! per-shard queue/in-flight gauges, sub-batch histograms, outcome counters
 //! mirroring the driver's tally, and 1-in-N sampled request spans. The
 //! uninstrumented path records nothing and reads no clocks.
 //!
 //! Durability attaches the same way: an optional per-shard write-ahead log
-//! ([`gre_durability::DurableLog`], via [`ShardPipeline::with_durability`]
+//! ([`gre_durability::DurableLog`], via [`ShardPipeline::with_services`]
 //! or `PipelineTarget::durable`) group-commits the writes of whatever a
 //! shard has queued — one record, one barrier — before any of it executes,
 //! with fail-stop refusal
 //! ([`gre_core::IndexError::Shutdown`]) when the log cannot accept a group.
-//! [`retry`] adds the client-side complement for the bounded queues:
-//! [`RetryPolicy`]-driven jittered backoff on [`Backpressure`].
+//! A client facing the bounded queues either blocks
+//! ([`ShardPipeline::submit`]) or takes the [`Backpressure`] and decides
+//! ([`ShardPipeline::try_submit`]).
 
 pub mod partition;
 pub mod pipeline;
-pub mod retry;
 pub mod serve;
 pub mod sharded;
 
@@ -65,6 +66,5 @@ pub use pipeline::{
     Backpressure, BackpressureReason, BatchResult, OpBatch, Session, ShardPipeline, SubmitHandle,
     DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_CAPACITY,
 };
-pub use retry::RetryPolicy;
-pub use serve::{reconcile_tally, PipelineTarget, SessionTarget, DEFAULT_DRIVER_BATCH};
+pub use serve::{reconcile_tally, PipelineTarget, DEFAULT_DRIVER_BATCH};
 pub use sharded::ShardedIndex;

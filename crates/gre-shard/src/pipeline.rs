@@ -36,7 +36,7 @@
 //!
 //! ## Durability
 //!
-//! A pipeline built with [`ShardPipeline::with_durability`] carries an
+//! A pipeline built by [`ShardPipeline::with_services`] with a log carries an
 //! optional per-shard write-ahead log ([`DurableLog`]). The group-commit
 //! unit is **what the shard has queued, not one sub-batch**: when a worker
 //! turns to a sub-batch whose writes are not yet logged, it takes every
@@ -58,7 +58,6 @@
 //! executed" from "refused". Detached (the default), the gate is one branch
 //! per sub-batch.
 
-use crate::retry::RetryPolicy;
 use crate::sharded::ShardedIndex;
 use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Response};
 use gre_durability::{DurableLog, GroupReceipt};
@@ -66,7 +65,6 @@ use gre_telemetry::{
     CounterId, CounterStripe, GaugeId, GlobalHistId, ShardHistId, SpanRecord, Telemetry,
 };
 use gre_workloads::{split_indexed_ops_by_shard, Op};
-use rand::RngCore;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -161,8 +159,8 @@ pub enum BackpressureReason {
     /// The submitting [`Session`]'s in-flight window was full.
     WindowFull,
     /// The batch touches a key range frozen by an in-flight migration.
-    /// Transient like the other reasons: retry (the existing
-    /// [`RetryPolicy`] backoff works unchanged) or block via
+    /// Transient like the other reasons: retry with
+    /// [`ShardPipeline::try_submit`] or block via
     /// [`ShardPipeline::submit`], and the batch goes through once the
     /// routing swap commits. Batches not touching the frozen range are
     /// unaffected — serving is never globally paused.
@@ -406,53 +404,17 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     /// the shard count (extra workers would never receive a shard
     /// assignment).
     pub fn new(index: Arc<ShardedIndex<u64, B>>, workers: usize) -> Self {
-        Self::with_queue_capacity(index, workers, DEFAULT_QUEUE_CAPACITY)
+        Self::with_services(index, workers, DEFAULT_QUEUE_CAPACITY, None, None)
     }
 
     /// Like [`ShardPipeline::new`] with an explicit per-shard queue bound
-    /// (in sub-batches; clamped to at least 1).
-    pub fn with_queue_capacity(
-        index: Arc<ShardedIndex<u64, B>>,
-        workers: usize,
-        queue_capacity: usize,
-    ) -> Self {
-        Self::build(index, workers, queue_capacity, None, None)
-    }
-
-    /// Like [`ShardPipeline::with_queue_capacity`], with every submission
-    /// and execution recorded into `telemetry` (counters, per-shard gauges
-    /// and histograms, sampled spans — see `gre-telemetry`).
-    ///
-    /// # Panics
-    /// If `telemetry` was sized for a different shard count than `index`.
-    pub fn with_telemetry(
-        index: Arc<ShardedIndex<u64, B>>,
-        workers: usize,
-        queue_capacity: usize,
-        telemetry: Arc<Telemetry>,
-    ) -> Self {
-        Self::with_services(index, workers, queue_capacity, Some(telemetry), None)
-    }
-
-    /// Like [`ShardPipeline::with_queue_capacity`], with every sub-batch's
-    /// writes group-committed to `durability` before execution — one record
-    /// for everything its shard had queued (log-then-execute; see the module
-    /// docs' durability section).
-    ///
-    /// # Panics
-    /// If `durability` was created for a different shard count than `index`.
-    pub fn with_durability(
-        index: Arc<ShardedIndex<u64, B>>,
-        workers: usize,
-        queue_capacity: usize,
-        durability: Arc<DurableLog>,
-    ) -> Self {
-        Self::with_services(index, workers, queue_capacity, None, Some(durability))
-    }
-
-    /// The fully general constructor: telemetry and durability each attach
-    /// independently (both optional; both `None` is
-    /// [`ShardPipeline::with_queue_capacity`]).
+    /// (in sub-batches; clamped to at least 1) and two optional services,
+    /// each attached independently: `telemetry` records every submission
+    /// and execution (counters, per-shard gauges and histograms, sampled
+    /// spans — see `gre-telemetry`), and `durability` group-commits each
+    /// sub-batch's writes before execution — one record for everything its
+    /// shard had queued (log-then-execute; see the module docs' durability
+    /// section).
     ///
     /// # Panics
     /// If `telemetry` or `durability` was sized for a different shard count
@@ -478,16 +440,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                 "durable log shard count must match the served index"
             );
         }
-        Self::build(index, workers, queue_capacity, telemetry, durability)
-    }
-
-    fn build(
-        index: Arc<ShardedIndex<u64, B>>,
-        workers: usize,
-        queue_capacity: usize,
-        telemetry: Option<Arc<Telemetry>>,
-        durability: Option<Arc<DurableLog>>,
-    ) -> Self {
         let workers = workers.clamp(1, index.num_shards());
         let gauge = Arc::new(QueueGauge {
             depths: (0..index.num_shards())
@@ -544,13 +496,13 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     }
 
     /// The attached telemetry, when this pipeline was built with
-    /// [`ShardPipeline::with_telemetry`].
+    /// [`ShardPipeline::with_services`].
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
     }
 
     /// The attached durable log, when this pipeline was built with
-    /// [`ShardPipeline::with_durability`].
+    /// [`ShardPipeline::with_services`].
     pub fn durability(&self) -> Option<&Arc<DurableLog>> {
         self.durability.as_ref()
     }
@@ -810,36 +762,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     /// counters (the old `submit(..).wait()` surface in one call).
     pub fn execute(&self, batch: OpBatch) -> BatchResult {
         BatchResult::from_responses(&self.submit(batch).wait())
-    }
-
-    /// [`ShardPipeline::try_submit`] with bounded, jittered retries on
-    /// [`BackpressureReason::QueueFull`] per `policy` (see
-    /// [`RetryPolicy`]): each rejection sleeps a full-jitter backoff drawn
-    /// from `rng`, then retries; after `policy.max_attempts` total attempts
-    /// the last [`Backpressure`] is returned with the batch intact.
-    ///
-    /// Unlike [`ShardPipeline::submit`] this never parks on the capacity
-    /// condvar — the jittered sleeps both bound the total wait and
-    /// decorrelate competing submitters during saturation.
-    pub fn submit_with_retry<R: RngCore>(
-        &self,
-        batch: OpBatch,
-        policy: &RetryPolicy,
-        rng: &mut R,
-    ) -> Result<SubmitHandle, Backpressure> {
-        let mut batch = batch;
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match self.try_submit(batch) {
-                Ok(handle) => return Ok(handle),
-                Err(bp) if attempt + 1 < attempts => {
-                    batch = bp.batch;
-                    std::thread::sleep(policy.backoff(attempt, rng));
-                }
-                Err(bp) => return Err(bp),
-            }
-        }
-        unreachable!("loop always returns on the last attempt")
     }
 }
 
@@ -1255,43 +1177,6 @@ impl<'p, B: ConcurrentIndex<u64> + 'static> Session<'p, B> {
         self.inflight.push_back(self.pipeline.try_submit(batch)?);
         self.record_window();
         Ok(())
-    }
-
-    /// Submit with the session's own backpressure handling driven by
-    /// `policy`: a full in-flight window ([`BackpressureReason::WindowFull`])
-    /// waits out the session's *oldest* batch — progress, not contention, so
-    /// it costs no retry attempt — while a full shard queue
-    /// ([`BackpressureReason::QueueFull`]) sleeps a jittered backoff and
-    /// retries, up to `policy.max_attempts` total submission attempts. The
-    /// final rejection hands the batch back inside `Err(Backpressure)`.
-    pub fn submit_with_retry<R: RngCore>(
-        &mut self,
-        batch: OpBatch,
-        policy: &RetryPolicy,
-        rng: &mut R,
-    ) -> Result<(), Backpressure> {
-        let mut batch = batch;
-        let attempts = policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            match self.try_submit(batch) {
-                Ok(()) => return Ok(()),
-                Err(bp) if bp.reason == BackpressureReason::WindowFull => {
-                    batch = bp.batch;
-                    let handle = self
-                        .inflight
-                        .pop_front()
-                        .expect("window full implies inflight");
-                    self.completed.push_back(handle.wait());
-                }
-                Err(bp) if attempt + 1 < attempts => {
-                    batch = bp.batch;
-                    std::thread::sleep(policy.backoff(attempt, rng));
-                    attempt += 1;
-                }
-                Err(bp) => return Err(bp),
-            }
-        }
     }
 
     /// Sample the in-flight window occupancy (including the batch just
@@ -1753,7 +1638,8 @@ mod tests {
                 .collect();
             log.checkpoint(shard, &mine).unwrap();
         }
-        let p = ShardPipeline::with_durability(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, log);
+        let p =
+            ShardPipeline::with_services(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, None, Some(log));
         assert!(p.durability().is_some());
         // Mixed batches: reads must not be logged, writes must all be.
         for b in 0..20u64 {
@@ -1839,7 +1725,8 @@ mod tests {
         });
         idx.bulk_load(&[(0, 0), (high, 0)]);
         let log = DurableLog::create(tmp.path(), 2, SyncPolicy::EveryGroup).unwrap();
-        let p = ShardPipeline::with_durability(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, log);
+        let p =
+            ShardPipeline::with_services(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, None, Some(log));
         for b in 1..=10u64 {
             // Both shards write, then only shard 1, then nobody.
             p.submit(OpBatch::new(vec![
@@ -1962,7 +1849,8 @@ mod tests {
                 "gated",
             )
         });
-        let p = ShardPipeline::with_durability(Arc::new(idx), 1, DEFAULT_QUEUE_CAPACITY, log);
+        let p =
+            ShardPipeline::with_services(Arc::new(idx), 1, DEFAULT_QUEUE_CAPACITY, None, Some(log));
         (p, gate)
     }
 
@@ -2153,66 +2041,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_with_retry_delivers_or_returns_the_batch() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let mut idx = ShardedIndex::from_factory(Partitioner::range(1), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
-        });
-        idx.bulk_load(&[(0, 0)]);
-        let p = ShardPipeline::with_queue_capacity(Arc::new(idx), 1, 2);
-        let policy = RetryPolicy::new(3, Duration::from_micros(10), Duration::from_micros(100));
-        let mut rng = StdRng::seed_from_u64(42);
-
-        let mut accepted = Vec::new();
-        let mut rejected = 0usize;
-        for i in 0..500u64 {
-            match p.submit_with_retry(OpBatch::new(vec![Op::Insert(10 + i, i)]), &policy, &mut rng)
-            {
-                Ok(handle) => accepted.push(handle),
-                Err(bp) => {
-                    // The final rejection hands the batch back intact.
-                    assert_eq!(bp.batch.ops, vec![Op::Insert(10 + i, i)]);
-                    rejected += 1;
-                }
-            }
-        }
-        let n = accepted.len();
-        for handle in accepted {
-            assert_eq!(handle.wait(), vec![Response::Insert(true)]);
-        }
-        assert_eq!(p.index().len(), 1 + n);
-        assert_eq!(n + rejected, 500);
-    }
-
-    #[test]
-    fn session_submit_with_retry_preserves_fifo() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let p = pipeline(4, 2);
-        let mut session = Session::with_max_inflight(&p, 2);
-        let policy = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(9);
-        for b in 0..10u64 {
-            session
-                .submit_with_retry(
-                    OpBatch::new(vec![Op::Insert(300_001 + 2 * b, b)]),
-                    &policy,
-                    &mut rng,
-                )
-                .expect("default policy over an uncontended pipeline");
-            assert!(session.inflight.len() <= 2, "window still respected");
-        }
-        let all = session.drain();
-        assert_eq!(all.len(), 10);
-        for (b, responses) in all.iter().enumerate() {
-            assert_eq!(responses, &vec![Response::Insert(true)], "batch {b}");
-        }
-    }
-
-    #[test]
     fn try_submit_backpressure_is_all_or_nothing() {
         // One worker, one shard, tiny queue: saturate it and verify accepted
         // batches all execute while rejected ones come back intact.
@@ -2220,7 +2048,7 @@ mod tests {
             MutexIndex::new(MapIndex::default(), "map-shard")
         });
         idx.bulk_load(&[(0, 0)]);
-        let p = ShardPipeline::with_queue_capacity(Arc::new(idx), 1, 2);
+        let p = ShardPipeline::with_services(Arc::new(idx), 1, 2, None, None);
         assert_eq!(p.queue_capacity(), 2);
 
         let mut accepted: Vec<SubmitHandle> = Vec::new();

@@ -1,22 +1,22 @@
-//! Scenario-driver targets for the serving layer: adapters that let the
+//! Scenario-driver target for the serving layer: [`PipelineTarget`] lets the
 //! `gre-workloads` [`Driver`](gre_workloads::Driver) execute a scenario
-//! through the batched [`ShardPipeline`] or the pipelined [`Session`]
-//! client path, completing the three-way target set next to the bare
+//! through the batched [`ShardPipeline`], next to the bare
 //! [`ConcurrentIndex`] blanket impl:
 //!
 //! * **bare** — driver threads call the (possibly sharded) index directly;
 //!   one routing decision per op, latency is pure service time.
 //! * **[`PipelineTarget`]** — each driver thread buffers ops into
-//!   fixed-size [`OpBatch`]es and submits them one at a time
-//!   (submit-then-wait). Latency of an op is measured from its intended
-//!   send time to its *batch's* completion, so buffering and queueing delay
-//!   are charged to the request, not hidden.
-//! * **[`SessionTarget`]** — each driver thread opens a [`Session`] and
-//!   keeps up to `max_inflight` batches in flight, harvesting completions
-//!   in FIFO order as they arrive; the shape a real pipelined client has.
+//!   fixed-size [`OpBatch`]es and submits every full batch through its own
+//!   [`Session`], then takes completions (oldest first, in FIFO order)
+//!   until at most `window` batches are still in flight. `window = 0` is
+//!   submit-then-wait; `window = w` keeps up to `w` batches in flight while
+//!   the next one fills, the shape a real pipelined client has. Latency of
+//!   an op is measured from its intended send time to its *batch's*
+//!   completion, so buffering and queueing delay are charged to the
+//!   request, not hidden.
 //!
-//! Both adapters bulk load through the composite before spawning the worker
-//! pool, and their connections flush buffered and in-flight work when a
+//! The target bulk loads through the composite before spawning the worker
+//! pool, and its connections flush buffered and in-flight work when a
 //! phase ends — the driver reports only completed operations, and no
 //! accepted operation is lost when a phase (or the whole run) is cut short.
 //!
@@ -69,8 +69,9 @@
 //!     Pacing::ClosedLoop { threads: 2 },
 //! ));
 //!
-//! // Two pipeline workers, 128-op batches, submit-then-wait per client.
-//! let mut target = PipelineTarget::new(store, 2, 128);
+//! // Two pipeline workers, 128-op batches, submit-then-wait per client
+//! // (window 0: no earlier batch stays in flight).
+//! let mut target = PipelineTarget::new(store, 2, 128, 0);
 //! let result = Driver::new().run(&scenario, &mut target);
 //!
 //! assert_eq!(result.phases[0].ops(), 4_000); // flush covers partial batches
@@ -79,40 +80,25 @@
 //! ```
 
 use crate::pipeline::{OpBatch, Session, ShardPipeline, DEFAULT_QUEUE_CAPACITY};
-use crate::retry::RetryPolicy;
 use crate::sharded::ShardedIndex;
 use gre_core::ops::RequestKind;
-use gre_core::{ConcurrentIndex, Payload};
+use gre_core::{ConcurrentIndex, Payload, Response};
 use gre_durability::{DurableLog, Recovery, SyncPolicy};
 use gre_telemetry::{CounterId, Telemetry, TelemetryConfig};
 use gre_workloads::driver::{Connection, PhaseRecorder, ServeTarget};
 use gre_workloads::Op;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default ops per submitted batch for both adapters.
+/// Default ops per submitted batch.
 pub const DEFAULT_DRIVER_BATCH: usize = 1024;
 
 /// Per-op bookkeeping a connection keeps for one in-flight batch: the op's
 /// kind and its intended send time (when the driver timed it).
 type BatchMeta = Vec<(RequestKind, Option<Instant>)>;
-
-/// Record one completed batch into the recorder, stamping every timed op
-/// with the batch's completion time.
-fn record_batch(rec: &mut PhaseRecorder, meta: &BatchMeta, responses: &[gre_core::Response<u64>]) {
-    let now = Instant::now();
-    for ((kind, intended), response) in meta.iter().zip(responses) {
-        match intended {
-            Some(t0) => rec.complete_timed(*kind, *t0, now, response),
-            None => rec.complete_untimed(response),
-        }
-    }
-}
 
 /// Check that a telemetry snapshot agrees *exactly* with the driver-side
 /// typed-response tally of the ops served through it: the two count the
@@ -165,53 +151,134 @@ struct DurabilityConfig {
     log: Option<Arc<DurableLog>>,
 }
 
-/// Seeds for the per-connection retry RNGs: deterministic per process, so
-/// repeated runs back off identically while distinct connections still
-/// jitter independently.
-static CONN_SERIAL: AtomicU64 = AtomicU64::new(0);
-
-fn conn_rng() -> StdRng {
-    StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15 ^ CONN_SERIAL.fetch_add(1, Ordering::Relaxed))
-}
-
-/// The shared core of both adapters: the sharded composite plus the worker
-/// pool serving it (created at [`ServeTarget::load`] time, after the bulk
-/// load, because loading needs exclusive access to the composite).
-struct PipelineCore<B: ConcurrentIndex<u64> + 'static> {
+/// Serve scenarios through the batched [`ShardPipeline`]: each driver
+/// thread submits full batches through its own [`Session`] and keeps at
+/// most `window` earlier batches in flight while the next one fills.
+pub struct PipelineTarget<B: ConcurrentIndex<u64> + 'static> {
     index: Arc<ShardedIndex<u64, B>>,
-    /// Shared so an elasticity controller can hold the pipeline alongside
-    /// the target (see `gre-elastic`).
+    /// The worker pool serving `index`, created at [`ServeTarget::load`]
+    /// time (after the bulk load, which needs exclusive access to the
+    /// composite). Shared so an elasticity controller can hold the
+    /// pipeline alongside the target (see `gre-elastic`).
     pipeline: Option<Arc<ShardPipeline<B>>>,
     workers: usize,
     batch: usize,
+    window: usize,
     telemetry: Option<Arc<Telemetry>>,
     durability: Option<DurabilityConfig>,
-    retry: Option<RetryPolicy>,
 }
 
-impl<B: ConcurrentIndex<u64> + 'static> PipelineCore<B> {
-    fn new(index: ShardedIndex<u64, B>, workers: usize, batch: usize) -> Self {
-        PipelineCore {
+impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
+    /// Target `index` with a `workers`-thread pool, `batch`-op batches and
+    /// a per-connection in-flight `window`: after submitting a full batch,
+    /// a connection waits out its oldest batches until at most `window`
+    /// remain in flight (`0` = submit-then-wait).
+    pub fn new(index: ShardedIndex<u64, B>, workers: usize, batch: usize, window: usize) -> Self {
+        PipelineTarget {
             index: Arc::new(index),
             pipeline: None,
             workers,
             batch: batch.max(1),
+            window,
             telemetry: None,
             durability: None,
-            retry: None,
         }
     }
 
-    /// Attach a telemetry registry sized for this target's topology: one
-    /// scope per shard, one counter stripe per worker plus a dedicated
-    /// stripe for submitters. `configure` tweaks the trace options on top
-    /// of the trace-enabled defaults.
-    fn instrument(&mut self, configure: impl FnOnce(TelemetryConfig) -> TelemetryConfig) {
+    /// The served composite (for post-run verification).
+    pub fn index(&self) -> &ShardedIndex<u64, B> {
+        &self.index
+    }
+
+    /// Pipeline worker threads requested at construction.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Ops per submitted batch.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Attach runtime telemetry with trace-enabled defaults; the registry
+    /// is sized for this target's topology (one scope per shard, one
+    /// counter stripe per worker plus a dedicated stripe for submitters)
+    /// and shared with the pipeline built at load time. Retrieve it via
+    /// [`PipelineTarget::telemetry`].
+    pub fn instrumented(self) -> Self {
+        self.instrumented_with(|c| c)
+    }
+
+    /// Like [`PipelineTarget::instrumented`], with `configure` applied to
+    /// the default [`TelemetryConfig`] (e.g. to change the trace sampling
+    /// period or disable the tracer).
+    pub fn instrumented_with(
+        mut self,
+        configure: impl FnOnce(TelemetryConfig) -> TelemetryConfig,
+    ) -> Self {
         let config = configure(TelemetryConfig::new(
             self.index.num_shards(),
             self.workers + 1,
         ));
         self.telemetry = Some(Arc::new(Telemetry::new(config)));
+        self
+    }
+
+    /// The attached telemetry, when [`PipelineTarget::instrumented`].
+    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+        self.telemetry.as_ref()
+    }
+
+    /// Make this target durable: at load time, open a per-shard write-ahead
+    /// log under `dir` (checkpointing the bulk load into snapshots) and
+    /// attach it to the pipeline, so every served write is group-committed
+    /// before it executes. If `dir` already holds a durable history from a
+    /// previous incarnation, load restores it instead of the bulk entries
+    /// (a restart) and resumes the log where it left off, recording the
+    /// replayed op count as `recovery_replayed_ops` when instrumented; a
+    /// history load cannot read is a panic, never a fresh start over it.
+    /// See `gre-durability` and `docs/DURABILITY.md`.
+    pub fn durable(mut self, dir: impl AsRef<Path>, policy: SyncPolicy) -> Self {
+        self.durability = Some(DurabilityConfig {
+            dir: dir.as_ref().to_path_buf(),
+            policy,
+            log: None,
+        });
+        self
+    }
+
+    /// The write-ahead log directory, when [`PipelineTarget::durable`].
+    pub fn wal_dir(&self) -> Option<&Path> {
+        Some(&self.durability.as_ref()?.dir)
+    }
+
+    /// The live durable log, when [`PipelineTarget::durable`] and loaded.
+    pub fn durability(&self) -> Option<&Arc<DurableLog>> {
+        self.durability.as_ref()?.log.as_ref()
+    }
+
+    /// The shared serving pipeline, once loaded — the handle an elasticity
+    /// controller attaches to. Loading is idempotent, so a caller may
+    /// `load()` ahead of the driver, take this handle, and let the driver's
+    /// own load call no-op.
+    pub fn pipeline_handle(&self) -> Option<Arc<ShardPipeline<B>>> {
+        self.pipeline.clone()
+    }
+}
+
+impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
+    fn describe(&self) -> String {
+        format!(
+            "{} [pipeline batch={} window={}{}]",
+            self.index.meta().name,
+            self.batch,
+            self.window,
+            if self.durability.is_some() {
+                " wal"
+            } else {
+                ""
+            }
+        )
     }
 
     fn load(&mut self, entries: &[(u64, Payload)]) {
@@ -261,7 +328,10 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineCore<B> {
                     }
                     log
                 }
-                Err(_) => {
+                // Only a missing manifest means a fresh directory: creating
+                // the log over a history it cannot read would rewrite the
+                // manifest and truncate every acknowledged shard WAL.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     index.bulk_load(entries);
                     let log = DurableLog::create(&cfg.dir, index.num_shards(), cfg.policy)
                         .expect("durable target: cannot create the write-ahead log");
@@ -277,6 +347,10 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineCore<B> {
                     }
                     log
                 }
+                Err(e) => panic!(
+                    "durable target: cannot recover the write-ahead log in {}: {e}",
+                    cfg.dir.display()
+                ),
             };
             cfg.log = Some(Arc::clone(&log));
             Some(log)
@@ -293,369 +367,91 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineCore<B> {
         )));
     }
 
-    fn pipeline(&self) -> &ShardPipeline<B> {
-        self.pipeline
+    fn connect(&self) -> Box<dyn Connection + '_> {
+        let pipeline = self
+            .pipeline
             .as_deref()
-            .expect("driver calls load() before connect()")
-    }
-}
-
-/// Serve scenarios through the batched `ShardPipeline` path: each driver
-/// thread submits one batch at a time and waits for its typed responses.
-pub struct PipelineTarget<B: ConcurrentIndex<u64> + 'static> {
-    core: PipelineCore<B>,
-}
-
-impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
-    /// Target `index` with a `workers`-thread pool and `batch`-op batches.
-    pub fn new(index: ShardedIndex<u64, B>, workers: usize, batch: usize) -> Self {
-        PipelineTarget {
-            core: PipelineCore::new(index, workers, batch),
-        }
-    }
-
-    /// The served composite (for post-run verification).
-    pub fn index(&self) -> &ShardedIndex<u64, B> {
-        &self.core.index
-    }
-
-    /// Attach runtime telemetry with trace-enabled defaults; the registry
-    /// is sized for this target's topology and shared with the pipeline
-    /// built at load time. Retrieve it via [`PipelineTarget::telemetry`].
-    pub fn instrumented(self) -> Self {
-        self.instrumented_with(|c| c)
-    }
-
-    /// Like [`PipelineTarget::instrumented`], with `configure` applied to
-    /// the default [`TelemetryConfig`] (e.g. to change the trace sampling
-    /// period or disable the tracer).
-    pub fn instrumented_with(
-        mut self,
-        configure: impl FnOnce(TelemetryConfig) -> TelemetryConfig,
-    ) -> Self {
-        self.core.instrument(configure);
-        self
-    }
-
-    /// The attached telemetry, when [`PipelineTarget::instrumented`].
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.core.telemetry.as_ref()
-    }
-
-    /// Make this target durable: at load time, open a per-shard write-ahead
-    /// log under `dir` (checkpointing the bulk load into snapshots) and
-    /// attach it to the pipeline, so every served write is group-committed
-    /// before it executes. If `dir` already holds a durable history from a
-    /// previous incarnation, load restores it instead of the bulk entries
-    /// (a restart) and resumes the log where it left off, recording the
-    /// replayed op count as `recovery_replayed_ops` when instrumented. See
-    /// `gre-durability` and `docs/DURABILITY.md`.
-    pub fn durable(mut self, dir: impl AsRef<Path>, policy: SyncPolicy) -> Self {
-        self.core.durability = Some(DurabilityConfig {
-            dir: dir.as_ref().to_path_buf(),
-            policy,
-            log: None,
-        });
-        self
-    }
-
-    /// Retry rejected submissions per `policy` (jittered backoff on a full
-    /// shard queue) instead of parking on the pipeline's capacity condvar.
-    /// Exhausted retries fall back to the blocking submit, so the driver
-    /// still loses no operations.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.core.retry = Some(policy);
-        self
-    }
-
-    /// The live durable log, when [`PipelineTarget::durable`] and loaded.
-    pub fn durability(&self) -> Option<&Arc<DurableLog>> {
-        self.core.durability.as_ref()?.log.as_ref()
-    }
-
-    /// The shared serving pipeline, once loaded — the handle an elasticity
-    /// controller attaches to. Loading is idempotent, so a caller may
-    /// `load()` ahead of the driver, take this handle, and let the driver's
-    /// own load call no-op.
-    pub fn pipeline_handle(&self) -> Option<Arc<ShardPipeline<B>>> {
-        self.core.pipeline.clone()
-    }
-}
-
-impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
-    fn describe(&self) -> String {
-        format!(
-            "{} [pipeline batch={}{}]",
-            self.core.index.meta().name,
-            self.core.batch,
-            if self.core.durability.is_some() {
-                " wal"
-            } else {
-                ""
-            }
-        )
-    }
-
-    fn load(&mut self, entries: &[(u64, Payload)]) {
-        self.core.load(entries);
-    }
-
-    fn connect(&self) -> Box<dyn Connection + '_> {
-        Box::new(PipelineConn {
-            pipeline: self.core.pipeline(),
-            batch: self.core.batch,
-            buf: Vec::with_capacity(self.core.batch),
-            meta: Vec::with_capacity(self.core.batch),
-            retry: self.core.retry,
-            rng: conn_rng(),
-        })
-    }
-
-    fn stored_len(&self) -> usize {
-        self.core.index.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.core.index.memory_usage()
-    }
-}
-
-struct PipelineConn<'a, B: ConcurrentIndex<u64> + 'static> {
-    pipeline: &'a ShardPipeline<B>,
-    batch: usize,
-    buf: Vec<Op>,
-    meta: BatchMeta,
-    retry: Option<RetryPolicy>,
-    rng: StdRng,
-}
-
-impl<B: ConcurrentIndex<u64> + 'static> PipelineConn<'_, B> {
-    fn send(&mut self, rec: &mut PhaseRecorder) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let ops = std::mem::take(&mut self.buf);
-        let batch = OpBatch::new(ops);
-        let handle = match self.retry {
-            // Jittered retries first; a batch that exhausts its attempts
-            // falls back to the blocking submit — the driver's accounting
-            // requires that no accepted op vanish.
-            Some(policy) => match self
-                .pipeline
-                .submit_with_retry(batch, &policy, &mut self.rng)
-            {
-                Ok(handle) => handle,
-                Err(bp) => self.pipeline.submit(bp.batch),
-            },
-            None => self.pipeline.submit(batch),
-        };
-        let responses = handle.wait();
-        record_batch(rec, &self.meta, &responses);
-        self.meta.clear();
-    }
-}
-
-impl<B: ConcurrentIndex<u64> + 'static> Connection for PipelineConn<'_, B> {
-    fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder) {
-        self.buf.push(op);
-        self.meta.push((op.kind(), intended));
-        if self.buf.len() >= self.batch {
-            self.send(rec);
-        }
-    }
-
-    fn flush(&mut self, rec: &mut PhaseRecorder) {
-        self.send(rec);
-    }
-}
-
-/// Serve scenarios through pipelined [`Session`]s: each driver thread keeps
-/// up to `max_inflight` batches in flight and consumes completions in FIFO
-/// order without blocking the submission stream.
-pub struct SessionTarget<B: ConcurrentIndex<u64> + 'static> {
-    core: PipelineCore<B>,
-    max_inflight: usize,
-}
-
-impl<B: ConcurrentIndex<u64> + 'static> SessionTarget<B> {
-    /// Target `index` with a `workers`-thread pool, `batch`-op batches and
-    /// a per-connection in-flight window of `max_inflight` batches.
-    pub fn new(
-        index: ShardedIndex<u64, B>,
-        workers: usize,
-        batch: usize,
-        max_inflight: usize,
-    ) -> Self {
-        SessionTarget {
-            core: PipelineCore::new(index, workers, batch),
-            max_inflight: max_inflight.max(1),
-        }
-    }
-
-    /// The served composite (for post-run verification).
-    pub fn index(&self) -> &ShardedIndex<u64, B> {
-        &self.core.index
-    }
-
-    /// Attach runtime telemetry with trace-enabled defaults; see
-    /// [`PipelineTarget::instrumented`].
-    pub fn instrumented(self) -> Self {
-        self.instrumented_with(|c| c)
-    }
-
-    /// Like [`SessionTarget::instrumented`], with `configure` applied to
-    /// the default [`TelemetryConfig`].
-    pub fn instrumented_with(
-        mut self,
-        configure: impl FnOnce(TelemetryConfig) -> TelemetryConfig,
-    ) -> Self {
-        self.core.instrument(configure);
-        self
-    }
-
-    /// The attached telemetry, when [`SessionTarget::instrumented`].
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.core.telemetry.as_ref()
-    }
-
-    /// Make this target durable; see [`PipelineTarget::durable`].
-    pub fn durable(mut self, dir: impl AsRef<Path>, policy: SyncPolicy) -> Self {
-        self.core.durability = Some(DurabilityConfig {
-            dir: dir.as_ref().to_path_buf(),
-            policy,
-            log: None,
-        });
-        self
-    }
-
-    /// Retry rejected submissions per `policy`; see
-    /// [`PipelineTarget::with_retry`].
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.core.retry = Some(policy);
-        self
-    }
-
-    /// The live durable log, when [`SessionTarget::durable`] and loaded.
-    pub fn durability(&self) -> Option<&Arc<DurableLog>> {
-        self.core.durability.as_ref()?.log.as_ref()
-    }
-
-    /// The shared serving pipeline, once loaded; see
-    /// [`PipelineTarget::pipeline_handle`].
-    pub fn pipeline_handle(&self) -> Option<Arc<ShardPipeline<B>>> {
-        self.core.pipeline.clone()
-    }
-}
-
-impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for SessionTarget<B> {
-    fn describe(&self) -> String {
-        format!(
-            "{} [session batch={} inflight={}{}]",
-            self.core.index.meta().name,
-            self.core.batch,
-            self.max_inflight,
-            if self.core.durability.is_some() {
-                " wal"
-            } else {
-                ""
-            }
-        )
-    }
-
-    fn load(&mut self, entries: &[(u64, Payload)]) {
-        self.core.load(entries);
-    }
-
-    fn connect(&self) -> Box<dyn Connection + '_> {
-        Box::new(SessionConn {
-            session: Session::with_max_inflight(self.core.pipeline(), self.max_inflight),
-            batch: self.core.batch,
-            buf: Vec::with_capacity(self.core.batch),
+            .expect("driver calls load() before connect()");
+        Box::new(WindowedConn {
+            // One slot above the window: settling leaves at most `window`
+            // batches in flight, so submitting never blocks on the session.
+            session: Session::with_max_inflight(pipeline, self.window + 1),
+            batch: self.batch,
+            window: self.window,
+            buf: Vec::with_capacity(self.batch),
+            buf_meta: Vec::with_capacity(self.batch),
             pending: VecDeque::new(),
-            buf_meta: Vec::with_capacity(self.core.batch),
-            retry: self.core.retry,
-            rng: conn_rng(),
         })
     }
 
     fn stored_len(&self) -> usize {
-        self.core.index.len()
+        self.index.len()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.core.index.memory_usage()
+        self.index.memory_usage()
     }
 }
 
-struct SessionConn<'a, B: ConcurrentIndex<u64> + 'static> {
+/// One driver thread's endpoint: buffers ops into a batch, submits each
+/// full batch through its session, then settles the in-flight window.
+struct WindowedConn<'a, B: ConcurrentIndex<u64> + 'static> {
     session: Session<'a, B>,
     batch: usize,
+    window: usize,
     buf: Vec<Op>,
     buf_meta: BatchMeta,
-    /// Metadata of submitted-but-unharvested batches, in submission order
+    /// Metadata of submitted-but-unrecorded batches, in submission order
     /// (the session returns completions in the same FIFO order).
     pending: VecDeque<BatchMeta>,
-    retry: Option<RetryPolicy>,
-    rng: StdRng,
 }
 
-impl<B: ConcurrentIndex<u64> + 'static> SessionConn<'_, B> {
+impl<B: ConcurrentIndex<u64> + 'static> WindowedConn<'_, B> {
     fn send(&mut self) {
         if self.buf.is_empty() {
             return;
         }
-        let ops = std::mem::take(&mut self.buf);
-        self.pending.push_back(std::mem::take(&mut self.buf_meta));
-        let batch = OpBatch::new(ops);
-        match self.retry {
-            Some(policy) => {
-                // Jittered retries on queue saturation (a full window still
-                // waits out the oldest batch — that's progress, not
-                // contention); exhaustion falls back to the blocking submit
-                // so no accepted op is lost.
-                if let Err(bp) = self
-                    .session
-                    .submit_with_retry(batch, &policy, &mut self.rng)
-                {
-                    self.session.submit(bp.batch);
-                }
-            }
-            // Blocking only when the in-flight window is full — the session
-            // then waits out its *oldest* batch, preserving FIFO harvests.
-            None => self.session.submit(batch),
+        let meta = std::mem::replace(&mut self.buf_meta, Vec::with_capacity(self.batch));
+        self.pending.push_back(meta);
+        let ops = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch));
+        self.session.submit(OpBatch::new(ops));
+    }
+
+    /// Record completions, blocking on the oldest batch first, until at
+    /// most `keep` batches remain in flight; then record whatever else has
+    /// already completed.
+    fn settle(&mut self, rec: &mut PhaseRecorder, keep: usize) {
+        while self.session.pending() > keep {
+            let responses = self.session.recv().expect("a batch is pending");
+            self.record(rec, &responses);
+        }
+        while let Some(responses) = self.session.try_recv() {
+            self.record(rec, &responses);
         }
     }
 
-    fn harvest_ready(&mut self, rec: &mut PhaseRecorder) {
-        while let Some(responses) = self.session.try_recv() {
-            let meta = self
-                .pending
-                .pop_front()
-                .expect("every submitted batch has pending metadata");
-            record_batch(rec, &meta, &responses);
-        }
+    fn record(&mut self, rec: &mut PhaseRecorder, responses: &[Response<u64>]) {
+        let meta = self
+            .pending
+            .pop_front()
+            .expect("every submitted batch has pending metadata");
+        rec.complete_batch(&meta, responses);
     }
 }
 
-impl<B: ConcurrentIndex<u64> + 'static> Connection for SessionConn<'_, B> {
+impl<B: ConcurrentIndex<u64> + 'static> Connection for WindowedConn<'_, B> {
     fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder) {
         self.buf.push(op);
         self.buf_meta.push((op.kind(), intended));
         if self.buf.len() >= self.batch {
             self.send();
-            self.harvest_ready(rec);
+            self.settle(rec, self.window);
         }
     }
 
     fn flush(&mut self, rec: &mut PhaseRecorder) {
         self.send();
-        for responses in self.session.drain() {
-            let meta = self
-                .pending
-                .pop_front()
-                .expect("every submitted batch has pending metadata");
-            record_batch(rec, &meta, &responses);
-        }
+        self.settle(rec, 0);
     }
 }
 
@@ -743,7 +539,7 @@ mod tests {
 
     #[test]
     fn pipeline_target_completes_every_op() {
-        let mut target = PipelineTarget::new(sharded(4), 2, 128);
+        let mut target = PipelineTarget::new(sharded(4), 2, 128, 0);
         let result = Driver::new().run(&scenario(5_000, 2), &mut target);
         let p = &result.phases[0];
         assert_eq!(p.ops(), 5_000, "flush must account for the partial batch");
@@ -760,7 +556,7 @@ mod tests {
 
     #[test]
     fn session_target_completes_every_op() {
-        let mut target = SessionTarget::new(sharded(4), 2, 128, 8);
+        let mut target = PipelineTarget::new(sharded(4), 2, 128, 8);
         let result = Driver::new().run(&scenario(5_000, 3), &mut target);
         let p = &result.phases[0];
         assert_eq!(p.ops(), 5_000, "drain must hand back every batch");
@@ -769,38 +565,50 @@ mod tests {
             target.index().len() as u64,
             4_000 + p.tally.new_keys - p.tally.removed
         );
-        assert!(result.target.contains("session"));
+        assert!(result.target.contains("window=8"));
     }
 
     #[test]
     fn instrumented_target_counts_every_completed_op() {
         use gre_telemetry::{CounterId, GaugeId, GlobalHistId};
 
-        let mut target =
-            SessionTarget::new(sharded(4), 2, 128, 8).instrumented_with(|c| c.trace_sample(64));
-        let result = Driver::new().run(&scenario(5_000, 2), &mut target);
-        let p = &result.phases[0];
-        assert_eq!(p.ops(), 5_000);
+        for window in [0, 4] {
+            let mut target = PipelineTarget::new(sharded(4), 2, 128, window)
+                .instrumented_with(|c| c.trace_sample(64));
+            let result = Driver::new().run(&scenario(5_000, 2), &mut target);
+            let p = &result.phases[0];
+            assert_eq!(p.ops(), 5_000, "window {window}");
 
-        let t = target.telemetry().expect("instrumented");
-        let snap = t.snapshot();
-        assert_eq!(snap.counter(CounterId::OpsSubmitted), 5_000);
-        assert_eq!(snap.counter(CounterId::OpsCompleted), 5_000);
-        assert_eq!(snap.counter(CounterId::GetHits), p.tally.hits);
-        assert_eq!(snap.counter(CounterId::ScannedKeys), p.tally.scanned_keys);
-        // Per-shard completions sum to the total, and the drained pipeline
-        // leaves no residual queue depth or in-flight ops.
-        let per_shard: u64 = snap.shards.iter().map(|s| s.ops_completed).sum();
-        assert_eq!(per_shard, 5_000);
-        for shard in &snap.shards {
-            assert_eq!(shard.gauge(GaugeId::QueueDepth), 0);
-            assert_eq!(shard.gauge(GaugeId::InFlightOps), 0);
+            let t = target.telemetry().expect("instrumented");
+            let snap = t.snapshot();
+            assert_eq!(snap.counter(CounterId::OpsSubmitted), 5_000);
+            assert_eq!(snap.counter(CounterId::OpsCompleted), 5_000);
+            assert_eq!(snap.counter(CounterId::GetHits), p.tally.hits);
+            assert_eq!(snap.counter(CounterId::ScannedKeys), p.tally.scanned_keys);
+            // Per-shard completions sum to the total, and the drained
+            // pipeline leaves no residual queue depth or in-flight ops.
+            let per_shard: u64 = snap.shards.iter().map(|s| s.ops_completed).sum();
+            assert_eq!(per_shard, 5_000);
+            for shard in &snap.shards {
+                assert_eq!(shard.gauge(GaugeId::QueueDepth), 0);
+                assert_eq!(shard.gauge(GaugeId::InFlightOps), 0);
+            }
+            // Every submit samples the in-flight occupancy, counting the
+            // batch just submitted: never more than `window` earlier ones.
+            let occupancy = snap.global(GlobalHistId::SessionWindow);
+            assert!(occupancy.count() > 0);
+            assert!(
+                occupancy.max() <= window as u64 + 1,
+                "window {window}: occupancy {}",
+                occupancy.max()
+            );
+            if window == 0 {
+                assert_eq!(occupancy.max(), 1, "window 0 is submit-then-wait");
+            }
+            // The 1-in-64 sampler left spans in the ring.
+            assert!(t.trace().expect("tracing on").recorded() > 0);
+            assert!(snap.counter(CounterId::TraceSpans) > 0);
         }
-        // Sessions record their in-flight window occupancy on every submit.
-        assert!(snap.global(GlobalHistId::SessionWindow).count() > 0);
-        // The 1-in-64 sampler left spans in the ring.
-        assert!(t.trace().expect("tracing on").recorded() > 0);
-        assert!(snap.counter(CounterId::TraceSpans) > 0);
     }
 
     #[test]
@@ -810,7 +618,7 @@ mod tests {
 
         let tmp = TempDir::new("serve-restart");
         let mut target =
-            PipelineTarget::new(sharded(2), 2, 64).durable(tmp.path(), SyncPolicy::EveryGroup);
+            PipelineTarget::new(sharded(2), 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
         let result = Driver::new().run(&scenario(2_000, 2), &mut target);
         assert_eq!(result.phases[0].tally.errors, 0);
         let mut before = Vec::new();
@@ -821,7 +629,7 @@ mod tests {
 
         // A fresh target on the same directory restarts from the durable
         // history: the recovered state supersedes the bulk entries.
-        let mut target = PipelineTarget::new(sharded(2), 2, 64)
+        let mut target = PipelineTarget::new(sharded(2), 2, 64, 0)
             .durable(tmp.path(), SyncPolicy::EveryGroup)
             .instrumented_with(|c| c.without_trace());
         target.load(&[(1, 1)]); // ignored: the durable history wins
@@ -835,13 +643,54 @@ mod tests {
     }
 
     #[test]
+    fn durable_target_refuses_a_log_directory_it_cannot_read() {
+        use gre_durability::util::TempDir;
+        use gre_durability::MANIFEST;
+
+        let tmp = TempDir::new("serve-corrupt-manifest");
+        let mut target =
+            PipelineTarget::new(sharded(2), 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
+        Driver::new().run(&scenario(2_000, 2), &mut target);
+        drop(target); // the pipeline joins and syncs the log
+
+        let wals = || {
+            let mut wals: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(tmp.path())
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+                .map(|path| {
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            wals.sort();
+            wals
+        };
+        let before = wals();
+        assert_eq!(before.len(), 2, "one WAL per shard");
+        assert!(before.iter().any(|(_, bytes)| !bytes.is_empty()));
+
+        std::fs::write(tmp.path().join(MANIFEST), b"\xffgarbage\x00").unwrap();
+        let mut target =
+            PipelineTarget::new(sharded(2), 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
+        let loaded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            target.load(&[(1, 1)]);
+        }));
+        assert!(
+            loaded.is_err(),
+            "an unreadable MANIFEST must not start fresh"
+        );
+        assert_eq!(wals(), before, "the acknowledged history must survive");
+    }
+
+    #[test]
     fn batched_latency_is_measured_from_intended_send_time() {
         // A tiny open-loop run: every op is timed, and since ops wait for
         // their batch to fill before even being submitted, their recorded
         // latency (measured from intended send time) must cover that
         // buffering delay: with 64-op batches at 6.4k ops/s the first op of
         // each batch waits ~10ms for the batch to fill.
-        let mut target = SessionTarget::new(sharded(2), 2, 64, 4);
+        let mut target = PipelineTarget::new(sharded(2), 2, 64, 4);
         let keys: Vec<u64> = (1..=2_000u64).map(|i| i * 8).collect();
         let s = Scenario::new("co-safe", 5, &keys).phase(Phase::new(
             "paced",

@@ -186,7 +186,7 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     .unwrap();
     checkpoint_bulk_load(&log, &idx, &bulk);
 
-    let pipeline = ShardPipeline::with_durability(Arc::new(idx), 2, 64, Arc::clone(&log));
+    let pipeline = ShardPipeline::with_services(Arc::new(idx), 2, 64, None, Some(Arc::clone(&log)));
     let mut rng = StdRng::seed_from_u64(0xC4A54u64 ^ point.len() as u64);
     let served = serve_pipelined(&pipeline, &mut rng, 40, &mut model, &ctx);
     assert!(
@@ -215,7 +215,7 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     let mut idx2 = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
     let entries: Vec<(u64, Payload)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     idx2.bulk_load(&entries);
-    let pipeline = ShardPipeline::with_durability(Arc::new(idx2), 2, 64, resumed);
+    let pipeline = ShardPipeline::with_services(Arc::new(idx2), 2, 64, None, Some(resumed));
     let resumed = serve_pipelined(&pipeline, &mut rng, 10, &mut model, &ctx);
     assert_eq!(
         resumed.refused, 0,
@@ -320,7 +320,7 @@ fn shutdown_with_backlog_refuses_only_what_no_record_covers() {
             let mut model: BTreeMap<u64, Payload> = bulk.iter().copied().collect();
             let log = DurableLog::create(tmp.path(), SHARDS, SyncPolicy::EveryGroup).unwrap();
             checkpoint_bulk_load(&log, &idx, &bulk);
-            let pipeline = ShardPipeline::with_durability(Arc::new(idx), 2, 64, log);
+            let pipeline = ShardPipeline::with_services(Arc::new(idx), 2, 64, None, Some(log));
 
             let mut rng = StdRng::seed_from_u64(0x5D0u64 + burst as u64);
             let mut batch =

@@ -1,9 +1,9 @@
 //! Cross-target model equivalence for the scenario engine: the same seeded
-//! [`Scenario`] driven through all three [`ServeTarget`] implementations —
-//! the bare sharded composite, the batched [`PipelineTarget`], and the
-//! pipelined [`SessionTarget`] — must leave identical final index contents,
-//! and those contents must match a `BTreeMap` model fed the same generated
-//! op streams.
+//! [`Scenario`] driven through the bare sharded composite and through the
+//! batched [`PipelineTarget`] at in-flight windows 0 (submit-then-wait) and
+//! 8 (pipelined) must leave identical final index contents, and those
+//! contents must match a `BTreeMap` model fed the same generated op
+//! streams.
 //!
 //! The scenario's writes are *commutative by construction* (inserts and
 //! updates both store the canonical `payload_for(key)`, and no phase
@@ -13,7 +13,7 @@
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_learned::AlexPlus;
-use gre_shard::{Partitioner, PipelineTarget, SessionTarget, ShardedIndex};
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::spec::payload_for;
@@ -121,35 +121,27 @@ fn same_scenario_yields_identical_contents_across_all_three_targets() {
         assert_eq!(bare_result.total_ops(), total_ops, "{name}/bare");
         let bare_contents = contents(&bare, name);
 
-        // Batched pipeline: one batch in flight per driver thread.
-        let mut pipeline = PipelineTarget::new(sharded(factory), 2, 256);
-        let pipeline_result = Driver::new().run(&scenario, &mut pipeline);
-        assert_eq!(pipeline_result.total_ops(), total_ops, "{name}/pipeline");
-        let pipeline_contents = contents(pipeline.index(), name);
-
-        // Pipelined sessions: up to 8 batches in flight per driver thread.
-        let mut session = SessionTarget::new(sharded(factory), 2, 256, 8);
-        let session_result = Driver::new().run(&scenario, &mut session);
-        assert_eq!(session_result.total_ops(), total_ops, "{name}/session");
-        let session_contents = contents(session.index(), name);
-
         assert_eq!(bare_contents, expected, "{name}: bare vs model");
-        assert_eq!(pipeline_contents, expected, "{name}: pipeline vs model");
-        assert_eq!(session_contents, expected, "{name}: session vs model");
-
-        // All per-phase tallies agree across targets: the same offered
-        // traffic produced the same typed outcomes everywhere.
-        for (pb, (pp, ps)) in bare_result.phases.iter().zip(
-            pipeline_result
-                .phases
-                .iter()
-                .zip(session_result.phases.iter()),
-        ) {
-            assert_eq!(pb.tally.new_keys, pp.tally.new_keys, "{name}/{}", pb.phase);
-            assert_eq!(pb.tally.new_keys, ps.tally.new_keys, "{name}/{}", pb.phase);
+        for pb in &bare_result.phases {
             assert_eq!(pb.tally.errors, 0, "{name}/{}", pb.phase);
-            assert_eq!(pp.tally.errors, 0, "{name}/{}", pb.phase);
-            assert_eq!(ps.tally.errors, 0, "{name}/{}", pb.phase);
+        }
+
+        // The batched pipeline, submit-then-wait and with up to 8 earlier
+        // batches in flight per driver thread.
+        for window in [0, 8] {
+            let mut target = PipelineTarget::new(sharded(factory), 2, 256, window);
+            let result = Driver::new().run(&scenario, &mut target);
+            assert_eq!(result.total_ops(), total_ops, "{name}/window {window}");
+            let got = contents(target.index(), name);
+            assert_eq!(got, expected, "{name}: window {window} vs model");
+
+            // All per-phase tallies agree with the bare run: the same
+            // offered traffic produced the same typed outcomes.
+            for (pb, pt) in bare_result.phases.iter().zip(&result.phases) {
+                let at = format!("{name}/window {window}/{}", pb.phase);
+                assert_eq!(pb.tally.new_keys, pt.tally.new_keys, "{at}");
+                assert_eq!(pt.tally.errors, 0, "{at}");
+            }
         }
     }
 }
@@ -159,7 +151,7 @@ fn payloads_are_canonical_after_any_interleaving() {
     // Spot-check the commutativity premise itself: every stored payload is
     // the canonical function of its key, whichever write landed last.
     let scenario = scenario();
-    let mut target = SessionTarget::new(sharded(backends()[0].1), 2, 128, 4);
+    let mut target = PipelineTarget::new(sharded(backends()[0].1), 2, 128, 4);
     Driver::new().run(&scenario, &mut target);
     for (k, v) in contents(target.index(), "ALEX+") {
         assert_eq!(v, payload_for(k), "key {k}");

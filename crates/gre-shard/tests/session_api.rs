@@ -6,7 +6,7 @@
 
 use gre_core::{ConcurrentIndex, IndexError, Payload, RangeSpec, Response};
 use gre_learned::AlexPlus;
-use gre_shard::{OpBatch, Partitioner, Session, SessionTarget, ShardPipeline, ShardedIndex};
+use gre_shard::{OpBatch, Partitioner, PipelineTarget, Session, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::{Driver, Op};
@@ -171,7 +171,7 @@ fn backpressure_loses_no_accepted_ops() {
         let mut idx = build(Partitioner::range(2), factory);
         let bulk: Vec<(u64, Payload)> = (0..1_000u64).map(|i| (i * 2, i)).collect();
         idx.bulk_load(&bulk);
-        let pipeline = ShardPipeline::with_queue_capacity(Arc::new(idx), 1, 2);
+        let pipeline = ShardPipeline::with_services(Arc::new(idx), 1, 2, None, None);
 
         let mut handles = Vec::new();
         let mut accepted_keys = Vec::new();
@@ -216,7 +216,7 @@ fn open_loop_shutdown_mid_phase_loses_no_accepted_ops() {
         let bulk: Vec<(u64, Payload)> = (0..4_000u64).map(|i| (i * 16, i)).collect();
         idx.bulk_load(&bulk);
         let bulk_len = idx.len();
-        let mut target = SessionTarget::new(idx, 2, 64, 8);
+        let mut target = PipelineTarget::new(idx, 2, 64, 8);
 
         // Insert-heavy open-loop phase with a budget far beyond what can
         // complete before the shutdown, so the stop really cuts it short.

@@ -5,7 +5,7 @@
 
 use gre_core::ConcurrentIndex;
 use gre_learned::AlexPlus;
-use gre_shard::{reconcile_tally, Partitioner, PipelineTarget, SessionTarget, ShardedIndex};
+use gre_shard::{reconcile_tally, Partitioner, PipelineTarget, ShardedIndex};
 use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
 use gre_traditional::btree_olc;
 use gre_workloads::driver::Tally;
@@ -63,8 +63,8 @@ fn merged_tally(phases: &[gre_workloads::driver::PhaseResult]) -> Tally {
 #[test]
 fn pipeline_counters_reconcile_with_driver_tally() {
     for (name, factory) in backends() {
-        let mut target =
-            PipelineTarget::new(sharded(factory), 2, 128).instrumented_with(|c| c.trace_sample(32));
+        let mut target = PipelineTarget::new(sharded(factory), 2, 128, 0)
+            .instrumented_with(|c| c.trace_sample(32));
         let result = Driver::new().run(&scenario(), &mut target);
         let tally = merged_tally(&result.phases);
         assert_eq!(tally.ops, 12_000, "{name}: every op completes");
@@ -106,8 +106,8 @@ fn pipeline_counters_reconcile_with_driver_tally() {
 #[test]
 fn session_counters_reconcile_and_record_the_window() {
     for (name, factory) in backends() {
-        let mut target =
-            SessionTarget::new(sharded(factory), 2, 96, 4).instrumented_with(|c| c.without_trace());
+        let mut target = PipelineTarget::new(sharded(factory), 2, 96, 3)
+            .instrumented_with(|c| c.without_trace());
         let result = Driver::new().run(&scenario(), &mut target);
         let tally = merged_tally(&result.phases);
 
@@ -117,7 +117,8 @@ fn session_counters_reconcile_and_record_the_window() {
         assert!(t.trace().is_none(), "{name}: tracer disabled");
         assert_eq!(snap.counter(CounterId::TraceSpans), 0, "{name}");
 
-        // Every submitted batch records the session's in-flight occupancy.
+        // Every submitted batch records the session's in-flight occupancy:
+        // at most the window of 3 plus the batch just submitted.
         let window = snap.global(GlobalHistId::SessionWindow);
         assert_eq!(
             window.count(),
@@ -126,7 +127,7 @@ fn session_counters_reconcile_and_record_the_window() {
         );
         assert!(
             window.max() <= 4,
-            "{name}: occupancy {} exceeds the window of 4",
+            "{name}: occupancy {} exceeds the window of 3 plus one",
             window.max()
         );
     }

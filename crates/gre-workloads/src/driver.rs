@@ -212,6 +212,24 @@ impl PhaseRecorder {
         self.tally.record(response);
     }
 
+    /// Record one completed batch: `meta[i]` is op `i`'s kind and intended
+    /// send time (when timed), `responses[i]` its answer. Every timed op is
+    /// stamped with the batch's completion time, so the wait for its
+    /// batch is charged to it.
+    pub fn complete_batch(
+        &mut self,
+        meta: &[(RequestKind, Option<Instant>)],
+        responses: &[Response<u64>],
+    ) {
+        let now = Instant::now();
+        for ((kind, intended), response) in meta.iter().zip(responses) {
+            match intended {
+                Some(t0) => self.complete_timed(*kind, *t0, now, response),
+                None => self.complete_untimed(response),
+            }
+        }
+    }
+
     /// The typed-response counters accumulated so far — for custom targets
     /// and tests that drive a [`Connection`] directly, outside a full
     /// [`Driver::run`].

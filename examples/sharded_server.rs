@@ -9,13 +9,13 @@
 //!    `wait()`, and cross-shard bounded range scans.
 //! 2. The scenario engine: a two-phase `Scenario` (closed-loop read-mostly
 //!    churn, then an open-loop write burst at a fixed arrival rate)
-//!    executed by the `Driver` against a `SessionTarget` — pipelined
-//!    `Session`s per driver thread — with per-phase throughput and
+//!    executed by the `Driver` against a `PipelineTarget` with an in-flight
+//!    window of 8 batches per driver thread — with per-phase throughput and
 //!    coordinated-omission-safe tail latency.
 //!
 //! Run with `cargo run --release --example sharded_server`.
 
-use gre::shard::{OpBatch, SessionTarget, ShardPipeline};
+use gre::shard::{OpBatch, PipelineTarget, ShardPipeline};
 use gre_bench::registry::IndexBuilder;
 use gre_core::ops::RequestKind;
 use gre_core::{ConcurrentIndex, RangeSpec, Response};
@@ -110,7 +110,7 @@ fn main() {
                 rate_ops_s: 50_000.0,
             },
         ));
-    let mut target = SessionTarget::new(
+    let mut target = PipelineTarget::new(
         IndexBuilder::backend("alex+")
             .expect("alex+ registered")
             .shards(SHARDS)

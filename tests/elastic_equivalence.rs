@@ -1,5 +1,5 @@
 //! Migration equivalence under live traffic: a seeded scenario drives
-//! concurrent mixed read/write traffic through a [`SessionTarget`] while a
+//! concurrent mixed read/write traffic through a [`PipelineTarget`] while a
 //! side thread forces shard splits and merges mid-phase, and the final
 //! contents must still match a `BTreeMap` model fed the same op streams —
 //! no key lost or duplicated by any drain-and-handoff, and the pipelined
@@ -14,7 +14,7 @@
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_elastic::{ElasticController, ElasticPolicy};
 use gre_learned::AlexPlus;
-use gre_shard::{Partitioner, SessionTarget, ShardedIndex};
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::driver::ServeTarget;
 use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -120,7 +120,7 @@ fn forced_splits_and_merges_under_live_sessions_preserve_model_equivalence() {
     let expected = model_contents(&scenario);
 
     for (name, factory) in backends() {
-        let mut target = SessionTarget::new(sharded(factory), 2, 128, 8);
+        let mut target = PipelineTarget::new(sharded(factory), 2, 128, 8);
         // Pre-load so the pipeline exists before the driver starts (the
         // driver's own load call is idempotent) and the controller can be
         // pointed at it.
