@@ -8,7 +8,7 @@
 //! (`&self`, `Send + Sync`).
 
 use crate::key::{Key, Payload};
-use crate::stats::{InsertStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 
 /// Descriptive metadata about an index implementation, used by the harness
 /// when printing tables (Table 1 of the paper) and heatmap legends.
@@ -115,17 +115,10 @@ pub trait Index<K: Key>: Send {
     /// (the paper's §5 measures end-to-end space, not just inner nodes).
     fn memory_usage(&self) -> usize;
 
-    /// Statistics accumulated since construction or the last `reset_stats`.
+    /// Statistics accumulated since construction (most indexes restart
+    /// them on `bulk_load`).
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::default()
-    }
-
-    /// Reset accumulated statistics.
-    fn reset_stats(&mut self) {}
-
-    /// Detailed breakdown of the most recent insert (Figure 3 / Table 3).
-    fn last_insert_stats(&self) -> InsertStats {
-        InsertStats::default()
     }
 
     /// Index metadata for reporting.
@@ -261,19 +254,10 @@ pub trait ConcurrentIndex<K: Key>: Send + Sync {
     /// End-to-end memory consumption in bytes.
     fn memory_usage(&self) -> usize;
 
-    /// Statistics accumulated since construction or the last `reset_stats`.
-    /// Counters may be slightly stale while writers are active.
+    /// Statistics accumulated since construction. Counters may be slightly
+    /// stale while writers are active.
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::default()
-    }
-
-    /// Reset accumulated statistics. Takes `&self` so the harness can reset
-    /// between measurement phases without exclusive access.
-    fn reset_stats(&self) {}
-
-    /// Detailed breakdown of the most recent insert (Figure 3 / Table 3).
-    fn last_insert_stats(&self) -> InsertStats {
-        InsertStats::default()
     }
 
     /// Index metadata for reporting.
@@ -314,12 +298,6 @@ impl<K: Key, T: Index<K> + ?Sized> Index<K> for Box<T> {
     }
     fn stats(&self) -> StatsSnapshot {
         (**self).stats()
-    }
-    fn reset_stats(&mut self) {
-        (**self).reset_stats();
-    }
-    fn last_insert_stats(&self) -> InsertStats {
-        (**self).last_insert_stats()
     }
     fn meta(&self) -> IndexMeta {
         (**self).meta()
@@ -369,12 +347,6 @@ impl<K: Key, T: ConcurrentIndex<K> + ?Sized> ConcurrentIndex<K> for Box<T> {
     }
     fn stats(&self) -> StatsSnapshot {
         (**self).stats()
-    }
-    fn reset_stats(&self) {
-        (**self).reset_stats();
-    }
-    fn last_insert_stats(&self) -> InsertStats {
-        (**self).last_insert_stats()
     }
     fn meta(&self) -> IndexMeta {
         (**self).meta()
@@ -445,14 +417,6 @@ impl<K: Key, I: Index<K>> ConcurrentIndex<K> for MutexIndex<I> {
         self.inner.lock().stats()
     }
 
-    fn reset_stats(&self) {
-        self.inner.lock().reset_stats();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.inner.lock().last_insert_stats()
-    }
-
     fn meta(&self) -> IndexMeta {
         let mut meta = self.inner.lock().meta();
         meta.name = self.name;
@@ -483,7 +447,8 @@ mod tests {
             self.map.get(&key).copied()
         }
         fn insert(&mut self, key: u64, value: Payload) -> bool {
-            self.counters.record_insert(&InsertStats::default());
+            self.counters
+                .record_insert(&crate::stats::InsertStats::default());
             self.map.insert(key, value).is_none()
         }
         fn remove(&mut self, key: u64) -> Option<Payload> {
@@ -491,9 +456,6 @@ mod tests {
         }
         fn stats(&self) -> StatsSnapshot {
             StatsSnapshot::new(self.counters)
-        }
-        fn reset_stats(&mut self) {
-            self.counters = Default::default();
         }
         fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
             let before = out.len();
@@ -579,9 +541,8 @@ mod tests {
             2,
             "stats must come from the inner index, not the trait default"
         );
-        ConcurrentIndex::reset_stats(&wrapped);
-        assert_eq!(wrapped.stats().counters.inserts, 0);
-        assert_eq!(wrapped.last_insert_stats(), InsertStats::default());
+        wrapped.insert(3, 3);
+        assert_eq!(wrapped.stats().counters.inserts, 3);
     }
 
     #[test]
@@ -615,8 +576,6 @@ mod tests {
         // The inner ModelIndex counted 2 inserts (insert + update-via-insert);
         // the Box impl must surface them instead of the defaulted zeros.
         assert_eq!(boxed.stats().counters.inserts, 2);
-        boxed.reset_stats();
-        assert_eq!(boxed.stats().counters.inserts, 0);
         assert_eq!(boxed.meta().name, "model");
     }
 
@@ -635,10 +594,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(boxed.range(RangeSpec::new(0, 10), &mut out), 2);
         assert!(boxed.memory_usage() > 0);
-        assert!(boxed.stats().counters.inserts > 0);
-        boxed.reset_stats();
-        assert_eq!(boxed.stats().counters.inserts, 0);
-        assert_eq!(boxed.last_insert_stats(), InsertStats::default());
+        assert_eq!(boxed.stats().counters.inserts, 2);
         assert_eq!(boxed.meta().name, "boxed-model");
     }
 

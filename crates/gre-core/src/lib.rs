@@ -10,6 +10,9 @@
 //!   [`index::ConcurrentIndex`] traits every evaluated index
 //!   implements, mirroring the operation set of the GRE benchmark
 //!   (bulk load, lookup, insert, remove, range scan, memory accounting).
+//! * [`partitioned`] — [`partitioned::Partitioned`], the one partition-lock
+//!   adapter every concurrent derivative of a single-threaded index (ALEX+,
+//!   LIPP+, B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree, Wormhole) runs on.
 //! * [`stats`] — per-operation statistics used to reproduce the paper's
 //!   insert-time breakdown (Figure 3) and per-insert counters (Table 3).
 //! * [`ops`] — the canonical typed request/response vocabulary
@@ -19,8 +22,8 @@
 //! * [`latency`] — kind-indexed log-linear latency histograms
 //!   ([`latency::LatencyHistogram`], [`latency::KindLatency`]) used by the
 //!   scenario driver for coordinated-omission-safe tail reporting.
-//! * [`sync`] — the optimistic versioned lock (OLC word) used by the
-//!   concurrent index variants (ALEX+, LIPP+, ART-OLC, B+TreeOLC).
+//! * [`sync`] — the optimistic versioned lock (OLC word). No index uses it
+//!   yet: every concurrent derivative is partition-locked.
 //! * [`wire`] — the stable byte encoding of [`ops::Request`] used by the
 //!   `gre-durability` write-ahead log.
 //! * [`elastic`] — the shared vocabulary of the online elasticity protocol
@@ -42,6 +45,7 @@ pub mod json;
 pub mod key;
 pub mod latency;
 pub mod ops;
+pub mod partitioned;
 pub mod replica;
 pub mod stats;
 pub mod sync;
@@ -53,6 +57,7 @@ pub use index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
+pub use partitioned::{Partitionable, Partitioned};
 pub use replica::{ReadPolicy, Watermark};
 pub use stats::{InsertBreakdown, InsertStats, OpCounters, StatsSnapshot};
 pub use sync::{OptLock, OptLockWriteGuard};

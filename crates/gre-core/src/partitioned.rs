@@ -1,0 +1,248 @@
+//! [`Partitioned`]: the one partition-lock adapter that makes a
+//! single-threaded [`Index`] a [`ConcurrentIndex`].
+//!
+//! The key space is split at the bulk-load quantiles into
+//! [`Partitionable::PARTITIONS`] ranges, each an independent inner index
+//! behind a `parking_lot::RwLock`. Writers in different ranges never contend
+//! (the effect per-node locks buy); a reader takes its range's shared lock,
+//! an SMO blocks its whole range, the boundaries never move after bulk load,
+//! and a scan that crosses ranges reads them under consecutive locks, not one
+//! snapshot. ALEX+, LIPP+, B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree and
+//! Wormhole are all this adapter over a different inner index (see
+//! "Substitutions" in `docs/BENCHMARKS.md`).
+
+use crate::index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
+use crate::key::{Key, Payload};
+use parking_lot::RwLock;
+
+/// A single-threaded index [`Partitioned`] can make concurrent.
+pub trait Partitionable<K: Key>: Index<K> + Default + Sync {
+    /// Display name of the concurrent derivative ("ALEX+", "B+treeOLC", …).
+    const CONCURRENT_NAME: &'static str;
+
+    /// Number of key-range partitions.
+    const PARTITIONS: usize = 64;
+
+    /// Batched point lookup: append `get(keys[i])` for every key to `out`,
+    /// in input order. Structures with a predictable search path override it
+    /// with an interleaved, software-pipelined version (see ALEX).
+    fn get_batch_into(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        out.extend(keys.iter().map(|&k| self.get(k)));
+    }
+}
+
+/// Key-range partitions of `I`, each behind its own reader-writer lock.
+pub struct Partitioned<K, I> {
+    partitions: Vec<RwLock<I>>,
+    /// `boundaries[p]` is the smallest key of partition `p + 1`.
+    boundaries: Vec<K>,
+}
+
+impl<K: Key, I: Partitionable<K>> Default for Partitioned<K, I> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Key, I: Partitionable<K>> Partitioned<K, I> {
+    /// Default-constructed inner indexes.
+    pub fn new() -> Self {
+        Self::with_inner(I::default)
+    }
+
+    /// Inner indexes built by `make`, e.g. with a non-default configuration.
+    pub fn with_inner(mut make: impl FnMut() -> I) -> Self {
+        Partitioned {
+            partitions: (0..I::PARTITIONS.max(1))
+                .map(|_| RwLock::new(make()))
+                .collect(),
+            boundaries: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn partition_for(&self, key: K) -> usize {
+        self.boundaries.partition_point(|b| *b <= key)
+    }
+}
+
+impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
+    /// Boundaries go at the entry quantiles, so bulk data spreads evenly.
+    fn bulk_load(&mut self, entries: &[(K, Payload)]) {
+        let parts = self.partitions.len();
+        self.boundaries.clear();
+        if entries.len() >= parts && parts > 1 {
+            for p in 1..parts {
+                self.boundaries.push(entries[p * entries.len() / parts].0);
+            }
+            self.boundaries.dedup();
+        }
+        let mut start = 0usize;
+        for p in 0..parts {
+            let end = if p < self.boundaries.len() {
+                entries.partition_point(|e| e.0 < self.boundaries[p])
+            } else {
+                entries.len()
+            };
+            self.partitions[p].get_mut().bulk_load(&entries[start..end]);
+            start = end;
+        }
+    }
+
+    fn get(&self, key: K) -> Option<Payload> {
+        self.partitions[self.partition_for(key)].read().get(key)
+    }
+
+    /// Keys are grouped by partition so each partition's read lock is taken
+    /// once per batch (instead of once per key), and each group runs
+    /// [`Partitionable::get_batch_into`]. Results land in input order,
+    /// exactly as the scalar fallback would produce them.
+    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        out.clear();
+        out.resize(keys.len(), None);
+        // Group key indices by partition. The common case is a handful of
+        // partitions per batch; a Vec-of-runs beats a HashMap at this size.
+        let mut by_part: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let p = self.partition_for(key);
+            match by_part.iter_mut().find(|(part, _)| *part == p) {
+                Some((_, idxs)) => idxs.push(i),
+                None => by_part.push((p, vec![i])),
+            }
+        }
+        let mut group_keys = Vec::new();
+        let mut group_results = Vec::new();
+        for (part, idxs) in by_part {
+            group_keys.clear();
+            group_keys.extend(idxs.iter().map(|&i| keys[i]));
+            group_results.clear();
+            self.partitions[part]
+                .read()
+                .get_batch_into(&group_keys, &mut group_results);
+            for (&i, result) in idxs.iter().zip(group_results.drain(..)) {
+                out[i] = result;
+            }
+        }
+    }
+
+    fn insert(&self, key: K, value: Payload) -> bool {
+        self.partitions[self.partition_for(key)]
+            .write()
+            .insert(key, value)
+    }
+
+    /// Presence check and write happen under one partition write lock, so
+    /// the trait's single-critical-section atomicity contract holds.
+    fn update(&self, key: K, value: Payload) -> bool {
+        self.partitions[self.partition_for(key)]
+            .write()
+            .update(key, value)
+    }
+
+    fn remove(&self, key: K) -> Option<Payload> {
+        self.partitions[self.partition_for(key)].write().remove(key)
+    }
+
+    fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
+        let before = out.len();
+        let mut remaining = spec.count;
+        // Only the first partition is searched for `spec.start`; every later
+        // one holds larger keys and is scanned from its first slot.
+        let mut start = spec.start;
+        for partition in &self.partitions[self.partition_for(spec.start)..] {
+            if remaining == 0 {
+                break;
+            }
+            remaining -= partition
+                .read()
+                .range(RangeSpec::new(start, remaining), out);
+            start = K::MIN;
+        }
+        out.len() - before
+    }
+
+    /// Migration bulk-extract: bulk-reload each overlapping partition
+    /// without the moving window instead of removing its keys one at a
+    /// time. Per-key removes leave gapped, model-stale nodes behind; a bulk
+    /// reload leaves the same structure a fresh bulk_load would. Needs no
+    /// working `remove`, so it serves Wormhole too.
+    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
+        let before = out.len();
+        let first = self.partition_for(lo);
+        let last = hi.map_or(self.partitions.len() - 1, |h| self.partition_for(h));
+        let mut all: Vec<(K, Payload)> = Vec::new();
+        for part in first..=last {
+            let mut inner = self.partitions[part].write();
+            all.clear();
+            inner.range(RangeSpec::new(K::MIN, usize::MAX), &mut all);
+            let a = all.partition_point(|e| e.0 < lo);
+            let b = hi.map_or(all.len(), |h| all.partition_point(|e| e.0 < h));
+            if a >= b {
+                continue;
+            }
+            out.extend_from_slice(&all[a..b]);
+            let mut keep: Vec<(K, Payload)> = Vec::with_capacity(all.len() - (b - a));
+            keep.extend_from_slice(&all[..a]);
+            keep.extend_from_slice(&all[b..]);
+            inner.bulk_load(&keep);
+        }
+        out.len() - before
+    }
+
+    /// Migration bulk-absorb: merge the landed entries into each receiving
+    /// partition with one bulk reload per partition. The incoming range
+    /// usually lies outside the boundaries fitted at bulk_load time, so
+    /// per-key inserts would pile the whole range into one edge partition as
+    /// incrementally-grown structure — and then serve the (likely hot)
+    /// migrated range from the worst structure in the store.
+    fn absorb_range(&self, entries: &[(K, Payload)]) {
+        let mut start = 0usize;
+        while start < entries.len() {
+            let part = self.partition_for(entries[start].0);
+            // The run of incoming entries routed to this partition.
+            let end = if part < self.boundaries.len() {
+                let b = self.boundaries[part];
+                start + entries[start..].partition_point(|e| e.0 < b)
+            } else {
+                entries.len()
+            };
+            let mut inner = self.partitions[part].write();
+            let mut existing: Vec<(K, Payload)> = Vec::new();
+            inner.range(RangeSpec::new(K::MIN, usize::MAX), &mut existing);
+            let mut merged: Vec<(K, Payload)> = Vec::with_capacity(existing.len() + (end - start));
+            let (mut i, mut j) = (0usize, start);
+            while i < existing.len() && j < end {
+                if existing[i].0 <= entries[j].0 {
+                    merged.push(existing[i]);
+                    i += 1;
+                } else {
+                    merged.push(entries[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&existing[i..]);
+            merged.extend_from_slice(&entries[j..end]);
+            inner.bulk_load(&merged);
+            start = end;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.partitions.iter().map(|p| p.read().len()).sum()
+    }
+
+    fn memory_usage(&self) -> usize {
+        self.partitions
+            .iter()
+            .map(|p| p.read().memory_usage())
+            .sum()
+    }
+
+    /// The inner index's metadata under the concurrent derivative's name.
+    fn meta(&self) -> IndexMeta {
+        let mut meta = self.partitions[0].read().meta();
+        meta.name = I::CONCURRENT_NAME;
+        meta.concurrent = true;
+        meta
+    }
+}

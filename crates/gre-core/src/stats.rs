@@ -4,7 +4,7 @@
 //! statistics maintenance / key shifting / node chaining) and Table 3
 //! (nodes traversed, keys shifted, nodes created per insert) requires the
 //! indexes themselves to account where time and work go. Every index embeds
-//! an [`OpCounters`] and fills an [`InsertStats`] for its most recent insert.
+//! an [`OpCounters`] and folds one [`InsertStats`] into it per insert.
 
 use std::time::Duration;
 

@@ -4,10 +4,9 @@
 //! locks*: a single word carries a lock bit plus a version counter. Readers
 //! record the version before reading, re-validate it afterwards, and retry if
 //! a writer intervened; writers acquire the lock bit and bump the version on
-//! release. [`OptLock`] implements that word. The concurrent indexes in this
-//! workspace combine it with out-of-place structural modifications
-//! (new nodes are swapped in atomically under `Arc`), so no epoch-based
-//! reclamation machinery is needed for safety.
+//! release. [`OptLock`] implements that word. No index in this workspace
+//! uses it yet: every concurrent derivative of a single-threaded index is a
+//! [`crate::Partitioned`] set of reader-writer locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

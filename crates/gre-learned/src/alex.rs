@@ -46,7 +46,10 @@
 //! ALEX itself builds at the scales we benchmark).
 
 use gre_core::stats::PhaseTimer;
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{
+    Index, IndexMeta, InsertStats, Key, OpCounters, Partitionable, Payload, RangeSpec,
+    StatsSnapshot,
+};
 use gre_pla::LinearModel;
 
 /// Configuration of ALEX (Table 1).
@@ -406,7 +409,6 @@ pub struct Alex<K> {
     nodes: Vec<DataNode<K>>,
     len: usize,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for Alex<K> {
@@ -428,13 +430,7 @@ impl<K: Key> Alex<K> {
             nodes: vec![DataNode::build(&[], config.init_density)],
             len: 0,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
-    }
-
-    /// The configuration in use (for Table 1 reporting).
-    pub fn config(&self) -> AlexConfig {
-        self.config
     }
 
     /// Number of data nodes.
@@ -475,35 +471,6 @@ impl<K: Key> Alex<K> {
             traversed += 1;
         }
         (idx, traversed.max(1))
-    }
-
-    /// Batched point lookups, software-pipelined [`BATCH_WIDTH`] keys at a
-    /// time: stage 1 routes every key of the group through the inner model,
-    /// computes its data-node slot prediction, and issues a prefetch for the
-    /// predicted position; stage 2 finishes the bounded "last-mile" searches
-    /// against (now likely cache-resident) lines. Appends one `Option` per
-    /// key to `out` in input order — semantically identical to a scalar
-    /// `get` per key, only faster, because the `BATCH_WIDTH` independent
-    /// memory accesses overlap instead of serializing on DRAM latency.
-    pub fn get_batch_into(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        out.reserve(keys.len());
-        let mut staged = [(0usize, 0usize); BATCH_WIDTH];
-        for group in keys.chunks(BATCH_WIDTH) {
-            // Stage 1: route + predict + prefetch for the whole group.
-            for (j, &key) in group.iter().enumerate() {
-                let (idx, _) = self.locate(key);
-                let node = &self.nodes[idx];
-                let pred = node.predict(key);
-                staged[j] = (idx, pred);
-                prefetch_read(node.keys.as_ptr().wrapping_add(pred));
-                prefetch_read(node.bitmap.as_ptr().wrapping_add(pred / 64));
-            }
-            // Stage 2: bounded local searches on the prefetched positions.
-            for (j, &key) in group.iter().enumerate() {
-                let (idx, pred) = staged[j];
-                out.push(self.nodes[idx].probe(key, pred));
-            }
-        }
     }
 
     /// Rebuild or split node `idx` after its insert failed or its density
@@ -607,8 +574,6 @@ impl<K: Key> Index<K> for Alex<K> {
             stats.triggered_smo = true;
             stats.nodes_created += 1;
         }
-        stats.breakdown.stat_ns = 0;
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
     }
@@ -665,14 +630,6 @@ impl<K: Key> Index<K> for Alex<K> {
         StatsSnapshot::new(self.counters)
     }
 
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
-    }
-
     fn meta(&self) -> IndexMeta {
         IndexMeta {
             name: "ALEX",
@@ -680,6 +637,40 @@ impl<K: Key> Index<K> for Alex<K> {
             concurrent: false,
             supports_delete: true,
             supports_range: true,
+        }
+    }
+}
+
+/// ALEX+ is [`gre_core::Partitioned`] over ALEX (see `concurrent.rs`).
+impl<K: Key> Partitionable<K> for Alex<K> {
+    const CONCURRENT_NAME: &'static str = "ALEX+";
+
+    /// Batched point lookups, software-pipelined [`BATCH_WIDTH`] keys at a
+    /// time: stage 1 routes every key of the group through the inner model,
+    /// computes its data-node slot prediction, and issues a prefetch for the
+    /// predicted position; stage 2 finishes the bounded "last-mile" searches
+    /// against (now likely cache-resident) lines. Appends one `Option` per
+    /// key to `out` in input order — semantically identical to a scalar
+    /// `get` per key, only faster, because the `BATCH_WIDTH` independent
+    /// memory accesses overlap instead of serializing on DRAM latency.
+    fn get_batch_into(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        out.reserve(keys.len());
+        let mut staged = [(0usize, 0usize); BATCH_WIDTH];
+        for group in keys.chunks(BATCH_WIDTH) {
+            // Stage 1: route + predict + prefetch for the whole group.
+            for (j, &key) in group.iter().enumerate() {
+                let (idx, _) = self.locate(key);
+                let node = &self.nodes[idx];
+                let pred = node.predict(key);
+                staged[j] = (idx, pred);
+                prefetch_read(node.keys.as_ptr().wrapping_add(pred));
+                prefetch_read(node.bitmap.as_ptr().wrapping_add(pred / 64));
+            }
+            // Stage 2: bounded local searches on the prefetched positions.
+            for (j, &key) in group.iter().enumerate() {
+                let (idx, pred) = staged[j];
+                out.push(self.nodes[idx].probe(key, pred));
+            }
         }
     }
 }
@@ -816,15 +807,17 @@ mod tests {
         for i in 0..3_000u64 {
             let key = if i % 2 == 0 { middle - i } else { middle + i };
             let before = alex.nodes[0].bitmap.clone();
+            let counted = alex.stats().counters;
             assert!(alex.insert(key, i));
             model.insert(key, i);
             let node = &alex.nodes[0];
             node.check();
             densest = densest.max(node.density());
-            let stats = alex.last_insert_stats();
-            if stats.triggered_smo {
+            let now = alex.stats().counters;
+            let shifted = now.keys_shifted - counted.keys_shifted;
+            if now.smo_count > counted.smo_count {
                 retries += 1;
-            } else if stats.keys_shifted > 0 {
+            } else if shifted > 0 {
                 let taken = before
                     .iter()
                     .zip(&node.bitmap)
@@ -834,7 +827,7 @@ mod tests {
                     })
                     .expect("one slot became occupied");
                 let pos = node.find(key, node.predict(key)).expect("just inserted");
-                assert_eq!(stats.keys_shifted, pos.abs_diff(taken) as u64);
+                assert_eq!(shifted, pos.abs_diff(taken) as u64);
                 if taken < pos {
                     left += 1;
                 } else {
@@ -914,9 +907,10 @@ mod tests {
         let mut alex = Alex::new();
         alex.bulk_load(&entries(1_000));
         alex.insert(5, 5);
-        let s = alex.last_insert_stats();
+        // bulk_load restarts the counters, so they hold this one insert.
+        let s = alex.stats().counters;
         assert!(s.nodes_traversed >= 1);
-        assert!(s.breakdown.total_ns() >= s.breakdown.lookup_ns);
+        assert!(s.insert_breakdown.total_ns() >= s.insert_breakdown.lookup_ns);
         assert_eq!(alex.meta().name, "ALEX");
         assert!(alex.meta().learned);
     }

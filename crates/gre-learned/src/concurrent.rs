@@ -6,263 +6,43 @@
 //! does not, because LIPP's unified node layout forces every insert to update
 //! statistics in every node on its path (§4.2).
 //!
-//! In safe Rust we realize the same designs over the single-threaded
-//! implementations (the substitution is disclosed in `docs/BENCHMARKS.md`,
-//! "ALEX+ node layout and what differs from the paper"): the key space is
-//! split into 64 `RwLock`-guarded partitions so that writers touching
-//! different data regions never contend (the effect per-data-node locking
-//! achieves in ALEX+), and LIPP+ additionally updates a set of *shared*
-//! path-statistics counters on every insert — the exact source of cache-line
-//! contention the paper identifies — so its write path degrades under
-//! concurrency while ALEX+'s does not.
+//! In safe Rust both are [`gre_core::Partitioned`] over the single-threaded
+//! index — the same partition-lock adapter the concurrent traditional indexes
+//! run on (the substitution is disclosed in `docs/BENCHMARKS.md`): 64
+//! `RwLock`-guarded key ranges, so writers touching different data regions
+//! never contend (the effect per-data-node locking achieves in ALEX+). LIPP+
+//! additionally updates a set of *shared* path-statistics counters on every
+//! insert — the exact source of cache-line contention the paper identifies —
+//! so its write path degrades under concurrency while ALEX+'s does not.
 
-use crate::alex::{Alex, AlexConfig};
-use crate::lipp::{Lipp, LippConfig};
-use gre_core::{ConcurrentIndex, Index, IndexMeta, Key, Payload, RangeSpec};
-use parking_lot::RwLock;
+use crate::alex::Alex;
+use crate::lipp::Lipp;
+use gre_core::{ConcurrentIndex, IndexMeta, Key, Partitionable, Partitioned, Payload, RangeSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of key-range partitions (data-node-level write independence).
-pub const DEFAULT_PARTITIONS: usize = 64;
-
 /// ALEX+: the concurrent ALEX.
-pub struct AlexPlus<K: Key> {
-    partitions: Vec<RwLock<Alex<K>>>,
-    boundaries: Vec<K>,
-    name: &'static str,
-}
+pub type AlexPlus<K> = Partitioned<K, Alex<K>>;
 
-impl<K: Key> Default for AlexPlus<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Key> AlexPlus<K> {
-    pub fn new() -> Self {
-        Self::with_config(AlexConfig::default())
-    }
-
-    pub fn with_config(config: AlexConfig) -> Self {
-        AlexPlus {
-            partitions: (0..DEFAULT_PARTITIONS)
-                .map(|_| RwLock::new(Alex::with_config(config)))
-                .collect(),
-            boundaries: Vec::new(),
-            name: "ALEX+",
-        }
-    }
-
-    #[inline]
-    fn partition_for(&self, key: K) -> usize {
-        self.boundaries.partition_point(|b| *b <= key)
-    }
-}
-
-impl<K: Key> ConcurrentIndex<K> for AlexPlus<K> {
-    fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let parts = self.partitions.len();
-        self.boundaries.clear();
-        if entries.len() >= parts && parts > 1 {
-            for p in 1..parts {
-                self.boundaries.push(entries[p * entries.len() / parts].0);
-            }
-            self.boundaries.dedup();
-        }
-        let mut start = 0usize;
-        for p in 0..parts {
-            let end = if p < self.boundaries.len() {
-                entries.partition_point(|e| e.0 < self.boundaries[p])
-            } else {
-                entries.len()
-            };
-            self.partitions[p].get_mut().bulk_load(&entries[start..end]);
-            start = end;
-        }
-    }
-
-    fn get(&self, key: K) -> Option<Payload> {
-        self.partitions[self.partition_for(key)].read().get(key)
-    }
-
-    /// Interleaved batched lookup: keys are grouped by partition so each
-    /// partition's read lock is taken once per batch (instead of once per
-    /// key), and each group runs [`Alex::get_batch_into`]'s software-
-    /// pipelined predict → prefetch → bounded-search path. Results land in
-    /// input order, exactly as the scalar fallback would produce them.
-    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        out.clear();
-        out.resize(keys.len(), None);
-        // Group key indices by partition. The common case is a handful of
-        // partitions per batch; a Vec-of-runs beats a HashMap at this size.
-        let mut by_part: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let p = self.partition_for(key);
-            match by_part.iter_mut().find(|(part, _)| *part == p) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_part.push((p, vec![i])),
-            }
-        }
-        let mut group_keys = Vec::new();
-        let mut group_results = Vec::new();
-        for (part, idxs) in by_part {
-            group_keys.clear();
-            group_keys.extend(idxs.iter().map(|&i| keys[i]));
-            group_results.clear();
-            self.partitions[part]
-                .read()
-                .get_batch_into(&group_keys, &mut group_results);
-            for (&i, result) in idxs.iter().zip(group_results.drain(..)) {
-                out[i] = result;
-            }
-        }
-    }
-
-    fn insert(&self, key: K, value: Payload) -> bool {
-        self.partitions[self.partition_for(key)]
-            .write()
-            .insert(key, value)
-    }
-
-    /// Presence check and write happen under one partition write lock, so
-    /// the trait's single-critical-section atomicity contract holds.
-    fn update(&self, key: K, value: Payload) -> bool {
-        self.partitions[self.partition_for(key)]
-            .write()
-            .update(key, value)
-    }
-
-    fn remove(&self, key: K) -> Option<Payload> {
-        self.partitions[self.partition_for(key)].write().remove(key)
-    }
-
-    fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        let mut remaining = spec.count;
-        // Only the first partition is searched for `spec.start`; every later
-        // one holds larger keys and is scanned from its first slot.
-        let mut start = spec.start;
-        for partition in &self.partitions[self.partition_for(spec.start)..] {
-            if remaining == 0 {
-                break;
-            }
-            remaining -= partition
-                .read()
-                .range(RangeSpec::new(start, remaining), out);
-            start = K::MIN;
-        }
-        out.len() - before
-    }
-
-    /// Migration bulk-extract: rebuild each overlapping inner partition
-    /// without the moving window instead of removing its keys one at a
-    /// time. Per-key removes leave gapped, model-stale nodes behind; a bulk
-    /// reload leaves the same structure a fresh bulk_load would.
-    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        let first = self.partition_for(lo);
-        let last = hi.map_or(self.partitions.len() - 1, |h| self.partition_for(h));
-        let mut all: Vec<(K, Payload)> = Vec::new();
-        for part in first..=last {
-            let mut alex = self.partitions[part].write();
-            all.clear();
-            alex.range(RangeSpec::new(K::MIN, usize::MAX), &mut all);
-            let a = all.partition_point(|e| e.0 < lo);
-            let b = hi.map_or(all.len(), |h| all.partition_point(|e| e.0 < h));
-            if a == b {
-                continue;
-            }
-            out.extend_from_slice(&all[a..b]);
-            let mut keep: Vec<(K, Payload)> = Vec::with_capacity(all.len() - (b - a));
-            keep.extend_from_slice(&all[..a]);
-            keep.extend_from_slice(&all[b..]);
-            let mut fresh = Alex::with_config(alex.config());
-            fresh.bulk_load(&keep);
-            *alex = fresh;
-        }
-        out.len() - before
-    }
-
-    /// Migration bulk-absorb: merge the landed entries into each receiving
-    /// inner partition with one bulk reload per partition. The incoming
-    /// range usually lies outside the boundaries fitted at bulk_load time,
-    /// so the default per-key insert path would pile the whole range into
-    /// one edge partition as incrementally-grown nodes — and then serve the
-    /// (likely hot) migrated range from the worst structure in the store.
-    fn absorb_range(&self, entries: &[(K, Payload)]) {
-        let mut start = 0usize;
-        while start < entries.len() {
-            let part = self.partition_for(entries[start].0);
-            // The run of incoming entries routed to this partition.
-            let end = if part < self.boundaries.len() {
-                let b = self.boundaries[part];
-                start + entries[start..].partition_point(|e| e.0 < b)
-            } else {
-                entries.len()
-            };
-            let mut alex = self.partitions[part].write();
-            let mut existing: Vec<(K, Payload)> = Vec::new();
-            alex.range(RangeSpec::new(K::MIN, usize::MAX), &mut existing);
-            let mut merged: Vec<(K, Payload)> = Vec::with_capacity(existing.len() + (end - start));
-            let (mut i, mut j) = (0usize, start);
-            while i < existing.len() && j < end {
-                if existing[i].0 <= entries[j].0 {
-                    merged.push(existing[i]);
-                    i += 1;
-                } else {
-                    merged.push(entries[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&existing[i..]);
-            merged.extend_from_slice(&entries[j..end]);
-            let mut fresh = Alex::with_config(alex.config());
-            fresh.bulk_load(&merged);
-            *alex = fresh;
-            start = end;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.partitions.iter().map(|p| p.read().len()).sum()
-    }
-
-    fn memory_usage(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.read().memory_usage())
-            .sum()
-    }
-
-    fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: self.name,
-            learned: true,
-            concurrent: true,
-            supports_delete: true,
-            supports_range: true,
-        }
-    }
+impl<K: Key> Partitionable<K> for Lipp<K> {
+    const CONCURRENT_NAME: &'static str = "LIPP+";
 }
 
 /// Number of levels of shared statistics LIPP+ touches per insert
 /// (root + a couple of inner nodes on a typical path).
 const LIPP_STAT_LEVELS: usize = 3;
 
-/// LIPP+: the concurrent LIPP with item-level optimistic locks.
+/// LIPP+: the concurrent LIPP (the paper's takes item-level optimistic
+/// locks; this one is partition-locked like ALEX+).
 ///
-/// Reads proceed without locks (snapshot readers per partition); writers
-/// lock only their partition. Crucially — and faithfully to the paper's
-/// analysis — every insert also updates the shared per-level statistics
-/// words below, which all writer threads contend on (the root node's
-/// statistics in particular), capping insert scalability.
+/// Writers lock only their partition. Crucially — and faithfully to the
+/// paper's analysis — every insert also updates the shared per-level
+/// statistics words below, which all writer threads contend on (the root
+/// node's statistics in particular), capping insert scalability.
 pub struct LippPlus<K: Key> {
-    partitions: Vec<RwLock<Lipp<K>>>,
-    boundaries: Vec<K>,
+    inner: Partitioned<K, Lipp<K>>,
     /// Shared per-level statistics (insert and conflict counters); the root
     /// level is written by every insert from every thread.
-    path_stats: Vec<AtomicU64>,
-    name: &'static str,
+    path_stats: [AtomicU64; LIPP_STAT_LEVELS],
 }
 
 impl<K: Key> Default for LippPlus<K> {
@@ -273,17 +53,9 @@ impl<K: Key> Default for LippPlus<K> {
 
 impl<K: Key> LippPlus<K> {
     pub fn new() -> Self {
-        Self::with_config(LippConfig::default())
-    }
-
-    pub fn with_config(config: LippConfig) -> Self {
         LippPlus {
-            partitions: (0..DEFAULT_PARTITIONS)
-                .map(|_| RwLock::new(Lipp::with_config(config)))
-                .collect(),
-            boundaries: Vec::new(),
-            path_stats: (0..LIPP_STAT_LEVELS).map(|_| AtomicU64::new(0)).collect(),
-            name: "LIPP+",
+            inner: Partitioned::new(),
+            path_stats: Default::default(),
         }
     }
 
@@ -294,37 +66,19 @@ impl<K: Key> LippPlus<K> {
             .map(|s| s.load(Ordering::Relaxed))
             .sum()
     }
-
-    #[inline]
-    fn partition_for(&self, key: K) -> usize {
-        self.boundaries.partition_point(|b| *b <= key)
-    }
 }
 
 impl<K: Key> ConcurrentIndex<K> for LippPlus<K> {
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let parts = self.partitions.len();
-        self.boundaries.clear();
-        if entries.len() >= parts && parts > 1 {
-            for p in 1..parts {
-                self.boundaries.push(entries[p * entries.len() / parts].0);
-            }
-            self.boundaries.dedup();
-        }
-        let mut start = 0usize;
-        for p in 0..parts {
-            let end = if p < self.boundaries.len() {
-                entries.partition_point(|e| e.0 < self.boundaries[p])
-            } else {
-                entries.len()
-            };
-            self.partitions[p].get_mut().bulk_load(&entries[start..end]);
-            start = end;
-        }
+        self.inner.bulk_load(entries);
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        self.partitions[self.partition_for(key)].read().get(key)
+        self.inner.get(key)
+    }
+
+    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        self.inner.get_batch(keys, out);
     }
 
     fn insert(&self, key: K, value: Payload) -> bool {
@@ -335,57 +89,41 @@ impl<K: Key> ConcurrentIndex<K> for LippPlus<K> {
         for stat in &self.path_stats {
             stat.fetch_add(1, Ordering::Relaxed);
         }
-        self.partitions[self.partition_for(key)]
-            .write()
-            .insert(key, value)
+        self.inner.insert(key, value)
     }
 
-    /// Updates run under one partition write lock (single critical section);
-    /// they do not touch the shared path statistics — the paper charges only
-    /// structure-modifying inserts with the per-level statistics writes.
+    /// Updates do not touch the shared path statistics — the paper charges
+    /// only structure-modifying inserts with the per-level statistics writes.
     fn update(&self, key: K, value: Payload) -> bool {
-        self.partitions[self.partition_for(key)]
-            .write()
-            .update(key, value)
+        self.inner.update(key, value)
     }
 
     fn remove(&self, key: K) -> Option<Payload> {
-        self.partitions[self.partition_for(key)].write().remove(key)
+        self.inner.remove(key)
     }
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        let mut part = self.partition_for(spec.start);
-        let mut remaining = spec.count;
-        while part < self.partitions.len() && remaining > 0 {
-            let got = self.partitions[part]
-                .read()
-                .range(RangeSpec::new(spec.start, remaining), out);
-            remaining -= got;
-            part += 1;
-        }
-        out.len() - before
+        self.inner.range(spec, out)
+    }
+
+    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
+        self.inner.extract_range(lo, hi, out)
+    }
+
+    fn absorb_range(&self, entries: &[(K, Payload)]) {
+        self.inner.absorb_range(entries);
     }
 
     fn len(&self) -> usize {
-        self.partitions.iter().map(|p| p.read().len()).sum()
+        self.inner.len()
     }
 
     fn memory_usage(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.read().memory_usage())
-            .sum()
+        self.inner.memory_usage()
     }
 
     fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: self.name,
-            learned: true,
-            concurrent: true,
-            supports_delete: true,
-            supports_range: true,
-        }
+        self.inner.meta()
     }
 }
 

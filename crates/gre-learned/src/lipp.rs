@@ -233,7 +233,6 @@ pub struct Lipp<K> {
     config: LippConfig,
     len: usize,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for Lipp<K> {
@@ -253,7 +252,6 @@ impl<K: Key> Lipp<K> {
             config,
             len: 0,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
     }
 
@@ -411,29 +409,23 @@ impl<K: Key> Index<K> for Lipp<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let mut stats = InsertStats::default();
-        let mut timer = PhaseTimer::start();
         // LIPP has no separate pre-insertion lookup: locating the slot is the
-        // traversal itself, so the lookup share is measured as the traversal
-        // to the target node performed by `get`.
-        let _ = self.get(key);
-        stats.breakdown.lookup_ns = timer.lap_ns();
-
+        // insert traversal itself, so one timer covers it and the whole time
+        // goes to the phase the traversal ended in.
+        let timer = PhaseTimer::start();
         let inserted = Self::insert_rec(&mut self.root, key, value, &self.config, &mut stats);
-        let work = timer.lap_ns();
+        let work = timer.elapsed_ns();
         if stats.nodes_created > 0 {
-            stats.breakdown.chain_ns = work / 2;
-            stats.breakdown.stat_ns = work - work / 2;
+            stats.breakdown.chain_ns = work;
         } else if stats.triggered_smo {
             stats.breakdown.smo_ns = work;
         } else {
-            stats.breakdown.insert_ns = work / 2;
-            stats.breakdown.stat_ns = work - work / 2;
+            stats.breakdown.insert_ns = work;
         }
 
         if inserted {
             self.len += 1;
         }
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
     }
@@ -464,14 +456,6 @@ impl<K: Key> Index<K> for Lipp<K> {
 
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::new(self.counters)
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
     }
 
     fn meta(&self) -> IndexMeta {
@@ -524,6 +508,25 @@ mod tests {
         assert_eq!(stats.counters.keys_shifted, 0);
         // Write amplification is bounded: at most one node per collision.
         assert!(stats.avg_nodes_created_per_insert() <= 1.0);
+    }
+
+    #[test]
+    fn write_only_breakdown_times_one_traversal() {
+        // A seeded write-only run: no insert pays for a second lookup
+        // traversal, and no phase is invented by splitting the time.
+        let mut lipp = Lipp::new();
+        lipp.bulk_load(&entries(2_000));
+        let mut x: u64 = 0x11f3;
+        for i in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            lipp.insert(x % 100_000, i);
+        }
+        let b = lipp.stats().mean_insert_breakdown();
+        assert_eq!(b.lookup_ns, 0);
+        assert_eq!(b.stat_ns, 0);
+        assert!(b.total_ns() > 0);
     }
 
     #[test]

@@ -161,7 +161,6 @@ pub struct DynamicPgm<K> {
     epsilon: u64,
     len: usize,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for DynamicPgm<K> {
@@ -183,7 +182,6 @@ impl<K: Key> DynamicPgm<K> {
             epsilon,
             len: 0,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
     }
 
@@ -318,7 +316,6 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
             self.flush_buffer();
         }
         stats.nodes_traversed = 1;
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         !existed
     }
@@ -400,14 +397,6 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
 
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::new(self.counters)
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
     }
 
     fn meta(&self) -> IndexMeta {

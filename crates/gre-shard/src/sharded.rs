@@ -9,15 +9,15 @@
 //! the examples) unchanged — sharding composes with, rather than replaces,
 //! the backends.
 //!
-//! This is a different layer from `gre-traditional`'s internal `Sharded`
-//! emulation wrapper: that one builds a *concurrent index out of
-//! single-threaded parts* to model OLC behaviour; this one builds a *serving
-//! layer out of already-concurrent backends* (learned or traditional), with
-//! pluggable partitioning and merged reporting.
+//! This is a different layer from `gre_core::Partitioned`, the partition-lock
+//! adapter under ALEX+, LIPP+ and the concurrent traditional indexes: that one
+//! builds a *concurrent index out of single-threaded parts*; this one builds a
+//! *serving layer out of already-concurrent backends* (learned or
+//! traditional), with pluggable partitioning and merged reporting.
 
 use crate::partition::Partitioner;
 use gre_core::elastic::ElasticError;
-use gre_core::{ConcurrentIndex, IndexMeta, InsertStats, Key, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec, StatsSnapshot};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -572,21 +572,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
         StatsSnapshot::new(counters)
     }
 
-    fn reset_stats(&self) {
-        for b in &self.backends {
-            b.reset_stats();
-        }
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        // No global "most recent" insert exists across shards; report the
-        // first shard's as a representative sample.
-        self.backends
-            .first()
-            .map(|b| b.last_insert_stats())
-            .unwrap_or_default()
-    }
-
     /// Merged metadata: capability flags are the conjunction over shards
     /// (the composite only supports what every backend supports).
     fn meta(&self) -> IndexMeta {
@@ -842,8 +827,6 @@ mod tests {
         assert_eq!(idx.partitioner().scheme(), "range");
         // Stats merge across shards (MapBackend reports none — defaults).
         assert_eq!(idx.stats().counters.inserts, 0);
-        idx.reset_stats();
-        assert_eq!(idx.last_insert_stats(), InsertStats::default());
     }
 
     #[test]

@@ -446,7 +446,6 @@ pub struct Art<K> {
     root: Option<Box<Node<K>>>,
     len: usize,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for Art<K> {
@@ -461,7 +460,6 @@ impl<K: Key> Art<K> {
             root: None,
             len: 0,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
     }
 
@@ -632,9 +630,10 @@ impl<K: Key> Art<K> {
         }
     }
 
-    /// Ordered DFS collecting entries with key >= `start`.
-    fn collect_from(node: &Node<K>, start: K, count: usize, out: &mut Vec<(K, Payload)>) {
-        if out.len() >= count {
+    /// Ordered DFS appending entries with key >= `start` until `out` holds
+    /// `target` entries.
+    fn collect_from(node: &Node<K>, start: K, target: usize, out: &mut Vec<(K, Payload)>) {
+        if out.len() >= target {
             return;
         }
         match node {
@@ -645,7 +644,7 @@ impl<K: Key> Art<K> {
             }
             _ => {
                 for (_, child) in node.ordered_children() {
-                    if out.len() >= count {
+                    if out.len() >= target {
                         return;
                     }
                     // Prune subtrees entirely below `start`: the maximum key in
@@ -654,7 +653,7 @@ impl<K: Key> Art<K> {
                     // could contain keys >= start, which we determine from the
                     // subtree's maximum leaf. To avoid extra bookkeeping we
                     // simply recurse; pruning happens at the leaf comparison.
-                    Self::collect_from(child, start, count, out);
+                    Self::collect_from(child, start, target, out);
                 }
             }
         }
@@ -692,7 +691,6 @@ impl<K: Key> Index<K> for Art<K> {
         if inserted {
             self.len += 1;
         }
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
     }
@@ -719,9 +717,7 @@ impl<K: Key> Index<K> for Art<K> {
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
         if let Some(root) = &self.root {
-            let mut collected = Vec::new();
-            Self::collect_from(root, spec.start, spec.count, &mut collected);
-            out.extend(collected);
+            Self::collect_from(root, spec.start, before.saturating_add(spec.count), out);
         }
         out.len() - before
     }
@@ -736,14 +732,6 @@ impl<K: Key> Index<K> for Art<K> {
 
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::new(self.counters)
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
     }
 
     fn meta(&self) -> IndexMeta {
@@ -882,9 +870,8 @@ mod tests {
         assert_eq!(art.get(1), None);
         assert_eq!(art.remove(1), None);
         art.insert(1, 1);
-        assert!(art.stats().counters.inserts >= 1);
-        art.reset_stats();
-        assert_eq!(art.stats().counters.inserts, 0);
-        assert!(art.last_insert_stats().nodes_created <= 2);
+        let counters = art.stats().counters;
+        assert_eq!(counters.inserts, 1);
+        assert!(counters.nodes_created <= 2);
     }
 }

@@ -81,7 +81,6 @@ pub struct BPlusTree<K> {
     height: usize,
     config: BPlusTreeConfig,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for BPlusTree<K> {
@@ -105,7 +104,6 @@ impl<K: Key> BPlusTree<K> {
             height: 1,
             config,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
     }
 
@@ -348,7 +346,6 @@ impl<K: Key> Index<K> for BPlusTree<K> {
             let (sep, right) = self.split_leaf(leaf_id);
             self.insert_into_parents(path, sep, right);
         }
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
     }
@@ -393,14 +390,6 @@ impl<K: Key> Index<K> for BPlusTree<K> {
 
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::new(self.counters)
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
     }
 
     fn meta(&self) -> IndexMeta {
@@ -560,9 +549,7 @@ mod tests {
         let stats = t.stats();
         assert_eq!(stats.counters.inserts, 1_000);
         assert!(stats.counters.smo_count > 0);
-        assert!(t.last_insert_stats().nodes_traversed >= 1);
-        t.reset_stats();
-        assert_eq!(t.stats().counters.inserts, 0);
+        assert!(stats.counters.nodes_traversed >= stats.counters.inserts);
         assert_eq!(t.meta().name, "B+tree");
     }
 

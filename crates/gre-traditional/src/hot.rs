@@ -60,7 +60,6 @@ pub struct Hot<K> {
     root: Option<Box<Node<K>>>,
     len: usize,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for Hot<K> {
@@ -75,7 +74,6 @@ impl<K: Key> Hot<K> {
             root: None,
             len: 0,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
     }
 
@@ -246,8 +244,10 @@ impl<K: Key> Hot<K> {
         }
     }
 
-    fn collect_from(node: &Node<K>, start: K, count: usize, out: &mut Vec<(K, Payload)>) {
-        if out.len() >= count {
+    /// Ordered walk appending entries with key >= `start` until `out` holds
+    /// `target` entries.
+    fn collect_from(node: &Node<K>, start: K, target: usize, out: &mut Vec<(K, Payload)>) {
+        if out.len() >= target {
             return;
         }
         match node {
@@ -258,10 +258,10 @@ impl<K: Key> Hot<K> {
             }
             Node::Inner { children, .. } => {
                 for (_, child) in children {
-                    if out.len() >= count {
+                    if out.len() >= target {
                         return;
                     }
-                    Self::collect_from(child, start, count, out);
+                    Self::collect_from(child, start, target, out);
                 }
             }
         }
@@ -299,7 +299,6 @@ impl<K: Key> Index<K> for Hot<K> {
         if inserted {
             self.len += 1;
         }
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
     }
@@ -326,7 +325,7 @@ impl<K: Key> Index<K> for Hot<K> {
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
         if let Some(root) = &self.root {
-            Self::collect_from(root, spec.start, spec.count, out);
+            Self::collect_from(root, spec.start, before.saturating_add(spec.count), out);
         }
         out.len() - before
     }
@@ -341,14 +340,6 @@ impl<K: Key> Index<K> for Hot<K> {
 
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::new(self.counters)
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
     }
 
     fn meta(&self) -> IndexMeta {

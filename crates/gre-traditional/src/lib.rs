@@ -21,8 +21,7 @@ pub mod wormhole;
 pub use art::Art;
 pub use btree::{BPlusTree, BPlusTreeConfig};
 pub use concurrent::{
-    art_olc, btree_olc, hot_rowex, masstree_concurrent, wormhole_concurrent, ArtOlc, BPlusTreeOlc,
-    HotRowex, InnerLockIndex, MasstreeConcurrent, Sharded, WormholeConcurrent,
+    art_olc, btree_olc, hot_rowex, masstree_concurrent, wormhole_concurrent, BPlusTreeOlc,
 };
 pub use hot::Hot;
 pub use masstree::Masstree;

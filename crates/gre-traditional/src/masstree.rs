@@ -10,7 +10,7 @@
 //! overhead than ART — are preserved.
 
 use crate::btree::{BPlusTree, BPlusTreeConfig};
-use gre_core::{Index, IndexMeta, InsertStats, Key, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec, StatsSnapshot};
 
 /// Masstree's per-node key fanout.
 pub const MASSTREE_FANOUT: usize = 15;
@@ -76,14 +76,6 @@ impl<K: Key> Index<K> for Masstree<K> {
 
     fn stats(&self) -> StatsSnapshot {
         self.layer0.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.layer0.reset_stats();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.layer0.last_insert_stats()
     }
 
     fn meta(&self) -> IndexMeta {

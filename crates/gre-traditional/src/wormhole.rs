@@ -44,7 +44,6 @@ pub struct Wormhole<K> {
     hints: Vec<u32>,
     len: usize,
     counters: OpCounters,
-    last_insert: InsertStats,
 }
 
 impl<K: Key> Default for Wormhole<K> {
@@ -64,7 +63,6 @@ impl<K: Key> Wormhole<K> {
             hints: vec![0],
             len: 0,
             counters: OpCounters::default(),
-            last_insert: InsertStats::default(),
         }
     }
 
@@ -213,7 +211,6 @@ impl<K: Key> Index<K> for Wormhole<K> {
             stats.nodes_created = 1;
             self.split_leaf(idx);
         }
-        self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
     }
@@ -262,14 +259,6 @@ impl<K: Key> Index<K> for Wormhole<K> {
 
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::new(self.counters)
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = OpCounters::default();
-    }
-
-    fn last_insert_stats(&self) -> InsertStats {
-        self.last_insert
     }
 
     fn meta(&self) -> IndexMeta {

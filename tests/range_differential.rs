@@ -6,12 +6,19 @@
 //! internals: scanning from `k - 1`, `k` and `k + 1` of every live key `k`
 //! covers "equal to a key", "inside a gap run" (a non-key between two keys),
 //! "the last slot of a node" and "across a node / partition boundary" (every
-//! node's and every `AlexPlus` partition's last key is some `k`, and a scan of
-//! 100 from it crosses into the next one) without knowing where they are; `0`
-//! and `u64::MAX` cover "below the first key" and "past the last key".
+//! node's and every `gre_core::Partitioned` partition's last key is some `k`,
+//! and a scan of 100 from it crosses into the next one) without knowing where
+//! they are; `0` and `u64::MAX` cover "below the first key" and "past the last
+//! key".
+//!
+//! A second test holds the seven `Partitioned` backends to the model on the
+//! adapter's own paths: grouped batch lookups, appending scans, and the
+//! bulk-reload migration pair `extract_range` / `absorb_range`.
 
 use gre::learned::{Alex, AlexConfig, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
-use gre::traditional::{Art, BPlusTree};
+use gre::traditional::{
+    art_olc, btree_olc, hot_rowex, masstree_concurrent, wormhole_concurrent, Art, BPlusTree,
+};
 use gre_core::index::MutexIndex;
 use gre_core::{ConcurrentIndex, RangeSpec};
 use rand::rngs::StdRng;
@@ -34,7 +41,10 @@ fn backends() -> Vec<(&'static str, Backend)> {
             "Alex",
             Box::new(MutexIndex::new(Alex::with_config(SMALL_NODES), "ALEX")),
         ),
-        ("AlexPlus", Box::new(AlexPlus::with_config(SMALL_NODES))),
+        (
+            "AlexPlus",
+            Box::new(AlexPlus::with_inner(|| Alex::with_config(SMALL_NODES))),
+        ),
         ("Lipp", Box::new(MutexIndex::new(Lipp::new(), "LIPP"))),
         ("LippPlus", Box::new(LippPlus::new())),
         (
@@ -48,6 +58,21 @@ fn backends() -> Vec<(&'static str, Backend)> {
             Box::new(MutexIndex::new(BPlusTree::new(), "B+tree")),
         ),
         ("Art", Box::new(MutexIndex::new(Art::new(), "ART"))),
+        ("B+treeOLC", Box::new(btree_olc())),
+        ("HOT-ROWEX", Box::new(hot_rowex())),
+    ]
+}
+
+/// Every concurrent index built on `gre_core::Partitioned`.
+fn partitioned_backends() -> Vec<(&'static str, Backend)> {
+    vec![
+        ("ALEX+", Box::new(AlexPlus::new())),
+        ("LIPP+", Box::new(LippPlus::new())),
+        ("B+treeOLC", Box::new(btree_olc())),
+        ("ART-OLC", Box::new(art_olc())),
+        ("HOT-ROWEX", Box::new(hot_rowex())),
+        ("Masstree", Box::new(masstree_concurrent())),
+        ("Wormhole", Box::new(wormhole_concurrent())),
     ]
 }
 
@@ -169,5 +194,83 @@ fn range_scans_match_btreemap_on_every_backend() {
         }
         check_scans(name, &*index, &model, "with 0 and u64::MAX removed");
         assert_eq!(index.len(), model.len(), "{name}: final length");
+    }
+}
+
+#[test]
+fn partitioned_backends_batch_scan_extract_and_absorb_like_the_model() {
+    let model: BTreeMap<u64, u64> = (0..20_000u64).map(|i| (i * 3 + 1, i)).collect();
+    let bulk: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+    let entries = |r: std::ops::Range<u64>| -> Vec<(u64, u64)> {
+        model.range(r).map(|(k, v)| (*k, *v)).collect()
+    };
+    let mut rng = StdRng::seed_from_u64(0x9a27_1710);
+    // Hits and misses spread over every partition, plus a duplicate.
+    let mut keys: Vec<u64> = (0..700).map(|_| rng.gen_range(0..60_010)).collect();
+    keys.push(keys[7]);
+    // Starts 40 keys below each 64th quantile: a scan of 100 crosses into
+    // the next partition.
+    let starts: Vec<u64> = (1..64).map(|p| bulk[p * bulk.len() / 64 - 40].0).collect();
+    // A window over several partitions, opening on a non-key.
+    let (lo, hi) = (bulk[5_000].0 + 1, bulk[9_000].0);
+    let window = entries(lo..hi);
+
+    for (name, mut index) in partitioned_backends() {
+        index.bulk_load(&bulk);
+
+        let mut batched = vec![Some(u64::MAX)];
+        index.get_batch(&keys, &mut batched);
+        let scalar: Vec<Option<u64>> = keys.iter().map(|&k| index.get(k)).collect();
+        assert_eq!(batched, scalar, "{name}: get_batch");
+        let expected: Vec<Option<u64>> = keys.iter().map(|k| model.get(k).copied()).collect();
+        assert_eq!(scalar, expected, "{name}: get");
+
+        let prefix = [(7, 7), (8, 8), (9, 9)];
+        for &start in &starts {
+            let mut out = prefix.to_vec();
+            let got = index.range(RangeSpec::new(start, 100), &mut out);
+            assert_eq!(got, 100, "{name}: range({start}, 100) appended");
+            assert_eq!(
+                out[..3],
+                prefix,
+                "{name}: range({start}, 100) kept the prefix"
+            );
+            assert_eq!(
+                out[3..],
+                entries(start..u64::MAX)[..100],
+                "{name}: range({start}, 100)"
+            );
+        }
+
+        let mut moved = prefix.to_vec();
+        let got = index.extract_range(lo, Some(hi), &mut moved);
+        assert_eq!(got, window.len(), "{name}: extracted count");
+        assert_eq!(moved[3..], window, "{name}: extract_range({lo}, {hi})");
+        assert_eq!(
+            index.len(),
+            model.len() - window.len(),
+            "{name}: len after extract"
+        );
+        assert_eq!(
+            index.get(window[0].0),
+            None,
+            "{name}: extracted key still present"
+        );
+        assert_eq!(
+            index.get(lo - 1),
+            model.get(&(lo - 1)).copied(),
+            "{name}: below the window"
+        );
+        assert_eq!(
+            index.get(hi),
+            model.get(&hi).copied(),
+            "{name}: the window's end"
+        );
+
+        index.absorb_range(&moved[3..]);
+        assert_eq!(index.len(), model.len(), "{name}: len after absorb");
+        let mut all = Vec::new();
+        index.range(RangeSpec::new(0, usize::MAX), &mut all);
+        assert_eq!(all, bulk, "{name}: contents after absorb");
     }
 }
