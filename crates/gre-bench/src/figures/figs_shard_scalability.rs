@@ -26,8 +26,8 @@ use crate::RunOpts;
 use gre_datasets::Dataset;
 use gre_shard::PipelineTarget;
 use gre_workloads::driver::{Driver, PhaseResult, ServeTarget};
-use gre_workloads::scenario::{Pacing, Scenario};
-use gre_workloads::{Workload, WorkloadBuilder, WriteRatio};
+use gre_workloads::scenario::{Scenario, Span};
+use gre_workloads::{WorkloadBuilder, WriteRatio};
 
 /// Ops per submitted batch on the batched and session paths.
 const BATCH: usize = 1024;
@@ -90,13 +90,12 @@ pub fn run(opts: &RunOpts) {
                 ];
                 let mut tails: Vec<(String, PhaseResult)> = Vec::new();
                 for &threads in &thread_points {
-                    let scenario =
-                        Scenario::from_workload(&workload, Pacing::ClosedLoop { threads });
+                    let scenario = workload.clone().closed_loop(threads);
                     // Always the composite — even at 1 shard — so every row
                     // of the sweep measures the same structure and the
                     // shards=1 baseline includes the routing dispatch too.
                     let mut direct = spec.build_sharded();
-                    let phase = run_path(&scenario, &mut direct, &workload);
+                    let phase = run_path(&scenario, &mut direct);
                     rows[0]
                         .1
                         .push_str(&format!(" {:>8.3}", phase.throughput_mops()));
@@ -105,7 +104,7 @@ pub fn run(opts: &RunOpts) {
                     }
 
                     let mut batched = PipelineTarget::new(spec.build_sharded(), threads, BATCH, 0);
-                    let phase = run_path(&scenario, &mut batched, &workload);
+                    let phase = run_path(&scenario, &mut batched);
                     rows[1]
                         .1
                         .push_str(&format!(" {:>8.3}", phase.throughput_mops()));
@@ -115,7 +114,7 @@ pub fn run(opts: &RunOpts) {
 
                     let mut session =
                         PipelineTarget::new(spec.build_sharded(), threads, BATCH, INFLIGHT);
-                    let phase = run_path(&scenario, &mut session, &workload);
+                    let phase = run_path(&scenario, &mut session);
                     rows[2]
                         .1
                         .push_str(&format!(" {:>8.3}", phase.throughput_mops()));
@@ -143,20 +142,12 @@ pub fn run(opts: &RunOpts) {
 
 /// Run the one-phase replay scenario against one target and return the
 /// phase measurements, checking no operation was dropped on the way.
-fn run_path<T: ServeTarget + ?Sized>(
-    scenario: &Scenario,
-    target: &mut T,
-    workload: &Workload,
-) -> PhaseResult {
-    let result = Driver::new().run(scenario, target);
-    let phase = result
-        .phases
-        .into_iter()
-        .next()
-        .expect("one-phase scenario");
+fn run_path<T: ServeTarget + ?Sized>(scenario: &Scenario, target: &mut T) -> PhaseResult {
+    let mut result = Driver::new().run(scenario, target);
+    let phase = result.phases.remove(0);
     assert_eq!(
-        phase.ops() as usize,
-        workload.ops.len(),
+        Span::Ops(phase.ops()),
+        scenario.phases[0].span,
         "{}: target dropped operations",
         result.target
     );

@@ -1,11 +1,10 @@
 //! The figure table: every table and figure this repo reproduces is one row
 //! of [`FIGURES`], and the `gre-figs` binary runs the row its first argument
 //! names. `paper` holds the paper's own tables and figures; the `figs_*`
-//! modules drill the serving, durability and elasticity tiers.
+//! modules drill the serving, observability and elasticity tiers.
 
 mod figs_observability;
 mod figs_rebalance;
-mod figs_recovery;
 mod figs_scenarios;
 mod figs_shard_scalability;
 mod paper;
@@ -146,11 +145,6 @@ pub static FIGURES: &[Figure] = &[
         run: figs_observability::run,
     },
     Figure {
-        name: "figs_recovery",
-        title: "Durability: group-commit cost probe and the crash-recovery matrix",
-        run: figs_recovery::run,
-    },
-    Figure {
         name: "figs_rebalance",
         title: "Elasticity: hotspot collapse, live split and recovery",
         run: figs_rebalance::run,
@@ -214,7 +208,7 @@ mod tests {
 
     #[test]
     fn table_names_are_unique_and_complete() {
-        assert_eq!(FIGURES.len(), 25);
+        assert_eq!(FIGURES.len(), 24);
         for (i, f) in FIGURES.iter().enumerate() {
             assert!(!f.name.is_empty() && !f.title.is_empty());
             assert!(

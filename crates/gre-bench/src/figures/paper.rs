@@ -16,14 +16,18 @@ use gre_pla::{DataHardness, HardnessConfig, SynthCorner};
 use gre_workloads::driver::Driver;
 use gre_workloads::generate::YcsbVariant;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
-use gre_workloads::{
-    run_concurrent, run_single, LatencySummary, RunResult, WorkloadBuilder, WriteRatio,
-};
+use gre_workloads::{LatencySummary, PhaseResult, WorkloadBuilder, WriteRatio};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 const MB: f64 = 1024.0 * 1024.0;
+
+/// Replay a one-phase workload scenario in place on a single-threaded
+/// index and return its phase.
+fn in_place<I: Index<u64> + ?Sized>(scenario: &Scenario, index: &mut I) -> PhaseResult {
+    Driver::new().run_in_place(scenario, index).phases.remove(0)
+}
 
 pub(super) fn table1_configs(_opts: &RunOpts) {
     let alex = AlexConfig::default();
@@ -157,22 +161,22 @@ pub(super) fn fig16_baseline_world(opts: &RunOpts) {
 /// Figures 3 and 8 and Table 3 read different things off the same runs:
 /// every single-threaded index `keep` admits executes the write-only
 /// workload on each drill-down dataset, and `print_dataset` gets the
-/// dataset's name with each index and its result.
+/// dataset's name with each index after its run.
 fn write_only_drilldown(
     opts: &RunOpts,
     keep: fn(&str) -> bool,
-    print_dataset: impl Fn(&str, &[(SingleEntry, RunResult)]),
+    print_dataset: impl Fn(&str, &[SingleEntry]),
 ) {
     let builder = WorkloadBuilder::new(opts.seed);
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
-        let workload = builder.insert_workload(&ds.name(), &keys, WriteRatio::WriteOnly);
-        let runs: Vec<(SingleEntry, RunResult)> = single_thread_indexes()
+        let scenario = builder.insert_workload(&ds.name(), &keys, WriteRatio::WriteOnly);
+        let runs: Vec<SingleEntry> = single_thread_indexes()
             .into_iter()
             .filter(|e| keep(e.name))
             .map(|mut e| {
-                let result = run_single(e.index.as_mut(), &workload);
-                (e, result)
+                in_place(&scenario, e.index.as_mut());
+                e
             })
             .collect();
         print_dataset(&ds.name(), &runs);
@@ -189,7 +193,7 @@ pub(super) fn fig3_breakdown(opts: &RunOpts) {
         opts,
         |name| matches!(name, "ALEX" | "LIPP" | "ART" | "B+tree"),
         |ds, runs| {
-            for (e, _) in runs {
+            for e in runs {
                 let b = e.index.stats().mean_insert_breakdown();
                 println!(
                     "{:<10} {:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
@@ -220,8 +224,8 @@ pub(super) fn fig8_memory(opts: &RunOpts) {
         |_| true,
         |ds, runs| {
             print!("{ds:<10}");
-            for (_, r) in runs {
-                print!(" {:>12.2}", r.memory_bytes as f64 / MB);
+            for e in runs {
+                print!(" {:>12.2}", e.index.memory_usage() as f64 / MB);
             }
             println!();
         },
@@ -238,7 +242,7 @@ pub(super) fn table3_insert_stats(opts: &RunOpts) {
         opts,
         |name| matches!(name, "ALEX" | "LIPP"),
         |ds, runs| {
-            for (e, _) in runs {
+            for e in runs {
                 let s = e.index.stats();
                 println!(
                     "{:<10} {:<8} {:>16.2} {:>14.2} {:>14.2}",
@@ -278,10 +282,11 @@ fn thread_axis_sweep(opts: &RunOpts, header: &str, axis: &[usize]) {
                 let mut index = entry.index;
                 let mut tails = Vec::new();
                 for &t in axis {
-                    let pacing = Pacing::ClosedLoop { threads: t.max(1) };
-                    let scenario = Scenario::from_workload(&workload, pacing);
-                    let result = Driver::new().run(&scenario, index.as_mut());
-                    let phase = result.phases.into_iter().next().expect("one phase");
+                    let scenario = workload.clone().closed_loop(t.max(1));
+                    let phase = Driver::new()
+                        .run(&scenario, index.as_mut())
+                        .phases
+                        .remove(0);
                     row.push_str(&format!(" {:>8.3}", phase.throughput_mops()));
                     if opts.verbose {
                         tails.push((t, phase));
@@ -331,11 +336,11 @@ pub(super) fn fig9_alex_m(opts: &RunOpts) {
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
         for ratio in WriteRatio::ALL {
-            let workload = builder.insert_workload(&ds.name(), &keys, ratio);
+            let scenario = builder.insert_workload(&ds.name(), &keys, ratio);
             let mut alex_m = Alex::<u64>::with_config(AlexConfig::memory_matched());
             let mut lipp = Lipp::<u64>::new();
-            let ra = run_single(&mut alex_m, &workload);
-            let rl = run_single(&mut lipp, &workload);
+            let ra = in_place(&scenario, &mut alex_m);
+            let rl = in_place(&scenario, &mut lipp);
             println!(
                 "{:<10} {:<6} {:>12.2} {:>12.2} {:>12.3} {:>12.3}",
                 ds.name(),
@@ -356,7 +361,7 @@ fn tail_latency(
     opts: &RunOpts,
     header: &str,
     ratio: WriteRatio,
-    side: fn(&RunResult) -> &LatencySummary,
+    side: fn(&PhaseResult) -> LatencySummary,
 ) {
     let builder = WorkloadBuilder::new(opts.seed);
     println!("{header}");
@@ -366,9 +371,9 @@ fn tail_latency(
     );
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
-        let workload = builder.insert_workload(&ds.name(), &keys, ratio);
-        let row = |index: &str, threads: usize, result: &RunResult| {
-            let tail = side(result);
+        let scenario = builder.insert_workload(&ds.name(), &keys, ratio);
+        let row = |index: &str, threads: usize, phase: &PhaseResult| {
+            let tail = side(phase);
             println!(
                 "{:<10} {:<12} {:>9} {:>12} {:>10.0}",
                 ds.name(),
@@ -379,11 +384,12 @@ fn tail_latency(
             );
         };
         for mut e in single_thread_indexes() {
-            row(e.name, 1, &run_single(e.index.as_mut(), &workload));
+            row(e.name, 1, &in_place(&scenario, e.index.as_mut()));
         }
+        let scenario = scenario.closed_loop(opts.threads);
         for mut e in concurrent_indexes(true) {
-            let result = run_concurrent(e.index.as_mut(), &workload, opts.threads);
-            row(&e.name, opts.threads, &result);
+            let result = Driver::new().run(&scenario, e.index.as_mut());
+            row(&e.name, opts.threads, &result.phases[0]);
         }
     }
 }
@@ -393,7 +399,7 @@ pub(super) fn fig10_tail_lookup(opts: &RunOpts) {
         opts,
         "# Figure 10: lookup tail latency (read-only workload)",
         WriteRatio::ReadOnly,
-        |r| &r.read_latency,
+        PhaseResult::read_summary,
     );
 }
 
@@ -402,7 +408,7 @@ pub(super) fn fig11_tail_insert(opts: &RunOpts) {
         opts,
         "# Figure 11: insert tail latency (write-only workload)",
         WriteRatio::WriteOnly,
-        |r| &r.write_latency,
+        PhaseResult::write_summary,
     );
 }
 
@@ -433,8 +439,8 @@ pub(super) fn fig12_shift(opts: &RunOpts) {
             .into_iter()
             .zip(single_thread_indexes())
         {
-            let base_mops = run_single(base.index.as_mut(), &baseline).throughput_mops();
-            let shift_mops = run_single(fresh.index.as_mut(), &shifted).throughput_mops();
+            let base_mops = in_place(&baseline, base.index.as_mut()).throughput_mops();
+            let shift_mops = in_place(&shifted, fresh.index.as_mut()).throughput_mops();
             let change = if base_mops > 0.0 {
                 (shift_mops - base_mops) / base_mops * 100.0
             } else {
@@ -467,9 +473,9 @@ pub(super) fn fig13_range(opts: &RunOpts) {
             let mut index = entry.index;
             for &s in &scan_sizes {
                 let queries = (opts.keys / s.max(10)).clamp(20, 2_000);
-                let workload = builder.range_workload(&ds.name(), &keys, s, queries);
-                let r = run_single(index.as_mut(), &workload);
-                row.push_str(&format!(" {:>10.2}", r.scan_throughput_mkeys()));
+                let scenario = builder.range_workload(&ds.name(), &keys, s, queries);
+                let phase = in_place(&scenario, index.as_mut());
+                row.push_str(&format!(" {:>10.2}", phase.scan_throughput_mkeys()));
             }
             println!("{row}");
         }
@@ -564,11 +570,9 @@ pub(super) fn figc_hardness_validation(opts: &RunOpts) {
     for ds in Dataset::HEATMAP_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
         let h = ds.hardness(opts.keys, opts.seed, HardnessConfig::default());
-        let workload = builder.insert_workload(&ds.name(), &keys, WriteRatio::Balanced);
-        let mut alex = Alex::<u64>::new();
-        let mut lipp = Lipp::<u64>::new();
-        let ra = run_single(&mut alex, &workload);
-        let rl = run_single(&mut lipp, &workload);
+        let scenario = builder.insert_workload(&ds.name(), &keys, WriteRatio::Balanced);
+        let ra = in_place(&scenario, &mut Alex::<u64>::new());
+        let rl = in_place(&scenario, &mut Lipp::<u64>::new());
         println!(
             "{:<10} {:>12} {:>12} {:>14.3e} {:>12.3} {:>12.3}",
             ds.name(),
@@ -587,8 +591,8 @@ pub(super) fn figc_hardness_validation(opts: &RunOpts) {
 /// The multi-threaded sweep is expressed natively in the scenario engine —
 /// YCSB *is* a one-phase scenario (a get/update `Mix` over
 /// `KeyDist::Zipf { theta: 0.99 }`) — instead of pre-materializing the
-/// request stream; the single-threaded rows keep the materialized workload
-/// (single-threaded indexes sit outside the concurrent serving surface).
+/// request stream; the single-threaded rows replay the materialized
+/// workload in place.
 pub(super) fn figg_ycsb(opts: &RunOpts) {
     let builder = WorkloadBuilder::new(opts.seed);
     println!("# Figure G: YCSB throughput (Mop/s), Zipfian 0.99");
@@ -602,7 +606,7 @@ pub(super) fn figg_ycsb(opts: &RunOpts) {
             let workload = builder.ycsb(&ds.name(), &keys, variant, opts.keys);
             for entry in single_thread_indexes() {
                 let mut index = entry.index;
-                let r = run_single(index.as_mut(), &workload);
+                let r = in_place(&workload, index.as_mut());
                 println!(
                     "{:<10} {:<8} {:<12} {:>9} {:>10.3}",
                     ds.name(),

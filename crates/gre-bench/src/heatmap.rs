@@ -10,7 +10,7 @@ use crate::runopts::RunOpts;
 use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
 use gre_pla::{DataHardness, HardnessConfig};
-use gre_workloads::{run_concurrent, run_single, Workload, WorkloadBuilder, WriteRatio};
+use gre_workloads::{Driver, Scenario, WorkloadBuilder, WriteRatio};
 
 /// One heatmap cell.
 #[derive(Debug, Clone)]
@@ -125,14 +125,18 @@ pub fn single_thread_heatmap(
     opts: &RunOpts,
     mode: HeatmapMode,
 ) -> Heatmap {
-    heatmap(title, datasets, opts, mode, |workload| {
+    heatmap(title, datasets, opts, mode, |scenario| {
         single_thread_indexes()
             .into_iter()
             // Skip indexes that cannot run this workload.
             .filter(|e| mode == HeatmapMode::Inserts || e.index.meta().supports_delete)
             .map(|mut e| {
-                let result = run_single(e.index.as_mut(), workload);
-                (e.name.to_string(), e.kind, result.throughput_mops())
+                let result = Driver::new().run_in_place(scenario, e.index.as_mut());
+                (
+                    e.name.to_string(),
+                    e.kind,
+                    result.phases[0].throughput_mops(),
+                )
             })
             .collect()
     })
@@ -145,26 +149,27 @@ pub fn concurrent_heatmap(
     opts: &RunOpts,
     include_parallelized: bool,
 ) -> Heatmap {
-    heatmap(title, datasets, opts, HeatmapMode::Inserts, |workload| {
+    heatmap(title, datasets, opts, HeatmapMode::Inserts, |scenario| {
+        let scenario = scenario.clone().closed_loop(opts.threads);
         concurrent_indexes(include_parallelized)
             .into_iter()
             .map(|mut e| {
-                let result = run_concurrent(e.index.as_mut(), workload, opts.threads);
-                (e.name, e.kind, result.throughput_mops())
+                let result = Driver::new().run(&scenario, e.index.as_mut());
+                (e.name, e.kind, result.phases[0].throughput_mops())
             })
             .collect()
     })
 }
 
 /// The cell loop both heatmaps share: per dataset its hardness, per write
-/// ratio one workload, and per cell the best learned and best traditional
-/// of the contenders `run` measured on that workload.
+/// ratio one workload scenario, and per cell the best learned and best
+/// traditional of the contenders `run` measured on it.
 fn heatmap(
     title: &str,
     datasets: &[Dataset],
     opts: &RunOpts,
     mode: HeatmapMode,
-    run: impl Fn(&Workload) -> Vec<Contender>,
+    run: impl Fn(&Scenario) -> Vec<Contender>,
 ) -> Heatmap {
     let builder = WorkloadBuilder::new(opts.seed);
     let mut cells = Vec::new();
@@ -174,14 +179,14 @@ fn heatmap(
         dedup.dedup();
         let hardness = DataHardness::compute_sampled(&dedup, HardnessConfig::default(), 100_000);
         for ratio in WriteRatio::ALL {
-            let workload = match mode {
+            let scenario = match mode {
                 HeatmapMode::Inserts => builder.insert_workload(&dataset.name(), &keys, ratio),
                 HeatmapMode::Deletes => {
                     builder.delete_workload(&dataset.name(), &keys, ratio.write_fraction())
                 }
             };
             let mut best: [(String, f64); 2] = [("-".into(), 0.0), ("-".into(), 0.0)];
-            for (name, kind, mops) in run(&workload) {
+            for (name, kind, mops) in run(&scenario) {
                 let slot = match kind {
                     IndexKind::Learned => &mut best[0],
                     IndexKind::Traditional => &mut best[1],

@@ -1,15 +1,18 @@
 //! Shared latency-report formatting for the figures' verbose
-//! mode: per-[`RequestKind`](gre_core::RequestKind) summary lines so read
+//! mode: per-[`RequestKind`] summary lines so read
 //! and write tails stay separable in the printed output.
 
-use gre_core::LatencyHistogram;
+use gre_core::{LatencyHistogram, RequestKind};
 use gre_workloads::driver::PhaseResult;
-use gre_workloads::KindSummaries;
 
-/// Print one line per request kind that recorded samples:
+/// Print one line per request kind of `phase` that recorded samples:
 /// `kind  n  p50  p99  p999  max` (latencies in µs).
-pub fn print_kind_latency(indent: &str, kinds: &KindSummaries) {
-    for (kind, s) in kinds.iter_nonempty() {
+pub fn print_phase_latency(indent: &str, phase: &PhaseResult) {
+    for kind in RequestKind::ALL {
+        let s = phase.kind_summary(kind);
+        if s.samples == 0 {
+            continue;
+        }
         println!(
             "{indent}{:<7} n={:<9} p50={:>9.1}us p99={:>9.1}us p999={:>9.1}us max={:>9.1}us",
             kind.label(),
@@ -20,11 +23,6 @@ pub fn print_kind_latency(indent: &str, kinds: &KindSummaries) {
             s.max_ns as f64 / 1e3,
         );
     }
-}
-
-/// Per-kind latency lines for one scenario phase.
-pub fn print_phase_latency(indent: &str, phase: &PhaseResult) {
-    print_kind_latency(indent, &KindSummaries::from_kind_latency(&phase.latency));
 }
 
 /// A condensed `completions-per-interval` view of a phase's throughput

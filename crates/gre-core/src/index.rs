@@ -8,7 +8,8 @@
 //! (`&self`, `Send + Sync`).
 
 use crate::key::{Key, Payload};
-use crate::stats::StatsSnapshot;
+use crate::stats::{InsertStats, OpCounters, StatsSnapshot};
+use std::collections::BTreeMap;
 
 /// Descriptive metadata about an index implementation, used by the harness
 /// when printing tables (Table 1 of the paper) and heatmap legends.
@@ -66,6 +67,17 @@ impl<K: Key> RangeSpec<K> {
     #[inline]
     pub fn admits(&self, key: K) -> bool {
         key >= self.start && self.end.map_or(true, |e| key <= e)
+    }
+
+    /// Drop the (sorted, ascending) tail of `out` that overshot this spec's
+    /// key window — backends may honor only the count limit and leave the
+    /// inclusive end bound to the caller.
+    pub fn clip(&self, out: &mut Vec<(K, Payload)>) {
+        if self.end.is_some() {
+            while out.last().is_some_and(|&(k, _)| !self.admits(k)) {
+                out.pop();
+            }
+        }
     }
 }
 
@@ -425,65 +437,65 @@ impl<K: Key, I: Index<K>> ConcurrentIndex<K> for MutexIndex<I> {
     }
 }
 
+/// The reference index: a `BTreeMap` with the full operation set. Tests
+/// across the workspace use it as the model real indexes are compared
+/// against and as the backend of serving-layer tests (lifted to
+/// [`ConcurrentIndex`] by [`MutexIndex`]). It counts inserts, so adapter
+/// stats forwarding is observable.
+#[derive(Default)]
+pub struct ModelIndex {
+    map: BTreeMap<u64, Payload>,
+    counters: OpCounters,
+}
+
+impl Index<u64> for ModelIndex {
+    fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
+        self.map = entries.iter().copied().collect();
+    }
+    fn get(&self, key: u64) -> Option<Payload> {
+        self.map.get(&key).copied()
+    }
+    fn insert(&mut self, key: u64, value: Payload) -> bool {
+        self.counters.record_insert(&InsertStats::default());
+        self.map.insert(key, value).is_none()
+    }
+    fn remove(&mut self, key: u64) -> Option<Payload> {
+        self.map.remove(&key)
+    }
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot::new(self.counters)
+    }
+    fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
+        let before = out.len();
+        out.extend(
+            self.map
+                .range(spec.start..)
+                .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
+                .take(spec.count)
+                .map(|(k, v)| (*k, *v)),
+        );
+        out.len() - before
+    }
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+    fn memory_usage(&self) -> usize {
+        self.map.len() * 48
+    }
+    fn meta(&self) -> IndexMeta {
+        IndexMeta {
+            name: "model",
+            learned: false,
+            concurrent: false,
+            supports_delete: true,
+            supports_range: true,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    /// A reference index backed by `BTreeMap`, used here to exercise the
-    /// trait defaults and by other crates' property tests as the model.
-    /// Tracks insert/lookup counters so adapter stats forwarding is testable.
-    #[derive(Default)]
-    pub struct ModelIndex {
-        map: BTreeMap<u64, Payload>,
-        counters: crate::stats::OpCounters,
-    }
-
-    impl Index<u64> for ModelIndex {
-        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-            self.map = entries.iter().copied().collect();
-        }
-        fn get(&self, key: u64) -> Option<Payload> {
-            self.map.get(&key).copied()
-        }
-        fn insert(&mut self, key: u64, value: Payload) -> bool {
-            self.counters
-                .record_insert(&crate::stats::InsertStats::default());
-            self.map.insert(key, value).is_none()
-        }
-        fn remove(&mut self, key: u64) -> Option<Payload> {
-            self.map.remove(&key)
-        }
-        fn stats(&self) -> StatsSnapshot {
-            StatsSnapshot::new(self.counters)
-        }
-        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-            let before = out.len();
-            out.extend(
-                self.map
-                    .range(spec.start..)
-                    .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-                    .take(spec.count)
-                    .map(|(k, v)| (*k, *v)),
-            );
-            out.len() - before
-        }
-        fn len(&self) -> usize {
-            self.map.len()
-        }
-        fn memory_usage(&self) -> usize {
-            self.map.len() * 48
-        }
-        fn meta(&self) -> IndexMeta {
-            IndexMeta {
-                name: "model",
-                learned: false,
-                concurrent: false,
-                supports_delete: true,
-                supports_range: true,
-            }
-        }
-    }
 
     #[test]
     fn model_index_basics() {

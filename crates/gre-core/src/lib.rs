@@ -9,7 +9,9 @@
 //! * [`index`] — the [`index::Index`] and
 //!   [`index::ConcurrentIndex`] traits every evaluated index
 //!   implements, mirroring the operation set of the GRE benchmark
-//!   (bulk load, lookup, insert, remove, range scan, memory accounting).
+//!   (bulk load, lookup, insert, remove, range scan, memory accounting),
+//!   and [`index::ModelIndex`], the `BTreeMap` reference index tests
+//!   compare against.
 //! * [`partitioned`] — [`partitioned::Partitioned`], the one partition-lock
 //!   adapter every concurrent derivative of a single-threaded index (ALEX+,
 //!   LIPP+, B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree, Wormhole) runs on.
@@ -53,7 +55,7 @@ pub mod wire;
 
 pub use elastic::{BoundaryChange, ElasticError, TopologyKind};
 pub use error::{GreError, Result};
-pub use index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
+pub use index::{ConcurrentIndex, Index, IndexMeta, ModelIndex, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};

@@ -156,7 +156,7 @@ impl<K: Key> Request<K> {
                 if meta.supports_range {
                     let mut out = Vec::new();
                     index.range(spec, &mut out);
-                    clip_to_window(&spec, &mut out);
+                    spec.clip(&mut out);
                     Response::Range(out)
                 } else {
                     Response::Error(IndexError::Unsupported("range"))
@@ -183,23 +183,12 @@ impl<K: Key> Request<K> {
                 if meta.supports_range {
                     let mut out = Vec::new();
                     index.range(spec, &mut out);
-                    clip_to_window(&spec, &mut out);
+                    spec.clip(&mut out);
                     Response::Range(out)
                 } else {
                     Response::Error(IndexError::Unsupported("range"))
                 }
             }
-        }
-    }
-}
-
-/// Drop the (sorted, ascending) tail of `out` that overshot the spec's key
-/// window — backends may honor only the count limit and leave the inclusive
-/// end bound to the caller.
-fn clip_to_window<K: Key>(spec: &RangeSpec<K>, out: &mut Vec<(K, Payload)>) {
-    if spec.end.is_some() {
-        while out.last().is_some_and(|&(k, _)| !spec.admits(k)) {
-            out.pop();
         }
     }
 }

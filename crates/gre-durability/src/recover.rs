@@ -44,9 +44,14 @@
 //! Otherwise the `In` is discarded and the source's replay keeps the range:
 //! a crash mid-migration recovers to the *pre*-handoff topology, a crash
 //! after the `Out` sync to the *post*-handoff topology — never a mix, and
-//! never a duplicated or lost key. Callers should checkpoint every shard
-//! after a recovery that saw topology records ([`Recovery::has_topology`])
-//! so stale handoffs cannot outlive a second crash.
+//! never a duplicated or lost key.
+//!
+//! A caller that resumes the log under a routing refit from the recovered
+//! keys must checkpoint every shard before it logs new writes: the merge
+//! applies shards' writes in shard order, so a key's new write logged under
+//! its new shard would lose to an old write left under a higher shard, and
+//! a stale handoff ([`Recovery::has_topology`]) could outlive a second
+//! crash.
 
 use crate::record::{decode_record, Record, RecordError, TopologyDirection};
 use crate::snapshot::{read_snapshot, snapshot_path, Snapshot};
@@ -223,8 +228,6 @@ impl Recovery {
     }
 
     /// Whether any surviving record is a topology (range-handoff) record.
-    /// After replaying such a history the caller should checkpoint every
-    /// shard, so a stale handoff cannot survive into a second recovery.
     pub fn has_topology(&self) -> bool {
         self.shards
             .iter()
@@ -450,62 +453,13 @@ mod tests {
     use crate::failpoint::{FailAction, FailpointRegistry, Trigger};
     use crate::util::TempDir;
     use gre_core::index::MutexIndex;
-    use gre_core::{Index, IndexMeta, Payload, RangeSpec, Request, StatsSnapshot};
-    use std::collections::BTreeMap;
+    use gre_core::{ModelIndex, RangeSpec, Request};
 
-    /// A minimal reference backend for replay tests.
-    #[derive(Default)]
-    struct MapIndex(BTreeMap<u64, u64>);
-
-    impl Index<u64> for MapIndex {
-        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-            for &(k, v) in entries {
-                self.0.insert(k, v);
-            }
-        }
-        fn get(&self, key: u64) -> Option<Payload> {
-            self.0.get(&key).copied()
-        }
-        fn insert(&mut self, key: u64, value: Payload) -> bool {
-            self.0.insert(key, value).is_none()
-        }
-        fn remove(&mut self, key: u64) -> Option<Payload> {
-            self.0.remove(&key)
-        }
-        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-            out.extend(
-                self.0
-                    .range(spec.start..)
-                    .take(spec.count)
-                    .map(|(&k, &v)| (k, v)),
-            );
-            out.len()
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn memory_usage(&self) -> usize {
-            0
-        }
-        fn stats(&self) -> StatsSnapshot {
-            StatsSnapshot::default()
-        }
-        fn meta(&self) -> IndexMeta {
-            IndexMeta {
-                name: "map",
-                learned: false,
-                concurrent: false,
-                supports_delete: true,
-                supports_range: true,
-            }
-        }
+    fn model_backend() -> MutexIndex<ModelIndex> {
+        MutexIndex::new(ModelIndex::default(), "model")
     }
 
-    fn map_backend() -> MutexIndex<MapIndex> {
-        MutexIndex::new(MapIndex::default(), "map")
-    }
-
-    fn entries_of(index: &MutexIndex<MapIndex>) -> Vec<(u64, u64)> {
+    fn entries_of(index: &MutexIndex<ModelIndex>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         index.range(RangeSpec::new(0, usize::MAX), &mut out);
         out
@@ -534,7 +488,7 @@ mod tests {
         let rec = Recovery::recover(dir.path()).unwrap();
         assert!(rec.is_clean());
         assert_eq!(rec.shards[1].snapshot.as_ref().unwrap().last_seq, 1);
-        let mut index = map_backend();
+        let mut index = model_backend();
         let replayed = rec.replay_into(&mut index);
         assert_eq!(replayed, rec.replayed_ops());
         assert_eq!(entries_of(&index), expect);
@@ -552,7 +506,7 @@ mod tests {
         let shard0 = &rec.shards[0];
         assert!(matches!(shard0.stop, StopReason::TornTail { dropped } if dropped > 0));
         assert_eq!(shard0.groups.len(), 1, "only the first group survives");
-        let mut index = map_backend();
+        let mut index = model_backend();
         rec.replay_into(&mut index);
         // State as of the surviving prefix: group 2 (update/remove) is gone.
         assert_eq!(
@@ -593,7 +547,7 @@ mod tests {
         assert_eq!(shard.covered_groups, 2, "wal fully covered by snapshot");
         assert!(shard.groups.is_empty());
         assert_eq!(shard.last_seq(), 2);
-        let mut index = map_backend();
+        let mut index = model_backend();
         assert_eq!(rec.replay_into(&mut index), 0);
         assert_eq!(entries_of(&index), vec![(1, 10), (2, 20)]);
     }
@@ -626,7 +580,7 @@ mod tests {
             "corrupt snapshot = absent"
         );
         assert_eq!(rec.shards[0].groups.len(), 1);
-        let mut index = map_backend();
+        let mut index = model_backend();
         assert_eq!(rec.replay_into(&mut index), 1);
         assert_eq!(entries_of(&index), vec![(1, 10)]);
     }
@@ -719,7 +673,7 @@ mod tests {
 
         let rec = Recovery::recover(dir.path()).unwrap();
         assert!(rec.has_topology());
-        let mut index = map_backend();
+        let mut index = model_backend();
         rec.replay_into(&mut index);
         assert_eq!(
             entries_of(&index),
@@ -746,7 +700,7 @@ mod tests {
 
         let rec = Recovery::recover(dir.path()).unwrap();
         assert!(rec.has_topology());
-        let mut index = map_backend();
+        let mut index = model_backend();
         rec.replay_into(&mut index);
         assert_eq!(
             entries_of(&index),
@@ -769,7 +723,7 @@ mod tests {
 
         let rec = Recovery::recover(dir.path()).unwrap();
         assert!(rec.shards[0].groups.is_empty(), "source wal truncated");
-        let mut index = map_backend();
+        let mut index = model_backend();
         rec.replay_into(&mut index);
         assert_eq!(
             entries_of(&index),
@@ -819,7 +773,7 @@ mod tests {
         assert_eq!(par, seq, "scoped-thread replay must be deterministic");
         assert!(!par.is_empty());
         // And the public path agrees with the sequential rebuild.
-        let mut index = map_backend();
+        let mut index = model_backend();
         rec.replay_into(&mut index);
         assert_eq!(entries_of(&index), seq);
     }

@@ -25,8 +25,8 @@
 //!   groups per shard may be lost in a crash — and a group is a shard's
 //!   whole queued backlog, so under load that is many more operations than
 //!   `n - 1` sub-batches. This is the classic group-commit
-//!   latency/durability dial; the recovery benchmark quantifies the
-//!   throughput gap and prints the mean group size beside it.
+//!   latency/durability dial; the ledger's `durable_write` workload prices
+//!   both ends of it beside the mean group size.
 //! * Any sink failure **fail-stops the shard's log**: the failed group is
 //!   reported as not-logged (the pipeline answers it with a shutdown error
 //!   and executes nothing), and every later group on that shard fails too.
@@ -47,8 +47,7 @@ use gre_core::Request;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 /// How often group commits are made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +62,6 @@ pub enum SyncPolicy {
     /// sub-batches), so under load `n - 1` groups hold far more writes than
     /// `n - 1` sub-batches would.
     EveryN(u32),
-    /// Time-based group commit: a shard's unsynced groups are made durable
-    /// within `ms` milliseconds of the *first* unsynced append — by the
-    /// append path once the interval has elapsed, and by a background
-    /// flusher thread for idle shards. Acknowledged groups younger than the
-    /// interval may be lost in a crash; nothing older can be. The bound is
-    /// in time, so it does not widen when groups grow with the shard's
-    /// backlog — only the number of writes inside the window does.
-    EveryMillis(u64),
 }
 
 /// Why a group could not be logged.
@@ -120,8 +111,6 @@ struct ShardWal {
     next_seq: u64,
     /// Groups appended since the last durability barrier.
     unsynced: u32,
-    /// When the oldest unsynced append happened (drives `EveryMillis`).
-    first_unsynced: Option<Instant>,
     failed: bool,
     /// Encode scratch, reused across groups.
     buf: Vec<u8>,
@@ -131,7 +120,6 @@ impl ShardWal {
     fn barrier(&mut self) -> io::Result<()> {
         self.sink.sync()?;
         self.unsynced = 0;
-        self.first_unsynced = None;
         Ok(())
     }
 }
@@ -204,12 +192,8 @@ impl DurableLog {
         next_seqs: Option<&[u64]>,
     ) -> io::Result<Arc<DurableLog>> {
         assert!(shards > 0, "a durable log needs at least one shard");
-        match policy {
-            SyncPolicy::EveryN(n) => assert!(n > 0, "SyncPolicy::EveryN(0) would never sync"),
-            SyncPolicy::EveryMillis(ms) => {
-                assert!(ms > 0, "SyncPolicy::EveryMillis(0) is EveryGroup, use that")
-            }
-            SyncPolicy::EveryGroup => {}
+        if let SyncPolicy::EveryN(n) = policy {
+            assert!(n > 0, "SyncPolicy::EveryN(0) would never sync");
         }
         std::fs::create_dir_all(dir)?;
         write_manifest(dir, shards)?;
@@ -228,38 +212,18 @@ impl DurableLog {
                 sink,
                 next_seq: next_seqs.map_or(1, |s| s[shard]),
                 unsynced: 0,
-                first_unsynced: None,
                 failed: false,
                 buf: Vec::new(),
             }));
         }
-        let log = Arc::new(DurableLog {
+        Ok(Arc::new(DurableLog {
             dir: dir.to_path_buf(),
             shards: shard_wals,
             policy,
             registry,
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
-        });
-        if let SyncPolicy::EveryMillis(ms) = policy {
-            // Detached flusher holding only a Weak: it syncs idle shards on
-            // a tick no longer than the interval (so the loss window stays
-            // bounded by it) and exits once the log is dropped. The append
-            // path handles busy shards itself, so a tick usually finds
-            // nothing pending.
-            let weak: Weak<DurableLog> = Arc::downgrade(&log);
-            let tick = Duration::from_millis(ms.clamp(1, 50));
-            std::thread::spawn(move || loop {
-                std::thread::sleep(tick);
-                match weak.upgrade() {
-                    Some(log) => {
-                        let _ = log.sync_all();
-                    }
-                    None => break,
-                }
-            });
-        }
-        Ok(log)
+        }))
     }
 
     pub fn dir(&self) -> &Path {
@@ -298,15 +262,9 @@ impl DurableLog {
             return Err(WalError::Io(e));
         }
         wal.unsynced += 1;
-        if wal.first_unsynced.is_none() {
-            wal.first_unsynced = Some(Instant::now());
-        }
         let must_sync = match self.policy {
             SyncPolicy::EveryGroup => true,
             SyncPolicy::EveryN(n) => wal.unsynced >= n,
-            SyncPolicy::EveryMillis(ms) => wal
-                .first_unsynced
-                .is_some_and(|t| t.elapsed() >= Duration::from_millis(ms)),
         };
         let mut fsyncs = 0;
         if must_sync {
@@ -534,64 +492,6 @@ mod tests {
             .expect("snapshot readable");
         assert_eq!(snap.last_seq, 2);
         assert_eq!(snap.entries, vec![(1, 10), (7, 70)]);
-    }
-
-    #[test]
-    fn every_millis_bounds_the_loss_window_by_the_interval() {
-        let dir = TempDir::new("wal-everymillis");
-        const INTERVAL_MS: u64 = 40;
-        let log = DurableLog::create(dir.path(), 1, SyncPolicy::EveryMillis(INTERVAL_MS)).unwrap();
-        // Within the interval nothing syncs: the append path issues no
-        // barrier and the sink buffers in-process, so a crash right now
-        // would lose the group — that loss is the policy's contract.
-        let receipt = log.log_group(0, &ops(1)).unwrap();
-        assert_eq!(receipt.fsyncs, 0, "no barrier inside the interval");
-        // With no further appends, the background flusher must make the
-        // group durable within the interval (plus scheduling slack): poll
-        // the on-disk log until the record shows up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let bytes = std::fs::read(wal_path(dir.path(), 0)).unwrap();
-            if !bytes.is_empty() {
-                let rec = decode_record(&bytes, 0).unwrap();
-                assert_eq!((rec.seq, rec.ops.clone()), (1, ops(1)));
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "flusher never synced an idle shard"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // The stats counter ticks just after the barrier itself; give it
-        // the same deadline.
-        while log.stats().fsyncs == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "flusher sync never reached the stats counter"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Same bound for later windows: a second group is durable within
-        // the interval of its append, whichever path (inline or flusher)
-        // issues the barrier.
-        log.log_group(0, &ops(2)).unwrap(); // fresh window opens here
-        std::thread::sleep(Duration::from_millis(INTERVAL_MS + 10));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let bytes = std::fs::read(wal_path(dir.path(), 0)).unwrap();
-            let first = decode_record(&bytes, 0).unwrap();
-            if first.frame_len < bytes.len() {
-                let second = decode_record(&bytes, first.frame_len).unwrap();
-                assert_eq!((second.seq, second.ops.clone()), (2, ops(2)));
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "second window never became durable"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 
     #[test]

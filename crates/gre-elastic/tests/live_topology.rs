@@ -2,72 +2,22 @@
 //! and migrate against a running pipeline — quiesced exactness, concurrent
 //! traffic, WAL handoff durability, and the rollback paths.
 
-use gre_core::{ConcurrentIndex, IndexMeta, Payload, RangeSpec};
+use gre_core::index::MutexIndex;
+use gre_core::{ConcurrentIndex, ModelIndex, Payload, RangeSpec};
 use gre_durability::util::TempDir;
 use gre_durability::{DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger};
 use gre_elastic::{ElasticController, ElasticError, ElasticPolicy, TopologyKind};
 use gre_shard::{OpBatch, Partitioner, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY};
 use gre_telemetry::{CounterId, Telemetry};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 type Op = gre_core::ops::Request<u64>;
 
-/// Minimal concurrent backend: a BTreeMap behind a lock.
-#[derive(Default)]
-struct MapBackend {
-    map: RwLock<BTreeMap<u64, Payload>>,
-}
+/// The reference index behind a mutex: each shard's backend.
+type Backend = MutexIndex<ModelIndex>;
 
-impl ConcurrentIndex<u64> for MapBackend {
-    fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-        *self.map.get_mut() = entries.iter().copied().collect();
-    }
-    fn get(&self, key: u64) -> Option<Payload> {
-        self.map.read().get(&key).copied()
-    }
-    fn insert(&self, key: u64, value: Payload) -> bool {
-        self.map.write().insert(key, value).is_none()
-    }
-    fn update(&self, key: u64, value: Payload) -> bool {
-        match self.map.write().get_mut(&key) {
-            Some(v) => {
-                *v = value;
-                true
-            }
-            None => false,
-        }
-    }
-    fn remove(&self, key: u64) -> Option<Payload> {
-        self.map.write().remove(&key)
-    }
-    fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-        let map = self.map.read();
-        let before = out.len();
-        out.extend(
-            map.range(spec.start..)
-                .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-                .take(spec.count)
-                .map(|(k, v)| (*k, *v)),
-        );
-        out.len() - before
-    }
-    fn len(&self) -> usize {
-        self.map.read().len()
-    }
-    fn memory_usage(&self) -> usize {
-        self.map.read().len() * 48
-    }
-    fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "map-backend",
-            learned: false,
-            concurrent: true,
-            supports_delete: true,
-            supports_range: true,
-        }
-    }
+fn backend() -> Backend {
+    MutexIndex::new(ModelIndex::default(), "model")
 }
 
 fn entries(n: u64) -> Vec<(u64, Payload)> {
@@ -78,8 +28,8 @@ fn pipeline(
     shards: usize,
     n: u64,
     durability: Option<Arc<DurableLog>>,
-) -> Arc<ShardPipeline<MapBackend>> {
-    let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| MapBackend::default());
+) -> Arc<ShardPipeline<Backend>> {
+    let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| backend());
     idx.bulk_load(&entries(n));
     let telemetry = Telemetry::shared(shards, 3);
     Arc::new(ShardPipeline::with_services(
@@ -91,12 +41,12 @@ fn pipeline(
     ))
 }
 
-fn controller(p: &Arc<ShardPipeline<MapBackend>>) -> ElasticController<MapBackend> {
+fn controller(p: &Arc<ShardPipeline<Backend>>) -> ElasticController<Backend> {
     ElasticController::new(Arc::clone(p), ElasticPolicy::default())
 }
 
 /// Every (key, value) the composite currently holds, via a full scan.
-fn contents(index: &ShardedIndex<u64, MapBackend>) -> Vec<(u64, Payload)> {
+fn contents(index: &ShardedIndex<u64, Backend>) -> Vec<(u64, Payload)> {
     let mut out = Vec::new();
     index.range(RangeSpec::new(0, usize::MAX), &mut out);
     out
@@ -261,15 +211,7 @@ fn durable_split_survives_recovery_with_the_post_handoff_topology() {
     let dir = TempDir::new("elastic-durable-split");
     let log = DurableLog::create(dir.path(), 4, SyncPolicy::EveryGroup).unwrap();
     let p = pipeline(4, N, Some(Arc::clone(&log)));
-    // Snapshot the bulk load per shard, as a durable serve target would.
-    let partitioner = p.index().partitioner();
-    let mut per_shard: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 4];
-    for (k, v) in entries(N) {
-        per_shard[partitioner.shard_of(k)].push((k, v));
-    }
-    for (shard, chunk) in per_shard.iter().enumerate() {
-        log.checkpoint(shard, chunk).unwrap();
-    }
+    checkpoint_bulk(&log, &p.index().partitioner(), N);
 
     let ctl = controller(&p);
     let change = ctl.split_hot(2).expect("split must succeed");
@@ -284,8 +226,8 @@ fn durable_split_survives_recovery_with_the_post_handoff_topology() {
     drop(log);
     let rec = Recovery::recover(dir.path()).unwrap();
     assert!(rec.has_topology());
-    let mut recovered: ShardedIndex<u64, MapBackend> =
-        ShardedIndex::from_factory(Partitioner::range(4), |_| MapBackend::default());
+    let mut recovered: ShardedIndex<u64, Backend> =
+        ShardedIndex::from_factory(Partitioner::range(4), |_| backend());
     rec.replay_into(&mut recovered);
     assert_eq!(recovered.len(), N as usize + 1);
     assert_eq!(recovered.get(probe), Some(777));
@@ -334,7 +276,7 @@ fn wal_failure_rolls_back_and_the_source_keeps_the_range() {
 
 #[test]
 fn hash_partitioning_is_rejected_as_unsupported() {
-    let mut idx = ShardedIndex::from_factory(Partitioner::hash(4), |_| MapBackend::default());
+    let mut idx = ShardedIndex::from_factory(Partitioner::hash(4), |_| backend());
     idx.bulk_load(&entries(1_000));
     let p = Arc::new(ShardPipeline::new(Arc::new(idx), 2));
     let ctl = controller(&p);
@@ -436,8 +378,8 @@ fn a_crash_between_in_and_out_recovers_the_pre_handoff_topology() {
         rec.has_topology(),
         "the orphaned In records survived the kill"
     );
-    let mut recovered: ShardedIndex<u64, MapBackend> =
-        ShardedIndex::from_factory(Partitioner::range(4), |_| MapBackend::default());
+    let mut recovered: ShardedIndex<u64, Backend> =
+        ShardedIndex::from_factory(Partitioner::range(4), |_| backend());
     rec.replay_into(&mut recovered);
     assert_eq!(
         contents(&recovered),
@@ -476,8 +418,8 @@ fn a_torn_out_record_reads_as_absent_and_recovers_pre_handoff() {
 
     let rec = Recovery::recover(dir.path()).unwrap();
     rec.truncate_torn_tails().unwrap();
-    let mut recovered: ShardedIndex<u64, MapBackend> =
-        ShardedIndex::from_factory(Partitioner::range(4), |_| MapBackend::default());
+    let mut recovered: ShardedIndex<u64, Backend> =
+        ShardedIndex::from_factory(Partitioner::range(4), |_| backend());
     rec.replay_into(&mut recovered);
     assert_eq!(
         contents(&recovered),

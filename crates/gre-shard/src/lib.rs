@@ -21,7 +21,7 @@
 //!   all shards (access-skew resistance, at the cost of fan-out scans).
 //! * [`sharded`] — [`ShardedIndex`], the composite store. It implements
 //!   `ConcurrentIndex` itself, so every existing harness entry point
-//!   (`run_concurrent`, figure binaries, examples) serves a sharded variant
+//!   (`Driver::run`, figure binaries, examples) serves a sharded variant
 //!   unchanged; `range()` stitches cross-shard scans in key order and
 //!   `len`/`memory_usage`/`stats`/`meta` report merged values.
 //! * [`pipeline`] — [`ShardPipeline`], the batched request path:
@@ -63,7 +63,7 @@ pub mod sharded;
 
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner, Scheme};
 pub use pipeline::{
-    Backpressure, BackpressureReason, BatchResult, OpBatch, Session, ShardPipeline, SubmitHandle,
+    Backpressure, BackpressureReason, OpBatch, Session, ShardPipeline, SubmitHandle,
     DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_CAPACITY,
 };
 pub use serve::{reconcile_tally, PipelineTarget, DEFAULT_DRIVER_BATCH};

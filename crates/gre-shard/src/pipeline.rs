@@ -95,48 +95,6 @@ impl OpBatch {
     }
 }
 
-/// Aggregated outcome of one executed batch: the counter view over a slice
-/// of per-op [`Response`]s, kept for throughput reporting and as the
-/// migration target of the old merged-counters API.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchResult {
-    /// Operations executed.
-    pub ops: usize,
-    /// Lookups that found their key.
-    pub hits: usize,
-    /// Keys returned by range scans.
-    pub scanned_keys: usize,
-    /// Inserts that created a new key (as opposed to updating in place).
-    pub new_keys: usize,
-    /// Updates that found their key.
-    pub updated: usize,
-    /// Removes that found their key.
-    pub removed: usize,
-    /// Operations rejected as unsupported by the serving backend.
-    pub errors: usize,
-}
-
-impl BatchResult {
-    /// Summarize a batch's per-op responses into merged counters.
-    pub fn from_responses(responses: &[Response<u64>]) -> Self {
-        let mut r = BatchResult {
-            ops: responses.len(),
-            ..Default::default()
-        };
-        for resp in responses {
-            match resp {
-                Response::Get(found) => r.hits += usize::from(found.is_some()),
-                Response::Insert(new) => r.new_keys += usize::from(*new),
-                Response::Update(hit) => r.updated += usize::from(*hit),
-                Response::Remove(removed) => r.removed += usize::from(removed.is_some()),
-                Response::Range(entries) => r.scanned_keys += entries.len(),
-                Response::Error(_) => r.errors += 1,
-            }
-        }
-        r
-    }
-}
-
 /// A batch was rejected without being enqueued (rejection is
 /// all-or-nothing). Carries the rejected batch back to the caller for retry
 /// plus the typed [`reason`](Backpressure::reason) for the rejection.
@@ -757,12 +715,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
             guard = next;
         }
     }
-
-    /// Submit and wait: the synchronous convenience wrapper returning merged
-    /// counters (the old `submit(..).wait()` surface in one call).
-    pub fn execute(&self, batch: OpBatch) -> BatchResult {
-        BatchResult::from_responses(&self.submit(batch).wait())
-    }
 }
 
 impl<B: ConcurrentIndex<u64> + 'static> Drop for ShardPipeline<B> {
@@ -1238,68 +1190,12 @@ mod tests {
     use super::*;
     use crate::partition::Partitioner;
     use gre_core::index::MutexIndex;
-    use gre_core::{Index, IndexMeta, Payload, RangeSpec};
-    use std::collections::BTreeMap;
+    use gre_core::{Index, IndexMeta, ModelIndex, Payload, RangeSpec};
+    use gre_workloads::Tally;
 
-    /// Single-threaded BTreeMap index, wrapped per shard in MutexIndex.
-    #[derive(Default)]
-    struct MapIndex {
-        map: BTreeMap<u64, Payload>,
-    }
-
-    impl Index<u64> for MapIndex {
-        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-            self.map = entries.iter().copied().collect();
-        }
-        fn get(&self, key: u64) -> Option<Payload> {
-            self.map.get(&key).copied()
-        }
-        fn insert(&mut self, key: u64, value: Payload) -> bool {
-            self.map.insert(key, value).is_none()
-        }
-        fn update(&mut self, key: u64, value: Payload) -> bool {
-            match self.map.get_mut(&key) {
-                Some(v) => {
-                    *v = value;
-                    true
-                }
-                None => false,
-            }
-        }
-        fn remove(&mut self, key: u64) -> Option<Payload> {
-            self.map.remove(&key)
-        }
-        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-            let before = out.len();
-            out.extend(
-                self.map
-                    .range(spec.start..)
-                    .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-                    .take(spec.count)
-                    .map(|(k, v)| (*k, *v)),
-            );
-            out.len() - before
-        }
-        fn len(&self) -> usize {
-            self.map.len()
-        }
-        fn memory_usage(&self) -> usize {
-            self.map.len() * 48
-        }
-        fn meta(&self) -> IndexMeta {
-            IndexMeta {
-                name: "map",
-                learned: false,
-                concurrent: false,
-                supports_delete: true,
-                supports_range: true,
-            }
-        }
-    }
-
-    fn pipeline(shards: usize, workers: usize) -> ShardPipeline<MutexIndex<MapIndex>> {
+    fn pipeline(shards: usize, workers: usize) -> ShardPipeline<MutexIndex<ModelIndex>> {
         let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
+            MutexIndex::new(ModelIndex::default(), "model-shard")
         });
         let entries: Vec<(u64, Payload)> = (0..4_000u64).map(|i| (i * 2, i)).collect();
         idx.bulk_load(&entries);
@@ -1340,7 +1236,7 @@ mod tests {
                 Response::Range(vec![(6, 3), (8, 4)]),
             ]
         );
-        let r = BatchResult::from_responses(&responses);
+        let r = Tally::of(&responses);
         assert_eq!(r.ops, 10);
         assert_eq!(r.hits, 1);
         assert_eq!(r.new_keys, 1);
@@ -1386,7 +1282,10 @@ mod tests {
         assert_eq!(handle.try_take(), Some(vec![]));
         // Results can only be taken once.
         assert_eq!(handle.try_take(), None);
-        assert_eq!(p.execute(OpBatch::default()), BatchResult::default());
+        assert_eq!(
+            Tally::of(&p.submit(OpBatch::default()).wait()),
+            Tally::default()
+        );
     }
 
     #[test]
@@ -1425,7 +1324,7 @@ mod tests {
         for round in 0..100u64 {
             p.submit(OpBatch::new(vec![Op::Insert(0, round)]));
         }
-        let r = p.execute(OpBatch::new(vec![Op::Get(0)]));
+        let r = Tally::of(&p.submit(OpBatch::new(vec![Op::Get(0)])).wait());
         assert_eq!(r.hits, 1);
         assert_eq!(p.index().get(0), Some(99));
     }
@@ -1457,7 +1356,7 @@ mod tests {
     fn unsupported_ops_answer_errors_not_silence() {
         // A backend without delete or range support: remove/scan requests
         // must fail loudly per-op while the rest of the batch executes.
-        struct NoDeleteIndex(MapIndex);
+        struct NoDeleteIndex(ModelIndex);
         impl Index<u64> for NoDeleteIndex {
             fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
                 self.0.bulk_load(entries);
@@ -1493,7 +1392,7 @@ mod tests {
         }
 
         let mut idx = ShardedIndex::from_factory(Partitioner::range(2), |_| {
-            MutexIndex::new(NoDeleteIndex(MapIndex::default()), "nodelete")
+            MutexIndex::new(NoDeleteIndex(ModelIndex::default()), "nodelete")
         });
         let entries: Vec<(u64, Payload)> = (0..100u64).map(|i| (i, i)).collect();
         idx.bulk_load(&entries);
@@ -1510,7 +1409,7 @@ mod tests {
         assert!(responses[2].is_error(), "range must be rejected");
         // The rejected remove really did not execute.
         assert_eq!(p.index().get(1), Some(1));
-        assert_eq!(BatchResult::from_responses(&responses).errors, 2);
+        assert_eq!(Tally::of(&responses).errors, 2);
     }
 
     #[test]
@@ -1527,7 +1426,7 @@ mod tests {
                                 Op::Insert(k, k)
                             })
                             .collect();
-                        let r = p.execute(OpBatch::new(ops));
+                        let r = Tally::of(&p.submit(OpBatch::new(ops)).wait());
                         assert_eq!(r.new_keys, 50);
                     }
                 });
@@ -1616,30 +1515,22 @@ mod tests {
 
     #[test]
     fn durable_pipeline_group_commits_writes_before_execution() {
+        use crate::serve::PipelineTarget;
         use gre_durability::util::TempDir;
-        use gre_durability::{DurableLog, Recovery, SyncPolicy};
+        use gre_durability::{Recovery, SyncPolicy};
+        use gre_workloads::ServeTarget;
 
         let tmp = TempDir::new("pipeline-wal");
-        let shards = 4usize;
-        let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
+        let idx = ShardedIndex::from_factory(Partitioner::range(4), |_| {
+            MutexIndex::new(ModelIndex::default(), "model-shard")
         });
+        // The durable target checkpoints the bulk load, which bypasses the
+        // pipeline, so recovery starts from the loaded state.
+        let mut target =
+            PipelineTarget::new(idx, 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
         let entries: Vec<(u64, Payload)> = (0..1_000u64).map(|i| (i * 2, i)).collect();
-        idx.bulk_load(&entries);
-        let log = DurableLog::create(tmp.path(), shards, SyncPolicy::EveryGroup).unwrap();
-        // The bulk load bypasses the pipeline: checkpoint it so recovery
-        // starts from the loaded state.
-        let partitioner = Partitioner::range(shards);
-        for shard in 0..shards {
-            let mine: Vec<(u64, Payload)> = entries
-                .iter()
-                .copied()
-                .filter(|&(k, _)| partitioner.shard_of(k) == shard)
-                .collect();
-            log.checkpoint(shard, &mine).unwrap();
-        }
-        let p =
-            ShardPipeline::with_services(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, None, Some(log));
+        target.load(&entries);
+        let p = target.pipeline_handle().expect("loaded");
         assert!(p.durability().is_some());
         // Mixed batches: reads must not be logged, writes must all be.
         for b in 0..20u64 {
@@ -1656,12 +1547,12 @@ mod tests {
         let live = Arc::clone(p.index());
         let stats = p.durability().unwrap().stats();
         assert!(stats.appends > 0 && stats.fsyncs > 0);
-        drop(p);
+        drop((p, target));
 
         // Crash-equivalent check: rebuild purely from disk and compare.
         let rec = Recovery::recover(tmp.path()).unwrap();
         assert!(rec.is_clean());
-        let mut replayed = MutexIndex::new(MapIndex::default(), "replayed");
+        let mut replayed = MutexIndex::new(ModelIndex::default(), "replayed");
         rec.replay_into(&mut replayed);
         assert_eq!(replayed.len(), live.len());
         for k in (0..1_000u64)
@@ -1681,7 +1572,7 @@ mod tests {
         let tmp = TempDir::new("pipeline-wal-telemetry");
         let shards = 2usize;
         let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
+            MutexIndex::new(ModelIndex::default(), "model-shard")
         });
         idx.bulk_load(&[(0, 0), (u64::MAX / 2 + 1, 1)]);
         let log = DurableLog::create(tmp.path(), shards, SyncPolicy::EveryGroup).unwrap();
@@ -1721,7 +1612,7 @@ mod tests {
         let tmp = TempDir::new("pipeline-wal-depth1");
         let high = u64::MAX / 2 + 1;
         let mut idx = ShardedIndex::from_factory(Partitioner::range(2), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
+            MutexIndex::new(ModelIndex::default(), "model-shard")
         });
         idx.bulk_load(&[(0, 0), (high, 0)]);
         let log = DurableLog::create(tmp.path(), 2, SyncPolicy::EveryGroup).unwrap();
@@ -1750,7 +1641,7 @@ mod tests {
     /// past that job's log and busy, so whatever the test submits meanwhile
     /// is one backlog when the worker comes back.
     struct GatedIndex {
-        map: MapIndex,
+        map: ModelIndex,
         gate: Arc<WriteGate>,
     }
 
@@ -1843,7 +1734,7 @@ mod tests {
         let idx = ShardedIndex::from_factory(Partitioner::range(1), |_| {
             MutexIndex::new(
                 GatedIndex {
-                    map: MapIndex::default(),
+                    map: ModelIndex::default(),
                     gate: Arc::clone(&gate),
                 },
                 "gated",
@@ -1856,7 +1747,7 @@ mod tests {
 
     /// The store a restart would rebuild from the log directory `dir`.
     fn recovered_entries(dir: &std::path::Path) -> Vec<(u64, Payload)> {
-        let mut replayed = MutexIndex::new(MapIndex::default(), "replayed");
+        let mut replayed = MutexIndex::new(ModelIndex::default(), "replayed");
         gre_durability::Recovery::recover(dir)
             .unwrap()
             .replay_into(&mut replayed);
@@ -2045,7 +1936,7 @@ mod tests {
         // One worker, one shard, tiny queue: saturate it and verify accepted
         // batches all execute while rejected ones come back intact.
         let mut idx = ShardedIndex::from_factory(Partitioner::range(1), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
+            MutexIndex::new(ModelIndex::default(), "model-shard")
         });
         idx.bulk_load(&[(0, 0)]);
         let p = ShardPipeline::with_services(Arc::new(idx), 1, 2, None, None);
@@ -2098,7 +1989,7 @@ mod tests {
         assert_eq!(p.index().len(), 4_000 + 200);
         // Barriers leave the depth gauges balanced: the pipeline still
         // accepts and serves work afterwards.
-        let r = p.execute(OpBatch::new(vec![Op::Get(300_001)]));
+        let r = Tally::of(&p.submit(OpBatch::new(vec![Op::Get(300_001)])).wait());
         assert_eq!(r.hits, 1);
     }
 
@@ -2120,10 +2011,13 @@ mod tests {
         }
         // …while disjoint traffic flows untouched (serving never pauses
         // globally).
-        let r = p.execute(OpBatch::new(vec![
-            Op::Get(0),
-            Op::Range(RangeSpec::bounded(0, 3_999, 10)),
-        ]));
+        let r = Tally::of(
+            &p.submit(OpBatch::new(vec![
+                Op::Get(0),
+                Op::Range(RangeSpec::bounded(0, 3_999, 10)),
+            ]))
+            .wait(),
+        );
         assert_eq!(r.errors, 0);
         assert_eq!(r.hits, 1);
         // After the routing swap commits, the same batch goes through — and

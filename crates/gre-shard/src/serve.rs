@@ -23,41 +23,15 @@
 //! Serving a closed-loop mixed phase through the batched pipeline path:
 //!
 //! ```
-//! # use gre_core::{Index, IndexMeta, Payload, RangeSpec};
-//! # use std::collections::BTreeMap;
-//! # #[derive(Default)]
-//! # struct Toy(BTreeMap<u64, Payload>);
-//! # impl Index<u64> for Toy {
-//! #     fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-//! #         self.0 = entries.iter().copied().collect();
-//! #     }
-//! #     fn get(&self, key: u64) -> Option<Payload> { self.0.get(&key).copied() }
-//! #     fn insert(&mut self, key: u64, value: Payload) -> bool {
-//! #         self.0.insert(key, value).is_none()
-//! #     }
-//! #     fn remove(&mut self, key: u64) -> Option<Payload> { self.0.remove(&key) }
-//! #     fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-//! #         let before = out.len();
-//! #         out.extend(self.0.range(spec.start..)
-//! #             .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-//! #             .take(spec.count).map(|(k, v)| (*k, *v)));
-//! #         out.len() - before
-//! #     }
-//! #     fn len(&self) -> usize { self.0.len() }
-//! #     fn memory_usage(&self) -> usize { 0 }
-//! #     fn meta(&self) -> IndexMeta {
-//! #         IndexMeta { name: "toy", learned: false, concurrent: false,
-//! #                     supports_delete: true, supports_range: true }
-//! #     }
-//! # }
 //! use gre_core::index::MutexIndex;
+//! use gre_core::ModelIndex;
 //! use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 //! use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 //! use gre_workloads::Driver;
 //!
 //! // Four range shards, each its own backend instance.
 //! let store = ShardedIndex::from_factory(Partitioner::range(4), |_| {
-//!     MutexIndex::new(Toy::default(), "toy-shard")
+//!     MutexIndex::new(ModelIndex::default(), "model-shard")
 //! });
 //!
 //! let keys: Vec<u64> = (1..=2_000u64).map(|i| i * 8).collect();
@@ -234,7 +208,8 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
     /// attach it to the pipeline, so every served write is group-committed
     /// before it executes. If `dir` already holds a durable history from a
     /// previous incarnation, load restores it instead of the bulk entries
-    /// (a restart) and resumes the log where it left off, recording the
+    /// (a restart), resumes the log where it left off and checkpoints every
+    /// shard under the routing refit from the restored keys, recording the
     /// replayed op count as `recovery_replayed_ops` when instrumented; a
     /// history load cannot read is a panic, never a fresh start over it.
     /// See `gre-durability` and `docs/DURABILITY.md`.
@@ -292,10 +267,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
             .expect("load() must run before the worker pool is spawned");
         // Durable targets either restore a previous incarnation's on-disk
         // state (a restart: the durable history supersedes the bulk
-        // entries) or open a fresh log and checkpoint the bulk load into
-        // per-shard snapshots — the loaded keys never pass through the
-        // pipeline, so without the checkpoint a recovery would replay an
-        // empty store.
+        // entries) or open a fresh log over the bulk load.
         let durability = if let Some(cfg) = self.durability.as_mut() {
             let log = match Recovery::recover(&cfg.dir) {
                 Ok(rec) => {
@@ -305,53 +277,42 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
                             .stripe(0)
                             .add(CounterId::RecoveryReplayedOps, replayed);
                     }
-                    let log = rec
-                        .resume(cfg.policy)
-                        .expect("durable target: cannot resume the write-ahead log");
-                    // A replayed history containing range handoffs gets
-                    // checkpointed immediately: the bulk load above refit
-                    // the routing from the recovered data, so the old
-                    // In/Out records no longer describe this incarnation's
-                    // topology and must not survive into a second crash.
-                    if rec.has_topology() {
-                        let partitioner = index.partitioner();
-                        for shard in 0..index.num_shards() {
-                            let backend = index.backend(shard);
-                            let mut entries = Vec::with_capacity(backend.len());
-                            backend.range(gre_core::RangeSpec::new(0, backend.len()), &mut entries);
-                            // Defensive: only this shard's keys (a backend
-                            // scan may overrun under exotic partitioners).
-                            entries.retain(|&(k, _)| partitioner.shard_of(k) == shard);
-                            log.checkpoint(shard, &entries)
-                                .expect("durable target: cannot checkpoint the recovered topology");
-                        }
-                    }
-                    log
+                    rec.resume(cfg.policy)
+                        .expect("durable target: cannot resume the write-ahead log")
                 }
                 // Only a missing manifest means a fresh directory: creating
                 // the log over a history it cannot read would rewrite the
                 // manifest and truncate every acknowledged shard WAL.
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     index.bulk_load(entries);
-                    let log = DurableLog::create(&cfg.dir, index.num_shards(), cfg.policy)
-                        .expect("durable target: cannot create the write-ahead log");
-                    let partitioner = index.partitioner();
-                    let mut per_shard: Vec<Vec<(u64, Payload)>> =
-                        vec![Vec::new(); index.num_shards()];
-                    for &(k, v) in entries {
-                        per_shard[partitioner.shard_of(k)].push((k, v));
-                    }
-                    for (shard, entries) in per_shard.iter().enumerate() {
-                        log.checkpoint(shard, entries)
-                            .expect("durable target: cannot checkpoint the bulk load");
-                    }
-                    log
+                    DurableLog::create(&cfg.dir, index.num_shards(), cfg.policy)
+                        .expect("durable target: cannot create the write-ahead log")
                 }
                 Err(e) => panic!(
                     "durable target: cannot recover the write-ahead log in {}: {e}",
                     cfg.dir.display()
                 ),
             };
+            // Checkpoint every shard before serving. A fresh load never
+            // passed through the pipeline, so without it a recovery would
+            // replay an empty store. A restart's bulk load refit the routing
+            // from the recovered keys, so a key may now belong to another
+            // shard than the one whose WAL holds its history: recovery
+            // applies shards' writes in shard order, so a new write logged
+            // under the new shard would lose to an old one left under a
+            // higher shard, and stale range handoffs must not survive into a
+            // second crash either.
+            let partitioner = index.partitioner();
+            for shard in 0..index.num_shards() {
+                let backend = index.backend(shard);
+                let mut entries = Vec::with_capacity(backend.len());
+                backend.range(gre_core::RangeSpec::new(0, backend.len()), &mut entries);
+                // Defensive: only this shard's keys (a backend scan may
+                // overrun under exotic partitioners).
+                entries.retain(|&(k, _)| partitioner.shard_of(k) == shard);
+                log.checkpoint(shard, &entries)
+                    .expect("durable target: cannot checkpoint the loaded state");
+            }
             cfg.log = Some(Arc::clone(&log));
             Some(log)
         } else {
@@ -460,69 +421,13 @@ mod tests {
     use super::*;
     use crate::partition::Partitioner;
     use gre_core::index::MutexIndex;
-    use gre_core::{Index, IndexMeta, RangeSpec};
+    use gre_core::{ModelIndex, RangeSpec};
     use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
     use gre_workloads::Driver;
-    use std::collections::BTreeMap;
 
-    #[derive(Default)]
-    struct MapIndex {
-        map: BTreeMap<u64, Payload>,
-    }
-
-    impl Index<u64> for MapIndex {
-        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-            self.map = entries.iter().copied().collect();
-        }
-        fn get(&self, key: u64) -> Option<Payload> {
-            self.map.get(&key).copied()
-        }
-        fn insert(&mut self, key: u64, value: Payload) -> bool {
-            self.map.insert(key, value).is_none()
-        }
-        fn update(&mut self, key: u64, value: Payload) -> bool {
-            match self.map.get_mut(&key) {
-                Some(v) => {
-                    *v = value;
-                    true
-                }
-                None => false,
-            }
-        }
-        fn remove(&mut self, key: u64) -> Option<Payload> {
-            self.map.remove(&key)
-        }
-        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-            let before = out.len();
-            out.extend(
-                self.map
-                    .range(spec.start..)
-                    .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-                    .take(spec.count)
-                    .map(|(k, v)| (*k, *v)),
-            );
-            out.len() - before
-        }
-        fn len(&self) -> usize {
-            self.map.len()
-        }
-        fn memory_usage(&self) -> usize {
-            self.map.len() * 48
-        }
-        fn meta(&self) -> IndexMeta {
-            IndexMeta {
-                name: "map",
-                learned: false,
-                concurrent: false,
-                supports_delete: true,
-                supports_range: true,
-            }
-        }
-    }
-
-    fn sharded(shards: usize) -> ShardedIndex<u64, MutexIndex<MapIndex>> {
+    fn sharded(shards: usize) -> ShardedIndex<u64, MutexIndex<ModelIndex>> {
         ShardedIndex::from_factory(Partitioner::range(shards), |_| {
-            MutexIndex::new(MapIndex::default(), "map-shard")
+            MutexIndex::new(ModelIndex::default(), "model-shard")
         })
     }
 
@@ -611,35 +516,63 @@ mod tests {
         }
     }
 
+    /// A restart restores the previous incarnation's served state, not the
+    /// bulk entries. Its bulk load refits the range boundaries, so a key can
+    /// move to a lower shard than the one whose WAL holds its history, and
+    /// recovery applies shards' writes in shard order: the restart
+    /// checkpoints every shard, so the moved key's next write survives the
+    /// next crash instead of losing to its old one.
     #[test]
     fn durable_target_restores_a_previous_incarnation_on_load() {
         use gre_durability::util::TempDir;
-        use gre_telemetry::CounterId;
 
         let tmp = TempDir::new("serve-restart");
-        let mut target =
-            PipelineTarget::new(sharded(2), 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
-        let result = Driver::new().run(&scenario(2_000, 2), &mut target);
-        assert_eq!(result.phases[0].tally.errors, 0);
-        let mut before = Vec::new();
-        target
-            .index()
-            .range(RangeSpec::new(0, usize::MAX), &mut before);
+        let incarnation = |entries: &[(u64, Payload)]| {
+            let mut target = PipelineTarget::new(sharded(2), 2, 64, 0)
+                .durable(tmp.path(), SyncPolicy::EveryGroup)
+                .instrumented_with(|c| c.without_trace());
+            target.load(entries);
+            target
+        };
+        let serve = |target: &PipelineTarget<MutexIndex<ModelIndex>>, ops: Vec<Op>| {
+            let pipeline = target.pipeline_handle().expect("loaded");
+            let responses = pipeline.submit(OpBatch::new(ops)).wait();
+            assert!(responses.iter().all(|r| !r.is_error()), "{responses:?}");
+        };
+        let stored = |target: &PipelineTarget<MutexIndex<ModelIndex>>| {
+            let mut entries = Vec::new();
+            target
+                .index()
+                .range(RangeSpec::new(0, usize::MAX), &mut entries);
+            entries
+        };
+
+        let bulk: Vec<(u64, Payload)> = (1..=1_000u64).map(|k| (k, k)).collect();
+        let target = incarnation(&bulk);
+        assert_eq!(target.index().shard_of(600), 1);
+        let mut ops = vec![Op::Update(600, 1), Op::Remove(5)];
+        ops.extend((2_000..3_000u64).map(|k| Op::Insert(k, k)));
+        serve(&target, ops);
+        let before = stored(&target);
         drop(target); // the pipeline joins and syncs the log
 
         // A fresh target on the same directory restarts from the durable
         // history: the recovered state supersedes the bulk entries.
-        let mut target = PipelineTarget::new(sharded(2), 2, 64, 0)
-            .durable(tmp.path(), SyncPolicy::EveryGroup)
-            .instrumented_with(|c| c.without_trace());
-        target.load(&[(1, 1)]); // ignored: the durable history wins
-        let mut after = Vec::new();
-        target
-            .index()
-            .range(RangeSpec::new(0, usize::MAX), &mut after);
-        assert_eq!(after, before, "restart must restore the served state");
+        let target = incarnation(&[(1, 1)]);
+        assert_eq!(
+            stored(&target),
+            before,
+            "restart must restore the served state"
+        );
         let snap = target.telemetry().expect("instrumented").snapshot();
         assert!(snap.counter(CounterId::RecoveryReplayedOps) > 0);
+        assert_eq!(target.index().shard_of(600), 0, "the refit moved key 600");
+        serve(&target, vec![Op::Update(600, 2)]);
+        drop(target);
+
+        let target = incarnation(&[]);
+        assert_eq!(target.index().get(600), Some(2), "a stale write came back");
+        assert_eq!(target.index().len(), 1_999);
     }
 
     #[test]

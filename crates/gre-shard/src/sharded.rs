@@ -5,7 +5,7 @@
 //! every key to exactly one shard, so point operations touch one backend and
 //! scale past the internal lock granularity of any single instance. The
 //! composite itself implements [`ConcurrentIndex`], which means it drops into
-//! every existing harness entry point (`run_concurrent`, the figure binaries,
+//! every existing harness entry point (`Driver::run`, the figure binaries,
 //! the examples) unchanged — sharding composes with, rather than replaces,
 //! the backends.
 //!
@@ -601,71 +601,19 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::RwLock;
-    use std::collections::BTreeMap;
+    use gre_core::index::MutexIndex;
+    use gre_core::ModelIndex;
 
-    /// Minimal concurrent backend for unit tests: a BTreeMap behind a lock.
-    #[derive(Default)]
-    struct MapBackend {
-        map: RwLock<BTreeMap<u64, Payload>>,
-    }
-
-    impl ConcurrentIndex<u64> for MapBackend {
-        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-            *self.map.get_mut() = entries.iter().copied().collect();
-        }
-        fn get(&self, key: u64) -> Option<Payload> {
-            self.map.read().get(&key).copied()
-        }
-        fn insert(&self, key: u64, value: Payload) -> bool {
-            self.map.write().insert(key, value).is_none()
-        }
-        fn update(&self, key: u64, value: Payload) -> bool {
-            let mut map = self.map.write();
-            match map.get_mut(&key) {
-                Some(v) => {
-                    *v = value;
-                    true
-                }
-                None => false,
-            }
-        }
-        fn remove(&self, key: u64) -> Option<Payload> {
-            self.map.write().remove(&key)
-        }
-        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-            let map = self.map.read();
-            let before = out.len();
-            out.extend(
-                map.range(spec.start..)
-                    .take(spec.count)
-                    .map(|(k, v)| (*k, *v)),
-            );
-            out.len() - before
-        }
-        fn len(&self) -> usize {
-            self.map.read().len()
-        }
-        fn memory_usage(&self) -> usize {
-            self.map.read().len() * 48
-        }
-        fn meta(&self) -> IndexMeta {
-            IndexMeta {
-                name: "map-backend",
-                learned: false,
-                concurrent: true,
-                supports_delete: true,
-                supports_range: true,
-            }
-        }
+    fn backend() -> MutexIndex<ModelIndex> {
+        MutexIndex::new(ModelIndex::default(), "model")
     }
 
     fn entries(n: u64) -> Vec<(u64, Payload)> {
         (0..n).map(|i| (i * 7, i)).collect()
     }
 
-    fn sharded(partitioner: Partitioner<u64>) -> ShardedIndex<u64, MapBackend> {
-        ShardedIndex::from_factory(partitioner, |_| MapBackend::default())
+    fn sharded(partitioner: Partitioner<u64>) -> ShardedIndex<u64, MutexIndex<ModelIndex>> {
+        ShardedIndex::from_factory(partitioner, |_| backend())
     }
 
     #[test]
@@ -825,8 +773,11 @@ mod tests {
         assert!(!meta.learned);
         assert_eq!(idx.num_shards(), 4);
         assert_eq!(idx.partitioner().scheme(), "range");
-        // Stats merge across shards (MapBackend reports none — defaults).
-        assert_eq!(idx.stats().counters.inserts, 0);
+        // Stats merge across shards: fresh keys spread over all four add up.
+        for k in 0..10u64 {
+            assert!(idx.insert(k * 1_400 + 1, k));
+        }
+        assert_eq!(idx.stats().counters.inserts, 10);
     }
 
     #[test]
@@ -842,7 +793,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one backend per shard")]
     fn mismatched_backend_count_panics() {
-        let _ = ShardedIndex::new(Partitioner::<u64>::range(4), vec![MapBackend::default()]);
+        let _ = ShardedIndex::new(Partitioner::<u64>::range(4), vec![backend()]);
     }
 
     #[test]
@@ -852,7 +803,7 @@ mod tests {
         let partitioner = Partitioner::<u64>::hash(3);
         let mut idx: ShardedIndex<u64, Box<dyn ConcurrentIndex<u64>>> =
             ShardedIndex::from_factory(partitioner, |_| {
-                Box::new(MapBackend::default()) as Box<dyn ConcurrentIndex<u64>>
+                Box::new(backend()) as Box<dyn ConcurrentIndex<u64>>
             });
         idx.bulk_load(&entries(1_000));
         assert_eq!(idx.len(), 1_000);

@@ -11,11 +11,13 @@
 
 use gre_core::{ConcurrentIndex, IndexError, Payload, Response};
 use gre_durability::util::TempDir;
-use gre_durability::{DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger};
+use gre_durability::{
+    DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger, WalError,
+};
 use gre_learned::AlexPlus;
-use gre_shard::{OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex};
+use gre_shard::{OpBatch, Partitioner, PipelineTarget, Session, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
-use gre_workloads::Op;
+use gre_workloads::{Op, ServeTarget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -72,21 +74,19 @@ fn random_write_or_get(rng: &mut StdRng) -> Op {
     }
 }
 
-/// The bulk load bypasses the pipeline; checkpoint it per shard so recovery
-/// starts from the loaded state.
-fn checkpoint_bulk_load(
+/// Checkpoint `shard` of `idx` as `entries` (the whole store) has it.
+fn checkpoint_shard(
     log: &DurableLog,
     idx: &ShardedIndex<u64, DynBackend>,
-    bulk: &[(u64, Payload)],
-) {
-    for shard in 0..SHARDS {
-        let mine: Vec<(u64, Payload)> = bulk
-            .iter()
-            .copied()
-            .filter(|&(k, _)| idx.partitioner().shard_of(k) == shard)
-            .collect();
-        log.checkpoint(shard, &mine).unwrap();
-    }
+    entries: &[(u64, Payload)],
+    shard: usize,
+) -> Result<(), WalError> {
+    let mine: Vec<(u64, Payload)> = entries
+        .iter()
+        .copied()
+        .filter(|&(k, _)| idx.shard_of(k) == shard)
+        .collect();
+    log.checkpoint(shard, &mine)
 }
 
 /// Rebuild a single flat backend purely from the on-disk state (shards
@@ -97,7 +97,7 @@ fn assert_disk_matches_model(
     factory: BackendFactory,
     model: &BTreeMap<u64, Payload>,
     ctx: &str,
-) -> Recovery {
+) {
     let rec = Recovery::recover(dir).unwrap();
     let mut rebuilt = factory();
     rec.replay_into(&mut *rebuilt);
@@ -105,7 +105,6 @@ fn assert_disk_matches_model(
     for (&k, &v) in model {
         assert_eq!(rebuilt.get(k), Some(v), "{ctx}: key {k}");
     }
-    rec
 }
 
 /// Batches a [`serve_pipelined`] client keeps in flight: deep enough that a
@@ -163,8 +162,12 @@ fn serve_pipelined(
 /// whose WAL crashes at a scripted failpoint, "kill" the process (drop the
 /// pipeline; the injected sink has already dropped whatever a real crash
 /// would lose), then recover from disk and demand exact accepted-op
-/// equivalence. Returns the number of refused ops so callers can assert the
-/// crash actually bit.
+/// equivalence. Halfway through the stream, with the session drained,
+/// shard 0 is checkpointed, so recovery also reconciles a mid-stream
+/// snapshot (and a truncate failpoint lands between its rename and its WAL
+/// truncate). Then the store restarts on the crashed directory, twice, and
+/// each restart's writes must recover exactly too. Returns the number of
+/// refused ops so callers can assert the crash actually bit.
 fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, FailAction)) -> usize {
     let (point, trigger, action) = script;
     let ctx = format!("{name}/{point:?}");
@@ -184,11 +187,27 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
         Arc::clone(&registry),
     )
     .unwrap();
-    checkpoint_bulk_load(&log, &idx, &bulk);
+    // The bulk load bypasses the pipeline; checkpoint it per shard so
+    // recovery starts from the loaded state.
+    for shard in 0..SHARDS {
+        checkpoint_shard(&log, &idx, &bulk, shard).unwrap();
+    }
 
     let pipeline = ShardPipeline::with_services(Arc::new(idx), 2, 64, None, Some(Arc::clone(&log)));
     let mut rng = StdRng::seed_from_u64(0xC4A54u64 ^ point.len() as u64);
-    let served = serve_pipelined(&pipeline, &mut rng, 40, &mut model, &ctx);
+    let mut served = serve_pipelined(&pipeline, &mut rng, 20, &mut model, &ctx);
+    let entries: Vec<(u64, Payload)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+    match checkpoint_shard(&log, pipeline.index(), &entries, 0) {
+        Ok(()) => {}
+        // A shard the fault already fail-stopped refuses the checkpoint…
+        Err(WalError::Failed) if log.is_failed(0) => {}
+        // …and a scripted truncate crash lands inside it.
+        Err(WalError::Io(_)) if point == "wal/0/truncate" && registry.fired(point) => {}
+        Err(e) => panic!("{ctx}: mid-stream checkpoint failed: {e}"),
+    }
+    let rest = serve_pipelined(&pipeline, &mut rng, 20, &mut model, &ctx);
+    served.refused += rest.refused;
+    served.logged_sub_batches += rest.logged_sub_batches;
     assert!(
         registry.fired(point),
         "{ctx}: the scripted failpoint never fired — the scenario is vacuous"
@@ -206,23 +225,30 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     // The live in-memory state never ran ahead of the log (fail-stop)…
     assert_eq!(live.len(), model.len(), "{ctx}: live size");
     // …and the state rebuilt purely from disk is the accepted-op model.
-    let rec = assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
+    assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
 
-    // Recover-and-continue: resume the log (torn tails truncated, per-shard
-    // seqs intact), serve more writes durably, and the *next* recovery must
-    // still be exact — crash damage does not compound.
-    let resumed = rec.resume(SyncPolicy::EveryGroup).unwrap();
-    let mut idx2 = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
-    let entries: Vec<(u64, Payload)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-    idx2.bulk_load(&entries);
-    let pipeline = ShardPipeline::with_services(Arc::new(idx2), 2, 64, None, Some(resumed));
-    let resumed = serve_pipelined(&pipeline, &mut rng, 10, &mut model, &ctx);
-    assert_eq!(
-        resumed.refused, 0,
-        "{ctx}: resumed log must accept every group"
-    );
-    drop(pipeline);
-    assert_disk_matches_model(tmp.path(), factory, &model, &format!("{ctx}/resumed"));
+    // Recover-and-continue, twice, through the durable serve target's
+    // restart: replay into a fresh composite (whose bulk load refits the
+    // shard boundaries, moving keys between shards), resume the log with
+    // torn tails truncated, checkpoint every shard under the new routing,
+    // serve more writes, kill again. Each next recovery must still be
+    // exact: crash damage does not compound, and no write left under a
+    // key's old shard outlives a newer one under its new shard.
+    for restart in 1..=2 {
+        let ctx = format!("{ctx}/restart-{restart}");
+        let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+        let mut target =
+            PipelineTarget::new(idx, 2, 32, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
+        target.load(&[]);
+        let pipeline = target.pipeline_handle().expect("loaded");
+        let resumed = serve_pipelined(&pipeline, &mut rng, 10, &mut model, &ctx);
+        assert_eq!(
+            resumed.refused, 0,
+            "{ctx}: resumed log must accept every group"
+        );
+        drop((pipeline, target)); // the "kill"
+        assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
+    }
     served.refused
 }
 
@@ -273,6 +299,24 @@ fn append_error_fail_stops_the_shard_and_recovers_exactly() {
     }
 }
 
+/// A crash between the mid-stream checkpoint's snapshot rename and its WAL
+/// truncate (hit 1 is the bulk-load checkpoint's truncate): recovery sees a
+/// fresh snapshot beside a stale WAL and must skip the records it covers.
+#[test]
+fn checkpoint_racing_a_crash_recovers_to_accepted_state() {
+    for (name, factory) in backends() {
+        let refused = crash_round(
+            name,
+            factory,
+            ("wal/0/truncate", Trigger::OnHit(2), FailAction::Crash),
+        );
+        assert!(
+            refused > 0,
+            "{name}: the crashed shard must refuse later ops"
+        );
+    }
+}
+
 #[test]
 fn crash_at_byte_offset_recovers_to_accepted_state() {
     for (name, factory) in backends() {
@@ -314,13 +358,13 @@ fn shutdown_with_backlog_refuses_only_what_no_record_covers() {
         for burst in [8usize, 12, 16, 24, 32] {
             let ctx = format!("{name}/shutdown-behind-{burst}");
             let tmp = TempDir::new("durable-shutdown");
-            let mut idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+            let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+            let mut target =
+                PipelineTarget::new(idx, 2, 32, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
             let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 7, i)).collect();
-            idx.bulk_load(&bulk);
+            target.load(&bulk);
             let mut model: BTreeMap<u64, Payload> = bulk.iter().copied().collect();
-            let log = DurableLog::create(tmp.path(), SHARDS, SyncPolicy::EveryGroup).unwrap();
-            checkpoint_bulk_load(&log, &idx, &bulk);
-            let pipeline = ShardPipeline::with_services(Arc::new(idx), 2, 64, None, Some(log));
+            let pipeline = target.pipeline_handle().expect("loaded");
 
             let mut rng = StdRng::seed_from_u64(0x5D0u64 + burst as u64);
             let mut batch =
@@ -356,7 +400,7 @@ fn shutdown_with_backlog_refuses_only_what_no_record_covers() {
                 "{ctx}: both outcomes occur"
             );
             let live = Arc::clone(pipeline.index());
-            drop(pipeline);
+            drop((pipeline, target));
             assert_eq!(live.len(), model.len(), "{ctx}: live size");
             for (&k, &v) in &model {
                 assert_eq!(live.get(k), Some(v), "{ctx}: live key {k}");

@@ -10,7 +10,7 @@ use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_learned::AlexPlus;
 use gre_shard::{OpBatch, Partitioner, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
-use gre_workloads::Op;
+use gre_workloads::{Op, Tally};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -144,8 +144,8 @@ fn pipeline_hammer_loses_no_updates() {
                         let mut ops: Vec<Op> =
                             (0..per_batch).map(|i| Op::Insert(base + i, t)).collect();
                         ops.push(Op::Insert(500_000 + t, b));
-                        let r = pipeline.execute(OpBatch::new(ops));
-                        assert_eq!(r.new_keys as u64, per_batch + u64::from(b == 0));
+                        let r = Tally::of(&pipeline.submit(OpBatch::new(ops)).wait());
+                        assert_eq!(r.new_keys, per_batch + u64::from(b == 0));
                     }
                 });
             }

@@ -1,14 +1,14 @@
 //! The scenario driver: executes a [`Scenario`] against any serving target.
 //!
-//! The driver separates three concerns the old `run_concurrent` surface
-//! fused together:
+//! The driver separates three concerns:
 //!
 //! * **What** is offered — the scenario's phase script (see
 //!   [`scenario`](crate::scenario)).
 //! * **Where** it is served — anything implementing [`ServeTarget`]. A
 //!   blanket impl covers every bare [`ConcurrentIndex`] backend (including
-//!   the sharded composite); `gre-shard` adds targets for its batched
-//!   `ShardPipeline` and pipelined `Session` client paths.
+//!   the sharded composite); `gre-shard` adds the windowed target over its
+//!   batched `ShardPipeline`. A single-threaded [`Index`] is driven in
+//!   place by [`Driver::run_in_place`], one client on the calling thread.
 //! * **How** it is measured — per-phase, per-[`RequestKind`] latency
 //!   histograms plus an interval throughput series. Under
 //!   [`Pacing::OpenLoop`], latency is measured from each operation's
@@ -21,37 +21,12 @@
 //! pipelined session window).
 //!
 //! Driving a scenario against a bare backend (any [`ConcurrentIndex`] is a
-//! [`ServeTarget`] through the blanket impl):
+//! [`ServeTarget`] through the blanket impl), then the same traffic with
+//! one client in place on a single-threaded index:
 //!
 //! ```
-//! # use gre_core::{Index, IndexMeta, Payload, RangeSpec};
-//! # use std::collections::BTreeMap;
-//! # #[derive(Default)]
-//! # struct Toy(BTreeMap<u64, Payload>);
-//! # impl Index<u64> for Toy {
-//! #     fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-//! #         self.0 = entries.iter().copied().collect();
-//! #     }
-//! #     fn get(&self, key: u64) -> Option<Payload> { self.0.get(&key).copied() }
-//! #     fn insert(&mut self, key: u64, value: Payload) -> bool {
-//! #         self.0.insert(key, value).is_none()
-//! #     }
-//! #     fn remove(&mut self, key: u64) -> Option<Payload> { self.0.remove(&key) }
-//! #     fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-//! #         let before = out.len();
-//! #         out.extend(self.0.range(spec.start..)
-//! #             .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-//! #             .take(spec.count).map(|(k, v)| (*k, *v)));
-//! #         out.len() - before
-//! #     }
-//! #     fn len(&self) -> usize { self.0.len() }
-//! #     fn memory_usage(&self) -> usize { 0 }
-//! #     fn meta(&self) -> IndexMeta {
-//! #         IndexMeta { name: "toy", learned: false, concurrent: false,
-//! #                     supports_delete: true, supports_range: true }
-//! #     }
-//! # }
 //! use gre_core::index::MutexIndex;
+//! use gre_core::ModelIndex;
 //! use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 //! use gre_workloads::Driver;
 //!
@@ -64,24 +39,66 @@
 //!     Pacing::ClosedLoop { threads: 2 },
 //! ));
 //!
-//! // `Toy` is any `Index` impl; `MutexIndex` lifts it to `ConcurrentIndex`.
-//! let mut index = MutexIndex::new(Toy::default(), "toy");
+//! // `MutexIndex` lifts any `Index` to `ConcurrentIndex`.
+//! let mut index = MutexIndex::new(ModelIndex::default(), "model");
 //! let result = Driver::new().run(&scenario, &mut index);
 //!
 //! let phase = &result.phases[0];
 //! assert_eq!(phase.ops(), 2_000);
 //! assert_eq!(phase.tally.hits, 2_000); // read-only over loaded keys
 //! println!("{}: {:.2} Mop/s", phase.phase, phase.throughput_mops());
+//!
+//! let one_client = scenario.closed_loop(1);
+//! let result = Driver::new().run_in_place(&one_client, &mut ModelIndex::default());
+//! assert_eq!(result.phases[0].tally.hits, 2_000);
 //! ```
 
-use crate::runner::{LatencySummary, LATENCY_SAMPLE_RATE};
 use crate::scenario::{phase_stream, OpStream, Pacing, Phase, Scenario, Span};
 use crate::spec::Op;
 use gre_core::ops::RequestKind;
-use gre_core::{ConcurrentIndex, IndexMeta, KindLatency, LatencyHistogram, Payload, Response};
+use gre_core::{
+    ConcurrentIndex, Index, IndexMeta, KindLatency, LatencyHistogram, Payload, Response,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Fraction of closed-loop operations whose latency is sampled: one in
+/// every N ops (§6.1 samples to keep measurement overhead negligible). An
+/// odd prime stride avoids aliasing with the read/write interleaving
+/// pattern of the generated request streams.
+pub const LATENCY_SAMPLE_RATE: usize = 101;
+
+/// Summary statistics over a set of sampled latencies (nanoseconds).
+#[derive(Debug, Clone, Default)]
+pub struct LatencySummary {
+    pub samples: usize,
+    pub mean_ns: f64,
+    pub p50_ns: u64,
+    pub p99_ns: u64,
+    pub p999_ns: u64,
+    pub max_ns: u64,
+    pub std_ns: f64,
+}
+
+impl LatencySummary {
+    /// Build a summary from a recorded histogram (percentiles carry the
+    /// histogram's ~3% bucket resolution, mean and max are exact).
+    pub fn from_histogram(hist: &LatencyHistogram) -> Self {
+        if hist.is_empty() {
+            return LatencySummary::default();
+        }
+        LatencySummary {
+            samples: hist.count() as usize,
+            mean_ns: hist.mean(),
+            p50_ns: hist.percentile(0.50),
+            p99_ns: hist.percentile(0.99),
+            p999_ns: hist.percentile(0.999),
+            max_ns: hist.max(),
+            std_ns: hist.std_dev(),
+        }
+    }
+}
 
 /// Default width of the interval throughput series.
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(100);
@@ -89,8 +106,8 @@ pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(100);
 /// Default number of sender threads for open-loop phases.
 pub const DEFAULT_OPEN_LOOP_SENDERS: usize = 4;
 
-/// Typed-response counters accumulated over a phase (the scenario-side
-/// analogue of `gre-shard`'s per-batch counter view).
+/// Typed-response counters accumulated over a phase, or over one batch's
+/// responses ([`Tally::of`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Completed operations.
@@ -134,6 +151,15 @@ impl Tally {
                 self.shed += u64::from(*e == gre_core::IndexError::Overloaded);
             }
         }
+    }
+
+    /// The counters of a slice of responses, e.g. one executed batch.
+    pub fn of(responses: &[Response<u64>]) -> Tally {
+        let mut tally = Tally::default();
+        for response in responses {
+            tally.record(response);
+        }
+        tally
     }
 
     /// Element-wise accumulation.
@@ -369,10 +395,47 @@ impl<I: ConcurrentIndex<u64> + ?Sized> ServeTarget for I {
     }
 }
 
+/// Connection over a single-threaded index the calling thread borrows
+/// `&mut` ([`Driver::run_in_place`]). Scans fill one reused buffer, clipped
+/// to their key window, so a scan costs what the index's `range` costs
+/// rather than a fresh `Vec` regrown as it fills; point ops (and scans the
+/// index cannot serve) go through
+/// [`Request::execute_mut`](gre_core::Request::execute_mut).
+struct InPlaceConn<'a, I: Index<u64> + ?Sized> {
+    index: &'a mut I,
+    meta: IndexMeta,
+    scan: Vec<(u64, Payload)>,
+}
+
+impl<I: Index<u64> + ?Sized> Connection for InPlaceConn<'_, I> {
+    #[inline]
+    fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder) {
+        let response = match op {
+            Op::Range(spec) if self.meta.supports_range => {
+                let mut buf = std::mem::take(&mut self.scan);
+                buf.clear();
+                self.index.range(spec, &mut buf);
+                spec.clip(&mut buf);
+                Response::Range(buf)
+            }
+            _ => op.execute_mut(&mut *self.index, &self.meta),
+        };
+        match intended {
+            Some(t0) => rec.complete_timed(op.kind(), t0, Instant::now(), &response),
+            None => rec.complete_untimed(&response),
+        }
+        if let Response::Range(buf) = response {
+            self.scan = buf;
+        }
+    }
+
+    fn flush(&mut self, _rec: &mut PhaseRecorder) {}
+}
+
 /// Executes scenarios against serving targets.
 ///
-/// Construction is builder-style; the defaults measure like the old runner
-/// (1-in-101 latency sampling under closed loop) while open-loop phases
+/// Construction is builder-style; by default closed-loop phases sample
+/// 1 op in [`LATENCY_SAMPLE_RATE`] for latency, while open-loop phases
 /// always time every operation from its intended send time.
 #[derive(Debug, Clone)]
 pub struct Driver {
@@ -440,10 +503,10 @@ impl Driver {
         scenario: &Scenario,
         target: &mut T,
     ) -> ScenarioResult {
+        let keys = Arc::new(scenario.loaded_keys());
         let load_timer = Instant::now();
         target.load(&scenario.bulk);
         let bulk_load_ns = load_timer.elapsed().as_nanos() as u64;
-        let keys = Arc::new(scenario.loaded_keys());
         let mut phases = Vec::with_capacity(scenario.phases.len());
         for (pi, phase) in scenario.phases.iter().enumerate() {
             if self.stopped() {
@@ -459,6 +522,70 @@ impl Driver {
         }
     }
 
+    /// Execute `scenario` with one client on the calling thread, directly
+    /// against a single-threaded `index`: bulk load, then each phase in
+    /// script order, with the same streams, pacing and measurement as
+    /// [`Driver::run`].
+    ///
+    /// # Panics
+    ///
+    /// On a phase that asks for more than one client (closed-loop
+    /// `threads > 1`, or open loop with more than one sender).
+    pub fn run_in_place<I: Index<u64> + ?Sized>(
+        &self,
+        scenario: &Scenario,
+        index: &mut I,
+    ) -> ScenarioResult {
+        // Copied before the load, so the freshly loaded index is what the
+        // cache holds when the first phase starts.
+        let keys = Arc::new(scenario.loaded_keys());
+        let load_timer = Instant::now();
+        index.bulk_load(&scenario.bulk);
+        let bulk_load_ns = load_timer.elapsed().as_nanos() as u64;
+        let meta = index.meta();
+        let mut phases = Vec::with_capacity(scenario.phases.len());
+        for (pi, phase) in scenario.phases.iter().enumerate() {
+            if self.stopped() {
+                break;
+            }
+            let clients = self.clients(phase);
+            assert_eq!(
+                clients, 1,
+                "run_in_place drives one client; phase `{}` asks for {clients}",
+                phase.name
+            );
+            // Setup happens before the phase clock starts: a short phase
+            // must not be charged for building its stream and recorder.
+            let mut stream = phase_stream(scenario, &keys, pi, phase, 0, 1);
+            let mut conn = InPlaceConn {
+                index: &mut *index,
+                meta: meta.clone(),
+                scan: Vec::new(),
+            };
+            let mut rec = PhaseRecorder::new(Instant::now(), self.interval);
+            let start = Instant::now();
+            rec.phase_start = start;
+            self.drive(phase, 0, 1, stream.as_mut(), &mut conn, &mut rec);
+            let elapsed_ns = start.elapsed().as_nanos() as u64;
+            phases.push(self.phase_result(phase, 1, elapsed_ns, [rec]));
+        }
+        ScenarioResult {
+            scenario: scenario.name.clone(),
+            target: meta.name.to_string(),
+            bulk_load_ns,
+            phases,
+        }
+    }
+
+    /// Driver threads a phase runs on: its closed-loop clients, or the
+    /// open-loop senders.
+    fn clients(&self, phase: &Phase) -> usize {
+        match phase.pacing {
+            Pacing::ClosedLoop { threads } => threads.max(1),
+            Pacing::OpenLoop { .. } => self.open_loop_senders.max(1),
+        }
+    }
+
     fn run_phase<T: ServeTarget + ?Sized>(
         &self,
         scenario: &Scenario,
@@ -467,53 +594,16 @@ impl Driver {
         phase: &Phase,
         target: &T,
     ) -> PhaseResult {
-        let threads = match phase.pacing {
-            Pacing::ClosedLoop { threads } => threads.max(1),
-            Pacing::OpenLoop { .. } => self.open_loop_senders.max(1),
-        };
-        // Per-thread op budgets: an even split for op-count spans,
-        // unbounded for time spans.
-        let budgets: Vec<u64> = match phase.span {
-            Span::Ops(n) => {
-                let base = n / threads as u64;
-                let extra = (n % threads as u64) as usize;
-                (0..threads).map(|t| base + u64::from(t < extra)).collect()
-            }
-            Span::Time(_) => vec![u64::MAX; threads],
-        };
+        let threads = self.clients(phase);
         let start = Instant::now();
-        let deadline = match phase.span {
-            Span::Time(d) => Some(start + d),
-            Span::Ops(_) => None,
-        };
-
         let recorders: Vec<PhaseRecorder> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
-                    let budget = budgets[t];
                     scope.spawn(move || {
                         let mut stream = phase_stream(scenario, keys, phase_idx, phase, t, threads);
                         let mut conn = target.connect();
                         let mut rec = PhaseRecorder::new(start, self.interval);
-                        match phase.pacing {
-                            Pacing::ClosedLoop { .. } => self.closed_loop(
-                                stream.as_mut(),
-                                conn.as_mut(),
-                                &mut rec,
-                                budget,
-                                deadline,
-                            ),
-                            Pacing::OpenLoop { rate_ops_s } => self.open_loop(
-                                stream.as_mut(),
-                                conn.as_mut(),
-                                &mut rec,
-                                budget,
-                                deadline,
-                                start,
-                                rate_ops_s / threads as f64,
-                            ),
-                        }
-                        conn.flush(&mut rec);
+                        self.drive(phase, t, threads, stream.as_mut(), conn.as_mut(), &mut rec);
                         rec
                     })
                 })
@@ -524,7 +614,55 @@ impl Driver {
                 .collect()
         });
         let elapsed_ns = start.elapsed().as_nanos() as u64;
+        self.phase_result(phase, threads, elapsed_ns, recorders)
+    }
 
+    /// Drive client `t` of `threads` through `phase`, which started at its
+    /// recorder's phase start, then flush the connection. The client's op
+    /// budget is an even split of an op-count span (the first `n % threads`
+    /// clients one op more, the split
+    /// [`ReplayStream::chunk`](crate::scenario::ReplayStream::chunk) uses),
+    /// and an open-loop rate is split evenly over the senders.
+    fn drive<C: Connection + ?Sized>(
+        &self,
+        phase: &Phase,
+        t: usize,
+        threads: usize,
+        stream: &mut dyn OpStream,
+        conn: &mut C,
+        rec: &mut PhaseRecorder,
+    ) {
+        let start = rec.phase_start;
+        let (budget, deadline) = match phase.span {
+            Span::Ops(n) => {
+                let extra = u64::from((t as u64) < n % threads as u64);
+                (n / threads as u64 + extra, None)
+            }
+            Span::Time(d) => (u64::MAX, Some(start + d)),
+        };
+        match phase.pacing {
+            Pacing::ClosedLoop { .. } => self.closed_loop(stream, conn, rec, budget, deadline),
+            Pacing::OpenLoop { rate_ops_s } => self.open_loop(
+                stream,
+                conn,
+                rec,
+                budget,
+                deadline,
+                start,
+                rate_ops_s / threads as f64,
+            ),
+        }
+        conn.flush(rec);
+    }
+
+    /// Merge the clients' recorders of one finished phase.
+    fn phase_result(
+        &self,
+        phase: &Phase,
+        threads: usize,
+        elapsed_ns: u64,
+        recorders: impl IntoIterator<Item = PhaseRecorder>,
+    ) -> PhaseResult {
         let mut latency = KindLatency::new();
         let mut tally = Tally::default();
         let mut intervals = Vec::new();
@@ -555,10 +693,10 @@ impl Driver {
         }
     }
 
-    fn closed_loop(
+    fn closed_loop<C: Connection + ?Sized>(
         &self,
         stream: &mut dyn OpStream,
-        conn: &mut dyn Connection,
+        conn: &mut C,
         rec: &mut PhaseRecorder,
         budget: u64,
         deadline: Option<Instant>,
@@ -582,10 +720,10 @@ impl Driver {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn open_loop(
+    fn open_loop<C: Connection + ?Sized>(
         &self,
         stream: &mut dyn OpStream,
-        conn: &mut dyn Connection,
+        conn: &mut C,
         rec: &mut PhaseRecorder,
         budget: u64,
         deadline: Option<Instant>,
@@ -685,9 +823,20 @@ impl PhaseResult {
         LatencySummary::from_histogram(self.latency.get(kind))
     }
 
+    /// Keys returned by range scans per second, in millions (the paper
+    /// reports scans as M keys/s).
+    pub fn scan_throughput_mkeys(&self) -> f64 {
+        if self.elapsed_ns == 0 {
+            return 0.0;
+        }
+        self.tally.scanned_keys as f64 / (self.elapsed_ns as f64 / 1e9) / 1e6
+    }
+
     /// Merged read-side (get + range) latency summary.
     pub fn read_summary(&self) -> LatencySummary {
-        LatencySummary::reads(&self.latency)
+        LatencySummary::from_histogram(
+            &self.latency.merged(&[RequestKind::Get, RequestKind::Range]),
+        )
     }
 
     /// Per-interval latency percentile series (ns): one value per entry of
@@ -702,7 +851,11 @@ impl PhaseResult {
 
     /// Merged write-side (insert + update + remove) latency summary.
     pub fn write_summary(&self) -> LatencySummary {
-        LatencySummary::writes(&self.latency)
+        LatencySummary::from_histogram(&self.latency.merged(&[
+            RequestKind::Insert,
+            RequestKind::Update,
+            RequestKind::Remove,
+        ]))
     }
 }
 
@@ -730,65 +883,11 @@ impl ScenarioResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::WorkloadBuilder;
     use crate::scenario::{KeyDist, Mix};
+    use crate::spec::WriteRatio;
     use gre_core::index::MutexIndex;
-    use gre_core::{Index, RangeSpec};
-    use std::collections::BTreeMap;
-
-    #[derive(Default)]
-    struct MapIndex {
-        map: BTreeMap<u64, Payload>,
-    }
-
-    impl Index<u64> for MapIndex {
-        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
-            self.map = entries.iter().copied().collect();
-        }
-        fn get(&self, key: u64) -> Option<Payload> {
-            self.map.get(&key).copied()
-        }
-        fn insert(&mut self, key: u64, value: Payload) -> bool {
-            self.map.insert(key, value).is_none()
-        }
-        fn update(&mut self, key: u64, value: Payload) -> bool {
-            match self.map.get_mut(&key) {
-                Some(v) => {
-                    *v = value;
-                    true
-                }
-                None => false,
-            }
-        }
-        fn remove(&mut self, key: u64) -> Option<Payload> {
-            self.map.remove(&key)
-        }
-        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
-            let before = out.len();
-            out.extend(
-                self.map
-                    .range(spec.start..)
-                    .take_while(|(k, _)| spec.end.map_or(true, |e| **k <= e))
-                    .take(spec.count)
-                    .map(|(k, v)| (*k, *v)),
-            );
-            out.len() - before
-        }
-        fn len(&self) -> usize {
-            self.map.len()
-        }
-        fn memory_usage(&self) -> usize {
-            self.map.len() * 48
-        }
-        fn meta(&self) -> gre_core::IndexMeta {
-            gre_core::IndexMeta {
-                name: "map",
-                learned: false,
-                concurrent: false,
-                supports_delete: true,
-                supports_range: true,
-            }
-        }
-    }
+    use gre_core::ModelIndex;
 
     fn keys(n: u64) -> Vec<u64> {
         (1..=n).map(|i| i * 13).collect()
@@ -803,9 +902,9 @@ mod tests {
             Span::Ops(5_000),
             Pacing::ClosedLoop { threads: 3 },
         ));
-        let mut index = MutexIndex::new(MapIndex::default(), "map-mutex");
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new().sample_stride(7).run(&scenario, &mut index);
-        assert_eq!(result.target, "map-mutex");
+        assert_eq!(result.target, "model-mutex");
         assert_eq!(result.phases.len(), 1);
         let p = &result.phases[0];
         assert_eq!(p.ops(), 5_000);
@@ -832,7 +931,7 @@ mod tests {
                 rate_ops_s: 30_000.0,
             },
         ));
-        let mut index = MutexIndex::new(MapIndex::default(), "map-mutex");
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new()
             .interval(Duration::from_millis(20))
             .open_loop_senders(2)
@@ -869,7 +968,7 @@ mod tests {
             Span::Ops(4_000),
             Pacing::ClosedLoop { threads: 2 },
         ));
-        let mut index = MutexIndex::new(MapIndex::default(), "map-mutex");
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new().run(&scenario, &mut index);
         let p = &result.phases[0];
         assert_eq!(p.ops(), 4_000);
@@ -896,7 +995,7 @@ mod tests {
                 rate_ops_s: 20_000.0,
             },
         ));
-        let mut index = MutexIndex::new(MapIndex::default(), "map-mutex");
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new()
             .open_loop_senders(2)
             .run(&scenario, &mut index);
@@ -931,7 +1030,7 @@ mod tests {
                 Pacing::ClosedLoop { threads: 2 },
             ));
         let stop = Arc::new(AtomicBool::new(false));
-        let mut index = MutexIndex::new(MapIndex::default(), "map-mutex");
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let driver = Driver::new().with_stop(Arc::clone(&stop));
         let flag = Arc::clone(&stop);
         std::thread::spawn(move || {
@@ -952,15 +1051,178 @@ mod tests {
 
     #[test]
     fn replay_scenario_reproduces_workload_semantics() {
-        use crate::generate::WorkloadBuilder;
-        use crate::spec::WriteRatio;
-        let w = WorkloadBuilder::new(9).insert_workload("t", &keys(2_000), WriteRatio::Balanced);
-        let scenario = Scenario::from_workload(&w, Pacing::ClosedLoop { threads: 4 });
-        let mut index = MutexIndex::new(MapIndex::default(), "map-mutex");
+        let scenario = WorkloadBuilder::new(9)
+            .insert_workload("t", &keys(2_000), WriteRatio::Balanced)
+            .closed_loop(4);
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new().run(&scenario, &mut index);
         let p = &result.phases[0];
-        assert_eq!(p.ops() as usize, w.ops.len());
+        assert_eq!(Span::Ops(p.ops()), scenario.phases[0].span);
         // All remaining keys were inserted: the store holds every key.
         assert_eq!(ServeTarget::stored_len(&index), 2_000);
+    }
+
+    #[test]
+    fn concurrent_run_matches_single_thread_outcome() {
+        let all = keys(4_000);
+        let single = WorkloadBuilder::new(4).insert_workload("test", &all, WriteRatio::Balanced);
+        let mut alone = ModelIndex::default();
+        let solo = Driver::new().run_in_place(&single, &mut alone);
+
+        let scenario = single.clone().closed_loop(4);
+        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
+        let result = Driver::new().run(&scenario, &mut index);
+        let p = &result.phases[0];
+        assert_eq!(result.target, "model-mutex");
+        assert_eq!(p.threads, 4);
+        assert_eq!(Span::Ops(p.ops()), scenario.phases[0].span);
+        assert_eq!(p.ops(), solo.phases[0].ops());
+        // Both runs end with every key stored.
+        assert_eq!(ServeTarget::stored_len(&index), all.len());
+        assert_eq!(alone.len(), all.len());
+        assert!(p.read_summary().samples > 0);
+        assert!(p.write_summary().samples > 0);
+        assert!(p.kind_summary(RequestKind::Get).samples > 0);
+        assert!(p.kind_summary(RequestKind::Insert).samples > 0);
+        assert!(ServeTarget::memory_bytes(&index) > 0);
+    }
+
+    #[test]
+    fn concurrent_run_executes_every_op_when_threads_do_not_divide() {
+        // Regression: the replay chunking must agree with the driver's
+        // per-thread op budgets, or the tail of a chunk is silently
+        // dropped (10 ops over 4 threads used to execute only 9).
+        for (n, threads) in [(10u64, 4usize), (103, 4), (13, 4), (2_001, 7)] {
+            let ops = (0..n).map(|i| Op::Insert(1_000 + i, i)).collect();
+            let scenario = Scenario::new("odd", 0, &[1]).phase(Phase::replay(
+                "odd",
+                Arc::new(ops),
+                Pacing::ClosedLoop { threads },
+            ));
+            let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
+            let result = Driver::new().run(&scenario, &mut index);
+            assert_eq!(result.phases[0].ops(), n, "{n} ops / {threads} threads");
+            assert_eq!(
+                ServeTarget::stored_len(&index) as u64,
+                1 + n,
+                "{n} ops / {threads} threads: every insert must land"
+            );
+        }
+    }
+
+    #[test]
+    fn single_threaded_run_counts_hits() {
+        let scenario =
+            WorkloadBuilder::new(1).insert_workload("test", &keys(2000), WriteRatio::ReadOnly);
+        let mut index = ModelIndex::default();
+        let result = Driver::new().run_in_place(&scenario, &mut index);
+        let p = &result.phases[0];
+        assert_eq!(Span::Ops(p.ops()), scenario.phases[0].span);
+        assert_eq!(p.tally.hits, p.ops(), "all read-only lookups must hit");
+        assert!(p.throughput_mops() > 0.0);
+        assert!(index.memory_usage() > 0);
+        assert_eq!(p.threads, 1);
+        assert_eq!(result.target, "model");
+        // Per-kind view: everything landed under Get.
+        assert!(p.kind_summary(RequestKind::Get).samples > 0);
+        assert_eq!(p.kind_summary(RequestKind::Insert).samples, 0);
+        assert_eq!(
+            RequestKind::ALL
+                .iter()
+                .filter(|&&k| p.kind_summary(k).samples > 0)
+                .count(),
+            1
+        );
+    }
+
+    #[test]
+    fn balanced_run_ends_with_all_keys_present() {
+        let all = keys(2000);
+        let scenario = WorkloadBuilder::new(2).insert_workload("test", &all, WriteRatio::Balanced);
+        let mut index = ModelIndex::default();
+        let result = Driver::new().run_in_place(&scenario, &mut index);
+        assert_eq!(index.len(), all.len());
+        // Both kinds sampled, and the per-kind split is consistent with the
+        // merged read/write views.
+        let p = &result.phases[0];
+        assert_eq!(
+            p.kind_summary(RequestKind::Get).samples,
+            p.read_summary().samples
+        );
+        assert_eq!(
+            p.kind_summary(RequestKind::Insert).samples,
+            p.write_summary().samples
+        );
+    }
+
+    #[test]
+    fn scan_workload_counts_keys() {
+        let scenario = WorkloadBuilder::new(3).range_workload("test", &keys(1000), 50, 20);
+        let result = Driver::new().run_in_place(&scenario, &mut ModelIndex::default());
+        let p = &result.phases[0];
+        assert!(p.tally.scanned_keys > 0);
+        assert!(p.scan_throughput_mkeys() > 0.0);
+        assert!(p.kind_summary(RequestKind::Range).samples > 0);
+    }
+
+    #[test]
+    fn delete_workload_shrinks_the_index() {
+        let all = keys(2000);
+        let scenario = WorkloadBuilder::new(5).delete_workload("test", &all, 0.5);
+        let mut index = ModelIndex::default();
+        Driver::new().run_in_place(&scenario, &mut index);
+        assert_eq!(index.len(), all.len() - all.len() / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_in_place drives one client")]
+    fn in_place_run_refuses_more_than_one_client() {
+        let scenario = WorkloadBuilder::new(6)
+            .insert_workload("test", &keys(100), WriteRatio::ReadOnly)
+            .closed_loop(2);
+        Driver::new().run_in_place(&scenario, &mut ModelIndex::default());
+    }
+
+    #[test]
+    fn latency_summary_statistics() {
+        let mut hist = LatencyHistogram::new();
+        for v in [10, 20, 30, 40, 50, 60, 70, 80, 90, 1000] {
+            hist.record(v);
+        }
+        let s = LatencySummary::from_histogram(&hist);
+        assert_eq!(s.samples, 10);
+        assert_eq!(s.max_ns, 1000);
+        assert!(s.p999_ns >= s.p99_ns && s.p99_ns >= s.p50_ns);
+        assert!(s.std_ns > 0.0);
+        assert!(s.mean_ns > 0.0);
+        let empty = LatencySummary::from_histogram(&LatencyHistogram::new());
+        assert_eq!(empty.samples, 0);
+        assert_eq!(empty.p999_ns, 0);
+    }
+
+    #[test]
+    fn summary_from_histogram_matches_samples_within_resolution() {
+        // The samples are 7, 14, …, 70 000, so the exact statistics are
+        // closed-form: the q-quantile is 70 000 q and the mean 7 · 5000.5.
+        let mut hist = LatencyHistogram::new();
+        for i in 1..=10_000u64 {
+            hist.record(i * 7);
+        }
+        let from_hist = LatencySummary::from_histogram(&hist);
+        assert_eq!(from_hist.samples, 10_000);
+        assert_eq!(from_hist.max_ns, 70_000);
+        assert!((from_hist.mean_ns - 35_003.5).abs() < 1e-6);
+        for (got, exact) in [
+            (from_hist.p50_ns, 35_000.0),
+            (from_hist.p99_ns, 69_300.0),
+            (from_hist.p999_ns, 69_930.0),
+        ] {
+            let rel = (got as f64 - exact).abs() / exact;
+            assert!(rel < 0.05, "histogram {got} vs exact {exact}");
+        }
+        assert_eq!(
+            LatencySummary::from_histogram(&LatencyHistogram::new()).samples,
+            0
+        );
     }
 }

@@ -1,17 +1,21 @@
 //! Workload builders (§3.3, §4.4, §6.2, §6.3, Appendix E).
 //!
-//! Each builder takes a dataset's key array and produces a [`Workload`]: the
-//! entries to bulk load plus the timed request stream. Key selection follows
-//! the paper: keys are randomly shuffled, the first half (or all of them for
-//! read-only workloads) is bulk loaded, and the remaining keys feed the
-//! insert stream while lookups target already-loaded keys.
+//! Each builder takes a dataset's key array and produces a one-phase replay
+//! [`Scenario`]: the entries to bulk load plus the timed request stream,
+//! replayed once by one closed-loop client ([`Scenario::closed_loop`] fans
+//! it out over more). Key selection follows the paper: keys are randomly
+//! shuffled, the first half (or all of them for read-only workloads) is bulk
+//! loaded, and the remaining keys feed the insert stream while lookups
+//! target already-loaded keys.
 
-use crate::spec::{payload_for, Op, Workload, WriteRatio};
+use crate::scenario::{Pacing, Phase, Scenario};
+use crate::spec::{payload_for, Op, WriteRatio};
 use crate::zipf::ScrambledZipf;
-use gre_core::RangeSpec;
+use gre_core::{Payload, RangeSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// YCSB workload variants (Appendix E). All three use Zipfian key selection
 /// with constant 0.99 and touch only pre-loaded keys (updates, no inserts).
@@ -77,7 +81,7 @@ impl WorkloadBuilder {
     /// * Read-Intensive/Balanced/Write-Heavy: bulk load a random half, then a
     ///   mixed stream in which inserts eventually add all remaining keys.
     /// * Write-Only: bulk load half, insert the other half.
-    pub fn insert_workload(&self, name: &str, keys: &[u64], ratio: WriteRatio) -> Workload {
+    pub fn insert_workload(&self, name: &str, keys: &[u64], ratio: WriteRatio) -> Scenario {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x1a2b);
         let mut shuffled: Vec<u64> = keys.to_vec();
         shuffled.shuffle(&mut rng);
@@ -90,11 +94,7 @@ impl WorkloadBuilder {
                 let ops = (0..lookups)
                     .map(|_| Op::Get(shuffled[rng.gen_range(0..shuffled.len())]))
                     .collect();
-                Workload {
-                    name: full_name,
-                    bulk,
-                    ops,
-                }
+                self.replay(full_name, bulk, ops)
             }
             _ => {
                 let half = shuffled.len() / 2;
@@ -129,18 +129,14 @@ impl WorkloadBuilder {
                     ops.push(Op::Insert(k, payload_for(k)));
                     inserted += 1;
                 }
-                Workload {
-                    name: full_name,
-                    bulk,
-                    ops,
-                }
+                self.replay(full_name, bulk, ops)
             }
         }
     }
 
     /// Deletion workloads (§4.4): bulk load *all* keys, then issue a
     /// lookup/delete mix until half of the keys have been deleted.
-    pub fn delete_workload(&self, name: &str, keys: &[u64], delete_fraction: f64) -> Workload {
+    pub fn delete_workload(&self, name: &str, keys: &[u64], delete_fraction: f64) -> Scenario {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x3c4d);
         let mut shuffled: Vec<u64> = keys.to_vec();
         shuffled.shuffle(&mut rng);
@@ -165,11 +161,11 @@ impl WorkloadBuilder {
                 ops.push(Op::Get(k));
             }
         }
-        Workload {
-            name: format!("{name}/delete-{:.0}%", delete_fraction * 100.0),
+        self.replay(
+            format!("{name}/delete-{:.0}%", delete_fraction * 100.0),
             bulk,
             ops,
-        }
+        )
     }
 
     /// Range-scan workload (§6.3): bulk load everything, issue `num_queries`
@@ -180,7 +176,7 @@ impl WorkloadBuilder {
         keys: &[u64],
         scan_size: usize,
         num_queries: usize,
-    ) -> Workload {
+    ) -> Scenario {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5e6f);
         let bulk = sorted_entries(keys);
         let ops = (0..num_queries)
@@ -191,17 +187,13 @@ impl WorkloadBuilder {
                 ))
             })
             .collect();
-        Workload {
-            name: format!("{name}/scan-{scan_size}"),
-            bulk,
-            ops,
-        }
+        self.replay(format!("{name}/scan-{scan_size}"), bulk, ops)
     }
 
     /// Distribution-shift workload (§6.2): bulk load keys of dataset `x`,
     /// then run a balanced stream whose inserts come from dataset `y`
     /// (rescaled into `x`'s key domain) and whose lookups target keys of `x`.
-    pub fn shift_workload(&self, name: &str, x: &[u64], y: &[u64]) -> Workload {
+    pub fn shift_workload(&self, name: &str, x: &[u64], y: &[u64]) -> Scenario {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7a8b);
         let bulk = sorted_entries(x);
         let scaled_y = rescale_to_domain(y, x);
@@ -217,16 +209,12 @@ impl WorkloadBuilder {
             }
             ops.push(Op::Get(x[rng.gen_range(0..x.len())]));
         }
-        Workload {
-            name: name.to_string(),
-            bulk,
-            ops,
-        }
+        self.replay(name.to_string(), bulk, ops)
     }
 
     /// YCSB workload (Appendix E): bulk load everything, Zipfian(0.99)
     /// lookups/updates over the loaded keys, no inserts.
-    pub fn ycsb(&self, name: &str, keys: &[u64], variant: YcsbVariant, num_ops: usize) -> Workload {
+    pub fn ycsb(&self, name: &str, keys: &[u64], variant: YcsbVariant, num_ops: usize) -> Scenario {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x9cad);
         let bulk = sorted_entries(keys);
         let zipf = ScrambledZipf::new(keys.len(), 0.99);
@@ -241,16 +229,24 @@ impl WorkloadBuilder {
                 }
             })
             .collect();
-        Workload {
-            name: format!("{name}/{}", variant.name()),
+        self.replay(format!("{name}/{}", variant.name()), bulk, ops)
+    }
+
+    /// The one-phase scenario every builder returns: `bulk` loaded, then
+    /// `ops` replayed once by one closed-loop client.
+    fn replay(&self, name: String, bulk: Vec<(u64, Payload)>, ops: Vec<Op>) -> Scenario {
+        let phase = Phase::replay(&name, Arc::new(ops), Pacing::ClosedLoop { threads: 1 });
+        Scenario {
+            name,
+            seed: self.seed,
             bulk,
-            ops,
+            phases: vec![phase],
         }
     }
 }
 
 /// Deduplicate, sort and attach payloads to a set of keys for bulk loading.
-fn sorted_entries(keys: &[u64]) -> Vec<(u64, u64)> {
+fn sorted_entries(keys: &[u64]) -> Vec<(u64, Payload)> {
     let mut sorted: Vec<u64> = keys.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
@@ -287,10 +283,29 @@ fn max_of(keys: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::OpSource;
     use crate::spec::OpKind;
 
     fn keys(n: u64) -> Vec<u64> {
         (1..=n).map(|i| i * 97).collect()
+    }
+
+    /// The replayed stream of a builder's one-phase, one-client scenario.
+    fn ops(s: &Scenario) -> &[Op] {
+        assert_eq!(s.phases.len(), 1);
+        assert_eq!(s.phases[0].pacing, Pacing::ClosedLoop { threads: 1 });
+        match &s.phases[0].source {
+            OpSource::Replay(ops) => ops,
+            OpSource::Synthetic { .. } => panic!("builders replay materialized streams"),
+        }
+    }
+
+    fn write_ops(s: &Scenario) -> usize {
+        ops(s).iter().filter(|o| o.is_write()).count()
+    }
+
+    fn write_fraction(s: &Scenario) -> f64 {
+        write_ops(s) as f64 / ops(s).len() as f64
     }
 
     #[test]
@@ -298,8 +313,8 @@ mod tests {
         let b = WorkloadBuilder::new(1);
         let w = b.insert_workload("t", &keys(1000), WriteRatio::ReadOnly);
         assert_eq!(w.bulk.len(), 1000);
-        assert_eq!(w.ops.len(), 1000);
-        assert!(w.ops.iter().all(|o| o.kind() == OpKind::Get));
+        assert_eq!(ops(&w).len(), 1000);
+        assert!(ops(&w).iter().all(|o| o.kind() == OpKind::Get));
         // Bulk entries are sorted and unique.
         assert!(w.bulk.windows(2).all(|p| p[0].0 < p[1].0));
     }
@@ -314,13 +329,13 @@ mod tests {
         ] {
             let w = b.insert_workload("t", &keys(2000), ratio);
             assert_eq!(w.bulk.len(), 1000);
-            let frac = w.write_fraction();
+            let frac = write_fraction(&w);
             assert!(
                 (frac - ratio.write_fraction()).abs() < 0.02,
                 "{ratio:?}: got {frac}"
             );
             // All remaining keys get inserted exactly once.
-            let inserts = w.ops.iter().filter(|o| o.is_write()).count();
+            let inserts = ops(&w).iter().filter(|o| o.is_write()).count();
             assert_eq!(inserts, 1000);
         }
     }
@@ -330,11 +345,11 @@ mod tests {
         let b = WorkloadBuilder::new(3);
         let w = b.insert_workload("t", &keys(2000), WriteRatio::WriteOnly);
         assert_eq!(w.bulk.len(), 1000);
-        assert_eq!(w.ops.len(), 1000);
-        assert!(w.ops.iter().all(|o| matches!(o, Op::Insert(_, _))));
+        assert_eq!(ops(&w).len(), 1000);
+        assert!(ops(&w).iter().all(|o| matches!(o, Op::Insert(_, _))));
         // No inserted key is already in the bulk set.
         let bulk_keys: std::collections::HashSet<u64> = w.bulk.iter().map(|e| e.0).collect();
-        for op in &w.ops {
+        for op in ops(&w) {
             if let Op::Insert(k, _) = op {
                 assert!(!bulk_keys.contains(k));
             }
@@ -346,12 +361,14 @@ mod tests {
         let b = WorkloadBuilder::new(4);
         let w = b.delete_workload("t", &keys(2000), 0.5);
         assert_eq!(w.bulk.len(), 2000);
-        let removes = w.ops.iter().filter(|o| matches!(o, Op::Remove(_))).count();
+        let removes = ops(&w)
+            .iter()
+            .filter(|o| matches!(o, Op::Remove(_)))
+            .count();
         assert_eq!(removes, 1000);
-        assert!((w.write_fraction() - 0.5).abs() < 0.02);
+        assert!((write_fraction(&w) - 0.5).abs() < 0.02);
         // Deleted keys are unique.
-        let mut deleted: Vec<u64> = w
-            .ops
+        let mut deleted: Vec<u64> = ops(&w)
             .iter()
             .filter_map(|o| match o {
                 Op::Remove(k) => Some(*k),
@@ -367,16 +384,15 @@ mod tests {
     fn delete_workload_read_only_point() {
         let b = WorkloadBuilder::new(4);
         let w = b.delete_workload("t", &keys(500), 0.0);
-        assert!(w.ops.iter().all(|o| !o.is_write()));
+        assert!(ops(&w).iter().all(|o| !o.is_write()));
     }
 
     #[test]
     fn range_workload_shape() {
         let b = WorkloadBuilder::new(5);
         let w = b.range_workload("t", &keys(1000), 100, 50);
-        assert_eq!(w.ops.len(), 50);
-        assert!(w
-            .ops
+        assert_eq!(ops(&w).len(), 50);
+        assert!(ops(&w)
             .iter()
             .all(|o| matches!(o, Op::Range(RangeSpec { count: 100, .. }))));
         assert_eq!(w.bulk.len(), 1000);
@@ -389,14 +405,14 @@ mod tests {
         let y: Vec<u64> = (1..=500u64).map(|i| i * 1_000_000).collect();
         let w = b.shift_workload("covid->osm", &x, &y);
         let x_max = *x.iter().max().unwrap();
-        for op in &w.ops {
+        for op in ops(&w) {
             if let Op::Insert(k, _) = op {
                 assert!(*k <= x_max + 1);
             }
         }
-        let inserts = w.ops.iter().filter(|o| o.is_write()).count();
+        let inserts = ops(&w).iter().filter(|o| o.is_write()).count();
         assert_eq!(inserts, 500);
-        assert!((w.write_fraction() - 0.5).abs() < 0.02);
+        assert!((write_fraction(&w) - 0.5).abs() < 0.02);
     }
 
     #[test]
@@ -405,11 +421,11 @@ mod tests {
         let ks = keys(5000);
         let a = b.ycsb("t", &ks, YcsbVariant::A, 10_000);
         let c = b.ycsb("t", &ks, YcsbVariant::C, 10_000);
-        assert!((a.write_fraction() - 0.5).abs() < 0.05);
-        assert_eq!(c.write_ops(), 0);
+        assert!((write_fraction(&a) - 0.5).abs() < 0.05);
+        assert_eq!(write_ops(&c), 0);
         // YCSB touches only loaded keys.
         let loaded: std::collections::HashSet<u64> = ks.iter().copied().collect();
-        for op in &a.ops {
+        for op in ops(&a) {
             match op {
                 Op::Get(k) | Op::Update(k, _) => assert!(loaded.contains(k)),
                 _ => panic!("unexpected op in YCSB"),

@@ -51,7 +51,7 @@
 //! assert_eq!(scenario.bulk.len(), 10_000);
 //! ```
 
-use crate::spec::{payload_for, Op, Workload};
+use crate::spec::{payload_for, Op};
 use crate::zipf::ScrambledZipf;
 use gre_core::{Payload, RangeSpec};
 use rand::rngs::StdRng;
@@ -188,7 +188,8 @@ pub enum OpSource {
     /// allocation-free, infinite).
     Synthetic { mix: Mix, dist: KeyDist },
     /// Replay of a pre-materialized op stream, split into contiguous
-    /// per-thread chunks (the [`Workload`] adapter path).
+    /// per-thread chunks (the paper's workloads, built by
+    /// [`WorkloadBuilder`](crate::WorkloadBuilder)).
     Replay(Arc<Vec<Op>>),
 }
 
@@ -263,19 +264,13 @@ impl Scenario {
         self
     }
 
-    /// Wrap a materialized [`Workload`] as a one-phase replay scenario —
-    /// the migration adapter behind [`run_concurrent`](crate::run_concurrent).
-    pub fn from_workload(workload: &Workload, pacing: Pacing) -> Scenario {
-        Scenario {
-            name: workload.name.clone(),
-            seed: 0,
-            bulk: workload.bulk.clone(),
-            phases: vec![Phase::replay(
-                &workload.name,
-                Arc::new(workload.ops.clone()),
-                pacing,
-            )],
+    /// Run every phase with `threads` closed-loop clients (builder-style):
+    /// how a replayed paper workload fans out over a thread count.
+    pub fn closed_loop(mut self, threads: usize) -> Scenario {
+        for phase in &mut self.phases {
+            phase.pacing = Pacing::ClosedLoop { threads };
         }
+        self
     }
 
     /// The loaded keys, in sorted order (the key population synthetic
@@ -584,14 +579,13 @@ mod tests {
         assert_eq!(s.loaded_keys(), keys);
         assert_eq!(s.phases[0].offered_rate(), None);
 
-        let w = Workload {
-            name: "w".into(),
-            bulk: vec![(1, 1), (2, 2)],
-            ops: vec![Op::Get(1), Op::Get(2), Op::Get(1)],
-        };
-        let s = Scenario::from_workload(&w, Pacing::ClosedLoop { threads: 2 });
+        let ops = Arc::new(vec![Op::Get(1), Op::Get(2), Op::Get(1)]);
+        let s = Scenario::new("w", 0, &[1, 2])
+            .phase(Phase::replay("w", ops, Pacing::ClosedLoop { threads: 1 }))
+            .closed_loop(2);
         assert_eq!(s.phases.len(), 1);
         assert_eq!(s.phases[0].span, Span::Ops(3));
+        assert_eq!(s.phases[0].pacing, Pacing::ClosedLoop { threads: 2 });
         assert!(matches!(s.phases[0].source, OpSource::Replay(_)));
         let open = Phase::new(
             "o",

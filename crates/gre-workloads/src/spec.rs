@@ -1,9 +1,9 @@
-//! Workload and operation types.
+//! Operation types.
 //!
 //! The operation vocabulary itself is the canonical typed request enum from
 //! `gre-core` ([`gre_core::ops::Request`]); this module pins it to the
-//! benchmark's `u64` key type as [`Op`] and adds the workload-level types
-//! built on top of it (write-ratio axis, materialized workloads).
+//! benchmark's `u64` key type as [`Op`] and adds the paper's write-ratio
+//! axis.
 
 use gre_core::Payload;
 
@@ -63,39 +63,6 @@ impl WriteRatio {
     }
 }
 
-/// A fully materialized workload: the entries to bulk load plus the request
-/// stream to execute (and time) afterwards.
-#[derive(Debug, Clone)]
-pub struct Workload {
-    /// Human-readable name, e.g. `"osm/balanced"`.
-    pub name: String,
-    /// Entries bulk-loaded before the timed phase, sorted by key.
-    pub bulk: Vec<(u64, Payload)>,
-    /// The timed request stream.
-    pub ops: Vec<Op>,
-}
-
-impl Workload {
-    /// Number of write operations in the request stream.
-    pub fn write_ops(&self) -> usize {
-        self.ops.iter().filter(|o| o.is_write()).count()
-    }
-
-    /// Number of read operations (lookups + scans) in the request stream.
-    pub fn read_ops(&self) -> usize {
-        self.ops.len() - self.write_ops()
-    }
-
-    /// The observed write fraction of the request stream.
-    pub fn write_fraction(&self) -> f64 {
-        if self.ops.is_empty() {
-            0.0
-        } else {
-            self.write_ops() as f64 / self.ops.len() as f64
-        }
-    }
-}
-
 /// The payload stored for a key in all generated workloads: a cheap,
 /// deterministic function of the key so correctness checks can recompute it.
 #[inline]
@@ -132,29 +99,6 @@ mod tests {
         }
         assert_eq!(WriteRatio::Balanced.write_fraction(), 0.5);
         assert_eq!(WriteRatio::WriteOnly.label(), "100%");
-    }
-
-    #[test]
-    fn workload_counts() {
-        let w = Workload {
-            name: "t".into(),
-            bulk: vec![(1, 1)],
-            ops: vec![
-                Op::Get(1),
-                Op::Insert(2, 2),
-                Op::Remove(1),
-                Op::Range(RangeSpec::new(0, 5)),
-            ],
-        };
-        assert_eq!(w.write_ops(), 2);
-        assert_eq!(w.read_ops(), 2);
-        assert!((w.write_fraction() - 0.5).abs() < 1e-9);
-        let empty = Workload {
-            name: "e".into(),
-            bulk: vec![],
-            ops: vec![],
-        };
-        assert_eq!(empty.write_fraction(), 0.0);
     }
 
     #[test]

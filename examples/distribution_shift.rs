@@ -5,10 +5,11 @@
 //!
 //! Run with `cargo run --release --example distribution_shift`.
 
+use gre::core::Index;
 use gre::datasets::Dataset;
 use gre::learned::{Alex, Lipp};
 use gre::traditional::Art;
-use gre::workloads::{run_single, WorkloadBuilder, WriteRatio};
+use gre::workloads::{Driver, Scenario, WorkloadBuilder, WriteRatio};
 
 fn main() {
     let n = 200_000;
@@ -20,29 +21,18 @@ fn main() {
     let shifted = builder.shift_workload("covid->osm", &covid, &osm);
 
     for name in ["ALEX", "LIPP", "ART"] {
-        let (base, shift) = match name {
-            "ALEX" => (
-                run_single(&mut Alex::<u64>::new(), &baseline),
-                run_single(&mut Alex::<u64>::new(), &shifted),
-            ),
-            "LIPP" => (
-                run_single(&mut Lipp::<u64>::new(), &baseline),
-                run_single(&mut Lipp::<u64>::new(), &shifted),
-            ),
-            _ => (
-                run_single(&mut Art::<u64>::new(), &baseline),
-                run_single(&mut Art::<u64>::new(), &shifted),
-            ),
+        // A fresh index per run; the result is its one phase's throughput.
+        let mops = |scenario: &Scenario| {
+            let mut index: Box<dyn Index<u64>> = match name {
+                "ALEX" => Box::new(Alex::<u64>::new()),
+                "LIPP" => Box::new(Lipp::<u64>::new()),
+                _ => Box::new(Art::<u64>::new()),
+            };
+            Driver::new().run_in_place(scenario, index.as_mut()).phases[0].throughput_mops()
         };
-        let change =
-            (shift.throughput_mops() - base.throughput_mops()) / base.throughput_mops() * 100.0;
-        println!(
-            "{:<6} baseline {:.2} Mop/s, covid->osm {:.2} Mop/s ({:+.1}%)",
-            name,
-            base.throughput_mops(),
-            shift.throughput_mops(),
-            change
-        );
+        let (base, shift) = (mops(&baseline), mops(&shifted));
+        let change = (shift - base) / base * 100.0;
+        println!("{name:<6} baseline {base:.2} Mop/s, covid->osm {shift:.2} Mop/s ({change:+.1}%)");
     }
     println!("Learned indexes feel the shift; traditional indexes barely notice (Message 11).");
 }

@@ -1,11 +1,11 @@
-//! Cross-crate integration tests: the full GRE pipeline (dataset → workload →
-//! runner → result) on every index, plus cross-index agreement and the
+//! Cross-crate integration tests: the full GRE pipeline (dataset → workload
+//! scenario → driver → result) on every index, plus cross-index agreement and the
 //! paper's qualitative relationships that must hold at any scale.
 
 use gre::datasets::Dataset;
 use gre::learned::{Alex, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
 use gre::traditional::{art_olc, btree_olc, Art, BPlusTree, Hot};
-use gre::workloads::{run_concurrent, run_single, WorkloadBuilder, WriteRatio};
+use gre::workloads::{Driver, WorkloadBuilder, WriteRatio};
 use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
 use gre_core::{ConcurrentIndex, Index};
 
@@ -21,8 +21,8 @@ fn all_single_thread_indexes_agree_on_the_balanced_workload() {
     for entry in single_thread_indexes() {
         eprintln!("running {}", entry.name);
         let mut index = entry.index;
-        let result = run_single(index.as_mut(), &workload);
-        assert!(result.throughput_mops() > 0.0, "{}", entry.name);
+        let result = Driver::new().run_in_place(&workload, index.as_mut());
+        assert!(result.phases[0].throughput_mops() > 0.0, "{}", entry.name);
         lens.push((entry.name, index.len()));
         probes.push(probe_keys.iter().map(|&k| index.get(k)).collect());
     }
@@ -38,12 +38,14 @@ fn all_single_thread_indexes_agree_on_the_balanced_workload() {
 #[test]
 fn all_concurrent_indexes_agree_under_threads() {
     let keys = Dataset::Libio.generate(N, 9);
-    let workload = WorkloadBuilder::new(9).insert_workload("libio", &keys, WriteRatio::Balanced);
+    let workload = WorkloadBuilder::new(9)
+        .insert_workload("libio", &keys, WriteRatio::Balanced)
+        .closed_loop(4);
     let mut lens = Vec::new();
     for entry in concurrent_indexes(true) {
         let mut index = entry.index;
-        let result = run_concurrent(index.as_mut(), &workload, 4);
-        assert!(result.throughput_mops() > 0.0, "{}", entry.name);
+        let result = Driver::new().run(&workload, index.as_mut());
+        assert!(result.phases[0].throughput_mops() > 0.0, "{}", entry.name);
         lens.push((entry.name, index.len()));
     }
     let expected = lens[0].1;
@@ -61,7 +63,7 @@ fn deletion_workload_shrinks_every_delete_capable_index() {
             continue;
         }
         let mut index = entry.index;
-        run_single(index.as_mut(), &workload);
+        Driver::new().run_in_place(&workload, index.as_mut());
         assert_eq!(index.len(), keys.len() - keys.len() / 2, "{}", entry.name);
     }
 }
@@ -73,7 +75,7 @@ fn memory_ordering_matches_figure_8() {
     let keys = Dataset::Covid.generate(N, 5);
     let workload = WorkloadBuilder::new(5).insert_workload("covid", &keys, WriteRatio::WriteOnly);
     let mem = |mut idx: Box<dyn Index<u64>>| -> usize {
-        run_single(idx.as_mut(), &workload);
+        Driver::new().run_in_place(&workload, idx.as_mut());
         idx.memory_usage()
     };
     let pgm = mem(Box::new(DynamicPgm::<u64>::new()));
@@ -105,8 +107,8 @@ fn lipp_has_lower_write_amplification_than_alex() {
     let workload = WorkloadBuilder::new(11).insert_workload("genome", &keys, WriteRatio::WriteOnly);
     let mut alex = Alex::<u64>::new();
     let mut lipp = Lipp::<u64>::new();
-    run_single(&mut alex, &workload);
-    run_single(&mut lipp, &workload);
+    Driver::new().run_in_place(&workload, &mut alex);
+    Driver::new().run_in_place(&workload, &mut lipp);
     let alex_shifts = alex.stats().avg_keys_shifted_per_insert();
     let lipp_nodes = lipp.stats().avg_nodes_created_per_insert();
     assert!(
