@@ -37,9 +37,9 @@ const INFLIGHT: usize = 8;
 
 pub fn run(opts: &RunOpts) {
     let backends: Vec<&str> = if opts.quick {
-        vec!["ALEX+", "B+treeOLC"]
+        vec!["ALEX+", "B+tree/p64"]
     } else {
-        vec!["ALEX+", "LIPP+", "XIndex", "B+treeOLC", "ART-OLC"]
+        vec!["ALEX+", "LIPP+", "XIndex", "B+tree/p64", "ART/p64"]
     };
     let shard_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 32]
         .into_iter()

@@ -45,7 +45,8 @@ pub static FIGURES: &[Figure] = &[
     },
     Figure {
         name: "fig3_breakdown",
-        title: "Figure 3: time breakdown of inserts (lookup, insert, smo, stat, shift, chain)",
+        title:
+            "Figure 3: time breakdown of ALEX and LIPP inserts (lookup, insert, smo, shift, chain)",
         run: paper::fig3_breakdown,
     },
     Figure {

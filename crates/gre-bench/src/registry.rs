@@ -53,9 +53,9 @@ pub const CONCURRENT_BACKENDS: [(&str, IndexKind); 9] = [
     ("LIPP+", IndexKind::Learned),
     ("XIndex", IndexKind::Learned),
     ("FINEdex", IndexKind::Learned),
-    ("ART-OLC", IndexKind::Traditional),
-    ("B+treeOLC", IndexKind::Traditional),
-    ("HOT-ROWEX", IndexKind::Traditional),
+    ("ART/p64", IndexKind::Traditional),
+    ("B+tree/p64", IndexKind::Traditional),
+    ("HOT/p64", IndexKind::Traditional),
     ("Masstree", IndexKind::Traditional),
     ("Wormhole", IndexKind::Traditional),
 ];
@@ -176,13 +176,13 @@ impl IndexBuilder {
             "finedex" => ("FINEdex", IndexKind::Learned, || {
                 Box::new(Finedex::<u64>::new())
             }),
-            "artolc" => ("ART-OLC", IndexKind::Traditional, || {
+            "artp64" => ("ART/p64", IndexKind::Traditional, || {
                 Box::new(art_olc::<u64>())
             }),
-            "b+treeolc" | "btreeolc" => ("B+treeOLC", IndexKind::Traditional, || {
+            "b+treep64" | "btreep64" => ("B+tree/p64", IndexKind::Traditional, || {
                 Box::new(btree_olc::<u64>())
             }),
-            "hotrowex" => ("HOT-ROWEX", IndexKind::Traditional, || {
+            "hotp64" => ("HOT/p64", IndexKind::Traditional, || {
                 Box::new(hot_rowex::<u64>())
             }),
             "masstree" => ("Masstree", IndexKind::Traditional, || {
@@ -216,7 +216,7 @@ impl IndexBuilder {
         self
     }
 
-    /// The canonical backend name (`"ALEX+"`, `"B+treeOLC"`, …).
+    /// The canonical backend name (`"ALEX+"`, `"B+tree/p64"`, …).
     pub fn backend_name(&self) -> &'static str {
         self.canonical
     }
@@ -370,12 +370,12 @@ mod tests {
             assert_eq!(b.build().meta().name, "ALEX+");
         }
         assert_eq!(
-            IndexBuilder::backend("b+tree-olc").unwrap().backend_name(),
-            "B+treeOLC"
+            IndexBuilder::backend("b+tree/p64").unwrap().backend_name(),
+            "B+tree/p64"
         );
         assert_eq!(
-            IndexBuilder::backend("hot-rowex").unwrap().backend_name(),
-            "HOT-ROWEX"
+            IndexBuilder::backend("hot-p64").unwrap().backend_name(),
+            "HOT/p64"
         );
         let err = IndexBuilder::backend("no-such-index").unwrap_err();
         assert!(err.to_string().contains("no-such-index"));

@@ -14,7 +14,7 @@
 //!   compare against.
 //! * [`partitioned`] — [`partitioned::Partitioned`], the one partition-lock
 //!   adapter every concurrent derivative of a single-threaded index (ALEX+,
-//!   LIPP+, B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree, Wormhole) runs on.
+//!   LIPP+, B+tree/p64, ART/p64, HOT/p64, Masstree, Wormhole) runs on.
 //! * [`stats`] — per-operation statistics used to reproduce the paper's
 //!   insert-time breakdown (Figure 3) and per-insert counters (Table 3).
 //! * [`ops`] — the canonical typed request/response vocabulary
@@ -24,8 +24,6 @@
 //! * [`latency`] — kind-indexed log-linear latency histograms
 //!   ([`latency::LatencyHistogram`], [`latency::KindLatency`]) used by the
 //!   scenario driver for coordinated-omission-safe tail reporting.
-//! * [`sync`] — the optimistic versioned lock (OLC word). No index uses it
-//!   yet: every concurrent derivative is partition-locked.
 //! * [`wire`] — the stable byte encoding of [`ops::Request`] used by the
 //!   `gre-durability` write-ahead log.
 //! * [`elastic`] — the shared vocabulary of the online elasticity protocol
@@ -50,7 +48,6 @@ pub mod ops;
 pub mod partitioned;
 pub mod replica;
 pub mod stats;
-pub mod sync;
 pub mod wire;
 
 pub use elastic::{BoundaryChange, ElasticError, TopologyKind};
@@ -61,5 +58,4 @@ pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
 pub use partitioned::{Partitionable, Partitioned};
 pub use replica::{ReadPolicy, Watermark};
-pub use stats::{InsertBreakdown, InsertStats, OpCounters, StatsSnapshot};
-pub use sync::{OptLock, OptLockWriteGuard};
+pub use stats::{InsertBreakdown, OpCounters, StatsSnapshot};

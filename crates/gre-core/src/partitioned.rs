@@ -7,7 +7,7 @@
 //! (the effect per-node locks buy); a reader takes its range's shared lock,
 //! an SMO blocks its whole range, the boundaries never move after bulk load,
 //! and a scan that crosses ranges reads them under consecutive locks, not one
-//! snapshot. ALEX+, LIPP+, B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree and
+//! snapshot. ALEX+, LIPP+, B+tree/p64, ART/p64, HOT/p64, Masstree and
 //! Wormhole are all this adapter over a different inner index (see
 //! "Substitutions" in `docs/BENCHMARKS.md`).
 
@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 
 /// A single-threaded index [`Partitioned`] can make concurrent.
 pub trait Partitionable<K: Key>: Index<K> + Default + Sync {
-    /// Display name of the concurrent derivative ("ALEX+", "B+treeOLC", …).
+    /// Display name of the concurrent derivative ("ALEX+", "B+tree/p64", …).
     const CONCURRENT_NAME: &'static str;
 
     /// Number of key-range partitions.

@@ -45,12 +45,11 @@
 //! nodes (with the paper's default 16 MB node budget, two levels are what
 //! ALEX itself builds at the scales we benchmark).
 
-use gre_core::stats::PhaseTimer;
 use gre_core::{
-    Index, IndexMeta, InsertStats, Key, OpCounters, Partitionable, Payload, RangeSpec,
-    StatsSnapshot,
+    Index, IndexMeta, Key, OpCounters, Partitionable, Payload, RangeSpec, StatsSnapshot,
 };
 use gre_pla::LinearModel;
+use std::time::Instant;
 
 /// Configuration of ALEX (Table 1).
 #[derive(Debug, Clone, Copy)]
@@ -530,57 +529,59 @@ impl<K: Key> Index<K> for Alex<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
-        let mut timer = PhaseTimer::start();
-
+        let start = Instant::now();
         let (idx, traversed) = self.locate(key);
-        stats.nodes_traversed = traversed;
-        stats.breakdown.lookup_ns = timer.lap_ns();
+        let located = Instant::now();
+        let c = &mut self.counters;
+        c.inserts += 1;
+        c.nodes_traversed += traversed;
+        c.insert_breakdown.lookup_ns += (located - start).as_nanos() as u64;
 
-        let result = self.nodes[idx].insert(key, value);
-        let (inserted, shifted) = match result {
+        let mut triggered_smo = false;
+        let (inserted, shifted) = match self.nodes[idx].insert(key, value) {
             Ok(pair) => pair,
             Err(()) => {
                 // SMO, then retry (the retry cannot fail: the rebuilt node has
                 // gaps again).
-                let smo_timer = PhaseTimer::start();
+                let smo_start = Instant::now();
                 self.smo(idx);
-                stats.breakdown.smo_ns = smo_timer.elapsed_ns();
-                stats.triggered_smo = true;
-                stats.nodes_created += 1;
+                self.counters.insert_breakdown.smo_ns += smo_start.elapsed().as_nanos() as u64;
+                self.counters.nodes_created += 1;
+                triggered_smo = true;
                 let (idx2, _) = self.locate(key);
                 self.nodes[idx2]
                     .insert(key, value)
                     .expect("insert after SMO must succeed")
             }
         };
-        stats.keys_shifted = shifted;
-        let work_ns = timer.lap_ns();
         // Attribute post-lookup time: shifting dominates when keys moved.
+        let work_ns = located.elapsed().as_nanos() as u64;
+        let c = &mut self.counters;
+        c.keys_shifted += shifted;
         if shifted > 0 {
-            stats.breakdown.shift_ns = work_ns;
+            c.insert_breakdown.shift_ns += work_ns;
         } else {
-            stats.breakdown.insert_ns = work_ns;
+            c.insert_breakdown.insert_ns += work_ns;
         }
 
         if inserted {
             self.len += 1;
         }
         // Density-triggered proactive SMO (performance-driven design).
-        if self.nodes[idx.min(self.nodes.len() - 1)].density() > self.config.max_density {
-            let smo_timer = PhaseTimer::start();
-            self.smo(idx.min(self.nodes.len() - 1));
-            stats.breakdown.smo_ns += smo_timer.elapsed_ns();
-            stats.triggered_smo = true;
-            stats.nodes_created += 1;
+        let idx = idx.min(self.nodes.len() - 1);
+        if self.nodes[idx].density() > self.config.max_density {
+            let smo_start = Instant::now();
+            self.smo(idx);
+            self.counters.insert_breakdown.smo_ns += smo_start.elapsed().as_nanos() as u64;
+            self.counters.nodes_created += 1;
+            triggered_smo = true;
         }
-        self.counters.record_insert(&stats);
+        self.counters.smo_count += u64::from(triggered_smo);
         inserted
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
-        let (idx, traversed) = self.locate(key);
-        self.counters.record_remove(traversed);
+        let (idx, _) = self.locate(key);
         let removed = self.nodes[idx].remove(key);
         if removed.is_some() {
             self.len -= 1;

@@ -10,9 +10,9 @@
 //! (inserts and conflicts since it was built); when the conflict ratio of a
 //! subtree exceeds a threshold the subtree is rebuilt from scratch.
 
-use gre_core::stats::PhaseTimer;
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 use gre_pla::LinearModel;
+use std::time::Instant;
 
 /// Configuration of LIPP (Table 1).
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +64,8 @@ struct LippNode<K> {
     build_size: usize,
     /// Statistics updated on every insert that passes through this node —
     /// the per-node bookkeeping whose cost the paper highlights (Figure 3's
-    /// "stat" component and LIPP+'s scalability collapse).
+    /// "stat" component, which this reproduction does not time, and LIPP+'s
+    /// scalability collapse).
     stat_inserts: u64,
     stat_conflicts: u64,
 }
@@ -275,15 +276,17 @@ impl<K: Key> Lipp<K> {
         depth(&self.root)
     }
 
-    /// Insert recursively; returns (newly_inserted, nodes_created, conflict).
+    /// Insert recursively, adding the traversed and created nodes to
+    /// `counters` and one to `smo_count` per subtree rebuild; returns whether
+    /// the key was new.
     fn insert_rec(
         node: &mut LippNode<K>,
         key: K,
         value: Payload,
         config: &LippConfig,
-        stats: &mut InsertStats,
+        counters: &mut OpCounters,
     ) -> bool {
-        stats.nodes_traversed += 1;
+        counters.nodes_traversed += 1;
         // Per-node statistics are updated on every node of the insertion
         // path (the cost the paper singles out for LIPP).
         node.stat_inserts += 1;
@@ -304,7 +307,7 @@ impl<K: Key> Lipp<K> {
                     pair.sort_by_key(|e| e.0);
                     let child = LippNode::build(&pair, config);
                     node.slots[pos] = Slot::Child(child);
-                    stats.nodes_created += 1;
+                    counters.nodes_created += 1;
                     true
                 }
             }
@@ -323,12 +326,12 @@ impl<K: Key> Lipp<K> {
                 }
             }
             Slot::Child(child) => {
-                let created_before = stats.nodes_created;
-                let inserted = Self::insert_rec(child, key, value, config, stats);
+                let created_before = counters.nodes_created;
+                let inserted = Self::insert_rec(child, key, value, config, counters);
                 // Conflicts anywhere in the subtree count against this node
                 // too, so the rebuild trigger sees the whole subtree's
                 // collision rate (as LIPP's per-node statistics do).
-                if stats.nodes_created > created_before {
+                if counters.nodes_created > created_before {
                     node.stat_conflicts += 1;
                 }
                 inserted
@@ -343,7 +346,7 @@ impl<K: Key> Lipp<K> {
             let mut entries = Vec::with_capacity(node.subtree_keys);
             node.collect(&mut entries);
             *node = *LippNode::build(&entries, config);
-            stats.triggered_smo = true;
+            counters.smo_count += 1;
         }
         inserted
     }
@@ -408,25 +411,30 @@ impl<K: Key> Index<K> for Lipp<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
+        let (created, smos) = (self.counters.nodes_created, self.counters.smo_count);
         // LIPP has no separate pre-insertion lookup: locating the slot is the
         // insert traversal itself, so one timer covers it and the whole time
         // goes to the phase the traversal ended in.
-        let timer = PhaseTimer::start();
-        let inserted = Self::insert_rec(&mut self.root, key, value, &self.config, &mut stats);
-        let work = timer.elapsed_ns();
-        if stats.nodes_created > 0 {
-            stats.breakdown.chain_ns = work;
-        } else if stats.triggered_smo {
-            stats.breakdown.smo_ns = work;
+        let start = Instant::now();
+        let inserted =
+            Self::insert_rec(&mut self.root, key, value, &self.config, &mut self.counters);
+        let work_ns = start.elapsed().as_nanos() as u64;
+        let c = &mut self.counters;
+        c.inserts += 1;
+        // Rebuilds cascading up one insert's path count as one SMO.
+        let triggered_smo = c.smo_count > smos;
+        c.smo_count = smos + u64::from(triggered_smo);
+        if c.nodes_created > created {
+            c.insert_breakdown.chain_ns += work_ns;
+        } else if triggered_smo {
+            c.insert_breakdown.smo_ns += work_ns;
         } else {
-            stats.breakdown.insert_ns = work;
+            c.insert_breakdown.insert_ns += work_ns;
         }
 
         if inserted {
             self.len += 1;
         }
-        self.counters.record_insert(&stats);
         inserted
     }
 
@@ -435,7 +443,6 @@ impl<K: Key> Index<K> for Lipp<K> {
         if removed.is_some() {
             self.len -= 1;
         }
-        self.counters.record_remove(1);
         removed
     }
 
@@ -525,7 +532,6 @@ mod tests {
         }
         let b = lipp.stats().mean_insert_breakdown();
         assert_eq!(b.lookup_ns, 0);
-        assert_eq!(b.stat_ns, 0);
         assert!(b.total_ns() > 0);
     }
 

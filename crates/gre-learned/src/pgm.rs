@@ -10,7 +10,7 @@
 //! merged on overflow; deletes insert tombstones (the paper notes its good
 //! insert throughput comes from this LSM design rather than from learning).
 
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 use gre_pla::pla::{optimal_pla, PlaSegment};
 
 /// Error bound of the PGM segments (Table 1: ε = 16).
@@ -305,23 +305,21 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
         let existed = self.get(key).is_some();
         self.buffer.push((key, value));
         if !existed {
             self.len += 1;
         }
+        self.counters.inserts += 1;
+        self.counters.nodes_traversed += 1;
         if self.buffer.len() >= self.buffer_capacity {
-            stats.triggered_smo = true;
+            self.counters.smo_count += 1;
             self.flush_buffer();
         }
-        stats.nodes_traversed = 1;
-        self.counters.record_insert(&stats);
         !existed
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
-        self.counters.record_remove(1);
         let existing = self.get(key);
         if existing.is_some() {
             self.buffer.push((key, TOMBSTONE));

@@ -1,7 +1,7 @@
 //! Replica model equivalence: a seeded scenario driven through
 //! [`ReplicatedTarget`] must leave every replica byte-identical to the
 //! primary once shipping quiesces — across both a learned backend (ALEX+)
-//! and a traditional one (B+treeOLC), and under every read policy.
+//! and a traditional one (B+tree/p64), and under every read policy.
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec, ReadPolicy};
 use gre_durability::util::TempDir;
@@ -19,7 +19,7 @@ type BackendFactory = fn() -> DynBackend;
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
-        ("B+treeOLC", || Box::new(btree_olc::<u64>())),
+        ("B+tree/p64", || Box::new(btree_olc::<u64>())),
     ]
 }
 

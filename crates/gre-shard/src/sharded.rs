@@ -17,7 +17,7 @@
 
 use crate::partition::Partitioner;
 use gre_core::elastic::ElasticError;
-use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -563,15 +563,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
         self.backends.iter().map(|b| b.memory_usage()).sum()
     }
 
-    /// Merged statistics across all shards.
-    fn stats(&self) -> StatsSnapshot {
-        let mut counters = gre_core::OpCounters::default();
-        for b in &self.backends {
-            counters.merge(&b.stats().counters);
-        }
-        StatsSnapshot::new(counters)
-    }
-
     /// Merged metadata: capability flags are the conjunction over shards
     /// (the composite only supports what every backend supports).
     fn meta(&self) -> IndexMeta {
@@ -773,11 +764,6 @@ mod tests {
         assert!(!meta.learned);
         assert_eq!(idx.num_shards(), 4);
         assert_eq!(idx.partitioner().scheme(), "range");
-        // Stats merge across shards: fresh keys spread over all four add up.
-        for k in 0..10u64 {
-            assert!(idx.insert(k * 1_400 + 1, k));
-        }
-        assert_eq!(idx.stats().counters.inserts, 10);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Kill-and-recover model equivalence for the durable pipeline, over real
-//! backends (ALEX+ and B+treeOLC) and a matrix of scripted crash points.
+//! backends (ALEX+ and B+tree/p64) and a matrix of scripted crash points.
 //!
 //! Protocol under test (see `docs/DURABILITY.md`): every sub-batch's writes
 //! are group-committed to the per-shard WAL *before* execution — one record
@@ -29,7 +29,7 @@ type BackendFactory = fn() -> DynBackend;
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
-        ("B+treeOLC", || Box::new(btree_olc::<u64>())),
+        ("B+tree/p64", || Box::new(btree_olc::<u64>())),
     ]
 }
 

@@ -3,7 +3,7 @@
 //! `ShardedIndex` must be observationally identical to a plain `BTreeMap`
 //! under any interleaving of get/insert/update/remove/range — for both
 //! partitioning schemes and over both a learned (ALEX+) and a traditional
-//! (B+treeOLC) backend. The randomized runs are seeded, so failures
+//! (B+tree/p64) backend. The randomized runs are seeded, so failures
 //! reproduce deterministically.
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
@@ -24,7 +24,7 @@ type BackendFactory = fn() -> DynBackend;
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
-        ("B+treeOLC", || Box::new(btree_olc::<u64>())),
+        ("B+tree/p64", || Box::new(btree_olc::<u64>())),
     ]
 }
 

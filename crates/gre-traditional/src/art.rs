@@ -6,7 +6,7 @@
 //! of the study on integer keys ("because of its cache friendliness",
 //! Message 2/§4.1).
 
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 
 const KEY_BYTES: usize = 8;
 const EMPTY48: u8 = 255;
@@ -472,57 +472,15 @@ impl<K: Key> Art<K> {
         a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
     }
 
-    fn get_inner(&self, key: K) -> (Option<Payload>, u64) {
-        let bytes = Self::key_bytes(key);
-        let mut node = match &self.root {
-            Some(n) => n.as_ref(),
-            None => return (None, 0),
-        };
-        let mut depth = 0usize;
-        let mut traversed = 1u64;
-        loop {
-            match node {
-                Node::Leaf {
-                    key: leaf_key,
-                    value,
-                } => {
-                    return if *leaf_key == key {
-                        (Some(*value), traversed)
-                    } else {
-                        (None, traversed)
-                    };
-                }
-                _ => {
-                    let prefix = node.prefix();
-                    if Self::common_prefix_len(prefix, &bytes[depth..]) < prefix.len() {
-                        return (None, traversed);
-                    }
-                    depth += prefix.len();
-                    if depth >= KEY_BYTES {
-                        return (None, traversed);
-                    }
-                    match node.find_child(bytes[depth]) {
-                        Some(child) => {
-                            node = child;
-                            depth += 1;
-                            traversed += 1;
-                        }
-                        None => return (None, traversed),
-                    }
-                }
-            }
-        }
-    }
-
     fn insert_recursive(
         node: &mut Box<Node<K>>,
         key: K,
         bytes: &[u8; KEY_BYTES],
         value: Payload,
         depth: usize,
-        stats: &mut InsertStats,
+        counters: &mut OpCounters,
     ) -> bool {
-        stats.nodes_traversed += 1;
+        counters.nodes_traversed += 1;
         match node.as_mut() {
             Node::Leaf {
                 key: leaf_key,
@@ -541,8 +499,8 @@ impl<K: Key> Art<K> {
                 let old_leaf = std::mem::replace(node.as_mut(), Node::new_node4(prefix));
                 node.add_child(existing_bytes[split_depth], Box::new(old_leaf));
                 node.add_child(bytes[split_depth], Box::new(Node::Leaf { key, value }));
-                stats.nodes_created += 2;
-                stats.triggered_smo = true;
+                counters.nodes_created += 2;
+                counters.smo_count += 1;
                 true
             }
             _ => {
@@ -560,22 +518,29 @@ impl<K: Key> Art<K> {
                     old_boxed.set_prefix(remaining_prefix);
                     node.add_child(child_byte_existing, old_boxed);
                     node.add_child(bytes[depth + common], Box::new(Node::Leaf { key, value }));
-                    stats.nodes_created += 2;
-                    stats.triggered_smo = true;
+                    counters.nodes_created += 2;
+                    counters.smo_count += 1;
                     return true;
                 }
                 let next_depth = depth + prefix.len();
                 let byte = bytes[next_depth];
                 if node.find_child_mut(byte).is_some() {
                     let child = node.find_child_mut(byte).expect("checked above");
-                    return Self::insert_recursive(child, key, bytes, value, next_depth + 1, stats);
+                    return Self::insert_recursive(
+                        child,
+                        key,
+                        bytes,
+                        value,
+                        next_depth + 1,
+                        counters,
+                    );
                 }
                 if node.is_full() {
                     node.grow();
-                    stats.triggered_smo = true;
+                    counters.smo_count += 1;
                 }
                 node.add_child(byte, Box::new(Node::Leaf { key, value }));
-                stats.nodes_created += 1;
+                counters.nodes_created += 1;
                 true
             }
         }
@@ -673,25 +638,45 @@ impl<K: Key> Index<K> for Art<K> {
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        let (result, _) = self.get_inner(key);
-        result
+        let bytes = Self::key_bytes(key);
+        let mut node = self.root.as_deref()?;
+        let mut depth = 0usize;
+        loop {
+            match node {
+                Node::Leaf {
+                    key: leaf_key,
+                    value,
+                } => return (*leaf_key == key).then_some(*value),
+                _ => {
+                    let prefix = node.prefix();
+                    if Self::common_prefix_len(prefix, &bytes[depth..]) < prefix.len() {
+                        return None;
+                    }
+                    depth += prefix.len();
+                    if depth >= KEY_BYTES {
+                        return None;
+                    }
+                    node = node.find_child(bytes[depth])?;
+                    depth += 1;
+                }
+            }
+        }
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let bytes = Self::key_bytes(key);
-        let mut stats = InsertStats::default();
+        self.counters.inserts += 1;
         let inserted = match &mut self.root {
             None => {
                 self.root = Some(Box::new(Node::Leaf { key, value }));
-                stats.nodes_created = 1;
+                self.counters.nodes_created += 1;
                 true
             }
-            Some(root) => Self::insert_recursive(root, key, &bytes, value, 0, &mut stats),
+            Some(root) => Self::insert_recursive(root, key, &bytes, value, 0, &mut self.counters),
         };
         if inserted {
             self.len += 1;
         }
-        self.counters.record_insert(&stats);
         inserted
     }
 
@@ -710,7 +695,6 @@ impl<K: Key> Index<K> for Art<K> {
         if result.is_some() {
             self.len -= 1;
         }
-        self.counters.record_remove(1);
         result
     }
 

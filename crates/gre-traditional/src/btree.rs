@@ -6,7 +6,7 @@
 //! are addressed by `u32` ids, which keeps the structure compact and makes
 //! end-to-end memory accounting straightforward.
 
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 
 /// Number of keys per leaf node (STX uses a node size tuned to cache lines;
 /// 64 eight-byte keys ≈ one 512-byte block plus payloads).
@@ -117,19 +117,16 @@ impl<K: Key> BPlusTree<K> {
         (self.nodes.len() - 1) as u32
     }
 
-    /// Descend to the leaf that should hold `key`, returning the leaf id and
-    /// the number of nodes traversed.
-    fn find_leaf(&self, key: K) -> (u32, u64) {
+    /// Descend to the leaf that should hold `key`.
+    fn find_leaf(&self, key: K) -> u32 {
         let mut id = self.root;
-        let mut traversed = 1;
         loop {
             match &self.nodes[id as usize] {
                 Node::Inner { keys, children } => {
                     let slot = keys.partition_point(|k| *k <= key);
                     id = children[slot];
-                    traversed += 1;
                 }
-                Node::Leaf { .. } => return (id, traversed),
+                Node::Leaf { .. } => return id,
             }
         }
     }
@@ -235,7 +232,7 @@ impl<K: Key> BPlusTree<K> {
     /// Iterate entries in ascending key order starting from `start`,
     /// following leaf side-links.
     fn scan_from(&self, start: K, count: usize, out: &mut Vec<(K, Payload)>) -> usize {
-        let (mut leaf_id, _) = self.find_leaf(start);
+        let mut leaf_id = self.find_leaf(start);
         let before = out.len();
         while leaf_id != NO_NODE && out.len() - before < count {
             let Node::Leaf { keys, values, next } = &self.nodes[leaf_id as usize] else {
@@ -307,7 +304,7 @@ impl<K: Key> Index<K> for BPlusTree<K> {
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        let (leaf_id, _) = self.find_leaf(key);
+        let leaf_id = self.find_leaf(key);
         let Node::Leaf { keys, values, .. } = &self.nodes[leaf_id as usize] else {
             unreachable!()
         };
@@ -315,9 +312,9 @@ impl<K: Key> Index<K> for BPlusTree<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
         let (leaf_id, path) = self.find_leaf_with_path(key);
-        stats.nodes_traversed = path.len() as u64 + 1;
+        self.counters.inserts += 1;
+        self.counters.nodes_traversed += path.len() as u64 + 1;
 
         let (inserted, shifted, needs_split) = {
             let Node::Leaf { keys, values, .. } = &mut self.nodes[leaf_id as usize] else {
@@ -336,23 +333,21 @@ impl<K: Key> Index<K> for BPlusTree<K> {
                 }
             }
         };
-        stats.keys_shifted = shifted;
+        self.counters.keys_shifted += shifted;
         if inserted {
             self.len += 1;
         }
         if needs_split {
-            stats.triggered_smo = true;
-            stats.nodes_created += 1;
+            self.counters.smo_count += 1;
+            self.counters.nodes_created += 1;
             let (sep, right) = self.split_leaf(leaf_id);
             self.insert_into_parents(path, sep, right);
         }
-        self.counters.record_insert(&stats);
         inserted
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
-        let (leaf_id, traversed) = self.find_leaf(key);
-        self.counters.record_remove(traversed);
+        let leaf_id = self.find_leaf(key);
         let Node::Leaf { keys, values, .. } = &mut self.nodes[leaf_id as usize] else {
             unreachable!()
         };

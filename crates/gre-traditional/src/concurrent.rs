@@ -3,11 +3,12 @@
 //! The paper evaluates B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree and Wormhole
 //! in its multi-threaded experiments (§4.2). The original C++ implementations
 //! synchronize with optimistic lock coupling (OLC) or ROWEX protocols over
-//! shared node memory. In safe Rust each is [`gre_core::Partitioned`] over the
-//! single-threaded index — the same partition-lock adapter ALEX+ and LIPP+
-//! run on (see "Substitutions" in `docs/BENCHMARKS.md`): reads and writes to
-//! different key ranges proceed in parallel, which is the behaviour OLC/ROWEX
-//! deliver for tree indexes whose contention is spread across nodes. Wormhole
+//! shared node memory. Here each is [`gre_core::Partitioned`] over the
+//! single-threaded index — the same 64-partition lock adapter ALEX+ and LIPP+
+//! run on (see "Substitutions" in `docs/BENCHMARKS.md`) — and is named for
+//! what it is: `B+tree/p64`, `ART/p64`, `HOT/p64`. Reads and writes to
+//! different key ranges proceed in parallel; no node-level protocol is
+//! implemented, so the paper's OLC/ROWEX comparison is not reproduced. Wormhole
 //! gets a single partition — one reader-writer lock over the whole structure,
 //! reads scale and writes serialize — modelling the inner-layer write
 //! bottleneck the paper highlights (Figures 5 and 11).
@@ -20,15 +21,15 @@ use crate::wormhole::Wormhole;
 use gre_core::{Key, Partitionable, Partitioned};
 
 impl<K: Key> Partitionable<K> for BPlusTree<K> {
-    const CONCURRENT_NAME: &'static str = "B+treeOLC";
+    const CONCURRENT_NAME: &'static str = "B+tree/p64";
 }
 
 impl<K: Key> Partitionable<K> for Art<K> {
-    const CONCURRENT_NAME: &'static str = "ART-OLC";
+    const CONCURRENT_NAME: &'static str = "ART/p64";
 }
 
 impl<K: Key> Partitionable<K> for Hot<K> {
-    const CONCURRENT_NAME: &'static str = "HOT-ROWEX";
+    const CONCURRENT_NAME: &'static str = "HOT/p64";
 }
 
 impl<K: Key> Partitionable<K> for Masstree<K> {
@@ -40,21 +41,23 @@ impl<K: Key> Partitionable<K> for Wormhole<K> {
     const PARTITIONS: usize = 1;
 }
 
-/// B+TreeOLC: the concurrent B+-tree with leaf side-links (§3.1).
+/// B+tree/p64: the B+-tree with leaf side-links behind the 64-partition
+/// lock adapter, standing in for the paper's B+TreeOLC (§3.1).
 pub type BPlusTreeOlc<K> = Partitioned<K, BPlusTree<K>>;
 
-/// Construct B+TreeOLC.
+/// Construct B+tree/p64, the 64-partition adapter over the B+-tree.
 pub fn btree_olc<K: Key>() -> BPlusTreeOlc<K> {
     Partitioned::new()
 }
 
-/// Construct ART-OLC: ART with optimistic lock coupling in the paper (§3.1).
+/// Construct ART/p64, the 64-partition adapter over ART, standing in for
+/// the paper's ART-OLC (§3.1).
 pub fn art_olc<K: Key>() -> Partitioned<K, Art<K>> {
     Partitioned::new()
 }
 
-/// Construct HOT-ROWEX: HOT with read-optimised write exclusion in the
-/// paper (§3.1).
+/// Construct HOT/p64, the 64-partition adapter over HOT, standing in for
+/// the paper's HOT-ROWEX (§3.1).
 pub fn hot_rowex<K: Key>() -> Partitioned<K, Hot<K>> {
     Partitioned::new()
 }
@@ -87,7 +90,7 @@ mod tests {
         for i in (0..10_000).step_by(101) {
             assert_eq!(idx.get(i * 10), Some(i));
         }
-        assert_eq!(idx.meta().name, "B+treeOLC");
+        assert_eq!(idx.meta().name, "B+tree/p64");
         assert!(idx.meta().concurrent);
     }
 

@@ -10,7 +10,7 @@
 //! (Figure 8 shows HOT as the most space-efficient index) and robust lookup
 //! performance — while omitting the SIMD machinery.
 
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 
 const NIBBLES: usize = 16; // 64-bit keys / 4 bits
 
@@ -95,9 +95,9 @@ impl<K: Key> Hot<K> {
         nibbles: &[u8; NIBBLES],
         value: Payload,
         depth: usize,
-        stats: &mut InsertStats,
+        counters: &mut OpCounters,
     ) -> bool {
-        stats.nodes_traversed += 1;
+        counters.nodes_traversed += 1;
         match node.as_mut() {
             Node::Leaf { key: lk, value: lv } => {
                 if *lk == key {
@@ -124,8 +124,8 @@ impl<K: Key> Hot<K> {
                 ];
                 pair.sort_by_key(|(n, _)| *n);
                 *children = pair;
-                stats.nodes_created += 2;
-                stats.triggered_smo = true;
+                counters.nodes_created += 2;
+                counters.smo_count += 1;
                 true
             }
             Node::Inner { prefix, children } => {
@@ -152,8 +152,8 @@ impl<K: Key> Hot<K> {
                     ];
                     pair.sort_by_key(|(n, _)| *n);
                     *children = pair;
-                    stats.nodes_created += 2;
-                    stats.triggered_smo = true;
+                    counters.nodes_created += 2;
+                    counters.smo_count += 1;
                     return true;
                 }
                 let next_depth = depth + prefix.len();
@@ -165,12 +165,12 @@ impl<K: Key> Hot<K> {
                         nibbles,
                         value,
                         next_depth + 1,
-                        stats,
+                        counters,
                     ),
                     Err(i) => {
                         children.insert(i, (nib, Box::new(Node::Leaf { key, value })));
-                        stats.nodes_created += 1;
-                        stats.keys_shifted += (children.len() - i) as u64;
+                        counters.nodes_created += 1;
+                        counters.keys_shifted += (children.len() - i) as u64;
                         true
                     }
                 }
@@ -287,19 +287,18 @@ impl<K: Key> Index<K> for Hot<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let nibbles = Self::nibbles(key);
-        let mut stats = InsertStats::default();
+        self.counters.inserts += 1;
         let inserted = match &mut self.root {
             None => {
                 self.root = Some(Box::new(Node::Leaf { key, value }));
-                stats.nodes_created = 1;
+                self.counters.nodes_created += 1;
                 true
             }
-            Some(root) => Self::insert_rec(root, key, &nibbles, value, 0, &mut stats),
+            Some(root) => Self::insert_rec(root, key, &nibbles, value, 0, &mut self.counters),
         };
         if inserted {
             self.len += 1;
         }
-        self.counters.record_insert(&stats);
         inserted
     }
 
@@ -318,7 +317,6 @@ impl<K: Key> Index<K> for Hot<K> {
         if result.is_some() {
             self.len -= 1;
         }
-        self.counters.record_remove(1);
         result
     }
 

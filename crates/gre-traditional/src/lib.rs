@@ -9,7 +9,7 @@
 //! * [`masstree`] — simplified Masstree (single-layer trie of B+-trees).
 //! * [`wormhole`] — simplified hash-accelerated ordered index.
 //! * [`concurrent`] — the concurrent derivatives used by the multi-threaded
-//!   experiments (B+TreeOLC, ART-OLC, HOT-ROWEX, Masstree, Wormhole).
+//!   experiments (B+tree/p64, ART/p64, HOT/p64, Masstree, Wormhole).
 
 pub mod art;
 pub mod btree;

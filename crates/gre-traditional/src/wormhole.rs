@@ -11,7 +11,7 @@
 //! layer whose updates serialize writers in the concurrent variant) is
 //! preserved: every leaf split rebuilds the hint table.
 
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 
 /// Target number of entries per leaf segment.
 pub const LEAF_TARGET: usize = 128;
@@ -185,9 +185,9 @@ impl<K: Key> Index<K> for Wormhole<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
         let idx = self.leaf_for(key);
-        stats.nodes_traversed = 1;
+        self.counters.inserts += 1;
+        self.counters.nodes_traversed += 1;
         let (inserted, needs_split) = {
             let leaf = &mut self.leaves[idx];
             match leaf.keys.binary_search(&key) {
@@ -196,7 +196,7 @@ impl<K: Key> Index<K> for Wormhole<K> {
                     (false, false)
                 }
                 Err(i) => {
-                    stats.keys_shifted = (leaf.keys.len() - i) as u64;
+                    self.counters.keys_shifted += (leaf.keys.len() - i) as u64;
                     leaf.keys.insert(i, key);
                     leaf.values.insert(i, value);
                     (true, leaf.keys.len() > LEAF_TARGET * 2)
@@ -207,17 +207,15 @@ impl<K: Key> Index<K> for Wormhole<K> {
             self.len += 1;
         }
         if needs_split {
-            stats.triggered_smo = true;
-            stats.nodes_created = 1;
+            self.counters.smo_count += 1;
+            self.counters.nodes_created += 1;
             self.split_leaf(idx);
         }
-        self.counters.record_insert(&stats);
         inserted
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
         let idx = self.leaf_for(key);
-        self.counters.record_remove(1);
         let leaf = &mut self.leaves[idx];
         match leaf.keys.binary_search(&key) {
             Ok(i) => {

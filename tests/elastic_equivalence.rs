@@ -33,7 +33,7 @@ type BackendFactory = fn() -> DynBackend;
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
-        ("B+treeOLC", || Box::new(btree_olc::<u64>())),
+        ("B+tree/p64", || Box::new(btree_olc::<u64>())),
     ]
 }
 

@@ -142,8 +142,8 @@ fn concurrent_learned_indexes_survive_mixed_churn() {
         ("LIPP+", &lipp_plus),
         ("XIndex", &xindex),
         ("FINEdex", &finedex),
-        ("ART-OLC", &art),
-        ("B+treeOLC", &btree),
+        ("ART/p64", &art),
+        ("B+tree/p64", &btree),
     ];
     for (name, index) in indexes {
         std::thread::scope(|s| {

@@ -58,8 +58,8 @@ fn backends() -> Vec<(&'static str, Backend)> {
             Box::new(MutexIndex::new(BPlusTree::new(), "B+tree")),
         ),
         ("Art", Box::new(MutexIndex::new(Art::new(), "ART"))),
-        ("B+treeOLC", Box::new(btree_olc())),
-        ("HOT-ROWEX", Box::new(hot_rowex())),
+        ("B+tree/p64", Box::new(btree_olc())),
+        ("HOT/p64", Box::new(hot_rowex())),
     ]
 }
 
@@ -68,9 +68,9 @@ fn partitioned_backends() -> Vec<(&'static str, Backend)> {
     vec![
         ("ALEX+", Box::new(AlexPlus::new())),
         ("LIPP+", Box::new(LippPlus::new())),
-        ("B+treeOLC", Box::new(btree_olc())),
-        ("ART-OLC", Box::new(art_olc())),
-        ("HOT-ROWEX", Box::new(hot_rowex())),
+        ("B+tree/p64", Box::new(btree_olc())),
+        ("ART/p64", Box::new(art_olc())),
+        ("HOT/p64", Box::new(hot_rowex())),
         ("Masstree", Box::new(masstree_concurrent())),
         ("Wormhole", Box::new(wormhole_concurrent())),
     ]
