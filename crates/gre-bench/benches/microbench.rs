@@ -1,19 +1,25 @@
 //! Criterion micro-benchmarks backing the paper's figures: point lookups and
 //! inserts on every index (Figures 2–5), bulk loading, range scans
-//! (Figure 13), inserts into dense clusters (the gapped-array shift path) and
-//! PLA hardness computation (§3.2).
+//! (Figure 13), inserts into dense clusters (the gapped-array shift path),
+//! batched against scalar lookups on the partition-lock adapter, and PLA
+//! hardness computation (§3.2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
-use gre_core::RangeSpec;
+use gre_core::{ConcurrentIndex, RangeSpec};
 use gre_datasets::Dataset;
+use gre_learned::AlexPlus;
 use gre_pla::{optimal_pla, DataHardness, HardnessConfig};
 use std::hint::black_box;
 
 const N: usize = 50_000;
 
 fn dataset_entries(ds: Dataset) -> Vec<(u64, u64)> {
-    ds.generate(N, 42).into_iter().map(|k| (k, k ^ 7)).collect()
+    sized_entries(ds, N)
+}
+
+fn sized_entries(ds: Dataset, n: usize) -> Vec<(u64, u64)> {
+    ds.generate(n, 42).into_iter().map(|k| (k, k ^ 7)).collect()
 }
 
 fn bench_lookup(c: &mut Criterion) {
@@ -155,6 +161,60 @@ fn bench_concurrent_insert(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 64-key sub-batch, the size a shard worker hands its backend, through
+/// `get_batch` and the same keys through scalar `get`, each timed per batch.
+/// The keys are spread over the whole key space, so a batch touches most
+/// partitions, and the index (8 MB of pairs) outgrows L2 as served data does.
+fn bench_get_batch(c: &mut Criterion) {
+    const KEYS: usize = 500_000;
+    const BATCH: usize = 64;
+    let mut group = c.benchmark_group("get_batch");
+    group.sample_size(10);
+    for ds in [Dataset::Covid, Dataset::Osm] {
+        let entries = sized_entries(ds, KEYS);
+        let batches: Vec<Vec<u64>> = (0..256)
+            .map(|b| {
+                (0..BATCH)
+                    .map(|i| entries[(b * BATCH + i) * 7919 % entries.len()].0)
+                    .collect()
+            })
+            .collect();
+        let backends: [(&str, Box<dyn ConcurrentIndex<u64>>); 2] = [
+            ("ALEX+", Box::new(AlexPlus::<u64>::new())),
+            ("B+tree/p64", Box::new(gre_traditional::btree_olc::<u64>())),
+        ];
+        for (name, mut index) in backends {
+            index.bulk_load(&entries);
+            group.bench_function(
+                BenchmarkId::new(format!("{name}/batch64"), ds.name()),
+                |b| {
+                    let mut out = Vec::with_capacity(BATCH);
+                    let mut i = 0usize;
+                    b.iter(|| {
+                        i = (i + 1) % batches.len();
+                        index.get_batch(black_box(&batches[i]), &mut out);
+                        black_box(out.len())
+                    })
+                },
+            );
+            group.bench_function(
+                BenchmarkId::new(format!("{name}/scalar64"), ds.name()),
+                |b| {
+                    let mut i = 0usize;
+                    b.iter(|| {
+                        i = (i + 1) % batches.len();
+                        black_box(&batches[i])
+                            .iter()
+                            .filter(|&&k| index.get(k).is_some())
+                            .count()
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_pla(c: &mut Criterion) {
     let mut group = c.benchmark_group("pla_hardness");
     group.sample_size(10);
@@ -182,6 +242,7 @@ criterion_group! {
         bench_range,
         bench_insert_dense_cluster,
         bench_concurrent_insert,
+        bench_get_batch,
         bench_pla
 }
 criterion_main!(benches);

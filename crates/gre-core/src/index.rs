@@ -150,18 +150,20 @@ pub trait ConcurrentIndex<K: Key>: Send + Sync {
     ///
     /// The default is the scalar loop, so every backend gets the batched
     /// entry point for free and callers (the `gre-shard` request pipeline,
-    /// harness binaries) can always hand over a group of keys. Structures
-    /// with a predictable search path override this with an interleaved,
-    /// software-pipelined version (issue model predictions for the whole
-    /// group, prefetch the predicted positions, then finish the bounded
-    /// local searches) — see ALEX+ in `gre-learned`.
+    /// harness binaries) can always hand over a group of keys.
+    /// [`Partitioned`](crate::Partitioned) overrides it: it read-locks every
+    /// partition the keys touch, once each, and runs one two-stage probe over
+    /// the whole batch (predict and prefetch a group of keys, then finish
+    /// their last-mile searches), which ALEX+ fills with its model search.
     ///
     /// # Contract
     ///
     /// `out` is cleared first; afterwards `out.len() == keys.len()` and each
     /// `out[i]` equals what a scalar `get(keys[i])` at some point during the
     /// call would have returned. Duplicated keys are looked up once each, in
-    /// order.
+    /// order. A `Partitioned` batch answers every key under read guards held
+    /// for the whole call, so all its answers come from one instant of the
+    /// partitions they read.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.get(k)));

@@ -56,6 +56,6 @@ pub use index::{ConcurrentIndex, Index, IndexMeta, ModelIndex, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
-pub use partitioned::{Partitionable, Partitioned};
+pub use partitioned::{Partitionable, Partitioned, Probe, BATCH_WIDTH};
 pub use replica::{ReadPolicy, Watermark};
 pub use stats::{InsertBreakdown, OpCounters, StatsSnapshot};

@@ -7,13 +7,41 @@
 //! (the effect per-node locks buy); a reader takes its range's shared lock,
 //! an SMO blocks its whole range, the boundaries never move after bulk load,
 //! and a scan that crosses ranges reads them under consecutive locks, not one
-//! snapshot. ALEX+, LIPP+, B+tree/p64, ART/p64, HOT/p64, Masstree and
-//! Wormhole are all this adapter over a different inner index (see
-//! "Substitutions" in `docs/BENCHMARKS.md`).
+//! snapshot. A batched reader ([`ConcurrentIndex::get_batch`]) takes the
+//! shared lock of every range its keys touch, once each, and holds them all
+//! for the call, so it answers as one snapshot of those ranges. ALEX+, LIPP+,
+//! B+tree/p64, ART/p64, HOT/p64, Masstree and Wormhole are all this adapter
+//! over a different inner index (see "Substitutions" in `docs/BENCHMARKS.md`).
+//!
+//! # Lock order
+//!
+//! Only `get_batch` holds more than one partition lock, and it takes them in
+//! ascending partition order and only for reading. Every other path — point
+//! writes, `range`, `extract_range`, `absorb_range`, `len`, `memory_usage` —
+//! holds one partition lock at a time. That rule is what keeps the batched
+//! reader deadlock-free under the writer-preferring `RwLock`: a writer never
+//! waits while holding a lock, so every chain of waits climbs strictly
+//! through partition numbers and cannot close into a cycle. A new path that
+//! holds two partition locks must take them in ascending order too.
 
 use crate::index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
 use crate::key::{Key, Payload};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
+
+/// Keys in flight in the batched lookup's two-stage probe: wide enough to
+/// cover DRAM latency with independent work, small enough that the staged
+/// [`Probe`]s stay in registers/L1.
+pub const BATCH_WIDTH: usize = 8;
+
+/// What stage 1 of a batched lookup ([`Partitionable::probe_start`]) hands
+/// to stage 2 ([`Partitionable::probe_finish`]) for one key. Its meaning
+/// belongs to the index: ALEX stores the data node and the slot its model
+/// predicted; an index with no staged search leaves it at the default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Probe {
+    pub node: usize,
+    pub slot: usize,
+}
 
 /// A single-threaded index [`Partitioned`] can make concurrent.
 pub trait Partitionable<K: Key>: Index<K> + Default + Sync {
@@ -23,11 +51,18 @@ pub trait Partitionable<K: Key>: Index<K> + Default + Sync {
     /// Number of key-range partitions.
     const PARTITIONS: usize = 64;
 
-    /// Batched point lookup: append `get(keys[i])` for every key to `out`,
-    /// in input order. Structures with a predictable search path override it
-    /// with an interleaved, software-pipelined version (see ALEX).
-    fn get_batch_into(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        out.extend(keys.iter().map(|&k| self.get(k)));
+    /// Stage 1 of a batched lookup: do the work that needs no data-dependent
+    /// memory (route, predict) and prefetch what stage 2 will read. Runs for
+    /// [`BATCH_WIDTH`] keys before the first of them reaches stage 2, so
+    /// their cache misses overlap.
+    fn probe_start(&self, _key: K) -> Probe {
+        Probe::default()
+    }
+
+    /// Stage 2 of a batched lookup: finish the search `probe_start` began.
+    /// Must answer exactly what `get(key)` answers.
+    fn probe_finish(&self, key: K, _probe: Probe) -> Option<Payload> {
+        self.get(key)
     }
 }
 
@@ -93,34 +128,34 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
         self.partitions[self.partition_for(key)].read().get(key)
     }
 
-    /// Keys are grouped by partition so each partition's read lock is taken
-    /// once per batch (instead of once per key), and each group runs
-    /// [`Partitionable::get_batch_into`]. Results land in input order,
-    /// exactly as the scalar fallback would produce them.
+    /// Routes every key once, read-locks each touched partition once in
+    /// ascending order (see "Lock order" above) and holds the guards for the
+    /// call, then runs one [`BATCH_WIDTH`]-wide two-stage probe over the keys
+    /// in input order: stage 1 ([`Partitionable::probe_start`]) for a whole
+    /// group, then stage 2 ([`Partitionable::probe_finish`]) for the same
+    /// group, pushing each answer as it comes.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
         out.clear();
-        out.resize(keys.len(), None);
-        // Group key indices by partition. The common case is a handful of
-        // partitions per batch; a Vec-of-runs beats a HashMap at this size.
-        let mut by_part: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let p = self.partition_for(key);
-            match by_part.iter_mut().find(|(part, _)| *part == p) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_part.push((p, vec![i])),
-            }
+        out.reserve(keys.len());
+        let routed: Vec<usize> = keys.iter().map(|&k| self.partition_for(k)).collect();
+        let mut touched = vec![false; self.partitions.len()];
+        for &p in &routed {
+            touched[p] = true;
         }
-        let mut group_keys = Vec::new();
-        let mut group_results = Vec::new();
-        for (part, idxs) in by_part {
-            group_keys.clear();
-            group_keys.extend(idxs.iter().map(|&i| keys[i]));
-            group_results.clear();
-            self.partitions[part]
-                .read()
-                .get_batch_into(&group_keys, &mut group_results);
-            for (&i, result) in idxs.iter().zip(group_results.drain(..)) {
-                out[i] = result;
+        let guards: Vec<Option<RwLockReadGuard<'_, I>>> = self
+            .partitions
+            .iter()
+            .zip(touched)
+            .map(|(lock, touched)| touched.then(|| lock.read()))
+            .collect();
+        let inner = |p: usize| -> &I { guards[p].as_deref().expect("partition read-locked") };
+        let mut staged = [Probe::default(); BATCH_WIDTH];
+        for (group, parts) in keys.chunks(BATCH_WIDTH).zip(routed.chunks(BATCH_WIDTH)) {
+            for ((stage, &key), &p) in staged.iter_mut().zip(group).zip(parts) {
+                *stage = inner(p).probe_start(key);
+            }
+            for ((stage, &key), &p) in staged.iter().zip(group).zip(parts) {
+                out.push(inner(p).probe_finish(key, *stage));
             }
         }
     }

@@ -46,7 +46,7 @@
 //! ALEX itself builds at the scales we benchmark).
 
 use gre_core::{
-    Index, IndexMeta, Key, OpCounters, Partitionable, Payload, RangeSpec, StatsSnapshot,
+    Index, IndexMeta, Key, OpCounters, Partitionable, Payload, Probe, RangeSpec, StatsSnapshot,
 };
 use gre_pla::LinearModel;
 use std::time::Instant;
@@ -379,11 +379,6 @@ impl<K: Key> DataNode<K> {
     }
 }
 
-/// Group width of the software-pipelined batched lookup: wide enough to
-/// cover DRAM latency with independent work, small enough that the staged
-/// `(node, prediction)` state stays in registers/L1.
-pub const BATCH_WIDTH: usize = 8;
-
 /// Best-effort read prefetch of the cache line holding `*ptr`. No-op on
 /// architectures without an exposed prefetch intrinsic.
 #[inline(always)]
@@ -646,33 +641,22 @@ impl<K: Key> Index<K> for Alex<K> {
 impl<K: Key> Partitionable<K> for Alex<K> {
     const CONCURRENT_NAME: &'static str = "ALEX+";
 
-    /// Batched point lookups, software-pipelined [`BATCH_WIDTH`] keys at a
-    /// time: stage 1 routes every key of the group through the inner model,
-    /// computes its data-node slot prediction, and issues a prefetch for the
-    /// predicted position; stage 2 finishes the bounded "last-mile" searches
-    /// against (now likely cache-resident) lines. Appends one `Option` per
-    /// key to `out` in input order — semantically identical to a scalar
-    /// `get` per key, only faster, because the `BATCH_WIDTH` independent
-    /// memory accesses overlap instead of serializing on DRAM latency.
-    fn get_batch_into(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        out.reserve(keys.len());
-        let mut staged = [(0usize, 0usize); BATCH_WIDTH];
-        for group in keys.chunks(BATCH_WIDTH) {
-            // Stage 1: route + predict + prefetch for the whole group.
-            for (j, &key) in group.iter().enumerate() {
-                let (idx, _) = self.locate(key);
-                let node = &self.nodes[idx];
-                let pred = node.predict(key);
-                staged[j] = (idx, pred);
-                prefetch_read(node.keys.as_ptr().wrapping_add(pred));
-                prefetch_read(node.bitmap.as_ptr().wrapping_add(pred / 64));
-            }
-            // Stage 2: bounded local searches on the prefetched positions.
-            for (j, &key) in group.iter().enumerate() {
-                let (idx, pred) = staged[j];
-                out.push(self.nodes[idx].probe(key, pred));
-            }
-        }
+    /// Stage 1 of the batched lookup: route through the inner model,
+    /// predict the slot, and prefetch the lines stage 2 searches first.
+    #[inline]
+    fn probe_start(&self, key: K) -> Probe {
+        let (node, _) = self.locate(key);
+        let data = &self.nodes[node];
+        let slot = data.predict(key);
+        prefetch_read(data.keys.as_ptr().wrapping_add(slot));
+        prefetch_read(data.bitmap.as_ptr().wrapping_add(slot / 64));
+        Probe { node, slot }
+    }
+
+    /// Stage 2: the last-mile search from the prefetched prediction.
+    #[inline]
+    fn probe_finish(&self, key: K, probe: Probe) -> Option<Payload> {
+        self.nodes[probe.node].probe(key, probe.slot)
     }
 }
 
@@ -873,33 +857,39 @@ mod tests {
         assert_eq!(matched.get(7), Some(0));
     }
 
+    /// The two-stage probe, driven through ALEX+'s batched lookup.
     #[test]
     fn batched_lookup_matches_scalar_gets() {
-        let mut alex = Alex::with_config(AlexConfig {
-            max_node_entries: 1 << 12,
-            ..Default::default()
+        use crate::AlexPlus;
+        use gre_core::{ConcurrentIndex, Partitioned, BATCH_WIDTH};
+        // Small nodes, so each partition holds several and stage 1 routes.
+        let mut alex: AlexPlus<u64> = Partitioned::with_inner(|| {
+            Alex::with_config(AlexConfig {
+                max_node_entries: 128,
+                ..Default::default()
+            })
         });
-        alex.bulk_load(&entries(20_000));
+        ConcurrentIndex::bulk_load(&mut alex, &entries(20_000));
         // Mixed hits and misses, shuffled order, length not a multiple of
         // the batch width, duplicates included.
         let mut keys: Vec<u64> = (0..1_003u64)
             .map(|i| (i.wrapping_mul(0x9e37_79b9) % 25_000) * 13 + 7 - (i % 2))
             .collect();
         keys.push(keys[0]);
+        assert_ne!(keys.len() % BATCH_WIDTH, 0);
         let mut batched = Vec::new();
-        alex.get_batch_into(&keys, &mut batched);
+        alex.get_batch(&keys, &mut batched);
         let scalar: Vec<_> = keys.iter().map(|&k| alex.get(k)).collect();
         assert_eq!(batched, scalar);
         assert!(batched.iter().any(|r| r.is_some()));
         assert!(batched.iter().any(|r| r.is_none()));
 
         // Empty index and empty batch are both fine.
-        let empty: Alex<u64> = Alex::new();
+        let empty: AlexPlus<u64> = AlexPlus::new();
         let mut out = Vec::new();
-        empty.get_batch_into(&[1, 2, 3], &mut out);
+        empty.get_batch(&[1, 2, 3], &mut out);
         assert_eq!(out, vec![None, None, None]);
-        out.clear();
-        empty.get_batch_into(&[], &mut out);
+        empty.get_batch(&[], &mut out);
         assert!(out.is_empty());
     }
 

@@ -20,7 +20,7 @@ pub mod lipp;
 pub mod pgm;
 pub mod xindex;
 
-pub use alex::{Alex, AlexConfig, BATCH_WIDTH};
+pub use alex::{Alex, AlexConfig};
 pub use concurrent::{AlexPlus, LippPlus};
 pub use finedex::{Finedex, FinedexConfig};
 pub use lipp::{Lipp, LippConfig};

@@ -968,9 +968,9 @@ fn writes_of(job: &Job) -> impl Iterator<Item = Op> + '_ {
 /// capability flags.
 ///
 /// Maximal runs of **consecutive** lookups execute through the backend's
-/// [`ConcurrentIndex::get_batch`], so interleaved overrides (ALEX+'s
-/// software-pipelined search) engage automatically for `Request::Get`
-/// traffic. Only consecutive gets are grouped — a get is never hoisted past
+/// [`ConcurrentIndex::get_batch`], so a partitioned backend answers the run
+/// under one read lock per touched partition and one two-stage probe (ALEX+
+/// predicts and prefetches a group of keys before searching any). Only consecutive gets are grouped — a get is never hoisted past
 /// a write that precedes it in the sub-batch, preserving the pipeline's
 /// per-shard FIFO semantics (read-your-write within a batch). Lookups are
 /// never capability-gated (mirroring `Request::execute`), so every slot in

@@ -381,8 +381,10 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
     }
 
     /// Batched lookups are grouped per shard and forwarded to each backend's
-    /// `get_batch`, so a backend's interleaved override (e.g. ALEX+) is
-    /// reached even through the composite. Results land in input order.
+    /// `get_batch`, so a partitioned backend's batched read (one read lock
+    /// per touched partition, one two-stage probe; see
+    /// [`gre_core::Partitioned`]) is reached even through the composite.
+    /// Results land in input order.
     ///
     /// Regrouping is a two-pass counting sort — route every key once
     /// (memoized), prefix-sum the per-shard counts, scatter into one
