@@ -3,9 +3,11 @@
 //! The GRE benchmark drives all indexes through the same operation set:
 //! bulk load, point lookup, insert, delete, range scan, plus memory and
 //! statistics reporting. Single-threaded indexes implement [`Index`]
-//! (`&mut self` operations); concurrent derivatives (ALEX+, LIPP+, ART/p64,
-//! B+tree/p64, HOT/p64, XIndex, FINEdex, …) implement [`ConcurrentIndex`]
-//! (`&self`, `Send + Sync`).
+//! (`&mut self` operations); concurrent derivatives implement
+//! [`ConcurrentIndex`] (`&self`, `Send + Sync`). The paper's concurrent
+//! contenders (ALEX+, LIPP+, XIndex, FINEdex, ART/p64, B+tree/p64, HOT/p64,
+//! Masstree, Wormhole) are all [`Partitioned`](crate::Partitioned) over an
+//! [`Index`].
 
 use crate::key::{Key, Payload};
 use crate::stats::{OpCounters, StatsSnapshot};

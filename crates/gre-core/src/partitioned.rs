@@ -10,8 +10,9 @@
 //! snapshot. A batched reader ([`ConcurrentIndex::get_batch`]) takes the
 //! shared lock of every range its keys touch, once each, and holds them all
 //! for the call, so it answers as one snapshot of those ranges. ALEX+, LIPP+,
-//! B+tree/p64, ART/p64, HOT/p64, Masstree and Wormhole are all this adapter
-//! over a different inner index (see "Substitutions" in `docs/BENCHMARKS.md`).
+//! XIndex, FINEdex, B+tree/p64, ART/p64, HOT/p64, Masstree and Wormhole are
+//! all this adapter over a different inner index (see "Substitutions" in
+//! `docs/BENCHMARKS.md`).
 //!
 //! # Lock order
 //!

@@ -6,11 +6,14 @@
 //! instead of a per-group delta, so concurrent inserts targeting different
 //! records never conflict and retraining can proceed in parallel (§2.2).
 //! We implement the same structure with one flattening pass when a bin grows
-//! past its budget; groups are guarded by reader-writer locks.
+//! past its budget (the stand-in for parallel retraining).
+//!
+//! [`FinedexGroups`] is that structure single-threaded; [`Finedex`] is
+//! [`gre_core::Partitioned`] over it, so a partition's lock guards the groups
+//! of its key range (see "Substitutions" in `docs/BENCHMARKS.md`).
 
-use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec};
+use gre_core::{Index, IndexMeta, Key, Partitionable, Partitioned, Payload, RangeSpec};
 use gre_pla::LinearModel;
-use parking_lot::RwLock;
 
 /// Configuration (Table 1: error bound 32).
 #[derive(Debug, Clone, Copy)]
@@ -60,22 +63,7 @@ impl<K: Key> FinGroup<K> {
     }
 
     fn lower_bound(&self, key: K, error_bound: usize) -> usize {
-        let n = self.keys.len();
-        if n == 0 {
-            return 0;
-        }
-        let pred = self.model.predict_clamped(key, n);
-        let lo = pred.saturating_sub(error_bound);
-        let hi = (pred + error_bound + 1).min(n);
-        let local = self.keys[lo..hi].partition_point(|k| *k < key);
-        let pos = lo + local;
-        if (pos == hi && hi < n && self.keys[hi] < key)
-            || (pos == lo && lo > 0 && self.keys[lo - 1] >= key)
-        {
-            self.keys.partition_point(|k| *k < key)
-        } else {
-            pos
-        }
+        self.model.lower_bound(&self.keys, key, error_bound)
     }
 
     /// Bin index responsible for a key that is *not* in the main array:
@@ -142,7 +130,7 @@ impl<K: Key> FinGroup<K> {
     }
 
     /// In-order iteration over main array + bins starting at `start`.
-    fn scan_into(&self, start: K, target: usize, out: &mut Vec<(K, Payload)>) {
+    fn scan_into(&self, start: K, error_bound: usize, target: usize, out: &mut Vec<(K, Payload)>) {
         // bins[i] sorts after keys[i]; bin 0 also holds keys before keys[0].
         let emit_bin = |bin: &Vec<(K, Payload)>, out: &mut Vec<(K, Payload)>, below: Option<K>| {
             for &(k, v) in bin {
@@ -164,7 +152,9 @@ impl<K: Key> FinGroup<K> {
         if let Some(bin) = self.bins.first() {
             emit_bin(bin, out, Some(self.keys[0]));
         }
-        for i in 0..self.keys.len() {
+        // Records before the one preceding `start`'s lower bound, and their
+        // bins, hold only smaller keys.
+        for i in self.lower_bound(start, error_bound).saturating_sub(1)..self.keys.len() {
             if out.len() >= target {
                 return;
             }
@@ -188,73 +178,72 @@ impl<K: Key> FinGroup<K> {
     }
 }
 
-/// FINEdex: routed groups with per-record level bins.
-pub struct Finedex<K: Key> {
+/// FINEdex, single-threaded: routed groups with per-record level bins.
+pub struct FinedexGroups<K: Key> {
     config: FinedexConfig,
-    boundaries: RwLock<Vec<K>>,
-    groups: Vec<RwLock<FinGroup<K>>>,
+    /// First key of each group.
+    boundaries: Vec<K>,
+    groups: Vec<FinGroup<K>>,
 }
 
-impl<K: Key> Default for Finedex<K> {
+/// FINEdex: the group index behind one partition lock per key range.
+pub type Finedex<K> = Partitioned<K, FinedexGroups<K>>;
+
+impl<K: Key> Default for FinedexGroups<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Key> Finedex<K> {
+impl<K: Key> FinedexGroups<K> {
     pub fn new() -> Self {
         Self::with_config(FinedexConfig::default())
     }
 
     pub fn with_config(config: FinedexConfig) -> Self {
-        Finedex {
+        FinedexGroups {
             config,
-            boundaries: RwLock::new(vec![K::MIN]),
-            groups: vec![RwLock::new(FinGroup::build(Vec::new(), Vec::new()))],
+            boundaries: vec![K::MIN],
+            groups: vec![FinGroup::build(Vec::new(), Vec::new())],
         }
     }
 
-    pub fn config(&self) -> FinedexConfig {
-        self.config
-    }
-
     fn locate(&self, key: K) -> usize {
-        let boundaries = self.boundaries.read();
-        boundaries.partition_point(|b| *b <= key).saturating_sub(1)
+        self.boundaries
+            .partition_point(|b| *b <= key)
+            .saturating_sub(1)
     }
 }
 
-impl<K: Key> ConcurrentIndex<K> for Finedex<K> {
+impl<K: Key> Index<K> for FinedexGroups<K> {
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
         let group_size = self.config.group_size.max(64);
         let mut groups = Vec::new();
         let mut boundaries = Vec::new();
         if entries.is_empty() {
-            groups.push(RwLock::new(FinGroup::build(Vec::new(), Vec::new())));
+            groups.push(FinGroup::build(Vec::new(), Vec::new()));
             boundaries.push(K::MIN);
         } else {
             for chunk in entries.chunks(group_size) {
                 boundaries.push(chunk[0].0);
-                groups.push(RwLock::new(FinGroup::build(
+                groups.push(FinGroup::build(
                     chunk.iter().map(|e| e.0).collect(),
                     chunk.iter().map(|e| e.1).collect(),
-                )));
+                ));
             }
             boundaries[0] = K::MIN;
         }
         self.groups = groups;
-        *self.boundaries.get_mut() = boundaries;
+        self.boundaries = boundaries;
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        self.groups[self.locate(key)]
-            .read()
-            .get(key, self.config.error_bound)
+        self.groups[self.locate(key)].get(key, self.config.error_bound)
     }
 
-    fn insert(&self, key: K, value: Payload) -> bool {
+    fn insert(&mut self, key: K, value: Payload) -> bool {
         let idx = self.locate(key);
-        let mut group = self.groups[idx].write();
+        let group = &mut self.groups[idx];
         let error_bound = self.config.error_bound;
         let pos = group.lower_bound(key, error_bound);
         if pos < group.keys.len() && group.keys[pos] == key {
@@ -282,12 +271,10 @@ impl<K: Key> ConcurrentIndex<K> for Finedex<K> {
         }
     }
 
-    /// One group write lock covers the presence check and the payload write
-    /// (the trait's atomicity contract). Unlike `insert`, an absent (or
-    /// tombstoned) key is left absent.
-    fn update(&self, key: K, value: Payload) -> bool {
+    /// Unlike `insert`, an absent (or tombstoned) key is left absent.
+    fn update(&mut self, key: K, value: Payload) -> bool {
         let idx = self.locate(key);
-        let mut group = self.groups[idx].write();
+        let group = &mut self.groups[idx];
         let error_bound = self.config.error_bound;
         let pos = group.lower_bound(key, error_bound);
         if pos < group.keys.len() && group.keys[pos] == key {
@@ -308,9 +295,9 @@ impl<K: Key> ConcurrentIndex<K> for Finedex<K> {
         }
     }
 
-    fn remove(&self, key: K) -> Option<Payload> {
+    fn remove(&mut self, key: K) -> Option<Payload> {
         let idx = self.locate(key);
-        let mut group = self.groups[idx].write();
+        let group = &mut self.groups[idx];
         let error_bound = self.config.error_bound;
         let pos = group.lower_bound(key, error_bound);
         if pos < group.keys.len() && group.keys[pos] == key {
@@ -330,39 +317,45 @@ impl<K: Key> ConcurrentIndex<K> for Finedex<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
-        let target = before + spec.count;
-        let mut idx = self.locate(spec.start);
-        while idx < self.groups.len() && out.len() < target {
-            self.groups[idx].read().scan_into(spec.start, target, out);
-            idx += 1;
+        let target = before.saturating_add(spec.count);
+        for group in &self.groups[self.locate(spec.start)..] {
+            if out.len() >= target {
+                break;
+            }
+            group.scan_into(spec.start, self.config.error_bound, target, out);
         }
         out.len() - before
     }
 
     fn len(&self) -> usize {
-        self.groups.iter().map(|g| g.read().live_count()).sum()
+        self.groups.iter().map(FinGroup::live_count).sum()
     }
 
     fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.groups.iter().map(|g| g.read().memory()).sum::<usize>()
-            + self.boundaries.read().capacity() * std::mem::size_of::<K>()
+            + self.groups.iter().map(FinGroup::memory).sum::<usize>()
+            + self.boundaries.capacity() * std::mem::size_of::<K>()
     }
 
     fn meta(&self) -> IndexMeta {
         IndexMeta {
             name: "FINEdex",
             learned: true,
-            concurrent: true,
+            concurrent: false,
             supports_delete: true,
             supports_range: true,
         }
     }
 }
 
+impl<K: Key> Partitionable<K> for FinedexGroups<K> {
+    const CONCURRENT_NAME: &'static str = "FINEdex";
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gre_core::ConcurrentIndex;
     use std::sync::Arc;
 
     fn entries(n: u64) -> Vec<(u64, Payload)> {
@@ -382,11 +375,11 @@ mod tests {
 
     #[test]
     fn inserts_land_in_record_bins_then_flatten() {
-        let mut f = Finedex::with_config(FinedexConfig {
+        let mut f = FinedexGroups::with_config(FinedexConfig {
             bin_capacity: 4,
             ..Default::default()
         });
-        ConcurrentIndex::bulk_load(&mut f, &entries(2_000));
+        f.bulk_load(&entries(2_000));
         for i in 0..2_000u64 {
             assert!(f.insert(i * 6 + 6, i + 40_000), "insert {}", i * 6 + 6);
         }

@@ -11,7 +11,11 @@
 //! * [`xindex`] — XIndex (group models + per-group delta, two-phase merge).
 //! * [`finedex`] — FINEdex (per-record level bins).
 //! * [`concurrent`] — ALEX+ and LIPP+, the concurrent derivatives the paper
-//!   contributes, on `gre_core::Partitioned`.
+//!   contributes.
+//!
+//! Every concurrent index here — ALEX+, LIPP+, XIndex and FINEdex — is
+//! `gre_core::Partitioned` over a single-threaded index (LIPP+ wraps it to
+//! add its shared path statistics).
 
 pub mod alex;
 pub mod concurrent;
@@ -22,7 +26,7 @@ pub mod xindex;
 
 pub use alex::{Alex, AlexConfig};
 pub use concurrent::{AlexPlus, LippPlus};
-pub use finedex::{Finedex, FinedexConfig};
+pub use finedex::{Finedex, FinedexConfig, FinedexGroups};
 pub use lipp::{Lipp, LippConfig};
 pub use pgm::{DynamicPgm, StaticPgm};
-pub use xindex::{XIndex, XIndexConfig};
+pub use xindex::{XIndex, XIndexConfig, XIndexGroups};

@@ -7,18 +7,21 @@
 //! and the model retrained (two-phase merge; the original uses a background
 //! thread and RCU, which our inline compaction replaces — the latency spike
 //! of a merge lands on the triggering insert, reproducing the tail-latency
-//! behaviour of Figure 11 without background threads). Each group is guarded
-//! by a reader-writer lock; a top-level router (model + group boundaries)
-//! directs operations to groups.
+//! behaviour of Figure 11 without background threads). A top-level router
+//! (model + group boundaries) directs operations to groups.
+//!
+//! [`XIndexGroups`] is that structure single-threaded; [`XIndex`] is
+//! [`gre_core::Partitioned`] over it, so a partition's lock guards the groups
+//! of its key range (see "Substitutions" in `docs/BENCHMARKS.md`).
 
-use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec};
+use gre_core::{Index, IndexMeta, Key, Partitionable, Partitioned, Payload, RangeSpec};
 use gre_pla::LinearModel;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
 /// Configuration (Table 1: error bound 32, delta size 256, up to 4 models per
-/// group — we use one model per group and split groups instead, which is the
-/// degenerate case of the same design).
+/// group — we use one model per group, and the group count is fixed at
+/// `bulk_load`: groups never split, a full delta is compacted into its own
+/// group).
 #[derive(Debug, Clone, Copy)]
 pub struct XIndexConfig {
     /// Last-mile search error budget.
@@ -65,25 +68,7 @@ impl<K: Key> Group<K> {
 
     /// Model-predicted, error-bounded lower bound in the main array.
     fn main_lower_bound(&self, key: K, error_bound: usize) -> usize {
-        let n = self.keys.len();
-        if n == 0 {
-            return 0;
-        }
-        let pred = self.model.predict_clamped(key, n);
-        let lo = pred.saturating_sub(error_bound);
-        let hi = (pred + error_bound + 1).min(n);
-        let window = &self.keys[lo..hi];
-        let local = window.partition_point(|k| *k < key);
-        let pos = lo + local;
-        // Fall back to a full binary search if the error bound was exceeded
-        // (happens after inserts skew the distribution, until compaction).
-        if (pos == hi && hi < n && self.keys[hi] < key)
-            || (pos == lo && lo > 0 && self.keys[lo - 1] >= key)
-        {
-            self.keys.partition_point(|k| *k < key)
-        } else {
-            pos
-        }
+        self.model.lower_bound(&self.keys, key, error_bound)
     }
 
     fn get(&self, key: K, error_bound: usize) -> Option<Payload> {
@@ -160,12 +145,15 @@ impl<K: Key> Group<K> {
     }
 }
 
-/// The XIndex structure: router + groups.
-pub struct XIndex<K: Key> {
+/// The XIndex structure, single-threaded: router + groups.
+pub struct XIndexGroups<K: Key> {
     config: XIndexConfig,
-    router: RwLock<Router<K>>,
-    groups: Vec<RwLock<Group<K>>>,
+    router: Router<K>,
+    groups: Vec<Group<K>>,
 }
+
+/// XIndex: the group index behind one partition lock per key range.
+pub type XIndex<K> = Partitioned<K, XIndexGroups<K>>;
 
 #[derive(Debug)]
 struct Router<K> {
@@ -174,30 +162,26 @@ struct Router<K> {
     boundaries: Vec<K>,
 }
 
-impl<K: Key> Default for XIndex<K> {
+impl<K: Key> Default for XIndexGroups<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Key> XIndex<K> {
+impl<K: Key> XIndexGroups<K> {
     pub fn new() -> Self {
         Self::with_config(XIndexConfig::default())
     }
 
     pub fn with_config(config: XIndexConfig) -> Self {
-        XIndex {
+        XIndexGroups {
             config,
-            router: RwLock::new(Router {
+            router: Router {
                 model: LinearModel::default(),
                 boundaries: vec![K::MIN],
-            }),
-            groups: vec![RwLock::new(Group::build(Vec::new(), Vec::new()))],
+            },
+            groups: vec![Group::build(Vec::new(), Vec::new())],
         }
-    }
-
-    pub fn config(&self) -> XIndexConfig {
-        self.config
     }
 
     /// Number of groups.
@@ -207,34 +191,34 @@ impl<K: Key> XIndex<K> {
 
     /// Route a key to its group.
     fn locate(&self, key: K) -> usize {
-        let router = self.router.read();
+        let boundaries = &self.router.boundaries;
         let n = self.groups.len();
-        let mut idx = router.model.predict_clamped(key, n);
-        while idx + 1 < n && router.boundaries[idx + 1] <= key {
+        let mut idx = self.router.model.predict_clamped(key, n);
+        while idx + 1 < n && boundaries[idx + 1] <= key {
             idx += 1;
         }
-        while idx > 0 && router.boundaries[idx] > key {
+        while idx > 0 && boundaries[idx] > key {
             idx -= 1;
         }
         idx
     }
 }
 
-impl<K: Key> ConcurrentIndex<K> for XIndex<K> {
+impl<K: Key> Index<K> for XIndexGroups<K> {
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
         let group_size = self.config.group_size.max(64);
         let mut groups = Vec::new();
         let mut boundaries = Vec::new();
         if entries.is_empty() {
-            groups.push(RwLock::new(Group::build(Vec::new(), Vec::new())));
+            groups.push(Group::build(Vec::new(), Vec::new()));
             boundaries.push(K::MIN);
         } else {
             for chunk in entries.chunks(group_size) {
                 boundaries.push(chunk[0].0);
-                groups.push(RwLock::new(Group::build(
+                groups.push(Group::build(
                     chunk.iter().map(|e| e.0).collect(),
                     chunk.iter().map(|e| e.1).collect(),
-                )));
+                ));
             }
             boundaries[0] = K::MIN;
         }
@@ -245,17 +229,16 @@ impl<K: Key> ConcurrentIndex<K> for XIndex<K> {
                 .map(|(i, k)| (k.to_model_input(), i as f64)),
         );
         self.groups = groups;
-        *self.router.get_mut() = Router { model, boundaries };
+        self.router = Router { model, boundaries };
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        let idx = self.locate(key);
-        self.groups[idx].read().get(key, self.config.error_bound)
+        self.groups[self.locate(key)].get(key, self.config.error_bound)
     }
 
-    fn insert(&self, key: K, value: Payload) -> bool {
+    fn insert(&mut self, key: K, value: Payload) -> bool {
         let idx = self.locate(key);
-        let mut group = self.groups[idx].write();
+        let group = &mut self.groups[idx];
         let existed = group.get(key, self.config.error_bound).is_some();
         group.deleted.remove(&key);
         // Updates of keys in the main array are done in place; new keys go to
@@ -272,12 +255,10 @@ impl<K: Key> ConcurrentIndex<K> for XIndex<K> {
         !existed
     }
 
-    /// One group write lock covers the presence check and the payload write
-    /// (the trait's atomicity contract). Unlike `insert`, an absent key is
-    /// left absent.
-    fn update(&self, key: K, value: Payload) -> bool {
+    /// Unlike `insert`, an absent key is left absent.
+    fn update(&mut self, key: K, value: Payload) -> bool {
         let idx = self.locate(key);
-        let mut group = self.groups[idx].write();
+        let group = &mut self.groups[idx];
         if let Some(slot) = group.delta.get_mut(&key) {
             *slot = value;
             return true;
@@ -294,9 +275,9 @@ impl<K: Key> ConcurrentIndex<K> for XIndex<K> {
         }
     }
 
-    fn remove(&self, key: K) -> Option<Payload> {
+    fn remove(&mut self, key: K) -> Option<Payload> {
         let idx = self.locate(key);
-        let mut group = self.groups[idx].write();
+        let group = &mut self.groups[idx];
         if let Some(v) = group.delta.remove(&key) {
             return Some(v);
         }
@@ -315,9 +296,10 @@ impl<K: Key> ConcurrentIndex<K> for XIndex<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
-        let mut idx = self.locate(spec.start);
-        while idx < self.groups.len() && out.len() - before < spec.count {
-            let group = self.groups[idx].read();
+        for group in &self.groups[self.locate(spec.start)..] {
+            if out.len() - before >= spec.count {
+                break;
+            }
             // Merge the main array and delta on the fly.
             let mut main_pos = group.main_lower_bound(spec.start, self.config.error_bound);
             let mut delta_iter = group.delta.range(spec.start..).peekable();
@@ -355,35 +337,39 @@ impl<K: Key> ConcurrentIndex<K> for XIndex<K> {
                     }
                 }
             }
-            idx += 1;
         }
         out.len() - before
     }
 
     fn len(&self) -> usize {
-        self.groups.iter().map(|g| g.read().live_count()).sum()
+        self.groups.iter().map(Group::live_count).sum()
     }
 
     fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.groups.iter().map(|g| g.read().memory()).sum::<usize>()
-            + self.router.read().boundaries.capacity() * std::mem::size_of::<K>()
+            + self.groups.iter().map(Group::memory).sum::<usize>()
+            + self.router.boundaries.capacity() * std::mem::size_of::<K>()
     }
 
     fn meta(&self) -> IndexMeta {
         IndexMeta {
             name: "XIndex",
             learned: true,
-            concurrent: true,
+            concurrent: false,
             supports_delete: true,
             supports_range: true,
         }
     }
 }
 
+impl<K: Key> Partitionable<K> for XIndexGroups<K> {
+    const CONCURRENT_NAME: &'static str = "XIndex";
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gre_core::ConcurrentIndex;
     use std::sync::Arc;
 
     fn entries(n: u64) -> Vec<(u64, Payload)> {
@@ -392,8 +378,8 @@ mod tests {
 
     #[test]
     fn bulk_load_and_lookup() {
-        let mut x = XIndex::new();
-        ConcurrentIndex::bulk_load(&mut x, &entries(30_000));
+        let mut x = XIndexGroups::new();
+        x.bulk_load(&entries(30_000));
         assert_eq!(x.len(), 30_000);
         assert!(x.group_count() > 1);
         for i in (0..30_000).step_by(307) {
@@ -404,11 +390,11 @@ mod tests {
 
     #[test]
     fn inserts_go_to_delta_then_compact() {
-        let mut x = XIndex::with_config(XIndexConfig {
+        let mut x = XIndexGroups::with_config(XIndexConfig {
             delta_size: 64,
             ..Default::default()
         });
-        ConcurrentIndex::bulk_load(&mut x, &entries(5_000));
+        x.bulk_load(&entries(5_000));
         for i in 0..5_000u64 {
             assert!(x.insert(i * 9 + 3, i + 70_000));
         }

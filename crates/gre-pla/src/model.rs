@@ -49,6 +49,23 @@ impl LinearModel {
         }
     }
 
+    /// Error-bounded last-mile search: the lower bound of `key` in the sorted
+    /// `keys`, searched in the `±error_bound` window around the prediction
+    /// and over the whole slice when the answer lies outside that window
+    /// (after inserts skew the distribution, until the next retrain).
+    pub fn lower_bound<K: Key>(&self, keys: &[K], key: K, error_bound: usize) -> usize {
+        let n = keys.len();
+        let pred = self.predict_clamped(key, n);
+        let lo = pred.saturating_sub(error_bound);
+        let hi = (pred + error_bound + 1).min(n);
+        let pos = lo + keys[lo..hi].partition_point(|k| *k < key);
+        if (pos == hi && hi < n && keys[hi] < key) || (pos == lo && lo > 0 && keys[lo - 1] >= key) {
+            keys.partition_point(|k| *k < key)
+        } else {
+            pos
+        }
+    }
+
     /// Fit by ordinary least squares over `(key, position)` pairs where the
     /// position of `keys[i]` is `i`. Returns a flat model for empty input and
     /// an exact two-point model for single-key input.
@@ -161,6 +178,25 @@ mod tests {
         assert_eq!(m.predict_clamped(100u64, 10), 9);
         assert_eq!(m.predict_clamped(7u64, 10), 2);
         assert_eq!(m.predict_clamped(7u64, 0), 0);
+    }
+
+    #[test]
+    fn lower_bound_searches_the_window_then_the_whole_slice() {
+        let keys: Vec<u64> = (0..1000).map(|i| i * 4).collect();
+        let fitted = LinearModel::fit_keys(&keys);
+        // A model 500 slots off misses its 8-slot window below the clamp.
+        let skewed = LinearModel::new(0.25, 500.0);
+        for model in [fitted, skewed] {
+            for key in [0u64, 1, 4, 1998, 2000, 3996, 3997, u64::MAX] {
+                let expected = keys.partition_point(|k| *k < key);
+                assert_eq!(
+                    model.lower_bound(&keys, key, 8),
+                    expected,
+                    "{model:?} {key}"
+                );
+            }
+        }
+        assert_eq!(fitted.lower_bound(&[] as &[u64], 5, 8), 0);
     }
 
     #[test]

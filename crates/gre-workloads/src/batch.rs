@@ -4,52 +4,28 @@
 //! of operations as per-shard sub-batches on a worker pool. The splitting
 //! itself is a property of the *op stream*, not of any particular index, so
 //! it lives here next to the generators: given a routing function
-//! `key -> shard`, [`split_ops_by_shard`] buckets a request stream into one
-//! sub-stream per shard while preserving the original relative order of the
-//! operations inside each bucket (the per-shard FIFO the pipeline relies
-//! on). [`split_indexed_ops_by_shard`] additionally carries each operation's
-//! position in the original stream, which is what lets the pipeline fill
-//! per-op result slots in submission order.
+//! `key -> shard`, [`split_indexed_ops_by_shard`] buckets a request stream
+//! into one sub-stream per shard while preserving the original relative
+//! order of the operations inside each bucket (the per-shard FIFO the
+//! pipeline relies on), and carries each operation's position in the
+//! original stream, which is what lets the pipeline fill per-op result slots
+//! in submission order.
 
 use crate::spec::Op;
 
-/// The key an operation is routed by: its target key for point operations,
-/// the scan start key for range scans (the executor is responsible for
-/// continuing a scan that crosses into neighbouring shards).
-#[inline]
-pub fn route_key(op: &Op) -> u64 {
-    op.route_key()
-}
-
 /// Split a request stream into `shards` per-shard sub-streams using `route`
-/// (a `key -> shard` map; out-of-range results are clamped to the last
-/// shard). Within each sub-stream, operations keep the relative order they
-/// had in `ops`, so executing every sub-stream FIFO preserves per-key
-/// program order.
-pub fn split_ops_by_shard<F>(ops: &[Op], shards: usize, route: F) -> Vec<Vec<Op>>
+/// (a `key -> shard` map applied to [`Op::route_key`]; out-of-range results
+/// are clamped to the last shard, and zero shards is treated as one). Each
+/// bucketed operation carries its index in `ops`, and within a bucket the
+/// operations keep the relative order they had in `ops`, so executing every
+/// sub-stream FIFO preserves per-key program order.
+pub fn split_indexed_ops_by_shard<F>(ops: &[Op], shards: usize, route: F) -> Vec<Vec<(usize, Op)>>
 where
     F: Fn(u64) -> usize,
 {
     let shards = shards.max(1);
     // Pre-size each bucket at the uniform share to avoid repeated regrowth
     // on large streams without overcommitting on skewed ones.
-    let hint = ops.len() / shards;
-    let mut buckets: Vec<Vec<Op>> = (0..shards).map(|_| Vec::with_capacity(hint)).collect();
-    for op in ops {
-        let s = route(op.route_key()).min(shards - 1);
-        buckets[s].push(*op);
-    }
-    buckets
-}
-
-/// Like [`split_ops_by_shard`], but each bucketed operation carries its index
-/// in the original stream, so a per-shard executor can report results back
-/// into a response slot at the operation's submission position.
-pub fn split_indexed_ops_by_shard<F>(ops: &[Op], shards: usize, route: F) -> Vec<Vec<(usize, Op)>>
-where
-    F: Fn(u64) -> usize,
-{
-    let shards = shards.max(1);
     let hint = ops.len() / shards;
     let mut buckets: Vec<Vec<(usize, Op)>> =
         (0..shards).map(|_| Vec::with_capacity(hint)).collect();
@@ -67,43 +43,20 @@ mod tests {
 
     #[test]
     fn route_key_covers_every_op() {
-        assert_eq!(route_key(&Op::Get(7)), 7);
-        assert_eq!(route_key(&Op::Insert(8, 1)), 8);
-        assert_eq!(route_key(&Op::Update(9, 1)), 9);
-        assert_eq!(route_key(&Op::Remove(10)), 10);
-        assert_eq!(route_key(&Op::Range(RangeSpec::new(11, 100))), 11);
-    }
-
-    #[test]
-    fn split_preserves_order_and_membership() {
-        let ops: Vec<Op> = (0..100u64)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Op::Get(i)
-                } else {
-                    Op::Insert(i, i)
-                }
-            })
-            .collect();
-        let buckets = split_ops_by_shard(&ops, 4, |k| (k % 4) as usize);
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), ops.len());
-        for (s, bucket) in buckets.iter().enumerate() {
-            // Every op landed in its shard, in ascending (= original) order.
-            assert!(bucket.iter().all(|op| route_key(op) % 4 == s as u64));
-            assert!(bucket
-                .windows(2)
-                .all(|w| route_key(&w[0]) < route_key(&w[1])));
-        }
+        assert_eq!(Op::Get(7).route_key(), 7);
+        assert_eq!(Op::Insert(8, 1).route_key(), 8);
+        assert_eq!(Op::Update(9, 1).route_key(), 9);
+        assert_eq!(Op::Remove(10).route_key(), 10);
+        assert_eq!(Op::Range(RangeSpec::new(11, 100)).route_key(), 11);
     }
 
     #[test]
     fn split_clamps_out_of_range_routes() {
         let ops = vec![Op::Get(1), Op::Get(2)];
-        let buckets = split_ops_by_shard(&ops, 2, |_| 99);
-        assert_eq!(buckets[1].len(), 2);
+        let buckets = split_indexed_ops_by_shard(&ops, 2, |_| 99);
+        assert_eq!(buckets[1], [(0, ops[0]), (1, ops[1])]);
         // Zero shards is treated as one.
-        let buckets = split_ops_by_shard(&ops, 0, |_| 0);
+        let buckets = split_indexed_ops_by_shard(&ops, 0, |_| 0);
         assert_eq!(buckets.len(), 1);
         assert_eq!(buckets[0].len(), 2);
     }
@@ -118,7 +71,7 @@ mod tests {
             for &(i, op) in bucket {
                 // The carried index points at the original op.
                 assert_eq!(ops[i], op);
-                assert_eq!(route_key(&op) % 3, s as u64);
+                assert_eq!(op.route_key() % 3, s as u64);
                 seen[i] = true;
             }
             // Indices inside a bucket keep submission order.

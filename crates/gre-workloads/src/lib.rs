@@ -30,7 +30,7 @@ pub mod scenario;
 pub mod spec;
 pub mod zipf;
 
-pub use batch::{route_key, split_indexed_ops_by_shard, split_ops_by_shard};
+pub use batch::split_indexed_ops_by_shard;
 pub use driver::{
     Connection, Driver, LatencySummary, PhaseRecorder, PhaseResult, ScenarioResult, ServeTarget,
     Tally, LATENCY_SAMPLE_RATE,

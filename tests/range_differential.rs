@@ -11,7 +11,7 @@
 //! they are; `0` and `u64::MAX` cover "below the first key" and "past the last
 //! key".
 //!
-//! A second test holds the seven `Partitioned` backends to the model on the
+//! A second test holds the nine `Partitioned` backends to the model on the
 //! adapter's own paths: grouped batch lookups, appending scans, and the
 //! bulk-reload migration pair `extract_range` / `absorb_range`.
 
@@ -68,6 +68,8 @@ fn partitioned_backends() -> Vec<(&'static str, Backend)> {
     vec![
         ("ALEX+", Box::new(AlexPlus::new())),
         ("LIPP+", Box::new(LippPlus::new())),
+        ("XIndex", Box::new(XIndex::new())),
+        ("FINEdex", Box::new(Finedex::new())),
         ("B+tree/p64", Box::new(btree_olc())),
         ("ART/p64", Box::new(art_olc())),
         ("HOT/p64", Box::new(hot_rowex())),
