@@ -6,10 +6,10 @@ use gre_bench::registry::{single_thread_indexes, SingleEntry};
 use gre_core::OpCounters;
 use gre_datasets::Dataset;
 
-/// 2 000 seeded `osm` keys: the even positions are bulk-loaded, the odd
-/// ones are returned in a seeded shuffle for inserting.
-fn osm_stream() -> (Vec<(u64, u64)>, Vec<u64>) {
-    let keys = Dataset::Osm.generate(2_000, 42);
+/// `n` seeded `osm` keys: the even positions are bulk-loaded, the odd ones
+/// are returned in a seeded shuffle for inserting.
+fn osm_stream(n: usize) -> (Vec<(u64, u64)>, Vec<u64>) {
+    let keys = Dataset::Osm.generate(n, 42);
     let bulk = keys.iter().step_by(2).map(|&k| (k, k ^ 1)).collect();
     let mut fresh: Vec<u64> = keys.iter().skip(1).step_by(2).copied().collect();
     let mut x = 42u64;
@@ -45,7 +45,7 @@ fn work(c: OpCounters) -> [u64; 5] {
 /// a new traversal) updates them and says why.
 #[test]
 fn write_only_osm_counters_are_exact() {
-    let (bulk, fresh) = osm_stream();
+    let (bulk, fresh) = osm_stream(2_000);
     for (name, expected) in [
         ("ALEX", [1_000, 1_000, 233_550, 5, 5]),
         ("LIPP", [1_000, 2_996, 0, 485, 0]),
@@ -59,9 +59,26 @@ fn write_only_osm_counters_are_exact() {
     }
 }
 
+/// At 20 000 keys ALEX's node-sizing rule fires (at 2 000 every node stays
+/// under its floor). Before the rule one node took every insert: `[10_000,
+/// 10_000, 23_718_734, 5, 5]`, 2 372 keys shifted per insert against 130.
+#[test]
+fn write_only_osm_counters_are_exact_where_alex_splits() {
+    let (bulk, fresh) = osm_stream(20_000);
+    let mut e = entry("ALEX");
+    e.index.bulk_load(&bulk);
+    for &k in &fresh {
+        assert!(e.index.insert(k, k), "ALEX fresh insert {k}");
+    }
+    assert_eq!(
+        work(e.index.stats().counters),
+        [10_000, 22_491, 1_302_982, 58, 50]
+    );
+}
+
 #[test]
 fn removes_leave_the_per_insert_traversal_alone() {
-    let (bulk, fresh) = osm_stream();
+    let (bulk, fresh) = osm_stream(2_000);
     for mut e in single_thread_indexes() {
         if !e.index.meta().supports_delete {
             continue;

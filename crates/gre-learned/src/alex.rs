@@ -6,13 +6,34 @@
 //! absorb inserts. Lookups predict a slot and run an exponential "last-mile"
 //! search around it; inserts either land in a nearby gap or shift existing
 //! keys toward the closest gap (the write amplification the paper analyses in
-//! Figure 3 / Table 3). A structural modification operation (SMO) rebuilds a
-//! node whose insert found no room or whose density passed
-//! `AlexConfig::max_density`: expanded and retrained in place while it holds
-//! fewer than `max_node_entries` entries, split at the median key otherwise.
-//! (The paper picks between these from a cost model over per-node runtime
-//! statistics; this reproduction keeps no such statistics — the size budget
-//! and the density bounds are the whole rule.)
+//! Figure 3 / Table 3).
+//!
+//! # Node sizing
+//!
+//! One rule sizes every data node, at bulk load and at every structural
+//! modification operation (SMO). Placing a key range's entries by its
+//! fitted model also yields the keys a random insert is expected to shift,
+//! Σ L² / 4n over the packed runs of length L (an insert lands in a run in
+//! proportion to its length and shifts a quarter of it on average). The
+//! range is one node when that cost is at most `MAX_EXPECTED_SHIFT` and it
+//! holds at most `max_node_entries` entries; otherwise it is split at the
+//! median and the rule applied to each half. The build is its own cost pass:
+//! placement stops as soon as the runs placed so far pass the limit, before
+//! the key array is built, so easy data pays no extra pass and hard data
+//! only the prefix that proved it hard. A range under `2 * MIN_NODE_KEYS`
+//! keys is built whatever it costs, so the rule never leaves a node below
+//! `MIN_NODE_KEYS` keys unless the size budget forces it.
+//!
+//! An SMO rebuilds a node through the rule when an insert finds no room, when
+//! its density passes `AlexConfig::max_density` (at `init_density`), or when
+//! its inserts have out-shifted a rebuild: each node counts the keys its
+//! inserts shifted since its build, and once that count exceeds both its key
+//! count (the shifts have cost as much as a rebuild) and twice what its build
+//! predicted, the node is rebuilt at its own density, clamped to
+//! `[init_density, max_density]`, so a split adds no memory. (The paper picks
+//! between expand, split sideways and split down from a cost model that also
+//! weighs search cost; this rule weighs shifts only, splits at the median,
+//! never splits down, and its constants are fixed.)
 //!
 //! # Data-node layout
 //!
@@ -50,6 +71,18 @@ use gre_core::{
 };
 use gre_pla::LinearModel;
 use std::time::Instant;
+
+/// The most keys a random insert may be expected to shift in a node of at
+/// least `2 * MIN_NODE_KEYS` keys. It separates easy data from hard, as
+/// measured per node: `covid` expects about 3.5 shifts at every size, `books`
+/// a median of 3.5 to 9.6 and a 90th percentile of 4 to 24, `osm` about
+/// 4 100 at 31 k keys but about 60 at 1 k keys.
+const MAX_EXPECTED_SHIFT: f64 = 64.0;
+
+/// The fewest keys the sizing rule leaves in a node it splits. The floor
+/// exists for memory: a node carries about 110 bytes of fixed overhead, and
+/// a 128-key floor raised the served stack's bytes per key by 5.8 %.
+const MIN_NODE_KEYS: usize = 1024;
 
 /// Configuration of ALEX (Table 1).
 #[derive(Debug, Clone, Copy)]
@@ -102,11 +135,19 @@ pub struct DataNode<K> {
     /// Bit `i` is set iff slot `i` is occupied; bits past `capacity()` are 0.
     bitmap: Vec<u64>,
     num_keys: usize,
+    /// Keys a random insert was expected to shift when the node was built.
+    expected_shift: f64,
+    /// Fresh inserts since the build, and the keys they shifted.
+    inserts: u64,
+    shifted: u64,
 }
 
 impl<K: Key> DataNode<K> {
-    /// Build a node from sorted entries at the given density.
-    fn build(entries: &[(K, Payload)], density: f64) -> Self {
+    /// Build a node from sorted `entries` at `density` — unless a random
+    /// insert into it would be expected to shift more than `limit` keys:
+    /// then placement stops as soon as its runs show that, before the key
+    /// array is built, and the answer is `None`.
+    fn build(entries: &[(K, Payload)], density: f64, limit: f64) -> Option<Self> {
         let n = entries.len();
         let capacity = ((n as f64 / density.max(0.05)).ceil() as usize).max(n.max(4));
         let expansion = if n > 1 {
@@ -124,11 +165,21 @@ impl<K: Key> DataNode<K> {
         let mut bitmap = vec![0u64; capacity.div_ceil(64)];
         // Model-based placement: put each entry at its predicted slot, pushed
         // right past already-filled slots and pulled left just enough to
-        // guarantee the remaining entries still fit.
-        let mut next_free = 0usize;
+        // guarantee the remaining entries still fit. Meanwhile sum L² over
+        // the runs of L adjacent filled slots: a run adds 1 + 3 + ... +
+        // (2L - 1), one odd number per slot, kept with selects rather than a
+        // branch that irregular keys mispredict.
+        let scale = (4 * n.max(1)) as f64;
+        let budget = (limit * scale) as usize;
+        let (mut next_free, mut run_start, mut squares) = (0usize, 0usize, 0usize);
         for (i, &(k, v)) in entries.iter().enumerate() {
             let predicted = model.predict_clamped(k, capacity);
             let pos = predicted.max(next_free).min(capacity - (n - i));
+            run_start = if pos > next_free { pos } else { run_start };
+            squares += 2 * (pos - run_start) + 1;
+            if squares > budget {
+                return None;
+            }
             values[pos] = v;
             bitmap[pos / 64] |= 1 << (pos % 64);
             next_free = pos + 1;
@@ -146,13 +197,25 @@ impl<K: Key> DataNode<K> {
                 key
             })
             .collect();
-        DataNode {
+        Some(DataNode {
             model,
             keys,
             values,
             bitmap,
             num_keys: n,
-        }
+            expected_shift: squares as f64 / scale,
+            inserts: 0,
+            shifted: 0,
+        })
+    }
+
+    /// Whether the node's inserts have out-shifted a rebuild: the keys they
+    /// shifted since its build exceed both its key count and twice what the
+    /// build predicted. Only a node the sizing rule may split asks.
+    fn outshifted(&self) -> bool {
+        self.num_keys >= 2 * MIN_NODE_KEYS
+            && self.shifted > self.num_keys as u64
+            && self.shifted as f64 > 2.0 * self.expected_shift * self.inserts as f64
     }
 
     /// Number of slots; never below 4, so a model prediction always has a
@@ -209,31 +272,7 @@ impl<K: Key> DataNode<K> {
     /// binary search inside the bracket it finds. The slot is occupied or
     /// starts the gap run that ends at the occupied slot holding that key.
     fn lower_bound(&self, key: K, pred: usize) -> usize {
-        let keys = &self.keys[..];
-        let (mut lo, mut hi) = (0, keys.len());
-        let mut step = 1usize;
-        if keys[pred] >= key {
-            hi = pred;
-            while step <= pred {
-                if keys[pred - step] < key {
-                    lo = pred - step + 1;
-                    break;
-                }
-                hi = pred - step;
-                step *= 2;
-            }
-        } else {
-            lo = pred + 1;
-            while pred + step < keys.len() {
-                if keys[pred + step] >= key {
-                    hi = pred + step;
-                    break;
-                }
-                lo = pred + step + 1;
-                step *= 2;
-            }
-        }
-        lo + keys[lo..hi].partition_point(|k| *k < key)
+        search_from(&self.keys, pred, |k| *k < key).0
     }
 
     /// The occupied slot holding `key`, searching from the prediction `pred`.
@@ -300,7 +339,10 @@ impl<K: Key> DataNode<K> {
         self.values[pos] = value;
         self.bitmap[taken / 64] |= 1 << (taken % 64);
         self.num_keys += 1;
-        Ok((true, pos.abs_diff(taken) as u64))
+        let shifted = pos.abs_diff(taken) as u64;
+        self.inserts += 1;
+        self.shifted += shifted;
+        Ok((true, shifted))
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
@@ -379,6 +421,48 @@ impl<K: Key> DataNode<K> {
     }
 }
 
+/// The partition point of `below` over `items` (the first index whose item
+/// is not below; `below` must hold for a prefix), found by an exponential
+/// search outward from `guess < items.len()` and a binary search inside the
+/// bracket it finds. Also returns the probes made after the one at `guess`:
+/// each step of the exponential search, and the bit length of the bracket
+/// for the binary search.
+#[inline]
+fn search_from<T>(items: &[T], guess: usize, below: impl Fn(&T) -> bool) -> (usize, u64) {
+    let (mut lo, mut hi) = (0, items.len());
+    let (mut step, mut probes) = (1usize, 0u64);
+    if !below(&items[guess]) {
+        hi = guess;
+        while step <= guess {
+            probes += 1;
+            if below(&items[guess - step]) {
+                lo = guess - step + 1;
+                break;
+            }
+            hi = guess - step;
+            step *= 2;
+        }
+    } else {
+        lo = guess + 1;
+        while guess + step < items.len() {
+            probes += 1;
+            if !below(&items[guess + step]) {
+                hi = guess + step;
+                break;
+            }
+            lo = guess + step + 1;
+            step *= 2;
+        }
+    }
+    if lo == hi {
+        // The common case on easy data: no bracket left to bisect.
+        return (lo, probes);
+    }
+    let bracket = &items[lo..hi];
+    let binary = u64::from(usize::BITS - bracket.len().leading_zeros());
+    (lo + bracket.partition_point(below), probes + binary)
+}
+
 /// Best-effort read prefetch of the cache line holding `*ptr`. No-op on
 /// architectures without an exposed prefetch intrinsic.
 #[inline(always)]
@@ -417,14 +501,16 @@ impl<K: Key> Alex<K> {
     }
 
     pub fn with_config(config: AlexConfig) -> Self {
-        Alex {
+        let mut alex = Alex {
             config,
             inner_model: LinearModel::default(),
-            boundaries: vec![K::MIN],
-            nodes: vec![DataNode::build(&[], config.init_density)],
+            boundaries: Vec::new(),
+            nodes: Vec::new(),
             len: 0,
             counters: OpCounters::default(),
-        }
+        };
+        alex.bulk_load(&[]);
+        alex
     }
 
     /// Number of data nodes.
@@ -450,69 +536,84 @@ impl<K: Key> Alex<K> {
         );
     }
 
-    /// Route a key to its data node: model prediction plus local correction.
-    /// Returns `(node_index, nodes_traversed)`.
+    /// Route a key to its data node: the inner model's prediction, corrected
+    /// by an exponential search over `boundaries` from it and a binary search
+    /// inside the bracket. Returns `(node_index, nodes_traversed)`, the
+    /// latter 1 plus the boundary probes of the correction.
     fn locate(&self, key: K) -> (usize, u64) {
-        let n = self.nodes.len();
-        let mut idx = self.inner_model.predict_clamped(key, n);
-        let mut traversed = 1u64;
-        while idx + 1 < n && self.boundaries[idx + 1] <= key {
-            idx += 1;
-            traversed += 1;
+        // A lone node needs no routing, nor a load of its boundary.
+        if self.boundaries.len() == 1 {
+            return (0, 1);
         }
-        while idx > 0 && self.boundaries[idx] > key {
-            idx -= 1;
-            traversed += 1;
-        }
-        (idx, traversed.max(1))
+        let guess = self.inner_model.predict_clamped(key, self.boundaries.len());
+        // `boundaries[0]` is `K::MIN`, so the partition point is at least 1.
+        let (after, probes) = search_from(&self.boundaries, guess, |b| *b <= key);
+        (after - 1, 1 + probes)
     }
 
-    /// Rebuild or split node `idx` after its insert failed or its density
-    /// exceeded the budget: expand and retrain while the node is under the
-    /// size budget, split otherwise.
-    fn smo(&mut self, idx: usize) {
+    /// The node-sizing rule (module doc): build sorted `entries` at
+    /// `density` as one node when it is within the size budget and either
+    /// too small to split or expected to shift at most `MAX_EXPECTED_SHIFT`
+    /// keys per insert; otherwise build each median half by the same rule.
+    /// Appends the nodes to `out` in key order.
+    fn build_nodes(&self, entries: &[(K, Payload)], density: f64, out: &mut Vec<DataNode<K>>) {
+        let n = entries.len();
+        if n <= self.config.max_node_entries.max(1) {
+            let limit = if n < 2 * MIN_NODE_KEYS {
+                f64::INFINITY
+            } else {
+                MAX_EXPECTED_SHIFT
+            };
+            if let Some(node) = DataNode::build(entries, density, limit) {
+                out.push(node);
+                return;
+            }
+        }
+        let (left, right) = entries.split_at(n / 2);
+        self.build_nodes(left, density, out);
+        self.build_nodes(right, density, out);
+    }
+
+    /// SMO: rebuild node `idx` through the sizing rule at `density`, putting
+    /// the nodes it builds in its place.
+    fn smo(&mut self, idx: usize, density: f64) {
+        let start = Instant::now();
         #[cfg(debug_assertions)]
         self.nodes[idx].check();
-        let entries = self.nodes[idx].entries();
-        if entries.len() < self.config.max_node_entries {
-            // Expand & retrain in place.
-            self.nodes[idx] = DataNode::build(&entries, self.config.init_density);
-            return;
+        let mut built = Vec::new();
+        self.build_nodes(&self.nodes[idx].entries(), density, &mut built);
+        let count = built.len();
+        // A node's first key is the gap fill of its slot 0.
+        let firsts: Vec<K> = built[1..].iter().map(|n| n.keys[0]).collect();
+        self.nodes.splice(idx..=idx, built);
+        if count > 1 {
+            self.boundaries.splice(idx + 1..idx + 1, firsts);
+            self.retrain_inner();
         }
-        // Split into two nodes at the median key.
-        let mid = entries.len() / 2;
-        let left = DataNode::build(&entries[..mid], self.config.init_density);
-        let right = DataNode::build(&entries[mid..], self.config.init_density);
-        let right_first = entries[mid].0;
-        self.nodes[idx] = left;
-        self.nodes.insert(idx + 1, right);
-        self.boundaries.insert(idx + 1, right_first);
-        self.retrain_inner();
+        self.counters.nodes_created += count as u64;
+        self.counters.insert_breakdown.smo_ns += start.elapsed().as_nanos() as u64;
     }
 }
 
 impl<K: Key> Index<K> for Alex<K> {
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
         self.len = entries.len();
-        self.nodes.clear();
-        self.boundaries.clear();
-        if entries.is_empty() {
-            self.boundaries.push(K::MIN);
-            self.nodes
-                .push(DataNode::build(&[], self.config.init_density));
-            self.retrain_inner();
-            return;
-        }
-        // Partition into data nodes of at most max_node_entries * density.
-        let per_node = ((self.config.max_node_entries as f64 * self.config.init_density) as usize)
+        // Chunks of at most max_node_entries * density, each sized by the
+        // rule; an empty index still has one (empty) node.
+        let density = self.config.init_density;
+        let per_node = ((self.config.max_node_entries as f64 * density) as usize)
             .clamp(64, self.config.max_node_entries)
             .min(entries.len().max(1));
+        let mut nodes = Vec::new();
         for chunk in entries.chunks(per_node) {
-            self.boundaries.push(chunk[0].0);
-            self.nodes
-                .push(DataNode::build(chunk, self.config.init_density));
+            self.build_nodes(chunk, density, &mut nodes);
         }
+        if nodes.is_empty() {
+            self.build_nodes(&[], density, &mut nodes);
+        }
+        self.boundaries = nodes.iter().map(|n| n.keys[0]).collect();
         self.boundaries[0] = K::MIN;
+        self.nodes = nodes;
         self.retrain_inner();
         self.counters = OpCounters::default();
     }
@@ -525,7 +626,7 @@ impl<K: Key> Index<K> for Alex<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let start = Instant::now();
-        let (idx, traversed) = self.locate(key);
+        let (mut idx, traversed) = self.locate(key);
         let located = Instant::now();
         let c = &mut self.counters;
         c.inserts += 1;
@@ -536,15 +637,12 @@ impl<K: Key> Index<K> for Alex<K> {
         let (inserted, shifted) = match self.nodes[idx].insert(key, value) {
             Ok(pair) => pair,
             Err(()) => {
-                // SMO, then retry (the retry cannot fail: the rebuilt node has
-                // gaps again).
-                let smo_start = Instant::now();
-                self.smo(idx);
-                self.counters.insert_breakdown.smo_ns += smo_start.elapsed().as_nanos() as u64;
-                self.counters.nodes_created += 1;
+                // SMO, then retry (the retry cannot fail: the rebuilt nodes
+                // have gaps again).
+                self.smo(idx, self.config.init_density);
                 triggered_smo = true;
-                let (idx2, _) = self.locate(key);
-                self.nodes[idx2]
+                idx = self.locate(key).0;
+                self.nodes[idx]
                     .insert(key, value)
                     .expect("insert after SMO must succeed")
             }
@@ -562,13 +660,22 @@ impl<K: Key> Index<K> for Alex<K> {
         if inserted {
             self.len += 1;
         }
-        // Density-triggered proactive SMO (performance-driven design).
-        let idx = idx.min(self.nodes.len() - 1);
-        if self.nodes[idx].density() > self.config.max_density {
-            let smo_start = Instant::now();
-            self.smo(idx);
-            self.counters.insert_breakdown.smo_ns += smo_start.elapsed().as_nanos() as u64;
-            self.counters.nodes_created += 1;
+        // Proactive SMOs: a node past the density bound expands; a node
+        // whose inserts out-shifted a rebuild is rebuilt at its own density.
+        let (node, config) = (&self.nodes[idx], self.config);
+        let density = if node.density() > config.max_density {
+            Some(config.init_density)
+        } else if node.outshifted() {
+            Some(
+                node.density()
+                    .max(config.init_density)
+                    .min(config.max_density),
+            )
+        } else {
+            None
+        };
+        if let Some(density) = density {
+            self.smo(idx, density);
             triggered_smo = true;
         }
         self.counters.smo_count += u64::from(triggered_smo);
@@ -582,12 +689,12 @@ impl<K: Key> Index<K> for Alex<K> {
             self.len -= 1;
             // Deleting keys does not pollute the model (Message 8); we only
             // repack when density drops far below the minimum.
-            if self.nodes[idx].density() < self.config.min_density / 4.0
-                && self.nodes[idx].num_keys > 0
-                && self.nodes[idx].capacity() > 64
+            let node = &self.nodes[idx];
+            if node.density() < self.config.min_density / 4.0
+                && node.num_keys > 0
+                && node.capacity() > 64
             {
-                let entries = self.nodes[idx].entries();
-                self.nodes[idx] = DataNode::build(&entries, self.config.init_density);
+                self.smo(idx, self.config.init_density);
                 self.counters.smo_count += 1;
             }
         }
@@ -777,9 +884,11 @@ mod tests {
         // Sparse keys fit the model; a cluster that grows from both of its
         // ends then packs the slots around one prediction solid, so inserts
         // at its bottom find the closest gap on the left and inserts at its
-        // top find it on the right. `max_density: 1.0` turns the proactive
+        // top find it on the right. `max_density: 1.0` turns the density
         // trigger off: the node fills to the last slot and the insert that
-        // finds no room takes the SMO-then-retry path.
+        // finds no room takes the SMO-then-retry path. Once the cluster holds
+        // `2 * MIN_NODE_KEYS` keys its shifts trigger a split, so each key is
+        // followed to its node through `locate`.
         let mut alex = Alex::with_config(AlexConfig {
             max_density: 1.0,
             ..Default::default()
@@ -791,18 +900,23 @@ mod tests {
         let (mut left, mut right, mut retries, mut densest) = (0, 0, 0, 0.0f64);
         for i in 0..3_000u64 {
             let key = if i % 2 == 0 { middle - i } else { middle + i };
-            let before = alex.nodes[0].bitmap.clone();
+            let (at, _) = alex.locate(key);
+            let before = alex.nodes[at].bitmap.clone();
             let counted = alex.stats().counters;
             assert!(alex.insert(key, i));
             model.insert(key, i);
-            let node = &alex.nodes[0];
-            node.check();
-            densest = densest.max(node.density());
             let now = alex.stats().counters;
             let shifted = now.keys_shifted - counted.keys_shifted;
             if now.smo_count > counted.smo_count {
                 retries += 1;
-            } else if shifted > 0 {
+                alex.nodes.iter().for_each(DataNode::check);
+                continue;
+            }
+            // No SMO: the node list is unchanged and `key` went to `at`.
+            let node = &alex.nodes[at];
+            node.check();
+            densest = densest.max(node.density());
+            if shifted > 0 {
                 let taken = before
                     .iter()
                     .zip(&node.bitmap)
@@ -825,6 +939,107 @@ mod tests {
             "{left} {right} {retries}"
         );
         assert!(densest >= 0.8);
+        assert!(
+            alex.data_node_count() > 1,
+            "the shift trigger split the node"
+        );
+        let mut out = Vec::new();
+        alex.range(RangeSpec::new(0, usize::MAX), &mut out);
+        assert_eq!(out, model.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Every node the sizing rule left standing is easy or at the floor.
+    fn assert_sized(alex: &Alex<u64>) {
+        for node in &alex.nodes {
+            node.check();
+            assert!(
+                node.expected_shift <= MAX_EXPECTED_SHIFT || node.num_keys < 2 * MIN_NODE_KEYS,
+                "{} keys expect {} shifts",
+                node.num_keys,
+                node.expected_shift
+            );
+        }
+    }
+
+    #[test]
+    fn clustered_keys_are_bulk_loaded_into_easy_nodes() {
+        // Four tight runs of consecutive keys, 2^40 apart: one model over
+        // all of them packs each run into a few slots.
+        let keys: Vec<(u64, Payload)> = (0..4u64)
+            .flat_map(|c| (0..6_000u64).map(move |i| ((c << 40) + i, i)))
+            .collect();
+        assert!(DataNode::build(&keys, 0.7, MAX_EXPECTED_SHIFT).is_none());
+        let mut alex = Alex::new();
+        alex.bulk_load(&keys);
+        assert!(alex.data_node_count() > 1);
+        assert_sized(&alex);
+        assert!(alex.nodes.iter().all(|n| n.num_keys >= MIN_NODE_KEYS));
+        for &(k, v) in &keys {
+            assert_eq!(alex.get(k), Some(v), "key {k}");
+        }
+    }
+
+    #[test]
+    fn near_linear_keys_build_the_size_budget_chunks() {
+        // Jittered linear keys are easy at every size, so the nodes are the
+        // `max_node_entries * init_density` chunks the budget alone gives.
+        let config = AlexConfig {
+            max_node_entries: 1 << 14,
+            ..Default::default()
+        };
+        let keys: Vec<(u64, Payload)> = (0..100_000u64)
+            .map(|i| (i * 64 + (i.wrapping_mul(0x9e37_79b9) >> 7) % 48, i))
+            .collect();
+        let mut alex = Alex::with_config(config);
+        alex.bulk_load(&keys);
+        let per_node = (config.max_node_entries as f64 * config.init_density) as usize;
+        let mut chunk_firsts: Vec<u64> = keys.chunks(per_node).map(|c| c[0].0).collect();
+        chunk_firsts[0] = u64::MIN;
+        assert!(chunk_firsts.len() > 1);
+        assert_eq!(alex.boundaries, chunk_firsts);
+        assert_sized(&alex);
+    }
+
+    #[test]
+    fn shifting_cluster_splits_its_node_and_stops_shifting() {
+        // One node of linear keys takes a dense cluster between two of them,
+        // in a seeded order. The packed run around the cluster's prediction
+        // makes every insert shift, until the shift trigger rebuilds the
+        // node through the rule; repeated splits then give the cluster nodes
+        // of its own. Without them the n-th cluster key would shift about
+        // n / 4 keys.
+        let linear: Vec<(u64, Payload)> = (0..4_096u64).map(|i| (i << 24, i)).collect();
+        let mut alex = Alex::new();
+        alex.bulk_load(&linear);
+        assert_eq!(alex.data_node_count(), 1);
+        let mut model: BTreeMap<u64, u64> = linear.iter().copied().collect();
+        let mut cluster: Vec<u64> = (1..=20_000u64).map(|i| (2_048u64 << 24) + i).collect();
+        let mut x = 42u64;
+        for i in (1..cluster.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            cluster.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let mut shifts = Vec::new();
+        let mut split_at = None;
+        for (i, &key) in cluster.iter().enumerate() {
+            let before = alex.stats().counters.keys_shifted;
+            assert!(alex.insert(key, key));
+            model.insert(key, key);
+            shifts.push(alex.stats().counters.keys_shifted - before);
+            if split_at.is_none() && alex.data_node_count() > 1 {
+                split_at = Some(i);
+            }
+            if i % 256 == 0 {
+                alex.nodes.iter().for_each(DataNode::check);
+            }
+        }
+        alex.nodes.iter().for_each(DataNode::check);
+        let split_at = split_at.expect("the cluster split its node");
+        let mean = |s: &[u64]| s.iter().sum::<u64>() as f64 / s.len() as f64;
+        let (before, last) = (mean(&shifts[..split_at]), mean(&shifts[18_000..]));
+        assert!(last * 4.0 < before, "{before} -> {last} shifts per insert");
         let mut out = Vec::new();
         alex.range(RangeSpec::new(0, usize::MAX), &mut out);
         assert_eq!(out, model.into_iter().collect::<Vec<_>>());
