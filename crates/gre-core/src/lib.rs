@@ -30,10 +30,6 @@
 //!   (typed [`elastic::ElasticError`], committed [`elastic::BoundaryChange`]
 //!   events) spoken between `gre-shard`'s mechanism and `gre-elastic`'s
 //!   policy layer.
-//! * [`replica`] — the shared vocabulary of the replication tier
-//!   (per-shard applied-sequence [`replica::Watermark`]s, the
-//!   [`replica::ReadPolicy`] for read placement) spoken between
-//!   `gre-replica`'s mechanism and the serving/benchmark layers.
 //! * [`json`] — [`json::JsonWriter`], the one JSON emitter every report in
 //!   the workspace is written through.
 //! * [`error`] — the shared error type.
@@ -46,7 +42,6 @@ pub mod key;
 pub mod latency;
 pub mod ops;
 pub mod partitioned;
-pub mod replica;
 pub mod stats;
 pub mod wire;
 
@@ -57,5 +52,4 @@ pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
 pub use partitioned::{Partitionable, Partitioned, Probe, BATCH_WIDTH};
-pub use replica::{ReadPolicy, Watermark};
 pub use stats::{InsertBreakdown, OpCounters, StatsSnapshot};

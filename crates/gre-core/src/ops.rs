@@ -239,11 +239,6 @@ pub enum IndexError {
     /// This is a terminal per-op answer — submitters can distinguish a
     /// drained-without-executing batch from a completed one.
     Shutdown,
-    /// Admission control shed the operation: every eligible server was over
-    /// its latency SLO, so the request was rejected without execution.
-    /// Unlike [`IndexError::Shutdown`] this is transient — the same request
-    /// may succeed once the breaching servers recover.
-    Overloaded,
 }
 
 impl fmt::Display for IndexError {
@@ -251,9 +246,6 @@ impl fmt::Display for IndexError {
         match self {
             IndexError::Unsupported(op) => write!(f, "operation not supported by backend: {op}"),
             IndexError::Shutdown => write!(f, "serving layer shut down before execution"),
-            IndexError::Overloaded => {
-                write!(f, "admission control shed the operation (SLO breach)")
-            }
         }
     }
 }

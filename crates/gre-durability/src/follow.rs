@@ -3,9 +3,9 @@
 //! shard's log file into an incremental iterator of committed groups, while
 //! a [`crate::wal::DurableLog`] keeps appending to it.
 //!
-//! This is the transport of the replication tier (`gre-replica`): the
-//! primary's WAL doubles as the replication log, so replicas apply exactly
-//! the bytes that recovery would replay — one code path, one format, one
+//! The layer-tax ledger times this stream as its log-shipping rows
+//! (`ship.poll_ns_per_op`, `ship.apply_ns_per_op`): a follower reads exactly
+//! the bytes recovery would replay — one code path, one format, one
 //! torn-tail discipline.
 //!
 //! ## Safety of concurrent tailing
@@ -20,18 +20,9 @@
 //! [`RecordError::TornTail`] and re-reads from the same offset next time;
 //! any *other* decode error is a real corruption and surfaces as an
 //! [`io::Error`].
-//!
-//! ## Resuming
-//!
-//! [`LogFollower::resume`] positions a follower at the start of each log
-//! but arms a per-shard *applied watermark*: records whose `seq` is at or
-//! below the watermark are consumed (the cursor advances past them) but not
-//! yielded. A replica that crashed after applying sequence `W` re-joins by
-//! resuming at `W`, replaying the log from the top, and receiving exactly
-//! the suffix `W+1..` — no lost and no duplicated applies, the same
-//! idempotence argument snapshots use during recovery.
 
 use crate::record::{decode_record, Record, RecordError};
+use crate::snapshot::{read_snapshot, snapshot_path};
 use crate::wal::{read_manifest, wal_path};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -42,8 +33,8 @@ struct Cursor {
     /// Byte offset of the first record not yet consumed.
     offset: u64,
     /// The sequence number [`LogFollower::poll`] will yield next. Records
-    /// below this are skipped (already applied); a record *above* it is a
-    /// sequence break and surfaces as an error.
+    /// below this are skipped (the shard's snapshot already covers them); a
+    /// record *above* it is a sequence break and surfaces as an error.
     next_seq: u64,
 }
 
@@ -59,45 +50,18 @@ pub struct LogFollower {
 
 impl LogFollower {
     /// Follow the log under `dir` from the beginning of every shard's file,
-    /// expecting the first record to carry sequence 1 (a freshly created or
-    /// freshly checkpointed log). Shard count comes from the WAL manifest.
+    /// yielding the records its snapshot does not cover: the first carries
+    /// the snapshot's `last_seq + 1`, or 1 when the shard has no snapshot
+    /// (a freshly created log). Shard count comes from the WAL manifest.
     pub fn from_start(dir: &Path) -> io::Result<LogFollower> {
         let shards = read_manifest(dir)?;
         Ok(LogFollower {
             dir: dir.to_path_buf(),
-            cursors: vec![
-                Cursor {
+            cursors: (0..shards)
+                .map(|s| Cursor {
                     offset: 0,
-                    next_seq: 1,
-                };
-                shards
-            ],
-            buf: Vec::new(),
-        })
-    }
-
-    /// Re-join after a crash: replay every shard's log from the top but
-    /// yield only records *after* `applied[shard]` (the re-joiner's last
-    /// applied watermark). `applied.len()` must match the manifest's shard
-    /// count.
-    pub fn resume(dir: &Path, applied: &[u64]) -> io::Result<LogFollower> {
-        let shards = read_manifest(dir)?;
-        if applied.len() != shards {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "watermark covers {} shards but the log has {shards}",
-                    applied.len()
-                ),
-            ));
-        }
-        Ok(LogFollower {
-            dir: dir.to_path_buf(),
-            cursors: applied
-                .iter()
-                .map(|&w| Cursor {
-                    offset: 0,
-                    next_seq: w + 1,
+                    next_seq: read_snapshot(&snapshot_path(dir, s))
+                        .map_or(1, |snap| snap.last_seq + 1),
                 })
                 .collect(),
             buf: Vec::new(),
@@ -121,12 +85,12 @@ impl LogFollower {
 
     /// Read every complete record appended to `shard`'s log since the last
     /// poll. Returns an empty vec when nothing new is committed (including
-    /// when the file ends in a torn tail still being appended). Skipped
-    /// (already-applied) records advance the cursor without being yielded.
+    /// when the file ends in a torn tail still being appended). Records the
+    /// shard's snapshot covers advance the cursor without being yielded.
     ///
     /// Errors: a shrunken file (a checkpoint truncated the log under the
     /// follower — unsupported while shipping), a non-torn decode failure
-    /// (corruption), or a sequence break (a gap the resume watermark cannot
+    /// (corruption), or a sequence break (a gap the snapshot cannot
     /// explain).
     pub fn poll(&mut self, shard: usize) -> io::Result<Vec<Record>> {
         let path = wal_path(&self.dir, shard);
@@ -158,7 +122,9 @@ impl LogFollower {
                     at += rec.frame_len;
                     cur.offset += rec.frame_len as u64;
                     if rec.seq < cur.next_seq {
-                        continue; // already applied by the resuming replica
+                        // Covered by the snapshot: a crash between the
+                        // checkpoint's rename and its truncate leaves both.
+                        continue;
                     }
                     if rec.seq > cur.next_seq {
                         return Err(io::Error::new(
@@ -283,29 +249,35 @@ mod tests {
     }
 
     #[test]
-    fn resume_skips_already_applied_records_exactly() {
-        let dir = TempDir::new("follow-resume");
+    fn starts_after_the_snapshot_of_a_checkpointed_log() {
+        let seqs = |f: &mut LogFollower| -> Vec<u64> {
+            f.poll(0).unwrap().iter().map(|r| r.seq).collect()
+        };
+        // A checkpoint truncates the log but the sequence keeps counting.
+        let dir = TempDir::new("follow-checkpoint");
         let log = DurableLog::create(dir.path(), 1, SyncPolicy::EveryGroup).unwrap();
-        for g in 0..5u64 {
+        log.log_group(0, &inserts(0, 2)).unwrap();
+        log.log_group(0, &inserts(10, 2)).unwrap();
+        log.checkpoint(0, &[(0, 0)]).unwrap();
+        log.log_group(0, &inserts(20, 2)).unwrap();
+        let mut follower = LogFollower::from_start(dir.path()).unwrap();
+        assert_eq!(seqs(&mut follower), [3]);
+
+        // A crash between the snapshot's rename and the log's truncate
+        // leaves both: the records the snapshot covers are consumed, not
+        // yielded.
+        let dir = TempDir::new("follow-untruncated");
+        let log = DurableLog::create(dir.path(), 1, SyncPolicy::EveryGroup).unwrap();
+        for g in 0..3u64 {
             log.log_group(0, &inserts(g * 10, 2)).unwrap();
         }
-
-        // A replica that applied through seq 3 re-joins.
-        let mut follower = LogFollower::resume(dir.path(), &[3]).unwrap();
-        let got = follower.poll(0).unwrap();
-        let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, [4, 5], "exactly the unapplied suffix, no dupes");
-
-        // Watermark at the very tip: nothing to re-apply.
-        let mut follower = LogFollower::resume(dir.path(), &[5]).unwrap();
-        assert!(follower.poll(0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn resume_requires_matching_shard_count() {
-        let dir = TempDir::new("follow-shape");
-        let _log = DurableLog::create(dir.path(), 2, SyncPolicy::EveryGroup).unwrap();
-        assert!(LogFollower::resume(dir.path(), &[0]).is_err());
+        crate::snapshot::write_snapshot(dir.path(), 0, 2, &[(0, 0)], None).unwrap();
+        let mut follower = LogFollower::from_start(dir.path()).unwrap();
+        assert_eq!(seqs(&mut follower), [3]);
+        assert_eq!(
+            follower.offset(0),
+            std::fs::metadata(wal_path(dir.path(), 0)).unwrap().len()
+        );
     }
 
     #[test]

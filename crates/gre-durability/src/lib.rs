@@ -20,10 +20,9 @@
 //! * [`recover`] — [`recover::Recovery`]: scan, classify how each shard's
 //!   history ends (clean / torn / corrupt / sequence break), replay into
 //!   any [`gre_core::ConcurrentIndex`] backend, and resume logging.
-//! * [`follow`] — [`follow::LogFollower`]: tail a live log as the
-//!   replication shipping stream, re-using the same record decode and
-//!   torn-tail discipline as recovery, with watermark-based resume for
-//!   re-joining replicas.
+//! * [`follow`] — [`follow::LogFollower`]: tail a live log as a shipping
+//!   stream, starting after each shard's snapshot and re-using the same
+//!   record decode and torn-tail discipline as recovery.
 //!
 //! The serving pipeline (`gre-shard`) consumes this crate the same way it
 //! consumes telemetry: an optional `Arc<DurableLog>` attached at

@@ -226,10 +226,6 @@ impl DurableLog {
         }))
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     pub fn shards(&self) -> usize {
         self.shards.len()
     }

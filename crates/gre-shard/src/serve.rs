@@ -117,12 +117,11 @@ pub fn reconcile_tally(
     Ok(())
 }
 
-/// Durability settings for a serve target: where the per-shard WAL lives,
-/// how often it syncs, and (after load) the live log.
+/// Durability settings for a serve target: where the per-shard WAL lives
+/// and how often it syncs.
 struct DurabilityConfig {
     dir: PathBuf,
     policy: SyncPolicy,
-    log: Option<Arc<DurableLog>>,
 }
 
 /// Serve scenarios through the batched [`ShardPipeline`]: each driver
@@ -162,16 +161,6 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
     /// The served composite (for post-run verification).
     pub fn index(&self) -> &ShardedIndex<u64, B> {
         &self.index
-    }
-
-    /// Pipeline worker threads requested at construction.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Ops per submitted batch.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// Attach runtime telemetry with trace-enabled defaults; the registry
@@ -217,19 +206,8 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
         self.durability = Some(DurabilityConfig {
             dir: dir.as_ref().to_path_buf(),
             policy,
-            log: None,
         });
         self
-    }
-
-    /// The write-ahead log directory, when [`PipelineTarget::durable`].
-    pub fn wal_dir(&self) -> Option<&Path> {
-        Some(&self.durability.as_ref()?.dir)
-    }
-
-    /// The live durable log, when [`PipelineTarget::durable`] and loaded.
-    pub fn durability(&self) -> Option<&Arc<DurableLog>> {
-        self.durability.as_ref()?.log.as_ref()
     }
 
     /// The shared serving pipeline, once loaded — the handle an elasticity
@@ -268,7 +246,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
         // Durable targets either restore a previous incarnation's on-disk
         // state (a restart: the durable history supersedes the bulk
         // entries) or open a fresh log over the bulk load.
-        let durability = if let Some(cfg) = self.durability.as_mut() {
+        let durability = if let Some(cfg) = &self.durability {
             let log = match Recovery::recover(&cfg.dir) {
                 Ok(rec) => {
                     let replayed = rec.replay_into(index);
@@ -313,7 +291,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
                 log.checkpoint(shard, &entries)
                     .expect("durable target: cannot checkpoint the loaded state");
             }
-            cfg.log = Some(Arc::clone(&log));
             Some(log)
         } else {
             index.bulk_load(entries);

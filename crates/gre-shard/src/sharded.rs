@@ -117,22 +117,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
         Self::new(partitioner, backends)
     }
 
-    /// Build a same-topology sibling: a fresh `ShardedIndex` whose shard
-    /// boundaries equal this one's *current* routing table, with empty
-    /// backends from `factory`. This is how a replication tier constructs
-    /// a replica group — every member routes each key to the same shard id,
-    /// so per-shard WAL streams from the primary apply 1:1 on the sibling.
-    ///
-    /// The sibling takes a snapshot of the routing table; it does not track
-    /// later topology changes on `self` (live elasticity under replication
-    /// is out of scope — see `docs/REPLICATION.md`).
-    pub fn sibling_from_factory<B2: ConcurrentIndex<K>>(
-        &self,
-        factory: impl FnMut(usize) -> B2,
-    ) -> ShardedIndex<K, B2> {
-        ShardedIndex::from_factory((*self.partitioner()).clone(), factory)
-    }
-
     /// Set the name reported through [`ConcurrentIndex::meta`].
     pub fn with_name(mut self, name: &'static str) -> Self {
         self.name = name;

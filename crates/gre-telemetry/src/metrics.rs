@@ -73,19 +73,11 @@ pub enum CounterId {
     /// Microseconds routing was frozen for a migrating range (summed over
     /// migrations; only traffic in the moved range observes the pause).
     MigrationPauseMicros,
-    /// Reads rejected by SLO admission control (every eligible replica and
-    /// the fallback were over their latency target).
-    ReadsShed,
-    /// Reads redirected away from their policy-chosen replica because it
-    /// was over its latency SLO.
-    ReadsRedirected,
-    /// Operations applied on read replicas from the shipped WAL stream.
-    ReplicaAppliedOps,
 }
 
 impl CounterId {
     /// All counter ids, in export order.
-    pub const ALL: [CounterId; 27] = [
+    pub const ALL: [CounterId; 24] = [
         CounterId::OpsSubmitted,
         CounterId::OpsCompleted,
         CounterId::BatchesSubmitted,
@@ -110,9 +102,6 @@ impl CounterId {
         CounterId::MergesCompleted,
         CounterId::KeysMigrated,
         CounterId::MigrationPauseMicros,
-        CounterId::ReadsShed,
-        CounterId::ReadsRedirected,
-        CounterId::ReplicaAppliedOps,
     ];
 
     /// Number of counter ids.
@@ -151,9 +140,6 @@ impl CounterId {
             CounterId::MergesCompleted => "merges_completed",
             CounterId::KeysMigrated => "keys_migrated",
             CounterId::MigrationPauseMicros => "migration_pause_micros",
-            CounterId::ReadsShed => "reads_shed",
-            CounterId::ReadsRedirected => "reads_redirected",
-            CounterId::ReplicaAppliedOps => "replica_applied_ops",
         }
     }
 
@@ -186,9 +172,6 @@ impl CounterId {
             CounterId::MigrationPauseMicros => {
                 "Microseconds routing was frozen for migrating ranges"
             }
-            CounterId::ReadsShed => "Reads rejected by SLO admission control",
-            CounterId::ReadsRedirected => "Reads redirected off an SLO-breaching replica",
-            CounterId::ReplicaAppliedOps => "Operations applied on replicas from the WAL stream",
         }
     }
 }
@@ -200,19 +183,11 @@ pub enum GaugeId {
     QueueDepth,
     /// Operations enqueued on the shard whose responses are not yet written.
     InFlightOps,
-    /// Worst replica apply lag on this shard, in WAL sequence numbers
-    /// (primary's last committed seq minus the slowest replica's applied
-    /// watermark). Published by the shipping loop.
-    ReplicaLag,
 }
 
 impl GaugeId {
     /// All gauge ids, in export order.
-    pub const ALL: [GaugeId; 3] = [
-        GaugeId::QueueDepth,
-        GaugeId::InFlightOps,
-        GaugeId::ReplicaLag,
-    ];
+    pub const ALL: [GaugeId; 2] = [GaugeId::QueueDepth, GaugeId::InFlightOps];
     /// Number of gauge ids.
     pub const COUNT: usize = Self::ALL.len();
 
@@ -227,7 +202,6 @@ impl GaugeId {
         match self {
             GaugeId::QueueDepth => "shard_queue_depth",
             GaugeId::InFlightOps => "shard_inflight_ops",
-            GaugeId::ReplicaLag => "shard_replica_lag",
         }
     }
 }
@@ -276,17 +250,11 @@ pub enum GlobalHistId {
     SessionWindow,
     /// Operations per driver-submitted batch.
     BatchOps,
-    /// Nanoseconds a replica spent applying one shipped WAL record.
-    ReplicaApplyNs,
 }
 
 impl GlobalHistId {
     /// All global histogram ids, in export order.
-    pub const ALL: [GlobalHistId; 3] = [
-        GlobalHistId::SessionWindow,
-        GlobalHistId::BatchOps,
-        GlobalHistId::ReplicaApplyNs,
-    ];
+    pub const ALL: [GlobalHistId; 2] = [GlobalHistId::SessionWindow, GlobalHistId::BatchOps];
     /// Number of global histogram ids.
     pub const COUNT: usize = Self::ALL.len();
 
@@ -301,7 +269,6 @@ impl GlobalHistId {
         match self {
             GlobalHistId::SessionWindow => "session_window",
             GlobalHistId::BatchOps => "batch_ops",
-            GlobalHistId::ReplicaApplyNs => "replica_apply_ns",
         }
     }
 }
@@ -481,11 +448,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             stripes: (0..writers.max(1)).map(|_| CounterStripe::new()).collect(),
             shards: (0..shards.max(1)).map(|_| ShardScope::new()).collect(),
-            globals: [
-                AtomicHistogram::new(),
-                AtomicHistogram::new(),
-                AtomicHistogram::new(),
-            ],
+            globals: [AtomicHistogram::new(), AtomicHistogram::new()],
         }
     }
 

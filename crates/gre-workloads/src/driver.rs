@@ -124,15 +124,6 @@ pub struct Tally {
     pub scanned_keys: u64,
     /// Operations rejected as unsupported by the target.
     pub errors: u64,
-    /// Reads shed by SLO admission control (the
-    /// [`IndexError::Overloaded`](gre_core::IndexError::Overloaded) subset
-    /// of [`errors`](Tally::errors)).
-    pub shed: u64,
-    /// Reads redirected away from their policy-chosen server because it
-    /// breached its latency SLO. Reported by the target via
-    /// [`PhaseRecorder::note_redirects`]; these ops still complete
-    /// normally, so they are *not* errors.
-    pub redirected: u64,
 }
 
 impl Tally {
@@ -146,10 +137,7 @@ impl Tally {
             Response::Update(hit) => self.updated += u64::from(*hit),
             Response::Remove(removed) => self.removed += u64::from(removed.is_some()),
             Response::Range(entries) => self.scanned_keys += entries.len() as u64,
-            Response::Error(e) => {
-                self.errors += 1;
-                self.shed += u64::from(*e == gre_core::IndexError::Overloaded);
-            }
+            Response::Error(_) => self.errors += 1,
         }
     }
 
@@ -171,8 +159,6 @@ impl Tally {
         self.removed += other.removed;
         self.scanned_keys += other.scanned_keys;
         self.errors += other.errors;
-        self.shed += other.shed;
-        self.redirected += other.redirected;
     }
 }
 
@@ -261,14 +247,6 @@ impl PhaseRecorder {
     /// [`Driver::run`].
     pub fn tally(&self) -> &Tally {
         &self.tally
-    }
-
-    /// Report `n` reads this connection redirected off an SLO-breaching
-    /// server. Called by admission-controlled targets at dispatch time
-    /// (the ops themselves still complete and are recorded normally).
-    #[inline]
-    pub fn note_redirects(&mut self, n: u64) {
-        self.tally.redirected += n;
     }
 
     #[inline]
@@ -789,16 +767,6 @@ impl PhaseResult {
     /// Completed operations.
     pub fn ops(&self) -> u64 {
         self.tally.ops
-    }
-
-    /// Reads shed by SLO admission control during this phase.
-    pub fn shed(&self) -> u64 {
-        self.tally.shed
-    }
-
-    /// Reads redirected off an SLO-breaching server during this phase.
-    pub fn redirected(&self) -> u64 {
-        self.tally.redirected
     }
 
     /// Throughput in million completed ops per second.

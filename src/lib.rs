@@ -4,7 +4,6 @@ pub use gre_datasets as datasets;
 pub use gre_elastic as elastic;
 pub use gre_learned as learned;
 pub use gre_pla as pla;
-pub use gre_replica as replica;
 pub use gre_shard as shard;
 pub use gre_traditional as traditional;
 pub use gre_workloads as workloads;

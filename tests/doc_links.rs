@@ -9,8 +9,13 @@
 //! command line names (a row of `gre_bench::figures::FIGURES`). A bare
 //! `name.json` may instead be a run artifact the root `.gitignore` declares:
 //! the `figs_*` figures write those, nothing commits them.
+//!
+//! The metric catalog of `docs/OBSERVABILITY.md` lists exactly the names
+//! `gre-telemetry` exports.
 
 use gre_bench::figures::FIGURES;
+use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -160,5 +165,45 @@ fn a_cited_figure_must_be_a_table_row() {
     assert_eq!(
         unknown_figures("target/release/gre-figs fig2 && target/release/gre-figs fig8_memory"),
         ["fig2"]
+    );
+}
+
+/// The `` `gre_…` `` names in the table rows of the metric catalog section.
+fn catalog_names(doc: &str) -> BTreeSet<String> {
+    let section = doc
+        .split("\n## ")
+        .find(|s| s.starts_with("Metric catalog"))
+        .expect("docs/OBSERVABILITY.md has a `## Metric catalog` section");
+    section
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .flat_map(|l| l.split('`').skip(1).step_by(2))
+        .filter(|name| name.starts_with("gre_"))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn metric_catalog_lists_every_exported_name() {
+    let exported: BTreeSet<String> = CounterId::ALL
+        .iter()
+        .map(|id| id.name())
+        .chain(GaugeId::ALL.iter().map(|id| id.name()))
+        .chain(ShardHistId::ALL.iter().map(|id| id.name()))
+        .chain(GlobalHistId::ALL.iter().map(|id| id.name()))
+        .map(|name| format!("gre_{name}"))
+        .collect();
+    let doc = fs::read_to_string(root().join("docs/OBSERVABILITY.md")).expect("catalog exists");
+    let listed = catalog_names(&doc);
+    let missing: Vec<_> = exported.difference(&listed).collect();
+    // The per-shard load counter is exported beside the gauges, not by id.
+    let unknown: Vec<_> = listed
+        .difference(&exported)
+        .filter(|n| *n != "gre_shard_ops_completed")
+        .collect();
+    assert!(
+        missing.is_empty() && unknown.is_empty(),
+        "metric catalog out of date: exported but not listed {missing:?}, \
+         listed but not exported {unknown:?}"
     );
 }
