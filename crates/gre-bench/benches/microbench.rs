@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks backing the paper's figures: point lookups and
-//! inserts on every index (Figures 2–5), bulk loading, range scans
-//! (Figure 13), inserts into dense clusters (the gapped-array shift path),
-//! batched against scalar lookups on the partition-lock adapter, and PLA
-//! hardness computation (§3.2).
+//! inserts on every index (Figures 2–5), in-place updates, bulk loading,
+//! range scans (Figure 13), inserts into dense clusters (the gapped-array
+//! shift path), batched against scalar lookups on the partition-lock adapter,
+//! and PLA hardness computation (§3.2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
@@ -60,6 +60,32 @@ fn bench_insert(c: &mut Criterion) {
                 b.iter(|| {
                     i = (i + 1) % rest.len();
                     black_box(index.insert(rest[i].0, rest[i].1))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// In-place updates of loaded keys on the partition-lock adapter, over an
+/// index (8 MB of pairs) that outgrows L2 as served data does.
+fn bench_update(c: &mut Criterion) {
+    const KEYS: usize = 500_000;
+    let mut group = c.benchmark_group("update");
+    group.sample_size(10);
+    for ds in [Dataset::Covid, Dataset::Osm] {
+        let entries = sized_entries(ds, KEYS);
+        let backends: [(&str, Box<dyn ConcurrentIndex<u64>>); 2] = [
+            ("ALEX+", Box::new(AlexPlus::<u64>::new())),
+            ("B+tree/p64", Box::new(gre_traditional::btree_olc::<u64>())),
+        ];
+        for (name, mut index) in backends {
+            index.bulk_load(&entries);
+            group.bench_function(BenchmarkId::new(name, ds.name()), |b| {
+                let mut i = 0usize;
+                b.iter(|| {
+                    i = (i + 7919) % entries.len();
+                    black_box(index.update(entries[i].0, i as u64))
                 })
             });
         }
@@ -238,6 +264,7 @@ criterion_group! {
         .sample_size(10);
     targets = bench_lookup,
         bench_insert,
+        bench_update,
         bench_bulk_load,
         bench_range,
         bench_insert_dense_cluster,

@@ -60,6 +60,9 @@
 //! with a single `memmove` each, and sets one bit. A remove clears one bit
 //! and re-fills the freed slot and the gap run before it.
 //!
+//! Updates: `update` writes the payload in the slot one route and one
+//! last-mile search find; it moves no key, so it counts and times nothing.
+//!
 //! Our implementation keeps ALEX's two defining choices — model-predicted
 //! positions in gapped arrays, and a model-routed inner level — with one
 //! structural simplification: a single inner level routes directly to data
@@ -83,6 +86,12 @@ const MAX_EXPECTED_SHIFT: f64 = 64.0;
 /// exists for memory: a node carries about 110 bytes of fixed overhead, and
 /// a 128-key floor raised the served stack's bytes per key by 5.8 %.
 const MIN_NODE_KEYS: usize = 1024;
+
+/// `insert` times one insert in this many and scales the lookup and
+/// post-lookup times it reads by the same factor. Timing every insert (three
+/// clock reads, each of which serializes the pipeline) cost about 40 % of an
+/// insert on a 2-core KVM machine.
+const TIMED_INSERT_EVERY: u64 = 64;
 
 /// Configuration of ALEX (Table 1).
 #[derive(Debug, Clone, Copy)]
@@ -575,8 +584,9 @@ impl<K: Key> Alex<K> {
     }
 
     /// SMO: rebuild node `idx` through the sizing rule at `density`, putting
-    /// the nodes it builds in its place.
-    fn smo(&mut self, idx: usize, density: f64) {
+    /// the nodes it builds in its place. Returns the nanoseconds it took,
+    /// which it has also added to `smo_ns`.
+    fn smo(&mut self, idx: usize, density: f64) -> u64 {
         let start = Instant::now();
         #[cfg(debug_assertions)]
         self.nodes[idx].check();
@@ -590,8 +600,10 @@ impl<K: Key> Alex<K> {
             self.boundaries.splice(idx + 1..idx + 1, firsts);
             self.retrain_inner();
         }
+        let smo_ns = start.elapsed().as_nanos() as u64;
         self.counters.nodes_created += count as u64;
-        self.counters.insert_breakdown.smo_ns += start.elapsed().as_nanos() as u64;
+        self.counters.insert_breakdown.smo_ns += smo_ns;
+        smo_ns
     }
 }
 
@@ -624,22 +636,24 @@ impl<K: Key> Index<K> for Alex<K> {
         node.probe(key, node.predict(key))
     }
 
+    /// Times one insert in `TIMED_INSERT_EVERY`: `smo_ns` is exact, the
+    /// other breakdown fields are scaled from the timed inserts.
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let start = Instant::now();
+        let timed = self.counters.inserts % TIMED_INSERT_EVERY == 0;
+        let start = timed.then(Instant::now);
         let (mut idx, traversed) = self.locate(key);
-        let located = Instant::now();
+        let located = timed.then(Instant::now);
         let c = &mut self.counters;
         c.inserts += 1;
         c.nodes_traversed += traversed;
-        c.insert_breakdown.lookup_ns += (located - start).as_nanos() as u64;
 
-        let mut triggered_smo = false;
+        let (mut triggered_smo, mut retry_smo_ns) = (false, 0);
         let (inserted, shifted) = match self.nodes[idx].insert(key, value) {
             Ok(pair) => pair,
             Err(()) => {
                 // SMO, then retry (the retry cannot fail: the rebuilt nodes
                 // have gaps again).
-                self.smo(idx, self.config.init_density);
+                retry_smo_ns = self.smo(idx, self.config.init_density);
                 triggered_smo = true;
                 idx = self.locate(key).0;
                 self.nodes[idx]
@@ -647,14 +661,19 @@ impl<K: Key> Index<K> for Alex<K> {
                     .expect("insert after SMO must succeed")
             }
         };
-        // Attribute post-lookup time: shifting dominates when keys moved.
-        let work_ns = located.elapsed().as_nanos() as u64;
         let c = &mut self.counters;
         c.keys_shifted += shifted;
-        if shifted > 0 {
-            c.insert_breakdown.shift_ns += work_ns;
-        } else {
-            c.insert_breakdown.insert_ns += work_ns;
+        if let (Some(start), Some(located)) = (start, located) {
+            // Attribute post-lookup time, less the SMO `smo_ns` already
+            // holds: shifting dominates when keys moved.
+            let work_ns = located.elapsed().as_nanos() as u64 - retry_smo_ns;
+            let b = &mut c.insert_breakdown;
+            b.lookup_ns += (located - start).as_nanos() as u64 * TIMED_INSERT_EVERY;
+            if shifted > 0 {
+                b.shift_ns += work_ns * TIMED_INSERT_EVERY;
+            } else {
+                b.insert_ns += work_ns * TIMED_INSERT_EVERY;
+            }
         }
 
         if inserted {
@@ -680,6 +699,20 @@ impl<K: Key> Index<K> for Alex<K> {
         }
         self.counters.smo_count += u64::from(triggered_smo);
         inserted
+    }
+
+    /// In place (module doc, "Updates"): no structure changes, so no SMO
+    /// check either.
+    fn update(&mut self, key: K, value: Payload) -> bool {
+        let (idx, _) = self.locate(key);
+        let node = &mut self.nodes[idx];
+        match node.find(key, node.predict(key)) {
+            Some(slot) => {
+                node.values[slot] = value;
+                true
+            }
+            None => false,
+        }
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
@@ -816,6 +849,39 @@ mod tests {
         assert!(!alex.insert(7, 999));
         assert_eq!(alex.get(7), Some(999));
         assert_eq!(alex.len(), 100);
+    }
+
+    #[test]
+    fn updates_write_in_place_and_count_nothing() {
+        let mut alex = Alex::new();
+        alex.bulk_load(&entries(5_000));
+        for i in 0..100u64 {
+            alex.insert(i * 13 + 8, i);
+        }
+        let (counters, len) = (alex.stats().counters, alex.len());
+        for i in (0..5_000u64).step_by(7) {
+            assert!(alex.update(i * 13 + 7, i + 1), "update {}", i * 13 + 7);
+        }
+        assert!(!alex.update(4, 1), "an absent key stays absent");
+        assert_eq!(alex.get(4), None);
+        assert_eq!(alex.stats().counters, counters);
+        assert_eq!(alex.len(), len);
+        for i in (0..5_000u64).step_by(7) {
+            assert_eq!(alex.get(i * 13 + 7), Some(i + 1));
+        }
+        assert_eq!(alex.get(20), Some(1), "an unupdated key keeps its payload");
+    }
+
+    #[test]
+    fn sampled_insert_timing_keeps_a_breakdown() {
+        let mut alex = Alex::new();
+        alex.bulk_load(&entries(5_000));
+        for i in 0..1_000u64 {
+            assert!(alex.insert(i * 13 + 8, i));
+        }
+        let b = alex.stats().counters.insert_breakdown;
+        assert!(b.lookup_ns > 0, "{b:?}");
+        assert!(b.total_ns() >= b.smo_ns, "{b:?}");
     }
 
     #[test]

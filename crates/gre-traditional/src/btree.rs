@@ -346,6 +346,22 @@ impl<K: Key> Index<K> for BPlusTree<K> {
         inserted
     }
 
+    /// In place: one descent and one leaf search, no path recorded and
+    /// nothing counted, since no key moves.
+    fn update(&mut self, key: K, value: Payload) -> bool {
+        let leaf_id = self.find_leaf(key);
+        let Node::Leaf { keys, values, .. } = &mut self.nodes[leaf_id as usize] else {
+            unreachable!()
+        };
+        match keys.binary_search(&key) {
+            Ok(i) => {
+                values[i] = value;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
     fn remove(&mut self, key: K) -> Option<Payload> {
         let leaf_id = self.find_leaf(key);
         let Node::Leaf { keys, values, .. } = &mut self.nodes[leaf_id as usize] else {
@@ -546,6 +562,21 @@ mod tests {
         assert!(stats.counters.smo_count > 0);
         assert!(stats.counters.nodes_traversed >= stats.counters.inserts);
         assert_eq!(t.meta().name, "B+tree");
+    }
+
+    #[test]
+    fn update_writes_in_place_and_counts_nothing() {
+        let mut t = BPlusTree::new();
+        t.bulk_load(&entries(1_000));
+        let counters = t.stats().counters;
+        for i in 0..1_000u64 {
+            assert!(t.update(i * 10, i + 1));
+        }
+        assert!(!t.update(5, 1));
+        assert_eq!(t.get(5), None);
+        assert_eq!(t.get(990), Some(100));
+        assert_eq!(t.stats().counters, counters);
+        assert_eq!(t.len(), 1_000);
     }
 
     #[test]

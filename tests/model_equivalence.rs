@@ -19,16 +19,18 @@ const KEY_SPACE: u64 = 2_000;
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u64),
+    Update(u64, u64),
     Remove(u64),
     Get(u64),
     Range(u64, usize),
 }
 
 fn random_op(rng: &mut StdRng) -> Op {
-    match rng.gen_range(0..4u32) {
+    match rng.gen_range(0..5u32) {
         0 => Op::Insert(rng.gen_range(0..KEY_SPACE), rng.gen()),
-        1 => Op::Remove(rng.gen_range(0..KEY_SPACE)),
-        2 => Op::Get(rng.gen_range(0..KEY_SPACE)),
+        1 => Op::Update(rng.gen_range(0..KEY_SPACE), rng.gen()),
+        2 => Op::Remove(rng.gen_range(0..KEY_SPACE)),
+        3 => Op::Get(rng.gen_range(0..KEY_SPACE)),
         _ => Op::Range(rng.gen_range(0..KEY_SPACE), rng.gen_range(0..64)),
     }
 }
@@ -51,6 +53,16 @@ fn check_against_model<I: Index<u64>>(mut index: I, ops: &[Op], bulk: &[(u64, u6
                     index.insert(k, v),
                     model.insert(k, v).is_none(),
                     "insert {k} (case {case})"
+                );
+            }
+            Op::Update(k, v) => {
+                // Returns presence, writes only a present key, never inserts.
+                let present = model.get_mut(&k).map(|slot| *slot = v).is_some();
+                assert_eq!(index.update(k, v), present, "update {k} (case {case})");
+                assert_eq!(
+                    index.get(k),
+                    model.get(&k).copied(),
+                    "get after update {k} (case {case})"
                 );
             }
             Op::Remove(k) => {
