@@ -5,7 +5,7 @@
 //! and PLA hardness computation (§3.2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
+use gre_bench::registry::{concurrent_indexes, single_thread_indexes, SINGLE_THREAD};
 use gre_core::{ConcurrentIndex, RangeSpec};
 use gre_datasets::Dataset;
 use gre_learned::AlexPlus;
@@ -27,11 +27,10 @@ fn bench_lookup(c: &mut Criterion) {
     group.sample_size(10);
     for ds in [Dataset::Covid, Dataset::Osm] {
         let entries = dataset_entries(ds);
-        for entry in single_thread_indexes() {
-            let mut index = entry.index;
+        for mut index in single_thread_indexes() {
             index.bulk_load(&entries);
             group.bench_with_input(
-                BenchmarkId::new(entry.name, ds.name()),
+                BenchmarkId::new(index.meta().name, ds.name()),
                 &entries,
                 |b, entries| {
                     let mut i = 0usize;
@@ -52,16 +51,19 @@ fn bench_insert(c: &mut Criterion) {
     for ds in [Dataset::Covid] {
         let entries = dataset_entries(ds);
         let (bulk, rest) = entries.split_at(entries.len() / 2);
-        for entry in single_thread_indexes() {
-            let mut index = entry.index;
+        for mut index in single_thread_indexes() {
             index.bulk_load(bulk);
-            group.bench_with_input(BenchmarkId::new(entry.name, ds.name()), rest, |b, rest| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    i = (i + 1) % rest.len();
-                    black_box(index.insert(rest[i].0, rest[i].1))
-                })
-            });
+            group.bench_with_input(
+                BenchmarkId::new(index.meta().name, ds.name()),
+                rest,
+                |b, rest| {
+                    let mut i = 0usize;
+                    b.iter(|| {
+                        i = (i + 1) % rest.len();
+                        black_box(index.insert(rest[i].0, rest[i].1))
+                    })
+                },
+            );
         }
     }
     group.finish();
@@ -97,16 +99,12 @@ fn bench_bulk_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("bulk_load");
     group.sample_size(10);
     let entries = dataset_entries(Dataset::Books);
-    for entry in single_thread_indexes() {
-        group.bench_function(entry.name, |b| {
+    for ctor in SINGLE_THREAD {
+        group.bench_function(ctor().meta().name, |b| {
             b.iter_batched(
                 || (),
                 |_| {
-                    let mut fresh = single_thread_indexes()
-                        .into_iter()
-                        .find(|e| e.name == entry.name)
-                        .unwrap()
-                        .index;
+                    let mut fresh = ctor();
                     fresh.bulk_load(black_box(&entries));
                     black_box(fresh.len())
                 },
@@ -121,11 +119,11 @@ fn bench_range(c: &mut Criterion) {
     let mut group = c.benchmark_group("range_scan_100");
     group.sample_size(10);
     let entries = dataset_entries(Dataset::Covid);
-    for entry in single_thread_indexes() {
-        if !entry.index.meta().supports_range {
+    for mut index in single_thread_indexes() {
+        let meta = index.meta();
+        if !meta.supports_range {
             continue;
         }
-        let mut index = entry.index;
         index.bulk_load(&entries);
         // One fixed start per case, at the 1st / 50th / 99th percentile key:
         // a scan must cost the same wherever it starts, and a start that
@@ -133,7 +131,7 @@ fn bench_range(c: &mut Criterion) {
         // cost (a node walked from its first slot) into one flat number.
         for pct in [1, 50, 99] {
             let start = entries[entries.len() * pct / 100].0;
-            group.bench_function(BenchmarkId::new(entry.name, format!("p{pct}")), |b| {
+            group.bench_function(BenchmarkId::new(meta.name, format!("p{pct}")), |b| {
                 let mut out = Vec::with_capacity(128);
                 b.iter(|| {
                     out.clear();
@@ -154,10 +152,9 @@ fn bench_insert_dense_cluster(c: &mut Criterion) {
     let entries = dataset_entries(Dataset::Osm);
     let bulk: Vec<(u64, u64)> = entries.iter().copied().step_by(2).collect();
     let rest: Vec<(u64, u64)> = entries.iter().copied().skip(1).step_by(2).collect();
-    for entry in single_thread_indexes() {
-        let mut index = entry.index;
+    for mut index in single_thread_indexes() {
         index.bulk_load(&bulk);
-        group.bench_function(entry.name, |b| {
+        group.bench_function(index.meta().name, |b| {
             let mut i = 0usize;
             b.iter(|| {
                 i = (i + 1) % rest.len();
@@ -173,10 +170,9 @@ fn bench_concurrent_insert(c: &mut Criterion) {
     group.sample_size(10);
     let entries = dataset_entries(Dataset::Covid);
     let (bulk, rest) = entries.split_at(entries.len() / 2);
-    for entry in concurrent_indexes(true) {
-        let mut index = entry.index;
+    for mut index in concurrent_indexes(true) {
         index.bulk_load(bulk);
-        group.bench_function(entry.name, |b| {
+        group.bench_function(index.meta().name, |b| {
             let mut i = 0usize;
             b.iter(|| {
                 i = (i + 1) % rest.len();

@@ -19,11 +19,11 @@
 //! latency breakdowns and the full Prometheus exposition.
 
 use crate::overhead::telemetry_overhead_probe;
-use crate::registry::IndexBuilder;
 use crate::report::{interval_latency_series, interval_series, print_phase_latency};
 use crate::RunOpts;
 use gre_datasets::Dataset;
-use gre_shard::PipelineTarget;
+use gre_learned::AlexPlus;
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_telemetry::{
     chrome_trace_json, json_text, prometheus_text, validate_prometheus, CounterId,
 };
@@ -38,9 +38,9 @@ const TRACE_OUT: &str = "figs_observability_trace.json";
 
 pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
-    let spec = IndexBuilder::backend("alex+")
-        .expect("alex+ registered")
-        .shards(opts.shards.clamp(2, 8));
+    let index = ShardedIndex::from_factory(Partitioner::range(opts.shards.clamp(2, 8)), |_| {
+        AlexPlus::<u64>::new()
+    });
     let phase_ops = if opts.quick { 60_000 } else { 300_000 } as u64;
     let threads = opts.threads.clamp(1, 8);
     let interval = Duration::from_millis(if opts.quick { 20 } else { 100 });
@@ -52,12 +52,12 @@ pub fn run(opts: &RunOpts) {
 
     println!(
         "# Observability: instrumented {} serving shifting-hotspot",
-        spec.display_name()
+        super::sharded_label(&index)
     );
 
     let scenario = super::shifting_hotspot_scenario(opts.seed, &keys, phase_ops, threads);
 
-    let mut target = PipelineTarget::new(spec.build_sharded(), threads, 256, 0)
+    let mut target = PipelineTarget::new(index, threads, 256, 0)
         .instrumented_with(|c| c.trace_sample(trace_one_in));
     let telemetry = Arc::clone(target.telemetry().expect("instrumented"));
 

@@ -33,13 +33,13 @@
 //! exported to `figs_rebalance.json` (uploaded as a CI artifact). `--quick`
 //! shrinks the spans for a CI smoke run.
 
-use crate::registry::IndexBuilder;
 use crate::report::interval_series;
 use crate::RunOpts;
 use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
 use gre_elastic::{ElasticController, ElasticPolicy};
-use gre_shard::{PipelineTarget, Scheme};
+use gre_learned::AlexPlus;
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_telemetry::CounterId;
 use gre_workloads::driver::{Driver, PhaseResult, ScenarioResult};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -121,12 +121,13 @@ pub fn run(opts: &RunOpts) {
     };
 
     // --- Range-sharded target with the elasticity controller attached. ---
-    let spec = IndexBuilder::backend("alex+")
-        .expect("alex+ registered")
-        .shards(shards);
-    println!("# Rebalance: {} + elastic controller", spec.display_name());
+    let index = ShardedIndex::from_factory(Partitioner::range(shards), |_| AlexPlus::<u64>::new());
+    println!(
+        "# Rebalance: {} + elastic controller",
+        super::sharded_label(&index)
+    );
     let elastic_scenario = scenario("hotspot-collapse");
-    let mut target = PipelineTarget::new(spec.build_sharded(), shards, 256, 0).instrumented();
+    let mut target = PipelineTarget::new(index, shards, 256, 0).instrumented();
     // Pre-load so the pipeline exists before the driver starts; the
     // driver's own load() call then no-ops (loading is idempotent).
     use gre_workloads::driver::ServeTarget;
@@ -222,12 +223,12 @@ pub fn run(opts: &RunOpts) {
     );
 
     // --- Hash-partitioned control: skew-resistant, no controller. ---
-    let hash_spec = IndexBuilder::backend("alex+")
-        .expect("alex+ registered")
-        .shards(shards)
-        .partitioner(Scheme::Hash);
-    println!("\n# Control: {} (no controller)", hash_spec.display_name());
-    let mut hash_target = PipelineTarget::new(hash_spec.build_sharded(), shards, 256, 0);
+    let index = ShardedIndex::from_factory(Partitioner::hash(shards), |_| AlexPlus::<u64>::new());
+    println!(
+        "\n# Control: {} (no controller)",
+        super::sharded_label(&index)
+    );
+    let mut hash_target = PipelineTarget::new(index, shards, 256, 0);
     let hash = Driver::new()
         .interval(interval)
         .run(&scenario("hotspot-collapse-hash"), &mut hash_target);

@@ -19,37 +19,38 @@
 //! `--quick` shrinks spans and rates for a CI smoke run; `--verbose` prints
 //! per-kind latency breakdowns.
 
-use crate::registry::IndexBuilder;
 use crate::report::{interval_series, print_phase_latency};
 use crate::RunOpts;
 use gre_core::ops::RequestKind;
 use gre_datasets::Dataset;
-use gre_shard::PipelineTarget;
+use gre_learned::AlexPlus;
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_workloads::driver::{Driver, PhaseResult, ScenarioResult};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 
 pub fn run(opts: &RunOpts) {
     let keys = Dataset::Covid.generate(opts.keys, opts.seed);
-    let spec = IndexBuilder::backend("alex+")
-        .expect("alex+ registered")
-        .shards(opts.shards.min(8));
-
+    let store = || {
+        ShardedIndex::from_factory(Partitioner::range(opts.shards.min(8)), |_| {
+            AlexPlus::<u64>::new()
+        })
+    };
+    let index = store();
     println!(
         "# Scenario engine: phase scripts over {}",
-        spec.display_name()
+        super::sharded_label(&index)
     );
 
-    shifting_hotspot(opts, &keys, &spec);
-    read_mostly_then_write_burst(opts, &keys, &spec);
+    shifting_hotspot(opts, &keys, index);
+    read_mostly_then_write_burst(opts, &keys, store());
 }
 
 /// Closed-loop script: the hot window drifts across the key space.
-fn shifting_hotspot(opts: &RunOpts, keys: &[u64], spec: &IndexBuilder) {
+fn shifting_hotspot(opts: &RunOpts, keys: &[u64], mut index: ShardedIndex<u64, AlexPlus<u64>>) {
     let phase_ops = if opts.quick { 40_000 } else { 400_000 } as u64;
     let threads = opts.threads.clamp(1, 8);
     let scenario = super::shifting_hotspot_scenario(opts.seed, keys, phase_ops, threads);
 
-    let mut index = spec.build_sharded();
     let result = Driver::new().run(&scenario, &mut index);
     print_scenario(opts, &result);
     let total: u64 = result.total_ops();
@@ -62,7 +63,11 @@ fn shifting_hotspot(opts: &RunOpts, keys: &[u64], spec: &IndexBuilder) {
 
 /// Open-loop script through pipelined sessions: steady read-mostly, then a
 /// write burst at a higher arrival rate.
-fn read_mostly_then_write_burst(opts: &RunOpts, keys: &[u64], spec: &IndexBuilder) {
+fn read_mostly_then_write_burst(
+    opts: &RunOpts,
+    keys: &[u64],
+    index: ShardedIndex<u64, AlexPlus<u64>>,
+) {
     let (steady_rate, burst_rate) = if opts.quick {
         (20_000.0, 40_000.0)
     } else {
@@ -91,7 +96,7 @@ fn read_mostly_then_write_burst(opts: &RunOpts, keys: &[u64], spec: &IndexBuilde
             },
         ));
 
-    let mut target = PipelineTarget::new(spec.build_sharded(), opts.threads.clamp(1, 8), 64, 8);
+    let mut target = PipelineTarget::new(index, opts.threads.clamp(1, 8), 64, 8);
     let result = Driver::new()
         .open_loop_senders(opts.threads.clamp(1, 4))
         .run(&scenario, &mut target);

@@ -20,11 +20,11 @@
 //! `--shards N` caps the shard-count axis, `--threads T` the thread axis,
 //! `--verbose` adds per-kind latency breakdowns per path.
 
-use crate::registry::IndexBuilder;
+use crate::registry::CONCURRENT;
 use crate::report::print_phase_latency;
 use crate::RunOpts;
 use gre_datasets::Dataset;
-use gre_shard::PipelineTarget;
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_workloads::driver::{Driver, PhaseResult, ServeTarget};
 use gre_workloads::scenario::{Scenario, Span};
 use gre_workloads::{WorkloadBuilder, WriteRatio};
@@ -36,11 +36,20 @@ const BATCH: usize = 1024;
 const INFLIGHT: usize = 8;
 
 pub fn run(opts: &RunOpts) {
-    let backends: Vec<&str> = if opts.quick {
-        vec!["ALEX+", "B+tree/p64"]
+    let names: &[&str] = if opts.quick {
+        &["ALEX+", "B+tree/p64"]
     } else {
-        vec!["ALEX+", "LIPP+", "XIndex", "B+tree/p64", "ART/p64"]
+        &["ALEX+", "LIPP+", "XIndex", "B+tree/p64", "ART/p64"]
     };
+    let backends: Vec<_> = names
+        .iter()
+        .map(|&name| {
+            *CONCURRENT
+                .iter()
+                .find(|ctor| ctor().meta().name == name)
+                .expect("a registered concurrent index")
+        })
+        .collect();
     let shard_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 32]
         .into_iter()
         .filter(|s| *s <= opts.shards)
@@ -77,12 +86,11 @@ pub fn run(opts: &RunOpts) {
     for ds in datasets {
         let keys = ds.generate(opts.keys, opts.seed);
         let workload = builder.insert_workload(&ds.name(), &keys, WriteRatio::Balanced);
-        for backend in &backends {
+        for &backend in &backends {
             for &shards in &shard_counts {
-                let spec = IndexBuilder::backend(backend)
-                    .expect("registry backend resolves")
-                    .shards(shards);
-                let name = spec.display_name();
+                let build =
+                    || ShardedIndex::from_factory(Partitioner::range(shards), |_| backend());
+                let name = super::sharded_label(&build());
                 let mut rows = [
                     (String::from("direct"), String::new()),
                     (String::from("batched"), String::new()),
@@ -94,7 +102,7 @@ pub fn run(opts: &RunOpts) {
                     // Always the composite — even at 1 shard — so every row
                     // of the sweep measures the same structure and the
                     // shards=1 baseline includes the routing dispatch too.
-                    let mut direct = spec.build_sharded();
+                    let mut direct = build();
                     let phase = run_path(&scenario, &mut direct);
                     rows[0]
                         .1
@@ -103,7 +111,7 @@ pub fn run(opts: &RunOpts) {
                         tails.push((format!("direct/{threads}T"), phase));
                     }
 
-                    let mut batched = PipelineTarget::new(spec.build_sharded(), threads, BATCH, 0);
+                    let mut batched = PipelineTarget::new(build(), threads, BATCH, 0);
                     let phase = run_path(&scenario, &mut batched);
                     rows[1]
                         .1
@@ -112,8 +120,7 @@ pub fn run(opts: &RunOpts) {
                         tails.push((format!("batched/{threads}T"), phase));
                     }
 
-                    let mut session =
-                        PipelineTarget::new(spec.build_sharded(), threads, BATCH, INFLIGHT);
+                    let mut session = PipelineTarget::new(build(), threads, BATCH, INFLIGHT);
                     let phase = run_path(&scenario, &mut session);
                     rows[2]
                         .1

@@ -10,6 +10,8 @@ mod figs_shard_scalability;
 mod paper;
 
 use crate::RunOpts;
+use gre_core::ConcurrentIndex;
+use gre_shard::ShardedIndex;
 use gre_telemetry::Telemetry;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -174,6 +176,17 @@ fn shifting_hotspot_scenario(seed: u64, keys: &[u64], phase_ops: u64, threads: u
     scenario
 }
 
+/// The header label of a sharded stack: the bare backend name at 1 shard,
+/// `sharded(NAME,N)` over range shards, `sharded(NAME,N,hash)` otherwise.
+fn sharded_label<B: ConcurrentIndex<u64>>(index: &ShardedIndex<u64, B>) -> String {
+    let (name, partitioner) = (index.meta().name, index.partitioner());
+    match partitioner.shards() {
+        1 => name.to_string(),
+        n if partitioner.is_ordered() => format!("sharded({name},{n})"),
+        n => format!("sharded({name},{n},{})", partitioner.scheme()),
+    }
+}
+
 /// The "live dashboard" of `figs_observability` and `figs_rebalance`: a
 /// thread that only ever reads the shared registry, concurrently with the
 /// serving hot path. Every `window` until `stop` is set it samples each
@@ -218,6 +231,18 @@ mod tests {
                 f.name
             );
         }
+    }
+
+    #[test]
+    fn sharded_labels_name_backend_shards_and_scheme() {
+        use gre_learned::LippPlus;
+        use gre_shard::Partitioner;
+        let label = |p: Partitioner<u64>| {
+            sharded_label(&ShardedIndex::from_factory(p, |_| LippPlus::<u64>::new()))
+        };
+        assert_eq!(label(Partitioner::range(4)), "sharded(LIPP+,4)");
+        assert_eq!(label(Partitioner::hash(2)), "sharded(LIPP+,2,hash)");
+        assert_eq!(label(Partitioner::range(1)), "LIPP+");
     }
 
     /// The `figs_*` rows need real time spans and stay release-mode CI

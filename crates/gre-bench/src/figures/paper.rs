@@ -6,7 +6,7 @@
 //! routines below.
 
 use crate::heatmap::{concurrent_heatmap, single_thread_heatmap, HeatmapMode};
-use crate::registry::{concurrent_indexes, single_thread_indexes, SingleEntry};
+use crate::registry::{concurrent_indexes, single_thread_indexes};
 use crate::report::print_phase_latency;
 use crate::RunOpts;
 use gre_core::{ConcurrentIndex, Index};
@@ -165,18 +165,18 @@ pub(super) fn fig16_baseline_world(opts: &RunOpts) {
 fn write_only_drilldown(
     opts: &RunOpts,
     keep: fn(&str) -> bool,
-    print_dataset: impl Fn(&str, &[SingleEntry]),
+    print_dataset: impl Fn(&str, &[Box<dyn Index<u64>>]),
 ) {
     let builder = WorkloadBuilder::new(opts.seed);
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
         let scenario = builder.insert_workload(&ds.name(), &keys, WriteRatio::WriteOnly);
-        let runs: Vec<SingleEntry> = single_thread_indexes()
+        let runs: Vec<Box<dyn Index<u64>>> = single_thread_indexes()
             .into_iter()
-            .filter(|e| keep(e.name))
-            .map(|mut e| {
-                in_place(&scenario, e.index.as_mut());
-                e
+            .filter(|index| keep(index.meta().name))
+            .map(|mut index| {
+                in_place(&scenario, index.as_mut());
+                index
             })
             .collect();
         print_dataset(&ds.name(), &runs);
@@ -194,12 +194,12 @@ pub(super) fn fig3_breakdown(opts: &RunOpts) {
         opts,
         |name| matches!(name, "ALEX" | "LIPP"),
         |ds, runs| {
-            for e in runs {
-                let b = e.index.stats().mean_insert_breakdown();
+            for index in runs {
+                let b = index.stats().mean_insert_breakdown();
                 println!(
                     "{:<10} {:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
                     ds,
-                    e.name,
+                    index.meta().name,
                     b.lookup_ns,
                     b.insert_ns,
                     b.smo_ns,
@@ -215,8 +215,8 @@ pub(super) fn fig3_breakdown(opts: &RunOpts) {
 pub(super) fn fig8_memory(opts: &RunOpts) {
     println!("# Figure 8: end-to-end index size (MB) after the write-only workload");
     print!("{:<10}", "dataset");
-    for e in single_thread_indexes() {
-        print!(" {:>12}", e.name);
+    for index in single_thread_indexes() {
+        print!(" {:>12}", index.meta().name);
     }
     println!();
     write_only_drilldown(
@@ -224,8 +224,8 @@ pub(super) fn fig8_memory(opts: &RunOpts) {
         |_| true,
         |ds, runs| {
             print!("{ds:<10}");
-            for e in runs {
-                print!(" {:>12.2}", e.index.memory_usage() as f64 / MB);
+            for index in runs {
+                print!(" {:>12.2}", index.memory_usage() as f64 / MB);
             }
             println!();
         },
@@ -242,12 +242,12 @@ pub(super) fn table3_insert_stats(opts: &RunOpts) {
         opts,
         |name| matches!(name, "ALEX" | "LIPP"),
         |ds, runs| {
-            for e in runs {
-                let s = e.index.stats();
+            for index in runs {
+                let s = index.stats();
                 println!(
                     "{:<10} {:<8} {:>16.2} {:>14.2} {:>14.2}",
                     ds,
-                    e.name,
+                    index.meta().name,
                     s.avg_nodes_traversed_per_insert(),
                     s.avg_keys_shifted_per_insert(),
                     s.avg_nodes_created_per_insert()
@@ -277,9 +277,9 @@ fn thread_axis_sweep(opts: &RunOpts, header: &str, axis: &[usize]) {
             WriteRatio::WriteOnly,
         ] {
             let workload = builder.insert_workload(&ds.name(), &keys, ratio);
-            for entry in concurrent_indexes(true) {
-                let mut row = format!("{:<10} {:<6} {:<10}", ds.name(), ratio.label(), entry.name);
-                let mut index = entry.index;
+            for mut index in concurrent_indexes(true) {
+                let name = index.meta().name;
+                let mut row = format!("{:<10} {:<6} {:<10}", ds.name(), ratio.label(), name);
                 let mut tails = Vec::new();
                 for &t in axis {
                     let scenario = workload.clone().closed_loop(t.max(1));
@@ -383,13 +383,13 @@ fn tail_latency(
                 tail.std_ns
             );
         };
-        for mut e in single_thread_indexes() {
-            row(e.name, 1, &in_place(&scenario, e.index.as_mut()));
+        for mut index in single_thread_indexes() {
+            row(index.meta().name, 1, &in_place(&scenario, index.as_mut()));
         }
         let scenario = scenario.closed_loop(opts.threads);
-        for mut e in concurrent_indexes(true) {
-            let result = Driver::new().run(&scenario, e.index.as_mut());
-            row(&e.name, opts.threads, &result.phases[0]);
+        for mut index in concurrent_indexes(true) {
+            let result = Driver::new().run(&scenario, index.as_mut());
+            row(index.meta().name, opts.threads, &result.phases[0]);
         }
     }
 }
@@ -439,8 +439,8 @@ pub(super) fn fig12_shift(opts: &RunOpts) {
             .into_iter()
             .zip(single_thread_indexes())
         {
-            let base_mops = in_place(&baseline, base.index.as_mut()).throughput_mops();
-            let shift_mops = in_place(&shifted, fresh.index.as_mut()).throughput_mops();
+            let base_mops = in_place(&baseline, base.as_mut()).throughput_mops();
+            let shift_mops = in_place(&shifted, fresh.as_mut()).throughput_mops();
             let change = if base_mops > 0.0 {
                 (shift_mops - base_mops) / base_mops * 100.0
             } else {
@@ -448,7 +448,11 @@ pub(super) fn fig12_shift(opts: &RunOpts) {
             };
             println!(
                 "{:<22} {:<12} {:>14.3} {:>14.3} {:>10.1}",
-                label, base.name, base_mops, shift_mops, change
+                label,
+                base.meta().name,
+                base_mops,
+                shift_mops,
+                change
             );
         }
     }
@@ -465,12 +469,12 @@ pub(super) fn fig13_range(opts: &RunOpts) {
     println!();
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
-        for entry in single_thread_indexes() {
-            if !entry.index.meta().supports_range {
+        for mut index in single_thread_indexes() {
+            let meta = index.meta();
+            if !meta.supports_range {
                 continue;
             }
-            let mut row = format!("{:<10} {:<12}", ds.name(), entry.name);
-            let mut index = entry.index;
+            let mut row = format!("{:<10} {:<12}", ds.name(), meta.name);
             for &s in &scan_sizes {
                 let queries = (opts.keys / s.max(10)).clamp(20, 2_000);
                 let scenario = builder.range_workload(&ds.name(), &keys, s, queries);
@@ -604,14 +608,13 @@ pub(super) fn figg_ycsb(opts: &RunOpts) {
         let keys = ds.generate(opts.keys, opts.seed);
         for variant in [YcsbVariant::A, YcsbVariant::B, YcsbVariant::C] {
             let workload = builder.ycsb(&ds.name(), &keys, variant, opts.keys);
-            for entry in single_thread_indexes() {
-                let mut index = entry.index;
+            for mut index in single_thread_indexes() {
                 let r = in_place(&workload, index.as_mut());
                 println!(
                     "{:<10} {:<8} {:<12} {:>9} {:>10.3}",
                     ds.name(),
                     variant.name(),
-                    entry.name,
+                    index.meta().name,
                     1,
                     r.throughput_mops()
                 );
@@ -636,15 +639,14 @@ pub(super) fn figg_ycsb(opts: &RunOpts) {
                     threads: opts.threads,
                 },
             ));
-            for entry in concurrent_indexes(true) {
-                let mut index = entry.index;
+            for mut index in concurrent_indexes(true) {
                 let result = Driver::new().run(&scenario, index.as_mut());
                 let phase = result.phases.into_iter().next().expect("one phase");
                 println!(
                     "{:<10} {:<8} {:<12} {:>9} {:>10.3}",
                     ds.name(),
                     variant.name(),
-                    entry.name,
+                    index.meta().name,
                     opts.threads,
                     phase.throughput_mops()
                 );

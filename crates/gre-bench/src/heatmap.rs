@@ -5,7 +5,7 @@
 //! traditional index (positive: a traditional index wins, negative: a learned
 //! index wins — matching the paper's colour convention).
 
-use crate::registry::{concurrent_indexes, single_thread_indexes, IndexKind};
+use crate::registry::{concurrent_indexes, single_thread_indexes};
 use crate::runopts::RunOpts;
 use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
@@ -115,8 +115,9 @@ pub enum HeatmapMode {
     Deletes,
 }
 
-/// One contender's result in one cell: name, family, throughput in Mop/s.
-type Contender = (String, IndexKind, f64);
+/// One contender's result in one cell: name, whether it is learned,
+/// throughput in Mop/s.
+type Contender = (&'static str, bool, f64);
 
 /// Compute a single-threaded heatmap over `datasets` × the five write ratios.
 pub fn single_thread_heatmap(
@@ -129,14 +130,11 @@ pub fn single_thread_heatmap(
         single_thread_indexes()
             .into_iter()
             // Skip indexes that cannot run this workload.
-            .filter(|e| mode == HeatmapMode::Inserts || e.index.meta().supports_delete)
-            .map(|mut e| {
-                let result = Driver::new().run_in_place(scenario, e.index.as_mut());
-                (
-                    e.name.to_string(),
-                    e.kind,
-                    result.phases[0].throughput_mops(),
-                )
+            .filter(|index| mode == HeatmapMode::Inserts || index.meta().supports_delete)
+            .map(|mut index| {
+                let result = Driver::new().run_in_place(scenario, index.as_mut());
+                let meta = index.meta();
+                (meta.name, meta.learned, result.phases[0].throughput_mops())
             })
             .collect()
     })
@@ -153,9 +151,10 @@ pub fn concurrent_heatmap(
         let scenario = scenario.clone().closed_loop(opts.threads);
         concurrent_indexes(include_parallelized)
             .into_iter()
-            .map(|mut e| {
-                let result = Driver::new().run(&scenario, e.index.as_mut());
-                (e.name, e.kind, result.phases[0].throughput_mops())
+            .map(|mut index| {
+                let result = Driver::new().run(&scenario, index.as_mut());
+                let meta = index.meta();
+                (meta.name, meta.learned, result.phases[0].throughput_mops())
             })
             .collect()
     })
@@ -185,12 +184,9 @@ fn heatmap(
                     builder.delete_workload(&dataset.name(), &keys, ratio.write_fraction())
                 }
             };
-            let mut best: [(String, f64); 2] = [("-".into(), 0.0), ("-".into(), 0.0)];
-            for (name, kind, mops) in run(&scenario) {
-                let slot = match kind {
-                    IndexKind::Learned => &mut best[0],
-                    IndexKind::Traditional => &mut best[1],
-                };
+            let mut best = [("-", 0.0), ("-", 0.0)];
+            for (name, learned, mops) in run(&scenario) {
+                let slot = &mut best[usize::from(!learned)];
                 if mops > slot.1 {
                     *slot = (name, mops);
                 }
@@ -208,7 +204,7 @@ fn make_cell(
     dataset: &Dataset,
     ratio: WriteRatio,
     hardness: &DataHardness,
-    best: [(String, f64); 2],
+    best: [(&str, f64); 2],
 ) -> HeatmapCell {
     let [(learned_name, learned_mops), (trad_name, trad_mops)] = best;
     let ratio_value = if learned_mops >= trad_mops {
@@ -227,9 +223,9 @@ fn make_cell(
         write_ratio: ratio.label().to_string(),
         hardness_local: hardness.local,
         hardness_global: hardness.global,
-        best_learned: learned_name,
+        best_learned: learned_name.to_string(),
         best_learned_mops: learned_mops,
-        best_traditional: trad_name,
+        best_traditional: trad_name.to_string(),
         best_traditional_mops: trad_mops,
         ratio: ratio_value,
     }

@@ -1,9 +1,10 @@
 //! # gre-bench
 //!
-//! The GRE benchmark harness: index registries, the heatmap machinery of
-//! Figures 2/4/7/14/16, and the figure table ([`figures::FIGURES`]) the one
-//! `gre-figs` binary dispatches over — a row per table/figure of the paper,
-//! named after it (`fig2_heatmap` … `table3_insert_stats`), plus the `figs_*`
+//! The GRE benchmark harness: the index registries (two arrays of
+//! constructors; each index names itself through `meta()`), the heatmap
+//! machinery of Figures 2/4/7/14/16, and the figure table
+//! ([`figures::FIGURES`]) the one `gre-figs` binary dispatches over — a row
+//! per table/figure of the paper, named after it (`fig2_heatmap` … `table3_insert_stats`), plus the `figs_*`
 //! rows that drill the serving, telemetry and elasticity tiers.
 //!
 //! Performance is measured by the layer-tax ledger (`BENCHMARK.json` +
@@ -19,5 +20,5 @@ pub mod report;
 pub mod runopts;
 
 pub use heatmap::{Heatmap, HeatmapCell};
-pub use registry::{concurrent_indexes, single_thread_indexes, IndexKind};
+pub use registry::{concurrent_indexes, single_thread_indexes};
 pub use runopts::RunOpts;

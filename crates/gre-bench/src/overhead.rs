@@ -1,9 +1,9 @@
 //! The telemetry overhead probe shared by `tests/telemetry_overhead.rs` and
 //! the `figs_observability` figure.
 
-use crate::registry::IndexBuilder;
 use crate::RunOpts;
-use gre_shard::{PipelineTarget, DEFAULT_DRIVER_BATCH};
+use gre_learned::AlexPlus;
+use gre_shard::{Partitioner, PipelineTarget, ShardedIndex, DEFAULT_DRIVER_BATCH};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
 use gre_workloads::Driver;
 
@@ -41,9 +41,6 @@ impl OverheadProbe {
 /// noise.
 pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe {
     let keys: Vec<u64> = (1..=opts.keys as u64).map(|i| i * 16).collect();
-    let builder = IndexBuilder::backend("alex+")
-        .expect("alex+ registered")
-        .shards(opts.shards.max(1));
     let workers = opts.threads.max(1);
     let scenario = Scenario::new("read_only", opts.seed, &keys).phase(Phase::new(
         "read_only",
@@ -55,8 +52,10 @@ pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe 
 
     let run = |instrument: bool| -> f64 {
         let driver = Driver::new().sample_stride(SAMPLE_STRIDE);
-        let mut target =
-            PipelineTarget::new(builder.build_sharded(), workers, DEFAULT_DRIVER_BATCH, 0);
+        let index = ShardedIndex::from_factory(Partitioner::range(opts.shards.max(1)), |_| {
+            AlexPlus::<u64>::new()
+        });
+        let mut target = PipelineTarget::new(index, workers, DEFAULT_DRIVER_BATCH, 0);
         if instrument {
             target = target.instrumented();
         }

@@ -2,8 +2,8 @@
 //! `index.alex.*` rows, pinned through the `Box<dyn Index>` entries of
 //! `single_thread_indexes()` that the figures read.
 
-use gre_bench::registry::{single_thread_indexes, SingleEntry};
-use gre_core::OpCounters;
+use gre_bench::registry::single_thread_indexes;
+use gre_core::{Index, OpCounters};
 use gre_datasets::Dataset;
 
 /// `n` seeded `osm` keys: the even positions are bulk-loaded, the odd ones
@@ -22,10 +22,10 @@ fn osm_stream(n: usize) -> (Vec<(u64, u64)>, Vec<u64>) {
     (bulk, fresh)
 }
 
-fn entry(name: &str) -> SingleEntry {
+fn registered(name: &str) -> Box<dyn Index<u64>> {
     single_thread_indexes()
         .into_iter()
-        .find(|e| e.name == name)
+        .find(|index| index.meta().name == name)
         .unwrap_or_else(|| panic!("{name} is registered"))
 }
 
@@ -50,12 +50,12 @@ fn write_only_osm_counters_are_exact() {
         ("ALEX", [1_000, 1_000, 233_550, 5, 5]),
         ("LIPP", [1_000, 2_996, 0, 485, 0]),
     ] {
-        let mut e = entry(name);
-        e.index.bulk_load(&bulk);
+        let mut index = registered(name);
+        index.bulk_load(&bulk);
         for &k in &fresh {
-            assert!(e.index.insert(k, k), "{name} fresh insert {k}");
+            assert!(index.insert(k, k), "{name} fresh insert {k}");
         }
-        assert_eq!(work(e.index.stats().counters), expected, "{name}");
+        assert_eq!(work(index.stats().counters), expected, "{name}");
     }
 }
 
@@ -65,13 +65,13 @@ fn write_only_osm_counters_are_exact() {
 #[test]
 fn write_only_osm_counters_are_exact_where_alex_splits() {
     let (bulk, fresh) = osm_stream(20_000);
-    let mut e = entry("ALEX");
-    e.index.bulk_load(&bulk);
+    let mut index = registered("ALEX");
+    index.bulk_load(&bulk);
     for &k in &fresh {
-        assert!(e.index.insert(k, k), "ALEX fresh insert {k}");
+        assert!(index.insert(k, k), "ALEX fresh insert {k}");
     }
     assert_eq!(
-        work(e.index.stats().counters),
+        work(index.stats().counters),
         [10_000, 22_491, 1_302_982, 58, 50]
     );
 }
@@ -79,27 +79,28 @@ fn write_only_osm_counters_are_exact_where_alex_splits() {
 #[test]
 fn removes_leave_the_per_insert_traversal_alone() {
     let (bulk, fresh) = osm_stream(2_000);
-    for mut e in single_thread_indexes() {
-        if !e.index.meta().supports_delete {
+    for mut index in single_thread_indexes() {
+        let meta = index.meta();
+        if !meta.supports_delete {
             continue;
         }
-        e.index.bulk_load(&bulk);
+        index.bulk_load(&bulk);
         for &k in &fresh {
-            e.index.insert(k, k);
+            index.insert(k, k);
         }
-        let before = e.index.stats().avg_nodes_traversed_per_insert();
-        assert!(before > 0.0, "{} counts insert traversals", e.name);
+        let before = index.stats().avg_nodes_traversed_per_insert();
+        assert!(before > 0.0, "{} counts insert traversals", meta.name);
         for &(k, v) in bulk.iter().step_by(2) {
-            assert_eq!(e.index.remove(k), Some(v), "{} remove {k}", e.name);
+            assert_eq!(index.remove(k), Some(v), "{} remove {k}", meta.name);
         }
         for &k in fresh.iter().step_by(2) {
-            assert_eq!(e.index.remove(k), Some(k), "{} remove {k}", e.name);
+            assert_eq!(index.remove(k), Some(k), "{} remove {k}", meta.name);
         }
-        let after = e.index.stats().avg_nodes_traversed_per_insert();
+        let after = index.stats().avg_nodes_traversed_per_insert();
         assert_eq!(
             before, after,
             "{}: removes moved the per-insert traversal",
-            e.name
+            meta.name
         );
     }
 }

@@ -1,14 +1,13 @@
 //! Registry smoke tests: fast-failing coverage that every registered index
 //! survives a tiny insert/lookup round-trip, so registry regressions (a
-//! renamed entry, a broken constructor, a trait-impl typo) surface in
+//! renamed index, a broken constructor, a trait-impl typo) surface in
 //! milliseconds without the heavy end-to-end suite. Covers the plain
-//! registries and the `sharded(...)` serving-layer composites of the typed
-//! builder.
+//! registries and every concurrent backend behind range- and hash-sharded
+//! `ShardedIndex` composites.
 
-use gre_bench::registry::{
-    concurrent_indexes, single_thread_indexes, IndexBuilder, CONCURRENT_BACKENDS,
-};
-use gre_shard::Scheme;
+use gre_bench::registry::{concurrent_indexes, single_thread_indexes, CONCURRENT};
+use gre_core::ConcurrentIndex;
+use gre_shard::{Partitioner, ShardedIndex};
 
 const TINY: u64 = 64;
 
@@ -25,15 +24,18 @@ fn registries_are_non_empty() {
 
 #[test]
 fn registry_names_are_unique() {
-    let mut names: Vec<&str> = single_thread_indexes().iter().map(|e| e.name).collect();
+    let mut names: Vec<&str> = single_thread_indexes()
+        .iter()
+        .map(|i| i.meta().name)
+        .collect();
     names.sort_unstable();
     let len = names.len();
     names.dedup();
     assert_eq!(names.len(), len, "duplicate single-thread registry name");
 
-    let mut names: Vec<String> = concurrent_indexes(true)
-        .into_iter()
-        .map(|e| e.name)
+    let mut names: Vec<&str> = concurrent_indexes(true)
+        .iter()
+        .map(|i| i.meta().name)
         .collect();
     names.sort_unstable();
     let len = names.len();
@@ -42,63 +44,90 @@ fn registry_names_are_unique() {
 }
 
 #[test]
+fn learned_families_are_the_papers() {
+    let learned: Vec<&str> = single_thread_indexes()
+        .iter()
+        .map(|i| i.meta())
+        .filter(|m| m.learned)
+        .map(|m| m.name)
+        .collect();
+    assert_eq!(learned, ["ALEX", "LIPP", "PGM-Index"]);
+    let learned: Vec<&str> = concurrent_indexes(true)
+        .iter()
+        .map(|i| i.meta())
+        .filter(|m| m.learned)
+        .map(|m| m.name)
+        .collect();
+    assert_eq!(learned, ["ALEX+", "LIPP+", "XIndex", "FINEdex"]);
+}
+
+/// Figure 16's "world without this study" drops exactly the two
+/// parallelized derivatives, which lead the registry.
+#[test]
+fn without_parallelized_drops_the_first_two() {
+    let with: Vec<&str> = concurrent_indexes(true)
+        .iter()
+        .map(|i| i.meta().name)
+        .collect();
+    let without: Vec<&str> = concurrent_indexes(false)
+        .iter()
+        .map(|i| i.meta().name)
+        .collect();
+    assert_eq!(&with[..2], ["ALEX+", "LIPP+"]);
+    assert_eq!(without, with[2..]);
+}
+
+#[test]
 fn every_single_thread_entry_round_trips() {
     let entries = tiny_entries();
-    for mut e in single_thread_indexes() {
-        e.index.bulk_load(&entries);
-        assert_eq!(e.index.len(), entries.len(), "{} bulk load", e.name);
+    for mut index in single_thread_indexes() {
+        let name = index.meta().name;
+        index.bulk_load(&entries);
+        assert_eq!(index.len(), entries.len(), "{name} bulk load");
         for &(k, v) in &entries {
-            assert_eq!(e.index.get(k), Some(v), "{} lookup {k}", e.name);
+            assert_eq!(index.get(k), Some(v), "{name} lookup {k}");
         }
-        assert!(e.index.insert(2, 999), "{} fresh insert", e.name);
-        assert_eq!(e.index.get(2), Some(999), "{} read-own-insert", e.name);
-        assert_eq!(e.index.get(0), None, "{} absent key", e.name);
+        assert!(index.insert(2, 999), "{name} fresh insert");
+        assert_eq!(index.get(2), Some(999), "{name} read-own-insert");
+        assert_eq!(index.get(0), None, "{name} absent key");
     }
 }
 
 #[test]
 fn every_concurrent_entry_round_trips() {
     let entries = tiny_entries();
-    for mut e in concurrent_indexes(true) {
-        e.index.bulk_load(&entries);
-        assert_eq!(e.index.len(), entries.len(), "{} bulk load", e.name);
-        for &(k, v) in &entries {
-            assert_eq!(e.index.get(k), Some(v), "{} lookup {k}", e.name);
-        }
-        assert!(e.index.insert(2, 999), "{} fresh insert", e.name);
-        assert_eq!(e.index.get(2), Some(999), "{} read-own-insert", e.name);
-        assert_eq!(e.index.get(0), None, "{} absent key", e.name);
+    for mut index in concurrent_indexes(true) {
+        round_trip(index.meta().name, &mut index, &entries);
     }
 }
 
+/// Every concurrent backend serves a tiny round trip behind a range and a
+/// hash partitioner, and the composite reports its backend's name.
 #[test]
-fn index_builder_covers_every_registry_name() {
+fn every_concurrent_backend_serves_sharded() {
     let entries = tiny_entries();
-    for (name, kind) in CONCURRENT_BACKENDS {
-        let builder = IndexBuilder::backend(name)
-            .unwrap_or_else(|_| panic!("builder must resolve registry name {name}"));
-        assert_eq!(builder.backend_name(), name);
-        assert_eq!(builder.kind(), kind);
-        assert_eq!(builder.build().meta().name, name, "bare backend");
-        // Range- and hash-sharded composites built through the typed surface
-        // report the `sharded(NAME,N[,hash])` name and serve a tiny round-trip.
-        for (shards, scheme, shown) in [
-            (3, Scheme::Range, format!("sharded({name},3)")),
-            (2, Scheme::Hash, format!("sharded({name},2,hash)")),
-        ] {
-            let builder = builder.clone().shards(shards).partitioner(scheme);
-            assert_eq!(builder.display_name(), shown);
-            let mut idx = builder.build();
-            idx.bulk_load(&entries);
-            assert_eq!(idx.meta().name, shown);
-            assert_eq!(idx.len(), entries.len(), "{shown} bulk load");
-            for &(k, v) in &entries {
-                assert_eq!(idx.get(k), Some(v), "{shown} lookup {k}");
-            }
-            assert!(idx.insert(2, 999), "{shown} fresh insert");
-            assert_eq!(idx.get(2), Some(999), "{shown} read-own-insert");
-            assert_eq!(idx.get(0), None, "{shown} absent key");
+    for ctor in CONCURRENT {
+        let name = ctor().meta().name;
+        for partitioner in [Partitioner::range(3), Partitioner::hash(2)] {
+            let shown = format!(
+                "{name} over {}x{}",
+                partitioner.shards(),
+                partitioner.scheme()
+            );
+            let mut idx = ShardedIndex::from_factory(partitioner, |_| ctor());
+            assert_eq!(idx.meta().name, name, "{shown}");
+            round_trip(&shown, &mut idx, &entries);
         }
     }
-    assert!(IndexBuilder::backend("definitely-not-an-index").is_err());
+}
+
+fn round_trip(name: &str, index: &mut impl ConcurrentIndex<u64>, entries: &[(u64, u64)]) {
+    index.bulk_load(entries);
+    assert_eq!(index.len(), entries.len(), "{name} bulk load");
+    for &(k, v) in entries {
+        assert_eq!(index.get(k), Some(v), "{name} lookup {k}");
+    }
+    assert!(index.insert(2, 999), "{name} fresh insert");
+    assert_eq!(index.get(2), Some(999), "{name} read-own-insert");
+    assert_eq!(index.get(0), None, "{name} absent key");
 }

@@ -105,8 +105,8 @@ pub trait Index<K: Key>: Send {
     /// The default runs `get`, then `insert`: two searches, and the insert's
     /// bookkeeping. An index that counts or times its inserts must therefore
     /// override it, or its updates are counted as inserts. ALEX, the B+tree,
-    /// XIndex and FINEdex override it; LIPP, PGM, ART, HOT, Wormhole and
-    /// Masstree use the default.
+    /// Masstree, XIndex and FINEdex override it; LIPP, PGM, ART, HOT and
+    /// Wormhole use the default.
     fn update(&mut self, key: K, value: Payload) -> bool {
         if self.get(key).is_some() {
             self.insert(key, value);

@@ -32,10 +32,8 @@
 //!   policy layer.
 //! * [`json`] — [`json::JsonWriter`], the one JSON emitter every report in
 //!   the workspace is written through.
-//! * [`error`] — the shared error type.
 
 pub mod elastic;
-pub mod error;
 pub mod index;
 pub mod json;
 pub mod key;
@@ -46,7 +44,6 @@ pub mod stats;
 pub mod wire;
 
 pub use elastic::{BoundaryChange, ElasticError, TopologyKind};
-pub use error::{GreError, Result};
 pub use index::{ConcurrentIndex, Index, IndexMeta, ModelIndex, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};

@@ -158,7 +158,6 @@ pub struct DynamicPgm<K> {
     /// Static levels; level `i` holds at most `buffer_capacity << i` entries.
     levels: Vec<Option<StaticPgm<K>>>,
     buffer_capacity: usize,
-    epsilon: u64,
     len: usize,
     counters: OpCounters,
 }
@@ -171,15 +170,10 @@ impl<K: Key> Default for DynamicPgm<K> {
 
 impl<K: Key> DynamicPgm<K> {
     pub fn new() -> Self {
-        Self::with_epsilon(DEFAULT_EPSILON)
-    }
-
-    pub fn with_epsilon(epsilon: u64) -> Self {
         DynamicPgm {
             buffer: Vec::new(),
             levels: Vec::new(),
             buffer_capacity: 256,
-            epsilon,
             len: 0,
             counters: OpCounters::default(),
         }
@@ -208,7 +202,7 @@ impl<K: Key> DynamicPgm<K> {
                     // A level deep enough to hold the carry absorbs it.
                     if carry.len() <= self.buffer_capacity << level || level + 1 > self.levels.len()
                     {
-                        self.levels[level] = Some(StaticPgm::build(carry, self.epsilon));
+                        self.levels[level] = Some(StaticPgm::build(carry, DEFAULT_EPSILON));
                         break;
                     }
                     level += 1;
@@ -287,7 +281,7 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
         // Bulk data goes straight into one big static level, placed at the
         // depth matching its size so future merges keep the logarithmic
         // structure.
-        let level = StaticPgm::build(entries.to_vec(), self.epsilon);
+        let level = StaticPgm::build(entries.to_vec(), DEFAULT_EPSILON);
         let mut depth = 0usize;
         while (self.buffer_capacity << depth) < entries.len() {
             depth += 1;

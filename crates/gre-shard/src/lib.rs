@@ -14,8 +14,8 @@
 //!
 //! Three pieces:
 //!
-//! * [`partition`] — the `key -> shard` maps: [`Partitioner::range_from_samples`]
-//!   places boundaries at the quantiles of a sampled key CDF (even spread
+//! * [`partition`] — the `key -> shard` maps: [`Partitioner::range`]
+//!   places boundaries, at bulk load, at the quantiles of a sampled key CDF (even spread
 //!   under key-distribution skew, ordered shards for sequential cross-shard
 //!   scans); [`Partitioner::hash`] scatters hot contiguous regions across
 //!   all shards (access-skew resistance, at the cost of fan-out scans).
@@ -61,7 +61,7 @@ pub mod pipeline;
 pub mod serve;
 pub mod sharded;
 
-pub use partition::{HashPartitioner, Partitioner, RangePartitioner, Scheme};
+pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use pipeline::{
     Backpressure, BackpressureReason, OpBatch, Session, ShardPipeline, SubmitHandle,
     DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_CAPACITY,

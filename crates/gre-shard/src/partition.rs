@@ -18,37 +18,6 @@ use gre_core::Key;
 /// boundary fitting O(SAMPLE_LIMIT log SAMPLE_LIMIT) even for huge loads.
 pub const SAMPLE_LIMIT: usize = 4096;
 
-/// Partitioning scheme selector: the configuration-surface counterpart of
-/// [`Partitioner`] (which additionally carries fitted state). Used by typed
-/// builders — e.g. `IndexBuilder::backend("alex+")?.partitioner(Scheme::Hash)`
-/// in `gre-bench` — to pick a scheme before the shard count is known.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Scheme {
-    /// Contiguous key ranges, boundaries fitted to the loaded key CDF.
-    #[default]
-    Range,
-    /// splitmix64 hash of the key: access-skew resistant, fan-out scans.
-    Hash,
-}
-
-impl Scheme {
-    /// Instantiate a partitioner of this scheme over `shards` shards.
-    pub fn partitioner<K: Key>(self, shards: usize) -> Partitioner<K> {
-        match self {
-            Scheme::Range => Partitioner::range(shards),
-            Scheme::Hash => Partitioner::hash(shards),
-        }
-    }
-
-    /// Scheme name as used in display names.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::Range => "range",
-            Scheme::Hash => "hash",
-        }
-    }
-}
-
 /// A `key -> shard` map over a fixed number of shards.
 #[derive(Debug, Clone)]
 pub enum Partitioner<K: Key> {
@@ -62,11 +31,6 @@ impl<K: Key> Partitioner<K> {
     /// load) derives boundaries from actual keys.
     pub fn range(shards: usize) -> Self {
         Partitioner::Range(RangePartitioner::unfitted(shards))
-    }
-
-    /// Range partitioner with boundaries fitted to the CDF of `samples`.
-    pub fn range_from_samples(samples: &[K], shards: usize) -> Self {
-        Partitioner::Range(RangePartitioner::from_samples(samples, shards))
     }
 
     /// Hash partitioner over `shards` shards.
@@ -506,16 +470,5 @@ mod tests {
         p.reassign(seg, 2).unwrap();
         let after: Vec<usize> = keys.iter().map(|&k| p.shard_of(k)).collect();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn scheme_round_trips_names_and_builds_partitioners() {
-        assert_eq!(Scheme::default(), Scheme::Range);
-        for scheme in [Scheme::Range, Scheme::Hash] {
-            let p: Partitioner<u64> = scheme.partitioner(4);
-            assert_eq!(p.shards(), 4);
-            assert_eq!(p.scheme(), scheme.name());
-            assert_eq!(p.is_ordered(), scheme == Scheme::Range);
-        }
     }
 }

@@ -83,7 +83,6 @@ pub struct ShardedIndex<K: Key, B: ConcurrentIndex<K>> {
     freeze_gate: Mutex<()>,
     unfrozen: Condvar,
     backends: Vec<B>,
-    name: &'static str,
 }
 
 impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
@@ -106,7 +105,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
             freeze_gate: Mutex::new(()),
             unfrozen: Condvar::new(),
             backends,
-            name: "sharded",
         }
     }
 
@@ -115,12 +113,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
     pub fn from_factory(partitioner: Partitioner<K>, mut factory: impl FnMut(usize) -> B) -> Self {
         let backends = (0..partitioner.shards()).map(&mut factory).collect();
         Self::new(partitioner, backends)
-    }
-
-    /// Set the name reported through [`ConcurrentIndex::meta`].
-    pub fn with_name(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
     }
 
     /// Number of shards.
@@ -549,8 +541,9 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
         self.backends.iter().map(|b| b.memory_usage()).sum()
     }
 
-    /// Merged metadata: capability flags are the conjunction over shards
-    /// (the composite only supports what every backend supports).
+    /// Merged metadata: the backends' name, and capability flags that are
+    /// the conjunction over shards (the composite only supports what every
+    /// backend supports).
     fn meta(&self) -> IndexMeta {
         let mut meta = self
             .backends
@@ -569,7 +562,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
             meta.supports_delete &= m.supports_delete;
             meta.supports_range &= m.supports_range;
         }
-        meta.name = self.name;
         meta.concurrent = true;
         meta
     }
@@ -739,11 +731,14 @@ mod tests {
 
     #[test]
     fn merged_reporting() {
-        let mut idx = sharded(Partitioner::range(4)).with_name("sharded(map,4)");
+        let mut idx = sharded(Partitioner::range(4));
         idx.bulk_load(&entries(2_000));
         assert!(idx.memory_usage() >= 2_000 * 48);
         let meta = idx.meta();
-        assert_eq!(meta.name, "sharded(map,4)");
+        assert_eq!(
+            meta.name, "model",
+            "the composite reports its backends' name"
+        );
         assert!(meta.concurrent);
         assert!(meta.supports_delete);
         assert!(meta.supports_range);

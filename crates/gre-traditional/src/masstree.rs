@@ -56,6 +56,10 @@ impl<K: Key> Index<K> for Masstree<K> {
         self.layer0.insert(key, value)
     }
 
+    fn update(&mut self, key: K, value: Payload) -> bool {
+        self.layer0.update(key, value)
+    }
+
     fn remove(&mut self, key: K) -> Option<Payload> {
         // The paper notes Masstree does not cover deletions in its
         // evaluation; the underlying structure supports them, so we do too.
@@ -107,6 +111,22 @@ mod tests {
         assert_eq!(m.range(RangeSpec::new(0, 10), &mut out), 10);
         assert_eq!(m.meta().name, "Masstree");
         assert!(!m.meta().supports_delete);
+    }
+
+    #[test]
+    fn updates_write_in_place_and_count_nothing() {
+        let mut m = Masstree::new();
+        let entries: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i * 5, i)).collect();
+        m.bulk_load(&entries);
+        let before = m.stats().counters;
+        for &(k, v) in &entries {
+            assert!(m.update(k, v + 1));
+        }
+        assert!(!m.update(1, 7), "absent key must miss");
+        assert_eq!(m.get(1), None, "update must not insert");
+        assert_eq!(m.get(10), Some(3));
+        assert_eq!(m.len(), 3_000);
+        assert_eq!(m.stats().counters, before);
     }
 
     #[test]

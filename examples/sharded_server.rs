@@ -3,7 +3,8 @@
 //!
 //! Demonstrates the full serving stack in two acts:
 //!
-//! 1. The raw client surface: the typed `IndexBuilder` configuration, a
+//! 1. The raw client surface: an ALEX+ store built by concrete constructor
+//!    (`ShardedIndex::from_factory` over `Partitioner::range`), a
 //!    `ShardPipeline` answering per-op `Response` values through a
 //!    non-blocking `SubmitHandle` polled to completion without ever calling
 //!    `wait()`, and cross-shard bounded range scans.
@@ -15,8 +16,8 @@
 //!
 //! Run with `cargo run --release --example sharded_server`.
 
-use gre::shard::{OpBatch, PipelineTarget, ShardPipeline};
-use gre_bench::registry::IndexBuilder;
+use gre::learned::AlexPlus;
+use gre::shard::{OpBatch, Partitioner, PipelineTarget, ShardPipeline, ShardedIndex};
 use gre_core::ops::RequestKind;
 use gre_core::{ConcurrentIndex, RangeSpec, Response};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -26,15 +27,17 @@ use std::sync::Arc;
 const SHARDS: usize = 8;
 const WORKERS: usize = 4;
 
+/// An empty store: one ALEX+ per shard behind a range partitioner, whose
+/// boundaries the bulk load fits to the loaded key CDF.
+fn alex_plus_store() -> ShardedIndex<u64, AlexPlus<u64>> {
+    ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| AlexPlus::new())
+}
+
 fn main() {
     // ---- Act 1: the raw typed client API ------------------------------
-    // Boot a store through the typed builder: 500k keys bulk-loaded into
-    // ALEX+ shards behind a range partitioner fitted to the loaded key CDF.
+    // Boot a store: 500k keys bulk-loaded into the ALEX+ shards.
     let entries: Vec<(u64, u64)> = (0..500_000u64).map(|i| (i * 4, i)).collect();
-    let mut store = IndexBuilder::backend("alex+")
-        .expect("alex+ registered")
-        .shards(SHARDS)
-        .build_sharded();
+    let mut store = alex_plus_store();
     store.bulk_load(&entries);
     println!(
         "serving {} keys as {} ({} shards, per-shard entries {:?})",
@@ -110,15 +113,7 @@ fn main() {
                 rate_ops_s: 50_000.0,
             },
         ));
-    let mut target = PipelineTarget::new(
-        IndexBuilder::backend("alex+")
-            .expect("alex+ registered")
-            .shards(SHARDS)
-            .build_sharded(),
-        WORKERS,
-        64,
-        8,
-    );
+    let mut target = PipelineTarget::new(alex_plus_store(), WORKERS, 64, 8);
     let result = Driver::new()
         .open_loop_senders(2)
         .run(&scenario, &mut target);

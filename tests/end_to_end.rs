@@ -18,12 +18,12 @@ fn all_single_thread_indexes_agree_on_the_balanced_workload() {
     let mut lens = Vec::new();
     let mut probes: Vec<Vec<Option<u64>>> = Vec::new();
     let probe_keys: Vec<u64> = keys.iter().step_by(97).copied().collect();
-    for entry in single_thread_indexes() {
-        eprintln!("running {}", entry.name);
-        let mut index = entry.index;
+    for mut index in single_thread_indexes() {
+        let name = index.meta().name;
+        eprintln!("running {name}");
         let result = Driver::new().run_in_place(&workload, index.as_mut());
-        assert!(result.phases[0].throughput_mops() > 0.0, "{}", entry.name);
-        lens.push((entry.name, index.len()));
+        assert!(result.phases[0].throughput_mops() > 0.0, "{name}");
+        lens.push((name, index.len()));
         probes.push(probe_keys.iter().map(|&k| index.get(k)).collect());
     }
     let expected_len = lens[0].1;
@@ -42,11 +42,11 @@ fn all_concurrent_indexes_agree_under_threads() {
         .insert_workload("libio", &keys, WriteRatio::Balanced)
         .closed_loop(4);
     let mut lens = Vec::new();
-    for entry in concurrent_indexes(true) {
-        let mut index = entry.index;
+    for mut index in concurrent_indexes(true) {
+        let name = index.meta().name;
         let result = Driver::new().run(&workload, index.as_mut());
-        assert!(result.phases[0].throughput_mops() > 0.0, "{}", entry.name);
-        lens.push((entry.name, index.len()));
+        assert!(result.phases[0].throughput_mops() > 0.0, "{name}");
+        lens.push((name, index.len()));
     }
     let expected = lens[0].1;
     for (name, len) in &lens {
@@ -58,13 +58,13 @@ fn all_concurrent_indexes_agree_under_threads() {
 fn deletion_workload_shrinks_every_delete_capable_index() {
     let keys = Dataset::Stack.generate(N, 3);
     let workload = WorkloadBuilder::new(3).delete_workload("stack", &keys, 0.5);
-    for entry in single_thread_indexes() {
-        if !entry.index.meta().supports_delete {
+    for mut index in single_thread_indexes() {
+        let meta = index.meta();
+        if !meta.supports_delete {
             continue;
         }
-        let mut index = entry.index;
         Driver::new().run_in_place(&workload, index.as_mut());
-        assert_eq!(index.len(), keys.len() - keys.len() / 2, "{}", entry.name);
+        assert_eq!(index.len(), keys.len() - keys.len() / 2, "{}", meta.name);
     }
 }
 

@@ -7,7 +7,7 @@
 //! operation sequences (deterministic, so failures reproduce by seed).
 
 use gre::learned::{Alex, DynamicPgm, Lipp};
-use gre::traditional::{Art, BPlusTree, Hot, Wormhole};
+use gre::traditional::{Art, BPlusTree, Hot, Masstree, Wormhole};
 use gre_core::{Index, RangeSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,3 +125,4 @@ model_test!(btree_matches_btreemap, BPlusTree::<u64>::new());
 model_test!(art_matches_btreemap, Art::<u64>::new());
 model_test!(hot_matches_btreemap, Hot::<u64>::new());
 model_test!(wormhole_matches_btreemap, Wormhole::<u64>::new());
+model_test!(masstree_matches_btreemap, Masstree::<u64>::new());
