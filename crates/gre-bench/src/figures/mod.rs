@@ -1,10 +1,9 @@
 //! The figure table: every table and figure this repo reproduces is one row
 //! of [`FIGURES`], and the `gre-figs` binary runs the row its first argument
 //! names. `paper` holds the paper's own tables and figures; the `figs_*`
-//! modules drill the serving, observability and elasticity tiers.
+//! modules drill the serving and observability tiers.
 
 mod figs_observability;
-mod figs_rebalance;
 mod figs_scenarios;
 mod figs_shard_scalability;
 mod paper;
@@ -147,11 +146,6 @@ pub static FIGURES: &[Figure] = &[
         title: "Observability: every telemetry surface on the shifting-hotspot scenario",
         run: figs_observability::run,
     },
-    Figure {
-        name: "figs_rebalance",
-        title: "Elasticity: hotspot collapse, live split and recovery",
-        run: figs_rebalance::run,
-    },
 ];
 
 /// The closed-loop script `figs_scenarios` and `figs_observability` serve:
@@ -187,7 +181,7 @@ fn sharded_label<B: ConcurrentIndex<u64>>(index: &ShardedIndex<u64, B>) -> Strin
     }
 }
 
-/// The "live dashboard" of `figs_observability` and `figs_rebalance`: a
+/// The "live dashboard" of `figs_observability`: a
 /// thread that only ever reads the shared registry, concurrently with the
 /// serving hot path. Every `window` until `stop` is set it samples each
 /// shard's completed-op counter; joined, it returns the per-window deltas.
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn table_names_are_unique_and_complete() {
-        assert_eq!(FIGURES.len(), 24);
+        assert_eq!(FIGURES.len(), 23);
         for (i, f) in FIGURES.iter().enumerate() {
             assert!(!f.name.is_empty() && !f.title.is_empty());
             assert!(

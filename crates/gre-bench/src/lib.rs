@@ -5,7 +5,7 @@
 //! machinery of Figures 2/4/7/14/16, and the figure table
 //! ([`figures::FIGURES`]) the one `gre-figs` binary dispatches over — a row
 //! per table/figure of the paper, named after it (`fig2_heatmap` … `table3_insert_stats`), plus the `figs_*`
-//! rows that drill the serving, telemetry and elasticity tiers.
+//! rows that drill the serving and telemetry tiers.
 //!
 //! Performance is measured by the layer-tax ledger (`BENCHMARK.json` +
 //! `benchmark/` at the repo root), not by this crate; where the code under

@@ -203,68 +203,6 @@ pub trait ConcurrentIndex<K: Key>: Send + Sync {
     /// Range scan.
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize;
 
-    /// Remove every entry with key in `[lo, hi)` (`hi = None` means up to
-    /// the domain maximum) and append the removed `(key, payload)` pairs to
-    /// `out` in ascending key order. Returns the number extracted.
-    ///
-    /// This is the bulk-extraction primitive of shard migration: the
-    /// elasticity controller vacates the moving range from the source shard
-    /// with one call instead of a scan-then-remove loop per key. The default
-    /// composes `range` + `remove` in bounded chunks, so it requires both
-    /// `supports_range` and `supports_delete` (callers gate on
-    /// [`ConcurrentIndex::meta`]); backends with a cheaper internal path may
-    /// override it.
-    ///
-    /// The default is **not** atomic with respect to concurrent writers in
-    /// the window — the migration protocol guarantees exclusivity by
-    /// freezing routing for the range first.
-    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        const CHUNK: usize = 1024;
-        let before = out.len();
-        let mut buf: Vec<(K, Payload)> = Vec::with_capacity(CHUNK);
-        loop {
-            buf.clear();
-            // Re-scan from `lo` every round: extracted keys are gone, so the
-            // scan window slides forward without needing a key successor.
-            let got = self.range(RangeSpec::new(lo, CHUNK), &mut buf);
-            let mut removed_any = false;
-            let mut past_hi = false;
-            for &(k, _) in buf.iter() {
-                if hi.is_some_and(|h| k >= h) {
-                    past_hi = true;
-                    break;
-                }
-                if let Some(v) = self.remove(k) {
-                    out.push((k, v));
-                    removed_any = true;
-                }
-            }
-            // Terminate when the window is exhausted, the scan ran past the
-            // upper bound, or nothing was removable (a backend without
-            // working deletes must not spin forever).
-            if past_hi || got < CHUNK || !removed_any {
-                break;
-            }
-        }
-        out.len() - before
-    }
-
-    /// Bulk-absorb `entries` (ascending by key, disjoint from the stored
-    /// keys — the migration protocol's freeze guarantees both).
-    ///
-    /// This is the bulk-load half of shard migration: the elasticity
-    /// controller lands an extracted range in the target shard with one
-    /// call. The default inserts one key at a time, which is correct for
-    /// every backend but leaves incrementally-grown structure behind;
-    /// learned indexes override it to rebuild the touched region with their
-    /// bulk-load machinery, so a migrated range serves at bulk-loaded speed
-    /// rather than at insert-aged speed.
-    fn absorb_range(&self, entries: &[(K, Payload)]) {
-        for &(k, v) in entries {
-            self.insert(k, v);
-        }
-    }
-
     /// Number of entries (may be approximate while writers are active).
     fn len(&self) -> usize;
 
@@ -345,12 +283,6 @@ impl<K: Key, T: ConcurrentIndex<K> + ?Sized> ConcurrentIndex<K> for Box<T> {
     }
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         (**self).range(spec, out)
-    }
-    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        (**self).extract_range(lo, hi, out)
-    }
-    fn absorb_range(&self, entries: &[(K, Payload)]) {
-        (**self).absorb_range(entries)
     }
     fn len(&self) -> usize {
         (**self).len()
@@ -612,37 +544,6 @@ mod tests {
         assert_eq!(boxed.range(RangeSpec::new(0, 10), &mut out), 2);
         assert!(boxed.memory_usage() > 0);
         assert_eq!(boxed.meta().name, "boxed-model");
-    }
-
-    #[test]
-    fn extract_range_default_vacates_the_window() {
-        let mut wrapped = MutexIndex::new(ModelIndex::default(), "model-mutex");
-        let entries: Vec<(u64, Payload)> = (0..5_000u64).map(|i| (i * 3, i)).collect();
-        ConcurrentIndex::bulk_load(&mut wrapped, &entries);
-
-        // Bounded window [3000, 9000): hi is exclusive.
-        let mut moved = Vec::new();
-        let got = wrapped.extract_range(3_000, Some(9_000), &mut moved);
-        assert_eq!(got, moved.len());
-        assert_eq!(moved.len(), 2_000); // keys 3000, 3003, …, 8997
-        assert!(moved.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(moved.iter().all(|&(k, _)| (3_000..9_000).contains(&k)));
-        assert_eq!(wrapped.get(3_000), None);
-        assert_eq!(wrapped.get(8_997), None);
-        assert_eq!(wrapped.get(2_997), Some(999));
-        assert_eq!(wrapped.get(9_000), Some(3_000));
-        assert_eq!(wrapped.len(), 5_000 - 2_000);
-
-        // Unbounded tail: everything from lo upward moves out.
-        moved.clear();
-        let got = wrapped.extract_range(9_000, None, &mut moved);
-        assert_eq!(got, 5_000 - 3_000);
-        assert_eq!(wrapped.len(), 1_000);
-
-        // Empty window extracts nothing.
-        moved.clear();
-        assert_eq!(wrapped.extract_range(3_000, Some(3_000), &mut moved), 0);
-        assert!(moved.is_empty());
     }
 
     #[test]

@@ -26,14 +26,9 @@
 //!   scenario driver for coordinated-omission-safe tail reporting.
 //! * [`wire`] — the stable byte encoding of [`ops::Request`] used by the
 //!   `gre-durability` write-ahead log.
-//! * [`elastic`] — the shared vocabulary of the online elasticity protocol
-//!   (typed [`elastic::ElasticError`], committed [`elastic::BoundaryChange`]
-//!   events) spoken between `gre-shard`'s mechanism and `gre-elastic`'s
-//!   policy layer.
 //! * [`json`] — [`json::JsonWriter`], the one JSON emitter every report in
 //!   the workspace is written through.
 
-pub mod elastic;
 pub mod index;
 pub mod json;
 pub mod key;
@@ -43,7 +38,6 @@ pub mod partitioned;
 pub mod stats;
 pub mod wire;
 
-pub use elastic::{BoundaryChange, ElasticError, TopologyKind};
 pub use index::{ConcurrentIndex, Index, IndexMeta, ModelIndex, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};

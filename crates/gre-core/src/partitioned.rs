@@ -18,12 +18,12 @@
 //!
 //! Only `get_batch` holds more than one partition lock, and it takes them in
 //! ascending partition order and only for reading. Every other path — point
-//! writes, `range`, `extract_range`, `absorb_range`, `len`, `memory_usage` —
-//! holds one partition lock at a time. That rule is what keeps the batched
-//! reader deadlock-free under the writer-preferring `RwLock`: a writer never
-//! waits while holding a lock, so every chain of waits climbs strictly
-//! through partition numbers and cannot close into a cycle. A new path that
-//! holds two partition locks must take them in ascending order too.
+//! writes, `range`, `len`, `memory_usage` — holds one partition lock at a
+//! time. That rule is what keeps the batched reader deadlock-free under the
+//! writer-preferring `RwLock`: a writer never waits while holding a lock, so
+//! every chain of waits climbs strictly through partition numbers and cannot
+//! close into a cycle. A new path that holds two partition locks must take
+//! them in ascending order too.
 
 use crate::index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
 use crate::key::{Key, Payload};
@@ -195,72 +195,6 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
             start = K::MIN;
         }
         out.len() - before
-    }
-
-    /// Migration bulk-extract: bulk-reload each overlapping partition
-    /// without the moving window instead of removing its keys one at a
-    /// time. Per-key removes leave gapped, model-stale nodes behind; a bulk
-    /// reload leaves the same structure a fresh bulk_load would. Needs no
-    /// working `remove`, so it serves Wormhole too.
-    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        let first = self.partition_for(lo);
-        let last = hi.map_or(self.partitions.len() - 1, |h| self.partition_for(h));
-        let mut all: Vec<(K, Payload)> = Vec::new();
-        for part in first..=last {
-            let mut inner = self.partitions[part].write();
-            all.clear();
-            inner.range(RangeSpec::new(K::MIN, usize::MAX), &mut all);
-            let a = all.partition_point(|e| e.0 < lo);
-            let b = hi.map_or(all.len(), |h| all.partition_point(|e| e.0 < h));
-            if a >= b {
-                continue;
-            }
-            out.extend_from_slice(&all[a..b]);
-            let mut keep: Vec<(K, Payload)> = Vec::with_capacity(all.len() - (b - a));
-            keep.extend_from_slice(&all[..a]);
-            keep.extend_from_slice(&all[b..]);
-            inner.bulk_load(&keep);
-        }
-        out.len() - before
-    }
-
-    /// Migration bulk-absorb: merge the landed entries into each receiving
-    /// partition with one bulk reload per partition. The incoming range
-    /// usually lies outside the boundaries fitted at bulk_load time, so
-    /// per-key inserts would pile the whole range into one edge partition as
-    /// incrementally-grown structure — and then serve the (likely hot)
-    /// migrated range from the worst structure in the store.
-    fn absorb_range(&self, entries: &[(K, Payload)]) {
-        let mut start = 0usize;
-        while start < entries.len() {
-            let part = self.partition_for(entries[start].0);
-            // The run of incoming entries routed to this partition.
-            let end = if part < self.boundaries.len() {
-                let b = self.boundaries[part];
-                start + entries[start..].partition_point(|e| e.0 < b)
-            } else {
-                entries.len()
-            };
-            let mut inner = self.partitions[part].write();
-            let mut existing: Vec<(K, Payload)> = Vec::new();
-            inner.range(RangeSpec::new(K::MIN, usize::MAX), &mut existing);
-            let mut merged: Vec<(K, Payload)> = Vec::with_capacity(existing.len() + (end - start));
-            let (mut i, mut j) = (0usize, start);
-            while i < existing.len() && j < end {
-                if existing[i].0 <= entries[j].0 {
-                    merged.push(existing[i]);
-                    i += 1;
-                } else {
-                    merged.push(entries[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&existing[i..]);
-            merged.extend_from_slice(&entries[j..end]);
-            inner.bulk_load(&merged);
-            start = end;
-        }
     }
 
     fn len(&self) -> usize {

@@ -28,6 +28,9 @@ const TAG_REMOVE: u8 = 4;
 const TAG_RANGE: u8 = 5;
 const TAG_RANGE_BOUNDED: u8 = 6;
 
+/// Bytes of the shortest encoded operation (a get or a remove: tag + key).
+const MIN_REQUEST_LEN: usize = 9;
+
 /// Append the wire encoding of `op` to `out`. Returns the number of bytes
 /// written.
 pub fn encode_request(op: &Request<u64>, out: &mut Vec<u8>) -> usize {
@@ -121,9 +124,11 @@ pub fn encode_requests(ops: &[Request<u64>], out: &mut Vec<u8>) -> usize {
 
 /// Decode exactly `count` concatenated operations from `buf`, requiring the
 /// buffer to be fully consumed. `None` on any decode failure, trailing
-/// garbage, or short buffer.
+/// garbage, or short buffer. `count` is untrusted: the reservation is
+/// capped at what `buf` can hold, so a corrupt count fails the decode
+/// instead of the allocation.
 pub fn decode_requests(buf: &[u8], count: usize) -> Option<Vec<Request<u64>>> {
-    let mut ops = Vec::with_capacity(count);
+    let mut ops = Vec::with_capacity(count.min(buf.len() / MIN_REQUEST_LEN));
     let mut at = 0usize;
     for _ in 0..count {
         let (op, used) = decode_request(&buf[at..])?;
@@ -198,5 +203,13 @@ mod tests {
         encode_request(&Request::Get(1), &mut buf);
         buf.push(0xFF);
         assert!(decode_requests(&buf, 1).is_none());
+    }
+
+    #[test]
+    fn an_absurd_count_is_rejected_not_allocated() {
+        let mut one_get = Vec::new();
+        encode_request(&Request::Get(1), &mut one_get);
+        assert_eq!(one_get.len(), MIN_REQUEST_LEN);
+        assert!(decode_requests(&one_get, u32::MAX as usize).is_none());
     }
 }

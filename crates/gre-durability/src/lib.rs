@@ -41,10 +41,7 @@ pub mod wal;
 
 pub use failpoint::{FailAction, FailpointRegistry, InjectingSink, Trigger};
 pub use follow::LogFollower;
-pub use record::{
-    decode_record, encode_record, encode_topology, Record, RecordError, TopologyDirection,
-    TopologyRecord, MAX_RECORD_LEN, TOPOLOGY_CHUNK,
-};
+pub use record::{decode_record, encode_record, Record, RecordError, MAX_RECORD_LEN};
 pub use recover::{Recovery, ShardRecovery, StopReason};
 pub use snapshot::{read_snapshot, snapshot_path, write_snapshot, Snapshot};
 pub use storage::{FileSink, MemSink, WalSink};

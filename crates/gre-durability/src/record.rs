@@ -33,15 +33,6 @@ pub const RECORD_HEADER: usize = 12;
 /// ask recovery to buffer gigabytes. One group is one pipeline sub-batch;
 /// 16 MiB is orders of magnitude above any real group.
 pub const MAX_RECORD_LEN: u32 = 16 << 20;
-/// High bit of the `count` field marking a **topology record** (shard
-/// split/merge/migrate handoff) instead of an op group. The remaining 31
-/// bits carry the entry count; op groups never approach that.
-pub const TOPOLOGY_FLAG: u32 = 0x8000_0000;
-/// Entries per In-record chunk: a migration larger than this is written as
-/// several In records sharing one handoff id, keeping every record far
-/// under [`MAX_RECORD_LEN`] (100k entries ≈ 1.6 MiB).
-pub const TOPOLOGY_CHUNK: usize = 100_000;
-
 /// Encode one group of operations as a framed record appended to `out`.
 pub fn encode_record(seq: u64, ops: &[Request<u64>], out: &mut Vec<u8>) -> usize {
     let start = out.len();
@@ -57,119 +48,11 @@ pub fn encode_record(seq: u64, ops: &[Request<u64>], out: &mut Vec<u8>) -> usize
     out.len() - start
 }
 
-/// Encode one topology record in the same frame as an op group, flagged via
-/// the high bit of the count field. Body after the record header:
-/// `dir u8, id u64, lo u64, hi-present u8, hi u64, peer u32, entries`.
-pub fn encode_topology(seq: u64, topo: &TopologyRecord, out: &mut Vec<u8>) -> usize {
-    assert!(
-        topo.entries.len() <= TOPOLOGY_CHUNK,
-        "chunk In entries before encoding"
-    );
-    let start = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER]);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(TOPOLOGY_FLAG | topo.entries.len() as u32).to_le_bytes());
-    out.push(match topo.dir {
-        TopologyDirection::In => 0,
-        TopologyDirection::Out => 1,
-    });
-    out.extend_from_slice(&topo.id.to_le_bytes());
-    out.extend_from_slice(&topo.lo.to_le_bytes());
-    out.push(topo.hi.is_some() as u8);
-    out.extend_from_slice(&topo.hi.unwrap_or(0).to_le_bytes());
-    out.extend_from_slice(&topo.peer.to_le_bytes());
-    for &(k, v) in &topo.entries {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    let len = (out.len() - start - FRAME_HEADER) as u32;
-    debug_assert!(
-        len <= MAX_RECORD_LEN,
-        "a chunked handoff stays under the cap"
-    );
-    let crc = crc32c(&out[start + FRAME_HEADER..]);
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    out.len() - start
-}
-
-/// Fixed topology body bytes after the record header (before the entries).
-const TOPOLOGY_FIXED: usize = 1 + 8 + 8 + 1 + 8 + 4;
-
-fn decode_topology(body: &[u8], count: u32) -> Option<TopologyRecord> {
-    let n = (count & !TOPOLOGY_FLAG) as usize;
-    if body.len() != TOPOLOGY_FIXED + n * 16 {
-        return None;
-    }
-    let dir = match body[0] {
-        0 => TopologyDirection::In,
-        1 => TopologyDirection::Out,
-        _ => return None,
-    };
-    let id = u64::from_le_bytes(body[1..9].try_into().ok()?);
-    let lo = u64::from_le_bytes(body[9..17].try_into().ok()?);
-    let hi = match body[17] {
-        0 => None,
-        1 => Some(u64::from_le_bytes(body[18..26].try_into().ok()?)),
-        _ => return None,
-    };
-    let peer = u32::from_le_bytes(body[26..30].try_into().ok()?);
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = TOPOLOGY_FIXED + i * 16;
-        entries.push((
-            u64::from_le_bytes(body[at..at + 8].try_into().ok()?),
-            u64::from_le_bytes(body[at + 8..at + 16].try_into().ok()?),
-        ));
-    }
-    Some(TopologyRecord {
-        dir,
-        id,
-        lo,
-        hi,
-        peer,
-        entries,
-    })
-}
-
-/// Which side of a range handoff a topology record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyDirection {
-    /// The entries of `[lo, hi)` arriving at this shard (written to the
-    /// **target** shard's log, synced *before* the matching `Out`).
-    In,
-    /// The range `[lo, hi)` departing this shard (written to the **source**
-    /// shard's log, synced *after* the matching `In` — its presence is the
-    /// migration's durable commit point).
-    Out,
-}
-
-/// A range-handoff record: one half of a split/merge/migrate, identified by
-/// a handoff id shared between the source's `Out` and the target's `In`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyRecord {
-    pub dir: TopologyDirection,
-    /// Handoff id, unique across shard incarnations (the controller derives
-    /// it from the source shard and its WAL seq).
-    pub id: u64,
-    /// Inclusive lower bound of the moved range.
-    pub lo: u64,
-    /// Exclusive upper bound; `None` = unbounded.
-    pub hi: Option<u64>,
-    /// The other shard of the handoff (source for `In`, target for `Out`).
-    pub peer: u32,
-    /// The moved entries (`In` only; large handoffs chunk across several
-    /// `In` records with the same id). Always empty for `Out`.
-    pub entries: Vec<(u64, u64)>,
-}
-
 /// One successfully decoded record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     pub seq: u64,
     pub ops: Vec<Request<u64>>,
-    /// Present when this is a topology record; `ops` is then empty.
-    pub topology: Option<TopologyRecord>,
     /// Total framed size in bytes (frame header included).
     pub frame_len: usize,
 }
@@ -215,22 +98,11 @@ pub fn decode_record(buf: &[u8], at: usize) -> Result<Record, RecordError> {
     }
     let seq = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
     let count = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-    if count & TOPOLOGY_FLAG != 0 {
-        let topology =
-            decode_topology(&body[RECORD_HEADER..], count).ok_or(RecordError::BadPayload)?;
-        return Ok(Record {
-            seq,
-            ops: Vec::new(),
-            topology: Some(topology),
-            frame_len: FRAME_HEADER + len as usize,
-        });
-    }
     let ops =
         decode_requests(&body[RECORD_HEADER..], count as usize).ok_or(RecordError::BadPayload)?;
     Ok(Record {
         seq,
         ops,
-        topology: None,
         frame_len: FRAME_HEADER + len as usize,
     })
 }
@@ -370,80 +242,20 @@ mod tests {
     }
 
     #[test]
-    fn topology_records_round_trip_both_directions() {
-        let moved_in = TopologyRecord {
-            dir: TopologyDirection::In,
-            id: (3u64 << 48) | 17,
-            lo: 5_000,
-            hi: Some(9_000),
-            peer: 3,
-            entries: vec![(5_000, 1), (6_500, 2), (8_999, 3)],
-        };
-        let departed = TopologyRecord {
-            dir: TopologyDirection::Out,
-            id: moved_in.id,
-            lo: 5_000,
-            hi: None, // unbounded tail handoff
-            peer: 1,
-            entries: Vec::new(),
-        };
+    fn a_count_with_the_top_bit_set_is_a_bad_payload() {
+        // Older logs flagged a range-handoff record with the count's top bit
+        // and a 30-byte body that is no op encoding. Such a frame passes the
+        // checksum, then must fail the payload decode — without reserving
+        // 2^31 op slots first.
+        let mut body = Vec::new();
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&0x8000_0000u32.to_le_bytes());
+        body.push(1);
+        body.extend_from_slice(&[0u8; 29]);
         let mut buf = Vec::new();
-        encode_topology(7, &moved_in, &mut buf);
-        let second_at = buf.len();
-        encode_topology(8, &departed, &mut buf);
-
-        let first = decode_record(&buf, 0).expect("In decodes");
-        assert_eq!(first.seq, 7);
-        assert!(first.ops.is_empty());
-        assert_eq!(first.topology, Some(moved_in));
-        let second = decode_record(&buf, second_at).expect("Out decodes");
-        assert_eq!(second.topology, Some(departed));
-    }
-
-    #[test]
-    fn topology_records_interleave_with_op_groups() {
-        let mut buf = Vec::new();
-        encode_record(1, &sample_ops(), &mut buf);
-        let topo = TopologyRecord {
-            dir: TopologyDirection::Out,
-            id: 42,
-            lo: 0,
-            hi: Some(10),
-            peer: 2,
-            entries: Vec::new(),
-        };
-        let at = buf.len();
-        encode_topology(2, &topo, &mut buf);
-        encode_record(3, &sample_ops()[..1], &mut buf);
-
-        let first = decode_record(&buf, 0).unwrap();
-        assert!(first.topology.is_none());
-        let second = decode_record(&buf, at).unwrap();
-        assert_eq!(second.topology, Some(topo));
-        let third = decode_record(&buf, at + second.frame_len).unwrap();
-        assert_eq!((third.seq, third.ops.len()), (3, 1));
-    }
-
-    #[test]
-    fn corrupt_topology_body_is_a_bad_payload() {
-        let mut buf = Vec::new();
-        encode_topology(
-            1,
-            &TopologyRecord {
-                dir: TopologyDirection::In,
-                id: 9,
-                lo: 1,
-                hi: Some(2),
-                peer: 0,
-                entries: vec![(1, 1)],
-            },
-            &mut buf,
-        );
-        // A direction byte beyond the enum must fail decode, not panic —
-        // repair the crc so only the payload check can catch it.
-        buf[FRAME_HEADER + RECORD_HEADER] = 7;
-        let crc = crc32c(&buf[FRAME_HEADER..]);
-        buf[4..8].copy_from_slice(&crc.to_le_bytes());
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32c(&body).to_le_bytes());
+        buf.extend_from_slice(&body);
         assert_eq!(decode_record(&buf, 0), Err(RecordError::BadPayload));
     }
 }

@@ -28,36 +28,16 @@
 //! rebuilt state equals the state at the moment the last surviving group
 //! originally executed.
 //!
-//! ## Topology records
-//!
-//! Range handoffs (shard split/merge/migrate, see `gre-elastic` and
-//! `docs/ELASTICITY.md`) appear in the logs as paired records sharing a
-//! handoff id: the moved entries as `In` on the **target** shard (synced
-//! first), then the departed range as `Out` on the **source** (synced
-//! second — the durable commit point). Recovery applies a handoff **iff it
-//! completed**:
-//!
-//! * an `Out` with the same id survives anywhere, or
-//! * the source shard's snapshot holds **no** keys in the moved range — the
-//!   signature of an `Out` that a later source checkpoint folded in.
-//!
-//! Otherwise the `In` is discarded and the source's replay keeps the range:
-//! a crash mid-migration recovers to the *pre*-handoff topology, a crash
-//! after the `Out` sync to the *post*-handoff topology — never a mix, and
-//! never a duplicated or lost key.
-//!
 //! A caller that resumes the log under a routing refit from the recovered
 //! keys must checkpoint every shard before it logs new writes: the merge
 //! applies shards' writes in shard order, so a key's new write logged under
-//! its new shard would lose to an old write left under a higher shard, and
-//! a stale handoff ([`Recovery::has_topology`]) could outlive a second
-//! crash.
+//! its new shard would lose to an old write left under a higher shard.
 
-use crate::record::{decode_record, Record, RecordError, TopologyDirection};
+use crate::record::{decode_record, Record, RecordError};
 use crate::snapshot::{read_snapshot, snapshot_path, Snapshot};
 use crate::wal::{read_manifest, DurableLog, SyncPolicy};
 use gre_core::{ConcurrentIndex, Request};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -122,8 +102,7 @@ pub struct Recovery {
 /// The squashed final effect of one shard's surviving groups on one key.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
-    /// The key's final written value (insert, applied update, or a
-    /// completed-handoff arrival).
+    /// The key's final written value (insert or applied update).
     Put(u64),
     /// The key was removed (tombstone — recorded even when the key is
     /// absent locally, so the merge can kill a copy held by another
@@ -227,51 +206,6 @@ impl Recovery {
             .all(|s| matches!(s.stop, StopReason::CleanEnd))
     }
 
-    /// Whether any surviving record is a topology (range-handoff) record.
-    pub fn has_topology(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.groups.iter().any(|r| r.topology.is_some()))
-    }
-
-    /// Handoff ids whose migration completed (see the module docs): an
-    /// `Out` record survives, or the source's snapshot already reflects the
-    /// departed range.
-    fn completed_handoffs(&self) -> HashSet<u64> {
-        let mut complete: HashSet<u64> = HashSet::new();
-        for shard in &self.shards {
-            for rec in &shard.groups {
-                if let Some(t) = &rec.topology {
-                    if t.dir == TopologyDirection::Out {
-                        complete.insert(t.id);
-                    }
-                }
-            }
-        }
-        for shard in &self.shards {
-            for rec in &shard.groups {
-                let Some(t) = &rec.topology else { continue };
-                if t.dir != TopologyDirection::In || complete.contains(&t.id) {
-                    continue;
-                }
-                let source_clean = self
-                    .shards
-                    .get(t.peer as usize)
-                    .and_then(|s| s.snapshot.as_ref())
-                    .is_some_and(|snap| {
-                        !snap
-                            .entries
-                            .iter()
-                            .any(|&(k, _)| k >= t.lo && t.hi.map_or(true, |h| k < h))
-                    });
-                if source_clean {
-                    complete.insert(t.id);
-                }
-            }
-        }
-        complete
-    }
-
     /// Rebuild one shard's contribution: its snapshot base plus its
     /// surviving groups squashed (in seq order) into per-key effects. Pure
     /// per-shard work, safe to run concurrently across shards. Keeping the
@@ -280,12 +214,8 @@ impl Recovery {
     /// *every* shard's writes, reproducing the semantics of a sequential
     /// global replay even when routing drifted between incarnations (a key
     /// checkpointed under one shard, rewritten under another).
-    fn shard_state(
-        shard: &ShardRecovery,
-        complete: &HashSet<u64>,
-        supports_delete: bool,
-    ) -> ShardReplayState {
-        let mut base: BTreeMap<u64, u64> = shard
+    fn shard_state(shard: &ShardRecovery, supports_delete: bool) -> ShardReplayState {
+        let base: BTreeMap<u64, u64> = shard
             .snapshot
             .iter()
             .flat_map(|s| s.entries.iter().copied())
@@ -293,28 +223,6 @@ impl Recovery {
         let mut writes: BTreeMap<u64, Effect> = BTreeMap::new();
         let mut replayed = 0u64;
         for rec in &shard.groups {
-            if let Some(t) = &rec.topology {
-                match t.dir {
-                    TopologyDirection::In => {
-                        if complete.contains(&t.id) {
-                            for &(k, v) in &t.entries {
-                                writes.insert(k, Effect::Put(v));
-                            }
-                        }
-                    }
-                    TopologyDirection::Out => {
-                        // The range departed this shard: kill its local
-                        // copies — the snapshot's and any pre-handoff
-                        // writes (the target's `In` carries their final
-                        // values). Seq order makes chained handoffs come
-                        // out right.
-                        let in_range = |k: u64| k >= t.lo && t.hi.map_or(true, |h| k < h);
-                        base.retain(|&k, _| !in_range(k));
-                        writes.retain(|&k, _| !in_range(k));
-                    }
-                }
-                continue;
-            }
             for &op in &rec.ops {
                 // Mirrors `Request::execute` against a live backend: insert
                 // overwrites, update is present-only, remove is gated on
@@ -361,16 +269,12 @@ impl Recovery {
     /// shards they came from. `parallel` fans the per-shard pass out on
     /// scoped threads; both modes produce identical bytes.
     fn rebuild_entries(&self, supports_delete: bool, parallel: bool) -> (Vec<(u64, u64)>, u64) {
-        let complete = self.completed_handoffs();
         let states: Vec<ShardReplayState> = if parallel && self.shards.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .shards
                     .iter()
-                    .map(|shard| {
-                        let complete = &complete;
-                        scope.spawn(move || Self::shard_state(shard, complete, supports_delete))
-                    })
+                    .map(|shard| scope.spawn(move || Self::shard_state(shard, supports_delete)))
                     .collect();
                 handles
                     .into_iter()
@@ -380,7 +284,7 @@ impl Recovery {
         } else {
             self.shards
                 .iter()
-                .map(|shard| Self::shard_state(shard, &complete, supports_delete))
+                .map(|shard| Self::shard_state(shard, supports_delete))
                 .collect()
         };
         let mut replayed = 0u64;
@@ -411,8 +315,8 @@ impl Recovery {
 
     /// Rebuild `index` (which must be empty) to the recovered state: each
     /// shard's model is rebuilt concurrently (snapshot base, then its
-    /// surviving groups in seq order, honoring topology handoffs — see the
-    /// module docs), and the merged result is bulk-loaded in one pass.
+    /// surviving groups in seq order), and the merged result is bulk-loaded
+    /// in one pass.
     /// Returns the number of replayed operations.
     pub fn replay_into<I: ConcurrentIndex<u64> + ?Sized>(&self, index: &mut I) -> u64 {
         let supports_delete = index.meta().supports_delete;
@@ -619,124 +523,12 @@ mod tests {
         assert!(Recovery::recover(&dir.path().join("never-created")).is_err());
     }
 
-    use crate::record::{TopologyDirection, TopologyRecord};
-
-    /// A migration of [200, 300) from shard 0 to shard 1, written the way
-    /// the elasticity controller does: entries as `In` on the target, then
-    /// (optionally) the `Out` commit point on the source.
-    fn write_handoff(log: &DurableLog, with_out: bool) -> Vec<(u64, u64)> {
-        log.log_group(0, &[Request::Insert(100, 1), Request::Insert(250, 2)])
-            .unwrap();
-        log.log_group(0, &[Request::Insert(299, 3)]).unwrap();
-        log.log_group(1, &[Request::Insert(900, 9)]).unwrap();
-        let moved = vec![(250, 2), (299, 3)];
-        log.log_topology(
-            1,
-            &TopologyRecord {
-                dir: TopologyDirection::In,
-                id: 77,
-                lo: 200,
-                hi: Some(300),
-                peer: 0,
-                entries: moved.clone(),
-            },
-        )
-        .unwrap();
-        if with_out {
-            log.log_topology(
-                0,
-                &TopologyRecord {
-                    dir: TopologyDirection::Out,
-                    id: 77,
-                    lo: 200,
-                    hi: Some(300),
-                    peer: 1,
-                    entries: Vec::new(),
-                },
-            )
-            .unwrap();
-        }
-        moved
-    }
-
-    #[test]
-    fn completed_handoff_recovers_to_the_post_migration_topology() {
-        let dir = TempDir::new("rec-handoff-done");
-        let log = DurableLog::create(dir.path(), 2, SyncPolicy::EveryGroup).unwrap();
-        write_handoff(&log, true);
-        // Post-handoff traffic on both sides, proving seq order holds
-        // around the topology records.
-        log.log_group(1, &[Request::Update(250, 20), Request::Insert(901, 91)])
-            .unwrap();
-        log.log_group(0, &[Request::Insert(150, 15)]).unwrap();
-        drop(log);
-
-        let rec = Recovery::recover(dir.path()).unwrap();
-        assert!(rec.has_topology());
-        let mut index = model_backend();
-        rec.replay_into(&mut index);
-        assert_eq!(
-            entries_of(&index),
-            vec![
-                (100, 1),
-                (150, 15),
-                (250, 20),
-                (299, 3),
-                (900, 9),
-                (901, 91)
-            ],
-            "moved keys exist exactly once, with post-handoff updates applied"
-        );
-    }
-
-    #[test]
-    fn incomplete_handoff_recovers_to_the_pre_migration_topology() {
-        let dir = TempDir::new("rec-handoff-torn");
-        let log = DurableLog::create(dir.path(), 2, SyncPolicy::EveryGroup).unwrap();
-        // Crash between the In sync and the Out sync: the In record is
-        // durable but the commit point never landed.
-        write_handoff(&log, false);
-        drop(log);
-
-        let rec = Recovery::recover(dir.path()).unwrap();
-        assert!(rec.has_topology());
-        let mut index = model_backend();
-        rec.replay_into(&mut index);
-        assert_eq!(
-            entries_of(&index),
-            vec![(100, 1), (250, 2), (299, 3), (900, 9)],
-            "the In is discarded; the source's replay keeps the range — no mix"
-        );
-    }
-
-    #[test]
-    fn checkpoint_covered_out_still_completes_the_handoff() {
-        let dir = TempDir::new("rec-handoff-covered");
-        let log = DurableLog::create(dir.path(), 2, SyncPolicy::EveryGroup).unwrap();
-        write_handoff(&log, true);
-        // The source checkpoints after the migration: its Out record is
-        // folded into the snapshot and truncated away. The target's In
-        // survives and must still apply (completion clause 2: the source
-        // snapshot holds nothing in [200, 300)).
-        log.checkpoint(0, &[(100, 1)]).unwrap();
-        drop(log);
-
-        let rec = Recovery::recover(dir.path()).unwrap();
-        assert!(rec.shards[0].groups.is_empty(), "source wal truncated");
-        let mut index = model_backend();
-        rec.replay_into(&mut index);
-        assert_eq!(
-            entries_of(&index),
-            vec![(100, 1), (250, 2), (299, 3), (900, 9)]
-        );
-    }
-
     #[test]
     fn parallel_and_sequential_replay_are_byte_identical() {
         let dir = TempDir::new("rec-parallel");
         let log = DurableLog::create(dir.path(), 4, SyncPolicy::EveryGroup).unwrap();
-        // A busy, uneven history: churn on every shard, a checkpoint, a
-        // handoff, and an unresolved handoff.
+        // A busy, uneven history: churn on every shard, a checkpoint, and
+        // a checkpointed key rewritten under another shard.
         for i in 0..200u64 {
             let shard = (i % 4) as usize;
             log.log_group(
@@ -751,19 +543,8 @@ mod tests {
         }
         log.checkpoint(2, &[(2, 2), (42, 42)]).unwrap();
         log.log_group(2, &[Request::Insert(1_000_002, 2)]).unwrap();
-        write_handoff(&log, true);
-        log.log_topology(
-            3,
-            &TopologyRecord {
-                dir: TopologyDirection::In,
-                id: 99,
-                lo: 500,
-                hi: None,
-                peer: 0,
-                entries: vec![(555, 5)],
-            },
-        )
-        .unwrap(); // no Out: must be discarded identically in both modes
+        log.log_group(3, &[Request::Update(42, 43), Request::Insert(555, 5)])
+            .unwrap();
         drop(log);
 
         let rec = Recovery::recover(dir.path()).unwrap();

@@ -276,45 +276,6 @@ impl DurableLog {
         Ok(GroupReceipt { seq, bytes, fsyncs })
     }
 
-    /// Log one topology (range-handoff) record for `shard` and sync it
-    /// **unconditionally**, whatever the sync policy: handoff records are
-    /// the migration's commit point, so they are never allowed to sit in an
-    /// unsynced window. The elasticity controller writes the target's `In`
-    /// record(s) first, then the source's `Out` — an `Out` on disk therefore
-    /// proves the whole handoff is durable.
-    pub fn log_topology(
-        &self,
-        shard: usize,
-        topo: &crate::record::TopologyRecord,
-    ) -> Result<GroupReceipt, WalError> {
-        let mut wal = self.shard(shard);
-        if wal.failed {
-            return Err(WalError::Failed);
-        }
-        let seq = wal.next_seq;
-        let mut buf = std::mem::take(&mut wal.buf);
-        buf.clear();
-        let bytes = crate::record::encode_topology(seq, topo, &mut buf);
-        let appended = wal.sink.append(&buf);
-        wal.buf = buf;
-        if let Err(e) = appended {
-            wal.failed = true;
-            return Err(WalError::Io(e));
-        }
-        if let Err(e) = wal.barrier() {
-            wal.failed = true;
-            return Err(WalError::Io(e));
-        }
-        wal.next_seq = seq + 1;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        Ok(GroupReceipt {
-            seq,
-            bytes,
-            fsyncs: 1,
-        })
-    }
-
     /// Issue a durability barrier on every healthy shard (shutdown path and
     /// pre-checkpoint). Returns the first error; failed shards are skipped.
     pub fn sync_all(&self) -> Result<(), WalError> {
@@ -488,34 +449,6 @@ mod tests {
             .expect("snapshot readable");
         assert_eq!(snap.last_seq, 2);
         assert_eq!(snap.entries, vec![(1, 10), (7, 70)]);
-    }
-
-    #[test]
-    fn topology_records_always_sync_and_share_the_seq_chain() {
-        use crate::record::{TopologyDirection, TopologyRecord};
-        let dir = TempDir::new("wal-topology");
-        // Deliberately a lazy policy: the topology record must sync anyway.
-        let log = DurableLog::create(dir.path(), 2, SyncPolicy::EveryN(100)).unwrap();
-        assert_eq!(log.log_group(0, &ops(1)).unwrap().fsyncs, 0);
-        let topo = TopologyRecord {
-            dir: TopologyDirection::Out,
-            id: 7,
-            lo: 100,
-            hi: Some(200),
-            peer: 1,
-            entries: Vec::new(),
-        };
-        let receipt = log.log_topology(0, &topo).unwrap();
-        assert_eq!(receipt.seq, 2, "topology records continue the seq chain");
-        assert_eq!(receipt.fsyncs, 1, "handoffs sync unconditionally");
-        // The preceding lazy group rode the same barrier: both records are
-        // on disk now.
-        let bytes = std::fs::read(wal_path(dir.path(), 0)).unwrap();
-        let first = decode_record(&bytes, 0).unwrap();
-        assert!(first.topology.is_none());
-        let second = decode_record(&bytes, first.frame_len).unwrap();
-        assert_eq!(second.topology, Some(topo));
-        assert_eq!(log.log_group(0, &ops(2)).unwrap().seq, 3);
     }
 
     #[test]

@@ -106,14 +106,6 @@ impl<K: Key> ConcurrentIndex<K> for LippPlus<K> {
         self.inner.range(spec, out)
     }
 
-    fn extract_range(&self, lo: K, hi: Option<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        self.inner.extract_range(lo, hi, out)
-    }
-
-    fn absorb_range(&self, entries: &[(K, Payload)]) {
-        self.inner.absorb_range(entries);
-    }
-
     fn len(&self) -> usize {
         self.inner.len()
     }

@@ -81,18 +81,8 @@ impl<K: Key> Partitioner<K> {
     }
 
     /// The range partitioner inside, when this is the range scheme. The
-    /// segment APIs (split/reassign, segment walks) only exist there; hash
-    /// partitioning has no boundary table to edit.
+    /// segment walk of an ordered range scan only exists there.
     pub fn as_range(&self) -> Option<&RangePartitioner<K>> {
-        match self {
-            Partitioner::Range(p) => Some(p),
-            Partitioner::Hash(_) => None,
-        }
-    }
-
-    /// Mutable access to the range partitioner inside, for topology edits
-    /// on a cloned table before an atomic routing swap.
-    pub fn as_range_mut(&mut self) -> Option<&mut RangePartitioner<K>> {
         match self {
             Partitioner::Range(p) => Some(p),
             Partitioner::Hash(_) => None,
@@ -101,26 +91,17 @@ impl<K: Key> Partitioner<K> {
 }
 
 /// Range partitioning over **segments**: the boundary table cuts the key
-/// domain into `boundaries.len() + 1` contiguous segments, and a parallel
-/// `targets` table maps each segment to the shard that serves it.
-///
-/// Freshly fitted partitioners use the identity assignment (segment `i` →
-/// shard `i`), which keeps `shard_of` monotone in the key — the property the
-/// bulk-load slicing in `ShardedIndex` relies on. Elastic topology changes
-/// ([`RangePartitioner::split_at`], [`RangePartitioner::reassign`]) edit the
-/// tables afterwards, so a shard may end up serving several disjoint
-/// segments and monotonicity no longer holds; cross-shard range scans must
-/// therefore walk *segments* (in key order), not shards.
+/// domain into `boundaries.len() + 1` contiguous segments, and segment `i` is
+/// shard `i`. `shard_of` is therefore monotone in the key — the property the
+/// bulk-load slicing and the ordered range scan in `ShardedIndex` rely on.
+/// Shards past the last segment (when the sample had too few distinct keys)
+/// stay empty.
 #[derive(Debug, Clone)]
 pub struct RangePartitioner<K> {
     /// `boundaries[i]` is the smallest key of segment `i + 1`; strictly
-    /// increasing. Starts at most `shards - 1` long (shorter when the
-    /// sample had too few distinct keys) and grows/shrinks under splits
-    /// and merges.
+    /// increasing and at most `shards - 1` long (shorter when the sample had
+    /// too few distinct keys).
     boundaries: Vec<K>,
-    /// `targets[i]` is the shard serving segment `i`;
-    /// `targets.len() == boundaries.len() + 1`, every value `< shards`.
-    targets: Vec<usize>,
     shards: usize,
 }
 
@@ -129,14 +110,12 @@ impl<K: Key> RangePartitioner<K> {
     pub fn unfitted(shards: usize) -> Self {
         RangePartitioner {
             boundaries: Vec::new(),
-            targets: vec![0],
             shards: shards.max(1),
         }
     }
 
     /// Fit boundaries at the quantiles of the sampled key CDF so each shard
-    /// owns an (approximately) equal share of the observed keys. Segments
-    /// are assigned to shards identically (segment `i` → shard `i`).
+    /// owns an (approximately) equal share of the observed keys.
     pub fn from_samples(samples: &[K], shards: usize) -> Self {
         let shards = shards.max(1);
         // Stride-sample to the CDF sketch budget, then sort the sketch.
@@ -151,12 +130,7 @@ impl<K: Key> RangePartitioner<K> {
             }
             boundaries.dedup();
         }
-        let targets = (0..=boundaries.len()).collect();
-        RangePartitioner {
-            boundaries,
-            targets,
-            shards,
-        }
+        RangePartitioner { boundaries, shards }
     }
 
     /// Fitted boundary keys (for diagnostics and tests).
@@ -164,26 +138,15 @@ impl<K: Key> RangePartitioner<K> {
         &self.boundaries
     }
 
-    /// Per-segment shard assignment (for diagnostics and tests).
-    pub fn targets(&self) -> &[usize] {
-        &self.targets
-    }
-
     /// Number of contiguous key segments.
     pub fn segments(&self) -> usize {
-        self.targets.len()
+        self.boundaries.len() + 1
     }
 
     /// The segment `key` falls into.
     #[inline]
     pub fn segment_of(&self, key: K) -> usize {
         self.boundaries.partition_point(|b| *b <= key)
-    }
-
-    /// The shard serving segment `seg`.
-    #[inline]
-    pub fn segment_target(&self, seg: usize) -> usize {
-        self.targets[seg]
     }
 
     /// Key window of segment `seg` as `(lo, hi)`: `lo` inclusive (`None` =
@@ -194,65 +157,9 @@ impl<K: Key> RangePartitioner<K> {
         (lo, hi)
     }
 
-    /// Segments currently served by `shard`, in key order.
-    pub fn segments_of_shard(&self, shard: usize) -> Vec<usize> {
-        (0..self.segments())
-            .filter(|&s| self.targets[s] == shard)
-            .collect()
-    }
-
-    /// Split segment `seg` at `mid`: the lower half `[lo, mid)` keeps the
-    /// current target, the upper half `[mid, hi)` moves to shard `to`.
-    /// `mid` must fall strictly inside the segment and `to` must be a valid
-    /// shard; on violation the partitioner is left unchanged.
-    pub fn split_at(&mut self, seg: usize, mid: K, to: usize) -> Result<(), &'static str> {
-        if seg >= self.segments() {
-            return Err("segment id out of range");
-        }
-        if to >= self.shards {
-            return Err("target shard out of range");
-        }
-        let (lo, hi) = self.segment_range(seg);
-        if lo.is_some_and(|l| mid <= l) || hi.is_some_and(|h| mid >= h) {
-            return Err("split key not strictly inside the segment");
-        }
-        self.boundaries.insert(seg, mid);
-        self.targets.insert(seg + 1, to);
-        self.coalesce();
-        Ok(())
-    }
-
-    /// Reassign segment `seg` to shard `to`, then drop any boundary whose
-    /// two sides now share a target (the merge primitive: pointing a cold
-    /// segment at its neighbour's shard coalesces the pair).
-    pub fn reassign(&mut self, seg: usize, to: usize) -> Result<(), &'static str> {
-        if seg >= self.segments() {
-            return Err("segment id out of range");
-        }
-        if to >= self.shards {
-            return Err("target shard out of range");
-        }
-        self.targets[seg] = to;
-        self.coalesce();
-        Ok(())
-    }
-
-    /// Remove boundaries between adjacent segments with the same target.
-    fn coalesce(&mut self) {
-        let mut i = 0;
-        while i + 1 < self.targets.len() {
-            if self.targets[i] == self.targets[i + 1] {
-                self.targets.remove(i + 1);
-                self.boundaries.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
     #[inline]
     pub fn shard_of(&self, key: K) -> usize {
-        self.targets[self.segment_of(key)]
+        self.segment_of(key)
     }
 }
 
@@ -405,70 +312,15 @@ mod tests {
         let keys: Vec<u64> = (0..10_000u64).collect();
         let p = RangePartitioner::from_samples(&keys, 4);
         assert_eq!(p.segments(), 4);
-        assert_eq!(p.targets(), &[0, 1, 2, 3]);
         for seg in 0..p.segments() {
-            assert_eq!(p.segment_target(seg), seg);
             let (lo, hi) = p.segment_range(seg);
             assert_eq!(lo.is_none(), seg == 0);
             assert_eq!(hi.is_none(), seg == p.segments() - 1);
+            assert_eq!(p.shard_of(lo.unwrap_or(0)), seg, "segment i is shard i");
             if let (Some(l), Some(h)) = (lo, hi) {
                 assert!(l < h);
+                assert_eq!(p.shard_of(h - 1), seg);
             }
         }
-        assert_eq!(p.segments_of_shard(2), vec![2]);
-    }
-
-    #[test]
-    fn split_moves_the_upper_half_to_the_target_shard() {
-        let keys: Vec<u64> = (0..8_000u64).collect();
-        let mut p = RangePartitioner::from_samples(&keys, 4);
-        let (lo, hi) = p.segment_range(1);
-        let (lo, hi) = (lo.unwrap(), hi.unwrap());
-        let mid = (lo + hi) / 2;
-        p.split_at(1, mid, 3).expect("legal split");
-        assert_eq!(p.segments(), 5);
-        // Lower half keeps shard 1, upper half now routes to shard 3.
-        assert_eq!(p.shard_of(lo), 1);
-        assert_eq!(p.shard_of(mid - 1), 1);
-        assert_eq!(p.shard_of(mid), 3);
-        assert_eq!(p.shard_of(hi - 1), 3);
-        assert_eq!(p.shard_of(hi), 2);
-        assert_eq!(p.segments_of_shard(3), vec![2, 4]);
-
-        // Illegal splits leave the table unchanged.
-        assert!(p.split_at(99, mid, 0).is_err());
-        assert!(p.split_at(1, lo, 0).is_err(), "mid == segment lo");
-        assert!(p.split_at(0, mid, 99).is_err(), "bad target shard");
-        assert_eq!(p.segments(), 5);
-    }
-
-    #[test]
-    fn reassign_coalesces_equal_target_neighbours() {
-        let keys: Vec<u64> = (0..8_000u64).collect();
-        let mut p = RangePartitioner::from_samples(&keys, 4);
-        let (_, hi1) = p.segment_range(1);
-        // Fold segment 1 into shard 2: boundary between 1 and 2 disappears.
-        p.reassign(1, 2).expect("legal reassign");
-        assert_eq!(p.segments(), 3);
-        assert_eq!(p.targets(), &[0, 2, 3]);
-        assert_eq!(p.shard_of(hi1.unwrap() - 1), 2);
-        assert!(p.reassign(99, 0).is_err());
-        assert!(p.reassign(0, 99).is_err());
-    }
-
-    #[test]
-    fn split_then_merge_round_trips_routing() {
-        let keys: Vec<u64> = (0..8_000u64).collect();
-        let mut p = RangePartitioner::from_samples(&keys, 4);
-        let before: Vec<usize> = keys.iter().map(|&k| p.shard_of(k)).collect();
-        let (lo, hi) = p.segment_range(2);
-        let mid = (lo.unwrap() + hi.unwrap()) / 2;
-        p.split_at(2, mid, 0).unwrap();
-        // Undo: point the new segment back at shard 2; coalescing removes
-        // the split boundary again.
-        let seg = p.segment_of(mid);
-        p.reassign(seg, 2).unwrap();
-        let after: Vec<usize> = keys.iter().map(|&k| p.shard_of(k)).collect();
-        assert_eq!(before, after);
     }
 }

@@ -40,13 +40,13 @@
 //! optional per-shard write-ahead log ([`DurableLog`]). The group-commit
 //! unit is **what the shard has queued, not one sub-batch**: when a worker
 //! turns to a sub-batch whose writes are not yet logged, it takes every
-//! sub-batch of that shard waiting in its queue (up to the first drain
-//! barrier), logs all their writes, in submission order, as **one record
-//! under one sync barrier**, and only then executes and answers them one by
-//! one in FIFO order (log-then-execute). Group size therefore adapts to
-//! load — one sub-batch when the queue is shallow, the whole backlog (at
-//! most the queue capacity) when a barrier made it pile up — and per-shard
-//! FIFO order keeps the log a faithful replay script. The contract is
+//! sub-batch of that shard waiting in its queue, logs all their writes, in
+//! submission order, as **one record under one sync barrier**, and only then
+//! executes and answers them one by one in FIFO order (log-then-execute).
+//! Group size therefore adapts to load — one sub-batch when the queue is
+//! shallow, the whole backlog (at most the queue capacity) when a slow sync
+//! made it pile up — and per-shard FIFO order keeps the log a faithful
+//! replay script. The contract is
 //! **acknowledged ⇒ durable, refused ⇒ never in the log**, and the semantics
 //! are **fail-stop**: if the log cannot accept a group, no member of it
 //! executes and every op in every member answers
@@ -116,13 +116,6 @@ pub enum BackpressureReason {
     },
     /// The submitting [`Session`]'s in-flight window was full.
     WindowFull,
-    /// The batch touches a key range frozen by an in-flight migration.
-    /// Transient like the other reasons: retry with
-    /// [`ShardPipeline::try_submit`] or block via
-    /// [`ShardPipeline::submit`], and the batch goes through once the
-    /// routing swap commits. Batches not touching the frozen range are
-    /// unaffected — serving is never globally paused.
-    Migrating,
 }
 
 impl std::fmt::Display for Backpressure {
@@ -136,11 +129,6 @@ impl std::fmt::Display for Backpressure {
             BackpressureReason::WindowFull => write!(
                 f,
                 "session in-flight window full; batch of {} ops rejected",
-                self.batch.len()
-            ),
-            BackpressureReason::Migrating => write!(
-                f,
-                "batch of {} ops touches a migrating key range; retry after the routing swap",
                 self.batch.len()
             ),
         }
@@ -288,11 +276,6 @@ struct Job {
     enqueue_ns: u64,
     /// The sampled span this sub-batch carries, if any.
     trace: Option<PendingSpan>,
-    /// A drain barrier: carries no ops, executes nothing, and completes its
-    /// handle as soon as the worker dequeues it. Because each worker's queue
-    /// is FIFO, a completed barrier proves every job enqueued before it has
-    /// finished — the elasticity controller's drain step.
-    barrier: bool,
     /// Where this job stands at its worker's durability gate.
     gate: Gate,
 }
@@ -479,11 +462,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
         self.stopping.store(true, Ordering::SeqCst);
     }
 
-    /// Whether [`ShardPipeline::shutdown`] has been called.
-    pub fn is_shutting_down(&self) -> bool {
-        self.stopping.load(Ordering::SeqCst)
-    }
-
     /// The served index (for reads outside the batch path).
     pub fn index(&self) -> &Arc<ShardedIndex<u64, B>> {
         &self.index
@@ -517,35 +495,12 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
             });
         }
         let shards = self.index.num_shards();
-        // Route under the routing read guard and hold it through enqueue:
-        // a routing swap (split/merge commit) cannot land between splitting
-        // the batch and queueing it, so every enqueued job was routed by the
-        // partitioner its worker will observe as current or older — and FIFO
-        // order makes older always safe (the freeze protocol drains it).
-        let routing = self.index.routing();
-        if let Some(f) = routing.frozen {
-            let touches = batch.ops.iter().any(|op| match *op {
-                Op::Range(spec) => f.intersects_scan(spec.start, spec.end),
-                Op::Get(k) | Op::Insert(k, _) | Op::Update(k, _) | Op::Remove(k) => f.contains(k),
-            });
-            if touches {
-                if let Some(t) = self.telemetry.as_deref() {
-                    t.metrics()
-                        .stripe(self.workers.len())
-                        .inc(CounterId::BatchesRejected);
-                }
-                return Err(Backpressure {
-                    batch,
-                    reason: BackpressureReason::Migrating,
-                });
-            }
-        }
         let ops = batch.ops.len();
         // Submit-side span timestamps; both stay 0 when telemetry is off,
         // keeping the uninstrumented hot path clock-free.
         let submit_ns = self.telemetry.as_deref().map_or(0, Telemetry::now_ns);
         let sub_batches =
-            split_indexed_ops_by_shard(&batch.ops, shards, |k| routing.partitioner.shard_of(k));
+            split_indexed_ops_by_shard(&batch.ops, shards, |k| self.index.shard_of(k));
         let route_ns = self.telemetry.as_deref().map_or(0, Telemetry::now_ns);
 
         // Reserve queue slots before enqueueing anything, so a rejected
@@ -631,43 +586,11 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                     shared: Arc::clone(&shared),
                     enqueue_ns,
                     trace,
-                    barrier: false,
                     gate: Gate::Open,
                 })
                 .expect("pipeline worker exited early");
         }
-        drop(routing);
         Ok(SubmitHandle { shared, ops })
-    }
-
-    /// Enqueue a no-op barrier on every worker queue and return a handle
-    /// that completes once each worker has dequeued its barrier. Because
-    /// workers serve their queues in FIFO order, waiting on the handle
-    /// proves every job submitted before this call has fully executed — the
-    /// drain step of the elasticity protocol (freeze, **drain**, seal,
-    /// move, commit).
-    ///
-    /// Barriers bypass the capacity reservation (they must get through even
-    /// when queues are saturated) but still tick the depth gauge so the
-    /// worker-side decrement stays balanced. They work on a shutting-down
-    /// pipeline too: workers drain queued jobs before exiting.
-    pub fn drain_barrier(&self) -> SubmitHandle {
-        let shared = Arc::new(BatchShared::new(0, self.queues.len()));
-        for (w, queue) in self.queues.iter().enumerate() {
-            self.gauge.depths[w].fetch_add(1, Ordering::SeqCst);
-            queue
-                .send(Job {
-                    shard: w,
-                    ops: Vec::new(),
-                    shared: Arc::clone(&shared),
-                    enqueue_ns: 0,
-                    trace: None,
-                    barrier: true,
-                    gate: Gate::Open,
-                })
-                .expect("pipeline worker exited early");
-        }
-        SubmitHandle { shared, ops: 0 }
     }
 
     /// Submit, waiting for queue capacity when a shard is saturated (the
@@ -675,23 +598,10 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     pub fn submit(&self, batch: OpBatch) -> SubmitHandle {
         // Uncontended fast path: no lock at all, so concurrent submitters
         // split and enqueue their batches fully in parallel.
-        let mut batch = batch;
-        loop {
-            match self.try_submit(batch) {
-                Ok(handle) => return handle,
-                Err(bp) if bp.reason == BackpressureReason::Migrating => {
-                    // Blocked on a frozen range, not on capacity: park on
-                    // the routing condvar (woken by the commit/abort of the
-                    // migration) instead of the queue-freed condvar.
-                    batch = bp.batch;
-                    self.index.wait_routing_change();
-                }
-                Err(bp) => {
-                    batch = bp.batch;
-                    break;
-                }
-            }
-        }
+        let mut batch = match self.try_submit(batch) {
+            Ok(handle) => return handle,
+            Err(bp) => bp.batch,
+        };
         // Slow path: register as a waiter (so workers notify), then retry
         // under the capacity lock. The register-then-check order pairs with
         // the workers' free-then-check-waiters order; the wait timeout is a
@@ -766,27 +676,8 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
                     Err(_) => return,
                 },
             };
-            if job.barrier {
-                self.complete_barrier(job);
-            } else {
-                self.serve(job);
-            }
+            self.serve(job);
         }
-    }
-
-    /// A drain barrier proves the queue ahead of it is empty; it carries no
-    /// ops, so it skips durability, execution, and all telemetry (nothing
-    /// entered the submit-side counters for it either — only the depth
-    /// gauge, reversed here).
-    fn complete_barrier(&self, job: Job) {
-        {
-            let mut state = job.shared.state.lock().expect("pipeline poisoned");
-            state.pending -= 1;
-            if state.pending == 0 {
-                job.shared.ready.notify_all();
-            }
-        }
-        self.release_slot(job.shard);
     }
 
     /// Give `shard`'s queue slot back and wake blocking submitters — but
@@ -810,14 +701,13 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
     /// is refused if the pipeline is shutting down (so shutdown refuses
     /// only what no record covers); otherwise its writes open a group: the
     /// worker empties its channel into the backlog and appends, in arrival
-    /// order, the writes of every undecided job of the same shard queued
-    /// before the first drain barrier. The group is logged as **one** record
-    /// under one barrier (per the log's policy) and every member is stamped
-    /// with the verdict — a refused group (log fail-stopped, sink error)
-    /// executes none of its members, so memory never runs ahead of the log.
-    /// The group stops at a barrier because whoever waits on it may seal or
-    /// checkpoint the shard once it completes. With nothing else queued the
-    /// group is the job alone: one record, one barrier per sub-batch.
+    /// order, the writes of every undecided job of the same shard in the
+    /// backlog. The group is logged as **one** record under one barrier (per
+    /// the log's policy) and every member is stamped with the verdict — a
+    /// refused group (log fail-stopped, sink error) executes none of its
+    /// members, so memory never runs ahead of the log. With nothing else
+    /// queued the group is the job alone: one record, one barrier per
+    /// sub-batch.
     ///
     /// Returns the receipt of the record this call wrote, if it wrote one.
     fn admit(&mut self, job: &mut Job) -> Option<GroupReceipt> {
@@ -837,7 +727,7 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
         }
         self.backlog.extend(self.rx.try_iter());
         let shard = job.shard;
-        for queued in self.backlog.iter_mut().take_while(|j| !j.barrier) {
+        for queued in self.backlog.iter_mut() {
             if queued.shard == shard && queued.gate == Gate::Open {
                 let before = self.writes.len();
                 self.writes.extend(writes_of(queued));
@@ -852,7 +742,7 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
             None => Gate::Refused,
         };
         job.gate = verdict;
-        for queued in self.backlog.iter_mut().take_while(|j| !j.barrier) {
+        for queued in self.backlog.iter_mut() {
             if queued.gate == Gate::Grouped {
                 queued.gate = verdict;
             }
@@ -1490,9 +1380,7 @@ mod tests {
     #[test]
     fn shutdown_answers_everything_with_terminal_errors() {
         let p = pipeline(4, 2);
-        assert!(!p.is_shutting_down());
         p.shutdown();
-        assert!(p.is_shutting_down());
         let responses = p
             .submit(OpBatch::new(vec![
                 Op::Get(0),
@@ -1834,7 +1722,7 @@ mod tests {
     }
 
     #[test]
-    fn queued_sub_batches_coalesce_into_one_record_split_at_a_drain_barrier() {
+    fn queued_sub_batches_coalesce_into_one_record() {
         use gre_durability::util::TempDir;
         use gre_durability::{decode_record, DurableLog, SyncPolicy};
 
@@ -1883,52 +1771,6 @@ mod tests {
         assert_eq!((first.seq, second.seq), (1, 2));
         assert_eq!(second.ops, (1..=N).flat_map(writes).collect::<Vec<_>>());
         assert_eq!(first.frame_len + second.frame_len, bytes.len());
-
-        // Again with a drain barrier queued mid-backlog: the group stops at
-        // it, so the backlog becomes two records, and the barrier completes
-        // only once everything queued before it has answered.
-        gate.arm();
-        let blocked = p.submit(OpBatch::new(vec![Op::Insert(7, 10)]));
-        gate.wait_held();
-        let before: Vec<SubmitHandle> = (11..=13)
-            .map(|b| p.submit(OpBatch::new(batch(b))))
-            .collect();
-        let barrier = p.drain_barrier();
-        let after: Vec<SubmitHandle> = (14..=16)
-            .map(|b| p.submit(OpBatch::new(batch(b))))
-            .collect();
-        assert!(
-            !barrier.is_ready(),
-            "the barrier waits for its predecessors"
-        );
-        gate.release();
-        assert!(barrier.wait().is_empty());
-        assert!(
-            before.iter().all(SubmitHandle::is_ready),
-            "a completed barrier proves everything queued before it answered"
-        );
-        assert_eq!(blocked.wait(), vec![Response::Insert(false)]);
-        for (b, handle) in (11..=16).zip(before.into_iter().chain(after)) {
-            assert_eq!(handle.wait(), answers(b), "batch {b}");
-        }
-        let s = stats();
-        assert_eq!((s.appends, s.fsyncs), (5, 5));
-        let bytes = std::fs::read(tmp.path().join("shard-0.wal")).unwrap();
-        let mut at = first.frame_len + second.frame_len;
-        let mut groups = Vec::new();
-        while at < bytes.len() {
-            let record = decode_record(&bytes, at).unwrap();
-            at += record.frame_len;
-            groups.push(record.ops);
-        }
-        assert_eq!(
-            groups,
-            vec![
-                vec![Op::Insert(7, 10)],
-                (11..=13).flat_map(writes).collect::<Vec<_>>(),
-                (14..=16).flat_map(writes).collect::<Vec<_>>(),
-            ]
-        );
     }
 
     #[test]
@@ -1974,63 +1816,5 @@ mod tests {
             rejected > 0,
             "a 2-deep queue must reject under a 2k-op flood"
         );
-    }
-
-    #[test]
-    fn drain_barrier_completes_after_all_queued_work() {
-        let p = pipeline(4, 2);
-        // Queue a pile of writes, then a barrier: once the barrier's handle
-        // completes, every one of those writes must be visible.
-        for i in 0..200u64 {
-            p.submit(OpBatch::new(vec![Op::Insert(300_001 + 2 * i, i)]));
-        }
-        let responses = p.drain_barrier().wait();
-        assert!(responses.is_empty(), "a barrier answers no ops");
-        assert_eq!(p.index().len(), 4_000 + 200);
-        // Barriers leave the depth gauges balanced: the pipeline still
-        // accepts and serves work afterwards.
-        let r = Tally::of(&p.submit(OpBatch::new(vec![Op::Get(300_001)])).wait());
-        assert_eq!(r.hits, 1);
-    }
-
-    #[test]
-    fn frozen_range_rejects_overlapping_batches_until_commit() {
-        let p = pipeline(4, 2);
-        p.index()
-            .freeze_range(Some(4_000), None)
-            .expect("freeze succeeds");
-        // A batch inside the frozen window bounces with `Migrating`…
-        match p.try_submit(OpBatch::new(vec![Op::Insert(5_000, 1)])) {
-            Err(bp) => assert_eq!(bp.reason, BackpressureReason::Migrating),
-            Ok(_) => panic!("overlapping batch must be rejected"),
-        }
-        // …a scan reaching into it too…
-        match p.try_submit(OpBatch::new(vec![Op::Range(RangeSpec::new(3_000, 10_000))])) {
-            Err(bp) => assert_eq!(bp.reason, BackpressureReason::Migrating),
-            Ok(_) => panic!("overlapping scan must be rejected"),
-        }
-        // …while disjoint traffic flows untouched (serving never pauses
-        // globally).
-        let r = Tally::of(
-            &p.submit(OpBatch::new(vec![
-                Op::Get(0),
-                Op::Range(RangeSpec::bounded(0, 3_999, 10)),
-            ]))
-            .wait(),
-        );
-        assert_eq!(r.errors, 0);
-        assert_eq!(r.hits, 1);
-        // After the routing swap commits, the same batch goes through — and
-        // a blocking submit parked during the freeze wakes up.
-        let frozen_batch = OpBatch::new(vec![Op::Insert(5_001, 1)]);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| p.submit(frozen_batch).wait());
-            std::thread::sleep(Duration::from_millis(20));
-            assert!(!waiter.is_finished(), "submit must wait out the freeze");
-            let current = Partitioner::clone(&p.index().partitioner());
-            p.index().commit_routing(current).expect("commit succeeds");
-            assert_eq!(waiter.join().unwrap(), vec![Response::Insert(true)]);
-        });
-        assert_eq!(p.index().get(5_001), Some(1));
     }
 }

@@ -131,8 +131,8 @@ pub struct PipelineTarget<B: ConcurrentIndex<u64> + 'static> {
     index: Arc<ShardedIndex<u64, B>>,
     /// The worker pool serving `index`, created at [`ServeTarget::load`]
     /// time (after the bulk load, which needs exclusive access to the
-    /// composite). Shared so an elasticity controller can hold the
-    /// pipeline alongside the target (see `gre-elastic`).
+    /// composite). Shared so a caller can hold the pipeline alongside the
+    /// target (see [`PipelineTarget::pipeline_handle`]).
     pipeline: Option<Arc<ShardPipeline<B>>>,
     workers: usize,
     batch: usize,
@@ -164,7 +164,7 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
     }
 
     /// Attach runtime telemetry with trace-enabled defaults; the registry
-    /// is sized for this target's topology (one scope per shard, one
+    /// is sized for this target's layout (one scope per shard, one
     /// counter stripe per worker plus a dedicated stripe for submitters)
     /// and shared with the pipeline built at load time. Retrieve it via
     /// [`PipelineTarget::telemetry`].
@@ -210,10 +210,10 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
         self
     }
 
-    /// The shared serving pipeline, once loaded — the handle an elasticity
-    /// controller attaches to. Loading is idempotent, so a caller may
-    /// `load()` ahead of the driver, take this handle, and let the driver's
-    /// own load call no-op.
+    /// The shared serving pipeline, once loaded, for submitting batches
+    /// outside the driver. Loading is idempotent, so a caller may `load()`
+    /// ahead of the driver, take this handle, and let the driver's own load
+    /// call no-op.
     pub fn pipeline_handle(&self) -> Option<Arc<ShardPipeline<B>>> {
         self.pipeline.clone()
     }
@@ -235,9 +235,9 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
     }
 
     fn load(&mut self, entries: &[(u64, Payload)]) {
-        // Idempotent: a target loaded ahead of the driver (e.g. so an
-        // elasticity controller can attach to the pipeline before traffic
-        // starts) ignores the driver's own load call.
+        // Idempotent: a target loaded ahead of the driver (e.g. to take its
+        // pipeline handle before traffic starts) ignores the driver's own
+        // load call.
         if self.pipeline.is_some() {
             return;
         }
@@ -278,8 +278,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
             // shard than the one whose WAL holds its history: recovery
             // applies shards' writes in shard order, so a new write logged
             // under the new shard would lose to an old one left under a
-            // higher shard, and stale range handoffs must not survive into a
-            // second crash either.
+            // higher shard.
             let partitioner = index.partitioner();
             for shard in 0..index.num_shards() {
                 let backend = index.backend(shard);

@@ -16,72 +16,11 @@
 //! traditional), with pluggable partitioning and merged reporting.
 
 use crate::partition::Partitioner;
-use gre_core::elastic::ElasticError;
 use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec};
-use parking_lot::{RwLock, RwLockReadGuard};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-
-/// The key window frozen while a migration is in flight. `lo` is inclusive
-/// (`None` = domain minimum), `hi` exclusive (`None` = domain maximum).
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenRange<K> {
-    pub lo: Option<K>,
-    pub hi: Option<K>,
-    /// Set by [`ShardedIndex::seal_frozen`] once the pipeline queues are
-    /// drained and bulk extraction begins: from that point until the commit
-    /// or abort, direct (non-pipeline) operations touching the window wait,
-    /// because the window's entries are physically in flight between
-    /// backends. Before sealing, in-flight pre-freeze work may still touch
-    /// the window safely under the old routing.
-    pub sealed: bool,
-}
-
-impl<K: Key> FrozenRange<K> {
-    /// Whether a point key falls inside the frozen window.
-    #[inline]
-    pub fn contains(&self, key: K) -> bool {
-        self.lo.map_or(true, |l| key >= l) && self.hi.map_or(true, |h| key < h)
-    }
-
-    /// Whether a scan window `[start, end]` (inclusive end; `None` = the
-    /// scan is count-limited and could run arbitrarily far right) can
-    /// intersect the frozen window.
-    #[inline]
-    pub fn intersects_scan(&self, start: K, end: Option<K>) -> bool {
-        let reaches_lo = match (self.lo, end) {
-            (Some(l), Some(e)) => e >= l,
-            _ => true,
-        };
-        reaches_lo && self.hi.map_or(true, |h| start < h)
-    }
-}
-
-/// The atomically swappable routing table: which partitioner routes keys,
-/// which window (if any) is frozen mid-migration, and the epoch stamp that
-/// advances on every committed topology change.
-pub(crate) struct RoutingState<K: Key> {
-    pub(crate) partitioner: Arc<Partitioner<K>>,
-    pub(crate) frozen: Option<FrozenRange<K>>,
-    pub(crate) epoch: u64,
-}
 
 /// A range- or hash-partitioned store over `N` backend instances.
-///
-/// Routing state lives behind a reader/writer lock so the elasticity
-/// controller can swap the boundary table while traffic is live: every
-/// operation routes under a read guard held across its backend call, which
-/// makes the controller's write-lock acquisitions (freeze, seal, commit)
-/// true grace periods — no operation is ever mid-flight across a swap.
 pub struct ShardedIndex<K: Key, B: ConcurrentIndex<K>> {
-    routing: RwLock<RoutingState<K>>,
-    /// Companion lock/condvar pair for operations that must wait out a
-    /// sealed freeze window (the routing lock itself is never waited on
-    /// with a predicate). Protocol: waiters re-check the routing state
-    /// under this gate; the controller bumps/notifies after releasing the
-    /// routing write lock, so the two locks are never held crosswise.
-    freeze_gate: Mutex<()>,
-    unfrozen: Condvar,
+    partitioner: Partitioner<K>,
     backends: Vec<B>,
 }
 
@@ -97,13 +36,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
             "one backend per shard required"
         );
         ShardedIndex {
-            routing: RwLock::new(RoutingState {
-                partitioner: Arc::new(partitioner),
-                frozen: None,
-                epoch: 0,
-            }),
-            freeze_gate: Mutex::new(()),
-            unfrozen: Condvar::new(),
+            partitioner,
             backends,
         }
     }
@@ -120,10 +53,10 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
         self.backends.len()
     }
 
-    /// The shard `key` routes to under the current routing table.
+    /// The shard `key` routes to.
     #[inline]
     pub fn shard_of(&self, key: K) -> usize {
-        self.routing.read().partitioner.shard_of(key)
+        self.partitioner.shard_of(key)
     }
 
     /// The backend serving shard `shard`.
@@ -131,144 +64,15 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
         &self.backends[shard]
     }
 
-    /// A snapshot of the partitioner in use. The snapshot stays internally
-    /// consistent if a topology change commits afterwards (the swap replaces
-    /// the `Arc`, it never mutates the shared table), but routing decisions
-    /// derived from a stale snapshot may disagree with the live table —
-    /// code that routes *writes* must hold the internal routing lock's read
-    /// guard across the backend call instead (as every `ConcurrentIndex`
-    /// method here does).
-    pub fn partitioner(&self) -> Arc<Partitioner<K>> {
-        Arc::clone(&self.routing.read().partitioner)
-    }
-
-    /// The routing epoch: bumped by every committed topology change.
-    pub fn routing_epoch(&self) -> u64 {
-        self.routing.read().epoch
-    }
-
-    /// The currently frozen window, if a migration is in flight.
-    pub fn frozen_range(&self) -> Option<FrozenRange<K>> {
-        self.routing.read().frozen
+    /// The partitioner in use. Only [`ConcurrentIndex::bulk_load`] changes
+    /// it (a range partitioner refits its boundaries to the loaded keys).
+    pub fn partitioner(&self) -> &Partitioner<K> {
+        &self.partitioner
     }
 
     /// Entry count of every shard, for balance diagnostics.
     pub fn per_shard_lens(&self) -> Vec<usize> {
         self.backends.iter().map(|b| b.len()).collect()
-    }
-
-    /// The routing read guard, for callers (the pipeline) that must route a
-    /// whole batch and enqueue it under one consistent table.
-    pub(crate) fn routing(&self) -> RwLockReadGuard<'_, RoutingState<K>> {
-        self.routing.read()
-    }
-
-    /// Step 1 of the migration protocol: freeze routing for `[lo, hi)`.
-    ///
-    /// From the moment this returns, the pipeline refuses new batches that
-    /// touch the window (`BackpressureReason::Migrating`) — and because the
-    /// freeze takes the routing write lock, every batch admitted before it
-    /// is already fully enqueued. In-flight work may still touch the window
-    /// under the old routing until [`ShardedIndex::seal_frozen`].
-    pub fn freeze_range(&self, lo: Option<K>, hi: Option<K>) -> Result<(), ElasticError> {
-        if let (Some(l), Some(h)) = (lo, hi) {
-            if l >= h {
-                return Err(ElasticError::InvalidRange(
-                    "freeze window is empty".to_string(),
-                ));
-            }
-        }
-        let mut routing = self.routing.write();
-        if routing.frozen.is_some() {
-            return Err(ElasticError::AlreadyMigrating);
-        }
-        routing.frozen = Some(FrozenRange {
-            lo,
-            hi,
-            sealed: false,
-        });
-        Ok(())
-    }
-
-    /// Step 3 of the migration protocol (after the queue drain): mark the
-    /// frozen window sealed. Direct operations touching the window now wait
-    /// until the commit or abort; the write-lock acquisition doubles as the
-    /// grace period for any reader still mid-operation.
-    pub fn seal_frozen(&self) -> Result<(), ElasticError> {
-        let mut routing = self.routing.write();
-        match routing.frozen.as_mut() {
-            Some(f) => {
-                f.sealed = true;
-                Ok(())
-            }
-            None => Err(ElasticError::Aborted("seal without an active freeze")),
-        }
-    }
-
-    /// Final step of the migration protocol: atomically install the new
-    /// partitioner, clear the freeze, and advance the routing epoch.
-    /// Returns the new epoch. Waiters parked on the frozen window resume
-    /// under the new table.
-    pub fn commit_routing(&self, new: Partitioner<K>) -> Result<u64, ElasticError> {
-        if new.shards() != self.backends.len() {
-            return Err(ElasticError::InvalidRange(format!(
-                "partitioner routes over {} shards, store has {}",
-                new.shards(),
-                self.backends.len()
-            )));
-        }
-        let epoch = {
-            let mut routing = self.routing.write();
-            routing.partitioner = Arc::new(new);
-            routing.frozen = None;
-            routing.epoch += 1;
-            routing.epoch
-        };
-        // Notify after releasing the routing lock so a waiter holding the
-        // gate while re-checking routing can never deadlock against us.
-        let _gate = self.freeze_gate.lock().expect("freeze gate poisoned");
-        self.unfrozen.notify_all();
-        Ok(epoch)
-    }
-
-    /// Abandon an in-flight freeze, waking any parked waiters. Routing is
-    /// left exactly as before [`ShardedIndex::freeze_range`].
-    pub fn abort_freeze(&self) {
-        {
-            let mut routing = self.routing.write();
-            routing.frozen = None;
-        }
-        let _gate = self.freeze_gate.lock().expect("freeze gate poisoned");
-        self.unfrozen.notify_all();
-    }
-
-    /// Park until the routing state changes (bounded wait; callers loop on
-    /// their own predicate). See `freeze_gate` for the lock protocol.
-    pub(crate) fn wait_routing_change(&self) {
-        let gate = self.freeze_gate.lock().expect("freeze gate poisoned");
-        // Re-check under the gate: the unfreeze may have landed between the
-        // caller's predicate check and this lock acquisition, in which case
-        // its notify already happened and we must not sleep on it.
-        if self.routing.read().frozen.is_none() {
-            return;
-        }
-        let _ = self
-            .unfrozen
-            .wait_timeout(gate, Duration::from_millis(5))
-            .expect("freeze gate poisoned");
-    }
-
-    /// Routing guard for a point op: waits out a sealed freeze window that
-    /// contains `key`, then returns the guard to route and execute under.
-    fn route_point(&self, key: K) -> RwLockReadGuard<'_, RoutingState<K>> {
-        loop {
-            let guard = self.routing.read();
-            match guard.frozen {
-                Some(f) if f.sealed && f.contains(key) => drop(guard),
-                _ => return guard,
-            }
-            self.wait_routing_change();
-        }
     }
 
     /// Fan-out range scan for unordered (hash) partitioning: every shard may
@@ -315,8 +119,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
     /// every scattered sub-sequence of a sorted slice is itself sorted, so
     /// backend bulk-load preconditions hold either way.
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let routing = self.routing.get_mut();
-        let partitioner = Arc::make_mut(&mut routing.partitioner);
+        let partitioner = &mut self.partitioner;
         if partitioner.is_ordered() {
             // Stride-sample down to the CDF sketch budget up front so the
             // transient key copy is O(SAMPLE_LIMIT), not O(entries).
@@ -325,8 +128,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
                 .div_ceil(crate::partition::SAMPLE_LIMIT)
                 .max(1);
             let keys: Vec<K> = entries.iter().step_by(stride).map(|e| e.0).collect();
-            // Refit resets segment targets to the identity assignment, so
-            // `shard_of` is monotone in the key and the contiguous-slice
+            // Range routing is monotone in the key, so the contiguous-slice
             // split below is valid.
             partitioner.refit(&keys);
             let mut start = 0usize;
@@ -352,8 +154,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        let guard = self.route_point(key);
-        self.backends[guard.partitioner.shard_of(key)].get(key)
+        self.backends[self.partitioner.shard_of(key)].get(key)
     }
 
     /// Batched lookups are grouped per shard and forwarded to each backend's
@@ -380,17 +181,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
             self.backends[0].get_batch(keys, out);
             return;
         }
-        // One routing guard for the whole batch; wait out a sealed freeze
-        // window that any of the keys falls into.
-        let guard = loop {
-            let g = self.routing.read();
-            match g.frozen {
-                Some(f) if f.sealed && keys.iter().any(|&k| f.contains(k)) => drop(g),
-                _ => break g,
-            }
-            self.wait_routing_change();
-        };
-        let partitioner = &guard.partitioner;
+        let partitioner = &self.partitioner;
         // Pass 1: route each key once, counting per-shard group sizes.
         let mut routed: Vec<u32> = Vec::with_capacity(keys.len());
         let mut counts: Vec<usize> = vec![0; shards];
@@ -434,58 +225,43 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
     }
 
     fn insert(&self, key: K, value: Payload) -> bool {
-        let guard = self.route_point(key);
-        self.backends[guard.partitioner.shard_of(key)].insert(key, value)
+        self.backends[self.partitioner.shard_of(key)].insert(key, value)
     }
 
     /// As atomic as the owning shard's backend: routing adds no extra
     /// critical section, so the trait's atomicity contract is inherited
     /// unchanged from the backend.
     fn update(&self, key: K, value: Payload) -> bool {
-        let guard = self.route_point(key);
-        self.backends[guard.partitioner.shard_of(key)].update(key, value)
+        self.backends[self.partitioner.shard_of(key)].update(key, value)
     }
 
     fn remove(&self, key: K) -> Option<Payload> {
-        let guard = self.route_point(key);
-        self.backends[guard.partitioner.shard_of(key)].remove(key)
+        self.backends[self.partitioner.shard_of(key)].remove(key)
     }
 
     /// Cross-shard scans are stitched in key order. Range partitioning walks
-    /// **segments** sequentially in key order (a shard may serve several
-    /// disjoint segments after topology changes, so walking shards would
-    /// break ordering); hash partitioning fans out to every shard and
-    /// merges. The stitcher enforces both each segment's upper bound and
-    /// `spec.end` itself (clipping each sorted tail), so bounded windows are
-    /// honored even over backends that ignore the bound. A scan that could
-    /// enter a sealed (actively migrating) window waits for the commit —
-    /// the pipeline never executes such scans (they are refused at submit),
-    /// so only direct callers can park here.
+    /// shards in key order (shard `i` holds exactly the keys of segment
+    /// `i`); hash partitioning fans out to every shard and merges. The
+    /// stitcher enforces `spec.end` itself (clipping each sorted tail), so
+    /// bounded windows are honored even over backends that ignore the bound.
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let guard = loop {
-            let g = self.routing.read();
-            match g.frozen {
-                Some(f) if f.sealed && f.intersects_scan(spec.start, spec.end) => drop(g),
-                _ => break g,
-            }
-            self.wait_routing_change();
-        };
-        let Some(rp) = guard.partitioner.as_range() else {
-            drop(guard);
+        let Some(rp) = self.partitioner.as_range() else {
             return self.range_fan_out(spec, out);
         };
         let before = out.len();
         let mut remaining = spec.count;
-        let mut seg = rp.segment_of(spec.start);
-        while remaining > 0 && seg < rp.segments() {
-            let (seg_lo, seg_hi) = rp.segment_range(seg);
-            // Stop once segments start past the end bound.
-            if let (Some(lo), Some(end)) = (seg_lo, spec.end) {
+        for shard in rp.segment_of(spec.start)..rp.segments() {
+            if remaining == 0 {
+                break;
+            }
+            let (lo, _) = rp.segment_range(shard);
+            // Stop once shards start past the end bound.
+            if let (Some(lo), Some(end)) = (lo, spec.end) {
                 if lo > end {
                     break;
                 }
             }
-            let start = match seg_lo {
+            let start = match lo {
                 Some(lo) if lo > spec.start => lo,
                 _ => spec.start,
             };
@@ -495,16 +271,9 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
                 count: remaining,
                 end: spec.end,
             };
-            self.backends[rp.segment_target(seg)].range(sub, out);
-            // The backend may also serve later segments; entries at or past
-            // this segment's upper bound belong to those walks, not this one.
-            if let Some(hi) = seg_hi {
-                while out.len() > at && out.last().is_some_and(|e| e.0 >= hi) {
-                    out.pop();
-                }
-            }
+            self.backends[shard].range(sub, out);
             // Clip overshoot past the end bound; once anything is clipped
-            // there, no later segment can contribute.
+            // there, no later shard can contribute.
             let mut end_clipped = false;
             while out.len() > at && out.last().is_some_and(|e| !spec.admits(e.0)) {
                 out.pop();
@@ -514,7 +283,6 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
                 break;
             }
             remaining -= out.len() - at;
-            seg += 1;
         }
         out.len() - before
     }
@@ -523,20 +291,15 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
     /// shard is queried in turn with no global quiesce, so while writers are
     /// active the sum may mix before/after states of different shards and
     /// transiently differ from any single serialization of the write stream.
-    /// A live **migration** widens the same caveat: between extraction and
-    /// the routing commit the moving entries are in neither backend, so the
-    /// sum can transiently under-count by up to the moved range's size (it
-    /// never double-counts — entries are removed before they are re-inserted).
-    /// In a quiesced state (no in-flight writes, no migration) the value is
-    /// exact — see `len_is_exact_when_quiesced` here and the post-split/merge
-    /// exactness test in `gre-elastic`, which pin this contract.
+    /// In a quiesced state (no in-flight writes) the value is exact — see
+    /// `len_is_exact_when_quiesced`, which pins this contract.
     fn len(&self) -> usize {
         self.backends.iter().map(|b| b.len()).sum()
     }
 
     /// Same consistency contract as [`ConcurrentIndex::len`]: non-atomic
-    /// per-shard sum, transiently off under live writers or a migration,
-    /// exact when quiesced.
+    /// per-shard sum, transiently off under live writers, exact when
+    /// quiesced.
     fn memory_usage(&self) -> usize {
         self.backends.iter().map(|b| b.memory_usage()).sum()
     }

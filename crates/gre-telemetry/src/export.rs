@@ -275,7 +275,7 @@ mod tests {
             r#"{"schema_version": 1, "counters": {"ops_submitted": 0, "ops_completed": 3, "#
         ));
         assert!(json.ends_with(&format!(
-            r#""migration_pause_micros": 0}}, "shards": [{{"shard": 0, "shard_queue_depth": 0, "shard_inflight_ops": 0, "ops_completed": 0, "sub_batch_size": {EMPTY}, "queue_wait_ns": {EMPTY}, "service_ns": {{"count": 1, "mean": 1000, "p50": 1000, "p99": 1000, "p999": 1000, "max": 1000}}}}], "session_window": {EMPTY}, "batch_ops": {EMPTY}}}"#
+            r#""recovery_replayed_ops": 0}}, "shards": [{{"shard": 0, "shard_queue_depth": 0, "shard_inflight_ops": 0, "ops_completed": 0, "sub_batch_size": {EMPTY}, "queue_wait_ns": {EMPTY}, "service_ns": {{"count": 1, "mean": 1000, "p50": 1000, "p99": 1000, "p999": 1000, "max": 1000}}}}], "session_window": {EMPTY}, "batch_ops": {EMPTY}}}"#
         )));
     }
 }

@@ -55,7 +55,7 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Tracing-enabled defaults for a given topology.
+    /// Tracing-enabled defaults for `shards` shards and `writers` writers.
     pub fn new(shards: usize, writers: usize) -> TelemetryConfig {
         TelemetryConfig {
             shards,
@@ -98,7 +98,8 @@ impl Telemetry {
         }
     }
 
-    /// Metrics-only telemetry for a topology, wrapped for sharing.
+    /// Metrics-only telemetry for `shards` shards and `writers` writers,
+    /// wrapped for sharing.
     pub fn shared(shards: usize, writers: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry::new(TelemetryConfig::new(shards, writers)))
     }

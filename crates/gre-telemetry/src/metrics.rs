@@ -3,7 +3,7 @@
 //!
 //! Everything on the recording side is a relaxed atomic operation addressed
 //! by a static enum id — no string hashing, no locking, no allocation. The
-//! layout is sized once at construction from the serving topology (shard
+//! layout is sized once at construction from the serving layout (shard
 //! count, worker count) and never changes, so hot-path accesses are plain
 //! array indexing.
 //!
@@ -60,24 +60,11 @@ pub enum CounterId {
     WalFsyncs,
     /// Operations replayed from the WAL during crash recovery.
     RecoveryReplayedOps,
-    /// Hot-segment splits the elasticity controller started.
-    SplitsStarted,
-    /// Hot-segment splits that committed a routing swap.
-    SplitsCompleted,
-    /// Cold-segment merges the elasticity controller started.
-    MergesStarted,
-    /// Cold-segment merges that committed a routing swap.
-    MergesCompleted,
-    /// Live entries moved between shards by migrations.
-    KeysMigrated,
-    /// Microseconds routing was frozen for a migrating range (summed over
-    /// migrations; only traffic in the moved range observes the pause).
-    MigrationPauseMicros,
 }
 
 impl CounterId {
     /// All counter ids, in export order.
-    pub const ALL: [CounterId; 24] = [
+    pub const ALL: [CounterId; 18] = [
         CounterId::OpsSubmitted,
         CounterId::OpsCompleted,
         CounterId::BatchesSubmitted,
@@ -96,12 +83,6 @@ impl CounterId {
         CounterId::WalAppends,
         CounterId::WalFsyncs,
         CounterId::RecoveryReplayedOps,
-        CounterId::SplitsStarted,
-        CounterId::SplitsCompleted,
-        CounterId::MergesStarted,
-        CounterId::MergesCompleted,
-        CounterId::KeysMigrated,
-        CounterId::MigrationPauseMicros,
     ];
 
     /// Number of counter ids.
@@ -134,12 +115,6 @@ impl CounterId {
             CounterId::WalAppends => "wal_appends",
             CounterId::WalFsyncs => "wal_fsyncs",
             CounterId::RecoveryReplayedOps => "recovery_replayed_ops",
-            CounterId::SplitsStarted => "splits_started",
-            CounterId::SplitsCompleted => "splits_completed",
-            CounterId::MergesStarted => "merges_started",
-            CounterId::MergesCompleted => "merges_completed",
-            CounterId::KeysMigrated => "keys_migrated",
-            CounterId::MigrationPauseMicros => "migration_pause_micros",
         }
     }
 
@@ -164,14 +139,6 @@ impl CounterId {
             CounterId::WalAppends => "WAL records appended (one per logged group)",
             CounterId::WalFsyncs => "WAL fsync durability barriers issued",
             CounterId::RecoveryReplayedOps => "Operations replayed from the WAL during recovery",
-            CounterId::SplitsStarted => "Hot-segment splits started",
-            CounterId::SplitsCompleted => "Hot-segment splits that committed a routing swap",
-            CounterId::MergesStarted => "Cold-segment merges started",
-            CounterId::MergesCompleted => "Cold-segment merges that committed a routing swap",
-            CounterId::KeysMigrated => "Live entries moved between shards by migrations",
-            CounterId::MigrationPauseMicros => {
-                "Microseconds routing was frozen for migrating ranges"
-            }
         }
     }
 }
@@ -431,7 +398,7 @@ impl ShardScope {
     }
 }
 
-/// The registry: sized once from the serving topology, then written with
+/// The registry: sized once from the serving layout, then written with
 /// relaxed atomics only.
 #[derive(Debug)]
 pub struct MetricsRegistry {

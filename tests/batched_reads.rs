@@ -1,14 +1,13 @@
 //! The batched reader of `gre_core::Partitioned` holds the read guard of
-//! every partition its keys touch for the whole call. This test runs that
-//! reader against the adapter's other lock holders at once — a point writer
-//! and a migration loop that write-locks partition after partition — on
-//! ALEX+ and B+tree/p64, and fails (rather than hangs) if they deadlock.
+//! every partition its keys touch for the whole call. This test runs two
+//! such readers against a point writer that write-locks whichever partition
+//! its key falls in — on ALEX+ and B+tree/p64 — and fails (rather than
+//! hangs) if they deadlock.
 //!
 //! Every payload a key is ever given carries the key in its high bits, so a
 //! reader can tell a torn or misrouted answer from a stale one: a batched
 //! answer must be `None` or a payload that key was given, and a bulk-loaded
-//! key that neither the writer removes nor the migration moves must always
-//! be found.
+//! key, which the writer updates but never removes, must always be found.
 
 use gre::learned::{Alex, AlexConfig, AlexPlus};
 use gre::traditional::btree_olc;
@@ -26,21 +25,13 @@ type Backend = Box<dyn ConcurrentIndex<u64>>;
 /// Bulk keys are `4 i + 1`, the writer's own keys `4 i + 3`, even keys miss.
 const BULK: u64 = 8_000;
 const KEY_SPACE: u64 = 4 * BULK + 4;
-/// The window the migration thread extracts and absorbs again; the writer
-/// stays out of it, as the elastic layer's freeze keeps writers out.
-const WINDOW: (u64, u64) = (10_000, 14_000);
 const BATCH: usize = 64;
 const MIN_BATCHES: usize = 400;
 const MIN_WRITES: usize = 2_000;
-const MIN_MIGRATIONS: usize = 20;
 const DEADLINE: Duration = Duration::from_secs(60);
 
 fn payload(key: u64, generation: u64) -> u64 {
     key << 8 | generation
-}
-
-fn in_window(key: u64) -> bool {
-    (WINDOW.0..WINDOW.1).contains(&key)
 }
 
 /// Counts of finished rounds, which every thread polls to know when the
@@ -49,14 +40,12 @@ fn in_window(key: u64) -> bool {
 struct Progress {
     batches: AtomicUsize,
     writes: AtomicUsize,
-    migrations: AtomicUsize,
     stop: AtomicBool,
 }
 
 impl Progress {
     fn overlapped(&self) -> bool {
         self.writes.load(Ordering::Relaxed) >= MIN_WRITES
-            && self.migrations.load(Ordering::Relaxed) >= MIN_MIGRATIONS
     }
 
     fn stopped(&self) -> bool {
@@ -95,11 +84,8 @@ fn reader(index: &dyn ConcurrentIndex<u64>, progress: &Progress, seed: u64) {
                     "key {key} answered another key's payload {value}"
                 );
             } else {
-                let stable = key % 4 == 1 && key < 4 * BULK && !in_window(key);
-                assert!(
-                    !stable,
-                    "bulk key {key} outside the migration window went missing"
-                );
+                let bulk = key % 4 == 1 && key < 4 * BULK;
+                assert!(!bulk, "bulk key {key} went missing");
             }
         }
         done += 1;
@@ -107,14 +93,13 @@ fn reader(index: &dyn ConcurrentIndex<u64>, progress: &Progress, seed: u64) {
     }
 }
 
-/// Inserts and removes its own keys and updates bulk keys, all outside the
-/// migration window; returns what the index must hold outside it.
+/// Inserts and removes its own keys and updates bulk keys; returns what the
+/// index must hold.
 fn writer(index: &dyn ConcurrentIndex<u64>, progress: &Progress) -> BTreeMap<u64, u64> {
     let _guard = StopOnPanic(progress);
     let mut rng = StdRng::seed_from_u64(0xb47c_4ed0);
     let mut model: BTreeMap<u64, u64> = (0..BULK)
         .map(|i| 4 * i + 1)
-        .filter(|&k| !in_window(k))
         .map(|k| (k, payload(k, 0)))
         .collect();
     let mut generation = 0;
@@ -124,24 +109,18 @@ fn writer(index: &dyn ConcurrentIndex<u64>, progress: &Progress) -> BTreeMap<u64
         match rng.gen_range(0..3u32) {
             0 => {
                 let key = 4 * i + 3;
-                if !in_window(key) {
-                    let value = payload(key, generation);
-                    assert_eq!(index.insert(key, value), model.insert(key, value).is_none());
-                }
+                let value = payload(key, generation);
+                assert_eq!(index.insert(key, value), model.insert(key, value).is_none());
             }
             1 => {
                 let key = 4 * i + 3;
-                if !in_window(key) {
-                    assert_eq!(index.remove(key), model.remove(&key));
-                }
+                assert_eq!(index.remove(key), model.remove(&key));
             }
             _ => {
                 let key = 4 * i + 1;
-                if !in_window(key) {
-                    let value = payload(key, generation);
-                    assert!(index.update(key, value), "bulk key {key} not updatable");
-                    model.insert(key, value);
-                }
+                let value = payload(key, generation);
+                assert!(index.update(key, value), "bulk key {key} not updatable");
+                model.insert(key, value);
             }
         }
         progress.writes.fetch_add(1, Ordering::Relaxed);
@@ -149,19 +128,7 @@ fn writer(index: &dyn ConcurrentIndex<u64>, progress: &Progress) -> BTreeMap<u64
     model
 }
 
-fn migrator(index: &dyn ConcurrentIndex<u64>, progress: &Progress) {
-    let _guard = StopOnPanic(progress);
-    let mut moved = Vec::new();
-    while !progress.stopped() {
-        moved.clear();
-        index.extract_range(WINDOW.0, Some(WINDOW.1), &mut moved);
-        assert_eq!(moved.len() as u64, (WINDOW.1 - WINDOW.0) / 4);
-        index.absorb_range(&moved);
-        progress.migrations.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Two batched readers, one writer and one migration thread on `index`;
+/// Two batched readers and one writer on `index`;
 /// panics if they have not all finished within [`DEADLINE`].
 fn run(name: &str, mut index: Backend) {
     let bulk: Vec<(u64, u64)> = (0..BULK)
@@ -184,31 +151,27 @@ fn run(name: &str, mut index: Backend) {
                     .map(|seed| s.spawn(move || reader(index, progress, seed)))
                     .collect();
                 let writer = s.spawn(|| writer(index, progress));
-                let migrator = s.spawn(|| migrator(index, progress));
                 for r in readers {
                     r.join().expect("reader");
                 }
                 progress.stop.store(true, Ordering::Relaxed);
-                migrator.join().expect("migrator");
                 writer.join().expect("writer")
             })
         }
     });
     if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(DEADLINE) {
         panic!(
-            "{name}: readers, writer and migration did not finish within {DEADLINE:?} \
-             ({} batches, {} writes, {} migrations): deadlock?",
+            "{name}: readers and writer did not finish within {DEADLINE:?} \
+             ({} batches, {} writes): deadlock?",
             progress.batches.load(Ordering::Relaxed),
             progress.writes.load(Ordering::Relaxed),
-            progress.migrations.load(Ordering::Relaxed),
         );
     }
-    let mut model = worker
+    let model = worker
         .join()
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
 
     // Quiescent now: one batch over every key must read the final state.
-    model.extend(bulk.iter().copied().filter(|&(k, _)| in_window(k)));
     let keys: Vec<u64> = (0..KEY_SPACE).collect();
     let mut out = Vec::new();
     index.get_batch(&keys, &mut out);
@@ -221,7 +184,7 @@ fn run(name: &str, mut index: Backend) {
 }
 
 #[test]
-fn batched_readers_survive_writers_and_migration_on_alex_plus() {
+fn batched_readers_survive_a_concurrent_writer_on_alex_plus() {
     // Small nodes, so the writer's inserts split nodes under the readers.
     run(
         "ALEX+",
@@ -235,6 +198,6 @@ fn batched_readers_survive_writers_and_migration_on_alex_plus() {
 }
 
 #[test]
-fn batched_readers_survive_writers_and_migration_on_btree_p64() {
+fn batched_readers_survive_a_concurrent_writer_on_btree_p64() {
     run("B+tree/p64", Box::new(btree_olc()));
 }

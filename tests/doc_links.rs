@@ -156,7 +156,7 @@ fn every_named_file_and_binary_exists() {
 fn a_cited_figure_must_be_a_table_row() {
     let ok = "$ cargo run --release -p gre-bench --bin gre-figs -- fig2_heatmap --quick";
     assert!(unknown_figures(ok).is_empty());
-    assert!(unknown_figures("run: target/release/gre-figs figs_rebalance --quick").is_empty());
+    assert!(unknown_figures("run: target/release/gre-figs figs_observability --quick").is_empty());
     assert!(unknown_figures("`gre-figs <figure> [flags]`, the `gre-figs` binary").is_empty());
     assert!(unknown_figures("cargo run --bin gre-figs -- --quick").is_empty());
 

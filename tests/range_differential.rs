@@ -12,8 +12,7 @@
 //! key".
 //!
 //! A second test holds the nine `Partitioned` backends to the model on the
-//! adapter's own paths: grouped batch lookups, appending scans, and the
-//! bulk-reload migration pair `extract_range` / `absorb_range`.
+//! adapter's own paths: grouped batch lookups and appending scans.
 
 use gre::learned::{Alex, AlexConfig, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
 use gre::traditional::{
@@ -200,7 +199,7 @@ fn range_scans_match_btreemap_on_every_backend() {
 }
 
 #[test]
-fn partitioned_backends_batch_scan_extract_and_absorb_like_the_model() {
+fn partitioned_backends_batch_and_scan_like_the_model() {
     let model: BTreeMap<u64, u64> = (0..20_000u64).map(|i| (i * 3 + 1, i)).collect();
     let bulk: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
     let entries = |r: std::ops::Range<u64>| -> Vec<(u64, u64)> {
@@ -213,9 +212,6 @@ fn partitioned_backends_batch_scan_extract_and_absorb_like_the_model() {
     // Starts 40 keys below each 64th quantile: a scan of 100 crosses into
     // the next partition.
     let starts: Vec<u64> = (1..64).map(|p| bulk[p * bulk.len() / 64 - 40].0).collect();
-    // A window over several partitions, opening on a non-key.
-    let (lo, hi) = (bulk[5_000].0 + 1, bulk[9_000].0);
-    let window = entries(lo..hi);
 
     for (name, mut index) in partitioned_backends() {
         index.bulk_load(&bulk);
@@ -244,35 +240,9 @@ fn partitioned_backends_batch_scan_extract_and_absorb_like_the_model() {
             );
         }
 
-        let mut moved = prefix.to_vec();
-        let got = index.extract_range(lo, Some(hi), &mut moved);
-        assert_eq!(got, window.len(), "{name}: extracted count");
-        assert_eq!(moved[3..], window, "{name}: extract_range({lo}, {hi})");
-        assert_eq!(
-            index.len(),
-            model.len() - window.len(),
-            "{name}: len after extract"
-        );
-        assert_eq!(
-            index.get(window[0].0),
-            None,
-            "{name}: extracted key still present"
-        );
-        assert_eq!(
-            index.get(lo - 1),
-            model.get(&(lo - 1)).copied(),
-            "{name}: below the window"
-        );
-        assert_eq!(
-            index.get(hi),
-            model.get(&hi).copied(),
-            "{name}: the window's end"
-        );
-
-        index.absorb_range(&moved[3..]);
-        assert_eq!(index.len(), model.len(), "{name}: len after absorb");
+        assert_eq!(index.len(), model.len(), "{name}: len");
         let mut all = Vec::new();
         index.range(RangeSpec::new(0, usize::MAX), &mut all);
-        assert_eq!(all, bulk, "{name}: contents after absorb");
+        assert_eq!(all, bulk, "{name}: full scan");
     }
 }
