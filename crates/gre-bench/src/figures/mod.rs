@@ -171,13 +171,12 @@ fn shifting_hotspot_scenario(seed: u64, keys: &[u64], phase_ops: u64, threads: u
 }
 
 /// The header label of a sharded stack: the bare backend name at 1 shard,
-/// `sharded(NAME,N)` over range shards, `sharded(NAME,N,hash)` otherwise.
+/// `sharded(NAME,N)` otherwise.
 fn sharded_label<B: ConcurrentIndex<u64>>(index: &ShardedIndex<u64, B>) -> String {
-    let (name, partitioner) = (index.meta().name, index.partitioner());
-    match partitioner.shards() {
+    let name = index.meta().name;
+    match index.num_shards() {
         1 => name.to_string(),
-        n if partitioner.is_ordered() => format!("sharded({name},{n})"),
-        n => format!("sharded({name},{n},{})", partitioner.scheme()),
+        n => format!("sharded({name},{n})"),
     }
 }
 
@@ -235,7 +234,6 @@ mod tests {
             sharded_label(&ShardedIndex::from_factory(p, |_| LippPlus::<u64>::new()))
         };
         assert_eq!(label(Partitioner::range(4)), "sharded(LIPP+,4)");
-        assert_eq!(label(Partitioner::hash(2)), "sharded(LIPP+,2,hash)");
         assert_eq!(label(Partitioner::range(1)), "LIPP+");
     }
 

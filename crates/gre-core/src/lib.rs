@@ -12,6 +12,9 @@
 //!   (bulk load, lookup, insert, remove, range scan, memory accounting),
 //!   and [`index::ModelIndex`], the `BTreeMap` reference index tests
 //!   compare against.
+//! * [`partition`] — [`partition::Partitioner`], the one key-range router:
+//!   a quantile cut fitted at bulk load, key → range lookup and the
+//!   key-ordered walk a scan takes across ranges.
 //! * [`partitioned`] — [`partitioned::Partitioned`], the one partition-lock
 //!   adapter every concurrent derivative of a single-threaded index (ALEX+,
 //!   LIPP+, B+tree/p64, ART/p64, HOT/p64, Masstree, Wormhole) runs on.
@@ -34,6 +37,7 @@ pub mod json;
 pub mod key;
 pub mod latency;
 pub mod ops;
+pub mod partition;
 pub mod partitioned;
 pub mod stats;
 pub mod wire;
@@ -42,5 +46,6 @@ pub use index::{ConcurrentIndex, Index, IndexMeta, ModelIndex, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
+pub use partition::Partitioner;
 pub use partitioned::{Partitionable, Partitioned, Probe, BATCH_WIDTH};
 pub use stats::{InsertBreakdown, OpCounters, StatsSnapshot};

@@ -1,7 +1,7 @@
 //! [`Partitioned`]: the one partition-lock adapter that makes a
 //! single-threaded [`Index`] a [`ConcurrentIndex`].
 //!
-//! The key space is split at the bulk-load quantiles into
+//! A [`Partitioner`] splits the key space at the bulk-load quantiles into
 //! [`Partitionable::PARTITIONS`] ranges, each an independent inner index
 //! behind a `parking_lot::RwLock`. Writers in different ranges never contend
 //! (the effect per-node locks buy); a reader takes its range's shared lock,
@@ -27,6 +27,7 @@
 
 use crate::index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
 use crate::key::{Key, Payload};
+use crate::partition::Partitioner;
 use parking_lot::{RwLock, RwLockReadGuard};
 
 /// Keys in flight in the batched lookup's two-stage probe: wide enough to
@@ -70,8 +71,7 @@ pub trait Partitionable<K: Key>: Index<K> + Default + Sync {
 /// Key-range partitions of `I`, each behind its own reader-writer lock.
 pub struct Partitioned<K, I> {
     partitions: Vec<RwLock<I>>,
-    /// `boundaries[p]` is the smallest key of partition `p + 1`.
-    boundaries: Vec<K>,
+    cut: Partitioner<K>,
 }
 
 impl<K: Key, I: Partitionable<K>> Default for Partitioned<K, I> {
@@ -88,45 +88,24 @@ impl<K: Key, I: Partitionable<K>> Partitioned<K, I> {
 
     /// Inner indexes built by `make`, e.g. with a non-default configuration.
     pub fn with_inner(mut make: impl FnMut() -> I) -> Self {
+        let cut = Partitioner::range(I::PARTITIONS);
         Partitioned {
-            partitions: (0..I::PARTITIONS.max(1))
-                .map(|_| RwLock::new(make()))
-                .collect(),
-            boundaries: Vec::new(),
+            partitions: (0..cut.shards()).map(|_| RwLock::new(make())).collect(),
+            cut,
         }
-    }
-
-    #[inline]
-    fn partition_for(&self, key: K) -> usize {
-        self.boundaries.partition_point(|b| *b <= key)
     }
 }
 
 impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
     /// Boundaries go at the entry quantiles, so bulk data spreads evenly.
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let parts = self.partitions.len();
-        self.boundaries.clear();
-        if entries.len() >= parts && parts > 1 {
-            for p in 1..parts {
-                self.boundaries.push(entries[p * entries.len() / parts].0);
-            }
-            self.boundaries.dedup();
-        }
-        let mut start = 0usize;
-        for p in 0..parts {
-            let end = if p < self.boundaries.len() {
-                entries.partition_point(|e| e.0 < self.boundaries[p])
-            } else {
-                entries.len()
-            };
-            self.partitions[p].get_mut().bulk_load(&entries[start..end]);
-            start = end;
+        for (partition, part) in self.partitions.iter_mut().zip(self.cut.fit(entries)) {
+            partition.get_mut().bulk_load(part);
         }
     }
 
     fn get(&self, key: K) -> Option<Payload> {
-        self.partitions[self.partition_for(key)].read().get(key)
+        self.partitions[self.cut.shard_of(key)].read().get(key)
     }
 
     /// Routes every key once, read-locks each touched partition once in
@@ -138,7 +117,7 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
         out.clear();
         out.reserve(keys.len());
-        let routed: Vec<usize> = keys.iter().map(|&k| self.partition_for(k)).collect();
+        let routed: Vec<usize> = keys.iter().map(|&k| self.cut.shard_of(k)).collect();
         let mut touched = vec![false; self.partitions.len()];
         for &p in &routed {
             touched[p] = true;
@@ -162,7 +141,7 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
     }
 
     fn insert(&self, key: K, value: Payload) -> bool {
-        self.partitions[self.partition_for(key)]
+        self.partitions[self.cut.shard_of(key)]
             .write()
             .insert(key, value)
     }
@@ -170,31 +149,21 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
     /// Presence check and write happen under one partition write lock, so
     /// the trait's single-critical-section atomicity contract holds.
     fn update(&self, key: K, value: Payload) -> bool {
-        self.partitions[self.partition_for(key)]
+        self.partitions[self.cut.shard_of(key)]
             .write()
             .update(key, value)
     }
 
     fn remove(&self, key: K) -> Option<Payload> {
-        self.partitions[self.partition_for(key)].write().remove(key)
+        self.partitions[self.cut.shard_of(key)].write().remove(key)
     }
 
+    /// Walks the partitions in key order (see [`Partitioner::scan`]):
+    /// stops at `spec.count`, or at the first partition past `spec.end`.
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        let mut remaining = spec.count;
-        // Only the first partition is searched for `spec.start`; every later
-        // one holds larger keys and is scanned from its first slot.
-        let mut start = spec.start;
-        for partition in &self.partitions[self.partition_for(spec.start)..] {
-            if remaining == 0 {
-                break;
-            }
-            remaining -= partition
-                .read()
-                .range(RangeSpec::new(start, remaining), out);
-            start = K::MIN;
-        }
-        out.len() - before
+        self.cut.scan(spec, out, |p, sub, out| {
+            self.partitions[p].read().range(sub, out);
+        })
     }
 
     fn len(&self) -> usize {

@@ -55,15 +55,16 @@ impl LogFollower {
     /// (a freshly created log). Shard count comes from the WAL manifest.
     pub fn from_start(dir: &Path) -> io::Result<LogFollower> {
         let shards = read_manifest(dir)?;
+        let mut cursors = Vec::new();
+        for s in 0..shards {
+            cursors.push(Cursor {
+                offset: 0,
+                next_seq: read_snapshot(&snapshot_path(dir, s)).map_or(1, |snap| snap.last_seq + 1),
+            });
+        }
         Ok(LogFollower {
             dir: dir.to_path_buf(),
-            cursors: (0..shards)
-                .map(|s| Cursor {
-                    offset: 0,
-                    next_seq: read_snapshot(&snapshot_path(dir, s))
-                        .map_or(1, |snap| snap.last_seq + 1),
-                })
-                .collect(),
+            cursors,
             buf: Vec::new(),
         })
     }

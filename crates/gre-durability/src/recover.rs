@@ -184,7 +184,7 @@ impl Recovery {
     /// [`DurableLog::create`]) into a recovery image.
     pub fn recover(dir: &Path) -> io::Result<Recovery> {
         let shards = read_manifest(dir)?;
-        let mut recovered = Vec::with_capacity(shards);
+        let mut recovered = Vec::new();
         for shard in 0..shards {
             recovered.push(scan_shard(dir, shard)?);
         }

@@ -146,7 +146,11 @@ fn write_manifest(dir: &Path, shards: usize) -> io::Result<()> {
     std::fs::write(dir.join(MANIFEST), body)
 }
 
-/// Parse the manifest in `dir`; returns the shard count.
+/// Parse the manifest in `dir`; returns the shard count. A count is only
+/// believed when the directory backs it: [`DurableLog`] writes the manifest
+/// after every shard file exists, so a count `n` whose `shard-{n-1}.wal` is
+/// missing is corrupt (`InvalidData`), and no caller sizes anything from an
+/// unbacked count.
 pub fn read_manifest(dir: &Path) -> io::Result<usize> {
     let body = std::fs::read_to_string(dir.join(MANIFEST))?;
     let mut lines = body.lines();
@@ -160,7 +164,7 @@ pub fn read_manifest(dir: &Path) -> io::Result<usize> {
         .next()
         .and_then(|l| l.strip_prefix("shards "))
         .and_then(|n| n.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+        .filter(|&n| n > 0 && wal_path(dir, n - 1).is_file())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad wal manifest shard count"))
 }
 
@@ -196,7 +200,6 @@ impl DurableLog {
             assert!(n > 0, "SyncPolicy::EveryN(0) would never sync");
         }
         std::fs::create_dir_all(dir)?;
-        write_manifest(dir, shards)?;
         let mut shard_wals = Vec::with_capacity(shards);
         for shard in 0..shards {
             let file = FileSink::open(&wal_path(dir, shard))?;
@@ -216,6 +219,7 @@ impl DurableLog {
                 buf: Vec::new(),
             }));
         }
+        write_manifest(dir, shards)?;
         Ok(Arc::new(DurableLog {
             dir: dir.to_path_buf(),
             shards: shard_wals,

@@ -6,7 +6,8 @@ use gre_core::Request;
 use gre_durability::record::RecordError;
 use gre_durability::recover::StopReason;
 use gre_durability::util::TempDir;
-use gre_durability::{decode_record, DurableLog, Recovery, SyncPolicy};
+use gre_durability::{decode_record, DurableLog, LogFollower, Recovery, SyncPolicy, MANIFEST};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 fn wal_path(dir: &Path) -> PathBuf {
@@ -136,5 +137,29 @@ fn random_garbage_logs_recover_to_empty_without_panicking() {
         let rec = Recovery::recover(dir.path()).unwrap();
         assert!(rec.shards[0].groups.is_empty(), "len {len}");
         assert!(!matches!(rec.shards[0].stop, StopReason::CleanEnd));
+    }
+}
+
+#[test]
+fn manifest_counting_more_shards_than_the_directory_holds_is_invalid_data() {
+    let dir = TempDir::new("corrupt-manifest");
+    let _ = DurableLog::create(dir.path(), 2, SyncPolicy::EveryGroup).unwrap();
+    // `usize::MAX` would overflow any capacity sized from it; 3 names one
+    // shard file too many.
+    for count in [usize::MAX, 3] {
+        let body = format!("gre-wal v1\nshards {count}\n");
+        std::fs::write(dir.path().join(MANIFEST), body).unwrap();
+        let recovered = Recovery::recover(dir.path()).map(|_| ());
+        assert_eq!(
+            recovered.unwrap_err().kind(),
+            ErrorKind::InvalidData,
+            "recover, shards {count}"
+        );
+        let followed = LogFollower::from_start(dir.path()).map(|_| ());
+        assert_eq!(
+            followed.unwrap_err().kind(),
+            ErrorKind::InvalidData,
+            "follow, shards {count}"
+        );
     }
 }

@@ -190,6 +190,20 @@ mod tests {
     }
 
     #[test]
+    fn alex_plus_bounded_range_stops_at_the_window_end() {
+        // 64 partitions of 100 keys (0, 10, 20, …); the window [1500, 2500]
+        // touches partitions 1 and 2 only, and ALEX itself ignores `end`.
+        let mut a: AlexPlus<u64> = AlexPlus::new();
+        ConcurrentIndex::bulk_load(&mut a, &entries(6_400));
+        let mut out = Vec::new();
+        let got = a.range(RangeSpec::bounded(1_500, 2_500, 5_000), &mut out);
+        assert_eq!(got, 101);
+        assert_eq!(out.first().map(|e| e.0), Some(1_500));
+        assert_eq!(out.last().map(|e| e.0), Some(2_500));
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
     fn lipp_plus_basic_and_stat_contention_counter() {
         let mut l: LippPlus<u64> = LippPlus::new();
         ConcurrentIndex::bulk_load(&mut l, &entries(10_000));

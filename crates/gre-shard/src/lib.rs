@@ -12,13 +12,12 @@
 //! contention drops by construction because unrelated keys never touch the
 //! same structure.
 //!
-//! Three pieces:
+//! The `key -> shard` map is [`Partitioner`], gre-core's key-range router
+//! (re-exported here): [`Partitioner::range`] places boundaries, at bulk
+//! load, at the quantiles of the loaded keys, so shards spread evenly under
+//! key-distribution skew and stay ordered for sequential cross-shard scans.
+//! Three pieces build on it:
 //!
-//! * [`partition`] — the `key -> shard` maps: [`Partitioner::range`]
-//!   places boundaries, at bulk load, at the quantiles of a sampled key CDF (even spread
-//!   under key-distribution skew, ordered shards for sequential cross-shard
-//!   scans); [`Partitioner::hash`] scatters hot contiguous regions across
-//!   all shards (access-skew resistance, at the cost of fan-out scans).
 //! * [`sharded`] — [`ShardedIndex`], the composite store. It implements
 //!   `ConcurrentIndex` itself, so every existing harness entry point
 //!   (`Driver::run`, figure binaries, examples) serves a sharded variant
@@ -56,12 +55,11 @@
 //! ([`ShardPipeline::submit`]) or takes the [`Backpressure`] and decides
 //! ([`ShardPipeline::try_submit`]).
 
-pub mod partition;
 pub mod pipeline;
 pub mod serve;
 pub mod sharded;
 
-pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
+pub use gre_core::Partitioner;
 pub use pipeline::{
     Backpressure, BackpressureReason, OpBatch, Session, ShardPipeline, SubmitHandle,
     DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_CAPACITY,

@@ -1078,7 +1078,7 @@ impl<'p, B: ConcurrentIndex<u64> + 'static> Session<'p, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::Partitioner;
+    use crate::Partitioner;
     use gre_core::index::MutexIndex;
     use gre_core::{Index, IndexMeta, ModelIndex, Payload, RangeSpec};
     use gre_workloads::Tally;

@@ -279,14 +279,12 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
             // applies shards' writes in shard order, so a new write logged
             // under the new shard would lose to an old one left under a
             // higher shard.
-            let partitioner = index.partitioner();
+            // A backend holds exactly the keys its shard's range routes to
+            // it, so its full scan is that shard's checkpoint.
             for shard in 0..index.num_shards() {
                 let backend = index.backend(shard);
                 let mut entries = Vec::with_capacity(backend.len());
                 backend.range(gre_core::RangeSpec::new(0, backend.len()), &mut entries);
-                // Defensive: only this shard's keys (a backend scan may
-                // overrun under exotic partitioners).
-                entries.retain(|&(k, _)| partitioner.shard_of(k) == shard);
                 log.checkpoint(shard, &entries)
                     .expect("durable target: cannot checkpoint the loaded state");
             }
@@ -395,7 +393,7 @@ impl<B: ConcurrentIndex<u64> + 'static> Connection for WindowedConn<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::Partitioner;
+    use crate::Partitioner;
     use gre_core::index::MutexIndex;
     use gre_core::{ModelIndex, RangeSpec};
     use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};

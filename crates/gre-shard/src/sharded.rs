@@ -1,51 +1,38 @@
 //! `ShardedIndex`: a horizontally partitioned store over any
 //! [`ConcurrentIndex`] backend.
 //!
-//! Each shard is an independent backend instance; a [`Partitioner`] routes
-//! every key to exactly one shard, so point operations touch one backend and
-//! scale past the internal lock granularity of any single instance. The
-//! composite itself implements [`ConcurrentIndex`], which means it drops into
-//! every existing harness entry point (`Driver::run`, the figure binaries,
-//! the examples) unchanged — sharding composes with, rather than replaces,
-//! the backends.
+//! Each shard is an independent backend instance; a [`Partitioner`] cuts
+//! the key space into contiguous ranges and routes every key to exactly one
+//! shard, so point operations touch one backend and scale past the internal
+//! lock granularity of any single instance. The composite itself implements
+//! [`ConcurrentIndex`], which means it drops into every existing harness
+//! entry point (`Driver::run`, the figure binaries, the examples) unchanged —
+//! sharding composes with, rather than replaces, the backends.
 //!
 //! This is a different layer from `gre_core::Partitioned`, the partition-lock
 //! adapter under ALEX+, LIPP+ and the concurrent traditional indexes: that one
 //! builds a *concurrent index out of single-threaded parts*; this one builds a
 //! *serving layer out of already-concurrent backends* (learned or
-//! traditional), with pluggable partitioning and merged reporting.
+//! traditional), with merged reporting. Both cut and route through the same
+//! [`Partitioner`].
 
-use crate::partition::Partitioner;
-use gre_core::{ConcurrentIndex, IndexMeta, Key, Payload, RangeSpec};
+use gre_core::{ConcurrentIndex, IndexMeta, Key, Partitioner, Payload, RangeSpec};
 
-/// A range- or hash-partitioned store over `N` backend instances.
+/// A range-partitioned store over `N` backend instances.
 pub struct ShardedIndex<K: Key, B: ConcurrentIndex<K>> {
     partitioner: Partitioner<K>,
     backends: Vec<B>,
 }
 
 impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
-    /// Build from a partitioner and one backend per shard.
-    ///
-    /// # Panics
-    /// If `backends.len()` differs from `partitioner.shards()`.
-    pub fn new(partitioner: Partitioner<K>, backends: Vec<B>) -> Self {
-        assert_eq!(
-            backends.len(),
-            partitioner.shards(),
-            "one backend per shard required"
-        );
+    /// Build `partitioner.shards()` backends from a factory closure (the
+    /// closure receives the shard id).
+    pub fn from_factory(partitioner: Partitioner<K>, factory: impl FnMut(usize) -> B) -> Self {
+        let backends = (0..partitioner.shards()).map(factory).collect();
         ShardedIndex {
             partitioner,
             backends,
         }
-    }
-
-    /// Build `partitioner.shards()` backends from a factory closure (the
-    /// closure receives the shard id).
-    pub fn from_factory(partitioner: Partitioner<K>, mut factory: impl FnMut(usize) -> B) -> Self {
-        let backends = (0..partitioner.shards()).map(&mut factory).collect();
-        Self::new(partitioner, backends)
     }
 
     /// Number of shards.
@@ -65,7 +52,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
     }
 
     /// The partitioner in use. Only [`ConcurrentIndex::bulk_load`] changes
-    /// it (a range partitioner refits its boundaries to the loaded keys).
+    /// it (it refits the boundaries to the loaded keys).
     pub fn partitioner(&self) -> &Partitioner<K> {
         &self.partitioner
     }
@@ -74,82 +61,14 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
     pub fn per_shard_lens(&self) -> Vec<usize> {
         self.backends.iter().map(|b| b.len()).collect()
     }
-
-    /// Fan-out range scan for unordered (hash) partitioning: every shard may
-    /// hold keys from the requested window, so collect up to `count` from
-    /// each and k-way merge the per-shard (individually sorted) results.
-    /// The merge enforces `spec.end` itself, so backends that ignore the
-    /// bound still produce a correctly clipped stitched window.
-    fn range_fan_out(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let mut per_shard: Vec<Vec<(K, Payload)>> = Vec::with_capacity(self.backends.len());
-        for b in &self.backends {
-            let mut buf = Vec::new();
-            b.range(spec, &mut buf);
-            per_shard.push(buf);
-        }
-        let before = out.len();
-        let mut cursors = vec![0usize; per_shard.len()];
-        while out.len() - before < spec.count {
-            let mut min: Option<(usize, K)> = None;
-            for (s, buf) in per_shard.iter().enumerate() {
-                if let Some(&(k, _)) = buf.get(cursors[s]) {
-                    if min.map_or(true, |(_, mk)| k < mk) {
-                        min = Some((s, k));
-                    }
-                }
-            }
-            match min {
-                Some((s, k)) => {
-                    if !spec.admits(k) {
-                        break;
-                    }
-                    out.push(per_shard[s][cursors[s]]);
-                    cursors[s] += 1;
-                }
-                None => break,
-            }
-        }
-        out.len() - before
-    }
 }
 
 impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
-    /// Refits range boundaries to the loaded keys' CDF, then splits the
-    /// (sorted) entries into per-shard loads. Hash partitioning scatters;
-    /// every scattered sub-sequence of a sorted slice is itself sorted, so
-    /// backend bulk-load preconditions hold either way.
+    /// Refits the boundaries at the quantiles of the loaded (sorted)
+    /// entries, then hands each shard its contiguous slice.
     fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let partitioner = &mut self.partitioner;
-        if partitioner.is_ordered() {
-            // Stride-sample down to the CDF sketch budget up front so the
-            // transient key copy is O(SAMPLE_LIMIT), not O(entries).
-            let stride = entries
-                .len()
-                .div_ceil(crate::partition::SAMPLE_LIMIT)
-                .max(1);
-            let keys: Vec<K> = entries.iter().step_by(stride).map(|e| e.0).collect();
-            // Range routing is monotone in the key, so the contiguous-slice
-            // split below is valid.
-            partitioner.refit(&keys);
-            let mut start = 0usize;
-            for (s, backend) in self.backends.iter_mut().enumerate() {
-                let end = if s + 1 < partitioner.shards() {
-                    entries.partition_point(|e| partitioner.shard_of(e.0) <= s)
-                } else {
-                    entries.len()
-                };
-                backend.bulk_load(&entries[start..end]);
-                start = end;
-            }
-        } else {
-            let mut buckets: Vec<Vec<(K, Payload)>> =
-                (0..self.backends.len()).map(|_| Vec::new()).collect();
-            for &e in entries {
-                buckets[partitioner.shard_of(e.0)].push(e);
-            }
-            for (backend, bucket) in self.backends.iter_mut().zip(&buckets) {
-                backend.bulk_load(bucket);
-            }
+        for (backend, part) in self.backends.iter_mut().zip(self.partitioner.fit(entries)) {
+            backend.bulk_load(part);
         }
     }
 
@@ -239,52 +158,14 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
         self.backends[self.partitioner.shard_of(key)].remove(key)
     }
 
-    /// Cross-shard scans are stitched in key order. Range partitioning walks
-    /// shards in key order (shard `i` holds exactly the keys of segment
-    /// `i`); hash partitioning fans out to every shard and merges. The
-    /// stitcher enforces `spec.end` itself (clipping each sorted tail), so
-    /// bounded windows are honored even over backends that ignore the bound.
+    /// Cross-shard scans are stitched in key order: the walk visits shards
+    /// in key order (shard `i` holds exactly the keys of range `i`) and
+    /// clips each sorted tail at `spec.end` itself, so bounded windows are
+    /// honored even over backends that ignore the bound.
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let Some(rp) = self.partitioner.as_range() else {
-            return self.range_fan_out(spec, out);
-        };
-        let before = out.len();
-        let mut remaining = spec.count;
-        for shard in rp.segment_of(spec.start)..rp.segments() {
-            if remaining == 0 {
-                break;
-            }
-            let (lo, _) = rp.segment_range(shard);
-            // Stop once shards start past the end bound.
-            if let (Some(lo), Some(end)) = (lo, spec.end) {
-                if lo > end {
-                    break;
-                }
-            }
-            let start = match lo {
-                Some(lo) if lo > spec.start => lo,
-                _ => spec.start,
-            };
-            let at = out.len();
-            let sub = RangeSpec {
-                start,
-                count: remaining,
-                end: spec.end,
-            };
+        self.partitioner.scan(spec, out, |shard, sub, out| {
             self.backends[shard].range(sub, out);
-            // Clip overshoot past the end bound; once anything is clipped
-            // there, no later shard can contribute.
-            let mut end_clipped = false;
-            while out.len() > at && out.last().is_some_and(|e| !spec.admits(e.0)) {
-                out.pop();
-                end_clipped = true;
-            }
-            if end_clipped {
-                break;
-            }
-            remaining -= out.len() - at;
-        }
-        out.len() - before
+        })
     }
 
     /// Sum of the per-shard entry counts, read **non-atomically**: each
@@ -366,17 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_spreads_and_round_trips_hash_scheme() {
-        let mut idx = sharded(Partitioner::hash(4));
-        idx.bulk_load(&entries(8_000));
-        assert_eq!(idx.len(), 8_000);
-        assert!(idx.per_shard_lens().iter().all(|&l| l >= 1_000));
-        for i in (0..8_000).step_by(97) {
-            assert_eq!(idx.get(i * 7), Some(i));
-        }
-    }
-
-    #[test]
     fn point_ops_route_consistently() {
         let mut idx = sharded(Partitioner::range(8));
         idx.bulk_load(&entries(4_000));
@@ -391,66 +261,55 @@ mod tests {
 
     #[test]
     fn get_batch_routes_per_shard_and_preserves_order() {
-        for partitioner in [Partitioner::range(8), Partitioner::hash(8)] {
-            let mut idx = sharded(partitioner);
-            idx.bulk_load(&entries(4_000));
-            let mut keys: Vec<u64> = (0..333u64)
-                .map(|i| (i.wrapping_mul(0x9e37_79b9) % 5_000) * 7 + (i % 2))
-                .collect();
-            keys.push(keys[7]);
-            let mut batched = vec![Some(9)]; // stale content must be cleared
-            idx.get_batch(&keys, &mut batched);
-            let scalar: Vec<_> = keys.iter().map(|&k| idx.get(k)).collect();
-            assert_eq!(batched, scalar);
-            assert!(batched.iter().any(|r| r.is_some()));
-            assert!(batched.iter().any(|r| r.is_none()));
-        }
+        let mut idx = sharded(Partitioner::range(8));
+        idx.bulk_load(&entries(4_000));
+        let mut keys: Vec<u64> = (0..333u64)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) % 5_000) * 7 + (i % 2))
+            .collect();
+        keys.push(keys[7]);
+        let mut batched = vec![Some(9)]; // stale content must be cleared
+        idx.get_batch(&keys, &mut batched);
+        let scalar: Vec<_> = keys.iter().map(|&k| idx.get(k)).collect();
+        assert_eq!(batched, scalar);
+        assert!(batched.iter().any(|r| r.is_some()));
+        assert!(batched.iter().any(|r| r.is_none()));
     }
 
     #[test]
     fn range_scan_stitches_across_shard_boundaries_in_order() {
-        for partitioner in [Partitioner::range(8), Partitioner::hash(8)] {
-            let mut idx = sharded(partitioner);
-            idx.bulk_load(&entries(8_000));
-            let mut out = Vec::new();
-            let got = idx.range(RangeSpec::new(3 * 7, 5_000), &mut out);
-            assert_eq!(got, 5_000);
-            assert_eq!(out.len(), 5_000);
-            assert_eq!(out[0].0, 21);
-            assert_eq!(out.last().unwrap().0, (3 + 4_999) * 7);
-            assert!(
-                out.windows(2).all(|w| w[0].0 < w[1].0),
-                "stitched scan must be in strictly ascending key order"
-            );
-        }
+        let mut idx = sharded(Partitioner::range(8));
+        idx.bulk_load(&entries(8_000));
+        let mut out = Vec::new();
+        let got = idx.range(RangeSpec::new(3 * 7, 5_000), &mut out);
+        assert_eq!(got, 5_000);
+        assert_eq!(out.len(), 5_000);
+        assert_eq!(out[0].0, 21);
+        assert_eq!(out.last().unwrap().0, (3 + 4_999) * 7);
+        assert!(
+            out.windows(2).all(|w| w[0].0 < w[1].0),
+            "stitched scan must be in strictly ascending key order"
+        );
     }
 
     #[test]
     fn bounded_range_scan_clips_at_end_across_shards() {
-        for partitioner in [Partitioner::range(8), Partitioner::hash(8)] {
-            let scheme = partitioner.scheme();
-            let mut idx = sharded(partitioner);
-            idx.bulk_load(&entries(8_000)); // keys 0, 7, 14, …
-                                            // Window [21, 2100]: keys 21..=2100 step 7 → 298 entries, fewer
-                                            // than the count limit, so the end bound does the clipping.
-            let mut out = Vec::new();
-            let got = idx.range(RangeSpec::bounded(21, 2_100, 5_000), &mut out);
-            assert_eq!(got, 298, "{scheme}");
-            assert_eq!(out.first().unwrap().0, 21);
-            assert_eq!(out.last().unwrap().0, 2_100); // 2100 = 300*7 is a stored key
-            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-            assert!(out.iter().all(|e| (21..=2_100).contains(&e.0)));
-            // Count still limits a wide bounded window.
-            out.clear();
-            assert_eq!(idx.range(RangeSpec::bounded(0, u64::MAX, 10), &mut out), 10);
-            // Empty window.
-            out.clear();
-            assert_eq!(
-                idx.range(RangeSpec::bounded(22, 27, 10), &mut out),
-                0,
-                "{scheme}"
-            );
-        }
+        let mut idx = sharded(Partitioner::range(8));
+        idx.bulk_load(&entries(8_000)); // keys 0, 7, 14, …
+                                        // Window [21, 2100]: keys 21..=2100 step 7 → 298 entries, fewer
+                                        // than the count limit, so the end bound does the clipping.
+        let mut out = Vec::new();
+        let got = idx.range(RangeSpec::bounded(21, 2_100, 5_000), &mut out);
+        assert_eq!(got, 298);
+        assert_eq!(out.first().unwrap().0, 21);
+        assert_eq!(out.last().unwrap().0, 2_100); // 2100 = 300*7 is a stored key
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(out.iter().all(|e| (21..=2_100).contains(&e.0)));
+        // Count still limits a wide bounded window.
+        out.clear();
+        assert_eq!(idx.range(RangeSpec::bounded(0, u64::MAX, 10), &mut out), 10);
+        // Empty window.
+        out.clear();
+        assert_eq!(idx.range(RangeSpec::bounded(22, 27, 10), &mut out), 0);
     }
 
     #[test]
@@ -507,7 +366,6 @@ mod tests {
         assert!(meta.supports_range);
         assert!(!meta.learned);
         assert_eq!(idx.num_shards(), 4);
-        assert_eq!(idx.partitioner().scheme(), "range");
     }
 
     #[test]
@@ -521,16 +379,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one backend per shard")]
-    fn mismatched_backend_count_panics() {
-        let _ = ShardedIndex::new(Partitioner::<u64>::range(4), vec![backend()]);
-    }
-
-    #[test]
     fn boxed_dyn_backends_work() {
         // The gre-core Box forwarding impl in action: heterogeneous-capable
         // dyn backends under one sharded store.
-        let partitioner = Partitioner::<u64>::hash(3);
+        let partitioner = Partitioner::<u64>::range(3);
         let mut idx: ShardedIndex<u64, Box<dyn ConcurrentIndex<u64>>> =
             ShardedIndex::from_factory(partitioner, |_| {
                 Box::new(backend()) as Box<dyn ConcurrentIndex<u64>>

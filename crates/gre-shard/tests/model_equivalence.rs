@@ -1,9 +1,8 @@
 //! Model-equivalence and concurrency tests for the sharded serving layer.
 //!
 //! `ShardedIndex` must be observationally identical to a plain `BTreeMap`
-//! under any interleaving of get/insert/update/remove/range — for both
-//! partitioning schemes and over both a learned (ALEX+) and a traditional
-//! (B+tree/p64) backend. The randomized runs are seeded, so failures
+//! under any interleaving of get/insert/update/remove/range — over both a
+//! learned (ALEX+) and a traditional (B+tree/p64) backend. The randomized runs are seeded, so failures
 //! reproduce deterministically.
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
@@ -28,10 +27,6 @@ fn backends() -> Vec<(&'static str, BackendFactory)> {
     ]
 }
 
-fn partitioners(shards: usize) -> Vec<Partitioner<u64>> {
-    vec![Partitioner::range(shards), Partitioner::hash(shards)]
-}
-
 fn build(partitioner: Partitioner<u64>, factory: fn() -> DynBackend) -> DynSharded {
     ShardedIndex::from_factory(partitioner, |_| factory())
 }
@@ -40,82 +35,76 @@ fn build(partitioner: Partitioner<u64>, factory: fn() -> DynBackend) -> DynShard
 #[test]
 fn sharded_index_matches_btreemap_model() {
     for (name, factory) in backends() {
-        for partitioner in partitioners(5) {
-            let scheme = partitioner.scheme();
-            let mut idx = build(partitioner, factory);
-            let mut model: BTreeMap<u64, Payload> = BTreeMap::new();
+        let mut idx = build(Partitioner::range(5), factory);
+        let mut model: BTreeMap<u64, Payload> = BTreeMap::new();
 
-            // Bulk phase: dense-ish keys so shard boundaries fall mid-data.
-            let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 11, i)).collect();
-            idx.bulk_load(&bulk);
-            model.extend(bulk.iter().copied());
+        // Bulk phase: dense-ish keys so shard boundaries fall mid-data.
+        let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 11, i)).collect();
+        idx.bulk_load(&bulk);
+        model.extend(bulk.iter().copied());
 
-            let mut rng = StdRng::seed_from_u64(0xd1ce);
-            for step in 0..6_000 {
-                let key = rng.gen_range(0..40_000u64);
-                let ctx = format!("{name}/{scheme} step {step} key {key}");
-                match rng.gen_range(0..10u32) {
-                    0..=3 => {
-                        assert_eq!(idx.get(key), model.get(&key).copied(), "get {ctx}");
-                    }
-                    4..=6 => {
-                        let v = rng.gen::<u64>();
-                        let fresh = idx.insert(key, v);
-                        assert_eq!(fresh, model.insert(key, v).is_none(), "insert {ctx}");
-                    }
-                    7 => {
-                        let v = rng.gen::<u64>();
-                        let hit = idx.update(key, v);
-                        let model_hit = model.get_mut(&key).map(|slot| *slot = v).is_some();
-                        assert_eq!(hit, model_hit, "update {ctx}");
-                    }
-                    8 => {
-                        assert_eq!(idx.remove(key), model.remove(&key), "remove {ctx}");
-                    }
-                    _ => {
-                        let count = rng.gen_range(1..200usize);
-                        let mut got = Vec::new();
-                        idx.range(RangeSpec::new(key, count), &mut got);
-                        let want: Vec<(u64, Payload)> = model
-                            .range(key..)
-                            .take(count)
-                            .map(|(k, v)| (*k, *v))
-                            .collect();
-                        assert_eq!(got, want, "range {ctx}");
-                    }
+        let mut rng = StdRng::seed_from_u64(0xd1ce);
+        for step in 0..6_000 {
+            let key = rng.gen_range(0..40_000u64);
+            let ctx = format!("{name} step {step} key {key}");
+            match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    assert_eq!(idx.get(key), model.get(&key).copied(), "get {ctx}");
+                }
+                4..=6 => {
+                    let v = rng.gen::<u64>();
+                    let fresh = idx.insert(key, v);
+                    assert_eq!(fresh, model.insert(key, v).is_none(), "insert {ctx}");
+                }
+                7 => {
+                    let v = rng.gen::<u64>();
+                    let hit = idx.update(key, v);
+                    let model_hit = model.get_mut(&key).map(|slot| *slot = v).is_some();
+                    assert_eq!(hit, model_hit, "update {ctx}");
+                }
+                8 => {
+                    assert_eq!(idx.remove(key), model.remove(&key), "remove {ctx}");
+                }
+                _ => {
+                    let count = rng.gen_range(1..200usize);
+                    let mut got = Vec::new();
+                    idx.range(RangeSpec::new(key, count), &mut got);
+                    let want: Vec<(u64, Payload)> = model
+                        .range(key..)
+                        .take(count)
+                        .map(|(k, v)| (*k, *v))
+                        .collect();
+                    assert_eq!(got, want, "range {ctx}");
                 }
             }
-            assert_eq!(idx.len(), model.len(), "{name}/{scheme} final len");
         }
+        assert_eq!(idx.len(), model.len(), "{name} final len");
     }
 }
 
 /// Scans that start in one shard and end in another must stitch seamlessly,
-/// for both schemes and both backends.
+/// for both backends.
 #[test]
 fn cross_shard_range_scans_stitch_in_key_order() {
     for (name, factory) in backends() {
-        for partitioner in partitioners(8) {
-            let scheme = partitioner.scheme();
-            let mut idx = build(partitioner, factory);
-            let bulk: Vec<(u64, Payload)> = (0..8_000u64).map(|i| (i * 3, i)).collect();
-            idx.bulk_load(&bulk);
+        let mut idx = build(Partitioner::range(8), factory);
+        let bulk: Vec<(u64, Payload)> = (0..8_000u64).map(|i| (i * 3, i)).collect();
+        idx.bulk_load(&bulk);
 
-            // Whole-domain scan: every key, in order, exactly once.
-            let mut out = Vec::new();
-            let got = idx.range(RangeSpec::new(0, 8_000), &mut out);
-            assert_eq!(got, 8_000, "{name}/{scheme}");
-            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-            assert_eq!(out.first().unwrap().0, 0);
-            assert_eq!(out.last().unwrap().0, 7_999 * 3);
+        // Whole-domain scan: every key, in order, exactly once.
+        let mut out = Vec::new();
+        let got = idx.range(RangeSpec::new(0, 8_000), &mut out);
+        assert_eq!(got, 8_000, "{name}");
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(out.first().unwrap().0, 0);
+        assert_eq!(out.last().unwrap().0, 7_999 * 3);
 
-            // A window straddling the middle of the key space.
-            let mut out = Vec::new();
-            let got = idx.range(RangeSpec::new(4_000 * 3 + 1, 1_000), &mut out);
-            assert_eq!(got, 1_000, "{name}/{scheme}");
-            assert_eq!(out.first().unwrap().0, 4_001 * 3);
-            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        }
+        // A window straddling the middle of the key space.
+        let mut out = Vec::new();
+        let got = idx.range(RangeSpec::new(4_000 * 3 + 1, 1_000), &mut out);
+        assert_eq!(got, 1_000, "{name}");
+        assert_eq!(out.first().unwrap().0, 4_001 * 3);
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }
 

@@ -80,50 +80,47 @@ fn random_point_op(rng: &mut StdRng) -> Op {
 #[test]
 fn session_responses_match_btreemap_model_on_mixed_stream() {
     for (name, factory) in backends() {
-        for partitioner in [Partitioner::range(5), Partitioner::hash(5)] {
-            let scheme = partitioner.scheme();
-            let mut idx = build(partitioner, factory);
-            let mut model: BTreeMap<u64, Payload> = BTreeMap::new();
-            let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 11, i)).collect();
-            idx.bulk_load(&bulk);
-            model.extend(bulk.iter().copied());
+        let mut idx = build(Partitioner::range(5), factory);
+        let mut model: BTreeMap<u64, Payload> = BTreeMap::new();
+        let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 11, i)).collect();
+        idx.bulk_load(&bulk);
+        model.extend(bulk.iter().copied());
 
-            let pipeline = ShardPipeline::new(Arc::new(idx), 4);
-            let mut session = Session::new(&pipeline);
-            let mut rng = StdRng::seed_from_u64(0x5e55);
-            for round in 0..60 {
-                let ops: Vec<Op> = if round % 3 == 2 {
-                    // A scan batch: bounded and unbounded cross-shard ranges.
-                    (0..20)
-                        .map(|_| {
-                            let start = rng.gen_range(0..40_000u64);
-                            let count = rng.gen_range(1..150usize);
-                            if rng.gen_bool(0.5) {
-                                Op::Range(RangeSpec::new(start, count))
-                            } else {
-                                let end = start + rng.gen_range(0..2_000u64);
-                                Op::Range(RangeSpec::bounded(start, end, count))
-                            }
-                        })
-                        .collect()
-                } else {
-                    // A point batch: mixed get/insert/update/remove.
-                    (0..100).map(|_| random_point_op(&mut rng)).collect()
-                };
-                let expected: Vec<Response<u64>> = {
-                    let mut m = Vec::with_capacity(ops.len());
-                    for &op in &ops {
-                        m.push(model_response(&mut model, op));
-                    }
-                    m
-                };
-                session.submit(OpBatch::new(ops));
-                let got = session.recv().expect("one batch pending");
-                assert_eq!(got, expected, "{name}/{scheme} round {round}");
-            }
-            assert_eq!(session.pending(), 0);
-            assert_eq!(pipeline.index().len(), model.len(), "{name}/{scheme}");
+        let pipeline = ShardPipeline::new(Arc::new(idx), 4);
+        let mut session = Session::new(&pipeline);
+        let mut rng = StdRng::seed_from_u64(0x5e55);
+        for round in 0..60 {
+            let ops: Vec<Op> = if round % 3 == 2 {
+                // A scan batch: bounded and unbounded cross-shard ranges.
+                (0..20)
+                    .map(|_| {
+                        let start = rng.gen_range(0..40_000u64);
+                        let count = rng.gen_range(1..150usize);
+                        if rng.gen_bool(0.5) {
+                            Op::Range(RangeSpec::new(start, count))
+                        } else {
+                            let end = start + rng.gen_range(0..2_000u64);
+                            Op::Range(RangeSpec::bounded(start, end, count))
+                        }
+                    })
+                    .collect()
+            } else {
+                // A point batch: mixed get/insert/update/remove.
+                (0..100).map(|_| random_point_op(&mut rng)).collect()
+            };
+            let expected: Vec<Response<u64>> = {
+                let mut m = Vec::with_capacity(ops.len());
+                for &op in &ops {
+                    m.push(model_response(&mut model, op));
+                }
+                m
+            };
+            session.submit(OpBatch::new(ops));
+            let got = session.recv().expect("one batch pending");
+            assert_eq!(got, expected, "{name} round {round}");
         }
+        assert_eq!(session.pending(), 0);
+        assert_eq!(pipeline.index().len(), model.len(), "{name}");
     }
 }
 
