@@ -6,7 +6,9 @@
 //! has no proptest, so the same property is exercised with seeded random
 //! operation sequences (deterministic, so failures reproduce by seed).
 
-use gre::learned::{Alex, DynamicPgm, Lipp};
+use gre::learned::{
+    Alex, DynamicPgm, FinedexConfig, FinedexGroups, Lipp, XIndexConfig, XIndexGroups,
+};
 use gre::traditional::{Art, BPlusTree, Hot, Masstree, Wormhole};
 use gre_core::{Index, RangeSpec};
 use rand::rngs::StdRng;
@@ -126,3 +128,23 @@ model_test!(art_matches_btreemap, Art::<u64>::new());
 model_test!(hot_matches_btreemap, Hot::<u64>::new());
 model_test!(wormhole_matches_btreemap, Wormhole::<u64>::new());
 model_test!(masstree_matches_btreemap, Masstree::<u64>::new());
+model_test!(xindex_matches_btreemap, XIndexGroups::<u64>::new());
+model_test!(finedex_matches_btreemap, FinedexGroups::<u64>::new());
+// Small groups, a tight error bound and tiny deltas/bins: compaction,
+// flattening and routing across several groups all run within one case.
+model_test!(
+    xindex_small_matches_btreemap,
+    XIndexGroups::<u64>::with_config(XIndexConfig {
+        group_size: 64,
+        error_bound: 4,
+        delta_size: 8,
+    })
+);
+model_test!(
+    finedex_small_matches_btreemap,
+    FinedexGroups::<u64>::with_config(FinedexConfig {
+        group_size: 64,
+        error_bound: 4,
+        bin_capacity: 2,
+    })
+);
