@@ -136,7 +136,8 @@ pub trait Index<K: Key>: Send {
     fn memory_usage(&self) -> usize;
 
     /// Statistics accumulated since construction (most indexes restart
-    /// them on `bulk_load`).
+    /// them on `bulk_load`). Of the benchmarked indexes only ALEX and LIPP
+    /// keep any; the others report this empty default.
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::default()
     }

@@ -65,37 +65,6 @@ impl Key for u64 {
     }
 }
 
-impl Key for u32 {
-    const MIN: Self = u32::MIN;
-    const MAX: Self = u32::MAX;
-
-    #[inline]
-    fn to_model_input(&self) -> f64 {
-        *self as f64
-    }
-
-    #[inline]
-    fn from_model_input(v: f64) -> Self {
-        if v <= 0.0 {
-            0
-        } else if v >= u32::MAX as f64 {
-            u32::MAX
-        } else {
-            v as u32
-        }
-    }
-
-    #[inline]
-    fn to_radix_bytes(&self) -> [u8; 8] {
-        (*self as u64).to_be_bytes()
-    }
-
-    #[inline]
-    fn successor(&self) -> Self {
-        self.saturating_add(1)
-    }
-}
-
 /// The 8-byte payload type used throughout the benchmark.
 pub type Payload = u64;
 
@@ -146,27 +115,16 @@ mod tests {
     }
 
     #[test]
-    fn u32_from_model_input_clamps() {
-        assert_eq!(u32::from_model_input(-5.0), 0);
-        assert_eq!(u32::from_model_input(1e20), u32::MAX);
-        assert_eq!(u32::from_model_input(12.2), 12);
-    }
-
-    #[test]
     fn radix_bytes_preserve_order() {
         let a = 0x0102_0304_0506_0708u64;
         let b = 0x0102_0304_0506_0709u64;
         assert!(a.to_radix_bytes() < b.to_radix_bytes());
-        let c = 5u32;
-        let d = 600u32;
-        assert!(c.to_radix_bytes() < d.to_radix_bytes());
     }
 
     #[test]
     fn successor_saturates() {
         assert_eq!(u64::MAX.successor(), u64::MAX);
         assert_eq!(41u64.successor(), 42);
-        assert_eq!(u32::MAX.successor(), u32::MAX);
     }
 
     #[test]

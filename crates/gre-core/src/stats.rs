@@ -3,8 +3,9 @@
 //! Reproducing Figure 3 (insert-time breakdown into lookup / insert / SMO /
 //! key shifting / node chaining) and Table 3 (nodes traversed, keys shifted,
 //! nodes created per insert) requires the indexes themselves to account
-//! where time and work go. Every index embeds an [`OpCounters`] and adds to
-//! its fields where the work happens.
+//! where time and work go. ALEX and LIPP, the two indexes both tabulate,
+//! embed an [`OpCounters`] and add to its fields where the work happens;
+//! the other indexes keep no counters and report the default snapshot.
 
 /// Phases of an insert operation, matching the stacked bars of Figure 3.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

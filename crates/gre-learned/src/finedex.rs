@@ -8,12 +8,17 @@
 //! We implement the same structure with one flattening pass when a bin grows
 //! past its budget (the stand-in for parallel retraining).
 //!
-//! [`FinedexGroups`] is that structure single-threaded; [`Finedex`] is
-//! [`gre_core::Partitioned`] over it, so a partition's lock guards the groups
-//! of its key range (see "Substitutions" in `docs/BENCHMARKS.md`).
+//! [`FinedexGroups`] is that structure single-threaded: the group index in
+//! `groups.rs`, which FINEdex shares with XIndex, with [`FinDelta`] as its
+//! delta. [`Finedex`] is [`gre_core::Partitioned`] over it, so a partition's
+//! lock guards the groups of its key range (see "Substitutions" in
+//! `docs/BENCHMARKS.md`).
 
-use gre_core::{Index, IndexMeta, Key, Partitionable, Partitioned, Payload, RangeSpec};
-use gre_pla::LinearModel;
+use crate::groups::{Delta, GroupIndex, Main};
+// The unit tests drive the groups through the `Index` trait.
+#[cfg(test)]
+use gre_core::Index;
+use gre_core::{Key, Partitioned, Payload, RangeSpec};
 
 /// Configuration (Table 1: error bound 32).
 #[derive(Debug, Clone, Copy)]
@@ -36,89 +41,117 @@ impl Default for FinedexConfig {
     }
 }
 
+/// FINEdex's delta policy: per-record level bins and deletion markers.
+/// `bins[i]` holds, sorted, the inserted keys between record `i` and record
+/// `i + 1`; `bins[0]` also holds the keys below record 0.
 #[derive(Debug)]
-struct FinGroup<K: Key> {
-    model: LinearModel,
-    keys: Vec<K>,
-    values: Vec<Payload>,
-    /// Per-record level bins: `bins[i]` holds inserted keys that sort between
-    /// `keys[i]` (exclusive) and `keys[i + 1]` (exclusive); `bins[0]` also
-    /// absorbs keys below `keys[0]`. Bin entries are kept sorted.
+pub struct FinDelta<K> {
     bins: Vec<Vec<(K, Payload)>>,
-    /// Deletion markers for main-array records.
     dead: Vec<bool>,
 }
 
-impl<K: Key> FinGroup<K> {
-    fn build(keys: Vec<K>, values: Vec<Payload>) -> Self {
-        let model = LinearModel::fit_keys(&keys);
-        let n = keys.len();
-        FinGroup {
-            model,
-            keys,
-            values,
-            bins: (0..n.max(1)).map(|_| Vec::new()).collect(),
-            dead: vec![false; n],
+impl<K: Key> FinDelta<K> {
+    /// The bin of a key that would go at `pos`: the preceding record's.
+    fn bin(&self, pos: usize) -> &Vec<(K, Payload)> {
+        &self.bins[pos.saturating_sub(1)]
+    }
+
+    fn bin_mut(&mut self, pos: usize) -> &mut Vec<(K, Payload)> {
+        &mut self.bins[pos.saturating_sub(1)]
+    }
+}
+
+impl<K: Key> Delta<K> for FinDelta<K> {
+    type Config = FinedexConfig;
+    const NAME: &'static str = "FINEdex";
+
+    fn error_bound(config: &FinedexConfig) -> usize {
+        config.error_bound
+    }
+
+    fn group_size(config: &FinedexConfig) -> usize {
+        config.group_size
+    }
+
+    fn new(len: usize) -> Self {
+        FinDelta {
+            bins: (0..len.max(1)).map(|_| Vec::new()).collect(),
+            dead: vec![false; len],
         }
     }
 
-    fn lower_bound(&self, key: K, error_bound: usize) -> usize {
-        self.model.lower_bound(&self.keys, key, error_bound)
+    fn is_dead(&self, pos: usize, _key: K) -> bool {
+        self.dead[pos]
     }
 
-    /// Bin index responsible for a key that is *not* in the main array:
-    /// the record preceding it (or bin 0 for keys before every record).
-    fn bin_for(&self, key: K, error_bound: usize) -> usize {
-        let lb = self.lower_bound(key, error_bound);
-        lb.saturating_sub(if lb > 0 && self.keys.get(lb).map_or(true, |k| *k != key) {
-            1
-        } else {
-            0
-        })
-        .min(self.bins.len().saturating_sub(1))
+    fn set_dead(&mut self, pos: usize, _key: K, dead: bool) -> bool {
+        std::mem::replace(&mut self.dead[pos], dead)
     }
 
-    fn get(&self, key: K, error_bound: usize) -> Option<Payload> {
-        let pos = self.lower_bound(key, error_bound);
-        if pos < self.keys.len() && self.keys[pos] == key {
-            return (!self.dead[pos]).then(|| self.values[pos]);
+    fn get(&self, pos: usize, key: K) -> Option<Payload> {
+        let bin = self.bin(pos);
+        bin.binary_search_by_key(&key, |e| e.0)
+            .ok()
+            .map(|i| bin[i].1)
+    }
+
+    fn insert(&mut self, pos: usize, key: K, value: Payload) -> bool {
+        let bin = self.bin_mut(pos);
+        match bin.binary_search_by_key(&key, |e| e.0) {
+            Ok(i) => {
+                bin[i].1 = value;
+                false
+            }
+            Err(i) => {
+                bin.insert(i, (key, value));
+                true
+            }
         }
-        let bin = self.bin_for(key, error_bound);
-        self.bins
-            .get(bin)
-            .and_then(|b| b.iter().find(|e| e.0 == key).map(|e| e.1))
     }
 
-    /// Total live entries.
-    fn live_count(&self) -> usize {
-        self.keys.len() - self.dead.iter().filter(|d| **d).count()
+    fn full(&self, pos: usize, config: &FinedexConfig) -> bool {
+        self.bin(pos).len() > config.bin_capacity
+    }
+
+    fn update(&mut self, pos: usize, key: K, value: Payload) -> bool {
+        let bin = self.bin_mut(pos);
+        bin.binary_search_by_key(&key, |e| e.0)
+            .map(|i| bin[i].1 = value)
+            .is_ok()
+    }
+
+    fn remove(&mut self, pos: usize, key: K) -> Option<Payload> {
+        let bin = self.bin_mut(pos);
+        let i = bin.binary_search_by_key(&key, |e| e.0).ok()?;
+        Some(bin.remove(i).1)
+    }
+
+    /// Walks the records from the one before `from`, each followed by its
+    /// bin, after the keys of bin 0 that precede record 0.
+    fn scan(&self, main: &Main<K>, from: usize, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) {
+        let first = main.keys.first().copied();
+        let (leading, bin0) = self.bins[0]
+            .split_at(self.bins[0].partition_point(|e| first.map_or(true, |f| e.0 < f)));
+        let records = (from.saturating_sub(1)..main.keys.len()).flat_map(|i| {
+            let record = (!self.dead[i]).then(|| (main.keys[i], main.values[i]));
+            let bin = if i == 0 { bin0 } else { &self.bins[i][..] };
+            record.into_iter().chain(bin.iter().copied())
+        });
+        let live = leading
+            .iter()
+            .copied()
+            .chain(records)
+            .filter(|e| e.0 >= spec.start);
+        out.extend(live.take(spec.count));
+    }
+
+    fn live_count(&self, main_len: usize) -> usize {
+        main_len - self.dead.iter().filter(|d| **d).count()
             + self.bins.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Flatten bins and tombstones into a fresh sorted array and retrain.
-    fn flatten(&mut self) {
-        let mut entries: Vec<(K, Payload)> = Vec::with_capacity(self.live_count());
-        for (i, k) in self.keys.iter().enumerate() {
-            if !self.dead[i] {
-                entries.push((*k, self.values[i]));
-            }
-        }
-        for bin in &self.bins {
-            entries.extend_from_slice(bin);
-        }
-        entries.sort_by_key(|e| e.0);
-        let rebuilt = FinGroup::build(
-            entries.iter().map(|e| e.0).collect(),
-            entries.iter().map(|e| e.1).collect(),
-        );
-        *self = rebuilt;
-    }
-
-    fn memory(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.keys.capacity() * std::mem::size_of::<K>()
-            + self.values.capacity() * std::mem::size_of::<Payload>()
-            + self.dead.capacity()
+    fn heap_bytes(&self) -> usize {
+        self.dead.capacity()
             + self
                 .bins
                 .iter()
@@ -128,229 +161,13 @@ impl<K: Key> FinGroup<K> {
                 })
                 .sum::<usize>()
     }
-
-    /// In-order iteration over main array + bins starting at `start`.
-    fn scan_into(&self, start: K, error_bound: usize, target: usize, out: &mut Vec<(K, Payload)>) {
-        // bins[i] sorts after keys[i]; bin 0 also holds keys before keys[0].
-        let emit_bin = |bin: &Vec<(K, Payload)>, out: &mut Vec<(K, Payload)>, below: Option<K>| {
-            for &(k, v) in bin {
-                if out.len() >= target {
-                    return;
-                }
-                if k >= start && below.map_or(true, |b| k < b) {
-                    out.push((k, v));
-                }
-            }
-        };
-        if self.keys.is_empty() {
-            if let Some(bin) = self.bins.first() {
-                emit_bin(bin, out, None);
-            }
-            return;
-        }
-        // Keys in bin 0 that precede the first main key.
-        if let Some(bin) = self.bins.first() {
-            emit_bin(bin, out, Some(self.keys[0]));
-        }
-        // Records before the one preceding `start`'s lower bound, and their
-        // bins, hold only smaller keys.
-        for i in self.lower_bound(start, error_bound).saturating_sub(1)..self.keys.len() {
-            if out.len() >= target {
-                return;
-            }
-            if !self.dead[i] && self.keys[i] >= start {
-                out.push((self.keys[i], self.values[i]));
-            }
-            let below = self.keys.get(i + 1).copied();
-            if let Some(bin) = self.bins.get(i) {
-                // Bin 0's below-first-key entries were already emitted; the
-                // filter below keeps only entries after keys[i].
-                for &(k, v) in bin {
-                    if out.len() >= target {
-                        return;
-                    }
-                    if k >= start && k > self.keys[i] && below.map_or(true, |b| k < b) {
-                        out.push((k, v));
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// FINEdex, single-threaded: routed groups with per-record level bins.
-pub struct FinedexGroups<K: Key> {
-    config: FinedexConfig,
-    /// First key of each group.
-    boundaries: Vec<K>,
-    groups: Vec<FinGroup<K>>,
-}
+pub type FinedexGroups<K> = GroupIndex<K, FinDelta<K>>;
 
 /// FINEdex: the group index behind one partition lock per key range.
 pub type Finedex<K> = Partitioned<K, FinedexGroups<K>>;
-
-impl<K: Key> Default for FinedexGroups<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Key> FinedexGroups<K> {
-    pub fn new() -> Self {
-        Self::with_config(FinedexConfig::default())
-    }
-
-    pub fn with_config(config: FinedexConfig) -> Self {
-        FinedexGroups {
-            config,
-            boundaries: vec![K::MIN],
-            groups: vec![FinGroup::build(Vec::new(), Vec::new())],
-        }
-    }
-
-    fn locate(&self, key: K) -> usize {
-        self.boundaries
-            .partition_point(|b| *b <= key)
-            .saturating_sub(1)
-    }
-}
-
-impl<K: Key> Index<K> for FinedexGroups<K> {
-    fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let group_size = self.config.group_size.max(64);
-        let mut groups = Vec::new();
-        let mut boundaries = Vec::new();
-        if entries.is_empty() {
-            groups.push(FinGroup::build(Vec::new(), Vec::new()));
-            boundaries.push(K::MIN);
-        } else {
-            for chunk in entries.chunks(group_size) {
-                boundaries.push(chunk[0].0);
-                groups.push(FinGroup::build(
-                    chunk.iter().map(|e| e.0).collect(),
-                    chunk.iter().map(|e| e.1).collect(),
-                ));
-            }
-            boundaries[0] = K::MIN;
-        }
-        self.groups = groups;
-        self.boundaries = boundaries;
-    }
-
-    fn get(&self, key: K) -> Option<Payload> {
-        self.groups[self.locate(key)].get(key, self.config.error_bound)
-    }
-
-    fn insert(&mut self, key: K, value: Payload) -> bool {
-        let idx = self.locate(key);
-        let group = &mut self.groups[idx];
-        let error_bound = self.config.error_bound;
-        let pos = group.lower_bound(key, error_bound);
-        if pos < group.keys.len() && group.keys[pos] == key {
-            let was_dead = group.dead[pos];
-            group.values[pos] = value;
-            group.dead[pos] = false;
-            return was_dead;
-        }
-        let bin = group.bin_for(key, error_bound);
-        let bin_vec = &mut group.bins[bin];
-        match bin_vec.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => {
-                bin_vec[i].1 = value;
-                false
-            }
-            Err(i) => {
-                bin_vec.insert(i, (key, value));
-                let overflow = bin_vec.len() > self.config.bin_capacity;
-                if overflow {
-                    // Parallel-retraining stand-in: flatten this group.
-                    group.flatten();
-                }
-                true
-            }
-        }
-    }
-
-    /// Unlike `insert`, an absent (or tombstoned) key is left absent.
-    fn update(&mut self, key: K, value: Payload) -> bool {
-        let idx = self.locate(key);
-        let group = &mut self.groups[idx];
-        let error_bound = self.config.error_bound;
-        let pos = group.lower_bound(key, error_bound);
-        if pos < group.keys.len() && group.keys[pos] == key {
-            if group.dead[pos] {
-                return false;
-            }
-            group.values[pos] = value;
-            return true;
-        }
-        let bin = group.bin_for(key, error_bound);
-        let bin_vec = &mut group.bins[bin];
-        match bin_vec.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => {
-                bin_vec[i].1 = value;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn remove(&mut self, key: K) -> Option<Payload> {
-        let idx = self.locate(key);
-        let group = &mut self.groups[idx];
-        let error_bound = self.config.error_bound;
-        let pos = group.lower_bound(key, error_bound);
-        if pos < group.keys.len() && group.keys[pos] == key {
-            if group.dead[pos] {
-                return None;
-            }
-            group.dead[pos] = true;
-            return Some(group.values[pos]);
-        }
-        let bin = group.bin_for(key, error_bound);
-        let bin_vec = &mut group.bins[bin];
-        match bin_vec.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => Some(bin_vec.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        let target = before.saturating_add(spec.count);
-        for group in &self.groups[self.locate(spec.start)..] {
-            if out.len() >= target {
-                break;
-            }
-            group.scan_into(spec.start, self.config.error_bound, target, out);
-        }
-        out.len() - before
-    }
-
-    fn len(&self) -> usize {
-        self.groups.iter().map(FinGroup::live_count).sum()
-    }
-
-    fn memory_usage(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.groups.iter().map(FinGroup::memory).sum::<usize>()
-            + self.boundaries.capacity() * std::mem::size_of::<K>()
-    }
-
-    fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "FINEdex",
-            learned: true,
-            concurrent: false,
-            supports_delete: true,
-            supports_range: true,
-        }
-    }
-}
-
-impl<K: Key> Partitionable<K> for FinedexGroups<K> {
-    const CONCURRENT_NAME: &'static str = "FINEdex";
-}
 
 #[cfg(test)]
 mod tests {

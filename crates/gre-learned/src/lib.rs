@@ -10,6 +10,10 @@
 //! * [`pgm`] — the static PGM-Index and its LSM-style dynamic variant.
 //! * [`xindex`] — XIndex (group models + per-group delta, two-phase merge).
 //! * [`finedex`] — FINEdex (per-record level bins).
+//!
+//!   Both are one private group index (`groups.rs`: routing, bulk-load
+//!   chunking, main arrays with a linear model each, retraining, range walk)
+//!   with a delta policy each.
 //! * [`concurrent`] — ALEX+ and LIPP+, the concurrent derivatives the paper
 //!   contributes.
 //!
@@ -20,6 +24,7 @@
 pub mod alex;
 pub mod concurrent;
 pub mod finedex;
+mod groups;
 pub mod lipp;
 pub mod pgm;
 pub mod xindex;

@@ -10,8 +10,9 @@
 //! merged on overflow; deletes insert tombstones (the paper notes its good
 //! insert throughput comes from this LSM design rather than from learning).
 
-use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 use gre_pla::pla::{optimal_pla, PlaSegment};
+use gre_pla::window_partition_point;
 
 /// Error bound of the PGM segments (Table 1: ε = 16).
 pub const DEFAULT_EPSILON: u64 = 16;
@@ -85,23 +86,11 @@ impl<K: Key> StaticPgm<K> {
         }
         let seg_idx = self.locate_segment(key);
         let seg = &self.segments[seg_idx];
-        let predicted = seg.model.predict(key).round();
+        let predicted = seg.model.predict(key).round() as i64;
         let eps = self.epsilon as i64 + 2;
-        let lo = ((predicted as i64 - eps).max(seg.start_rank as i64)) as usize;
-        let hi = ((predicted as i64 + eps + 1).min(seg.end_rank() as i64)) as usize;
-        let lo = lo.min(self.entries.len());
-        let hi = hi.clamp(lo, self.entries.len());
-        // ε-bounded window; fall back to the whole segment if the window
-        // misses (can only happen through floating-point rounding).
-        let window = &self.entries[lo..hi];
-        let local = window.partition_point(|e| e.0 < key);
-        let mut pos = lo + local;
-        if (pos == hi && hi < self.entries.len() && self.entries[hi].0 < key)
-            || (pos == lo && lo > 0 && self.entries[lo - 1].0 >= key)
-        {
-            pos = self.entries.partition_point(|e| e.0 < key);
-        }
-        pos
+        let lo = (predicted - eps).max(seg.start_rank as i64) as usize;
+        let hi = (predicted + eps + 1).min(seg.end_rank() as i64) as usize;
+        window_partition_point(&self.entries, lo, hi, |e| e.0 < key)
     }
 
     pub fn get(&self, key: K) -> Option<Payload> {
@@ -135,16 +124,13 @@ fn search_segments(segments: &[PlaSegment], x: f64, hint: usize, eps: u64) -> us
         return 0;
     }
     let radius = eps as usize + 2;
-    let lo = hint.saturating_sub(radius);
-    let hi = (hint + radius + 1).min(segments.len());
-    let window = &segments[lo..hi];
-    let local = window.partition_point(|s| s.first_key <= x);
-    let mut idx = lo + local;
-    if (idx == hi && hi < segments.len() && segments[hi].first_key <= x) || (idx == lo && lo > 0) {
-        // The hint window missed: fall back to a global binary search.
-        idx = segments.partition_point(|s| s.first_key <= x);
-    }
-    idx.saturating_sub(1)
+    window_partition_point(
+        segments,
+        hint.saturating_sub(radius),
+        hint + radius + 1,
+        |s| s.first_key <= x,
+    )
+    .saturating_sub(1)
 }
 
 /// A value or a tombstone in the dynamic PGM's levels.
@@ -159,7 +145,6 @@ pub struct DynamicPgm<K> {
     levels: Vec<Option<StaticPgm<K>>>,
     buffer_capacity: usize,
     len: usize,
-    counters: OpCounters,
 }
 
 impl<K: Key> Default for DynamicPgm<K> {
@@ -175,7 +160,6 @@ impl<K: Key> DynamicPgm<K> {
             levels: Vec::new(),
             buffer_capacity: 256,
             len: 0,
-            counters: OpCounters::default(),
         }
     }
 
@@ -288,7 +272,6 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
         }
         self.levels = (0..=depth).map(|_| None).collect();
         self.levels[depth] = Some(level);
-        self.counters = OpCounters::default();
     }
 
     fn get(&self, key: K) -> Option<Payload> {
@@ -304,10 +287,7 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
         if !existed {
             self.len += 1;
         }
-        self.counters.inserts += 1;
-        self.counters.nodes_traversed += 1;
         if self.buffer.len() >= self.buffer_capacity {
-            self.counters.smo_count += 1;
             self.flush_buffer();
         }
         !existed
@@ -385,10 +365,6 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
                 .flatten()
                 .map(StaticPgm::memory)
                 .sum::<usize>()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::new(self.counters)
     }
 
     fn meta(&self) -> IndexMeta {

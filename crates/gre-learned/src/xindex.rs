@@ -7,16 +7,21 @@
 //! and the model retrained (two-phase merge; the original uses a background
 //! thread and RCU, which our inline compaction replaces — the latency spike
 //! of a merge lands on the triggering insert, reproducing the tail-latency
-//! behaviour of Figure 11 without background threads). A top-level router
-//! (model + group boundaries) directs operations to groups.
+//! behaviour of Figure 11 without background threads). The original routes
+//! with a learned root model; ours binary-searches the groups' first keys.
 //!
-//! [`XIndexGroups`] is that structure single-threaded; [`XIndex`] is
-//! [`gre_core::Partitioned`] over it, so a partition's lock guards the groups
-//! of its key range (see "Substitutions" in `docs/BENCHMARKS.md`).
+//! [`XIndexGroups`] is that structure single-threaded: the group index in
+//! `groups.rs`, which XIndex shares with FINEdex, with [`XDelta`] as its
+//! delta. [`XIndex`] is [`gre_core::Partitioned`] over it, so a partition's
+//! lock guards the groups of its key range (see "Substitutions" in
+//! `docs/BENCHMARKS.md`).
 
-use gre_core::{Index, IndexMeta, Key, Partitionable, Partitioned, Payload, RangeSpec};
-use gre_pla::LinearModel;
-use std::collections::BTreeMap;
+use crate::groups::{Delta, GroupIndex, Main};
+// The unit tests drive the groups through the `Index` trait.
+#[cfg(test)]
+use gre_core::Index;
+use gre_core::{Key, Partitioned, Payload, RangeSpec};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration (Table 1: error bound 32, delta size 256, up to 4 models per
 /// group — we use one model per group, and the group count is fixed at
@@ -42,329 +47,105 @@ impl Default for XIndexConfig {
     }
 }
 
+/// XIndex's delta policy: one ordered buffer of new keys per group (the
+/// original backs it with Masstree) and tombstones for removed main-array
+/// keys. A key is never in both the main array and the buffer: an insert of
+/// a main-array key writes it in place.
 #[derive(Debug)]
-struct Group<K: Key> {
-    model: LinearModel,
-    keys: Vec<K>,
-    values: Vec<Payload>,
-    /// Delta buffer for new inserts (the original backs this with Masstree;
-    /// an ordered map preserves the same semantics).
+pub struct XDelta<K> {
     delta: BTreeMap<K, Payload>,
-    /// Tombstones for keys deleted from the main array without compaction.
-    deleted: BTreeMap<K, ()>,
+    deleted: BTreeSet<K>,
 }
 
-impl<K: Key> Group<K> {
-    fn build(keys: Vec<K>, values: Vec<Payload>) -> Self {
-        let model = LinearModel::fit_keys(&keys);
-        Group {
-            model,
-            keys,
-            values,
+impl<K: Key> Delta<K> for XDelta<K> {
+    type Config = XIndexConfig;
+    const NAME: &'static str = "XIndex";
+
+    fn error_bound(config: &XIndexConfig) -> usize {
+        config.error_bound
+    }
+
+    fn group_size(config: &XIndexConfig) -> usize {
+        config.group_size
+    }
+
+    fn new(_len: usize) -> Self {
+        XDelta {
             delta: BTreeMap::new(),
-            deleted: BTreeMap::new(),
+            deleted: BTreeSet::new(),
         }
     }
 
-    /// Model-predicted, error-bounded lower bound in the main array.
-    fn main_lower_bound(&self, key: K, error_bound: usize) -> usize {
-        self.model.lower_bound(&self.keys, key, error_bound)
+    fn is_dead(&self, _pos: usize, key: K) -> bool {
+        self.deleted.contains(&key)
     }
 
-    fn get(&self, key: K, error_bound: usize) -> Option<Payload> {
-        if let Some(v) = self.delta.get(&key) {
-            return Some(*v);
+    fn set_dead(&mut self, _pos: usize, key: K, dead: bool) -> bool {
+        if dead {
+            !self.deleted.insert(key)
+        } else {
+            self.deleted.remove(&key)
         }
-        if self.deleted.contains_key(&key) {
-            return None;
-        }
-        let pos = self.main_lower_bound(key, error_bound);
-        (pos < self.keys.len() && self.keys[pos] == key).then(|| self.values[pos])
     }
 
-    /// Merge delta and tombstones into the main array and retrain the model
-    /// (the compaction phase of the two-phase merge).
-    fn compact(&mut self) {
-        if self.delta.is_empty() && self.deleted.is_empty() {
-            return;
-        }
-        let mut merged_keys = Vec::with_capacity(self.keys.len() + self.delta.len());
-        let mut merged_values = Vec::with_capacity(merged_keys.capacity());
-        let mut delta_iter = self.delta.iter().peekable();
-        for (i, k) in self.keys.iter().enumerate() {
-            while let Some((&dk, &dv)) = delta_iter.peek() {
-                if dk < *k {
-                    merged_keys.push(dk);
-                    merged_values.push(dv);
-                    delta_iter.next();
-                } else {
-                    break;
-                }
-            }
-            if self.deleted.contains_key(k) {
-                continue;
-            }
-            if let Some((&dk, &dv)) = delta_iter.peek() {
-                if dk == *k {
-                    merged_keys.push(dk);
-                    merged_values.push(dv);
-                    delta_iter.next();
-                    continue;
-                }
-            }
-            merged_keys.push(*k);
-            merged_values.push(self.values[i]);
-        }
-        for (&dk, &dv) in delta_iter {
-            merged_keys.push(dk);
-            merged_values.push(dv);
-        }
-        self.model = LinearModel::fit_keys(&merged_keys);
-        self.keys = merged_keys;
-        self.values = merged_values;
-        self.delta.clear();
-        self.deleted.clear();
+    fn get(&self, _pos: usize, key: K) -> Option<Payload> {
+        self.delta.get(&key).copied()
     }
 
-    fn live_count(&self) -> usize {
-        let mut count = self.keys.len() + self.delta.len() - self.deleted.len();
-        // Keys present in both main and delta were counted twice.
-        for k in self.delta.keys() {
-            if self.keys.binary_search(k).is_ok() {
-                count -= 1;
+    fn insert(&mut self, _pos: usize, key: K, value: Payload) -> bool {
+        self.delta.insert(key, value).is_none()
+    }
+
+    fn full(&self, _pos: usize, config: &XIndexConfig) -> bool {
+        self.delta.len() >= config.delta_size
+    }
+
+    fn update(&mut self, _pos: usize, key: K, value: Payload) -> bool {
+        self.delta.get_mut(&key).map(|slot| *slot = value).is_some()
+    }
+
+    fn remove(&mut self, _pos: usize, key: K) -> Option<Payload> {
+        self.delta.remove(&key)
+    }
+
+    /// Merges the main array, less its tombstones, with the buffer.
+    fn scan(&self, main: &Main<K>, from: usize, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) {
+        let mut records = (from..main.keys.len())
+            .filter(|&i| !self.deleted.contains(&main.keys[i]))
+            .map(|i| (main.keys[i], main.values[i]))
+            .peekable();
+        let mut waiting = self
+            .delta
+            .range(spec.start..)
+            .map(|(k, v)| (*k, *v))
+            .peekable();
+        for _ in 0..spec.count {
+            let next = match (records.peek(), waiting.peek()) {
+                (Some(r), Some(w)) if w.0 < r.0 => waiting.next(),
+                (Some(_), _) => records.next(),
+                (None, _) => waiting.next(),
+            };
+            match next {
+                Some(entry) => out.push(entry),
+                None => break,
             }
         }
-        count
     }
 
-    fn memory(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.keys.capacity() * std::mem::size_of::<K>()
-            + self.values.capacity() * std::mem::size_of::<Payload>()
-            + (self.delta.len() + self.deleted.len()) * 64
+    fn live_count(&self, main_len: usize) -> usize {
+        main_len + self.delta.len() - self.deleted.len()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.delta.len() + self.deleted.len()) * 64
     }
 }
 
-/// The XIndex structure, single-threaded: router + groups.
-pub struct XIndexGroups<K: Key> {
-    config: XIndexConfig,
-    router: Router<K>,
-    groups: Vec<Group<K>>,
-}
+/// The XIndex structure, single-threaded: routed groups with a delta each.
+pub type XIndexGroups<K> = GroupIndex<K, XDelta<K>>;
 
 /// XIndex: the group index behind one partition lock per key range.
 pub type XIndex<K> = Partitioned<K, XIndexGroups<K>>;
-
-#[derive(Debug)]
-struct Router<K> {
-    model: LinearModel,
-    /// First key of each group.
-    boundaries: Vec<K>,
-}
-
-impl<K: Key> Default for XIndexGroups<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Key> XIndexGroups<K> {
-    pub fn new() -> Self {
-        Self::with_config(XIndexConfig::default())
-    }
-
-    pub fn with_config(config: XIndexConfig) -> Self {
-        XIndexGroups {
-            config,
-            router: Router {
-                model: LinearModel::default(),
-                boundaries: vec![K::MIN],
-            },
-            groups: vec![Group::build(Vec::new(), Vec::new())],
-        }
-    }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Route a key to its group.
-    fn locate(&self, key: K) -> usize {
-        let boundaries = &self.router.boundaries;
-        let n = self.groups.len();
-        let mut idx = self.router.model.predict_clamped(key, n);
-        while idx + 1 < n && boundaries[idx + 1] <= key {
-            idx += 1;
-        }
-        while idx > 0 && boundaries[idx] > key {
-            idx -= 1;
-        }
-        idx
-    }
-}
-
-impl<K: Key> Index<K> for XIndexGroups<K> {
-    fn bulk_load(&mut self, entries: &[(K, Payload)]) {
-        let group_size = self.config.group_size.max(64);
-        let mut groups = Vec::new();
-        let mut boundaries = Vec::new();
-        if entries.is_empty() {
-            groups.push(Group::build(Vec::new(), Vec::new()));
-            boundaries.push(K::MIN);
-        } else {
-            for chunk in entries.chunks(group_size) {
-                boundaries.push(chunk[0].0);
-                groups.push(Group::build(
-                    chunk.iter().map(|e| e.0).collect(),
-                    chunk.iter().map(|e| e.1).collect(),
-                ));
-            }
-            boundaries[0] = K::MIN;
-        }
-        let model = LinearModel::fit_points(
-            boundaries
-                .iter()
-                .enumerate()
-                .map(|(i, k)| (k.to_model_input(), i as f64)),
-        );
-        self.groups = groups;
-        self.router = Router { model, boundaries };
-    }
-
-    fn get(&self, key: K) -> Option<Payload> {
-        self.groups[self.locate(key)].get(key, self.config.error_bound)
-    }
-
-    fn insert(&mut self, key: K, value: Payload) -> bool {
-        let idx = self.locate(key);
-        let group = &mut self.groups[idx];
-        let existed = group.get(key, self.config.error_bound).is_some();
-        group.deleted.remove(&key);
-        // Updates of keys in the main array are done in place; new keys go to
-        // the delta.
-        let pos = group.main_lower_bound(key, self.config.error_bound);
-        if pos < group.keys.len() && group.keys[pos] == key {
-            group.values[pos] = value;
-        } else {
-            group.delta.insert(key, value);
-            if group.delta.len() >= self.config.delta_size {
-                group.compact();
-            }
-        }
-        !existed
-    }
-
-    /// Unlike `insert`, an absent key is left absent.
-    fn update(&mut self, key: K, value: Payload) -> bool {
-        let idx = self.locate(key);
-        let group = &mut self.groups[idx];
-        if let Some(slot) = group.delta.get_mut(&key) {
-            *slot = value;
-            return true;
-        }
-        if group.deleted.contains_key(&key) {
-            return false;
-        }
-        let pos = group.main_lower_bound(key, self.config.error_bound);
-        if pos < group.keys.len() && group.keys[pos] == key {
-            group.values[pos] = value;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn remove(&mut self, key: K) -> Option<Payload> {
-        let idx = self.locate(key);
-        let group = &mut self.groups[idx];
-        if let Some(v) = group.delta.remove(&key) {
-            return Some(v);
-        }
-        if group.deleted.contains_key(&key) {
-            return None;
-        }
-        let pos = group.main_lower_bound(key, self.config.error_bound);
-        if pos < group.keys.len() && group.keys[pos] == key {
-            let v = group.values[pos];
-            group.deleted.insert(key, ());
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
-        let before = out.len();
-        for group in &self.groups[self.locate(spec.start)..] {
-            if out.len() - before >= spec.count {
-                break;
-            }
-            // Merge the main array and delta on the fly.
-            let mut main_pos = group.main_lower_bound(spec.start, self.config.error_bound);
-            let mut delta_iter = group.delta.range(spec.start..).peekable();
-            while out.len() - before < spec.count {
-                let main_entry = loop {
-                    if main_pos >= group.keys.len() {
-                        break None;
-                    }
-                    let k = group.keys[main_pos];
-                    if group.deleted.contains_key(&k) || group.delta.contains_key(&k) {
-                        main_pos += 1;
-                        continue;
-                    }
-                    break Some((k, group.values[main_pos]));
-                };
-                let delta_entry = delta_iter.peek().map(|(k, v)| (**k, **v));
-                match (main_entry, delta_entry) {
-                    (None, None) => break,
-                    (Some((mk, mv)), None) => {
-                        out.push((mk, mv));
-                        main_pos += 1;
-                    }
-                    (None, Some((dk, dv))) => {
-                        out.push((dk, dv));
-                        delta_iter.next();
-                    }
-                    (Some((mk, mv)), Some((dk, dv))) => {
-                        if mk < dk {
-                            out.push((mk, mv));
-                            main_pos += 1;
-                        } else {
-                            out.push((dk, dv));
-                            delta_iter.next();
-                        }
-                    }
-                }
-            }
-        }
-        out.len() - before
-    }
-
-    fn len(&self) -> usize {
-        self.groups.iter().map(Group::live_count).sum()
-    }
-
-    fn memory_usage(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.groups.iter().map(Group::memory).sum::<usize>()
-            + self.router.boundaries.capacity() * std::mem::size_of::<K>()
-    }
-
-    fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            name: "XIndex",
-            learned: true,
-            concurrent: false,
-            supports_delete: true,
-            supports_range: true,
-        }
-    }
-}
-
-impl<K: Key> Partitionable<K> for XIndexGroups<K> {
-    const CONCURRENT_NAME: &'static str = "XIndex";
-}
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,9 @@
 //!
 //! The data-hardness machinery of the paper (§3.2, §7, Appendix C/D):
 //!
-//! * [`model`] — linear models mapping keys to positions.
+//! * [`model`] — linear models mapping keys to positions, and
+//!   [`window_partition_point`], the last-mile search every learned index
+//!   here runs around a model's prediction.
 //! * [`pla`] — streaming ε-approximate piecewise linear approximation, the
 //!   linear-time segmentation algorithm used both to *measure* hardness and
 //!   by the PGM-Index to *build* its levels.
@@ -18,6 +20,6 @@ pub mod pla;
 pub mod synth;
 
 pub use hardness::{DataHardness, HardnessConfig};
-pub use model::LinearModel;
+pub use model::{window_partition_point, LinearModel};
 pub use pla::{optimal_pla, PlaSegment};
 pub use synth::{SynthCorner, SyntheticSpec};

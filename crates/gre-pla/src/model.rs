@@ -54,16 +54,13 @@ impl LinearModel {
     /// and over the whole slice when the answer lies outside that window
     /// (after inserts skew the distribution, until the next retrain).
     pub fn lower_bound<K: Key>(&self, keys: &[K], key: K, error_bound: usize) -> usize {
-        let n = keys.len();
-        let pred = self.predict_clamped(key, n);
-        let lo = pred.saturating_sub(error_bound);
-        let hi = (pred + error_bound + 1).min(n);
-        let pos = lo + keys[lo..hi].partition_point(|k| *k < key);
-        if (pos == hi && hi < n && keys[hi] < key) || (pos == lo && lo > 0 && keys[lo - 1] >= key) {
-            keys.partition_point(|k| *k < key)
-        } else {
-            pos
-        }
+        let pred = self.predict_clamped(key, keys.len());
+        window_partition_point(
+            keys,
+            pred.saturating_sub(error_bound),
+            pred + error_bound + 1,
+            |k| *k < key,
+        )
     }
 
     /// Fit by ordinary least squares over `(key, position)` pairs where the
@@ -137,6 +134,29 @@ impl LinearModel {
     }
 }
 
+/// `slice.partition_point(pred)`, searched in the window `[lo, hi)` (clamped
+/// to the slice) and over the whole slice only when the answer lies outside
+/// it: the last-mile search of every learned model here, each caller picking
+/// the window its error bound allows. `pred` must hold on a prefix of
+/// `slice`.
+pub fn window_partition_point<T>(
+    slice: &[T],
+    lo: usize,
+    hi: usize,
+    pred: impl Fn(&T) -> bool,
+) -> usize {
+    let hi = hi.min(slice.len());
+    let lo = lo.min(hi);
+    let pos = lo + slice[lo..hi].partition_point(&pred);
+    if (pos == hi && hi < slice.len() && pred(&slice[hi]))
+        || (pos == lo && lo > 0 && !pred(&slice[lo - 1]))
+    {
+        slice.partition_point(pred)
+    } else {
+        pos
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +217,21 @@ mod tests {
             }
         }
         assert_eq!(fitted.lower_bound(&[] as &[u64], 5, 8), 0);
+    }
+
+    #[test]
+    fn window_partition_point_is_the_partition_point_for_any_window() {
+        let keys: Vec<u64> = (0..100).map(|i| i * 2).collect();
+        for key in [0u64, 1, 51, 150, 198, 199, 500] {
+            let expected = keys.partition_point(|k| *k < key);
+            for (lo, hi) in [(0, 0), (0, 100), (10, 20), (60, 90), (90, 500), (300, 400)] {
+                assert_eq!(
+                    window_partition_point(&keys, lo, hi, |k| *k < key),
+                    expected,
+                    "{key} in [{lo}, {hi})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! of the study on integer keys ("because of its cache friendliness",
 //! Message 2/§4.1).
 
-use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 const KEY_BYTES: usize = 8;
 const EMPTY48: u8 = 255;
@@ -445,7 +445,6 @@ impl<K: Key> Node<K> {
 pub struct Art<K> {
     root: Option<Box<Node<K>>>,
     len: usize,
-    counters: OpCounters,
 }
 
 impl<K: Key> Default for Art<K> {
@@ -456,11 +455,7 @@ impl<K: Key> Default for Art<K> {
 
 impl<K: Key> Art<K> {
     pub fn new() -> Self {
-        Art {
-            root: None,
-            len: 0,
-            counters: OpCounters::default(),
-        }
+        Art { root: None, len: 0 }
     }
 
     fn key_bytes(key: K) -> [u8; KEY_BYTES] {
@@ -478,9 +473,7 @@ impl<K: Key> Art<K> {
         bytes: &[u8; KEY_BYTES],
         value: Payload,
         depth: usize,
-        counters: &mut OpCounters,
     ) -> bool {
-        counters.nodes_traversed += 1;
         match node.as_mut() {
             Node::Leaf {
                 key: leaf_key,
@@ -499,8 +492,6 @@ impl<K: Key> Art<K> {
                 let old_leaf = std::mem::replace(node.as_mut(), Node::new_node4(prefix));
                 node.add_child(existing_bytes[split_depth], Box::new(old_leaf));
                 node.add_child(bytes[split_depth], Box::new(Node::Leaf { key, value }));
-                counters.nodes_created += 2;
-                counters.smo_count += 1;
                 true
             }
             _ => {
@@ -518,29 +509,18 @@ impl<K: Key> Art<K> {
                     old_boxed.set_prefix(remaining_prefix);
                     node.add_child(child_byte_existing, old_boxed);
                     node.add_child(bytes[depth + common], Box::new(Node::Leaf { key, value }));
-                    counters.nodes_created += 2;
-                    counters.smo_count += 1;
                     return true;
                 }
                 let next_depth = depth + prefix.len();
                 let byte = bytes[next_depth];
                 if node.find_child_mut(byte).is_some() {
                     let child = node.find_child_mut(byte).expect("checked above");
-                    return Self::insert_recursive(
-                        child,
-                        key,
-                        bytes,
-                        value,
-                        next_depth + 1,
-                        counters,
-                    );
+                    return Self::insert_recursive(child, key, bytes, value, next_depth + 1);
                 }
                 if node.is_full() {
                     node.grow();
-                    counters.smo_count += 1;
                 }
                 node.add_child(byte, Box::new(Node::Leaf { key, value }));
-                counters.nodes_created += 1;
                 true
             }
         }
@@ -632,9 +612,6 @@ impl<K: Key> Index<K> for Art<K> {
         for &(k, v) in entries {
             self.insert(k, v);
         }
-        // Bulk loading is untimed in the harness; reset the counters so the
-        // measured phase starts clean.
-        self.counters = OpCounters::default();
     }
 
     fn get(&self, key: K) -> Option<Payload> {
@@ -665,14 +642,12 @@ impl<K: Key> Index<K> for Art<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let bytes = Self::key_bytes(key);
-        self.counters.inserts += 1;
         let inserted = match &mut self.root {
             None => {
                 self.root = Some(Box::new(Node::Leaf { key, value }));
-                self.counters.nodes_created += 1;
                 true
             }
-            Some(root) => Self::insert_recursive(root, key, &bytes, value, 0, &mut self.counters),
+            Some(root) => Self::insert_recursive(root, key, &bytes, value, 0),
         };
         if inserted {
             self.len += 1;
@@ -712,10 +687,6 @@ impl<K: Key> Index<K> for Art<K> {
 
     fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>() + self.root.as_ref().map_or(0, |r| r.subtree_memory())
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::new(self.counters)
     }
 
     fn meta(&self) -> IndexMeta {
@@ -854,8 +825,6 @@ mod tests {
         assert_eq!(art.get(1), None);
         assert_eq!(art.remove(1), None);
         art.insert(1, 1);
-        let counters = art.stats().counters;
-        assert_eq!(counters.inserts, 1);
-        assert!(counters.nodes_created <= 2);
+        assert_eq!(art.get(1), Some(1));
     }
 }

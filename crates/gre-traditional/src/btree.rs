@@ -6,7 +6,7 @@
 //! are addressed by `u32` ids, which keeps the structure compact and makes
 //! end-to-end memory accounting straightforward.
 
-use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 /// Number of keys per leaf node (STX uses a node size tuned to cache lines;
 /// 64 eight-byte keys ≈ one 512-byte block plus payloads).
@@ -80,7 +80,6 @@ pub struct BPlusTree<K> {
     len: usize,
     height: usize,
     config: BPlusTreeConfig,
-    counters: OpCounters,
 }
 
 impl<K: Key> Default for BPlusTree<K> {
@@ -103,7 +102,6 @@ impl<K: Key> BPlusTree<K> {
             len: 0,
             height: 1,
             config,
-            counters: OpCounters::default(),
         }
     }
 
@@ -209,7 +207,6 @@ impl<K: Key> BPlusTree<K> {
                         return;
                     }
                     let (new_sep, new_right) = self.split_inner(parent_id);
-                    self.counters.nodes_created += 1;
                     sep = new_sep;
                     right = new_right;
                 }
@@ -222,7 +219,6 @@ impl<K: Key> BPlusTree<K> {
                     });
                     self.root = new_root;
                     self.height += 1;
-                    self.counters.nodes_created += 1;
                     return;
                 }
             }
@@ -313,41 +309,33 @@ impl<K: Key> Index<K> for BPlusTree<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let (leaf_id, path) = self.find_leaf_with_path(key);
-        self.counters.inserts += 1;
-        self.counters.nodes_traversed += path.len() as u64 + 1;
-
-        let (inserted, shifted, needs_split) = {
+        let (inserted, needs_split) = {
             let Node::Leaf { keys, values, .. } = &mut self.nodes[leaf_id as usize] else {
                 unreachable!()
             };
             match keys.binary_search(&key) {
                 Ok(i) => {
                     values[i] = value;
-                    (false, 0u64, false)
+                    (false, false)
                 }
                 Err(i) => {
-                    let shifted = (keys.len() - i) as u64;
                     keys.insert(i, key);
                     values.insert(i, value);
-                    (true, shifted, keys.len() > self.config.leaf_capacity)
+                    (true, keys.len() > self.config.leaf_capacity)
                 }
             }
         };
-        self.counters.keys_shifted += shifted;
         if inserted {
             self.len += 1;
         }
         if needs_split {
-            self.counters.smo_count += 1;
-            self.counters.nodes_created += 1;
             let (sep, right) = self.split_leaf(leaf_id);
             self.insert_into_parents(path, sep, right);
         }
         inserted
     }
 
-    /// In place: one descent and one leaf search, no path recorded and
-    /// nothing counted, since no key moves.
+    /// In place: one descent and one leaf search, no path recorded.
     fn update(&mut self, key: K, value: Payload) -> bool {
         let leaf_id = self.find_leaf(key);
         let Node::Leaf { keys, values, .. } = &mut self.nodes[leaf_id as usize] else {
@@ -397,10 +385,6 @@ impl<K: Key> Index<K> for BPlusTree<K> {
 
     fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>() + self.nodes.iter().map(Node::memory).sum::<usize>()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::new(self.counters)
     }
 
     fn meta(&self) -> IndexMeta {
@@ -557,10 +541,6 @@ mod tests {
             t.insert(i * 10 + 5, i);
         }
         assert!(t.memory_usage() > before);
-        let stats = t.stats();
-        assert_eq!(stats.counters.inserts, 1_000);
-        assert!(stats.counters.smo_count > 0);
-        assert!(stats.counters.nodes_traversed >= stats.counters.inserts);
         assert_eq!(t.meta().name, "B+tree");
     }
 
@@ -568,14 +548,12 @@ mod tests {
     fn update_writes_in_place_and_counts_nothing() {
         let mut t = BPlusTree::new();
         t.bulk_load(&entries(1_000));
-        let counters = t.stats().counters;
         for i in 0..1_000u64 {
             assert!(t.update(i * 10, i + 1));
         }
         assert!(!t.update(5, 1));
         assert_eq!(t.get(5), None);
         assert_eq!(t.get(990), Some(100));
-        assert_eq!(t.stats().counters, counters);
         assert_eq!(t.len(), 1_000);
     }
 

@@ -10,7 +10,7 @@
 //! (Figure 8 shows HOT as the most space-efficient index) and robust lookup
 //! performance — while omitting the SIMD machinery.
 
-use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 const NIBBLES: usize = 16; // 64-bit keys / 4 bits
 
@@ -59,7 +59,6 @@ impl<K: Key> Node<K> {
 pub struct Hot<K> {
     root: Option<Box<Node<K>>>,
     len: usize,
-    counters: OpCounters,
 }
 
 impl<K: Key> Default for Hot<K> {
@@ -70,11 +69,7 @@ impl<K: Key> Default for Hot<K> {
 
 impl<K: Key> Hot<K> {
     pub fn new() -> Self {
-        Hot {
-            root: None,
-            len: 0,
-            counters: OpCounters::default(),
-        }
+        Hot { root: None, len: 0 }
     }
 
     fn nibbles(key: K) -> [u8; NIBBLES] {
@@ -95,9 +90,7 @@ impl<K: Key> Hot<K> {
         nibbles: &[u8; NIBBLES],
         value: Payload,
         depth: usize,
-        counters: &mut OpCounters,
     ) -> bool {
-        counters.nodes_traversed += 1;
         match node.as_mut() {
             Node::Leaf { key: lk, value: lv } => {
                 if *lk == key {
@@ -124,8 +117,6 @@ impl<K: Key> Hot<K> {
                 ];
                 pair.sort_by_key(|(n, _)| *n);
                 *children = pair;
-                counters.nodes_created += 2;
-                counters.smo_count += 1;
                 true
             }
             Node::Inner { prefix, children } => {
@@ -152,25 +143,16 @@ impl<K: Key> Hot<K> {
                     ];
                     pair.sort_by_key(|(n, _)| *n);
                     *children = pair;
-                    counters.nodes_created += 2;
-                    counters.smo_count += 1;
                     return true;
                 }
                 let next_depth = depth + prefix.len();
                 let nib = nibbles[next_depth];
                 match children.binary_search_by_key(&nib, |(n, _)| *n) {
-                    Ok(i) => Self::insert_rec(
-                        &mut children[i].1,
-                        key,
-                        nibbles,
-                        value,
-                        next_depth + 1,
-                        counters,
-                    ),
+                    Ok(i) => {
+                        Self::insert_rec(&mut children[i].1, key, nibbles, value, next_depth + 1)
+                    }
                     Err(i) => {
                         children.insert(i, (nib, Box::new(Node::Leaf { key, value })));
-                        counters.nodes_created += 1;
-                        counters.keys_shifted += (children.len() - i) as u64;
                         true
                     }
                 }
@@ -275,7 +257,6 @@ impl<K: Key> Index<K> for Hot<K> {
         for &(k, v) in entries {
             self.insert(k, v);
         }
-        self.counters = OpCounters::default();
     }
 
     fn get(&self, key: K) -> Option<Payload> {
@@ -287,14 +268,12 @@ impl<K: Key> Index<K> for Hot<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let nibbles = Self::nibbles(key);
-        self.counters.inserts += 1;
         let inserted = match &mut self.root {
             None => {
                 self.root = Some(Box::new(Node::Leaf { key, value }));
-                self.counters.nodes_created += 1;
                 true
             }
-            Some(root) => Self::insert_rec(root, key, &nibbles, value, 0, &mut self.counters),
+            Some(root) => Self::insert_rec(root, key, &nibbles, value, 0),
         };
         if inserted {
             self.len += 1;
@@ -334,10 +313,6 @@ impl<K: Key> Index<K> for Hot<K> {
 
     fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>() + self.root.as_ref().map_or(0, |r| r.memory())
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::new(self.counters)
     }
 
     fn meta(&self) -> IndexMeta {

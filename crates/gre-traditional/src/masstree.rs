@@ -10,7 +10,7 @@
 //! overhead than ART — are preserved.
 
 use crate::btree::{BPlusTree, BPlusTreeConfig};
-use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 /// Masstree's per-node key fanout.
 pub const MASSTREE_FANOUT: usize = 15;
@@ -78,10 +78,6 @@ impl<K: Key> Index<K> for Masstree<K> {
         self.layer0.memory_usage()
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.layer0.stats()
-    }
-
     fn meta(&self) -> IndexMeta {
         IndexMeta {
             name: "Masstree",
@@ -118,7 +114,6 @@ mod tests {
         let mut m = Masstree::new();
         let entries: Vec<(u64, u64)> = (0..3_000u64).map(|i| (i * 5, i)).collect();
         m.bulk_load(&entries);
-        let before = m.stats().counters;
         for &(k, v) in &entries {
             assert!(m.update(k, v + 1));
         }
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(m.get(1), None, "update must not insert");
         assert_eq!(m.get(10), Some(3));
         assert_eq!(m.len(), 3_000);
-        assert_eq!(m.stats().counters, before);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! layer whose updates serialize writers in the concurrent variant) is
 //! preserved: every leaf split rebuilds the hint table.
 
-use gre_core::{Index, IndexMeta, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 /// Target number of entries per leaf segment.
 pub const LEAF_TARGET: usize = 128;
@@ -43,7 +43,6 @@ pub struct Wormhole<K> {
     /// that is guaranteed to be at or before the correct leaf.
     hints: Vec<u32>,
     len: usize,
-    counters: OpCounters,
 }
 
 impl<K: Key> Default for Wormhole<K> {
@@ -62,7 +61,6 @@ impl<K: Key> Wormhole<K> {
             }],
             hints: vec![0],
             len: 0,
-            counters: OpCounters::default(),
         }
     }
 
@@ -186,8 +184,6 @@ impl<K: Key> Index<K> for Wormhole<K> {
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
         let idx = self.leaf_for(key);
-        self.counters.inserts += 1;
-        self.counters.nodes_traversed += 1;
         let (inserted, needs_split) = {
             let leaf = &mut self.leaves[idx];
             match leaf.keys.binary_search(&key) {
@@ -196,7 +192,6 @@ impl<K: Key> Index<K> for Wormhole<K> {
                     (false, false)
                 }
                 Err(i) => {
-                    self.counters.keys_shifted += (leaf.keys.len() - i) as u64;
                     leaf.keys.insert(i, key);
                     leaf.values.insert(i, value);
                     (true, leaf.keys.len() > LEAF_TARGET * 2)
@@ -207,8 +202,6 @@ impl<K: Key> Index<K> for Wormhole<K> {
             self.len += 1;
         }
         if needs_split {
-            self.counters.smo_count += 1;
-            self.counters.nodes_created += 1;
             self.split_leaf(idx);
         }
         inserted
@@ -255,10 +248,6 @@ impl<K: Key> Index<K> for Wormhole<K> {
             + self.hints.capacity() * std::mem::size_of::<u32>()
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::new(self.counters)
-    }
-
     fn meta(&self) -> IndexMeta {
         IndexMeta {
             name: "Wormhole",
@@ -299,7 +288,6 @@ mod tests {
         for i in 0..5_000u64 {
             assert_eq!(w.get(i * 7), Some(i));
         }
-        assert!(w.stats().counters.smo_count > 0);
     }
 
     #[test]
