@@ -87,7 +87,8 @@ impl<K: Key> RangeSpec<K> {
 pub trait Index<K: Key>: Send {
     /// Bulk load from a slice sorted by strictly ascending key.
     ///
-    /// Implementations may assume sortedness; the harness validates inputs.
+    /// Implementations may assume sortedness, and nothing checks it: the
+    /// caller sorts.
     fn bulk_load(&mut self, entries: &[(K, Payload)]);
 
     /// Point lookup. Returns the payload of `key` if present. For indexes
@@ -378,8 +379,9 @@ impl<K: Key, I: Index<K>> ConcurrentIndex<K> for MutexIndex<I> {
 /// The reference index: a `BTreeMap` with the full operation set. Tests
 /// across the workspace use it as the model real indexes are compared
 /// against and as the backend of serving-layer tests (lifted to
-/// [`ConcurrentIndex`] by [`MutexIndex`]). It counts inserts, so adapter
-/// stats forwarding is observable.
+/// [`ConcurrentIndex`] by [`MutexIndex`]); crash recovery replays each
+/// durable shard's history into one. It counts inserts, so adapter stats
+/// forwarding is observable.
 #[derive(Default)]
 pub struct ModelIndex {
     map: BTreeMap<u64, Payload>,

@@ -83,18 +83,6 @@ impl<K: Key> Entry<K> {
     }
 }
 
-/// Check that a slice of entries is sorted by strictly ascending key
-/// (the precondition for bulk loading most of the indexes).
-pub fn is_strictly_sorted<K: Key>(entries: &[(K, Payload)]) -> bool {
-    entries.windows(2).all(|w| w[0].0 < w[1].0)
-}
-
-/// Check that a slice of entries is sorted by non-descending key (duplicates
-/// allowed), the precondition for bulk loading duplicate-tolerant indexes.
-pub fn is_sorted<K: Key>(entries: &[(K, Payload)]) -> bool {
-    entries.windows(2).all(|w| w[0].0 <= w[1].0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,18 +113,6 @@ mod tests {
     fn successor_saturates() {
         assert_eq!(u64::MAX.successor(), u64::MAX);
         assert_eq!(41u64.successor(), 42);
-    }
-
-    #[test]
-    fn sortedness_checks() {
-        let sorted: Vec<(u64, Payload)> = vec![(1, 0), (2, 0), (3, 0)];
-        let dups: Vec<(u64, Payload)> = vec![(1, 0), (2, 0), (2, 1)];
-        let unsorted: Vec<(u64, Payload)> = vec![(3, 0), (2, 0)];
-        assert!(is_strictly_sorted(&sorted));
-        assert!(!is_strictly_sorted(&dups));
-        assert!(is_sorted(&dups));
-        assert!(!is_sorted(&unsorted));
-        assert!(is_strictly_sorted::<u64>(&[]));
     }
 
     #[test]

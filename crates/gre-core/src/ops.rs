@@ -218,14 +218,6 @@ impl<K> Response<K> {
     pub fn is_error(&self) -> bool {
         matches!(self, Response::Error(_))
     }
-
-    /// The lookup outcome, if this is a [`Response::Get`].
-    pub fn as_get(&self) -> Option<Option<Payload>> {
-        match self {
-            Response::Get(p) => Some(*p),
-            _ => None,
-        }
-    }
 }
 
 /// Errors surfaced per operation through [`Response::Error`].
@@ -459,10 +451,7 @@ mod tests {
 
     #[test]
     fn response_accessors() {
-        let r = Response::<u64>::Get(Some(5));
-        assert_eq!(r.as_get(), Some(Some(5)));
-        assert!(!r.is_error());
-        assert_eq!(Response::<u64>::Insert(true).as_get(), None);
+        assert!(!Response::<u64>::Get(Some(5)).is_error());
         let e = IndexError::Unsupported("range");
         assert!(e.to_string().contains("range"));
     }

@@ -2,12 +2,18 @@
 //!
 //! It cuts the key domain into contiguous ranges, called shards here
 //! whichever layer owns them: the lock partitions of [`crate::Partitioned`]
-//! and the backends of `gre_shard::ShardedIndex` both route through it. The
-//! cut is fitted once, at bulk load, at the exact quantiles of the sorted
-//! entries, so skewed key distributions still spread evenly; after that a key
-//! routes with one binary search over the boundary table. `shard_of` is
-//! monotone in the key, which is what lets a bulk load hand each shard one
-//! contiguous slice and a range scan walk the shards in key order.
+//! and the backends of `gre_shard::ShardedIndex` both route through it. A
+//! key routes with one binary search over the boundary table, and
+//! `shard_of` is monotone in the key, which is what lets a load hand each
+//! shard one contiguous slice and a range scan walk the shards in key order.
+//!
+//! There are two ways to cut. [`Partitioner::fit`] cuts a bulk load at the
+//! exact quantiles of its sorted entries, so skewed key distributions still
+//! spread evenly. [`Partitioner::cut`] takes the cut from shards that
+//! already hold their keys (a durable store's recovered shards), so that
+//! each key goes back to the shard whose log holds its history: a key's
+//! history never leaves its shard. Boundaries are non-decreasing, so a
+//! shard can be empty in the middle of the domain as well as at its end.
 
 use crate::index::RangeSpec;
 use crate::key::{Key, Payload};
@@ -15,9 +21,9 @@ use crate::key::{Key, Payload};
 /// Contiguous key ranges over a fixed number of shards.
 #[derive(Debug, Clone)]
 pub struct Partitioner<K> {
-    /// `boundaries[i]` is the smallest key of shard `i + 1`; strictly
-    /// increasing and at most `shards - 1` long (shorter when the fitted
-    /// entries had too few distinct keys, leaving the trailing shards empty).
+    /// `boundaries[i]` is the smallest key of shard `i + 1`; non-decreasing
+    /// (two equal boundaries leave the shard between them empty) and at most
+    /// `shards - 1` long (shorter when the trailing shards are empty).
     boundaries: Vec<K>,
     shards: usize,
 }
@@ -68,6 +74,25 @@ impl<K: Key> Partitioner<K> {
                 head
             })
             .collect()
+    }
+
+    /// Cut so that each shard routes exactly its own `parts[shard]` back to
+    /// it: shard `i` starts at the smallest key of the first non-empty part
+    /// at or after `i`, and trailing empty parts leave their shards empty.
+    /// `parts` holds one sorted part per shard, in ascending and disjoint
+    /// key order, as a durable store's recovered shards are.
+    pub fn cut(&mut self, parts: &[Vec<(K, Payload)>]) {
+        let mut next = None;
+        self.boundaries = parts
+            .iter()
+            .skip(1)
+            .rev()
+            .filter_map(|part| {
+                next = part.first().map(|e| e.0).or(next);
+                next
+            })
+            .collect();
+        self.boundaries.reverse();
     }
 
     /// Scan `spec` shard by shard in key order, starting at the shard of
@@ -251,5 +276,50 @@ mod tests {
         assert_eq!(out.first().unwrap().0, 240);
         assert_eq!(out.last().unwrap().0, 260);
         assert_eq!(visited, [(0, 240, 1_000), (1, 250, 990)]);
+    }
+
+    #[test]
+    fn cut_routes_and_scans_over_empty_middle_and_trailing_shards() {
+        let part =
+            |keys: std::ops::Range<u64>| -> Vec<(u64, Payload)> { keys.map(|k| (k, k)).collect() };
+        // Six shards: 1 and 4 emptied in the middle, 5 empty at the end.
+        let parts = vec![
+            part(0..10),
+            Vec::new(),
+            part(20..30),
+            part(40..50),
+            Vec::new(),
+            Vec::new(),
+        ];
+        let mut p = Partitioner::range(6);
+        p.cut(&parts);
+        for (shard, keys) in parts.iter().enumerate() {
+            assert!(keys.iter().all(|e| p.shard_of(e.0) == shard));
+        }
+        // The gaps below each non-empty shard route to the shard before it;
+        // everything past the last non-empty shard routes to it.
+        assert_eq!(p.shard_of(15), 0);
+        assert_eq!(p.shard_of(35), 2);
+        assert_eq!(p.shard_of(u64::MAX), 3);
+
+        let mut visited = Vec::new();
+        let mut out = Vec::new();
+        let got = p.scan(RangeSpec::new(5, 1_000), &mut out, |s, sub, out| {
+            visited.push(s);
+            out.extend(parts[s].iter().filter(|e| e.0 >= sub.start).take(sub.count));
+        });
+        assert_eq!(got, 25);
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(visited, [0, 1, 2, 3]);
+        // A window that starts in the emptied shard's range.
+        out.clear();
+        p.scan(
+            RangeSpec::bounded(12, 25, 1_000),
+            &mut out,
+            |s, sub, out| {
+                out.extend(parts[s].iter().filter(|e| sub.admits(e.0)).take(sub.count));
+            },
+        );
+        assert_eq!(out, part(20..26));
     }
 }

@@ -13,31 +13,29 @@
 //!   of the previous one (e.g. a duplicate tail record left by a torn
 //!   rewrite); the scan stops before it.
 //!
-//! Recovery never panics on any byte sequence and never reads past a file.
+//! The scan never panics on any byte sequence and never reads past a file.
 //!
 //! Records whose seq is ≤ the shard snapshot's `last_seq` are *covered*: the
 //! snapshot already folds in their effects (this happens when a crash lands
 //! between a checkpoint's snapshot rename and its WAL truncate). They are
 //! counted but not replayed.
 //!
-//! [`Recovery::replay_into`] rebuilds any [`ConcurrentIndex`] backend. Each
-//! shard's model (a `BTreeMap`) is rebuilt independently — snapshot entries
-//! first, then its surviving groups re-applied in seq order — so the
-//! per-shard work runs on scoped threads, one per shard, and the merged
-//! models are bulk-loaded in a single pass. Replay is deterministic: the
-//! rebuilt state equals the state at the moment the last surviving group
-//! originally executed.
-//!
-//! A caller that resumes the log under a routing refit from the recovered
-//! keys must checkpoint every shard before it logs new writes: the merge
-//! applies shards' writes in shard order, so a key's new write logged under
-//! its new shard would lose to an old write left under a higher shard.
+//! A key's history never leaves its shard: every key routes to one shard
+//! during a run, and a restart keeps the shard cut the recovered shards
+//! imply (`Partitioner::cut`), so each shard's snapshot and WAL are the
+//! whole history of the keys it holds. Each shard therefore recovers on its
+//! own: its snapshot, then its surviving groups in seq order, executed as
+//! [`gre_core::Request::execute`] would. The shards hold disjoint key
+//! ranges in shard order, so their states concatenate into the whole store:
+//! [`Recovery::shard_states`] rebuilds them on scoped threads, one per
+//! shard, and [`Recovery::replay_into`] bulk-loads their union once.
+//! Replay is deterministic: the rebuilt state equals the state at the
+//! moment the last surviving group originally executed.
 
 use crate::record::{decode_record, Record, RecordError};
 use crate::snapshot::{read_snapshot, snapshot_path, Snapshot};
 use crate::wal::{read_manifest, DurableLog, SyncPolicy};
-use gre_core::{ConcurrentIndex, Request};
-use std::collections::BTreeMap;
+use gre_core::{ConcurrentIndex, Index, IndexMeta, ModelIndex, Payload, RangeSpec};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -90,6 +88,23 @@ impl ShardRecovery {
     pub fn op_count(&self) -> u64 {
         self.groups.iter().map(|r| r.ops.len() as u64).sum()
     }
+
+    /// This shard's recovered entries in key order (see
+    /// [`Recovery::shard_states`]).
+    fn state(&self, meta: &IndexMeta) -> Vec<(u64, Payload)> {
+        let mut model = ModelIndex::default();
+        if let Some(snapshot) = &self.snapshot {
+            model.bulk_load(&snapshot.entries);
+        }
+        for rec in &self.groups {
+            for &op in &rec.ops {
+                op.execute_mut(&mut model, meta);
+            }
+        }
+        let mut entries = Vec::with_capacity(model.len());
+        model.range(RangeSpec::new(0, usize::MAX), &mut entries);
+        entries
+    }
 }
 
 /// The full recovered image of a log directory.
@@ -97,30 +112,6 @@ impl ShardRecovery {
 pub struct Recovery {
     dir: PathBuf,
     pub shards: Vec<ShardRecovery>,
-}
-
-/// The squashed final effect of one shard's surviving groups on one key.
-#[derive(Debug, Clone, Copy)]
-enum Effect {
-    /// The key's final written value (insert or applied update).
-    Put(u64),
-    /// The key was removed (tombstone — recorded even when the key is
-    /// absent locally, so the merge can kill a copy held by another
-    /// shard's snapshot).
-    Del,
-    /// An update whose target's presence can only be decided against the
-    /// globally merged state (the key was in neither this shard's
-    /// snapshot nor its earlier writes).
-    PutIfPresent(u64),
-}
-
-/// One shard's replay contribution: its snapshot base and the squashed
-/// effects of its surviving groups, kept separate so the merge can layer
-/// all bases under all writes.
-struct ShardReplayState {
-    base: BTreeMap<u64, u64>,
-    writes: BTreeMap<u64, Effect>,
-    replayed: u64,
 }
 
 fn scan_shard(dir: &Path, shard: usize) -> io::Result<ShardRecovery> {
@@ -206,131 +197,56 @@ impl Recovery {
             .all(|s| matches!(s.stop, StopReason::CleanEnd))
     }
 
-    /// Rebuild one shard's contribution: its snapshot base plus its
-    /// surviving groups squashed (in seq order) into per-key effects. Pure
-    /// per-shard work, safe to run concurrently across shards. Keeping the
-    /// base and the effects separate — instead of folding them into one
-    /// model — lets the merge phase layer *every* shard's base under
-    /// *every* shard's writes, reproducing the semantics of a sequential
-    /// global replay even when routing drifted between incarnations (a key
-    /// checkpointed under one shard, rewritten under another).
-    fn shard_state(shard: &ShardRecovery, supports_delete: bool) -> ShardReplayState {
-        let base: BTreeMap<u64, u64> = shard
-            .snapshot
-            .iter()
-            .flat_map(|s| s.entries.iter().copied())
-            .collect();
-        let mut writes: BTreeMap<u64, Effect> = BTreeMap::new();
-        let mut replayed = 0u64;
-        for rec in &shard.groups {
-            for &op in &rec.ops {
-                // Mirrors `Request::execute` against a live backend: insert
-                // overwrites, update is present-only, remove is gated on
-                // the backend's delete support, reads mutate nothing.
-                match op {
-                    Request::Insert(k, v) => {
-                        writes.insert(k, Effect::Put(v));
-                    }
-                    Request::Update(k, v) => {
-                        let effect = match writes.get(&k) {
-                            Some(Effect::Put(_)) => Some(Effect::Put(v)),
-                            Some(Effect::PutIfPresent(_)) => Some(Effect::PutIfPresent(v)),
-                            // Locally removed: definitively absent.
-                            Some(Effect::Del) => None,
-                            // Unknown locally: presence is decided at merge
-                            // time against the globally layered state.
-                            None if base.contains_key(&k) => Some(Effect::Put(v)),
-                            None => Some(Effect::PutIfPresent(v)),
-                        };
-                        if let Some(e) = effect {
-                            writes.insert(k, e);
-                        }
-                    }
-                    Request::Remove(k) => {
-                        if supports_delete {
-                            writes.insert(k, Effect::Del);
-                        }
-                    }
-                    Request::Get(_) | Request::Range(_) => {}
-                }
-                replayed += 1;
-            }
-        }
-        ShardReplayState {
-            base,
-            writes,
-            replayed,
-        }
-    }
-
-    /// Rebuild every shard's state and merge: all snapshot bases first
-    /// (shard order), then every shard's squashed writes on top (shard
-    /// order) — so a write always supersedes a snapshot copy, whichever
-    /// shards they came from. `parallel` fans the per-shard pass out on
-    /// scoped threads; both modes produce identical bytes.
-    fn rebuild_entries(&self, supports_delete: bool, parallel: bool) -> (Vec<(u64, u64)>, u64) {
-        let states: Vec<ShardReplayState> = if parallel && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || Self::shard_state(shard, supports_delete)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard replay panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards
+    /// Every shard's recovered entries, in shard order: each shard's
+    /// snapshot, then its surviving groups in seq order, each op executed as
+    /// [`Request::execute`](gre_core::Request::execute) does against a
+    /// backend described by `meta` (a remove applies only when it
+    /// `supports_delete`). The shards are rebuilt on scoped threads, one
+    /// per shard.
+    ///
+    /// Panics if two shards' states overlap or come out of key order: no
+    /// log written under one shard cut per incarnation does that.
+    pub fn shard_states(&self, meta: &IndexMeta) -> Vec<Vec<(u64, Payload)>> {
+        let states: Vec<Vec<(u64, Payload)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .shards
                 .iter()
-                .map(|shard| Self::shard_state(shard, supports_delete))
+                .map(|shard| scope.spawn(move || shard.state(meta)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard replay panicked"))
                 .collect()
-        };
-        let mut replayed = 0u64;
-        let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        for state in &states {
-            merged.extend(state.base.iter().map(|(&k, &v)| (k, v)));
-        }
-        for state in states {
-            replayed += state.replayed;
-            for (k, effect) in state.writes {
-                match effect {
-                    Effect::Put(v) => {
-                        merged.insert(k, v);
-                    }
-                    Effect::Del => {
-                        merged.remove(&k);
-                    }
-                    Effect::PutIfPresent(v) => {
-                        if let Some(slot) = merged.get_mut(&k) {
-                            *slot = v;
-                        }
-                    }
-                }
+        });
+        let mut below = None;
+        for (shard, state) in states.iter().enumerate() {
+            if let (Some(first), Some(last)) = (state.first(), state.last()) {
+                assert!(
+                    below < Some(first.0),
+                    "recovered shard {shard} overlaps a lower shard's keys in {}",
+                    self.dir.display()
+                );
+                below = Some(last.0);
             }
         }
-        (merged.into_iter().collect(), replayed)
+        states
     }
 
-    /// Rebuild `index` (which must be empty) to the recovered state: each
-    /// shard's model is rebuilt concurrently (snapshot base, then its
-    /// surviving groups in seq order), and the merged result is bulk-loaded
-    /// in one pass.
+    /// Rebuild `index` (which must be empty) to the recovered state: the
+    /// union of the shards' states, bulk-loaded in one pass.
     /// Returns the number of replayed operations.
     pub fn replay_into<I: ConcurrentIndex<u64> + ?Sized>(&self, index: &mut I) -> u64 {
-        let supports_delete = index.meta().supports_delete;
-        let (entries, replayed) = self.rebuild_entries(supports_delete, true);
+        let entries = self.shard_states(&index.meta()).concat();
         if !entries.is_empty() {
             index.bulk_load(&entries);
         }
-        replayed
+        self.replayed_ops()
     }
 
     /// Physically truncate each shard's WAL to its valid prefix, removing
     /// torn or corrupt tails so a resumed writer appends on a clean
     /// boundary.
-    pub fn truncate_torn_tails(&self) -> io::Result<()> {
+    fn truncate_torn_tails(&self) -> io::Result<()> {
         for shard in &self.shards {
             if shard.valid_len < shard.wal_len {
                 let path = self.dir.join(format!("shard-{}.wal", shard.shard));
@@ -357,7 +273,7 @@ mod tests {
     use crate::failpoint::{FailAction, FailpointRegistry, Trigger};
     use crate::util::TempDir;
     use gre_core::index::MutexIndex;
-    use gre_core::{ModelIndex, RangeSpec, Request};
+    use gre_core::Request;
 
     fn model_backend() -> MutexIndex<ModelIndex> {
         MutexIndex::new(ModelIndex::default(), "model")
@@ -521,41 +437,5 @@ mod tests {
     fn missing_directory_is_an_error_not_a_panic() {
         let dir = TempDir::new("rec-missing");
         assert!(Recovery::recover(&dir.path().join("never-created")).is_err());
-    }
-
-    #[test]
-    fn parallel_and_sequential_replay_are_byte_identical() {
-        let dir = TempDir::new("rec-parallel");
-        let log = DurableLog::create(dir.path(), 4, SyncPolicy::EveryGroup).unwrap();
-        // A busy, uneven history: churn on every shard, a checkpoint, and
-        // a checkpointed key rewritten under another shard.
-        for i in 0..200u64 {
-            let shard = (i % 4) as usize;
-            log.log_group(
-                shard,
-                &[
-                    Request::Insert(i * 10, i),
-                    Request::Update(i * 5, i),
-                    Request::Remove(i * 7),
-                ],
-            )
-            .unwrap();
-        }
-        log.checkpoint(2, &[(2, 2), (42, 42)]).unwrap();
-        log.log_group(2, &[Request::Insert(1_000_002, 2)]).unwrap();
-        log.log_group(3, &[Request::Update(42, 43), Request::Insert(555, 5)])
-            .unwrap();
-        drop(log);
-
-        let rec = Recovery::recover(dir.path()).unwrap();
-        let (par, par_ops) = rec.rebuild_entries(true, true);
-        let (seq, seq_ops) = rec.rebuild_entries(true, false);
-        assert_eq!(par_ops, seq_ops);
-        assert_eq!(par, seq, "scoped-thread replay must be deterministic");
-        assert!(!par.is_empty());
-        // And the public path agrees with the sequential rebuild.
-        let mut index = model_backend();
-        rec.replay_into(&mut index);
-        assert_eq!(entries_of(&index), seq);
     }
 }

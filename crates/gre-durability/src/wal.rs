@@ -11,7 +11,8 @@
 //! [`DurableLog::log_group`] call carries. Because each shard's groups are
 //! processed FIFO by the pipeline, each shard's log is a faithful serial
 //! history of that shard's accepted writes — no cross-shard ordering is
-//! needed, since every key routes to exactly one shard.
+//! needed, since a key's history never leaves its shard: every key routes
+//! to one shard, and a restart keeps the shard cut (see [`crate::recover`]).
 //!
 //! ## Durability contract
 //!

@@ -82,12 +82,6 @@ impl DataHardness {
             .collect();
         Self::compute(&sampled, config)
     }
-
-    /// A scalar "difficulty score" combining both axes; used only for sorting
-    /// datasets from easy to difficult when rendering heatmap rows.
-    pub fn difficulty_score(&self) -> f64 {
-        (self.local as f64).ln_1p() + (self.global as f64).ln_1p() * 4.0
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +132,6 @@ mod tests {
         let hard = DataHardness::compute_default(&globally_deflected_keys(50_000));
         assert!(hard.global >= easy.global);
         assert!(hard.single_line_mse > easy.single_line_mse);
-        assert!(hard.difficulty_score() > easy.difficulty_score());
     }
 
     #[test]
@@ -148,7 +141,7 @@ mod tests {
         let cfg = HardnessConfig::default();
         let he = DataHardness::compute_sampled(&easy, cfg, 20_000);
         let hh = DataHardness::compute_sampled(&hard, cfg, 20_000);
-        assert!(hh.difficulty_score() >= he.difficulty_score());
+        assert!(hh.global >= he.global);
         // Sampling with a budget larger than the data falls back to exact.
         let exact = DataHardness::compute_sampled(&easy, cfg, 1_000_000);
         assert_eq!(exact.local, DataHardness::compute(&easy, cfg).local);

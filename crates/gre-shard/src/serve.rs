@@ -196,10 +196,12 @@ impl<B: ConcurrentIndex<u64> + 'static> PipelineTarget<B> {
     /// log under `dir` (checkpointing the bulk load into snapshots) and
     /// attach it to the pipeline, so every served write is group-committed
     /// before it executes. If `dir` already holds a durable history from a
-    /// previous incarnation, load restores it instead of the bulk entries
-    /// (a restart), resumes the log where it left off and checkpoints every
-    /// shard under the routing refit from the restored keys, recording the
-    /// replayed op count as `recovery_replayed_ops` when instrumented; a
+    /// previous incarnation, load restores it instead of the bulk entries (a
+    /// restart): each shard reloads its own recovered state, under the cut
+    /// those states imply, and the log resumes where it left off, writing no
+    /// snapshot. A key's history never leaves its shard, so a restart
+    /// neither rebalances the shards nor compacts the logs. The replayed op
+    /// count is recorded as `recovery_replayed_ops` when instrumented; a
     /// history load cannot read is a panic, never a fresh start over it.
     /// See `gre-durability` and `docs/DURABILITY.md`.
     pub fn durable(mut self, dir: impl AsRef<Path>, policy: SyncPolicy) -> Self {
@@ -247,13 +249,16 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
         // state (a restart: the durable history supersedes the bulk
         // entries) or open a fresh log over the bulk load.
         let durability = if let Some(cfg) = &self.durability {
-            let log = match Recovery::recover(&cfg.dir) {
+            Some(match Recovery::recover(&cfg.dir) {
+                // Each shard reloads its own recovered state under the cut
+                // those states imply, so a key's history never leaves its
+                // shard and the log resumes as it is.
                 Ok(rec) => {
-                    let replayed = rec.replay_into(index);
+                    index.load_parts(&rec.shard_states(&index.meta()));
                     if let Some(t) = &self.telemetry {
                         t.metrics()
                             .stripe(0)
-                            .add(CounterId::RecoveryReplayedOps, replayed);
+                            .add(CounterId::RecoveryReplayedOps, rec.replayed_ops());
                     }
                     rec.resume(cfg.policy)
                         .expect("durable target: cannot resume the write-ahead log")
@@ -263,32 +268,26 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
                 // manifest and truncate every acknowledged shard WAL.
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     index.bulk_load(entries);
-                    DurableLog::create(&cfg.dir, index.num_shards(), cfg.policy)
-                        .expect("durable target: cannot create the write-ahead log")
+                    let log = DurableLog::create(&cfg.dir, index.num_shards(), cfg.policy)
+                        .expect("durable target: cannot create the write-ahead log");
+                    // The bulk load bypassed the log: checkpoint it, or a
+                    // recovery would replay an empty store. A backend holds
+                    // exactly the keys its shard routes to it, so its full
+                    // scan is that shard's checkpoint.
+                    for shard in 0..index.num_shards() {
+                        let backend = index.backend(shard);
+                        let mut entries = Vec::with_capacity(backend.len());
+                        backend.range(gre_core::RangeSpec::new(0, backend.len()), &mut entries);
+                        log.checkpoint(shard, &entries)
+                            .expect("durable target: cannot checkpoint the bulk load");
+                    }
+                    log
                 }
                 Err(e) => panic!(
                     "durable target: cannot recover the write-ahead log in {}: {e}",
                     cfg.dir.display()
                 ),
-            };
-            // Checkpoint every shard before serving. A fresh load never
-            // passed through the pipeline, so without it a recovery would
-            // replay an empty store. A restart's bulk load refit the routing
-            // from the recovered keys, so a key may now belong to another
-            // shard than the one whose WAL holds its history: recovery
-            // applies shards' writes in shard order, so a new write logged
-            // under the new shard would lose to an old one left under a
-            // higher shard.
-            // A backend holds exactly the keys its shard's range routes to
-            // it, so its full scan is that shard's checkpoint.
-            for shard in 0..index.num_shards() {
-                let backend = index.backend(shard);
-                let mut entries = Vec::with_capacity(backend.len());
-                backend.range(gre_core::RangeSpec::new(0, backend.len()), &mut entries);
-                log.checkpoint(shard, &entries)
-                    .expect("durable target: cannot checkpoint the loaded state");
-            }
-            Some(log)
+            })
         } else {
             index.bulk_load(entries);
             None
@@ -491,11 +490,10 @@ mod tests {
     }
 
     /// A restart restores the previous incarnation's served state, not the
-    /// bulk entries. Its bulk load refits the range boundaries, so a key can
-    /// move to a lower shard than the one whose WAL holds its history, and
-    /// recovery applies shards' writes in shard order: the restart
-    /// checkpoints every shard, so the moved key's next write survives the
-    /// next crash instead of losing to its old one.
+    /// bulk entries. Each shard reloads its own recovered state under the
+    /// cut those states imply, so key 600 stays on shard 1, whose WAL holds
+    /// its history, although a quantile cut over the 1 000 keys served above
+    /// it would move it to shard 0; its next write survives the next crash.
     #[test]
     fn durable_target_restores_a_previous_incarnation_on_load() {
         use gre_durability::util::TempDir;
@@ -540,7 +538,7 @@ mod tests {
         );
         let snap = target.telemetry().expect("instrumented").snapshot();
         assert!(snap.counter(CounterId::RecoveryReplayedOps) > 0);
-        assert_eq!(target.index().shard_of(600), 0, "the refit moved key 600");
+        assert_eq!(target.index().shard_of(600), 1, "key 600 left its shard");
         serve(&target, vec![Op::Update(600, 2)]);
         drop(target);
 

@@ -51,10 +51,24 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
         &self.backends[shard]
     }
 
-    /// The partitioner in use. Only [`ConcurrentIndex::bulk_load`] changes
-    /// it (it refits the boundaries to the loaded keys).
+    /// The partitioner in use. Only the two loads change it:
+    /// [`ConcurrentIndex::bulk_load`] fits the boundaries to the loaded
+    /// keys, and `load_parts` cuts them at a durable store's recovered shards.
     pub fn partitioner(&self) -> &Partitioner<K> {
         &self.partitioner
+    }
+
+    /// Load shard `i` with `parts[i]`, cutting the boundaries so that every
+    /// key goes back to the shard it came from (see [`Partitioner::cut`]):
+    /// the restart of a durable store, whose keys must stay with the shard
+    /// whose log holds their history. `parts` holds one sorted part per
+    /// shard, in ascending and disjoint key order.
+    pub(crate) fn load_parts(&mut self, parts: &[Vec<(K, Payload)>]) {
+        assert_eq!(parts.len(), self.backends.len(), "one part per shard");
+        self.partitioner.cut(parts);
+        for (backend, part) in self.backends.iter_mut().zip(parts) {
+            backend.bulk_load(part);
+        }
     }
 
     /// Entry count of every shard, for balance diagnostics.

@@ -228,12 +228,12 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
 
     // Recover-and-continue, twice, through the durable serve target's
-    // restart: replay into a fresh composite (whose bulk load refits the
-    // shard boundaries, moving keys between shards), resume the log with
-    // torn tails truncated, checkpoint every shard under the new routing,
-    // serve more writes, kill again. Each next recovery must still be
-    // exact: crash damage does not compound, and no write left under a
-    // key's old shard outlives a newer one under its new shard.
+    // restart: reload each shard of a fresh composite with its own
+    // recovered state (under the cut those states imply, so no key leaves
+    // the shard whose log holds its history), resume the log with torn
+    // tails truncated and without a checkpoint, serve more writes, kill
+    // again. Each next recovery must still be exact: crash damage does not
+    // compound.
     for restart in 1..=2 {
         let ctx = format!("{ctx}/restart-{restart}");
         let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
@@ -341,6 +341,44 @@ fn sync_error_on_a_coalesced_group_refuses_every_member() {
             ("wal/0/sync", Trigger::OnHit(3), FailAction::Error),
         );
         assert!(refused > 0, "{name}: the failed group must be refused");
+    }
+}
+
+/// A restart that dies while it loads loses no acknowledged key. The keys
+/// served here sit low, so a quantile cut over the restarted store would
+/// move keys between shards; a restart that rewrote the shards' snapshots
+/// under such a cut, one shard at a time, and died after the first one
+/// (a directory squatting on shard 1's snapshot temp file) would leave
+/// keys that no shard's history holds.
+#[test]
+fn a_restart_that_dies_while_loading_loses_no_key() {
+    for (name, factory) in backends() {
+        let tmp = TempDir::new("durable-restart-crash");
+        let target = || {
+            let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+            PipelineTarget::new(idx, 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup)
+        };
+        let mut first = target();
+        let bulk: Vec<(u64, Payload)> = (0..4_000u64).map(|i| (i * 10, i)).collect();
+        first.load(&bulk);
+        let pipeline = first.pipeline_handle().expect("loaded");
+        let low: Vec<Op> = (0..3_000u64).map(|i| Op::Insert(i * 10 + 1, i)).collect();
+        let responses = pipeline.submit(OpBatch::new(low)).wait();
+        assert!(responses.iter().all(|r| !r.is_error()), "{name}");
+        drop((pipeline, first));
+
+        let squat = tmp.path().join("shard-1.snap.tmp");
+        std::fs::create_dir(&squat).unwrap();
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            target().load(&[]);
+        }));
+        std::fs::remove_dir(&squat).unwrap();
+
+        let mut rebuilt = factory();
+        Recovery::recover(tmp.path())
+            .unwrap()
+            .replay_into(&mut *rebuilt);
+        assert_eq!(rebuilt.len(), 7_000, "{name}: acknowledged keys lost");
     }
 }
 
