@@ -2,14 +2,16 @@
 //! inserts on every index (Figures 2–5), in-place updates, bulk loading,
 //! range scans (Figure 13), inserts into dense clusters (the gapped-array
 //! shift path), batched against scalar lookups on the partition-lock adapter,
-//! and PLA hardness computation (§3.2).
+//! PLA hardness computation (§3.2), and the std `BTreeMap` as a floor under
+//! the B+tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gre_bench::registry::{concurrent_indexes, single_thread_indexes, SINGLE_THREAD};
-use gre_core::{ConcurrentIndex, RangeSpec};
+use gre_core::{ConcurrentIndex, Index, ModelIndex, RangeSpec};
 use gre_datasets::Dataset;
 use gre_learned::AlexPlus;
 use gre_pla::{optimal_pla, DataHardness, HardnessConfig};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 const N: usize = 50_000;
@@ -237,6 +239,80 @@ fn bench_get_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// `items` in a fixed scattered order (a stride coprime to the sizes used),
+/// so consecutive operations land far apart in the key space while the
+/// probe list itself is read sequentially.
+fn scattered(items: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    (0..items.len())
+        .map(|i| items[i * 7919 % items.len()])
+        .collect()
+}
+
+/// The std `BTreeMap` (`gre_core::ModelIndex`) as a floor under the
+/// B+tree, not a contender: a B+tree control that loses to it is not worth
+/// beating. Inserts and gets on `osm` keys at 200 k (near cache-resident)
+/// and 2 M (beyond L2). The inserts are the odd-ranked half of the keys in a
+/// scattered order, into a tree bulk-loaded with the even half; gets probe
+/// every key of a fully loaded tree in a scattered order. One timed
+/// iteration is 1 000 fresh inserts, so ns/iter ÷ 1 000 is ns per insert.
+/// A tree whose fresh keys run out is rebuilt outside the timing.
+fn bench_btree_floor(c: &mut Criterion) {
+    const INSERTS: usize = 1_000;
+    type Ctor = fn() -> Box<dyn Index<u64>>;
+    let rows: [(&str, Ctor); 2] = [
+        ("B+tree", || {
+            Box::new(gre_traditional::BPlusTree::<u64>::new())
+        }),
+        ("BTreeMap (floor)", || Box::new(ModelIndex::default())),
+    ];
+    let mut group = c.benchmark_group("btree_floor");
+    group.sample_size(10);
+    for n in [200_000, 2_000_000] {
+        let entries = sized_entries(Dataset::Osm, n);
+        let bulk: Vec<(u64, u64)> = entries.iter().copied().step_by(2).collect();
+        let rest: Vec<(u64, u64)> = entries.iter().copied().skip(1).step_by(2).collect();
+        let fresh = scattered(&rest);
+        let probes = scattered(&entries);
+        for (name, ctor) in rows {
+            // (tree, next fresh key); starts exhausted so the first setup builds.
+            let state = RefCell::new((ctor(), fresh.len()));
+            group.bench_function(
+                BenchmarkId::new(format!("{name}/insert_x{INSERTS}"), n),
+                |b| {
+                    b.iter_batched(
+                        || {
+                            let mut state = state.borrow_mut();
+                            if state.1 + INSERTS > fresh.len() {
+                                let mut tree = ctor();
+                                tree.bulk_load(&bulk);
+                                *state = (tree, 0);
+                            }
+                        },
+                        |()| {
+                            let (tree, next) = &mut *state.borrow_mut();
+                            for &(k, v) in &fresh[*next..*next + INSERTS] {
+                                black_box(tree.insert(k, v));
+                            }
+                            *next += INSERTS;
+                        },
+                        criterion::BatchSize::SmallInput,
+                    )
+                },
+            );
+            let mut tree = ctor();
+            tree.bulk_load(&entries);
+            group.bench_function(BenchmarkId::new(format!("{name}/get"), n), |b| {
+                let mut i = 0usize;
+                b.iter(|| {
+                    i = if i + 1 == probes.len() { 0 } else { i + 1 };
+                    black_box(tree.get(probes[i].0))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_pla(c: &mut Criterion) {
     let mut group = c.benchmark_group("pla_hardness");
     group.sample_size(10);
@@ -266,6 +342,7 @@ criterion_group! {
         bench_insert_dense_cluster,
         bench_concurrent_insert,
         bench_get_batch,
+        bench_btree_floor,
         bench_pla
 }
 criterion_main!(benches);

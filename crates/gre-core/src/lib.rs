@@ -31,6 +31,9 @@
 //!   `gre-durability` write-ahead log.
 //! * [`json`] — [`json::JsonWriter`], the one JSON emitter every report in
 //!   the workspace is written through.
+//! * [`prefetch`] — [`prefetch::prefetch_read`] and
+//!   [`prefetch::prefetch_slice`], the best-effort cache-line prefetch ALEX
+//!   and the B+-tree issue before a search.
 
 pub mod index;
 pub mod json;
@@ -39,6 +42,7 @@ pub mod latency;
 pub mod ops;
 pub mod partition;
 pub mod partitioned;
+pub mod prefetch;
 pub mod stats;
 pub mod wire;
 
@@ -48,4 +52,5 @@ pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
 pub use partition::Partitioner;
 pub use partitioned::{Partitionable, Partitioned, Probe, BATCH_WIDTH};
+pub use prefetch::{prefetch_read, prefetch_slice};
 pub use stats::{InsertBreakdown, OpCounters, StatsSnapshot};

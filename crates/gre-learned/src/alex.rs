@@ -70,7 +70,8 @@
 //! ALEX itself builds at the scales we benchmark).
 
 use gre_core::{
-    Index, IndexMeta, Key, OpCounters, Partitionable, Payload, Probe, RangeSpec, StatsSnapshot,
+    prefetch_read, Index, IndexMeta, Key, OpCounters, Partitionable, Payload, Probe, RangeSpec,
+    StatsSnapshot,
 };
 use gre_pla::LinearModel;
 use std::time::Instant;
@@ -470,19 +471,6 @@ fn search_from<T>(items: &[T], guess: usize, below: impl Fn(&T) -> bool) -> (usi
     let bracket = &items[lo..hi];
     let binary = u64::from(usize::BITS - bracket.len().leading_zeros());
     (lo + bracket.partition_point(below), probes + binary)
-}
-
-/// Best-effort read prefetch of the cache line holding `*ptr`. No-op on
-/// architectures without an exposed prefetch intrinsic.
-#[inline(always)]
-fn prefetch_read<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch never faults, even on invalid addresses.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(ptr as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = ptr;
 }
 
 /// ALEX: a model-routed collection of gapped-array data nodes.

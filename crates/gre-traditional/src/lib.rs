@@ -19,7 +19,7 @@ pub mod masstree;
 pub mod wormhole;
 
 pub use art::Art;
-pub use btree::{BPlusTree, BPlusTreeConfig};
+pub use btree::BPlusTree;
 pub use concurrent::{
     art_olc, btree_olc, hot_rowex, masstree_concurrent, wormhole_concurrent, BPlusTreeOlc,
 };

@@ -3,13 +3,13 @@
 //! Masstree (Mao et al., EuroSys'12) indexes variable-length keys as a trie
 //! whose layers are B+-trees over consecutive 8-byte key slices. For the
 //! fixed 8-byte integer keys of this study the trie degenerates to a single
-//! B+-tree layer with Masstree's small node fanout (15 keys per node), which
-//! is the simplification we implement (see "Substitutions" in
-//! `docs/BENCHMARKS.md`). The behaviours the paper attributes to Masstree in
-//! this setting — B-tree-like write amplification and heavier per-key
-//! overhead than ART — are preserved.
+//! B+-tree layer with Masstree's small node fanout (15 slots per node, held
+//! inline like the B+tree's 64), which is the simplification we implement
+//! (see "Substitutions" in `docs/BENCHMARKS.md`). The behaviours the paper
+//! attributes to Masstree in this setting — B-tree-like write amplification
+//! and heavier per-key overhead than ART — are preserved.
 
-use crate::btree::{BPlusTree, BPlusTreeConfig};
+use crate::btree::BPlusTree;
 use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 /// Masstree's per-node key fanout.
@@ -18,7 +18,7 @@ pub const MASSTREE_FANOUT: usize = 15;
 /// A Masstree-like index over 8-byte keys.
 #[derive(Debug)]
 pub struct Masstree<K> {
-    layer0: BPlusTree<K>,
+    layer0: BPlusTree<K, MASSTREE_FANOUT>,
 }
 
 impl<K: Key> Default for Masstree<K> {
@@ -30,10 +30,7 @@ impl<K: Key> Default for Masstree<K> {
 impl<K: Key> Masstree<K> {
     pub fn new() -> Self {
         Masstree {
-            layer0: BPlusTree::with_config(BPlusTreeConfig {
-                leaf_capacity: MASSTREE_FANOUT,
-                inner_capacity: MASSTREE_FANOUT,
-            }),
+            layer0: BPlusTree::default(),
         }
     }
 

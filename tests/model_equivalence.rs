@@ -124,6 +124,9 @@ model_test!(alex_matches_btreemap, Alex::<u64>::new());
 model_test!(lipp_matches_btreemap, Lipp::<u64>::new());
 model_test!(pgm_matches_btreemap, DynamicPgm::<u64>::new());
 model_test!(btree_matches_btreemap, BPlusTree::<u64>::new());
+// Four-slot nodes split every few inserts: inner splits cascade and the
+// root grows several levels within one case.
+model_test!(btree_small_matches_btreemap, BPlusTree::<u64, 4>::default());
 model_test!(art_matches_btreemap, Art::<u64>::new());
 model_test!(hot_matches_btreemap, Hot::<u64>::new());
 model_test!(wormhole_matches_btreemap, Wormhole::<u64>::new());
