@@ -4,9 +4,13 @@
 //! shift path), batched against scalar lookups on the partition-lock adapter,
 //! PLA hardness computation (§3.2), and the std `BTreeMap` as a floor under
 //! the B+tree.
+//!
+//! Every insert row inserts fresh keys only: one timed iteration is
+//! [`INSERTS`] of them, so ns/iter ÷ 1 000 is ns per insert (see
+//! [`time_fresh_inserts`]).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gre_bench::registry::{concurrent_indexes, single_thread_indexes, SINGLE_THREAD};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
+use gre_bench::registry::{single_thread_indexes, CONCURRENT, SINGLE_THREAD};
 use gre_core::{ConcurrentIndex, Index, ModelIndex, RangeSpec};
 use gre_datasets::Dataset;
 use gre_learned::AlexPlus;
@@ -47,25 +51,55 @@ fn bench_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fresh keys per timed iteration of an insert row.
+const INSERTS: usize = 1_000;
+
+/// Time inserts of `fresh`'s keys, [`INSERTS`] per iteration, into an index
+/// `build` returns loaded without them. When the fresh keys run out, `build`
+/// makes a new index outside the timing, so no timed insert overwrites.
+fn time_fresh_inserts<T>(
+    b: &mut Bencher,
+    fresh: &[(u64, u64)],
+    build: impl Fn() -> T,
+    insert: impl Fn(&mut T, u64, u64) -> bool,
+) {
+    // (index, next fresh key); starts exhausted so the first setup builds.
+    let state = RefCell::new((None, fresh.len()));
+    b.iter_batched(
+        || {
+            let mut state = state.borrow_mut();
+            if state.1 + INSERTS > fresh.len() {
+                *state = (Some(build()), 0);
+            }
+        },
+        |()| {
+            let (index, next) = &mut *state.borrow_mut();
+            let index = index.as_mut().expect("built by the setup");
+            for &(k, v) in &fresh[*next..*next + INSERTS] {
+                black_box(insert(index, k, v));
+            }
+            *next += INSERTS;
+        },
+        criterion::BatchSize::SmallInput,
+    )
+}
+
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("insert");
     group.sample_size(10);
     for ds in [Dataset::Covid] {
         let entries = dataset_entries(ds);
         let (bulk, rest) = entries.split_at(entries.len() / 2);
-        for mut index in single_thread_indexes() {
-            index.bulk_load(bulk);
-            group.bench_with_input(
-                BenchmarkId::new(index.meta().name, ds.name()),
-                rest,
-                |b, rest| {
-                    let mut i = 0usize;
-                    b.iter(|| {
-                        i = (i + 1) % rest.len();
-                        black_box(index.insert(rest[i].0, rest[i].1))
-                    })
-                },
-            );
+        for ctor in SINGLE_THREAD {
+            let id = BenchmarkId::new(format!("{}/x{INSERTS}", ctor().meta().name), ds.name());
+            group.bench_function(id, |b| {
+                let build = || {
+                    let mut index = ctor();
+                    index.bulk_load(bulk);
+                    index
+                };
+                time_fresh_inserts(b, rest, build, |index, k, v| index.insert(k, v))
+            });
         }
     }
     group.finish();
@@ -154,14 +188,14 @@ fn bench_insert_dense_cluster(c: &mut Criterion) {
     let entries = dataset_entries(Dataset::Osm);
     let bulk: Vec<(u64, u64)> = entries.iter().copied().step_by(2).collect();
     let rest: Vec<(u64, u64)> = entries.iter().copied().skip(1).step_by(2).collect();
-    for mut index in single_thread_indexes() {
-        index.bulk_load(&bulk);
-        group.bench_function(index.meta().name, |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % rest.len();
-                black_box(index.insert(rest[i].0, rest[i].1))
-            })
+    for ctor in SINGLE_THREAD {
+        group.bench_function(format!("{}/x{INSERTS}", ctor().meta().name), |b| {
+            let build = || {
+                let mut index = ctor();
+                index.bulk_load(&bulk);
+                index
+            };
+            time_fresh_inserts(b, &rest, build, |index, k, v| index.insert(k, v))
         });
     }
     group.finish();
@@ -172,14 +206,14 @@ fn bench_concurrent_insert(c: &mut Criterion) {
     group.sample_size(10);
     let entries = dataset_entries(Dataset::Covid);
     let (bulk, rest) = entries.split_at(entries.len() / 2);
-    for mut index in concurrent_indexes(true) {
-        index.bulk_load(bulk);
-        group.bench_function(index.meta().name, |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % rest.len();
-                black_box(index.insert(rest[i].0, rest[i].1))
-            })
+    for ctor in CONCURRENT {
+        group.bench_function(format!("{}/x{INSERTS}", ctor().meta().name), |b| {
+            let build = || {
+                let mut index = ctor();
+                index.bulk_load(bulk);
+                index
+            };
+            time_fresh_inserts(b, rest, build, |index, k, v| index.insert(k, v))
         });
     }
     group.finish();
@@ -253,11 +287,8 @@ fn scattered(items: &[(u64, u64)]) -> Vec<(u64, u64)> {
 /// beating. Inserts and gets on `osm` keys at 200 k (near cache-resident)
 /// and 2 M (beyond L2). The inserts are the odd-ranked half of the keys in a
 /// scattered order, into a tree bulk-loaded with the even half; gets probe
-/// every key of a fully loaded tree in a scattered order. One timed
-/// iteration is 1 000 fresh inserts, so ns/iter ÷ 1 000 is ns per insert.
-/// A tree whose fresh keys run out is rebuilt outside the timing.
+/// every key of a fully loaded tree in a scattered order.
 fn bench_btree_floor(c: &mut Criterion) {
-    const INSERTS: usize = 1_000;
     type Ctor = fn() -> Box<dyn Index<u64>>;
     let rows: [(&str, Ctor); 2] = [
         ("B+tree", || {
@@ -274,29 +305,15 @@ fn bench_btree_floor(c: &mut Criterion) {
         let fresh = scattered(&rest);
         let probes = scattered(&entries);
         for (name, ctor) in rows {
-            // (tree, next fresh key); starts exhausted so the first setup builds.
-            let state = RefCell::new((ctor(), fresh.len()));
             group.bench_function(
                 BenchmarkId::new(format!("{name}/insert_x{INSERTS}"), n),
                 |b| {
-                    b.iter_batched(
-                        || {
-                            let mut state = state.borrow_mut();
-                            if state.1 + INSERTS > fresh.len() {
-                                let mut tree = ctor();
-                                tree.bulk_load(&bulk);
-                                *state = (tree, 0);
-                            }
-                        },
-                        |()| {
-                            let (tree, next) = &mut *state.borrow_mut();
-                            for &(k, v) in &fresh[*next..*next + INSERTS] {
-                                black_box(tree.insert(k, v));
-                            }
-                            *next += INSERTS;
-                        },
-                        criterion::BatchSize::SmallInput,
-                    )
+                    let build = || {
+                        let mut tree = ctor();
+                        tree.bulk_load(&bulk);
+                        tree
+                    };
+                    time_fresh_inserts(b, &fresh, build, |tree, k, v| tree.insert(k, v))
                 },
             );
             let mut tree = ctor();

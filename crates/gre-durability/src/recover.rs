@@ -34,7 +34,7 @@
 
 use crate::record::{decode_record, Record, RecordError};
 use crate::snapshot::{read_snapshot, snapshot_path, Snapshot};
-use crate::wal::{read_manifest, DurableLog, SyncPolicy};
+use crate::wal::{read_manifest, wal_path, DurableLog, SyncPolicy};
 use gre_core::{ConcurrentIndex, Index, IndexMeta, ModelIndex, Payload, RangeSpec};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -117,7 +117,7 @@ pub struct Recovery {
 fn scan_shard(dir: &Path, shard: usize) -> io::Result<ShardRecovery> {
     let snapshot = read_snapshot(&snapshot_path(dir, shard));
     let snap_seq = snapshot.as_ref().map(|s| s.last_seq);
-    let wal = match std::fs::read(dir.join(format!("shard-{shard}.wal"))) {
+    let wal = match std::fs::read(wal_path(dir, shard)) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
@@ -249,7 +249,7 @@ impl Recovery {
     fn truncate_torn_tails(&self) -> io::Result<()> {
         for shard in &self.shards {
             if shard.valid_len < shard.wal_len {
-                let path = self.dir.join(format!("shard-{}.wal", shard.shard));
+                let path = wal_path(&self.dir, shard.shard);
                 let file = std::fs::OpenOptions::new().write(true).open(&path)?;
                 file.set_len(shard.valid_len)?;
                 file.sync_data()?;
