@@ -84,21 +84,38 @@ fn time_fresh_inserts<T>(
     )
 }
 
+type Entries = Vec<(u64, u64)>;
+
+/// `entries` split for an insert row: the even positions to bulk-load, and
+/// the odd ones in a seeded shuffle to insert, so every timed insert lands
+/// between two loaded keys rather than past the loaded maximum.
+fn interleaved(entries: &[(u64, u64)]) -> (Entries, Entries) {
+    let bulk = entries.iter().copied().step_by(2).collect();
+    let mut fresh: Entries = entries.iter().copied().skip(1).step_by(2).collect();
+    let mut x = 42u64;
+    for i in (1..fresh.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        fresh.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    (bulk, fresh)
+}
+
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("insert");
     group.sample_size(10);
     for ds in [Dataset::Covid] {
-        let entries = dataset_entries(ds);
-        let (bulk, rest) = entries.split_at(entries.len() / 2);
+        let (bulk, fresh) = interleaved(&dataset_entries(ds));
         for ctor in SINGLE_THREAD {
             let id = BenchmarkId::new(format!("{}/x{INSERTS}", ctor().meta().name), ds.name());
             group.bench_function(id, |b| {
                 let build = || {
                     let mut index = ctor();
-                    index.bulk_load(bulk);
+                    index.bulk_load(&bulk);
                     index
                 };
-                time_fresh_inserts(b, rest, build, |index, k, v| index.insert(k, v))
+                time_fresh_inserts(b, &fresh, build, |index, k, v| index.insert(k, v))
             });
         }
     }
@@ -204,16 +221,15 @@ fn bench_insert_dense_cluster(c: &mut Criterion) {
 fn bench_concurrent_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("concurrent_single_thread_insert_path");
     group.sample_size(10);
-    let entries = dataset_entries(Dataset::Covid);
-    let (bulk, rest) = entries.split_at(entries.len() / 2);
+    let (bulk, fresh) = interleaved(&dataset_entries(Dataset::Covid));
     for ctor in CONCURRENT {
         group.bench_function(format!("{}/x{INSERTS}", ctor().meta().name), |b| {
             let build = || {
                 let mut index = ctor();
-                index.bulk_load(bulk);
+                index.bulk_load(&bulk);
                 index
             };
-            time_fresh_inserts(b, rest, build, |index, k, v| index.insert(k, v))
+            time_fresh_inserts(b, &fresh, build, |index, k, v| index.insert(k, v))
         });
     }
     group.finish();

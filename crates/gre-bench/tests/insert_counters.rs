@@ -42,12 +42,15 @@ fn work(c: OpCounters) -> [u64; 5] {
 
 /// Exact values of a seeded write-only stream. A refactor of the counter
 /// path must leave them alone; a change meant to move them (an SMO policy,
-/// a new traversal) updates them and says why.
+/// a new traversal) updates them and says why. ALEX's node-sizing rule
+/// already splits here: with a 1 024-key node floor one node took every
+/// insert, `[1_000, 1_000, 233_550, 5, 5]`, 234 keys shifted per insert
+/// against 38.
 #[test]
 fn write_only_osm_counters_are_exact() {
     let (bulk, fresh) = osm_stream(2_000);
     for (name, expected) in [
-        ("ALEX", [1_000, 1_000, 233_550, 5, 5]),
+        ("ALEX", [1_000, 1_552, 37_700, 14, 13]),
         ("LIPP", [1_000, 2_996, 0, 485, 0]),
     ] {
         let mut index = registered(name);
@@ -59,9 +62,11 @@ fn write_only_osm_counters_are_exact() {
     }
 }
 
-/// At 20 000 keys ALEX's node-sizing rule fires (at 2 000 every node stays
-/// under its floor). Before the rule one node took every insert: `[10_000,
-/// 10_000, 23_718_734, 5, 5]`, 2 372 keys shifted per insert against 130.
+/// At 20 000 keys ALEX's node-sizing rule splits the loaded keys into
+/// several nodes and keeps splitting as the inserts pack them. Before the
+/// rule one node took every insert: `[10_000, 10_000, 23_718_734, 5, 5]`,
+/// 2 372 keys shifted per insert; with a 1 024-key node floor, `[10_000,
+/// 22_491, 1_302_982, 58, 50]`, 130; with the rule alone, 68.
 #[test]
 fn write_only_osm_counters_are_exact_where_alex_splits() {
     let (bulk, fresh) = osm_stream(20_000);
@@ -72,7 +77,7 @@ fn write_only_osm_counters_are_exact_where_alex_splits() {
     }
     assert_eq!(
         work(index.stats().counters),
-        [10_000, 22_491, 1_302_982, 58, 50]
+        [10_000, 35_466, 678_726, 354, 315]
     );
 }
 

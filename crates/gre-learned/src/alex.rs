@@ -20,9 +20,17 @@
 //! median and the rule applied to each half. The build is its own cost pass:
 //! placement stops as soon as the runs placed so far pass the limit, before
 //! the key array is built, so easy data pays no extra pass and hard data
-//! only the prefix that proved it hard. A range under `2 * MIN_NODE_KEYS`
-//! keys is built whatever it costs, so the rule never leaves a node below
-//! `MIN_NODE_KEYS` keys unless the size budget forces it.
+//! only the prefix that proved it hard.
+//!
+//! The rule needs no floor to end. A range of n keys expects at most n / 4
+//! shifts (all of them in one packed run: n² / 4n), so a range of
+//! `4 * MAX_EXPECTED_SHIFT` = 256 keys or fewer always builds as one node,
+//! and every node a split makes holds at least 128 keys. On 2 M `osm` keys in
+//! 64 partitions the rule alone builds about 40 nodes of about 780 keys per
+//! partition, whose median expects 21 shifts; a 1 024-key floor had stopped
+//! it at 16 nodes of about 1 950 keys whose median expected 248, and random
+//! inserts then shifted 305 keys each against 36. The smaller nodes cost
+//! 0.5 % more bytes per key.
 //!
 //! An SMO rebuilds a node through the rule when an insert finds no room, when
 //! its density passes `AlexConfig::max_density` (at `init_density`), or when
@@ -33,7 +41,7 @@
 //! `[init_density, max_density]`, so a split adds no memory. (The paper picks
 //! between expand, split sideways and split down from a cost model that also
 //! weighs search cost; this rule weighs shifts only, splits at the median,
-//! never splits down, and its constants are fixed.)
+//! never splits down, and its shift limit is a fixed constant.)
 //!
 //! # Data-node layout
 //!
@@ -76,17 +84,12 @@ use gre_core::{
 use gre_pla::LinearModel;
 use std::time::Instant;
 
-/// The most keys a random insert may be expected to shift in a node of at
-/// least `2 * MIN_NODE_KEYS` keys. It separates easy data from hard, as
-/// measured per node: `covid` expects about 3.5 shifts at every size, `books`
-/// a median of 3.5 to 9.6 and a 90th percentile of 4 to 24, `osm` about
-/// 4 100 at 31 k keys but about 60 at 1 k keys.
+/// The most keys a random insert may be expected to shift in a node. It
+/// separates easy data from hard, as measured per node: `covid` expects
+/// about 3.5 shifts at every size, `books` a median of 3.5 to 9.6 and a 90th
+/// percentile of 4 to 24, `osm` about 4 100 at 31 k keys but about 60 at
+/// 1 k keys. It also bounds the smallest node a split makes (module doc).
 const MAX_EXPECTED_SHIFT: f64 = 64.0;
-
-/// The fewest keys the sizing rule leaves in a node it splits. The floor
-/// exists for memory: a node carries about 110 bytes of fixed overhead, and
-/// a 128-key floor raised the served stack's bytes per key by 5.8 %.
-const MIN_NODE_KEYS: usize = 1024;
 
 /// `insert` times one insert in this many and scales the lookup and
 /// post-lookup times it reads by the same factor. Timing every insert (three
@@ -221,10 +224,9 @@ impl<K: Key> DataNode<K> {
 
     /// Whether the node's inserts have out-shifted a rebuild: the keys they
     /// shifted since its build exceed both its key count and twice what the
-    /// build predicted. Only a node the sizing rule may split asks.
+    /// build predicted.
     fn outshifted(&self) -> bool {
-        self.num_keys >= 2 * MIN_NODE_KEYS
-            && self.shifted > self.num_keys as u64
+        self.shifted > self.num_keys as u64
             && self.shifted as f64 > 2.0 * self.expected_shift * self.inserts as f64
     }
 
@@ -541,19 +543,14 @@ impl<K: Key> Alex<K> {
     }
 
     /// The node-sizing rule (module doc): build sorted `entries` at
-    /// `density` as one node when it is within the size budget and either
-    /// too small to split or expected to shift at most `MAX_EXPECTED_SHIFT`
-    /// keys per insert; otherwise build each median half by the same rule.
-    /// Appends the nodes to `out` in key order.
+    /// `density` as one node when it is within the size budget and expected
+    /// to shift at most `MAX_EXPECTED_SHIFT` keys per insert; otherwise build
+    /// each median half by the same rule. Appends the nodes to `out` in key
+    /// order.
     fn build_nodes(&self, entries: &[(K, Payload)], density: f64, out: &mut Vec<DataNode<K>>) {
         let n = entries.len();
         if n <= self.config.max_node_entries.max(1) {
-            let limit = if n < 2 * MIN_NODE_KEYS {
-                f64::INFINITY
-            } else {
-                MAX_EXPECTED_SHIFT
-            };
-            if let Some(node) = DataNode::build(entries, density, limit) {
+            if let Some(node) = DataNode::build(entries, density, MAX_EXPECTED_SHIFT) {
                 out.push(node);
                 return;
             }
@@ -932,9 +929,9 @@ mod tests {
         // at its bottom find the closest gap on the left and inserts at its
         // top find it on the right. `max_density: 1.0` turns the density
         // trigger off: the node fills to the last slot and the insert that
-        // finds no room takes the SMO-then-retry path. Once the cluster holds
-        // `2 * MIN_NODE_KEYS` keys its shifts trigger a split, so each key is
-        // followed to its node through `locate`.
+        // finds no room takes the SMO-then-retry path. The cluster's shifts
+        // also trigger splits, so each key is followed to its node through
+        // `locate`.
         let mut alex = Alex::with_config(AlexConfig {
             max_density: 1.0,
             ..Default::default()
@@ -994,17 +991,37 @@ mod tests {
         assert_eq!(out, model.into_iter().collect::<Vec<_>>());
     }
 
-    /// Every node the sizing rule left standing is easy or at the floor.
+    /// The sizing rule's two invariants after a bulk load: every node
+    /// expects at most `MAX_EXPECTED_SHIFT` shifts, and every node a split
+    /// made holds at least `2 * MAX_EXPECTED_SHIFT` keys (the callers' size
+    /// budget chunks hold more, so every node must).
     fn assert_sized(alex: &Alex<u64>) {
+        let min_split = 2 * MAX_EXPECTED_SHIFT as usize;
         for node in &alex.nodes {
             node.check();
             assert!(
-                node.expected_shift <= MAX_EXPECTED_SHIFT || node.num_keys < 2 * MIN_NODE_KEYS,
+                node.expected_shift <= MAX_EXPECTED_SHIFT,
                 "{} keys expect {} shifts",
                 node.num_keys,
                 node.expected_shift
             );
+            assert!(
+                node.num_keys >= min_split,
+                "a split left {} keys",
+                node.num_keys
+            );
         }
+    }
+
+    #[test]
+    fn a_range_of_four_times_the_shift_limit_always_builds() {
+        // One packed run is the worst a range can expect: n / 4 shifts.
+        let n = 4 * MAX_EXPECTED_SHIFT as usize;
+        let run: Vec<(u64, Payload)> = (0..n as u64).map(|i| (i, i)).collect();
+        let packed = DataNode::build(&run, 1.0, MAX_EXPECTED_SHIFT).expect("n / 4 <= limit");
+        assert_eq!(packed.expected_shift, MAX_EXPECTED_SHIFT);
+        let more: Vec<(u64, Payload)> = (0..=n as u64).map(|i| (i, i)).collect();
+        assert!(DataNode::build(&more, 1.0, MAX_EXPECTED_SHIFT).is_none());
     }
 
     #[test]
@@ -1019,8 +1036,25 @@ mod tests {
         alex.bulk_load(&keys);
         assert!(alex.data_node_count() > 1);
         assert_sized(&alex);
-        assert!(alex.nodes.iter().all(|n| n.num_keys >= MIN_NODE_KEYS));
         for &(k, v) in &keys {
+            assert_eq!(alex.get(k), Some(v), "key {k}");
+        }
+    }
+
+    #[test]
+    fn no_osm_node_expects_more_than_the_shift_limit() {
+        // A 1 024-key floor stopped the rule here at 128 nodes of 1 024 to
+        // 2 047 keys whose median expected 244 shifts.
+        let keys: Vec<(u64, Payload)> = gre_datasets::Dataset::Osm
+            .generate(200_000, 42)
+            .into_iter()
+            .map(|k| (k, k))
+            .collect();
+        let mut alex = Alex::new();
+        alex.bulk_load(&keys);
+        assert_sized(&alex);
+        assert!(alex.data_node_count() > 1);
+        for &(k, v) in keys.iter().step_by(97) {
             assert_eq!(alex.get(k), Some(v), "key {k}");
         }
     }

@@ -9,7 +9,7 @@
 //! # Layout
 //!
 //! * Two arenas, one of leaves and a `Vec<Inner>`, addressed by `u32` ids.
-//!   The leaves sit in fixed-size chunks that never move (see [`Arena`]).
+//!   The leaves sit in fixed-size chunks that never move (see `Arena`).
 //!   The tree's `height` says how many inner levels a descent crosses before
 //!   it reaches a leaf, so no node carries a type tag.
 //! * A leaf is `{ len, next, entries: [(K, Payload); N] }`. A key sits
