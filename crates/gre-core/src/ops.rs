@@ -135,7 +135,9 @@ impl<K: Key> Request<K> {
     ///
     /// Range responses are clipped to the spec's key window here, so the
     /// optional inclusive end bound holds even over backends whose `range`
-    /// treats [`RangeSpec::end`] as advisory and only honors the count.
+    /// treats [`RangeSpec::end`] as advisory and only honors the count. A
+    /// range answer of up to 4 096 entries is allocated once, at its bound,
+    /// and never grows while the scan fills it.
     pub fn execute<I: ConcurrentIndex<K> + ?Sized>(
         self,
         index: &I,
@@ -152,16 +154,9 @@ impl<K: Key> Request<K> {
                     Response::Error(IndexError::Unsupported("remove"))
                 }
             }
-            Request::Range(spec) => {
-                if meta.supports_range {
-                    let mut out = Vec::new();
-                    index.range(spec, &mut out);
-                    spec.clip(&mut out);
-                    Response::Range(out)
-                } else {
-                    Response::Error(IndexError::Unsupported("range"))
-                }
-            }
+            Request::Range(spec) => range_response(spec, meta, |out| {
+                index.range(spec, out);
+            }),
         }
     }
 
@@ -179,18 +174,38 @@ impl<K: Key> Request<K> {
                     Response::Error(IndexError::Unsupported("remove"))
                 }
             }
-            Request::Range(spec) => {
-                if meta.supports_range {
-                    let mut out = Vec::new();
-                    index.range(spec, &mut out);
-                    spec.clip(&mut out);
-                    Response::Range(out)
-                } else {
-                    Response::Error(IndexError::Unsupported("range"))
-                }
-            }
+            Request::Range(spec) => range_response(spec, meta, |out| {
+                index.range(spec, out);
+            }),
         }
     }
+}
+
+/// The largest [`RangeSpec::count`] whose answer [`Request::execute`] and
+/// [`Request::execute_mut`] allocate at its full bound before the scan. A
+/// larger count, such as `usize::MAX` for "the whole key window", bounds
+/// nothing worth reserving, so its answer grows from empty as it fills.
+const PRESIZED_RANGE_MAX: usize = 4096;
+
+/// Gate a range request on `meta`, let `scan` fill an answer sized once at
+/// the spec's bound, and clip the answer to the spec's key window.
+fn range_response<K: Key>(
+    spec: RangeSpec<K>,
+    meta: &IndexMeta,
+    scan: impl FnOnce(&mut Vec<(K, Payload)>),
+) -> Response<K> {
+    if !meta.supports_range {
+        return Response::Error(IndexError::Unsupported("range"));
+    }
+    let bound = if spec.count <= PRESIZED_RANGE_MAX {
+        spec.count
+    } else {
+        0
+    };
+    let mut out = Vec::with_capacity(bound);
+    scan(&mut out);
+    spec.clip(&mut out);
+    Response::Range(out)
 }
 
 /// The typed outcome of one executed [`Request`]. Variants correspond
@@ -447,6 +462,54 @@ mod tests {
             Request::Range(RangeSpec::bounded(2, 5, 10)).execute_mut(&mut idx, &meta),
             Response::Range(vec![(3, 30), (5, 50)])
         );
+    }
+
+    #[test]
+    fn range_answers_are_allocated_once_at_their_bound() {
+        let entries: Vec<(u64, Payload)> = (0..1_000u64).map(|k| (k * 3, k)).collect();
+        let mut idx = capable();
+        idx.bulk_load(&entries);
+        let meta = idx.meta();
+        let mut wrapped = MutexIndex::new(capable(), "map-mutex");
+        ConcurrentIndex::bulk_load(&mut wrapped, &entries);
+        // A full answer, and one the key space cuts short: both were
+        // allocated at the bound and never grew.
+        for (start, len) in [(30, 100), (2_949, 17)] {
+            let spec = RangeSpec::new(start, 100);
+            for response in [
+                Request::Range(spec).execute_mut(&mut idx, &meta),
+                Request::Range(spec).execute(&wrapped, &meta),
+            ] {
+                let Response::Range(out) = response else {
+                    panic!("a range answers Response::Range");
+                };
+                assert_eq!(out.len(), len);
+                assert_eq!(out.capacity(), 100);
+                assert_eq!(out[0], (start, start / 3));
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbounded_count_answers_its_window_without_reserving_it() {
+        let entries: Vec<(u64, Payload)> = (0..1_000u64).map(|k| (k * 3, k)).collect();
+        let mut idx = capable();
+        idx.bulk_load(&entries);
+        let meta = idx.meta();
+        let mut wrapped = MutexIndex::new(capable(), "map-mutex");
+        ConcurrentIndex::bulk_load(&mut wrapped, &entries);
+        let spec = RangeSpec::bounded(10, 40, usize::MAX);
+        let expected: Vec<(u64, Payload)> = (4..=13u64).map(|k| (k * 3, k)).collect();
+        for response in [
+            Request::Range(spec).execute_mut(&mut idx, &meta),
+            Request::Range(spec).execute(&wrapped, &meta),
+        ] {
+            let Response::Range(out) = response else {
+                panic!("a range answers Response::Range");
+            };
+            assert_eq!(out, expected);
+            assert!(out.capacity() < PRESIZED_RANGE_MAX, "{}", out.capacity());
+        }
     }
 
     #[test]

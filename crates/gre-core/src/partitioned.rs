@@ -35,6 +35,10 @@ use parking_lot::{RwLock, RwLockReadGuard};
 /// [`Probe`]s stay in registers/L1.
 pub const BATCH_WIDTH: usize = 8;
 
+/// The most partitions a [`Partitioned`] index has: a batched lookup keeps
+/// the set it touches in one `u64`.
+const MAX_PARTITIONS: usize = u64::BITS as usize;
+
 /// What stage 1 of a batched lookup ([`Partitionable::probe_start`]) hands
 /// to stage 2 ([`Partitionable::probe_finish`]) for one key. Its meaning
 /// belongs to the index: ALEX stores the data node and the slot its model
@@ -50,7 +54,7 @@ pub trait Partitionable<K: Key>: Index<K> + Default + Sync {
     /// Display name of the concurrent derivative ("ALEX+", "B+tree/p64", …).
     const CONCURRENT_NAME: &'static str;
 
-    /// Number of key-range partitions.
+    /// Number of key-range partitions, at most 64.
     const PARTITIONS: usize = 64;
 
     /// Stage 1 of a batched lookup: do the work that needs no data-dependent
@@ -88,6 +92,11 @@ impl<K: Key, I: Partitionable<K>> Partitioned<K, I> {
 
     /// Inner indexes built by `make`, e.g. with a non-default configuration.
     pub fn with_inner(mut make: impl FnMut() -> I) -> Self {
+        assert!(
+            I::PARTITIONS <= MAX_PARTITIONS,
+            "{} partitions: a batched lookup tracks at most {MAX_PARTITIONS}",
+            I::PARTITIONS
+        );
         let cut = Partitioner::range(I::PARTITIONS);
         Partitioned {
             partitions: (0..cut.shards()).map(|_| RwLock::new(make())).collect(),
@@ -113,29 +122,36 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
     /// call, then runs one [`BATCH_WIDTH`]-wide two-stage probe over the keys
     /// in input order: stage 1 ([`Partitionable::probe_start`]) for a whole
     /// group, then stage 2 ([`Partitionable::probe_finish`]) for the same
-    /// group, pushing each answer as it comes.
+    /// group, writing each answer into its slot.
+    ///
+    /// The call allocates nothing of its own: a key's partition waits in its
+    /// answer slot of `out` until stage 2 overwrites it, the touched set is
+    /// one 64-bit mask, and the guards live in an array on the stack. Only
+    /// `out` grows, and only when the caller hands it in too small.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
         out.clear();
-        out.reserve(keys.len());
-        let routed: Vec<usize> = keys.iter().map(|&k| self.cut.shard_of(k)).collect();
-        let mut touched = vec![false; self.partitions.len()];
-        for &p in &routed {
-            touched[p] = true;
+        let mut touched = 0u64;
+        out.extend(keys.iter().map(|&key| {
+            let p = self.cut.shard_of(key);
+            touched |= 1 << p;
+            Some(p as Payload)
+        }));
+        let mut guards: [Option<RwLockReadGuard<'_, I>>; MAX_PARTITIONS] =
+            std::array::from_fn(|_| None);
+        while touched != 0 {
+            let p = touched.trailing_zeros() as usize;
+            guards[p] = Some(self.partitions[p].read());
+            touched &= touched - 1;
         }
-        let guards: Vec<Option<RwLockReadGuard<'_, I>>> = self
-            .partitions
-            .iter()
-            .zip(touched)
-            .map(|(lock, touched)| touched.then(|| lock.read()))
-            .collect();
         let inner = |p: usize| -> &I { guards[p].as_deref().expect("partition read-locked") };
-        let mut staged = [Probe::default(); BATCH_WIDTH];
-        for (group, parts) in keys.chunks(BATCH_WIDTH).zip(routed.chunks(BATCH_WIDTH)) {
-            for ((stage, &key), &p) in staged.iter_mut().zip(group).zip(parts) {
-                *stage = inner(p).probe_start(key);
+        let mut staged = [(0, Probe::default()); BATCH_WIDTH];
+        for (group, answers) in keys.chunks(BATCH_WIDTH).zip(out.chunks_mut(BATCH_WIDTH)) {
+            for ((stage, &key), answer) in staged.iter_mut().zip(group).zip(answers.iter()) {
+                let p = answer.expect("routed above") as usize;
+                *stage = (p, inner(p).probe_start(key));
             }
-            for ((stage, &key), &p) in staged.iter().zip(group).zip(parts) {
-                out.push(inner(p).probe_finish(key, *stage));
+            for ((&(p, probe), &key), answer) in staged.iter().zip(group).zip(answers) {
+                *answer = inner(p).probe_finish(key, probe);
             }
         }
     }
@@ -183,5 +199,113 @@ impl<K: Key, I: Partitionable<K>> ConcurrentIndex<K> for Partitioned<K, I> {
         meta.name = I::CONCURRENT_NAME;
         meta.concurrent = true;
         meta
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// A map over `P` partitions whose stage 2 checks that its probe came
+    /// from stage 1 of the same key on the same partition.
+    #[derive(Default)]
+    struct Checked<const P: usize>(BTreeMap<u64, Payload>);
+
+    impl<const P: usize> Index<u64> for Checked<P> {
+        fn bulk_load(&mut self, entries: &[(u64, Payload)]) {
+            self.0 = entries.iter().copied().collect();
+        }
+        fn get(&self, key: u64) -> Option<Payload> {
+            self.0.get(&key).copied()
+        }
+        fn insert(&mut self, key: u64, value: Payload) -> bool {
+            self.0.insert(key, value).is_none()
+        }
+        fn remove(&mut self, key: u64) -> Option<Payload> {
+            self.0.remove(&key)
+        }
+        fn range(&self, spec: RangeSpec<u64>, out: &mut Vec<(u64, Payload)>) -> usize {
+            let before = out.len();
+            out.extend(
+                self.0
+                    .range(spec.start..)
+                    .take(spec.count)
+                    .map(|(&k, &v)| (k, v)),
+            );
+            out.len() - before
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn memory_usage(&self) -> usize {
+            0
+        }
+        fn meta(&self) -> IndexMeta {
+            IndexMeta {
+                name: "checked",
+                learned: false,
+                concurrent: false,
+                supports_delete: true,
+                supports_range: true,
+            }
+        }
+    }
+
+    impl<const P: usize> Partitionable<u64> for Checked<P> {
+        const CONCURRENT_NAME: &'static str = "checked";
+        const PARTITIONS: usize = P;
+
+        fn probe_start(&self, key: u64) -> Probe {
+            Probe {
+                node: key as usize,
+                slot: self as *const Self as usize,
+            }
+        }
+
+        fn probe_finish(&self, key: u64, probe: Probe) -> Option<Payload> {
+            assert_eq!(probe.node, key as usize, "probe of another key");
+            assert_eq!(
+                probe.slot, self as *const Self as usize,
+                "probe of another partition"
+            );
+            self.get(key)
+        }
+    }
+
+    /// Every run length up to two probe groups and one more, over stored
+    /// keys spread across every partition with absent keys between them:
+    /// the batch answers what scalar `get` answers, key for key.
+    fn batches_match_scalar_gets<const P: usize>() {
+        let entries: Vec<(u64, Payload)> = (0..20_000u64).map(|i| (i * 10, i)).collect();
+        let mut index: Partitioned<u64, Checked<P>> = Partitioned::new();
+        index.bulk_load(&entries);
+        // A stride through the stored keys; every third key is absent.
+        let keys: Vec<u64> = (0..3_000u64)
+            .map(|i| (i * 7_919 % 20_000) * 10 + u64::from(i % 3 == 0) * 5)
+            .collect();
+        let partitions: Vec<usize> = keys.iter().map(|&k| index.cut.shard_of(k)).collect();
+        assert!(
+            (0..P).all(|p| partitions.contains(&p)),
+            "every partition is read"
+        );
+        let mut out = vec![Some(Payload::MAX)]; // stale content must go
+        let runs = (1..=2 * BATCH_WIDTH + 1).flat_map(|len| keys.chunks(len));
+        for run in runs.chain([&[], &keys[..]]) {
+            index.get_batch(run, &mut out);
+            let scalar: Vec<_> = run.iter().map(|&k| index.get(k)).collect();
+            assert_eq!(out, scalar, "a run of {}", run.len());
+        }
+        assert!(out.iter().any(Option::is_some) && out.iter().any(Option::is_none));
+    }
+
+    #[test]
+    fn get_batch_matches_get_over_64_partitions() {
+        batches_match_scalar_gets::<64>();
+    }
+
+    #[test]
+    fn get_batch_matches_get_over_one_partition() {
+        batches_match_scalar_gets::<1>();
     }
 }

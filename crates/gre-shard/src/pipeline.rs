@@ -59,7 +59,7 @@
 //! per sub-batch.
 
 use crate::sharded::ShardedIndex;
-use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Response};
+use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Response};
 use gre_durability::{DurableLog, GroupReceipt};
 use gre_telemetry::{
     CounterId, CounterStripe, GaugeId, GlobalHistId, ShardHistId, SpanRecord, Telemetry,
@@ -419,6 +419,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                     stopping,
                     backlog: VecDeque::new(),
                     writes: Vec::new(),
+                    scratch: Scratch::default(),
                 }
                 .run()
             }));
@@ -473,7 +474,8 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     }
 
     /// Per-shard queue bound, in sub-batches.
-    pub fn queue_capacity(&self) -> usize {
+    #[cfg(test)]
+    fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
 
@@ -645,7 +647,7 @@ impl<B: ConcurrentIndex<u64> + 'static> Drop for ShardPipeline<B> {
 }
 
 /// One worker thread's state: its queue, the index and services it works
-/// against, and the two buffers it reuses for its whole life.
+/// against, and the buffers it reuses for its whole life.
 struct Worker<B: ConcurrentIndex<u64> + 'static> {
     worker_id: usize,
     rx: Receiver<Job>,
@@ -662,6 +664,22 @@ struct Worker<B: ConcurrentIndex<u64> + 'static> {
     backlog: VecDeque<Job>,
     /// Scratch for one group's concatenated writes.
     writes: Vec<Op>,
+    /// Scratch for executing one sub-batch.
+    scratch: Scratch,
+}
+
+/// What [`execute_sub_batch`] fills for one sub-batch, kept by the worker
+/// across sub-batches so that, once each buffer has grown to the largest
+/// sub-batch, executing one allocates nothing but its range answers.
+#[derive(Default)]
+struct Scratch {
+    /// The keys of one run of consecutive gets.
+    keys: Vec<u64>,
+    /// The answers to `keys`, in order.
+    results: Vec<Option<Payload>>,
+    /// The sub-batch's `(slot, response)` pairs, in submission order.
+    /// Empty between sub-batches: `serve` drains it into the batch's slots.
+    responses: Vec<(usize, Response<u64>)>,
 }
 
 impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
@@ -769,21 +787,23 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
             now
         });
         let receipt = self.admit(&mut job);
-        let (responses, batched_gets) = if job.gate == Gate::Refused {
-            let refusals = job
-                .ops
-                .iter()
-                .map(|&(slot, _)| (slot, Response::Error(IndexError::Shutdown)))
-                .collect();
-            (refusals, 0)
+        let batched_gets = if job.gate == Gate::Refused {
+            self.scratch.responses.extend(
+                job.ops
+                    .iter()
+                    .map(|&(slot, _)| (slot, Response::Error(IndexError::Shutdown))),
+            );
+            0
         } else {
             execute_sub_batch(
                 &self.index,
                 &self.backend_metas[job.shard],
                 &self.index_meta,
                 &job,
+                &mut self.scratch,
             )
         };
+        let responses = &mut self.scratch.responses;
         debug_assert_eq!(
             responses.len(),
             job.ops.len(),
@@ -807,7 +827,7 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
                 stripe.inc(CounterId::WalAppends);
                 stripe.add(CounterId::WalFsyncs, r.fsyncs);
             }
-            count_outcomes(stripe, &responses);
+            count_outcomes(stripe, responses);
             scope.gauge_add(GaugeId::QueueDepth, -1);
             scope.gauge_add(GaugeId::InFlightOps, -(job.ops.len() as i64));
             scope.add_ops_completed(job.ops.len() as u64);
@@ -815,7 +835,7 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
         });
         {
             let mut state = job.shared.state.lock().expect("pipeline poisoned");
-            for (slot, response) in responses {
+            for (slot, response) in responses.drain(..) {
                 state.slots[slot] = Some(response);
             }
             state.pending -= 1;
@@ -852,30 +872,38 @@ fn writes_of(job: &Job) -> impl Iterator<Item = Op> + '_ {
     job.ops.iter().map(|&(_, op)| op).filter(|op| op.is_write())
 }
 
-/// Execute one per-shard sub-batch, producing `(slot, response)` pairs.
-/// Point ops hit the owning backend directly; scans go through the
-/// composite for cross-shard stitching, gated on the composite's merged
-/// capability flags.
+/// Execute one per-shard sub-batch into `scratch.responses` as `(slot,
+/// response)` pairs, and return how many of its gets ran batched. Point ops
+/// hit the owning backend directly; scans go through the composite for
+/// cross-shard stitching, gated on the composite's merged capability flags.
 ///
 /// Maximal runs of **consecutive** lookups execute through the backend's
 /// [`ConcurrentIndex::get_batch`], so a partitioned backend answers the run
 /// under one read lock per touched partition and one two-stage probe (ALEX+
-/// predicts and prefetches a group of keys before searching any). Only consecutive gets are grouped — a get is never hoisted past
-/// a write that precedes it in the sub-batch, preserving the pipeline's
-/// per-shard FIFO semantics (read-your-write within a batch). Lookups are
-/// never capability-gated (mirroring `Request::execute`), so every slot in
-/// a batched run answers `Response::Get`.
+/// predicts and prefetches a group of keys before searching any). Only
+/// consecutive gets are grouped — a get is never hoisted past a write that
+/// precedes it in the sub-batch, preserving the pipeline's per-shard FIFO
+/// semantics (read-your-write within a batch). Lookups are never
+/// capability-gated (mirroring `Request::execute`), so every slot in a
+/// batched run answers `Response::Get`.
+///
+/// It allocates nothing per call but its range answers, each once, at its
+/// bound: the runs' keys, their answers and the responses go into the
+/// worker's reused `scratch`.
 fn execute_sub_batch<B: ConcurrentIndex<u64>>(
     index: &ShardedIndex<u64, B>,
     backend_meta: &IndexMeta,
     index_meta: &IndexMeta,
     job: &Job,
-) -> (Vec<(usize, Response<u64>)>, usize) {
+    scratch: &mut Scratch,
+) -> usize {
     let backend = index.backend(job.shard);
-    let mut out = Vec::with_capacity(job.ops.len());
+    let Scratch {
+        keys,
+        results,
+        responses: out,
+    } = scratch;
     let mut batched_gets = 0usize;
-    let mut keys: Vec<u64> = Vec::new();
-    let mut results: Vec<Option<gre_core::Payload>> = Vec::new();
     let mut i = 0usize;
     while i < job.ops.len() {
         let run_end = i + job.ops[i..]
@@ -888,7 +916,7 @@ fn execute_sub_batch<B: ConcurrentIndex<u64>>(
                 Op::Get(k) => k,
                 _ => unreachable!("run contains only gets"),
             }));
-            backend.get_batch(&keys, &mut results);
+            backend.get_batch(keys, results);
             debug_assert_eq!(results.len(), keys.len());
             batched_gets += keys.len();
             for (&(slot, _), result) in job.ops[i..run_end].iter().zip(results.drain(..)) {
@@ -905,7 +933,7 @@ fn execute_sub_batch<B: ConcurrentIndex<u64>>(
             i += 1;
         }
     }
-    (out, batched_gets)
+    batched_gets
 }
 
 /// Fold one sub-batch's typed responses into the worker's counter stripe.
@@ -1161,6 +1189,26 @@ mod tests {
             "a get after a write to the same shard must see it"
         );
         assert_eq!(responses[42], Response::Get(None));
+    }
+
+    #[test]
+    fn reused_buffers_carry_nothing_from_one_sub_batch_into_the_next() {
+        // One worker serves every sub-batch with the same buffers: runs
+        // that shrink from batch to batch, a range between them and lone
+        // gets must each come back with exactly their own answers.
+        let p = pipeline(1, 1);
+        for (n, run) in [33u64, 17, 9, 2, 1, 0, 5].into_iter().enumerate() {
+            let n = n as u64;
+            let mut ops: Vec<Op> = (0..run).map(|i| Op::Get(n + i)).collect();
+            ops.push(Op::Range(RangeSpec::new(2 * n, 2)));
+            ops.push(Op::Get(2 * n + 1));
+            let mut expected: Vec<Response<u64>> = (0..run)
+                .map(|i| Response::Get(p.index().get(n + i)))
+                .collect();
+            expected.push(Response::Range(vec![(2 * n, n), (2 * n + 2, n + 1)]));
+            expected.push(Response::Get(None));
+            assert_eq!(p.submit(OpBatch::new(ops)).wait(), expected, "run of {run}");
+        }
     }
 
     #[test]

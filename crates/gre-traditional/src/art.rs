@@ -103,10 +103,9 @@ trait Slots<K>: Debug + Send + Sync {
     /// An empty node of the next larger kind, with `prefix`.
     fn larger(&self, prefix: Prefix) -> Box<Inner<K>>;
 
-    /// The child with the smallest byte `>= byte`, and that byte.
-    fn seek(&self, byte: u8) -> Option<(u8, &Child<K>)> {
-        (byte..=u8::MAX).find_map(|b| Some((b, self.get(b)?)))
-    }
+    /// The child with the smallest byte `>= byte`, and that byte. Each kind
+    /// scans its own table from `byte`.
+    fn seek(&self, byte: u8) -> Option<(u8, &Child<K>)>;
 }
 
 /// Node4 and Node16: up to `N` children, their bytes kept sorted.
@@ -252,6 +251,13 @@ impl<K: Key> Slots<K> for Indexed<K> {
             slots: Direct::new(),
         })
     }
+
+    /// Scans `index` from `byte` for the first present byte.
+    fn seek(&self, byte: u8) -> Option<(u8, &Child<K>)> {
+        let gap = self.index[byte as usize..].iter().position(|&s| s != 0)?;
+        let byte = byte + gap as u8;
+        Some((byte, self.get(byte)?))
+    }
 }
 
 /// Node256: one slot per byte.
@@ -300,6 +306,16 @@ impl<K: Key> Slots<K> for Direct<K> {
 
     fn larger(&self, _prefix: Prefix) -> Box<Inner<K>> {
         unreachable!("a Node256 is never full: an absent byte has a free slot")
+    }
+
+    /// Scans `children` from `byte` for the first present child.
+    fn seek(&self, byte: u8) -> Option<(u8, &Child<K>)> {
+        let from = byte as usize;
+        let (gap, child) = self.children[from..]
+            .iter()
+            .enumerate()
+            .find_map(|(gap, child)| Some((gap, child.as_ref()?)))?;
+        Some((byte + gap as u8, child))
     }
 }
 

@@ -75,7 +75,7 @@ pub fn wormhole_concurrent<K: Key>() -> Partitioned<K, Wormhole<K>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gre_core::{ConcurrentIndex, Payload, RangeSpec};
+    use gre_core::{ConcurrentIndex, Payload, RangeSpec, BATCH_WIDTH};
     use std::sync::Arc;
 
     fn entries(n: u64) -> Vec<(u64, Payload)> {
@@ -159,6 +159,29 @@ mod tests {
         assert_eq!(idx.len(), 1_000 + 4 * 500);
         assert_eq!(idx.meta().name, "Wormhole");
         assert!(!idx.meta().supports_delete);
+    }
+
+    /// Batched lookups through the 64-partition and the one-partition
+    /// adapter answer what scalar `get` does, for every run length up to two
+    /// probe groups and one more, with absent keys between stored ones.
+    #[test]
+    fn get_batch_matches_scalar_get_on_both_adapter_widths() {
+        let mut btree: BPlusTreeOlc<u64> = btree_olc();
+        let mut wormhole = wormhole_concurrent::<u64>();
+        for index in [&mut btree as &mut dyn ConcurrentIndex<u64>, &mut wormhole] {
+            index.bulk_load(&entries(20_000));
+            let keys: Vec<u64> = (0..3_000u64)
+                .map(|i| (i * 7_919 % 20_000) * 10 + u64::from(i % 3 == 0) * 5)
+                .collect();
+            let mut out = Vec::new();
+            for len in 1..=2 * BATCH_WIDTH + 1 {
+                for run in keys.chunks(len) {
+                    index.get_batch(run, &mut out);
+                    let scalar: Vec<_> = run.iter().map(|&k| index.get(k)).collect();
+                    assert_eq!(out, scalar, "{}: a run of {len}", index.meta().name);
+                }
+            }
+        }
     }
 
     #[test]
