@@ -1,22 +1,10 @@
 //! The figure table: every table and figure this repo reproduces is one row
 //! of [`FIGURES`], and the `gre-figs` binary runs the row its first argument
-//! names. `paper` holds the paper's own tables and figures; the `figs_*`
-//! modules drill the serving and observability tiers.
+//! names. Each row's function lives in `paper`.
 
-mod figs_observability;
-mod figs_scenarios;
-mod figs_shard_scalability;
 mod paper;
 
 use crate::RunOpts;
-use gre_core::ConcurrentIndex;
-use gre_shard::ShardedIndex;
-use gre_telemetry::Telemetry;
-use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// One runnable table or figure.
 pub struct Figure {
@@ -27,7 +15,7 @@ pub struct Figure {
     pub run: fn(&RunOpts),
 }
 
-/// Every figure, in the paper's order, the serving-tier drills last.
+/// Every figure, in the paper's order.
 pub static FIGURES: &[Figure] = &[
     Figure {
         name: "table1_configs",
@@ -131,83 +119,7 @@ pub static FIGURES: &[Figure] = &[
         title: "Figure G: YCSB A/B/C with Zipfian request keys",
         run: paper::figg_ycsb,
     },
-    Figure {
-        name: "figs_shard_scalability",
-        title: "Serving: sharded(backend, S) over shard count x thread count x path",
-        run: figs_shard_scalability::run,
-    },
-    Figure {
-        name: "figs_scenarios",
-        title: "Serving: multi-phase scenario scripts, closed- and open-loop",
-        run: figs_scenarios::run,
-    },
-    Figure {
-        name: "figs_observability",
-        title: "Observability: every telemetry surface on the shifting-hotspot scenario",
-        run: figs_observability::run,
-    },
 ];
-
-/// The closed-loop script `figs_scenarios` and `figs_observability` serve:
-/// three read-mostly phases of `phase_ops` operations whose hot window (5%
-/// of the key space taking 90% of the accesses) drifts across the key
-/// space, start fraction 0.05 → 0.45 → 0.85.
-fn shifting_hotspot_scenario(seed: u64, keys: &[u64], phase_ops: u64, threads: usize) -> Scenario {
-    let mut scenario = Scenario::new("shifting-hotspot", seed, keys);
-    for start in [0.05, 0.45, 0.85] {
-        scenario = scenario.phase(Phase::new(
-            &format!("hot@{start}"),
-            Mix::read_mostly(10),
-            KeyDist::Hotspot {
-                start,
-                span: 0.05,
-                hot_access: 0.9,
-            },
-            Span::Ops(phase_ops),
-            Pacing::ClosedLoop { threads },
-        ));
-    }
-    scenario
-}
-
-/// The header label of a sharded stack: the bare backend name at 1 shard,
-/// `sharded(NAME,N)` otherwise.
-fn sharded_label<B: ConcurrentIndex<u64>>(index: &ShardedIndex<u64, B>) -> String {
-    let name = index.meta().name;
-    match index.num_shards() {
-        1 => name.to_string(),
-        n => format!("sharded({name},{n})"),
-    }
-}
-
-/// The "live dashboard" of `figs_observability`: a
-/// thread that only ever reads the shared registry, concurrently with the
-/// serving hot path. Every `window` until `stop` is set it samples each
-/// shard's completed-op counter; joined, it returns the per-window deltas.
-fn spawn_shard_monitor(
-    telemetry: Arc<Telemetry>,
-    stop: Arc<AtomicBool>,
-    window: Duration,
-) -> JoinHandle<Vec<Vec<u64>>> {
-    std::thread::spawn(move || {
-        let shards = telemetry.metrics().shard_count();
-        let mut last = vec![0u64; shards];
-        let mut series: Vec<Vec<u64>> = Vec::new();
-        while !stop.load(Ordering::Acquire) {
-            std::thread::sleep(window);
-            let deltas: Vec<u64> = (0..shards)
-                .map(|s| {
-                    let total = telemetry.metrics().shard(s).ops_completed();
-                    let d = total - last[s];
-                    last[s] = total;
-                    d
-                })
-                .collect();
-            series.push(deltas);
-        }
-        series
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -215,7 +127,7 @@ mod tests {
 
     #[test]
     fn table_names_are_unique_and_complete() {
-        assert_eq!(FIGURES.len(), 23);
+        assert_eq!(FIGURES.len(), 20);
         for (i, f) in FIGURES.iter().enumerate() {
             assert!(!f.name.is_empty() && !f.title.is_empty());
             assert!(
@@ -226,19 +138,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_labels_name_backend_shards_and_scheme() {
-        use gre_learned::LippPlus;
-        use gre_shard::Partitioner;
-        let label = |p: Partitioner<u64>| {
-            sharded_label(&ShardedIndex::from_factory(p, |_| LippPlus::<u64>::new()))
-        };
-        assert_eq!(label(Partitioner::range(4)), "sharded(LIPP+,4)");
-        assert_eq!(label(Partitioner::range(1)), "LIPP+");
-    }
-
-    /// The `figs_*` rows need real time spans and stay release-mode CI
-    /// smokes; every other row finishes at this size in a debug build.
+    /// Every row finishes at this size in a debug build.
     #[test]
     fn every_paper_row_runs() {
         let opts = RunOpts {
@@ -247,7 +147,7 @@ mod tests {
             quick: true,
             ..RunOpts::default()
         };
-        for figure in FIGURES.iter().filter(|f| !f.name.starts_with("figs_")) {
+        for figure in FIGURES {
             (figure.run)(&opts);
         }
     }

@@ -241,7 +241,6 @@ mod tests {
             keys: 3_000,
             threads: 2,
             seed: 1,
-            shards: 1,
             quick: true,
             verbose: false,
         };
@@ -286,7 +285,6 @@ mod tests {
             keys: 2_000,
             threads: 2,
             seed: 1,
-            shards: 1,
             quick: true,
             verbose: false,
         };

@@ -4,8 +4,8 @@
 //! constructors; each index names itself through `meta()`), the heatmap
 //! machinery of Figures 2/4/7/14/16, and the figure table
 //! ([`figures::FIGURES`]) the one `gre-figs` binary dispatches over — a row
-//! per table/figure of the paper, named after it (`fig2_heatmap` … `table3_insert_stats`), plus the `figs_*`
-//! rows that drill the serving and telemetry tiers.
+//! per table/figure of the paper, named after it (`fig2_heatmap` …
+//! `table3_insert_stats`).
 //!
 //! Performance is measured by the layer-tax ledger (`BENCHMARK.json` +
 //! `benchmark/` at the repo root), not by this crate; where the code under

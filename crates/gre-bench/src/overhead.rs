@@ -1,16 +1,18 @@
-//! The telemetry overhead probe shared by `tests/telemetry_overhead.rs` and
-//! the `figs_observability` figure.
+//! The telemetry overhead probe behind `tests/telemetry_overhead.rs`.
 
 use crate::RunOpts;
 use gre_learned::AlexPlus;
 use gre_shard::{Partitioner, PipelineTarget, ShardedIndex, DEFAULT_DRIVER_BATCH};
-use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
+use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
 use gre_workloads::Driver;
 
 /// 1 in 8 closed-loop ops is timed from its intended send time: dense enough
 /// for stable tails on `--quick` op counts, sparse enough that
 /// `Instant::now()` stays out of the measured hot path.
 const SAMPLE_STRIDE: usize = 8;
+
+/// Range shards of the probed composite.
+const SHARDS: usize = 4;
 
 /// Throughput of the telemetry overhead probe's two runs.
 #[derive(Debug, Clone, Copy)]
@@ -35,10 +37,10 @@ impl OverheadProbe {
 
 /// Measure the telemetry overhead budget on a uniform read-only mix served
 /// through the pipeline target: after one warm-up run, alternate `trials`
-/// telemetry-off and telemetry-on runs of the same cell (sharded ALEX+,
-/// closed loop, `opts.keys` gapped keys and as many ops) and keep each
-/// side's best throughput — back-to-back best-of runs cancel most scheduler
-/// noise.
+/// telemetry-off and telemetry-on runs of the same cell (ALEX+ over
+/// `SHARDS` range shards, closed loop, `opts.keys` gapped keys and as many
+/// ops) and keep each side's best throughput — back-to-back best-of runs
+/// cancel most scheduler noise.
 pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe {
     let keys: Vec<u64> = (1..=opts.keys as u64).map(|i| i * 16).collect();
     let workers = opts.threads.max(1);
@@ -46,15 +48,14 @@ pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe 
         "read_only",
         Mix::read_only(),
         KeyDist::Uniform,
-        Span::Ops(opts.keys as u64),
-        Pacing::ClosedLoop { threads: workers },
+        opts.keys as u64,
+        workers,
     ));
 
     let run = |instrument: bool| -> f64 {
         let driver = Driver::new().sample_stride(SAMPLE_STRIDE);
-        let index = ShardedIndex::from_factory(Partitioner::range(opts.shards.max(1)), |_| {
-            AlexPlus::<u64>::new()
-        });
+        let index =
+            ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| AlexPlus::<u64>::new());
         let mut target = PipelineTarget::new(index, workers, DEFAULT_DRIVER_BATCH, 0);
         if instrument {
             target = target.instrumented();

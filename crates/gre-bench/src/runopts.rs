@@ -7,13 +7,12 @@
 //! --keys N      number of keys per dataset        (default 200000)
 //! --threads T   worker threads for concurrent runs (default: available cores)
 //! --seed S      RNG seed                           (default 42)
-//! --shards N    max shard count for sharded serving-layer sweeps (default 8)
 //! --quick       shrink everything for a smoke run
 //! --verbose     per-kind latency breakdowns (get/insert/update/remove/range)
 //! ```
 
 /// The flag list, appended to every parse error.
-const FLAGS: &str = "flags: --keys N  --threads T  --seed S  --shards N  --quick  --verbose";
+const FLAGS: &str = "flags: --keys N  --threads T  --seed S  --quick  --verbose";
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -21,9 +20,6 @@ pub struct RunOpts {
     pub keys: usize,
     pub threads: usize,
     pub seed: u64,
-    /// Upper bound of the shard-count axis in serving-layer sweeps
-    /// (`figs_shard_scalability`); other figures ignore it.
-    pub shards: usize,
     pub quick: bool,
     /// Print per-`RequestKind` latency summaries next to the throughput
     /// rows (figures with latency reporting honor this).
@@ -38,7 +34,6 @@ impl Default for RunOpts {
                 .map(|n| n.get())
                 .unwrap_or(1),
             seed: 42,
-            shards: 8,
             quick: false,
             verbose: false,
         }
@@ -68,7 +63,6 @@ impl RunOpts {
                 "--keys" => opts.keys = value(&arg, &mut it)?,
                 "--threads" => opts.threads = value(&arg, &mut it)?,
                 "--seed" => opts.seed = value(&arg, &mut it)?,
-                "--shards" => opts.shards = value(&arg, &mut it)?,
                 "--quick" => opts.quick = true,
                 "--verbose" => opts.verbose = true,
                 _ => return Err(format!("unknown flag {arg:?}\n{FLAGS}")),
@@ -79,7 +73,6 @@ impl RunOpts {
         }
         opts.keys = opts.keys.max(1_000);
         opts.threads = opts.threads.max(1);
-        opts.shards = opts.shards.max(1);
         Ok(opts)
     }
 }
@@ -101,7 +94,6 @@ mod tests {
         assert_eq!(o.keys, 50_000);
         assert_eq!(o.threads, 2);
         assert_eq!(o.seed, 7);
-        assert_eq!(o.shards, 8, "default shard axis");
     }
 
     #[test]
@@ -109,16 +101,6 @@ mod tests {
         assert!(!parse(&[]).unwrap().verbose);
         assert!(parse(&["--verbose"]).unwrap().verbose);
         assert!(parse(&["--quick", "--verbose"]).unwrap().quick);
-    }
-
-    #[test]
-    fn shards_flag_parses_and_clamps() {
-        let o = parse(&["--shards", "16"]).unwrap();
-        assert_eq!(o.shards, 16);
-        let o = parse(&["--shards", "0"]).unwrap();
-        assert_eq!(o.shards, 1);
-        let err = parse(&["--shards", "junk"]).unwrap_err();
-        assert!(err.contains("--shards") && err.contains("junk"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Kind-indexed latency recording.
 //!
-//! The scenario driver in `gre-workloads` measures every operation's latency
-//! from its *intended* send time (coordinated-omission-safe under open-loop
-//! pacing), which means recording potentially millions of samples per phase.
+//! The scenario driver in `gre-workloads` measures sampled operations'
+//! latency from their *intended* send time, which means recording
+//! potentially millions of samples per phase.
 //! Storing raw samples would dominate the driver's memory traffic, so
 //! latencies land in a fixed-size log-linear [`LatencyHistogram`] instead:
 //! constant-time recording, ~3% relative value resolution, lossless merging

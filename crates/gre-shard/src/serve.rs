@@ -17,8 +17,7 @@
 //!
 //! The target bulk loads through the composite before spawning the worker
 //! pool, and its connections flush buffered and in-flight work when a
-//! phase ends — the driver reports only completed operations, and no
-//! accepted operation is lost when a phase (or the whole run) is cut short.
+//! phase ends, so a phase's report covers every operation it submitted.
 //!
 //! Serving a closed-loop mixed phase through the batched pipeline path:
 //!
@@ -26,7 +25,7 @@
 //! use gre_core::index::MutexIndex;
 //! use gre_core::ModelIndex;
 //! use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
-//! use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
+//! use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
 //! use gre_workloads::Driver;
 //!
 //! // Four range shards, each its own backend instance.
@@ -39,8 +38,8 @@
 //!     "mixed",
 //!     Mix::points(8, 1, 1, 0), // 80% get / 10% insert / 10% update
 //!     KeyDist::Uniform,
-//!     Span::Ops(4_000),
-//!     Pacing::ClosedLoop { threads: 2 },
+//!     4_000, // ops
+//!     2,     // clients
 //! ));
 //!
 //! // Two pipeline workers, 128-op batches, submit-then-wait per client
@@ -80,9 +79,8 @@ type BatchMeta = Vec<(RequestKind, Option<Instant>)>;
 /// responses vs. the recorder classifying the responses it hands back), so
 /// on a drained pipeline every pair must match. Returns the first mismatch.
 ///
-/// Used by the telemetry integration tests and as a debug assertion in the
-/// observability binary; `tally` must cover every phase served since the
-/// telemetry was attached.
+/// Used by the telemetry integration tests; `tally` must cover every phase
+/// served since the telemetry was attached.
 pub fn reconcile_tally(
     snap: &gre_telemetry::MetricsSnapshot,
     tally: &gre_workloads::driver::Tally,
@@ -317,14 +315,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ServeTarget for PipelineTarget<B> {
             pending: VecDeque::new(),
         })
     }
-
-    fn stored_len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.index.memory_usage()
-    }
 }
 
 /// One driver thread's endpoint: buffers ops into a batch, submits each
@@ -395,7 +385,7 @@ mod tests {
     use crate::Partitioner;
     use gre_core::index::MutexIndex;
     use gre_core::{ModelIndex, RangeSpec};
-    use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
+    use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
     use gre_workloads::Driver;
 
     fn sharded(shards: usize) -> ShardedIndex<u64, MutexIndex<ModelIndex>> {
@@ -410,8 +400,8 @@ mod tests {
             "mixed",
             Mix::points(3, 1, 1, 0).with_range(1, 20),
             KeyDist::Uniform,
-            Span::Ops(ops),
-            Pacing::ClosedLoop { threads },
+            ops,
+            threads,
         ))
     }
 
@@ -588,34 +578,28 @@ mod tests {
         assert_eq!(wals(), before, "the acknowledged history must survive");
     }
 
+    /// An op's latency runs from its intended send time to its batch's
+    /// completion, so the op that opens a batch is charged the wait for the
+    /// batch to fill: here the 5 ms before the other 63 ops arrive.
     #[test]
     fn batched_latency_is_measured_from_intended_send_time() {
-        // A tiny open-loop run: every op is timed, and since ops wait for
-        // their batch to fill before even being submitted, their recorded
-        // latency (measured from intended send time) must cover that
-        // buffering delay: with 64-op batches at 6.4k ops/s the first op of
-        // each batch waits ~10ms for the batch to fill.
         let mut target = PipelineTarget::new(sharded(2), 2, 64, 4);
-        let keys: Vec<u64> = (1..=2_000u64).map(|i| i * 8).collect();
-        let s = Scenario::new("co-safe", 5, &keys).phase(Phase::new(
-            "paced",
-            Mix::read_only(),
-            KeyDist::Uniform,
-            Span::Ops(256),
-            Pacing::OpenLoop {
-                rate_ops_s: 6_400.0,
-            },
-        ));
-        let result = Driver::new().open_loop_senders(1).run(&s, &mut target);
-        let p = &result.phases[0];
-        assert_eq!(p.ops(), 256);
-        assert_eq!(p.latency.total_count(), 256, "open loop times every op");
-        let get = p.kind_summary(RequestKind::Get);
-        // 64 ops fill a batch in 10ms; the batch-opening op waits all of it.
+        target.load(&[(8, 8)]);
+        let mut conn = target.connect();
+        let mut rec = PhaseRecorder::default();
+        conn.submit(Op::Get(8), Some(Instant::now()), &mut rec);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        for _ in 1..64 {
+            conn.submit(Op::Get(8), None, &mut rec);
+        }
+        conn.flush(&mut rec);
+        assert_eq!(rec.tally.hits, 64);
+        let get = rec.latency.get(RequestKind::Get);
+        assert_eq!(get.count(), 1, "only the timed op is recorded");
         assert!(
-            get.max_ns > 2_000_000,
-            "max latency {}ns does not cover the buffering delay",
-            get.max_ns
+            get.max() >= 5_000_000,
+            "latency {}ns does not cover the buffering delay",
+            get.max()
         );
     }
 }

@@ -15,7 +15,7 @@ use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_learned::AlexPlus;
 use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
 use gre_traditional::btree_olc;
-use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Pacing, Phase, Scenario, Span};
+use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
 use gre_workloads::spec::payload_for;
 use gre_workloads::{Driver, Op};
 use std::collections::BTreeMap;
@@ -48,8 +48,8 @@ fn scenario() -> Scenario {
                 span: 0.1,
                 hot_access: 0.8,
             },
-            Span::Ops(8_000),
-            Pacing::ClosedLoop { threads: 3 },
+            8_000,
+            3,
         ))
         .phase(Phase::new(
             "shifted",
@@ -59,8 +59,8 @@ fn scenario() -> Scenario {
                 span: 0.1,
                 hot_access: 0.8,
             },
-            Span::Ops(8_000),
-            Pacing::ClosedLoop { threads: 3 },
+            8_000,
+            3,
         ))
 }
 
@@ -78,12 +78,7 @@ fn model_contents(scenario: &Scenario) -> Vec<(u64, Payload)> {
     let mut model: BTreeMap<u64, Payload> = scenario.bulk.iter().copied().collect();
     let keys = Arc::new(scenario.loaded_keys());
     for (pi, phase) in scenario.phases.iter().enumerate() {
-        let Pacing::ClosedLoop { threads } = phase.pacing else {
-            panic!("model replay only supports closed-loop op budgets")
-        };
-        let Span::Ops(total) = phase.span else {
-            panic!("model replay only supports op-count spans")
-        };
+        let (total, threads) = (phase.ops, phase.threads);
         let base = total / threads as u64;
         let extra = (total % threads as u64) as usize;
         for t in 0..threads {

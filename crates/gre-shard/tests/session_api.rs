@@ -6,16 +6,14 @@
 
 use gre_core::{ConcurrentIndex, IndexError, Payload, RangeSpec, Response};
 use gre_learned::AlexPlus;
-use gre_shard::{OpBatch, Partitioner, PipelineTarget, Session, ShardPipeline, ShardedIndex};
+use gre_shard::{OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
-use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
-use gre_workloads::{Driver, Op};
+use gre_workloads::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type DynBackend = Box<dyn ConcurrentIndex<u64>>;
 type DynSharded = ShardedIndex<u64, DynBackend>;
@@ -201,11 +199,11 @@ fn backpressure_loses_no_accepted_ops() {
     }
 }
 
-/// An open-loop scenario driver shut down mid-phase (stop flag flipped
-/// while batches are in flight through pipelined `Session`s) must lose no
-/// accepted op — everything submitted executes and lands in the store — and
-/// must report only completed ops: the reported tally accounts for the
-/// store's growth exactly, with every completion latency-recorded.
+/// An open-loop client — one that submits batches without waiting for
+/// their answers — that stops mid-stream with batches still in flight
+/// loses no accepted op: waiting out its session window hands back every
+/// submitted batch, the store grows by exactly the new keys the responses
+/// acknowledge, and no op answers an error.
 #[test]
 fn open_loop_shutdown_mid_phase_loses_no_accepted_ops() {
     for (name, factory) in backends() {
@@ -213,51 +211,52 @@ fn open_loop_shutdown_mid_phase_loses_no_accepted_ops() {
         let bulk: Vec<(u64, Payload)> = (0..4_000u64).map(|i| (i * 16, i)).collect();
         idx.bulk_load(&bulk);
         let bulk_len = idx.len();
-        let mut target = PipelineTarget::new(idx, 2, 64, 8);
+        let pipeline = ShardPipeline::new(Arc::new(idx), 2);
+        let mut session = Session::with_max_inflight(&pipeline, 8);
 
-        // Insert-heavy open-loop phase with a budget far beyond what can
-        // complete before the shutdown, so the stop really cuts it short.
-        let keys: Vec<u64> = (0..4_000u64).map(|i| i * 16).collect();
-        let scenario = Scenario::new("shutdown", 0xD1E, &keys).phase(Phase::new(
-            "cut-short",
-            Mix::points(1, 3, 0, 0),
-            KeyDist::Uniform,
-            Span::Ops(50_000_000),
-            Pacing::OpenLoop {
-                rate_ops_s: 40_000.0,
-            },
-        ));
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let driver = Driver::new()
-            .open_loop_senders(2)
-            .with_stop(Arc::clone(&stop));
-        let flag = Arc::clone(&stop);
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(60));
-            flag.store(true, Ordering::Relaxed);
-        });
-        let result = driver.run(&scenario, &mut target);
-        killer.join().expect("killer thread");
-
-        let p = &result.phases[0];
-        assert!(p.ops() > 0, "{name}: some ops completed before shutdown");
+        // Insert-heavy 64-op batches for 60 ms. Completions are collected
+        // before each submit, never after it, so the stop always leaves the
+        // last batch in flight.
+        let mut rng = StdRng::seed_from_u64(0xD1E);
+        let mut submitted = 0;
+        let mut responses = Vec::new();
+        let deadline = Instant::now() + Duration::from_millis(60);
+        while Instant::now() < deadline {
+            while let Some(done) = session.try_recv() {
+                responses.extend(done);
+            }
+            let ops: Vec<Op> = (0..64)
+                .map(|_| {
+                    let key = rng.gen_range(0..64_000u64);
+                    if rng.gen_bool(0.75) {
+                        Op::Insert(key, key)
+                    } else {
+                        Op::Get(key)
+                    }
+                })
+                .collect();
+            submitted += ops.len();
+            session.submit(OpBatch::new(ops));
+        }
         assert!(
-            p.ops() < 50_000_000,
-            "{name}: the stop flag must cut the phase short"
+            session.pending() > 0,
+            "{name}: batches in flight at the stop"
         );
-        // Reports only completed ops: every reported op carries a recorded
-        // latency (open loop times everything)…
-        assert_eq!(p.latency.total_count(), p.ops(), "{name}");
-        // …and loses no accepted ops: each reported new key landed, and
-        // nothing landed unreported (the flush drained all in-flight
-        // batches before the phase was declared over).
+        for done in session.drain() {
+            responses.extend(done);
+        }
+
+        assert_eq!(responses.len(), submitted, "{name}: every op answers");
+        let new_keys = responses
+            .iter()
+            .filter(|r| matches!(r, Response::Insert(true)))
+            .count();
         assert_eq!(
-            target.index().len() as u64,
-            bulk_len as u64 + p.tally.new_keys,
-            "{name}: store growth must match the reported new keys exactly"
+            pipeline.index().len(),
+            bulk_len + new_keys,
+            "{name}: store growth must match the acknowledged new keys exactly"
         );
-        assert_eq!(p.tally.errors, 0, "{name}");
+        assert!(responses.iter().all(|r| !r.is_error()), "{name}");
     }
 }
 

@@ -9,7 +9,7 @@ use gre_shard::{reconcile_tally, Partitioner, PipelineTarget, ShardedIndex};
 use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
 use gre_traditional::btree_olc;
 use gre_workloads::driver::Tally;
-use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
+use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
 use gre_workloads::Driver;
 
 type DynBackend = Box<dyn ConcurrentIndex<u64>>;
@@ -40,16 +40,10 @@ fn scenario() -> Scenario {
                 span: 0.1,
                 hot_access: 0.8,
             },
-            Span::Ops(6_000),
-            Pacing::ClosedLoop { threads: 3 },
+            6_000,
+            3,
         ))
-        .phase(Phase::new(
-            "uniform",
-            mix,
-            KeyDist::Uniform,
-            Span::Ops(6_000),
-            Pacing::ClosedLoop { threads: 2 },
-        ))
+        .phase(Phase::new("uniform", mix, KeyDist::Uniform, 6_000, 2))
 }
 
 fn merged_tally(phases: &[gre_workloads::driver::PhaseResult]) -> Tally {
@@ -130,5 +124,43 @@ fn session_counters_reconcile_and_record_the_window() {
             "{name}: occupancy {} exceeds the window of 3 plus one",
             window.max()
         );
+    }
+}
+
+/// The per-shard `ops_completed` counters locate the load: over 4 range
+/// shards, a read-mostly hotspot (5 % of the keys taking 90 % of the
+/// requests) moved from rank 0.05 to rank 0.85 moves the busiest shard from
+/// shard 0 to shard 3.
+#[test]
+fn busiest_shard_follows_the_hotspot_drift() {
+    let keys: Vec<u64> = (1..=5_000u64).map(|i| i * 32).collect();
+    let mut target = PipelineTarget::new(sharded(|| Box::new(AlexPlus::<u64>::new())), 2, 128, 0)
+        .instrumented_with(|c| c.without_trace());
+    let mut last = vec![0u64; 4];
+    for (start, hot_shard) in [(0.05, 0), (0.85, 3)] {
+        let scenario = Scenario::new("drift", 0xD41F7, &keys).phase(Phase::new(
+            &format!("hot@{start}"),
+            Mix::read_mostly(10),
+            KeyDist::Hotspot {
+                start,
+                span: 0.05,
+                hot_access: 0.9,
+            },
+            6_000,
+            2,
+        ));
+        // Loading is idempotent: the second run serves the same store.
+        Driver::new().run(&scenario, &mut target);
+        let snap = target.telemetry().expect("instrumented").snapshot();
+        let completed: Vec<u64> = snap.shards.iter().map(|s| s.ops_completed).collect();
+        let deltas: Vec<u64> = completed.iter().zip(&last).map(|(c, l)| c - l).collect();
+        let busiest = (0..deltas.len())
+            .max_by_key(|&s| deltas[s])
+            .expect("4 shards");
+        assert_eq!(
+            busiest, hot_shard,
+            "hotspot at {start}: per-shard ops {deltas:?}"
+        );
+        last = completed;
     }
 }

@@ -11,25 +11,21 @@
 //!   back into it.
 //! * [`trace`] — [`trace::TraceRing`], a fixed-capacity power-of-two ring
 //!   of operation spans with seqlock-style readers, fed by a deterministic
-//!   1-in-N [`trace::Sampler`] and dumpable as Chrome trace-event JSON.
-//! * [`export`] — snapshot exporters: Prometheus text format (with a
-//!   strict validator used by CI) and JSON.
+//!   1-in-N [`trace::Sampler`].
 //!
-//! [`Telemetry`] bundles the three with a shared monotonic epoch; the
+//! [`Telemetry`] bundles the two with a shared monotonic epoch; the
 //! serving layer (`gre-shard`) takes an `Option<Arc<Telemetry>>` and
 //! records into it when present. See `docs/OBSERVABILITY.md` for the
 //! metric catalog and measured overhead.
 
-pub mod export;
 pub mod metrics;
 pub mod trace;
 
-pub use export::{json_text, prometheus_text, validate_prometheus};
 pub use metrics::{
     AtomicHistogram, CounterId, CounterStripe, GaugeId, GlobalHistId, MetricsRegistry,
     MetricsSnapshot, ShardHistId, ShardScope, ShardSnapshot,
 };
-pub use trace::{chrome_trace_json, Sampler, SpanRecord, TraceRing};
+pub use trace::{Sampler, SpanRecord, TraceRing};
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -63,7 +63,7 @@ pub enum CounterId {
 }
 
 impl CounterId {
-    /// All counter ids, in export order.
+    /// All counter ids, in declaration order.
     pub const ALL: [CounterId; 18] = [
         CounterId::OpsSubmitted,
         CounterId::OpsCompleted,
@@ -94,7 +94,8 @@ impl CounterId {
         self as usize
     }
 
-    /// Metric name in Prometheus/JSON exports (without the `gre_` prefix).
+    /// Metric name, as `docs/OBSERVABILITY.md` lists it without the `gre_`
+    /// prefix.
     pub fn name(self) -> &'static str {
         match self {
             CounterId::OpsSubmitted => "ops_submitted",
@@ -117,30 +118,6 @@ impl CounterId {
             CounterId::RecoveryReplayedOps => "recovery_replayed_ops",
         }
     }
-
-    /// One-line help string for the Prometheus export.
-    pub fn help(self) -> &'static str {
-        match self {
-            CounterId::OpsSubmitted => "Operations accepted into the pipeline",
-            CounterId::OpsCompleted => "Operations completed by shard workers",
-            CounterId::BatchesSubmitted => "Batches accepted by submit/try_submit",
-            CounterId::BatchesRejected => "Batches bounced by try_submit backpressure",
-            CounterId::SubBatchesExecuted => "Shard-local sub-batches executed",
-            CounterId::BatchedGetOps => "Gets served through the batched get_batch path",
-            CounterId::GetHits => "Point lookups that found their key",
-            CounterId::InsertedNew => "Inserts that created a new key",
-            CounterId::Updated => "Updates that found their key",
-            CounterId::Removed => "Removes that found their key",
-            CounterId::ScannedKeys => "Keys returned by range scans",
-            CounterId::RangeScans => "Range scans executed",
-            CounterId::OpErrors => "Operations answered with a typed error",
-            CounterId::TraceSpans => "Spans recorded into the trace ring",
-            CounterId::TraceDropped => "Spans dropped on trace-slot collision",
-            CounterId::WalAppends => "WAL records appended (one per logged group)",
-            CounterId::WalFsyncs => "WAL fsync durability barriers issued",
-            CounterId::RecoveryReplayedOps => "Operations replayed from the WAL during recovery",
-        }
-    }
 }
 
 /// Per-shard instantaneous level gauges.
@@ -153,7 +130,7 @@ pub enum GaugeId {
 }
 
 impl GaugeId {
-    /// All gauge ids, in export order.
+    /// All gauge ids, in declaration order.
     pub const ALL: [GaugeId; 2] = [GaugeId::QueueDepth, GaugeId::InFlightOps];
     /// Number of gauge ids.
     pub const COUNT: usize = Self::ALL.len();
@@ -164,7 +141,8 @@ impl GaugeId {
         self as usize
     }
 
-    /// Metric name in Prometheus/JSON exports (without the `gre_` prefix).
+    /// Metric name, as `docs/OBSERVABILITY.md` lists it without the `gre_`
+    /// prefix.
     pub fn name(self) -> &'static str {
         match self {
             GaugeId::QueueDepth => "shard_queue_depth",
@@ -185,7 +163,7 @@ pub enum ShardHistId {
 }
 
 impl ShardHistId {
-    /// All per-shard histogram ids, in export order.
+    /// All per-shard histogram ids, in declaration order.
     pub const ALL: [ShardHistId; 3] = [
         ShardHistId::SubBatchSize,
         ShardHistId::QueueWaitNs,
@@ -200,7 +178,8 @@ impl ShardHistId {
         self as usize
     }
 
-    /// Metric name in Prometheus/JSON exports (without the `gre_` prefix).
+    /// Metric name, as `docs/OBSERVABILITY.md` lists it without the `gre_`
+    /// prefix.
     pub fn name(self) -> &'static str {
         match self {
             ShardHistId::SubBatchSize => "sub_batch_size",
@@ -220,7 +199,7 @@ pub enum GlobalHistId {
 }
 
 impl GlobalHistId {
-    /// All global histogram ids, in export order.
+    /// All global histogram ids, in declaration order.
     pub const ALL: [GlobalHistId; 2] = [GlobalHistId::SessionWindow, GlobalHistId::BatchOps];
     /// Number of global histogram ids.
     pub const COUNT: usize = Self::ALL.len();
@@ -231,7 +210,8 @@ impl GlobalHistId {
         self as usize
     }
 
-    /// Metric name in Prometheus/JSON exports (without the `gre_` prefix).
+    /// Metric name, as `docs/OBSERVABILITY.md` lists it without the `gre_`
+    /// prefix.
     pub fn name(self) -> &'static str {
         match self {
             GlobalHistId::SessionWindow => "session_window",
@@ -498,8 +478,7 @@ impl ShardSnapshot {
     }
 }
 
-/// Owned point-in-time view of the whole registry, consumed by the
-/// exporters in [`crate::export`].
+/// Owned point-in-time view of the whole registry.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     counters: [u64; CounterId::COUNT],
@@ -529,7 +508,6 @@ mod tests {
         for (i, id) in CounterId::ALL.iter().enumerate() {
             assert_eq!(id.index(), i);
             assert!(!id.name().is_empty());
-            assert!(!id.help().is_empty());
         }
         for (i, id) in GaugeId::ALL.iter().enumerate() {
             assert_eq!(id.index(), i);

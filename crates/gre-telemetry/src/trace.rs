@@ -11,10 +11,8 @@
 //! Capacity is rounded up to a power of two so slot selection is a mask.
 //! When the ring wraps, the newest spans overwrite the oldest — exactly the
 //! "recent window" semantics a flight recorder wants. [`TraceRing::recent`]
-//! returns the currently-consistent spans; [`chrome_trace_json`] renders
-//! them as Chrome trace-event JSON (`chrome://tracing` / Perfetto).
+//! returns the currently-consistent spans.
 
-use gre_core::json::JsonWriter;
 use gre_core::ops::RequestKind;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -248,50 +246,6 @@ impl Sampler {
     }
 }
 
-/// Render spans as Chrome trace-event JSON (the `chrome://tracing` /
-/// Perfetto "JSON Array Format" wrapped in `traceEvents`).
-///
-/// Each span becomes up to four duration (`"ph":"X"`) events — `route`,
-/// `queue`, `execute`, `respond` — on the traced shard's track
-/// (`tid` = shard), with the op id and request kind in `args`. Timestamps
-/// are microseconds (fractional), relative to the telemetry epoch.
-pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
-    let mut w = JsonWriter::new();
-    w.object(|w| {
-        w.key("displayTimeUnit").str("ns");
-        w.key("traceEvents").array(|w| {
-            for span in spans {
-                let stages = [
-                    ("route", span.submit_ns, span.enqueue_ns),
-                    ("queue", span.enqueue_ns, span.execute_ns),
-                    ("execute", span.execute_ns, span.complete_ns),
-                    ("respond", span.complete_ns, span.respond_ns),
-                ];
-                for (name, start, end) in stages {
-                    if end < start {
-                        continue;
-                    }
-                    w.object(|w| {
-                        w.key("name").str(name);
-                        w.key("cat").str("pipeline");
-                        w.key("ph").str("X");
-                        w.key("ts").f64(start as f64 / 1e3);
-                        w.key("dur").f64((end - start) as f64 / 1e3);
-                        w.key("pid").u64(0);
-                        w.key("tid").u64(span.shard as u64);
-                        w.key("args").object(|w| {
-                            w.key("op").u64(span.op_id);
-                            w.key("kind").str(span.kind.label());
-                            w.key("batch_ops").u64(span.batch_ops as u64);
-                        });
-                    });
-                }
-            }
-        });
-    });
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,33 +372,5 @@ mod tests {
         for i in 0..5 {
             assert_eq!(s.claim(1), Some((i, 0)));
         }
-    }
-
-    #[test]
-    fn chrome_trace_json_is_well_formed() {
-        let spans = vec![span(0, 0, 100), span(7, 2, 500)];
-        let json = chrome_trace_json(&spans);
-        assert_eq!(
-            json.matches("\"ph\": \"X\"").count(),
-            8,
-            "4 stages x 2 spans"
-        );
-        assert!(json.contains("\"tid\": 2"));
-        assert!(json.contains("\"kind\": \"update\"") || json.contains("\"kind\": \"range\""));
-        assert_eq!(
-            chrome_trace_json(&[]),
-            "{\"displayTimeUnit\": \"ns\", \"traceEvents\": []}"
-        );
-        // Exact bytes; a stage that ends before it starts is left out.
-        let mut torn = span(0, 3, 1_500);
-        torn.complete_ns = 0;
-        const TAIL: &str =
-            r#""pid": 0, "tid": 3, "args": {"op": 0, "kind": "get", "batch_ops": 17}}"#;
-        assert_eq!(
-            chrome_trace_json(&[torn]),
-            format!(
-                r#"{{"displayTimeUnit": "ns", "traceEvents": [{{"name": "route", "cat": "pipeline", "ph": "X", "ts": 1.5, "dur": 0.002, {TAIL}, {{"name": "queue", "cat": "pipeline", "ph": "X", "ts": 1.502, "dur": 0.008, {TAIL}, {{"name": "respond", "cat": "pipeline", "ph": "X", "ts": 0, "dur": 1.555, {TAIL}]}}"#
-            )
-        );
     }
 }

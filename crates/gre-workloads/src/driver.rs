@@ -9,12 +9,12 @@
 //!   the sharded composite); `gre-shard` adds the windowed target over its
 //!   batched `ShardPipeline`. A single-threaded [`Index`] is driven in
 //!   place by [`Driver::run_in_place`], one client on the calling thread.
-//! * **How** it is measured — per-phase, per-[`RequestKind`] latency
-//!   histograms plus an interval throughput series. Under
-//!   [`Pacing::OpenLoop`], latency is measured from each operation's
-//!   **intended** send time: a stalled server accrues the queueing delay it
-//!   caused (coordinated-omission-safe), instead of the closed-loop
-//!   behaviour where a stall simply stops the clock on new requests.
+//! * **How** it is measured — per-phase typed-response counters and
+//!   per-[`RequestKind`] latency histograms. Each phase runs its op budget
+//!   over closed-loop clients: a client hands over its next op as soon as
+//!   the previous one was accepted. A sampled op is timed from that hand-over
+//!   to its completion, so a batched target charges it the wait for its
+//!   batch.
 //!
 //! One driver thread drives one [`Connection`]; targets decide what a
 //! connection means (direct calls, a batch buffer over a pipeline, a
@@ -27,7 +27,7 @@
 //! ```
 //! use gre_core::index::MutexIndex;
 //! use gre_core::ModelIndex;
-//! use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
+//! use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
 //! use gre_workloads::Driver;
 //!
 //! let keys: Vec<u64> = (1..=1_000u64).map(|i| i * 4).collect();
@@ -35,8 +35,8 @@
 //!     "reads",
 //!     Mix::read_only(),
 //!     KeyDist::Zipf { theta: 0.99 },
-//!     Span::Ops(2_000),
-//!     Pacing::ClosedLoop { threads: 2 },
+//!     2_000, // ops
+//!     2,     // clients
 //! ));
 //!
 //! // `MutexIndex` lifts any `Index` to `ConcurrentIndex`.
@@ -53,27 +53,25 @@
 //! assert_eq!(result.phases[0].tally.hits, 2_000);
 //! ```
 
-use crate::scenario::{phase_stream, OpStream, Pacing, Phase, Scenario, Span};
+use crate::scenario::{phase_stream, OpStream, Phase, Scenario};
 use crate::spec::Op;
 use gre_core::ops::RequestKind;
 use gre_core::{
     ConcurrentIndex, Index, IndexMeta, KindLatency, LatencyHistogram, Payload, Response,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Fraction of closed-loop operations whose latency is sampled: one in
-/// every N ops (§6.1 samples to keep measurement overhead negligible). An
-/// odd prime stride avoids aliasing with the read/write interleaving
-/// pattern of the generated request streams.
-pub const LATENCY_SAMPLE_RATE: usize = 101;
+/// Fraction of operations whose latency is sampled: one in every N ops
+/// (§6.1 samples to keep measurement overhead negligible). An odd prime
+/// stride avoids aliasing with the read/write interleaving pattern of the
+/// generated request streams.
+const LATENCY_SAMPLE_RATE: usize = 101;
 
 /// Summary statistics over a set of sampled latencies (nanoseconds).
 #[derive(Debug, Clone, Default)]
 pub struct LatencySummary {
     pub samples: usize,
-    pub mean_ns: f64,
     pub p50_ns: u64,
     pub p99_ns: u64,
     pub p999_ns: u64,
@@ -83,14 +81,13 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Build a summary from a recorded histogram (percentiles carry the
-    /// histogram's ~3% bucket resolution, mean and max are exact).
-    pub fn from_histogram(hist: &LatencyHistogram) -> Self {
+    /// histogram's ~3% bucket resolution, max is exact).
+    fn from_histogram(hist: &LatencyHistogram) -> Self {
         if hist.is_empty() {
             return LatencySummary::default();
         }
         LatencySummary {
             samples: hist.count() as usize,
-            mean_ns: hist.mean(),
             p50_ns: hist.percentile(0.50),
             p99_ns: hist.percentile(0.99),
             p999_ns: hist.percentile(0.999),
@@ -99,12 +96,6 @@ impl LatencySummary {
         }
     }
 }
-
-/// Default width of the interval throughput series.
-pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Default number of sender threads for open-loop phases.
-pub const DEFAULT_OPEN_LOOP_SENDERS: usize = 4;
 
 /// Typed-response counters accumulated over a phase, or over one batch's
 /// responses ([`Tally::of`]).
@@ -129,7 +120,7 @@ pub struct Tally {
 impl Tally {
     /// Record one typed response.
     #[inline]
-    pub fn record(&mut self, response: &Response<u64>) {
+    fn record(&mut self, response: &Response<u64>) {
         self.ops += 1;
         match response {
             Response::Get(found) => self.hits += u64::from(found.is_some()),
@@ -163,40 +154,21 @@ impl Tally {
 }
 
 /// Per-thread measurement sink for one phase: kind-indexed latency
-/// histograms (from intended send time), typed-response counters, and the
-/// completions-per-interval series.
+/// histograms of the timed completions and typed-response counters of all
+/// of them.
+#[derive(Default)]
 pub struct PhaseRecorder {
-    phase_start: Instant,
-    interval_ns: u64,
-    latency: KindLatency,
-    tally: Tally,
-    intervals: Vec<u64>,
-    /// One latency histogram per interval, fed by timed completions only
-    /// (grown lazily; may be shorter than `intervals` when the tail saw
-    /// only untimed ops).
-    interval_latency: Vec<LatencyHistogram>,
-    /// Interval of the most recent timestamped completion; untimed
-    /// (unsampled closed-loop) completions are attributed here.
-    last_bucket: usize,
+    /// Latency of each timed completion, from its intended send time.
+    pub latency: KindLatency,
+    /// Counters over every completion.
+    pub tally: Tally,
 }
 
 impl PhaseRecorder {
-    pub fn new(phase_start: Instant, interval: Duration) -> PhaseRecorder {
-        PhaseRecorder {
-            phase_start,
-            interval_ns: interval.as_nanos().max(1) as u64,
-            latency: KindLatency::new(),
-            tally: Tally::default(),
-            intervals: Vec::new(),
-            interval_latency: Vec::new(),
-            last_bucket: 0,
-        }
-    }
-
     /// Record a completion whose latency was measured: `intended` is the
     /// intended send time, `now` the completion time.
     #[inline]
-    pub fn complete_timed(
+    fn complete_timed(
         &mut self,
         kind: RequestKind,
         intended: Instant,
@@ -205,23 +177,16 @@ impl PhaseRecorder {
     ) {
         let ns = now.saturating_duration_since(intended).as_nanos() as u64;
         self.latency.record(kind, ns);
-        let since_start = now.saturating_duration_since(self.phase_start).as_nanos() as u64;
-        self.last_bucket = (since_start / self.interval_ns) as usize;
-        if self.last_bucket >= self.interval_latency.len() {
-            self.interval_latency
-                .resize_with(self.last_bucket + 1, LatencyHistogram::new);
-        }
-        self.interval_latency[self.last_bucket].record(ns);
-        self.bump_interval();
         self.tally.record(response);
     }
 
-    /// Record a completion without a timestamp (an unsampled closed-loop
-    /// op); attributed to the interval of the last timed completion.
+    /// Record one completion, timed when `intended` is its send time.
     #[inline]
-    pub fn complete_untimed(&mut self, response: &Response<u64>) {
-        self.bump_interval();
-        self.tally.record(response);
+    fn complete(&mut self, kind: RequestKind, intended: Option<Instant>, response: &Response<u64>) {
+        match intended {
+            Some(t0) => self.complete_timed(kind, t0, Instant::now(), response),
+            None => self.tally.record(response),
+        }
     }
 
     /// Record one completed batch: `meta[i]` is op `i`'s kind and intended
@@ -237,49 +202,8 @@ impl PhaseRecorder {
         for ((kind, intended), response) in meta.iter().zip(responses) {
             match intended {
                 Some(t0) => self.complete_timed(*kind, *t0, now, response),
-                None => self.complete_untimed(response),
+                None => self.tally.record(response),
             }
-        }
-    }
-
-    /// The typed-response counters accumulated so far — for custom targets
-    /// and tests that drive a [`Connection`] directly, outside a full
-    /// [`Driver::run`].
-    pub fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    #[inline]
-    fn bump_interval(&mut self) {
-        if self.last_bucket >= self.intervals.len() {
-            self.intervals.resize(self.last_bucket + 1, 0);
-        }
-        self.intervals[self.last_bucket] += 1;
-    }
-
-    fn merge_into(
-        self,
-        latency: &mut KindLatency,
-        tally: &mut Tally,
-        intervals: &mut Vec<u64>,
-        interval_latency: &mut Vec<LatencyHistogram>,
-    ) {
-        latency.merge(&self.latency);
-        tally.merge(&self.tally);
-        if intervals.len() < self.intervals.len() {
-            intervals.resize(self.intervals.len(), 0);
-        }
-        for (a, b) in intervals.iter_mut().zip(self.intervals.iter()) {
-            *a += b;
-        }
-        if interval_latency.len() < self.interval_latency.len() {
-            interval_latency.resize_with(self.interval_latency.len(), LatencyHistogram::new);
-        }
-        for (a, b) in interval_latency
-            .iter_mut()
-            .zip(self.interval_latency.iter())
-        {
-            a.merge(b);
         }
     }
 }
@@ -302,21 +226,12 @@ pub trait ServeTarget: Sync {
     /// Open one client connection. The driver opens one per thread, inside
     /// that thread.
     fn connect(&self) -> Box<dyn Connection + '_>;
-
-    /// Keys currently stored (for post-run verification).
-    fn stored_len(&self) -> usize;
-
-    /// Bytes used by the underlying store, when the target can tell.
-    fn memory_bytes(&self) -> usize {
-        0
-    }
 }
 
 /// One driver thread's submission endpoint.
 ///
 /// `submit` hands over one operation with an optional intended-send
-/// timestamp (present for every open-loop op and for sampled closed-loop
-/// ops); the connection reports each *completion* into the recorder —
+/// timestamp (present for sampled ops); the connection reports each *completion* into the recorder —
 /// synchronously for direct targets, on batch completion for batched ones.
 /// `flush` must push out any buffered operations and wait out everything
 /// still in flight, so a phase's recorder sees every accepted op exactly
@@ -337,10 +252,7 @@ impl<I: ConcurrentIndex<u64> + ?Sized> Connection for BareConn<'_, I> {
     #[inline]
     fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder) {
         let response = op.execute(self.index, &self.meta);
-        match intended {
-            Some(t0) => rec.complete_timed(op.kind(), t0, Instant::now(), &response),
-            None => rec.complete_untimed(&response),
-        }
+        rec.complete(op.kind(), intended, &response);
     }
 
     fn flush(&mut self, _rec: &mut PhaseRecorder) {}
@@ -362,14 +274,6 @@ impl<I: ConcurrentIndex<u64> + ?Sized> ServeTarget for I {
             index: self,
             meta: self.meta(),
         })
-    }
-
-    fn stored_len(&self) -> usize {
-        ConcurrentIndex::len(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.memory_usage()
     }
 }
 
@@ -398,10 +302,7 @@ impl<I: Index<u64> + ?Sized> Connection for InPlaceConn<'_, I> {
             }
             _ => op.execute_mut(&mut *self.index, &self.meta),
         };
-        match intended {
-            Some(t0) => rec.complete_timed(op.kind(), t0, Instant::now(), &response),
-            None => rec.complete_untimed(&response),
-        }
+        rec.complete(op.kind(), intended, &response);
         if let Response::Range(buf) = response {
             self.scan = buf;
         }
@@ -412,24 +313,17 @@ impl<I: Index<u64> + ?Sized> Connection for InPlaceConn<'_, I> {
 
 /// Executes scenarios against serving targets.
 ///
-/// Construction is builder-style; by default closed-loop phases sample
-/// 1 op in [`LATENCY_SAMPLE_RATE`] for latency, while open-loop phases
-/// always time every operation from its intended send time.
+/// Construction is builder-style; by default 1 op in
+/// `LATENCY_SAMPLE_RATE` (101) is timed.
 #[derive(Debug, Clone)]
 pub struct Driver {
     sample_stride: usize,
-    open_loop_senders: usize,
-    interval: Duration,
-    stop: Option<Arc<AtomicBool>>,
 }
 
 impl Default for Driver {
     fn default() -> Self {
         Driver {
             sample_stride: LATENCY_SAMPLE_RATE,
-            open_loop_senders: DEFAULT_OPEN_LOOP_SENDERS,
-            interval: DEFAULT_INTERVAL,
-            stop: None,
         }
     }
 }
@@ -439,39 +333,10 @@ impl Driver {
         Driver::default()
     }
 
-    /// Closed-loop latency sampling stride (1 = time every op). Open-loop
-    /// phases ignore this: they time everything, because their latency
-    /// origin (the intended send time) is computed, not measured.
+    /// Latency sampling stride (1 = time every op).
     pub fn sample_stride(mut self, stride: usize) -> Driver {
         self.sample_stride = stride.max(1);
         self
-    }
-
-    /// Sender threads used by open-loop phases (the offered rate is split
-    /// evenly across them).
-    pub fn open_loop_senders(mut self, senders: usize) -> Driver {
-        self.open_loop_senders = senders.max(1);
-        self
-    }
-
-    /// Width of the interval throughput series.
-    pub fn interval(mut self, interval: Duration) -> Driver {
-        self.interval = interval;
-        self
-    }
-
-    /// Cooperative shutdown: when `flag` becomes true the driver stops
-    /// submitting, flushes in-flight work, and reports only completed ops.
-    pub fn with_stop(mut self, flag: Arc<AtomicBool>) -> Driver {
-        self.stop = Some(flag);
-        self
-    }
-
-    #[inline]
-    fn stopped(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Execute `scenario` against `target`: bulk load, then run each phase
@@ -482,33 +347,28 @@ impl Driver {
         target: &mut T,
     ) -> ScenarioResult {
         let keys = Arc::new(scenario.loaded_keys());
-        let load_timer = Instant::now();
         target.load(&scenario.bulk);
-        let bulk_load_ns = load_timer.elapsed().as_nanos() as u64;
-        let mut phases = Vec::with_capacity(scenario.phases.len());
-        for (pi, phase) in scenario.phases.iter().enumerate() {
-            if self.stopped() {
-                break;
-            }
-            phases.push(self.run_phase(scenario, &keys, pi, phase, &*target));
-        }
+        let phases = scenario
+            .phases
+            .iter()
+            .enumerate()
+            .map(|(pi, phase)| self.run_phase(scenario, &keys, pi, phase, &*target))
+            .collect();
         ScenarioResult {
             scenario: scenario.name.clone(),
             target: target.describe(),
-            bulk_load_ns,
             phases,
         }
     }
 
     /// Execute `scenario` with one client on the calling thread, directly
     /// against a single-threaded `index`: bulk load, then each phase in
-    /// script order, with the same streams, pacing and measurement as
+    /// script order, with the same streams and measurement as
     /// [`Driver::run`].
     ///
     /// # Panics
     ///
-    /// On a phase that asks for more than one client (closed-loop
-    /// `threads > 1`, or open loop with more than one sender).
+    /// On a phase that asks for more than one client.
     pub fn run_in_place<I: Index<u64> + ?Sized>(
         &self,
         scenario: &Scenario,
@@ -517,16 +377,11 @@ impl Driver {
         // Copied before the load, so the freshly loaded index is what the
         // cache holds when the first phase starts.
         let keys = Arc::new(scenario.loaded_keys());
-        let load_timer = Instant::now();
         index.bulk_load(&scenario.bulk);
-        let bulk_load_ns = load_timer.elapsed().as_nanos() as u64;
         let meta = index.meta();
         let mut phases = Vec::with_capacity(scenario.phases.len());
         for (pi, phase) in scenario.phases.iter().enumerate() {
-            if self.stopped() {
-                break;
-            }
-            let clients = self.clients(phase);
+            let clients = phase.threads.max(1);
             assert_eq!(
                 clients, 1,
                 "run_in_place drives one client; phase `{}` asks for {clients}",
@@ -540,27 +395,16 @@ impl Driver {
                 meta: meta.clone(),
                 scan: Vec::new(),
             };
-            let mut rec = PhaseRecorder::new(Instant::now(), self.interval);
+            let mut rec = PhaseRecorder::default();
             let start = Instant::now();
-            rec.phase_start = start;
-            self.drive(phase, 0, 1, stream.as_mut(), &mut conn, &mut rec);
+            self.drive(phase.ops, stream.as_mut(), &mut conn, &mut rec);
             let elapsed_ns = start.elapsed().as_nanos() as u64;
-            phases.push(self.phase_result(phase, 1, elapsed_ns, [rec]));
+            phases.push(phase_result(phase, elapsed_ns, [rec]));
         }
         ScenarioResult {
             scenario: scenario.name.clone(),
             target: meta.name.to_string(),
-            bulk_load_ns,
             phases,
-        }
-    }
-
-    /// Driver threads a phase runs on: its closed-loop clients, or the
-    /// open-loop senders.
-    fn clients(&self, phase: &Phase) -> usize {
-        match phase.pacing {
-            Pacing::ClosedLoop { threads } => threads.max(1),
-            Pacing::OpenLoop { .. } => self.open_loop_senders.max(1),
         }
     }
 
@@ -572,7 +416,7 @@ impl Driver {
         phase: &Phase,
         target: &T,
     ) -> PhaseResult {
-        let threads = self.clients(phase);
+        let threads = phase.threads.max(1);
         let start = Instant::now();
         let recorders: Vec<PhaseRecorder> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
@@ -580,8 +424,13 @@ impl Driver {
                     scope.spawn(move || {
                         let mut stream = phase_stream(scenario, keys, phase_idx, phase, t, threads);
                         let mut conn = target.connect();
-                        let mut rec = PhaseRecorder::new(start, self.interval);
-                        self.drive(phase, t, threads, stream.as_mut(), conn.as_mut(), &mut rec);
+                        let mut rec = PhaseRecorder::default();
+                        // An even split of the op budget, the first
+                        // `ops % threads` clients one op more: the split
+                        // `ReplayStream::chunk` uses.
+                        let extra = u64::from((t as u64) < phase.ops % threads as u64);
+                        let budget = phase.ops / threads as u64 + extra;
+                        self.drive(budget, stream.as_mut(), conn.as_mut(), &mut rec);
                         rec
                     })
                 })
@@ -592,150 +441,45 @@ impl Driver {
                 .collect()
         });
         let elapsed_ns = start.elapsed().as_nanos() as u64;
-        self.phase_result(phase, threads, elapsed_ns, recorders)
+        phase_result(phase, elapsed_ns, recorders)
     }
 
-    /// Drive client `t` of `threads` through `phase`, which started at its
-    /// recorder's phase start, then flush the connection. The client's op
-    /// budget is an even split of an op-count span (the first `n % threads`
-    /// clients one op more, the split
-    /// [`ReplayStream::chunk`](crate::scenario::ReplayStream::chunk) uses),
-    /// and an open-loop rate is split evenly over the senders.
+    /// Submit `budget` ops of `stream` one after another, timing one in
+    /// `sample_stride`, then flush the connection.
     fn drive<C: Connection + ?Sized>(
         &self,
-        phase: &Phase,
-        t: usize,
-        threads: usize,
+        budget: u64,
         stream: &mut dyn OpStream,
         conn: &mut C,
         rec: &mut PhaseRecorder,
     ) {
-        let start = rec.phase_start;
-        let (budget, deadline) = match phase.span {
-            Span::Ops(n) => {
-                let extra = u64::from((t as u64) < n % threads as u64);
-                (n / threads as u64 + extra, None)
-            }
-            Span::Time(d) => (u64::MAX, Some(start + d)),
-        };
-        match phase.pacing {
-            Pacing::ClosedLoop { .. } => self.closed_loop(stream, conn, rec, budget, deadline),
-            Pacing::OpenLoop { rate_ops_s } => self.open_loop(
-                stream,
-                conn,
-                rec,
-                budget,
-                deadline,
-                start,
-                rate_ops_s / threads as f64,
-            ),
+        let stride = self.sample_stride as u64;
+        for i in 0..budget {
+            let Some(op) = stream.next_op() else { break };
+            let intended = (i % stride == 0).then(Instant::now);
+            conn.submit(op, intended, rec);
         }
         conn.flush(rec);
     }
+}
 
-    /// Merge the clients' recorders of one finished phase.
-    fn phase_result(
-        &self,
-        phase: &Phase,
-        threads: usize,
-        elapsed_ns: u64,
-        recorders: impl IntoIterator<Item = PhaseRecorder>,
-    ) -> PhaseResult {
-        let mut latency = KindLatency::new();
-        let mut tally = Tally::default();
-        let mut intervals = Vec::new();
-        let mut interval_latency = Vec::new();
-        for rec in recorders {
-            rec.merge_into(
-                &mut latency,
-                &mut tally,
-                &mut intervals,
-                &mut interval_latency,
-            );
-        }
-        // Align the two series so consumers can zip them 1:1 (the latency
-        // side can come up short when the tail saw only untimed ops).
-        if interval_latency.len() < intervals.len() {
-            interval_latency.resize_with(intervals.len(), LatencyHistogram::new);
-        }
-        PhaseResult {
-            phase: phase.name.clone(),
-            threads,
-            offered_rate: phase.offered_rate(),
-            elapsed_ns,
-            tally,
-            latency,
-            intervals,
-            interval_latency,
-            interval_ns: self.interval.as_nanos().max(1) as u64,
-        }
+/// Merge the clients' recorders of one finished phase.
+fn phase_result(
+    phase: &Phase,
+    elapsed_ns: u64,
+    recorders: impl IntoIterator<Item = PhaseRecorder>,
+) -> PhaseResult {
+    let mut latency = KindLatency::new();
+    let mut tally = Tally::default();
+    for rec in recorders {
+        latency.merge(&rec.latency);
+        tally.merge(&rec.tally);
     }
-
-    fn closed_loop<C: Connection + ?Sized>(
-        &self,
-        stream: &mut dyn OpStream,
-        conn: &mut C,
-        rec: &mut PhaseRecorder,
-        budget: u64,
-        deadline: Option<Instant>,
-    ) {
-        let stride = self.sample_stride as u64;
-        let mut i = 0u64;
-        while i < budget {
-            let sampled = i % stride == 0;
-            if sampled {
-                // Stop/deadline checks ride the sampling stride so the
-                // common path stays clock-free.
-                if self.stopped() || deadline.is_some_and(|d| Instant::now() >= d) {
-                    break;
-                }
-            }
-            let Some(op) = stream.next_op() else { break };
-            let intended = if sampled { Some(Instant::now()) } else { None };
-            conn.submit(op, intended, rec);
-            i += 1;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn open_loop<C: Connection + ?Sized>(
-        &self,
-        stream: &mut dyn OpStream,
-        conn: &mut C,
-        rec: &mut PhaseRecorder,
-        budget: u64,
-        deadline: Option<Instant>,
-        start: Instant,
-        rate_ops_s: f64,
-    ) {
-        let tick = 1.0 / rate_ops_s.max(1e-6);
-        let mut i = 0u64;
-        while i < budget {
-            if i % 64 == 0 && self.stopped() {
-                break;
-            }
-            let intended = start + Duration::from_secs_f64(i as f64 * tick);
-            if deadline.is_some_and(|d| intended >= d) {
-                break;
-            }
-            // Hold to the schedule; when behind, send immediately — the
-            // intended stamp still charges the slip to latency.
-            loop {
-                let now = Instant::now();
-                if now >= intended {
-                    break;
-                }
-                let wait = intended - now;
-                if wait > Duration::from_micros(200) {
-                    std::thread::sleep(wait - Duration::from_micros(100));
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            let Some(op) = stream.next_op() else { break };
-            conn.submit(op, Some(intended), rec);
-            i += 1;
-        }
+    PhaseResult {
+        phase: phase.name.clone(),
+        elapsed_ns,
+        tally,
+        latency,
     }
 }
 
@@ -743,24 +487,12 @@ impl Driver {
 #[derive(Debug, Clone)]
 pub struct PhaseResult {
     pub phase: String,
-    /// Driver threads (clients for closed loop, senders for open loop).
-    pub threads: usize,
-    /// Requested rate for open-loop phases.
-    pub offered_rate: Option<f64>,
     /// Wall-clock time of the phase including the final drain, ns.
-    pub elapsed_ns: u64,
+    pub(crate) elapsed_ns: u64,
     /// Typed-response counters over every completed op.
     pub tally: Tally,
     /// Kind-indexed latency histograms, measured from intended send time.
-    pub latency: KindLatency,
-    /// Completions per interval (coarse throughput-over-time series).
-    pub intervals: Vec<u64>,
-    /// Latency histogram per interval, aligned with
-    /// [`intervals`](PhaseResult::intervals); fed by *timed* completions
-    /// only, so under closed-loop pacing each holds the 1-in-stride sample.
-    pub interval_latency: Vec<LatencyHistogram>,
-    /// Width of one interval, ns.
-    pub interval_ns: u64,
+    pub(crate) latency: KindLatency,
 }
 
 impl PhaseResult {
@@ -775,15 +507,6 @@ impl PhaseResult {
             return 0.0;
         }
         self.tally.ops as f64 / (self.elapsed_ns as f64 / 1e9) / 1e6
-    }
-
-    /// Achieved delivery rate in ops/s (compare against
-    /// [`offered_rate`](PhaseResult::offered_rate) for open-loop phases).
-    pub fn achieved_rate(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.tally.ops as f64 / (self.elapsed_ns as f64 / 1e9)
     }
 
     /// Latency summary of one request kind.
@@ -807,16 +530,6 @@ impl PhaseResult {
         )
     }
 
-    /// Per-interval latency percentile series (ns): one value per entry of
-    /// [`intervals`](PhaseResult::intervals), 0 for intervals with no timed
-    /// completion. `q` is a fraction (0.5 for p50, 0.99 for p99).
-    pub fn interval_percentiles(&self, q: f64) -> Vec<u64> {
-        self.interval_latency
-            .iter()
-            .map(|h| if h.count() == 0 { 0 } else { h.percentile(q) })
-            .collect()
-    }
-
     /// Merged write-side (insert + update + remove) latency summary.
     pub fn write_summary(&self) -> LatencySummary {
         LatencySummary::from_histogram(&self.latency.merged(&[
@@ -832,7 +545,6 @@ impl PhaseResult {
 pub struct ScenarioResult {
     pub scenario: String,
     pub target: String,
-    pub bulk_load_ns: u64,
     pub phases: Vec<PhaseResult>,
 }
 
@@ -840,11 +552,6 @@ impl ScenarioResult {
     /// Total completed operations across all phases.
     pub fn total_ops(&self) -> u64 {
         self.phases.iter().map(|p| p.tally.ops).sum()
-    }
-
-    /// Look up a phase by name.
-    pub fn phase(&self, name: &str) -> Option<&PhaseResult> {
-        self.phases.iter().find(|p| p.phase == name)
     }
 }
 
@@ -867,8 +574,8 @@ mod tests {
             "p0",
             Mix::read_only(),
             KeyDist::Uniform,
-            Span::Ops(5_000),
-            Pacing::ClosedLoop { threads: 3 },
+            5_000,
+            3,
         ));
         let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new().sample_stride(7).run(&scenario, &mut index);
@@ -877,54 +584,11 @@ mod tests {
         let p = &result.phases[0];
         assert_eq!(p.ops(), 5_000);
         assert_eq!(p.tally.hits, 5_000, "read-only over loaded keys all hit");
-        assert_eq!(p.threads, 3);
         assert!(p.throughput_mops() > 0.0);
         assert!(p.latency.get(RequestKind::Get).count() > 0);
         assert_eq!(p.latency.get(RequestKind::Insert).count(), 0);
         assert!(p.read_summary().samples > 0);
-        assert!(!p.intervals.is_empty());
-        assert_eq!(p.intervals.iter().sum::<u64>(), 5_000);
         assert_eq!(result.total_ops(), 5_000);
-        assert!(result.phase("p0").is_some() && result.phase("nope").is_none());
-    }
-
-    #[test]
-    fn interval_latency_series_aligns_with_intervals() {
-        let scenario = Scenario::new("t", 9, &keys(2_000)).phase(Phase::new(
-            "paced",
-            Mix::read_only(),
-            KeyDist::Uniform,
-            Span::Ops(3_000),
-            Pacing::OpenLoop {
-                rate_ops_s: 30_000.0,
-            },
-        ));
-        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
-        let result = Driver::new()
-            .interval(Duration::from_millis(20))
-            .open_loop_senders(2)
-            .run(&scenario, &mut index);
-        let p = &result.phases[0];
-        assert_eq!(p.interval_latency.len(), p.intervals.len());
-        // Open loop times every op, so the per-interval histogram counts
-        // must sum back to the completion series exactly.
-        let timed: u64 = p.interval_latency.iter().map(|h| h.count()).sum();
-        assert_eq!(timed, p.intervals.iter().sum::<u64>());
-        let p99 = p.interval_percentiles(0.99);
-        assert_eq!(p99.len(), p.intervals.len());
-        assert!(
-            p.intervals
-                .iter()
-                .zip(&p99)
-                .all(|(&n, &v)| (n == 0) == (v == 0)),
-            "a percentile sample exists exactly where completions exist"
-        );
-        // 3k ops at 30k ops/s spans ~100ms => ~5 intervals of 20ms.
-        assert!(
-            p.intervals.len() >= 3,
-            "got {} intervals",
-            p.intervals.len()
-        );
     }
 
     #[test]
@@ -933,8 +597,8 @@ mod tests {
             "mixed",
             Mix::points(2, 1, 1, 0).with_range(1, 10),
             KeyDist::Uniform,
-            Span::Ops(4_000),
-            Pacing::ClosedLoop { threads: 2 },
+            4_000,
+            2,
         ));
         let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new().run(&scenario, &mut index);
@@ -946,75 +610,7 @@ mod tests {
         assert!(p.tally.scanned_keys > 0);
         assert_eq!(p.tally.errors, 0);
         // Inserted keys really landed.
-        assert_eq!(
-            ServeTarget::stored_len(&index) as u64,
-            2_000 + p.tally.new_keys
-        );
-    }
-
-    #[test]
-    fn open_loop_phase_holds_the_offered_rate() {
-        let scenario = Scenario::new("t", 3, &keys(2_000)).phase(Phase::new(
-            "paced",
-            Mix::read_only(),
-            KeyDist::Uniform,
-            Span::Ops(2_000),
-            Pacing::OpenLoop {
-                rate_ops_s: 20_000.0,
-            },
-        ));
-        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
-        let result = Driver::new()
-            .open_loop_senders(2)
-            .run(&scenario, &mut index);
-        let p = &result.phases[0];
-        assert_eq!(p.ops(), 2_000);
-        assert_eq!(p.offered_rate, Some(20_000.0));
-        assert_eq!(p.threads, 2);
-        // Every open-loop op is timed from its intended send time.
-        assert_eq!(p.latency.total_count(), 2_000);
-        let achieved = p.achieved_rate();
-        assert!(
-            (achieved - 20_000.0).abs() / 20_000.0 < 0.25,
-            "achieved {achieved:.0} ops/s vs offered 20000"
-        );
-    }
-
-    #[test]
-    fn time_span_and_stop_flag_end_phases_early() {
-        let scenario = Scenario::new("t", 4, &keys(1_000))
-            .phase(Phase::new(
-                "timed",
-                Mix::read_only(),
-                KeyDist::Uniform,
-                Span::Time(Duration::from_millis(30)),
-                Pacing::ClosedLoop { threads: 2 },
-            ))
-            .phase(Phase::new(
-                "never-entered",
-                Mix::read_only(),
-                KeyDist::Uniform,
-                Span::Ops(1_000_000),
-                Pacing::ClosedLoop { threads: 2 },
-            ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
-        let driver = Driver::new().with_stop(Arc::clone(&stop));
-        let flag = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
-            flag.store(true, Ordering::Relaxed);
-        });
-        let result = driver.run(&scenario, &mut index);
-        // The timed phase ended by deadline; the second phase was cut off by
-        // the stop flag long before its 1M-op budget.
-        assert!(!result.phases.is_empty());
-        let timed = &result.phases[0];
-        assert!(timed.ops() > 0);
-        assert!(timed.elapsed_ns >= 25_000_000, "ran for the deadline");
-        if let Some(second) = result.phases.get(1) {
-            assert!(second.ops() < 1_000_000, "stop flag cut the phase short");
-        }
+        assert_eq!(index.len() as u64, 2_000 + p.tally.new_keys);
     }
 
     #[test]
@@ -1025,9 +621,9 @@ mod tests {
         let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
         let result = Driver::new().run(&scenario, &mut index);
         let p = &result.phases[0];
-        assert_eq!(Span::Ops(p.ops()), scenario.phases[0].span);
+        assert_eq!(p.ops(), scenario.phases[0].ops);
         // All remaining keys were inserted: the store holds every key.
-        assert_eq!(ServeTarget::stored_len(&index), 2_000);
+        assert_eq!(index.len(), 2_000);
     }
 
     #[test]
@@ -1042,17 +638,16 @@ mod tests {
         let result = Driver::new().run(&scenario, &mut index);
         let p = &result.phases[0];
         assert_eq!(result.target, "model-mutex");
-        assert_eq!(p.threads, 4);
-        assert_eq!(Span::Ops(p.ops()), scenario.phases[0].span);
+        assert_eq!(p.ops(), scenario.phases[0].ops);
         assert_eq!(p.ops(), solo.phases[0].ops());
         // Both runs end with every key stored.
-        assert_eq!(ServeTarget::stored_len(&index), all.len());
+        assert_eq!(index.len(), all.len());
         assert_eq!(alone.len(), all.len());
         assert!(p.read_summary().samples > 0);
         assert!(p.write_summary().samples > 0);
         assert!(p.kind_summary(RequestKind::Get).samples > 0);
         assert!(p.kind_summary(RequestKind::Insert).samples > 0);
-        assert!(ServeTarget::memory_bytes(&index) > 0);
+        assert!(index.memory_usage() > 0);
     }
 
     #[test]
@@ -1062,16 +657,13 @@ mod tests {
         // dropped (10 ops over 4 threads used to execute only 9).
         for (n, threads) in [(10u64, 4usize), (103, 4), (13, 4), (2_001, 7)] {
             let ops = (0..n).map(|i| Op::Insert(1_000 + i, i)).collect();
-            let scenario = Scenario::new("odd", 0, &[1]).phase(Phase::replay(
-                "odd",
-                Arc::new(ops),
-                Pacing::ClosedLoop { threads },
-            ));
+            let scenario =
+                Scenario::new("odd", 0, &[1]).phase(Phase::replay("odd", Arc::new(ops), threads));
             let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
             let result = Driver::new().run(&scenario, &mut index);
             assert_eq!(result.phases[0].ops(), n, "{n} ops / {threads} threads");
             assert_eq!(
-                ServeTarget::stored_len(&index) as u64,
+                index.len() as u64,
                 1 + n,
                 "{n} ops / {threads} threads: every insert must land"
             );
@@ -1085,11 +677,10 @@ mod tests {
         let mut index = ModelIndex::default();
         let result = Driver::new().run_in_place(&scenario, &mut index);
         let p = &result.phases[0];
-        assert_eq!(Span::Ops(p.ops()), scenario.phases[0].span);
+        assert_eq!(p.ops(), scenario.phases[0].ops);
         assert_eq!(p.tally.hits, p.ops(), "all read-only lookups must hit");
         assert!(p.throughput_mops() > 0.0);
         assert!(index.memory_usage() > 0);
-        assert_eq!(p.threads, 1);
         assert_eq!(result.target, "model");
         // Per-kind view: everything landed under Get.
         assert!(p.kind_summary(RequestKind::Get).samples > 0);
@@ -1162,7 +753,6 @@ mod tests {
         assert_eq!(s.max_ns, 1000);
         assert!(s.p999_ns >= s.p99_ns && s.p99_ns >= s.p50_ns);
         assert!(s.std_ns > 0.0);
-        assert!(s.mean_ns > 0.0);
         let empty = LatencySummary::from_histogram(&LatencyHistogram::new());
         assert_eq!(empty.samples, 0);
         assert_eq!(empty.p999_ns, 0);
@@ -1171,7 +761,7 @@ mod tests {
     #[test]
     fn summary_from_histogram_matches_samples_within_resolution() {
         // The samples are 7, 14, …, 70 000, so the exact statistics are
-        // closed-form: the q-quantile is 70 000 q and the mean 7 · 5000.5.
+        // closed-form: the q-quantile is 70 000 q.
         let mut hist = LatencyHistogram::new();
         for i in 1..=10_000u64 {
             hist.record(i * 7);
@@ -1179,7 +769,6 @@ mod tests {
         let from_hist = LatencySummary::from_histogram(&hist);
         assert_eq!(from_hist.samples, 10_000);
         assert_eq!(from_hist.max_ns, 70_000);
-        assert!((from_hist.mean_ns - 35_003.5).abs() < 1e-6);
         for (got, exact) in [
             (from_hist.p50_ns, 35_000.0),
             (from_hist.p99_ns, 69_300.0),

@@ -8,7 +8,7 @@
 //! loaded, and the remaining keys feed the insert stream while lookups
 //! target already-loaded keys.
 
-use crate::scenario::{Pacing, Phase, Scenario};
+use crate::scenario::{Phase, Scenario};
 use crate::spec::{payload_for, Op, WriteRatio};
 use crate::zipf::ScrambledZipf;
 use gre_core::{Payload, RangeSpec};
@@ -30,7 +30,7 @@ pub enum YcsbVariant {
 }
 
 impl YcsbVariant {
-    pub fn update_fraction(&self) -> f64 {
+    fn update_fraction(&self) -> f64 {
         match self {
             YcsbVariant::A => 0.5,
             YcsbVariant::B => 0.05,
@@ -53,9 +53,9 @@ pub struct WorkloadBuilder {
     /// Number of timed requests per lookup-bearing workload, expressed as a
     /// multiple of the bulk-loaded key count (the paper issues 800M lookups
     /// over 200M keys, i.e. ×4; scaled-down runs usually use ×1).
-    pub read_multiplier: f64,
+    read_multiplier: f64,
     /// RNG seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Default for WorkloadBuilder {
@@ -235,7 +235,7 @@ impl WorkloadBuilder {
     /// The one-phase scenario every builder returns: `bulk` loaded, then
     /// `ops` replayed once by one closed-loop client.
     fn replay(&self, name: String, bulk: Vec<(u64, Payload)>, ops: Vec<Op>) -> Scenario {
-        let phase = Phase::replay(&name, Arc::new(ops), Pacing::ClosedLoop { threads: 1 });
+        let phase = Phase::replay(&name, Arc::new(ops), 1);
         Scenario {
             name,
             seed: self.seed,
@@ -256,7 +256,7 @@ fn sorted_entries(keys: &[u64]) -> Vec<(u64, Payload)> {
 /// Linearly rescale the keys of `src` into the key domain of `dst`,
 /// preserving `src`'s distribution shape (used by the shift workload: "the
 /// keys of both datasets are scaled to the same domain").
-pub fn rescale_to_domain(src: &[u64], dst: &[u64]) -> Vec<u64> {
+fn rescale_to_domain(src: &[u64], dst: &[u64]) -> Vec<u64> {
     if src.is_empty() || dst.is_empty() {
         return Vec::new();
     }
@@ -284,7 +284,7 @@ fn max_of(keys: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use crate::scenario::OpSource;
-    use crate::spec::OpKind;
+    use gre_core::RequestKind;
 
     fn keys(n: u64) -> Vec<u64> {
         (1..=n).map(|i| i * 97).collect()
@@ -293,7 +293,7 @@ mod tests {
     /// The replayed stream of a builder's one-phase, one-client scenario.
     fn ops(s: &Scenario) -> &[Op] {
         assert_eq!(s.phases.len(), 1);
-        assert_eq!(s.phases[0].pacing, Pacing::ClosedLoop { threads: 1 });
+        assert_eq!(s.phases[0].threads, 1);
         match &s.phases[0].source {
             OpSource::Replay(ops) => ops,
             OpSource::Synthetic { .. } => panic!("builders replay materialized streams"),
@@ -314,7 +314,7 @@ mod tests {
         let w = b.insert_workload("t", &keys(1000), WriteRatio::ReadOnly);
         assert_eq!(w.bulk.len(), 1000);
         assert_eq!(ops(&w).len(), 1000);
-        assert!(ops(&w).iter().all(|o| o.kind() == OpKind::Get));
+        assert!(ops(&w).iter().all(|o| o.kind() == RequestKind::Get));
         // Bulk entries are sorted and unique.
         assert!(w.bulk.windows(2).all(|p| p[0].0 < p[1].0));
     }

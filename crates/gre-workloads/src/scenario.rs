@@ -3,18 +3,12 @@
 //!
 //! A [`Scenario`] is a bulk-load set plus a script of named [`Phase`]s. Each
 //! phase describes a request population — an operation [`Mix`] and a
-//! [`KeyDist`] key-selection law, or a pre-materialized replay stream — a
-//! [`Span`] (run for N ops or for a wall-clock duration) and a [`Pacing`]
-//! discipline:
-//!
-//! * [`Pacing::ClosedLoop`] — `threads` clients issue the next request as
-//!   soon as the previous one completes. Throughput is the measurement;
-//!   latency under closed-loop pacing is a *service time*, blind to queueing
-//!   delay (the coordinated-omission caveat).
-//! * [`Pacing::OpenLoop`] — requests are released on a fixed schedule at
-//!   `rate_ops_s`, independent of completions. Latency is measured from the
-//!   **intended** send time, so a stalled server accrues the waiting time it
-//!   caused instead of silently suppressing the samples.
+//! [`KeyDist`] key-selection law, or a pre-materialized replay stream — an
+//! op count, and the number of closed-loop clients that split it: each
+//! client issues its next request as soon as the previous one completes.
+//! Throughput is the measurement; a latency read this way is a *service
+//! time*, blind to the queueing delay a stalled server would cause under a
+//! fixed arrival rate (the coordinated-omission caveat).
 //!
 //! Operation generation is lazy: a phase materializes nothing. Each driver
 //! thread pulls from its own [`OpStream`], seeded from
@@ -22,12 +16,11 @@
 //! reproducible and identical across serving targets regardless of timing —
 //! the property the cross-target equivalence tests rely on.
 //!
-//! A two-phase script — a skewed closed-loop warm-up, then a paced
-//! open-loop read/insert mix:
+//! A two-phase script — a skewed read-only warm-up, then a uniform
+//! read/insert mix:
 //!
 //! ```
-//! use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
-//! use std::time::Duration;
+//! use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
 //!
 //! let keys: Vec<u64> = (1..=10_000u64).map(|i| i * 16).collect();
 //! let scenario = Scenario::new("warm-then-burst", 42, &keys)
@@ -35,15 +28,15 @@
 //!         "warm",
 //!         Mix::read_only(),
 //!         KeyDist::Zipf { theta: 0.99 },
-//!         Span::Ops(100_000),
-//!         Pacing::ClosedLoop { threads: 4 },
+//!         100_000, // ops
+//!         4,       // clients
 //!     ))
 //!     .phase(Phase::new(
 //!         "burst",
 //!         Mix::read_mostly(5), // 95% get / 5% insert
 //!         KeyDist::Uniform,
-//!         Span::Time(Duration::from_secs(5)),
-//!         Pacing::OpenLoop { rate_ops_s: 50_000.0 },
+//!         50_000,
+//!         2,
 //!     ));
 //!
 //! assert_eq!(scenario.phases.len(), 2);
@@ -57,19 +50,18 @@ use gre_core::{Payload, RangeSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Relative weights of the five operation kinds in a phase's request
 /// stream, plus the scan length used by range operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mix {
-    pub get: u32,
-    pub insert: u32,
-    pub update: u32,
-    pub remove: u32,
-    pub range: u32,
+    get: u32,
+    insert: u32,
+    update: u32,
+    remove: u32,
+    range: u32,
     /// Keys per range scan (when `range > 0`).
-    pub scan_len: usize,
+    scan_len: usize,
 }
 
 impl Mix {
@@ -90,19 +82,9 @@ impl Mix {
         Mix::points(1, 0, 0, 0)
     }
 
-    /// The paper's balanced point: 50% lookups / 50% inserts.
-    pub const fn balanced() -> Mix {
-        Mix::points(1, 1, 0, 0)
-    }
-
     /// Read-mostly: `write_pct`% inserts, the rest lookups.
     pub const fn read_mostly(write_pct: u32) -> Mix {
         Mix::points(100 - write_pct, write_pct, 0, 0)
-    }
-
-    /// 100% inserts.
-    pub const fn write_only() -> Mix {
-        Mix::points(0, 1, 0, 0)
     }
 
     /// YCSB-A: 50% lookups / 50% updates over loaded keys.
@@ -123,17 +105,8 @@ impl Mix {
     }
 
     /// Sum of all weights (0 means a degenerate all-get mix).
-    pub fn total(&self) -> u32 {
+    fn total(&self) -> u32 {
         self.get + self.insert + self.update + self.remove + self.range
-    }
-
-    /// Fraction of write operations (inserts + updates + removes).
-    pub fn write_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.insert + self.update + self.remove) as f64 / total as f64
     }
 }
 
@@ -159,31 +132,9 @@ pub enum KeyDist {
     },
 }
 
-/// How a phase's requests are released.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pacing {
-    /// `threads` clients, each issuing its next request immediately after
-    /// the previous completes (throughput-oriented; latency readings are
-    /// service times subject to coordinated omission).
-    ClosedLoop { threads: usize },
-    /// Requests released on a fixed schedule at `rate_ops_s`, split evenly
-    /// across the driver's sender threads. Latency is measured from the
-    /// intended send time even when the sender falls behind schedule.
-    OpenLoop { rate_ops_s: f64 },
-}
-
-/// How long a phase runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Span {
-    /// Exactly this many operations (split across threads).
-    Ops(u64),
-    /// Until this much wall-clock time has elapsed.
-    Time(Duration),
-}
-
 /// Where a phase's operations come from.
 #[derive(Debug, Clone)]
-pub enum OpSource {
+pub(crate) enum OpSource {
     /// Lazily generated from a mix and a key distribution (seeded,
     /// allocation-free, infinite).
     Synthetic { mix: Mix, dist: KeyDist },
@@ -196,39 +147,33 @@ pub enum OpSource {
 /// One named phase of a scenario.
 #[derive(Debug, Clone)]
 pub struct Phase {
-    pub name: String,
-    pub source: OpSource,
-    pub span: Span,
-    pub pacing: Pacing,
+    pub(crate) name: String,
+    pub(crate) source: OpSource,
+    /// Operations the phase runs, split across its clients.
+    pub ops: u64,
+    /// Closed-loop clients, one driver thread each.
+    pub threads: usize,
 }
 
 impl Phase {
-    /// A synthetic phase.
-    pub fn new(name: &str, mix: Mix, dist: KeyDist, span: Span, pacing: Pacing) -> Phase {
+    /// A synthetic phase of `ops` operations over `threads` clients.
+    pub fn new(name: &str, mix: Mix, dist: KeyDist, ops: u64, threads: usize) -> Phase {
         Phase {
             name: name.to_string(),
             source: OpSource::Synthetic { mix, dist },
-            span,
-            pacing,
+            ops,
+            threads,
         }
     }
 
-    /// A replay phase covering the whole op stream once.
-    pub fn replay(name: &str, ops: Arc<Vec<Op>>, pacing: Pacing) -> Phase {
-        let span = Span::Ops(ops.len() as u64);
+    /// A replay phase covering the whole op stream once over `threads`
+    /// clients.
+    pub(crate) fn replay(name: &str, ops: Arc<Vec<Op>>, threads: usize) -> Phase {
         Phase {
             name: name.to_string(),
+            ops: ops.len() as u64,
             source: OpSource::Replay(ops),
-            span,
-            pacing,
-        }
-    }
-
-    /// The requested open-loop rate, if this phase is open-loop.
-    pub fn offered_rate(&self) -> Option<f64> {
-        match self.pacing {
-            Pacing::OpenLoop { rate_ops_s } => Some(rate_ops_s),
-            Pacing::ClosedLoop { .. } => None,
+            threads,
         }
     }
 }
@@ -236,8 +181,8 @@ impl Phase {
 /// A complete scenario: what to load, then a script of phases to run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    pub name: String,
-    pub seed: u64,
+    pub(crate) name: String,
+    pub(crate) seed: u64,
     /// Entries bulk-loaded before the first phase, sorted by key.
     pub bulk: Vec<(u64, Payload)>,
     pub phases: Vec<Phase>,
@@ -268,7 +213,7 @@ impl Scenario {
     /// how a replayed paper workload fans out over a thread count.
     pub fn closed_loop(mut self, threads: usize) -> Scenario {
         for phase in &mut self.phases {
-            phase.pacing = Pacing::ClosedLoop { threads };
+            phase.threads = threads;
         }
         self
     }
@@ -288,7 +233,7 @@ pub trait OpStream {
 
 /// Seeded synthetic stream over a loaded key population: one per
 /// `(phase, thread)`, allocation-free after construction.
-pub struct SyntheticStream {
+struct SyntheticStream {
     keys: Arc<Vec<u64>>,
     rng: StdRng,
     mix: Mix,
@@ -301,7 +246,7 @@ pub struct SyntheticStream {
 }
 
 impl SyntheticStream {
-    pub fn new(keys: Arc<Vec<u64>>, mix: Mix, dist: KeyDist, seed: u64) -> SyntheticStream {
+    fn new(keys: Arc<Vec<u64>>, mix: Mix, dist: KeyDist, seed: u64) -> SyntheticStream {
         let zipf = match dist {
             KeyDist::Zipf { theta } => Some(ScrambledZipf::new(keys.len().max(1), theta)),
             _ => None,
@@ -393,7 +338,7 @@ impl OpStream for SyntheticStream {
 
 /// Replay stream over one thread's contiguous chunk of a materialized op
 /// vector.
-pub struct ReplayStream {
+struct ReplayStream {
     ops: Arc<Vec<Op>>,
     next: usize,
     end: usize,
@@ -402,10 +347,10 @@ pub struct ReplayStream {
 impl ReplayStream {
     /// The stream for thread `thread` of `threads`: contiguous chunks whose
     /// lengths follow the same even split (`len/threads`, first `len %
-    /// threads` threads one longer) the driver uses for `Span::Ops` budgets
-    /// — the two MUST agree, or threads whose budget undercuts their chunk
+    /// threads` threads one longer) the driver uses for per-client op
+    /// budgets — the two MUST agree, or threads whose budget undercuts their chunk
     /// would silently drop the chunk's tail ops.
-    pub fn chunk(ops: Arc<Vec<Op>>, thread: usize, threads: usize) -> ReplayStream {
+    fn chunk(ops: Arc<Vec<Op>>, thread: usize, threads: usize) -> ReplayStream {
         let threads = threads.max(1);
         let base = ops.len() / threads;
         let extra = ops.len() % threads;
@@ -454,7 +399,7 @@ pub fn phase_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::OpKind;
+    use gre_core::RequestKind;
 
     fn keyset(n: u64) -> Arc<Vec<u64>> {
         Arc::new((1..=n).map(|i| i * 64).collect())
@@ -462,11 +407,10 @@ mod tests {
 
     #[test]
     fn mix_fractions_and_builders() {
-        assert_eq!(Mix::read_only().write_fraction(), 0.0);
-        assert_eq!(Mix::balanced().write_fraction(), 0.5);
-        assert_eq!(Mix::write_only().write_fraction(), 1.0);
-        assert!((Mix::read_mostly(20).write_fraction() - 0.2).abs() < 1e-9);
-        assert!((Mix::ycsb_b().write_fraction() - 0.05).abs() < 1e-9);
+        assert_eq!(Mix::read_only(), Mix::points(1, 0, 0, 0));
+        assert_eq!(Mix::read_mostly(20), Mix::points(80, 20, 0, 0));
+        assert_eq!(Mix::ycsb_a(), Mix::points(1, 0, 1, 0));
+        assert_eq!(Mix::ycsb_b(), Mix::points(95, 0, 5, 0));
         let with_scans = Mix::read_only().with_range(1, 50);
         assert_eq!(with_scans.total(), 2);
         assert_eq!(with_scans.scan_len, 50);
@@ -475,13 +419,25 @@ mod tests {
     #[test]
     fn synthetic_stream_is_deterministic_per_seed() {
         let keys = keyset(1_000);
-        let mk = || SyntheticStream::new(Arc::clone(&keys), Mix::balanced(), KeyDist::Uniform, 7);
+        let mk = || {
+            SyntheticStream::new(
+                Arc::clone(&keys),
+                Mix::points(1, 1, 0, 0),
+                KeyDist::Uniform,
+                7,
+            )
+        };
         let mut a = mk();
         let mut b = mk();
         for _ in 0..1_000 {
             assert_eq!(a.next_op(), b.next_op());
         }
-        let mut c = SyntheticStream::new(Arc::clone(&keys), Mix::balanced(), KeyDist::Uniform, 8);
+        let mut c = SyntheticStream::new(
+            Arc::clone(&keys),
+            Mix::points(1, 1, 0, 0),
+            KeyDist::Uniform,
+            8,
+        );
         let same = (0..1_000).filter(|_| a.next_op() == c.next_op()).count();
         assert!(same < 1_000, "different seeds must diverge");
     }
@@ -496,11 +452,11 @@ mod tests {
             counts[s.next_op().unwrap().kind().index()] += 1;
         }
         let frac = |i: usize| counts[i] as f64 / 20_000.0;
-        assert!((frac(OpKind::Get.index()) - 0.6).abs() < 0.03);
-        assert!((frac(OpKind::Insert.index()) - 0.2).abs() < 0.03);
-        assert!((frac(OpKind::Update.index()) - 0.1).abs() < 0.02);
-        assert!((frac(OpKind::Remove.index()) - 0.1).abs() < 0.02);
-        assert_eq!(counts[OpKind::Range.index()], 0);
+        assert!((frac(RequestKind::Get.index()) - 0.6).abs() < 0.03);
+        assert!((frac(RequestKind::Insert.index()) - 0.2).abs() < 0.03);
+        assert!((frac(RequestKind::Update.index()) - 0.1).abs() < 0.02);
+        assert!((frac(RequestKind::Remove.index()) - 0.1).abs() < 0.02);
+        assert_eq!(counts[RequestKind::Range.index()], 0);
     }
 
     #[test]
@@ -531,7 +487,12 @@ mod tests {
     #[test]
     fn inserts_generate_interleaving_fresh_keys() {
         let keys = keyset(1_000);
-        let mut s = SyntheticStream::new(Arc::clone(&keys), Mix::write_only(), KeyDist::Uniform, 5);
+        let mut s = SyntheticStream::new(
+            Arc::clone(&keys),
+            Mix::points(0, 1, 0, 0),
+            KeyDist::Uniform,
+            5,
+        );
         let lo = *keys.first().unwrap();
         let hi = *keys.last().unwrap();
         let mut fresh = 0usize;
@@ -569,32 +530,23 @@ mod tests {
         let keys: Vec<u64> = (1..=100).map(|i| i * 3).collect();
         let s = Scenario::new("t", 1, &keys).phase(Phase::new(
             "p0",
-            Mix::balanced(),
+            Mix::points(1, 1, 0, 0),
             KeyDist::Uniform,
-            Span::Ops(100),
-            Pacing::ClosedLoop { threads: 2 },
+            100,
+            2,
         ));
         assert_eq!(s.bulk.len(), 100);
         assert_eq!(s.phases.len(), 1);
         assert_eq!(s.loaded_keys(), keys);
-        assert_eq!(s.phases[0].offered_rate(), None);
 
         let ops = Arc::new(vec![Op::Get(1), Op::Get(2), Op::Get(1)]);
         let s = Scenario::new("w", 0, &[1, 2])
-            .phase(Phase::replay("w", ops, Pacing::ClosedLoop { threads: 1 }))
+            .phase(Phase::replay("w", ops, 1))
             .closed_loop(2);
         assert_eq!(s.phases.len(), 1);
-        assert_eq!(s.phases[0].span, Span::Ops(3));
-        assert_eq!(s.phases[0].pacing, Pacing::ClosedLoop { threads: 2 });
+        assert_eq!(s.phases[0].ops, 3);
+        assert_eq!(s.phases[0].threads, 2);
         assert!(matches!(s.phases[0].source, OpSource::Replay(_)));
-        let open = Phase::new(
-            "o",
-            Mix::read_only(),
-            KeyDist::Uniform,
-            Span::Time(Duration::from_millis(10)),
-            Pacing::OpenLoop { rate_ops_s: 500.0 },
-        );
-        assert_eq!(open.offered_rate(), Some(500.0));
     }
 
     #[test]
@@ -602,13 +554,7 @@ mod tests {
         let keys: Vec<u64> = (1..=500).map(|i| i * 2).collect();
         let scenario = Scenario::new("t", 42, &keys);
         let pop = Arc::new(scenario.loaded_keys());
-        let phase = Phase::new(
-            "p",
-            Mix::balanced(),
-            KeyDist::Uniform,
-            Span::Ops(100),
-            Pacing::ClosedLoop { threads: 2 },
-        );
+        let phase = Phase::new("p", Mix::points(1, 1, 0, 0), KeyDist::Uniform, 100, 2);
         let mut s00 = phase_stream(&scenario, &pop, 0, &phase, 0, 2);
         let mut s01 = phase_stream(&scenario, &pop, 0, &phase, 1, 2);
         let mut s10 = phase_stream(&scenario, &pop, 1, &phase, 0, 2);

@@ -12,9 +12,6 @@ use gre_core::Payload;
 /// Range scans are expressed as `Op::Range(RangeSpec::new(start, count))`.
 pub type Op = gre_core::ops::Request<u64>;
 
-/// Operation kinds (used for per-kind latency sampling).
-pub use gre_core::ops::RequestKind as OpKind;
-
 /// The five write-ratio points of the paper's workload axis (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteRatio {
@@ -74,15 +71,15 @@ pub fn payload_for(key: u64) -> Payload {
 mod tests {
     use super::*;
 
-    use gre_core::RangeSpec;
+    use gre_core::{RangeSpec, RequestKind};
 
     #[test]
     fn op_kinds_and_write_classification() {
-        assert_eq!(Op::Get(1).kind(), OpKind::Get);
-        assert_eq!(Op::Insert(1, 2).kind(), OpKind::Insert);
-        assert_eq!(Op::Update(1, 2).kind(), OpKind::Update);
-        assert_eq!(Op::Remove(1).kind(), OpKind::Remove);
-        assert_eq!(Op::Range(RangeSpec::new(1, 10)).kind(), OpKind::Range);
+        assert_eq!(Op::Get(1).kind(), RequestKind::Get);
+        assert_eq!(Op::Insert(1, 2).kind(), RequestKind::Insert);
+        assert_eq!(Op::Update(1, 2).kind(), RequestKind::Update);
+        assert_eq!(Op::Remove(1).kind(), RequestKind::Remove);
+        assert_eq!(Op::Range(RangeSpec::new(1, 10)).kind(), RequestKind::Range);
         assert!(!Op::Get(1).is_write());
         assert!(!Op::Range(RangeSpec::new(1, 10)).is_write());
         assert!(Op::Insert(1, 2).is_write());

@@ -11,14 +11,14 @@ use rand_distr::{Distribution, Zipf};
 /// A Zipfian sampler over `n` items with exponent `theta`, returning
 /// scrambled item ranks in `0..n`.
 #[derive(Debug, Clone)]
-pub struct ScrambledZipf {
+pub(crate) struct ScrambledZipf {
     dist: Zipf<f64>,
     n: u64,
 }
 
 impl ScrambledZipf {
     /// Create a sampler over `n` items (`n >= 1`) with the given exponent.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         let n = n.max(1) as u64;
         ScrambledZipf {
             dist: Zipf::new(n, theta).expect("valid zipf parameters"),
@@ -27,7 +27,7 @@ impl ScrambledZipf {
     }
 
     /// Sample a scrambled rank in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         // Zipf samples in 1..=n with rank 1 most popular; FNV-style scramble
         // spreads the popular ranks across the key space (as YCSB does).
         let rank = self.dist.sample(rng) as u64 - 1;

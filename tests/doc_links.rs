@@ -6,9 +6,7 @@
 //! (resolved against the repo root, the citing file's directory, or — for a
 //! bare `NAME.md` — `docs/`), `--bin <name>` (a file in some crate's
 //! `src/bin/`), and the figure a `gre-figs <name>` or `gre-figs -- <name>`
-//! command line names (a row of `gre_bench::figures::FIGURES`). A bare
-//! `name.json` may instead be a run artifact the root `.gitignore` declares:
-//! the `figs_*` figures write those, nothing commits them.
+//! command line names (a row of `gre_bench::figures::FIGURES`).
 //!
 //! The metric catalog of `docs/OBSERVABILITY.md` lists exactly the names
 //! `gre-telemetry` exports.
@@ -96,7 +94,7 @@ fn unknown_figures(line: &str) -> Vec<&str> {
 }
 
 /// Whether `token`, found in `file`, is a `.md` / `.json` path naming nothing.
-fn dangling(token: &str, file: &Path, ignored: &[String]) -> bool {
+fn dangling(token: &str, file: &Path) -> bool {
     let name = token.rsplit('/').next().expect("rsplit yields an item");
     let bare = name == token;
     let (md, json) = (name.ends_with(".md"), name.ends_with(".json"));
@@ -108,27 +106,19 @@ fn dangling(token: &str, file: &Path, ignored: &[String]) -> bool {
     if bare && md {
         homes.push(root.join("docs"));
     }
-    let exists = homes.iter().any(|home| home.join(token).is_file());
-    let run_artifact = bare && json && ignored.iter().any(|line| line == token);
-    !(exists || run_artifact)
+    !homes.iter().any(|home| home.join(token).is_file())
 }
 
 #[test]
 fn every_named_file_and_binary_exists() {
     let root = root();
-    let ignored: Vec<String> = fs::read_to_string(root.join(".gitignore"))
-        .expect(".gitignore exists")
-        .lines()
-        .map(|l| l.trim().to_string())
-        .collect();
-
     let mut problems = Vec::new();
     for (file, line_no, line) in scanned_lines() {
         let shown = file.strip_prefix(&root).unwrap_or(&file).display();
         let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
         for token in line.split(|c| !is_path_char(c)) {
             let token = token.trim_end_matches('.');
-            if dangling(token, &file, &ignored) {
+            if dangling(token, &file) {
                 problems.push(format!("{shown}:{line_no}: `{token}` does not exist"));
             }
         }
@@ -156,7 +146,7 @@ fn every_named_file_and_binary_exists() {
 fn a_cited_figure_must_be_a_table_row() {
     let ok = "$ cargo run --release -p gre-bench --bin gre-figs -- fig2_heatmap --quick";
     assert!(unknown_figures(ok).is_empty());
-    assert!(unknown_figures("run: target/release/gre-figs figs_observability --quick").is_empty());
+    assert!(unknown_figures("run: target/release/gre-figs fig8_memory --quick").is_empty());
     assert!(unknown_figures("`gre-figs <figure> [flags]`, the `gre-figs` binary").is_empty());
     assert!(unknown_figures("cargo run --bin gre-figs -- --quick").is_empty());
 
