@@ -261,14 +261,25 @@ pub(super) fn table3_insert_stats(opts: &RunOpts) {
 /// balanced / write-only throughput of every concurrent index at each
 /// thread count, replayed closed-loop through the scenario `Driver` so
 /// `--verbose` can report per-kind latency tails under the throughput row.
-fn thread_axis_sweep(opts: &RunOpts, header: &str, axis: &[usize]) {
+/// Only the thread counts the host's cores can run without oversubscribing
+/// them are swept; each larger one prints as untestable (see
+/// "Substitutions" in `docs/BENCHMARKS.md`).
+fn thread_axis_sweep(opts: &RunOpts, header: &str, axis: impl IntoIterator<Item = usize>) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (axis, untestable): (Vec<usize>, Vec<usize>) = axis.into_iter().partition(|&n| n <= cores);
+    if !axis.is_empty() {
+        println!("{header} (thread counts {axis:?})");
+        sweep(opts, &axis);
+    }
+    for n in untestable {
+        println!("untestable: needs {n} cores, have {cores}");
+    }
+}
+
+/// The sweep's rows: one per dataset, write ratio and concurrent index, with
+/// one throughput column per thread count of `axis`.
+fn sweep(opts: &RunOpts, axis: &[usize]) {
     let builder = WorkloadBuilder::new(opts.seed);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("{header}");
-    println!(
-        "# note: this host has {cpus} hardware thread(s); beyond that the thread axis \
-         oversubscribes them, so read the columns as a shape check, not a NUMA/scaling result"
-    );
     for ds in Dataset::DRILLDOWN_DATASETS {
         let keys = ds.generate(opts.keys, opts.seed);
         for ratio in [
@@ -302,36 +313,24 @@ fn thread_axis_sweep(opts: &RunOpts, header: &str, axis: &[usize]) {
     }
 }
 
+/// Figure 5: scalability over the thread counts up to `2t` of `--threads t`.
 pub(super) fn fig5_scalability(opts: &RunOpts) {
-    let axis: Vec<usize> = [1usize, 2, 4, 8, 16, 24, 36, 48]
+    let axis = [1usize, 2, 4, 8, 16, 24, 36, 48]
         .into_iter()
-        .filter(|t| *t <= opts.threads.max(1) * 2)
-        .collect();
-    let header = format!(
-        "# Figure 5: scalability (Mop/s); hyper-threaded points are those beyond {} threads",
-        opts.threads
-    );
-    thread_axis_sweep(opts, &header, &axis);
+        .filter(|t| *t <= opts.threads.max(1) * 2);
+    thread_axis_sweep(opts, "# Figure 5: scalability, Mop/s", axis);
 }
 
 /// Figure 6: scalability across sockets. The paper interleaves memory across
 /// 1–4 NUMA sockets; this reproduction sweeps the thread counts
-/// `[2, t, 2t, 3t, 4t]` of `--threads t` that the host's cores can run
-/// without oversubscribing them, and prints each larger point as untestable
-/// (see "Substitutions" in `docs/BENCHMARKS.md`).
+/// `[2, t, 2t, 3t, 4t]` of `--threads t`.
 pub(super) fn fig6_numa(opts: &RunOpts) {
     let t = opts.threads;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (axis, untestable): (Vec<usize>, Vec<usize>) = [2, t, t * 2, t * 3, t * 4]
-        .into_iter()
-        .partition(|&n| n <= cores);
-    if !axis.is_empty() {
-        let header = format!("# Figure 6: socket-count scaling (thread counts {axis:?})");
-        thread_axis_sweep(opts, &header, &axis);
-    }
-    for n in untestable {
-        println!("untestable: needs {n} cores, have {cores}");
-    }
+    thread_axis_sweep(
+        opts,
+        "# Figure 6: socket-count scaling",
+        [2, t, t * 2, t * 3, t * 4],
+    );
 }
 
 pub(super) fn fig9_alex_m(opts: &RunOpts) {

@@ -1,19 +1,21 @@
 //! The telemetry overhead probe behind `tests/telemetry_overhead.rs`.
 
 use crate::RunOpts;
+use gre_core::ConcurrentIndex;
 use gre_learned::AlexPlus;
-use gre_shard::{Partitioner, PipelineTarget, ShardedIndex, DEFAULT_DRIVER_BATCH};
-use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
-use gre_workloads::Driver;
-
-/// 1 in 8 closed-loop ops is timed from its intended send time: dense enough
-/// for stable tails on `--quick` op counts, sparse enough that
-/// `Instant::now()` stays out of the measured hot path.
-const SAMPLE_STRIDE: usize = 8;
+use gre_shard::{
+    OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY,
+};
+use gre_telemetry::Telemetry;
+use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Range shards of the probed composite.
 const SHARDS: usize = 4;
 
+/// Ops per submitted batch.
+const BATCH: usize = 1024;
 /// Throughput of the telemetry overhead probe's two runs.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadProbe {
@@ -36,9 +38,11 @@ impl OverheadProbe {
 }
 
 /// Measure the telemetry overhead budget on a uniform read-only mix served
-/// through the pipeline target: after one warm-up run, alternate `trials`
+/// through the pipeline: after one warm-up run, alternate `trials`
 /// telemetry-off and telemetry-on runs of the same cell (ALEX+ over
-/// `SHARDS` range shards, closed loop, `opts.keys` gapped keys and as many
+/// `SHARDS` range shards, `opts.threads` workers and as many closed-loop
+/// clients, each submitting `BATCH`-op batches through its own session and
+/// waiting for each before the next, `opts.keys` gapped keys and as many
 /// ops) and keep each side's best throughput — back-to-back best-of runs
 /// cancel most scheduler noise.
 pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe {
@@ -51,17 +55,45 @@ pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe 
         opts.keys as u64,
         workers,
     ));
+    let scenario = &scenario;
+    let phase = &scenario.phases[0];
+    let loaded = Arc::new(scenario.loaded_keys());
+    let loaded = &loaded;
 
     let run = |instrument: bool| -> f64 {
-        let driver = Driver::new().sample_stride(SAMPLE_STRIDE);
-        let index =
+        let mut index =
             ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| AlexPlus::<u64>::new());
-        let mut target = PipelineTarget::new(index, workers, DEFAULT_DRIVER_BATCH, 0);
-        if instrument {
-            target = target.instrumented();
-        }
-        let result = driver.run(&scenario, &mut target);
-        result.phases[0].throughput_mops()
+        index.bulk_load(&scenario.bulk);
+        let telemetry = instrument.then(|| Telemetry::shared(SHARDS, workers + 1));
+        let pipeline = ShardPipeline::with_services(
+            Arc::new(index),
+            workers,
+            DEFAULT_QUEUE_CAPACITY,
+            telemetry,
+            None,
+        );
+        let pipeline = &pipeline;
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for client in 0..workers {
+                scope.spawn(move || {
+                    let mut stream = phase_stream(scenario, loaded, 0, phase, client, workers);
+                    let mut session = Session::with_max_inflight(pipeline, 1);
+                    // The first `ops % workers` clients take one op more.
+                    let extra = (client as u64) < phase.ops % workers as u64;
+                    let mut left = phase.ops / workers as u64 + u64::from(extra);
+                    while left > 0 {
+                        let ops: Vec<_> = (0..left.min(BATCH as u64))
+                            .map_while(|_| stream.next_op())
+                            .collect();
+                        left -= ops.len() as u64;
+                        session.submit(OpBatch::new(ops));
+                        session.recv();
+                    }
+                });
+            }
+        });
+        phase.ops as f64 / start.elapsed().as_secs_f64() / 1e6
     };
 
     let _ = run(false);

@@ -16,7 +16,7 @@
 //! (re-exported here): [`Partitioner::range`] places boundaries, at bulk
 //! load, at the quantiles of the loaded keys, so shards spread evenly under
 //! key-distribution skew and stay ordered for sequential cross-shard scans.
-//! Three pieces build on it:
+//! Two pieces build on it:
 //!
 //! * [`sharded`] — [`ShardedIndex`], the composite store. It implements
 //!   `ConcurrentIndex` itself, so every existing harness entry point
@@ -31,23 +31,17 @@
 //!   [`SubmitHandle`]; [`Session`] pipelines many in-flight batches per
 //!   client with FIFO completion, and bounded shard queues reject overload
 //!   with [`Backpressure`] instead of queueing without limit.
-//! * [`serve`] — [`PipelineTarget`], the scenario-driver adapter that plugs
-//!   the batched client path into the `gre-workloads` scenario
-//!   [`Driver`](gre_workloads::Driver) as a
-//!   [`ServeTarget`](gre_workloads::ServeTarget), next to the blanket
-//!   bare-backend target: each driver thread submits through its own
-//!   [`Session`] with a configured in-flight window (`0` = submit-then-wait).
 //!
-//! The pipeline and the serve target can carry a
-//! [`Telemetry`](gre_telemetry::Telemetry) registry
-//! ([`ShardPipeline::with_services`], `PipelineTarget::instrumented`):
-//! per-shard queue/in-flight gauges, sub-batch histograms, outcome counters
-//! mirroring the driver's tally, and 1-in-N sampled request spans. The
+//! The pipeline can carry a [`Telemetry`](gre_telemetry::Telemetry)
+//! registry ([`ShardPipeline::with_services`]): per-shard queue/in-flight
+//! gauges, sub-batch histograms, outcome counters mirroring a client's
+//! tally of its responses, and 1-in-N sampled request spans. The
 //! uninstrumented path records nothing and reads no clocks.
 //!
 //! Durability attaches the same way: an optional per-shard write-ahead log
-//! ([`gre_durability::DurableLog`], via [`ShardPipeline::with_services`]
-//! or `PipelineTarget::durable`) group-commits the writes of whatever a
+//! ([`gre_durability::DurableLog`], opened over a fresh or restarted store
+//! by [`ShardedIndex::load_durable`] and passed to
+//! [`ShardPipeline::with_services`]) group-commits the writes of whatever a
 //! shard has queued — one record, one barrier — before any of it executes,
 //! with fail-stop refusal
 //! ([`gre_core::IndexError::Shutdown`]) when the log cannot accept a group.
@@ -56,13 +50,10 @@
 //! ([`ShardPipeline::try_submit`]).
 
 pub mod pipeline;
-pub mod serve;
 pub mod sharded;
 
 pub use gre_core::Partitioner;
 pub use pipeline::{
-    Backpressure, BackpressureReason, OpBatch, Session, ShardPipeline, SubmitHandle,
-    DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_CAPACITY,
+    Backpressure, OpBatch, Session, ShardPipeline, SubmitHandle, DEFAULT_QUEUE_CAPACITY,
 };
-pub use serve::{reconcile_tally, PipelineTarget, DEFAULT_DRIVER_BATCH};
 pub use sharded::ShardedIndex;

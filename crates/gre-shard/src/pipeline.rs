@@ -21,9 +21,9 @@
 //! * [`SubmitHandle`] is the per-batch completion handle. Workers fill one
 //!   [`Response`] slot per operation, **in submission order** (slot `i`
 //!   answers `batch.ops[i]`); the handle exposes the non-blocking
-//!   [`try_take`](SubmitHandle::try_take) / [`is_ready`](SubmitHandle::is_ready)
-//!   and the bounded [`wait_timeout`](SubmitHandle::wait_timeout) — no async
-//!   runtime, just a mutex/condvar pair per batch.
+//!   [`try_take`](SubmitHandle::try_take) and the blocking
+//!   [`wait`](SubmitHandle::wait) — no async runtime, just a mutex/condvar
+//!   pair per batch.
 //! * [`Session`] pipelines many in-flight batches for one client and hands
 //!   results back in FIFO submission order, so a client can keep the worker
 //!   pool busy without ever blocking on an individual batch.
@@ -59,18 +59,19 @@
 //! per sub-batch.
 
 use crate::sharded::ShardedIndex;
-use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Response};
+use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Request, Response};
 use gre_durability::{DurableLog, GroupReceipt};
 use gre_telemetry::{
     CounterId, CounterStripe, GaugeId, GlobalHistId, ShardHistId, SpanRecord, Telemetry,
 };
-use gre_workloads::{split_indexed_ops_by_shard, Op};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+type Op = Request<u64>;
 
 /// Default bound on each shard's queue, in sub-batches.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -85,30 +86,22 @@ impl OpBatch {
     pub fn new(ops: Vec<Op>) -> Self {
         OpBatch { ops }
     }
-
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 /// A batch was rejected without being enqueued (rejection is
-/// all-or-nothing). Carries the rejected batch back to the caller for retry
-/// plus the typed [`reason`](Backpressure::reason) for the rejection.
+/// all-or-nothing). Carries the rejected batch back to the caller for retry;
+/// its `Display` says what was saturated.
 #[derive(Debug)]
 pub struct Backpressure {
     /// The rejected batch, returned for retry.
     pub batch: OpBatch,
     /// What was saturated.
-    pub reason: BackpressureReason,
+    reason: BackpressureReason,
 }
 
 /// Why a non-blocking submission was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressureReason {
+enum BackpressureReason {
     /// A pipeline shard's bounded queue was at capacity.
     QueueFull {
         /// The saturated shard.
@@ -124,12 +117,12 @@ impl std::fmt::Display for Backpressure {
             BackpressureReason::QueueFull { shard } => write!(
                 f,
                 "shard {shard} queue full; batch of {} ops rejected",
-                self.batch.len()
+                self.batch.ops.len()
             ),
             BackpressureReason::WindowFull => write!(
                 f,
                 "session in-flight window full; batch of {} ops rejected",
-                self.batch.len()
+                self.batch.ops.len()
             ),
         }
     }
@@ -186,33 +179,15 @@ impl BatchShared {
 /// workers in submission order (slot `i` answers op `i` of the batch).
 ///
 /// The handle never blocks unless asked to: poll with
-/// [`is_ready`](SubmitHandle::is_ready) / [`try_take`](SubmitHandle::try_take),
-/// bound the wait with [`wait_timeout`](SubmitHandle::wait_timeout), or give
-/// up the non-blocking property explicitly with [`wait`](SubmitHandle::wait).
-/// Dropping the handle is allowed at any time; the batch still executes
+/// [`try_take`](SubmitHandle::try_take), or give up the non-blocking
+/// property explicitly with [`wait`](SubmitHandle::wait). Dropping the
+/// handle is allowed at any time; the batch still executes
 /// (fire-and-forget).
 pub struct SubmitHandle {
     shared: Arc<BatchShared>,
-    ops: usize,
 }
 
 impl SubmitHandle {
-    /// Number of operations in the batch this handle tracks.
-    pub fn len(&self) -> usize {
-        self.ops
-    }
-
-    /// Whether the tracked batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops == 0
-    }
-
-    /// Whether every operation of the batch has a result (non-blocking
-    /// beyond an uncontended mutex).
-    pub fn is_ready(&self) -> bool {
-        self.shared.state.lock().expect("pipeline poisoned").pending == 0
-    }
-
     /// Take the per-op responses if the batch has completed; `None` if it is
     /// still executing or the results were already taken.
     pub fn try_take(&mut self) -> Option<Vec<Response<u64>>> {
@@ -220,30 +195,10 @@ impl SubmitHandle {
         Self::take_locked(&mut state)
     }
 
-    /// Wait up to `timeout` for completion; returns the responses on
-    /// completion, `None` on timeout (or if already taken).
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Vec<Response<u64>>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("pipeline poisoned");
-        while state.pending > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (next, _) = self
-                .shared
-                .ready
-                .wait_timeout(state, remaining)
-                .expect("pipeline poisoned");
-            state = next;
-        }
-        Self::take_locked(&mut state)
-    }
-
     /// Block until the batch completes and return the per-op responses.
     ///
     /// # Panics
-    /// If the results were already taken via `try_take`/`wait_timeout`.
+    /// If the results were already taken via `try_take`.
     pub fn wait(self) -> Vec<Response<u64>> {
         let mut state = self.shared.state.lock().expect("pipeline poisoned");
         while state.pending > 0 {
@@ -443,12 +398,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
         self.telemetry.as_ref()
     }
 
-    /// The attached durable log, when this pipeline was built with
-    /// [`ShardPipeline::with_services`].
-    pub fn durability(&self) -> Option<&Arc<DurableLog>> {
-        self.durability.as_ref()
-    }
-
     /// Stop accepting and executing work. Every subsequent submission — and
     /// every sub-batch still queued when its worker reaches it, unless its
     /// writes are already in the durable log — answers all its operations
@@ -468,17 +417,6 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
         &self.index
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Per-shard queue bound, in sub-batches.
-    #[cfg(test)]
-    fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// Split `batch` into per-shard sub-batches and enqueue them without
     /// blocking. Rejection is all-or-nothing: if any target shard's queue is
     /// at capacity, nothing is enqueued and the batch comes back inside
@@ -490,10 +428,8 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
         // the queues are never touched, and no telemetry is recorded (the
         // ops neither enter nor leave the pipeline, so gauges stay exact).
         if self.stopping.load(Ordering::SeqCst) {
-            let ops = batch.ops.len();
             return Ok(SubmitHandle {
-                shared: Arc::new(BatchShared::refused(ops)),
-                ops,
+                shared: Arc::new(BatchShared::refused(batch.ops.len())),
             });
         }
         let shards = self.index.num_shards();
@@ -592,7 +528,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                 })
                 .expect("pipeline worker exited early");
         }
-        Ok(SubmitHandle { shared, ops })
+        Ok(SubmitHandle { shared })
     }
 
     /// Submit, waiting for queue capacity when a shard is saturated (the
@@ -867,6 +803,29 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
     }
 }
 
+/// Split a request stream into `shards` per-shard sub-streams using `route`
+/// (a `key -> shard` map applied to [`Op::route_key`]; out-of-range results
+/// are clamped to the last shard, and zero shards is treated as one). Each
+/// bucketed operation carries its index in `ops`, and within a bucket the
+/// operations keep the relative order they had in `ops`, so executing every
+/// sub-stream FIFO preserves per-key program order.
+fn split_indexed_ops_by_shard<F>(ops: &[Op], shards: usize, route: F) -> Vec<Vec<(usize, Op)>>
+where
+    F: Fn(u64) -> usize,
+{
+    let shards = shards.max(1);
+    // Pre-size each bucket at the uniform share to avoid repeated regrowth
+    // on large streams without overcommitting on skewed ones.
+    let hint = ops.len() / shards;
+    let mut buckets: Vec<Vec<(usize, Op)>> =
+        (0..shards).map(|_| Vec::with_capacity(hint)).collect();
+    for (i, op) in ops.iter().enumerate() {
+        let s = route(op.route_key()).min(shards - 1);
+        buckets[s].push((i, *op));
+    }
+    buckets
+}
+
 /// The writes of one sub-batch, in submission order (what its group logs).
 fn writes_of(job: &Job) -> impl Iterator<Item = Op> + '_ {
     job.ops.iter().map(|&(_, op)| op).filter(|op| op.is_write())
@@ -998,10 +957,11 @@ pub struct Session<'p, B: ConcurrentIndex<u64> + 'static> {
 }
 
 /// Default cap on a session's in-flight batches.
-pub const DEFAULT_MAX_INFLIGHT: usize = 32;
+const DEFAULT_MAX_INFLIGHT: usize = 32;
 
 impl<'p, B: ConcurrentIndex<u64> + 'static> Session<'p, B> {
-    /// Open a session over `pipeline` with the default in-flight window.
+    /// Open a session over `pipeline` with the default in-flight window of
+    /// 32 batches.
     pub fn new(pipeline: &'p ShardPipeline<B>) -> Self {
         Self::with_max_inflight(pipeline, DEFAULT_MAX_INFLIGHT)
     }
@@ -1032,10 +992,8 @@ impl<'p, B: ConcurrentIndex<u64> + 'static> Session<'p, B> {
         self.record_window();
     }
 
-    /// Non-blocking submit: `Err(Backpressure)` if the in-flight window
-    /// ([`BackpressureReason::WindowFull`]) or a shard queue
-    /// ([`BackpressureReason::QueueFull`]) is full, with the batch returned
-    /// for retry.
+    /// Non-blocking submit: `Err(Backpressure)` if the in-flight window or
+    /// a shard queue is full, with the batch returned for retry.
     pub fn try_submit(&mut self, batch: OpBatch) -> Result<(), Backpressure> {
         self.harvest_ready();
         if self.inflight.len() >= self.max_inflight {
@@ -1121,9 +1079,51 @@ mod tests {
     }
 
     #[test]
+    fn route_key_covers_every_op() {
+        assert_eq!(Op::Get(7).route_key(), 7);
+        assert_eq!(Op::Insert(8, 1).route_key(), 8);
+        assert_eq!(Op::Update(9, 1).route_key(), 9);
+        assert_eq!(Op::Remove(10).route_key(), 10);
+        assert_eq!(Op::Range(RangeSpec::new(11, 100)).route_key(), 11);
+    }
+
+    #[test]
+    fn split_clamps_out_of_range_routes() {
+        let ops = vec![Op::Get(1), Op::Get(2)];
+        let buckets = split_indexed_ops_by_shard(&ops, 2, |_| 99);
+        assert_eq!(buckets[1], [(0, ops[0]), (1, ops[1])]);
+        // Zero shards is treated as one.
+        let buckets = split_indexed_ops_by_shard(&ops, 0, |_| 0);
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(buckets[0].len(), 2);
+    }
+
+    #[test]
+    fn indexed_split_carries_submission_positions() {
+        let ops: Vec<Op> = (0..50u64).map(|i| Op::Insert(i, i)).collect();
+        let buckets = split_indexed_ops_by_shard(&ops, 3, |k| (k % 3) as usize);
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), ops.len());
+        let mut seen = vec![false; ops.len()];
+        for (s, bucket) in buckets.iter().enumerate() {
+            for &(i, op) in bucket {
+                // The carried index points at the original op.
+                assert_eq!(ops[i], op);
+                assert_eq!(op.route_key() % 3, s as u64);
+                seen[i] = true;
+            }
+            // Indices inside a bucket keep submission order.
+            assert!(bucket.windows(2).all(|w| w[0].0 < w[1].0));
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "every op lands in exactly one bucket"
+        );
+    }
+
+    #[test]
     fn responses_come_back_typed_and_in_submission_order() {
         let p = pipeline(4, 2);
-        assert_eq!(p.worker_count(), 2);
+        assert_eq!(p.workers.len(), 2);
         let batch = OpBatch::new(vec![
             Op::Get(0),                             // hit
             Op::Get(1),                             // miss (odd keys absent)
@@ -1136,8 +1136,7 @@ mod tests {
             Op::Range(RangeSpec::new(6, 3)),        // keys 6, 8, 10
             Op::Range(RangeSpec::bounded(6, 8, 9)), // keys 6, 8
         ]);
-        assert_eq!(batch.len(), 10);
-        assert!(!batch.is_empty());
+        assert_eq!(batch.ops.len(), 10);
         let responses = p.submit(batch).wait();
         assert_eq!(
             responses,
@@ -1215,8 +1214,6 @@ mod tests {
     fn empty_batch_completes_immediately() {
         let p = pipeline(4, 4);
         let mut handle = p.submit(OpBatch::default());
-        assert!(handle.is_ready());
-        assert!(handle.is_empty());
         assert_eq!(handle.try_take(), Some(vec![]));
         // Results can only be taken once.
         assert_eq!(handle.try_take(), None);
@@ -1239,19 +1236,7 @@ mod tests {
         };
         assert_eq!(responses[0], Response::Get(Some(0)));
         assert_eq!(responses[1], Response::Insert(true));
-        assert!(handle.is_ready(), "ready stays true after take");
         assert_eq!(handle.try_take(), None, "results are single-shot");
-        assert_eq!(handle.wait_timeout(Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn wait_timeout_returns_results_within_deadline() {
-        let p = pipeline(4, 2);
-        let mut handle = p.submit(OpBatch::new(vec![Op::Get(0)]));
-        let responses = handle
-            .wait_timeout(Duration::from_secs(30))
-            .expect("one-op batch completes well within 30s");
-        assert_eq!(responses, vec![Response::Get(Some(0))]);
     }
 
     #[test]
@@ -1270,9 +1255,9 @@ mod tests {
     #[test]
     fn worker_count_clamps_to_shard_count() {
         let p = pipeline(2, 16);
-        assert_eq!(p.worker_count(), 2);
+        assert_eq!(p.workers.len(), 2);
         let p = pipeline(4, 0);
-        assert_eq!(p.worker_count(), 1);
+        assert_eq!(p.workers.len(), 1);
     }
 
     #[test]
@@ -1451,23 +1436,22 @@ mod tests {
 
     #[test]
     fn durable_pipeline_group_commits_writes_before_execution() {
-        use crate::serve::PipelineTarget;
         use gre_durability::util::TempDir;
         use gre_durability::{Recovery, SyncPolicy};
-        use gre_workloads::ServeTarget;
 
         let tmp = TempDir::new("pipeline-wal");
-        let idx = ShardedIndex::from_factory(Partitioner::range(4), |_| {
+        let mut idx = ShardedIndex::from_factory(Partitioner::range(4), |_| {
             MutexIndex::new(ModelIndex::default(), "model-shard")
         });
-        // The durable target checkpoints the bulk load, which bypasses the
+        // The durable load checkpoints the bulk load, which bypasses the
         // pipeline, so recovery starts from the loaded state.
-        let mut target =
-            PipelineTarget::new(idx, 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
         let entries: Vec<(u64, Payload)> = (0..1_000u64).map(|i| (i * 2, i)).collect();
-        target.load(&entries);
-        let p = target.pipeline_handle().expect("loaded");
-        assert!(p.durability().is_some());
+        let log = idx
+            .load_durable(&entries, tmp.path(), SyncPolicy::EveryGroup)
+            .unwrap();
+        let p =
+            ShardPipeline::with_services(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, None, Some(log));
+        assert!(p.durability.is_some());
         // Mixed batches: reads must not be logged, writes must all be.
         for b in 0..20u64 {
             let responses = p
@@ -1481,9 +1465,9 @@ mod tests {
             assert!(responses.iter().all(|r| !r.is_error()));
         }
         let live = Arc::clone(p.index());
-        let stats = p.durability().unwrap().stats();
+        let stats = p.durability.as_ref().unwrap().stats();
         assert!(stats.appends > 0 && stats.fsyncs > 0);
-        drop((p, target));
+        drop(p);
 
         // Crash-equivalent check: rebuild purely from disk and compare.
         let rec = Recovery::recover(tmp.path()).unwrap();
@@ -1531,7 +1515,7 @@ mod tests {
             ]))
             .wait();
         }
-        let stats = p.durability().unwrap().stats();
+        let stats = p.durability.as_ref().unwrap().stats();
         drop(p);
 
         let snap = telemetry.snapshot();
@@ -1568,7 +1552,7 @@ mod tests {
                 .wait();
         }
         // With nothing queued behind it, a group is its sub-batch.
-        let stats = p.durability().unwrap().stats();
+        let stats = p.durability.as_ref().unwrap().stats();
         assert_eq!((stats.appends, stats.fsyncs), (30, 30));
     }
 
@@ -1709,7 +1693,7 @@ mod tests {
         // for {b, c} is on disk, and `c` has not touched memory yet.
         gate.arm();
         gate.wait_held();
-        assert_eq!(p.durability().unwrap().stats().appends, 2);
+        assert_eq!(p.durability.as_ref().unwrap().stats().appends, 2);
         p.shutdown();
         let d = p.submit(OpBatch::new(vec![Op::Insert(4, 4)]));
         gate.release();
@@ -1762,7 +1746,7 @@ mod tests {
         // Refusal is per sub-batch, reads included.
         assert_eq!(c.wait(), vec![Response::Error(IndexError::Shutdown); 2]);
         assert!(registry.fired("wal/0/sync"));
-        assert_eq!(p.durability().unwrap().stats().appends, 1);
+        assert_eq!(p.durability.as_ref().unwrap().stats().appends, 1);
         assert_eq!(p.index().get(1), Some(1));
         assert_eq!(p.index().len(), 1);
         drop(p);
@@ -1777,7 +1761,7 @@ mod tests {
         let tmp = TempDir::new("pipeline-wal-coalesce");
         let log = DurableLog::create(tmp.path(), 1, SyncPolicy::EveryGroup).unwrap();
         let (p, gate) = gated_pipeline(log);
-        let stats = || p.durability().unwrap().stats();
+        let stats = || p.durability.as_ref().unwrap().stats();
         // Batch `b`: overwrite the shared key, read it back, add an own key.
         let batch = |b: u64| vec![Op::Insert(7, b), Op::Get(7), Op::Insert(100 + b, b)];
         let writes = |b: u64| vec![Op::Insert(7, b), Op::Insert(100 + b, b)];
@@ -1830,7 +1814,7 @@ mod tests {
         });
         idx.bulk_load(&[(0, 0)]);
         let p = ShardPipeline::with_services(Arc::new(idx), 1, 2, None, None);
-        assert_eq!(p.queue_capacity(), 2);
+        assert_eq!(p.queue_capacity, 2);
 
         let mut accepted: Vec<SubmitHandle> = Vec::new();
         let mut rejected = 0usize;

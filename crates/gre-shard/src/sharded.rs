@@ -17,6 +17,10 @@
 //! [`Partitioner`].
 
 use gre_core::{ConcurrentIndex, IndexMeta, Key, Partitioner, Payload, RangeSpec};
+use gre_durability::{DurableLog, Recovery, SyncPolicy};
+use std::io;
+use std::path::Path;
+use std::sync::Arc;
 
 /// A range-partitioned store over `N` backend instances.
 pub struct ShardedIndex<K: Key, B: ConcurrentIndex<K>> {
@@ -47,7 +51,7 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
     }
 
     /// The backend serving shard `shard`.
-    pub fn backend(&self, shard: usize) -> &B {
+    pub(crate) fn backend(&self, shard: usize) -> &B {
         &self.backends[shard]
     }
 
@@ -74,6 +78,54 @@ impl<K: Key, B: ConcurrentIndex<K>> ShardedIndex<K, B> {
     /// Entry count of every shard, for balance diagnostics.
     pub fn per_shard_lens(&self) -> Vec<usize> {
         self.backends.iter().map(|b| b.len()).collect()
+    }
+}
+
+impl<B: ConcurrentIndex<u64>> ShardedIndex<u64, B> {
+    /// Load a durable store from the per-shard write-ahead log under `dir`,
+    /// and return the log for
+    /// [`ShardPipeline::with_services`](crate::ShardPipeline::with_services),
+    /// which group-commits every served write before it executes.
+    ///
+    /// If `dir` holds a durable history from a previous incarnation, this is
+    /// a restart: each shard reloads its own recovered state, under the cut
+    /// those states imply, and the log resumes where it left off, writing no
+    /// snapshot; `entries` is ignored. A key's history never leaves its
+    /// shard, so a restart neither rebalances the shards nor compacts the
+    /// logs. Only a missing MANIFEST means a fresh directory: then `entries`
+    /// is bulk loaded, a log is created, and every shard is checkpointed. A
+    /// history that cannot be read is an error, never a fresh start over it.
+    /// See `gre-durability` and `docs/DURABILITY.md`.
+    pub fn load_durable(
+        &mut self,
+        entries: &[(u64, Payload)],
+        dir: impl AsRef<Path>,
+        policy: SyncPolicy,
+    ) -> io::Result<Arc<DurableLog>> {
+        let dir = dir.as_ref();
+        match Recovery::recover(dir) {
+            Ok(rec) => {
+                self.load_parts(&rec.shard_states(&self.meta()));
+                rec.resume(policy)
+            }
+            // Creating the log over a history it cannot read would rewrite
+            // the manifest and truncate every acknowledged shard WAL.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.bulk_load(entries);
+                let log = DurableLog::create(dir, self.num_shards(), policy)?;
+                // The bulk load bypassed the log: checkpoint it, or a
+                // recovery would replay an empty store. A backend holds
+                // exactly the keys its shard routes to it, so its full scan
+                // is that shard's checkpoint.
+                for (shard, backend) in self.backends.iter().enumerate() {
+                    let mut part = Vec::with_capacity(backend.len());
+                    backend.range(RangeSpec::new(0, backend.len()), &mut part);
+                    log.checkpoint(shard, &part).map_err(io::Error::other)?;
+                }
+                Ok(log)
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -390,6 +442,122 @@ mod tests {
         assert_eq!(idx.get(5), None);
         let mut out = Vec::new();
         assert_eq!(idx.range(RangeSpec::new(0, 10), &mut out), 0);
+    }
+
+    /// A restart restores the previous incarnation's served state, not the
+    /// bulk entries. Each shard reloads its own recovered state under the
+    /// cut those states imply, so key 600 stays on shard 1, whose WAL holds
+    /// its history, although a quantile cut over the 1 000 keys served above
+    /// it would move it to shard 0; its next write survives the next crash.
+    #[test]
+    fn durable_load_restores_a_previous_incarnation() {
+        use crate::pipeline::{OpBatch, ShardPipeline, DEFAULT_QUEUE_CAPACITY};
+        use gre_core::Request;
+        use gre_durability::util::TempDir;
+        use std::sync::Arc;
+
+        let tmp = TempDir::new("sharded-restart");
+        let incarnation = |entries: &[(u64, Payload)]| {
+            let mut idx = sharded(Partitioner::range(2));
+            let log = idx
+                .load_durable(entries, tmp.path(), SyncPolicy::EveryGroup)
+                .unwrap();
+            ShardPipeline::with_services(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, None, Some(log))
+        };
+        type Served = ShardPipeline<MutexIndex<ModelIndex>>;
+        let serve = |pipeline: &Served, ops: Vec<Request<u64>>| {
+            let responses = pipeline.submit(OpBatch::new(ops)).wait();
+            assert!(responses.iter().all(|r| !r.is_error()), "{responses:?}");
+        };
+        let stored = |pipeline: &Served| {
+            let mut entries = Vec::new();
+            pipeline
+                .index()
+                .range(RangeSpec::new(0, usize::MAX), &mut entries);
+            entries
+        };
+
+        let bulk: Vec<(u64, Payload)> = (1..=1_000u64).map(|k| (k, k)).collect();
+        let pipeline = incarnation(&bulk);
+        assert_eq!(pipeline.index().shard_of(600), 1);
+        let mut ops = vec![Request::Update(600, 1), Request::Remove(5)];
+        ops.extend((2_000..3_000u64).map(|k| Request::Insert(k, k)));
+        serve(&pipeline, ops);
+        let before = stored(&pipeline);
+        drop(pipeline); // the workers join and sync the log
+
+        // A fresh store on the same directory restarts from the durable
+        // history: the recovered state supersedes the bulk entries.
+        let pipeline = incarnation(&[(1, 1)]);
+        assert_eq!(
+            stored(&pipeline),
+            before,
+            "restart must restore the served state"
+        );
+        assert_eq!(pipeline.index().shard_of(600), 1, "key 600 left its shard");
+        serve(&pipeline, vec![Request::Update(600, 2)]);
+        drop(pipeline);
+
+        let pipeline = incarnation(&[]);
+        assert_eq!(
+            pipeline.index().get(600),
+            Some(2),
+            "a stale write came back"
+        );
+        assert_eq!(pipeline.index().len(), 1_999);
+    }
+
+    #[test]
+    fn durable_load_refuses_a_log_directory_it_cannot_read() {
+        use crate::pipeline::{OpBatch, ShardPipeline, DEFAULT_QUEUE_CAPACITY};
+        use gre_core::Request;
+        use gre_durability::util::TempDir;
+        use gre_durability::MANIFEST;
+        use std::path::PathBuf;
+        use std::sync::Arc;
+
+        let tmp = TempDir::new("sharded-corrupt-manifest");
+        let mut idx = sharded(Partitioner::range(2));
+        let log = idx
+            .load_durable(&entries(1_000), tmp.path(), SyncPolicy::EveryGroup)
+            .unwrap();
+        let pipeline =
+            ShardPipeline::with_services(Arc::new(idx), 2, DEFAULT_QUEUE_CAPACITY, None, Some(log));
+        // Writes on both shards: fresh keys between the loaded multiples of 7.
+        let ops = (0..2_000u64)
+            .map(|i| Request::Insert(i * 7 / 2 + 1, i))
+            .collect();
+        pipeline.submit(OpBatch::new(ops)).wait();
+        drop(pipeline); // the workers join and sync the log
+
+        let wals = || {
+            let mut wals: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(tmp.path())
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+                .map(|path| {
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            wals.sort();
+            wals
+        };
+        let before = wals();
+        assert_eq!(before.len(), 2, "one WAL per shard");
+        assert!(before.iter().any(|(_, bytes)| !bytes.is_empty()));
+
+        std::fs::write(tmp.path().join(MANIFEST), b"\xffgarbage\x00").unwrap();
+        let loaded = sharded(Partitioner::range(2)).load_durable(
+            &[(1, 1)],
+            tmp.path(),
+            SyncPolicy::EveryGroup,
+        );
+        assert!(
+            loaded.is_err(),
+            "an unreadable MANIFEST must not start fresh"
+        );
+        assert_eq!(wals(), before, "the acknowledged history must survive");
     }
 
     #[test]

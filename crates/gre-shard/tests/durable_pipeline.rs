@@ -15,12 +15,15 @@ use gre_durability::{
     DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger, WalError,
 };
 use gre_learned::AlexPlus;
-use gre_shard::{OpBatch, Partitioner, PipelineTarget, Session, ShardPipeline, ShardedIndex};
+use gre_shard::{
+    OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY,
+};
 use gre_traditional::btree_olc;
-use gre_workloads::{Op, ServeTarget};
+use gre_workloads::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 
 type DynBackend = Box<dyn ConcurrentIndex<u64>>;
@@ -34,6 +37,25 @@ fn backends() -> Vec<(&'static str, BackendFactory)> {
 }
 
 const SHARDS: usize = 4;
+
+/// A durable pipeline of two workers over a fresh composite, opened on the
+/// log directory `dir`: a restart when `dir` holds a history, else `bulk`
+/// loaded and checkpointed.
+fn durable(
+    factory: BackendFactory,
+    dir: &Path,
+    bulk: &[(u64, Payload)],
+) -> std::io::Result<ShardPipeline<DynBackend>> {
+    let mut idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+    let log = idx.load_durable(bulk, dir, SyncPolicy::EveryGroup)?;
+    Ok(ShardPipeline::with_services(
+        Arc::new(idx),
+        2,
+        DEFAULT_QUEUE_CAPACITY,
+        None,
+        Some(log),
+    ))
+}
 
 /// Apply `op` to the model iff the pipeline accepted it, asserting the live
 /// response matched the model's prediction (one submitter and per-shard
@@ -227,8 +249,8 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     // …and the state rebuilt purely from disk is the accepted-op model.
     assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
 
-    // Recover-and-continue, twice, through the durable serve target's
-    // restart: reload each shard of a fresh composite with its own
+    // Recover-and-continue, twice, through the durable load's restart:
+    // reload each shard of a fresh composite with its own
     // recovered state (under the cut those states imply, so no key leaves
     // the shard whose log holds its history), resume the log with torn
     // tails truncated and without a checkpoint, serve more writes, kill
@@ -236,17 +258,13 @@ fn crash_round(name: &str, factory: BackendFactory, script: (&str, Trigger, Fail
     // compound.
     for restart in 1..=2 {
         let ctx = format!("{ctx}/restart-{restart}");
-        let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
-        let mut target =
-            PipelineTarget::new(idx, 2, 32, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
-        target.load(&[]);
-        let pipeline = target.pipeline_handle().expect("loaded");
+        let pipeline = durable(factory, tmp.path(), &[]).unwrap();
         let resumed = serve_pipelined(&pipeline, &mut rng, 10, &mut model, &ctx);
         assert_eq!(
             resumed.refused, 0,
             "{ctx}: resumed log must accept every group"
         );
-        drop((pipeline, target)); // the "kill"
+        drop(pipeline); // the "kill"
         assert_disk_matches_model(tmp.path(), factory, &model, &ctx);
     }
     served.refused
@@ -354,24 +372,16 @@ fn sync_error_on_a_coalesced_group_refuses_every_member() {
 fn a_restart_that_dies_while_loading_loses_no_key() {
     for (name, factory) in backends() {
         let tmp = TempDir::new("durable-restart-crash");
-        let target = || {
-            let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
-            PipelineTarget::new(idx, 2, 64, 0).durable(tmp.path(), SyncPolicy::EveryGroup)
-        };
-        let mut first = target();
         let bulk: Vec<(u64, Payload)> = (0..4_000u64).map(|i| (i * 10, i)).collect();
-        first.load(&bulk);
-        let pipeline = first.pipeline_handle().expect("loaded");
+        let pipeline = durable(factory, tmp.path(), &bulk).unwrap();
         let low: Vec<Op> = (0..3_000u64).map(|i| Op::Insert(i * 10 + 1, i)).collect();
         let responses = pipeline.submit(OpBatch::new(low)).wait();
         assert!(responses.iter().all(|r| !r.is_error()), "{name}");
-        drop((pipeline, first));
+        drop(pipeline);
 
         let squat = tmp.path().join("shard-1.snap.tmp");
         std::fs::create_dir(&squat).unwrap();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            target().load(&[]);
-        }));
+        let _ = durable(factory, tmp.path(), &[]);
         std::fs::remove_dir(&squat).unwrap();
 
         let mut rebuilt = factory();
@@ -396,13 +406,9 @@ fn shutdown_with_backlog_refuses_only_what_no_record_covers() {
         for burst in [8usize, 12, 16, 24, 32] {
             let ctx = format!("{name}/shutdown-behind-{burst}");
             let tmp = TempDir::new("durable-shutdown");
-            let idx = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
-            let mut target =
-                PipelineTarget::new(idx, 2, 32, 0).durable(tmp.path(), SyncPolicy::EveryGroup);
             let bulk: Vec<(u64, Payload)> = (0..3_000u64).map(|i| (i * 7, i)).collect();
-            target.load(&bulk);
+            let pipeline = durable(factory, tmp.path(), &bulk).unwrap();
             let mut model: BTreeMap<u64, Payload> = bulk.iter().copied().collect();
-            let pipeline = target.pipeline_handle().expect("loaded");
 
             let mut rng = StdRng::seed_from_u64(0x5D0u64 + burst as u64);
             let mut batch =
@@ -438,7 +444,7 @@ fn shutdown_with_backlog_refuses_only_what_no_record_covers() {
                 "{ctx}: both outcomes occur"
             );
             let live = Arc::clone(pipeline.index());
-            drop((pipeline, target));
+            drop(pipeline);
             assert_eq!(live.len(), model.len(), "{ctx}: live size");
             for (&k, &v) in &model {
                 assert_eq!(live.get(k), Some(v), "{ctx}: live key {k}");

@@ -1,9 +1,9 @@
 //! Cross-target model equivalence for the scenario engine: the same seeded
-//! [`Scenario`] driven through the bare sharded composite and through the
-//! batched [`PipelineTarget`] at in-flight windows 0 (submit-then-wait) and
-//! 8 (pipelined) must leave identical final index contents, and those
-//! contents must match a `BTreeMap` model fed the same generated op
-//! streams.
+//! [`Scenario`] driven through the bare sharded composite and served through
+//! the batched pipeline, one session per client with in-flight windows 0
+//! (submit-then-wait) and 8 (pipelined), must leave identical final index
+//! contents, and those contents must match a `BTreeMap` model fed the same
+//! generated op streams.
 //!
 //! The scenario's writes are *commutative by construction* (inserts and
 //! updates both store the canonical `payload_for(key)`, and no phase
@@ -11,9 +11,12 @@
 //! interleaving: any divergence between targets is a real serving-layer
 //! bug, not scheduling noise.
 
+mod common;
+
+use common::{client_budget, serve_scenario};
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_learned::AlexPlus;
-use gre_shard::{Partitioner, PipelineTarget, ShardedIndex};
+use gre_shard::{Partitioner, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
 use gre_workloads::spec::payload_for;
@@ -33,6 +36,13 @@ fn backends() -> Vec<(&'static str, BackendFactory)> {
 
 fn sharded(factory: BackendFactory) -> ShardedIndex<u64, DynBackend> {
     ShardedIndex::from_factory(Partitioner::range(4), |_| factory())
+}
+
+/// Two pipeline workers over a fresh composite loaded with `scenario.bulk`.
+fn pipeline(factory: BackendFactory, scenario: &Scenario) -> ShardPipeline<DynBackend> {
+    let mut index = sharded(factory);
+    index.bulk_load(&scenario.bulk);
+    ShardPipeline::new(Arc::new(index), 2)
 }
 
 /// A two-phase script mixing lookups, commutative writes, and cross-shard
@@ -78,13 +88,10 @@ fn model_contents(scenario: &Scenario) -> Vec<(u64, Payload)> {
     let mut model: BTreeMap<u64, Payload> = scenario.bulk.iter().copied().collect();
     let keys = Arc::new(scenario.loaded_keys());
     for (pi, phase) in scenario.phases.iter().enumerate() {
-        let (total, threads) = (phase.ops, phase.threads);
-        let base = total / threads as u64;
-        let extra = (total % threads as u64) as usize;
+        let threads = phase.threads;
         for t in 0..threads {
-            let budget = base + u64::from(t < extra);
             let mut stream = phase_stream(scenario, &keys, pi, phase, t, threads);
-            for _ in 0..budget {
+            for _ in 0..client_budget(phase, t) {
                 match stream.next_op().expect("synthetic streams are infinite") {
                     Op::Insert(k, v) => {
                         model.insert(k, v);
@@ -121,21 +128,22 @@ fn same_scenario_yields_identical_contents_across_all_three_targets() {
             assert_eq!(pb.tally.errors, 0, "{name}/{}", pb.phase);
         }
 
-        // The batched pipeline, submit-then-wait and with up to 8 earlier
-        // batches in flight per driver thread.
+        // The batched pipeline, submit-then-wait and with up to 8 batches
+        // in flight per client.
         for window in [0, 8] {
-            let mut target = PipelineTarget::new(sharded(factory), 2, 256, window);
-            let result = Driver::new().run(&scenario, &mut target);
-            assert_eq!(result.total_ops(), total_ops, "{name}/window {window}");
-            let got = contents(target.index(), name);
+            let pipeline = pipeline(factory, &scenario);
+            let tallies = serve_scenario(&pipeline, &scenario, 256, window);
+            let served: u64 = tallies.iter().map(|t| t.ops).sum();
+            assert_eq!(served, total_ops, "{name}/window {window}");
+            let got = contents(pipeline.index(), name);
             assert_eq!(got, expected, "{name}: window {window} vs model");
 
             // All per-phase tallies agree with the bare run: the same
             // offered traffic produced the same typed outcomes.
-            for (pb, pt) in bare_result.phases.iter().zip(&result.phases) {
+            for (pb, pt) in bare_result.phases.iter().zip(&tallies) {
                 let at = format!("{name}/window {window}/{}", pb.phase);
-                assert_eq!(pb.tally.new_keys, pt.tally.new_keys, "{at}");
-                assert_eq!(pt.tally.errors, 0, "{at}");
+                assert_eq!(pb.tally.new_keys, pt.new_keys, "{at}");
+                assert_eq!(pt.errors, 0, "{at}");
             }
         }
     }
@@ -146,9 +154,9 @@ fn payloads_are_canonical_after_any_interleaving() {
     // Spot-check the commutativity premise itself: every stored payload is
     // the canonical function of its key, whichever write landed last.
     let scenario = scenario();
-    let mut target = PipelineTarget::new(sharded(backends()[0].1), 2, 128, 4);
-    Driver::new().run(&scenario, &mut target);
-    for (k, v) in contents(target.index(), "ALEX+") {
+    let pipeline = pipeline(backends()[0].1, &scenario);
+    serve_scenario(&pipeline, &scenario, 128, 4);
+    for (k, v) in contents(pipeline.index(), "ALEX+") {
         assert_eq!(v, payload_for(k), "key {k}");
     }
 }

@@ -1,19 +1,28 @@
-//! Telemetry/driver reconciliation: the worker-side outcome counters and
-//! the driver-side [`Tally`] classify the same responses from opposite ends
-//! of the pipeline, so after a drained run every pair must match *exactly*
-//! — for every backend and both serving paths.
+//! Telemetry/client reconciliation: the worker-side outcome counters and
+//! the clients' [`Tally`] of their responses classify the same responses
+//! from opposite ends of the pipeline, so after a drained run every pair
+//! must match *exactly* — for every backend, submit-then-wait and
+//! pipelined.
 
+mod common;
+
+use common::serve_scenario;
 use gre_core::ConcurrentIndex;
 use gre_learned::AlexPlus;
-use gre_shard::{reconcile_tally, Partitioner, PipelineTarget, ShardedIndex};
-use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
+use gre_shard::{Partitioner, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY};
+use gre_telemetry::{
+    CounterId, GaugeId, GlobalHistId, MetricsSnapshot, ShardHistId, Telemetry, TelemetryConfig,
+};
 use gre_traditional::btree_olc;
-use gre_workloads::driver::Tally;
 use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
-use gre_workloads::Driver;
+use gre_workloads::Tally;
+use std::sync::Arc;
 
 type DynBackend = Box<dyn ConcurrentIndex<u64>>;
 type BackendFactory = fn() -> DynBackend;
+
+const SHARDS: usize = 4;
+const WORKERS: usize = 2;
 
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
@@ -22,8 +31,24 @@ fn backends() -> Vec<(&'static str, BackendFactory)> {
     ]
 }
 
-fn sharded(factory: BackendFactory) -> ShardedIndex<u64, DynBackend> {
-    ShardedIndex::from_factory(Partitioner::range(4), |_| factory())
+/// An instrumented pipeline of two workers over four range shards loaded
+/// with `bulk`; its registry has one counter stripe per worker plus one for
+/// submitters, and `configure` adjusts the tracer.
+fn instrumented(
+    factory: BackendFactory,
+    bulk: &[(u64, u64)],
+    configure: impl FnOnce(TelemetryConfig) -> TelemetryConfig,
+) -> ShardPipeline<DynBackend> {
+    let mut index = ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| factory());
+    index.bulk_load(bulk);
+    let telemetry = Telemetry::new(configure(TelemetryConfig::new(SHARDS, WORKERS + 1)));
+    ShardPipeline::with_services(
+        Arc::new(index),
+        WORKERS,
+        DEFAULT_QUEUE_CAPACITY,
+        Some(Arc::new(telemetry)),
+        None,
+    )
 }
 
 /// A seeded two-phase mixed scenario exercising every counter: hits and
@@ -46,25 +71,79 @@ fn scenario() -> Scenario {
         .phase(Phase::new("uniform", mix, KeyDist::Uniform, 6_000, 2))
 }
 
-fn merged_tally(phases: &[gre_workloads::driver::PhaseResult]) -> Tally {
+fn merged_tally(phases: &[Tally]) -> Tally {
     let mut tally = Tally::default();
     for p in phases {
-        tally.merge(&p.tally);
+        tally.merge(p);
     }
     tally
+}
+
+/// Check that a telemetry snapshot agrees *exactly* with the clients' tally
+/// of the responses served through it: the two count the same outcomes
+/// from opposite ends of the pipeline (workers classifying responses vs.
+/// clients classifying the responses handed back), so on a drained pipeline
+/// every pair must match. Returns the first mismatch. `tally` must cover
+/// every phase served since the telemetry was attached.
+fn reconcile_tally(snap: &MetricsSnapshot, tally: &Tally) -> Result<(), String> {
+    let pairs = [
+        (CounterId::OpsSubmitted, tally.ops),
+        (CounterId::OpsCompleted, tally.ops),
+        (CounterId::GetHits, tally.hits),
+        (CounterId::InsertedNew, tally.new_keys),
+        (CounterId::Updated, tally.updated),
+        (CounterId::Removed, tally.removed),
+        (CounterId::ScannedKeys, tally.scanned_keys),
+        (CounterId::OpErrors, tally.errors),
+    ];
+    for (id, expected) in pairs {
+        let got = snap.counter(id);
+        if got != expected {
+            return Err(format!(
+                "counter {} = {got}, client tally says {expected}",
+                id.name()
+            ));
+        }
+    }
+    let per_shard: u64 = snap.shards.iter().map(|s| s.ops_completed).sum();
+    if per_shard != tally.ops {
+        return Err(format!(
+            "per-shard ops_completed sum to {per_shard}, client tally says {}",
+            tally.ops
+        ));
+    }
+    Ok(())
+}
+
+/// The drained pipeline leaves no residual queue depth or in-flight ops.
+fn assert_drained(snap: &MetricsSnapshot, name: &str) {
+    for (s, shard) in snap.shards.iter().enumerate() {
+        assert_eq!(shard.gauge(GaugeId::QueueDepth), 0, "{name} shard {s}");
+        assert_eq!(shard.gauge(GaugeId::InFlightOps), 0, "{name} shard {s}");
+    }
 }
 
 #[test]
 fn pipeline_counters_reconcile_with_driver_tally() {
     for (name, factory) in backends() {
-        let mut target = PipelineTarget::new(sharded(factory), 2, 128, 0)
-            .instrumented_with(|c| c.trace_sample(32));
-        let result = Driver::new().run(&scenario(), &mut target);
-        let tally = merged_tally(&result.phases);
+        let scenario = scenario();
+        let pipeline = instrumented(factory, &scenario.bulk, |c| c.trace_sample(32));
+        let tally = merged_tally(&serve_scenario(&pipeline, &scenario, 128, 0));
         assert_eq!(tally.ops, 12_000, "{name}: every op completes");
+        assert!(tally.hits > 0 && tally.new_keys > 0, "{name}: {tally:?}");
+        assert!(tally.scanned_keys > 0, "{name}: {tally:?}");
 
-        let snap = target.telemetry().expect("instrumented").snapshot();
+        let t = pipeline.telemetry().expect("instrumented");
+        let snap = t.snapshot();
         reconcile_tally(&snap, &tally).unwrap_or_else(|e| panic!("{name}: {e}"));
+        // The 1-in-32 sampler left spans in the ring.
+        assert!(t.trace().expect("tracing on").recorded() > 0, "{name}");
+        assert!(snap.counter(CounterId::TraceSpans) > 0, "{name}");
+        // Every submit samples the in-flight occupancy, counting the batch
+        // just submitted: window 0 is submit-then-wait.
+        let occupancy = snap.global(GlobalHistId::SessionWindow);
+        assert!(occupancy.count() > 0, "{name}");
+        assert_eq!(occupancy.max(), 1, "{name}: window 0 is submit-then-wait");
 
         // Structural counters: batches were split into per-shard sub-batches
         // and nothing is left in flight after the drain.
@@ -75,9 +154,8 @@ fn pipeline_counters_reconcile_with_driver_tally() {
             "{name}: each batch yields at least one sub-batch"
         );
         assert!(snap.counter(CounterId::RangeScans) > 0, "{name}");
+        assert_drained(&snap, name);
         for (s, shard) in snap.shards.iter().enumerate() {
-            assert_eq!(shard.gauge(GaugeId::QueueDepth), 0, "{name} shard {s}");
-            assert_eq!(shard.gauge(GaugeId::InFlightOps), 0, "{name} shard {s}");
             assert_eq!(
                 shard.hist(ShardHistId::SubBatchSize).count(),
                 shard.hist(ShardHistId::ServiceNs).count(),
@@ -100,14 +178,15 @@ fn pipeline_counters_reconcile_with_driver_tally() {
 #[test]
 fn session_counters_reconcile_and_record_the_window() {
     for (name, factory) in backends() {
-        let mut target = PipelineTarget::new(sharded(factory), 2, 96, 3)
-            .instrumented_with(|c| c.without_trace());
-        let result = Driver::new().run(&scenario(), &mut target);
-        let tally = merged_tally(&result.phases);
+        let scenario = scenario();
+        let pipeline = instrumented(factory, &scenario.bulk, |c| c.without_trace());
+        let tally = merged_tally(&serve_scenario(&pipeline, &scenario, 96, 3));
+        assert_eq!(tally.ops, 12_000, "{name}: every op completes");
 
-        let t = target.telemetry().expect("instrumented");
+        let t = pipeline.telemetry().expect("instrumented");
         let snap = t.snapshot();
         reconcile_tally(&snap, &tally).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_drained(&snap, name);
         assert!(t.trace().is_none(), "{name}: tracer disabled");
         assert_eq!(snap.counter(CounterId::TraceSpans), 0, "{name}");
 
@@ -134,8 +213,8 @@ fn session_counters_reconcile_and_record_the_window() {
 #[test]
 fn busiest_shard_follows_the_hotspot_drift() {
     let keys: Vec<u64> = (1..=5_000u64).map(|i| i * 32).collect();
-    let mut target = PipelineTarget::new(sharded(|| Box::new(AlexPlus::<u64>::new())), 2, 128, 0)
-        .instrumented_with(|c| c.without_trace());
+    let bulk = Scenario::new("drift", 0xD41F7, &keys).bulk;
+    let pipeline = instrumented(backends()[0].1, &bulk, |c| c.without_trace());
     let mut last = vec![0u64; 4];
     for (start, hot_shard) in [(0.05, 0), (0.85, 3)] {
         let scenario = Scenario::new("drift", 0xD41F7, &keys).phase(Phase::new(
@@ -149,9 +228,9 @@ fn busiest_shard_follows_the_hotspot_drift() {
             6_000,
             2,
         ));
-        // Loading is idempotent: the second run serves the same store.
-        Driver::new().run(&scenario, &mut target);
-        let snap = target.telemetry().expect("instrumented").snapshot();
+        // Both hotspots are served by the same store.
+        serve_scenario(&pipeline, &scenario, 128, 0);
+        let snap = pipeline.telemetry().expect("instrumented").snapshot();
         let completed: Vec<u64> = snap.shards.iter().map(|s| s.ops_completed).collect();
         let deltas: Vec<u64> = completed.iter().zip(&last).map(|(c, l)| c - l).collect();
         let busiest = (0..deltas.len())

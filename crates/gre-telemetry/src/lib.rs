@@ -94,7 +94,8 @@ impl Telemetry {
         }
     }
 
-    /// Metrics-only telemetry for `shards` shards and `writers` writers,
+    /// Telemetry with the tracing-enabled defaults of
+    /// [`TelemetryConfig::new`] for `shards` shards and `writers` writers,
     /// wrapped for sharing.
     pub fn shared(shards: usize, writers: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry::new(TelemetryConfig::new(shards, writers)))

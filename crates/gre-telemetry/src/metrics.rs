@@ -58,13 +58,11 @@ pub enum CounterId {
     WalAppends,
     /// Write-ahead-log fsync (durability) barriers issued.
     WalFsyncs,
-    /// Operations replayed from the WAL during crash recovery.
-    RecoveryReplayedOps,
 }
 
 impl CounterId {
     /// All counter ids, in declaration order.
-    pub const ALL: [CounterId; 18] = [
+    pub const ALL: [CounterId; 17] = [
         CounterId::OpsSubmitted,
         CounterId::OpsCompleted,
         CounterId::BatchesSubmitted,
@@ -82,7 +80,6 @@ impl CounterId {
         CounterId::TraceDropped,
         CounterId::WalAppends,
         CounterId::WalFsyncs,
-        CounterId::RecoveryReplayedOps,
     ];
 
     /// Number of counter ids.
@@ -115,7 +112,6 @@ impl CounterId {
             CounterId::TraceDropped => "trace_dropped",
             CounterId::WalAppends => "wal_appends",
             CounterId::WalFsyncs => "wal_fsyncs",
-            CounterId::RecoveryReplayedOps => "recovery_replayed_ops",
         }
     }
 }

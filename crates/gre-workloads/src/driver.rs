@@ -1,28 +1,21 @@
-//! The scenario driver: executes a [`Scenario`] against any serving target.
+//! The scenario driver: executes a [`Scenario`] against an index.
 //!
 //! The driver separates three concerns:
 //!
 //! * **What** is offered — the scenario's phase script (see
 //!   [`scenario`](crate::scenario)).
-//! * **Where** it is served — anything implementing [`ServeTarget`]. A
-//!   blanket impl covers every bare [`ConcurrentIndex`] backend (including
-//!   the sharded composite); `gre-shard` adds the windowed target over its
-//!   batched `ShardPipeline`. A single-threaded [`Index`] is driven in
-//!   place by [`Driver::run_in_place`], one client on the calling thread.
+//! * **Where** it is served — any [`ConcurrentIndex`] (including the
+//!   sharded composite), which [`Driver::run`] calls from one thread per
+//!   client, or a single-threaded [`Index`], which
+//!   [`Driver::run_in_place`] drives with one client on the calling thread.
 //! * **How** it is measured — per-phase typed-response counters and
 //!   per-[`RequestKind`] latency histograms. Each phase runs its op budget
-//!   over closed-loop clients: a client hands over its next op as soon as
-//!   the previous one was accepted. A sampled op is timed from that hand-over
-//!   to its completion, so a batched target charges it the wait for its
-//!   batch.
+//!   over closed-loop clients: a client issues its next op as soon as the
+//!   previous one answered. A sampled op is timed from its issue to its
+//!   answer.
 //!
-//! One driver thread drives one [`Connection`]; targets decide what a
-//! connection means (direct calls, a batch buffer over a pipeline, a
-//! pipelined session window).
-//!
-//! Driving a scenario against a bare backend (any [`ConcurrentIndex`] is a
-//! [`ServeTarget`] through the blanket impl), then the same traffic with
-//! one client in place on a single-threaded index:
+//! Driving a scenario against a concurrent index, then the same traffic
+//! with one client in place on a single-threaded index:
 //!
 //! ```
 //! use gre_core::index::MutexIndex;
@@ -56,9 +49,7 @@
 use crate::scenario::{phase_stream, OpStream, Phase, Scenario};
 use crate::spec::Op;
 use gre_core::ops::RequestKind;
-use gre_core::{
-    ConcurrentIndex, Index, IndexMeta, KindLatency, LatencyHistogram, Payload, Response,
-};
+use gre_core::{ConcurrentIndex, Index, KindLatency, LatencyHistogram, Response};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,7 +104,7 @@ pub struct Tally {
     pub removed: u64,
     /// Keys returned by range scans.
     pub scanned_keys: u64,
-    /// Operations rejected as unsupported by the target.
+    /// Operations rejected as unsupported by the index.
     pub errors: u64,
 }
 
@@ -157,161 +148,25 @@ impl Tally {
 /// histograms of the timed completions and typed-response counters of all
 /// of them.
 #[derive(Default)]
-pub struct PhaseRecorder {
-    /// Latency of each timed completion, from its intended send time.
-    pub latency: KindLatency,
+struct PhaseRecorder {
+    /// Latency of each timed completion, from its issue.
+    latency: KindLatency,
     /// Counters over every completion.
-    pub tally: Tally,
+    tally: Tally,
 }
 
 impl PhaseRecorder {
-    /// Record a completion whose latency was measured: `intended` is the
-    /// intended send time, `now` the completion time.
+    /// Record one completion, timed when `issued` is its issue time.
     #[inline]
-    fn complete_timed(
-        &mut self,
-        kind: RequestKind,
-        intended: Instant,
-        now: Instant,
-        response: &Response<u64>,
-    ) {
-        let ns = now.saturating_duration_since(intended).as_nanos() as u64;
-        self.latency.record(kind, ns);
+    fn complete(&mut self, kind: RequestKind, issued: Option<Instant>, response: &Response<u64>) {
+        if let Some(t0) = issued {
+            self.latency.record(kind, t0.elapsed().as_nanos() as u64);
+        }
         self.tally.record(response);
     }
-
-    /// Record one completion, timed when `intended` is its send time.
-    #[inline]
-    fn complete(&mut self, kind: RequestKind, intended: Option<Instant>, response: &Response<u64>) {
-        match intended {
-            Some(t0) => self.complete_timed(kind, t0, Instant::now(), response),
-            None => self.tally.record(response),
-        }
-    }
-
-    /// Record one completed batch: `meta[i]` is op `i`'s kind and intended
-    /// send time (when timed), `responses[i]` its answer. Every timed op is
-    /// stamped with the batch's completion time, so the wait for its
-    /// batch is charged to it.
-    pub fn complete_batch(
-        &mut self,
-        meta: &[(RequestKind, Option<Instant>)],
-        responses: &[Response<u64>],
-    ) {
-        let now = Instant::now();
-        for ((kind, intended), response) in meta.iter().zip(responses) {
-            match intended {
-                Some(t0) => self.complete_timed(*kind, *t0, now, response),
-                None => self.tally.record(response),
-            }
-        }
-    }
 }
 
-/// Anything a scenario can be driven against.
-///
-/// Implementations exist for every bare [`ConcurrentIndex`] backend (the
-/// blanket impl below — this includes the sharded composite, whose routing
-/// then happens per op) and, in `gre-shard`, for the batched `ShardPipeline`
-/// and the pipelined `Session` client surface.
-pub trait ServeTarget: Sync {
-    /// Display name of the target configuration.
-    fn describe(&self) -> String;
-
-    /// Bulk load the initial entries. The driver calls this exactly once,
-    /// before the first phase (with an empty slice when the scenario loads
-    /// nothing).
-    fn load(&mut self, entries: &[(u64, Payload)]);
-
-    /// Open one client connection. The driver opens one per thread, inside
-    /// that thread.
-    fn connect(&self) -> Box<dyn Connection + '_>;
-}
-
-/// One driver thread's submission endpoint.
-///
-/// `submit` hands over one operation with an optional intended-send
-/// timestamp (present for sampled ops); the connection reports each *completion* into the recorder —
-/// synchronously for direct targets, on batch completion for batched ones.
-/// `flush` must push out any buffered operations and wait out everything
-/// still in flight, so a phase's recorder sees every accepted op exactly
-/// once.
-pub trait Connection {
-    fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder);
-    fn flush(&mut self, rec: &mut PhaseRecorder);
-}
-
-/// Direct connection to a bare concurrent index: every op executes
-/// synchronously on the calling thread through the typed request path.
-struct BareConn<'a, I: ConcurrentIndex<u64> + ?Sized> {
-    index: &'a I,
-    meta: IndexMeta,
-}
-
-impl<I: ConcurrentIndex<u64> + ?Sized> Connection for BareConn<'_, I> {
-    #[inline]
-    fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder) {
-        let response = op.execute(self.index, &self.meta);
-        rec.complete(op.kind(), intended, &response);
-    }
-
-    fn flush(&mut self, _rec: &mut PhaseRecorder) {}
-}
-
-/// Every concurrent index is directly drivable: the "bare backend" serving
-/// path, where each driver thread calls the index synchronously.
-impl<I: ConcurrentIndex<u64> + ?Sized> ServeTarget for I {
-    fn describe(&self) -> String {
-        self.meta().name.to_string()
-    }
-
-    fn load(&mut self, entries: &[(u64, Payload)]) {
-        self.bulk_load(entries);
-    }
-
-    fn connect(&self) -> Box<dyn Connection + '_> {
-        Box::new(BareConn {
-            index: self,
-            meta: self.meta(),
-        })
-    }
-}
-
-/// Connection over a single-threaded index the calling thread borrows
-/// `&mut` ([`Driver::run_in_place`]). Scans fill one reused buffer, clipped
-/// to their key window, so a scan costs what the index's `range` costs
-/// rather than a fresh `Vec` regrown as it fills; point ops (and scans the
-/// index cannot serve) go through
-/// [`Request::execute_mut`](gre_core::Request::execute_mut).
-struct InPlaceConn<'a, I: Index<u64> + ?Sized> {
-    index: &'a mut I,
-    meta: IndexMeta,
-    scan: Vec<(u64, Payload)>,
-}
-
-impl<I: Index<u64> + ?Sized> Connection for InPlaceConn<'_, I> {
-    #[inline]
-    fn submit(&mut self, op: Op, intended: Option<Instant>, rec: &mut PhaseRecorder) {
-        let response = match op {
-            Op::Range(spec) if self.meta.supports_range => {
-                let mut buf = std::mem::take(&mut self.scan);
-                buf.clear();
-                self.index.range(spec, &mut buf);
-                spec.clip(&mut buf);
-                Response::Range(buf)
-            }
-            _ => op.execute_mut(&mut *self.index, &self.meta),
-        };
-        rec.complete(op.kind(), intended, &response);
-        if let Response::Range(buf) = response {
-            self.scan = buf;
-        }
-    }
-
-    fn flush(&mut self, _rec: &mut PhaseRecorder) {}
-}
-
-/// Executes scenarios against serving targets.
+/// Executes scenarios against indexes.
 ///
 /// Construction is builder-style; by default 1 op in
 /// `LATENCY_SAMPLE_RATE` (101) is timed.
@@ -339,24 +194,24 @@ impl Driver {
         self
     }
 
-    /// Execute `scenario` against `target`: bulk load, then run each phase
-    /// in script order.
-    pub fn run<T: ServeTarget + ?Sized>(
+    /// Execute `scenario` against `index`: bulk load, then run each phase
+    /// in script order, every client calling the index from its own thread.
+    pub fn run<I: ConcurrentIndex<u64> + ?Sized>(
         &self,
         scenario: &Scenario,
-        target: &mut T,
+        index: &mut I,
     ) -> ScenarioResult {
         let keys = Arc::new(scenario.loaded_keys());
-        target.load(&scenario.bulk);
+        index.bulk_load(&scenario.bulk);
         let phases = scenario
             .phases
             .iter()
             .enumerate()
-            .map(|(pi, phase)| self.run_phase(scenario, &keys, pi, phase, &*target))
+            .map(|(pi, phase)| self.run_phase(scenario, &keys, pi, phase, &*index))
             .collect();
         ScenarioResult {
             scenario: scenario.name.clone(),
-            target: target.describe(),
+            target: index.meta().name.to_string(),
             phases,
         }
     }
@@ -390,14 +245,29 @@ impl Driver {
             // Setup happens before the phase clock starts: a short phase
             // must not be charged for building its stream and recorder.
             let mut stream = phase_stream(scenario, &keys, pi, phase, 0, 1);
-            let mut conn = InPlaceConn {
-                index: &mut *index,
-                meta: meta.clone(),
-                scan: Vec::new(),
-            };
             let mut rec = PhaseRecorder::default();
+            // Scans fill one reused buffer, clipped to their key window, so
+            // a scan costs what the index's `range` costs rather than a
+            // fresh `Vec` regrown as it fills; point ops (and scans the
+            // index cannot serve) go through `Request::execute_mut`.
+            let mut scan = Vec::new();
             let start = Instant::now();
-            self.drive(phase.ops, stream.as_mut(), &mut conn, &mut rec);
+            self.drive(phase.ops, stream.as_mut(), |op, issued| {
+                let response = match op {
+                    Op::Range(spec) if meta.supports_range => {
+                        let mut buf = std::mem::take(&mut scan);
+                        buf.clear();
+                        index.range(spec, &mut buf);
+                        spec.clip(&mut buf);
+                        Response::Range(buf)
+                    }
+                    _ => op.execute_mut(&mut *index, &meta),
+                };
+                rec.complete(op.kind(), issued, &response);
+                if let Response::Range(buf) = response {
+                    scan = buf;
+                }
+            });
             let elapsed_ns = start.elapsed().as_nanos() as u64;
             phases.push(phase_result(phase, elapsed_ns, [rec]));
         }
@@ -408,29 +278,33 @@ impl Driver {
         }
     }
 
-    fn run_phase<T: ServeTarget + ?Sized>(
+    fn run_phase<I: ConcurrentIndex<u64> + ?Sized>(
         &self,
         scenario: &Scenario,
         keys: &Arc<Vec<u64>>,
         phase_idx: usize,
         phase: &Phase,
-        target: &T,
+        index: &I,
     ) -> PhaseResult {
         let threads = phase.threads.max(1);
+        let meta = index.meta();
+        let meta = &meta;
         let start = Instant::now();
         let recorders: Vec<PhaseRecorder> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     scope.spawn(move || {
                         let mut stream = phase_stream(scenario, keys, phase_idx, phase, t, threads);
-                        let mut conn = target.connect();
                         let mut rec = PhaseRecorder::default();
                         // An even split of the op budget, the first
                         // `ops % threads` clients one op more: the split
                         // `ReplayStream::chunk` uses.
                         let extra = u64::from((t as u64) < phase.ops % threads as u64);
                         let budget = phase.ops / threads as u64 + extra;
-                        self.drive(budget, stream.as_mut(), conn.as_mut(), &mut rec);
+                        self.drive(budget, stream.as_mut(), |op, issued| {
+                            let response = op.execute(index, meta);
+                            rec.complete(op.kind(), issued, &response);
+                        });
                         rec
                     })
                 })
@@ -444,22 +318,20 @@ impl Driver {
         phase_result(phase, elapsed_ns, recorders)
     }
 
-    /// Submit `budget` ops of `stream` one after another, timing one in
-    /// `sample_stride`, then flush the connection.
-    fn drive<C: Connection + ?Sized>(
+    /// Hand `budget` ops of `stream` to `serve` one after another, with
+    /// the issue time of one in `sample_stride`.
+    fn drive(
         &self,
         budget: u64,
         stream: &mut dyn OpStream,
-        conn: &mut C,
-        rec: &mut PhaseRecorder,
+        mut serve: impl FnMut(Op, Option<Instant>),
     ) {
         let stride = self.sample_stride as u64;
         for i in 0..budget {
             let Some(op) = stream.next_op() else { break };
-            let intended = (i % stride == 0).then(Instant::now);
-            conn.submit(op, intended, rec);
+            let issued = (i % stride == 0).then(Instant::now);
+            serve(op, issued);
         }
-        conn.flush(rec);
     }
 }
 
@@ -491,7 +363,7 @@ pub struct PhaseResult {
     pub(crate) elapsed_ns: u64,
     /// Typed-response counters over every completed op.
     pub tally: Tally,
-    /// Kind-indexed latency histograms, measured from intended send time.
+    /// Kind-indexed latency histograms, each op timed from its issue.
     pub(crate) latency: KindLatency,
 }
 

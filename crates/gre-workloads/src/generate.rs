@@ -47,37 +47,29 @@ impl YcsbVariant {
     }
 }
 
-/// Builder for all the workloads of the study.
+/// Builder for all the workloads of the study. Lookup-bearing workloads
+/// issue one timed lookup per key (the paper issues 800M lookups over 200M
+/// keys, ×4; the scaled-down runs here use ×1).
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
-    /// Number of timed requests per lookup-bearing workload, expressed as a
-    /// multiple of the bulk-loaded key count (the paper issues 800M lookups
-    /// over 200M keys, i.e. ×4; scaled-down runs usually use ×1).
-    read_multiplier: f64,
     /// RNG seed.
     seed: u64,
 }
 
 impl Default for WorkloadBuilder {
     fn default() -> Self {
-        WorkloadBuilder {
-            read_multiplier: 1.0,
-            seed: 0x6e5e,
-        }
+        WorkloadBuilder { seed: 0x6e5e }
     }
 }
 
 impl WorkloadBuilder {
     pub fn new(seed: u64) -> Self {
-        WorkloadBuilder {
-            seed,
-            ..Default::default()
-        }
+        WorkloadBuilder { seed }
     }
 
     /// The five-point insert workload axis of the heatmaps (§3.3).
     ///
-    /// * Read-Only: bulk load all keys, issue `read_multiplier × n` lookups.
+    /// * Read-Only: bulk load all keys, issue n lookups.
     /// * Read-Intensive/Balanced/Write-Heavy: bulk load a random half, then a
     ///   mixed stream in which inserts eventually add all remaining keys.
     /// * Write-Only: bulk load half, insert the other half.
@@ -90,8 +82,7 @@ impl WorkloadBuilder {
         match ratio {
             WriteRatio::ReadOnly => {
                 let bulk = sorted_entries(&shuffled);
-                let lookups = (keys.len() as f64 * self.read_multiplier) as usize;
-                let ops = (0..lookups)
+                let ops = (0..keys.len())
                     .map(|_| Op::Get(shuffled[rng.gen_range(0..shuffled.len())]))
                     .collect();
                 self.replay(full_name, bulk, ops)
@@ -146,7 +137,7 @@ impl WorkloadBuilder {
         let total_ops = if delete_fraction > 0.0 {
             (to_delete as f64 / delete_fraction).round() as usize
         } else {
-            (keys.len() as f64 * self.read_multiplier) as usize
+            keys.len()
         };
         let mut ops = Vec::with_capacity(total_ops);
         let mut deleted = 0usize;

@@ -13,24 +13,19 @@
 //!   an op count by a number of closed-loop clients, generated lazily per
 //!   thread through the seeded, allocation-free
 //!   [`OpStream`](scenario::OpStream).
-//! * [`driver`] — the [`Driver`] executes a scenario
-//!   against any [`ServeTarget`] (bare backends here; the pipeline target
-//!   in `gre-shard`) or, in place, against a single-threaded index, recording
-//!   per-phase typed-response counters and per-kind latency histograms.
+//! * [`driver`] — the [`Driver`] executes a scenario against any
+//!   `ConcurrentIndex`, one thread per client, or in place against a
+//!   single-threaded `Index`, recording per-phase typed-response counters
+//!   and per-kind latency histograms.
 //! * `zipf` — the Zipfian request-key sampler used by the YCSB workloads.
-//! * [`split_indexed_ops_by_shard`] — per-shard splitting of op streams for
-//!   partitioned serving layers (the `gre-shard` crate's batched request
-//!   pipeline).
 
-mod batch;
 pub mod driver;
 pub mod generate;
 pub mod scenario;
 pub mod spec;
 mod zipf;
 
-pub use batch::split_indexed_ops_by_shard;
-pub use driver::{Driver, LatencySummary, PhaseResult, ServeTarget, Tally};
+pub use driver::{Driver, LatencySummary, PhaseResult, Tally};
 pub use generate::WorkloadBuilder;
 pub use scenario::Scenario;
 pub use spec::{Op, WriteRatio};

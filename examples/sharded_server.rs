@@ -8,29 +8,78 @@
 //!    `ShardPipeline` answering per-op `Response` values through a
 //!    non-blocking `SubmitHandle` polled to completion without ever calling
 //!    `wait()`, and cross-shard bounded range scans.
-//! 2. The scenario engine: a two-phase `Scenario` (read-mostly churn, then
-//!    a write burst, both over closed-loop clients) executed by the `Driver`
-//!    against a `PipelineTarget` with an in-flight window of 8 batches per
-//!    driver thread — with per-phase throughput and tail latency measured
-//!    to each op's batch completion.
+//! 2. Scripted traffic: a two-phase `Scenario` (read-mostly churn, then a
+//!    write burst, both over closed-loop clients) served through the same
+//!    pipeline, each client thread submitting its seeded op stream in
+//!    64-op batches through its own `Session` with up to 8 in flight —
+//!    with per-phase throughput and typed outcome counts.
 //!
 //! Run with `cargo run --release --example sharded_server`.
 
 use gre::learned::AlexPlus;
-use gre::shard::{OpBatch, Partitioner, PipelineTarget, ShardPipeline, ShardedIndex};
-use gre_core::ops::RequestKind;
+use gre::shard::{OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex};
 use gre_core::{ConcurrentIndex, RangeSpec, Response};
-use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
-use gre_workloads::{Driver, Op};
+use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
+use gre_workloads::{Op, Tally};
 use std::sync::Arc;
+use std::time::Instant;
 
 const SHARDS: usize = 8;
 const WORKERS: usize = 4;
+/// Ops per batch a client submits.
+const BATCH: usize = 64;
+/// Batches a client keeps in flight.
+const WINDOW: usize = 8;
 
 /// An empty store: one ALEX+ per shard behind a range partitioner, whose
 /// boundaries the bulk load fits to the loaded key CDF.
 fn alex_plus_store() -> ShardedIndex<u64, AlexPlus<u64>> {
     ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| AlexPlus::new())
+}
+
+/// Serve phase `pi` of `scenario` through `pipeline`: each client thread
+/// submits its share of the phase's ops, drawn from its seeded stream, in
+/// `BATCH`-op batches through its own session, then drains it. Returns the
+/// tally of every response and the phase's wall-clock seconds.
+fn serve_phase(
+    pipeline: &ShardPipeline<AlexPlus<u64>>,
+    scenario: &Scenario,
+    pi: usize,
+) -> (Tally, f64) {
+    let phase = &scenario.phases[pi];
+    let keys = Arc::new(scenario.loaded_keys());
+    let keys = &keys;
+    let clients = phase.threads;
+    let start = Instant::now();
+    let tally = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut stream = phase_stream(scenario, keys, pi, phase, c, clients);
+                    let mut session = Session::with_max_inflight(pipeline, WINDOW);
+                    let mut left = phase.ops / clients as u64;
+                    while left > 0 {
+                        let ops: Vec<Op> = (0..left.min(BATCH as u64))
+                            .map_while(|_| stream.next_op())
+                            .collect();
+                        left -= ops.len() as u64;
+                        session.submit(OpBatch::new(ops));
+                    }
+                    let mut tally = Tally::default();
+                    for responses in session.drain() {
+                        tally.merge(&Tally::of(&responses));
+                    }
+                    tally
+                })
+            })
+            .collect();
+        let mut tally = Tally::default();
+        for handle in handles {
+            tally.merge(&handle.join().expect("client thread panicked"));
+        }
+        tally
+    });
+    (tally, start.elapsed().as_secs_f64())
 }
 
 fn main() {
@@ -89,12 +138,12 @@ fn main() {
         window.first()
     );
     assert!(window.windows(2).all(|w| w[0].0 < w[1].0));
-    drop(window);
+    drop(pipeline);
 
-    // ---- Act 2: scripted traffic through the scenario engine ----------
-    // The same serving stack as a Driver target: each driver thread opens a
-    // pipelined Session (64-op batches, up to 8 in flight) and executes the
-    // scenario's phase script against it.
+    // ---- Act 2: scripted traffic through client sessions ---------------
+    // A fresh serving stack under a phase script: each client thread opens
+    // a pipelined Session (64-op batches, up to 8 in flight) and submits
+    // its seeded op stream through it.
     let keys: Vec<u64> = (0..500_000u64).map(|i| i * 4).collect();
     let scenario = Scenario::new("serve", 42, &keys)
         .phase(Phase::new(
@@ -111,32 +160,35 @@ fn main() {
             50_000,
             2,
         ));
-    let mut target = PipelineTarget::new(alex_plus_store(), WORKERS, 64, 8);
-    let result = Driver::new().run(&scenario, &mut target);
+    let mut store = alex_plus_store();
+    store.bulk_load(&scenario.bulk);
+    let pipeline = ShardPipeline::new(Arc::new(store), WORKERS);
 
-    println!("\nscenario '{}' on {}:", result.scenario, result.target);
+    println!("\nscenario 'serve' over {SHARDS} shards, {WORKERS} workers:");
     let mut new_keys = 0u64;
-    for phase in &result.phases {
-        let get = phase.kind_summary(RequestKind::Get);
+    for (pi, name) in ["read-mostly churn", "write burst"].into_iter().enumerate() {
+        let (tally, secs) = serve_phase(&pipeline, &scenario, pi);
         println!(
-            "  {:<22} {:>8} ops {:>7.2} Mop/s  get p50={:>8.1}us p99={:>8.1}us",
-            phase.phase,
-            phase.ops(),
-            phase.throughput_mops(),
-            get.p50_ns as f64 / 1e3,
-            get.p99_ns as f64 / 1e3,
+            "  {:<22} {:>8} ops {:>7.2} Mop/s  hits={} new keys={} errors={}",
+            name,
+            tally.ops,
+            tally.ops as f64 / secs / 1e6,
+            tally.hits,
+            tally.new_keys,
+            tally.errors,
         );
-        new_keys += phase.tally.new_keys;
+        assert_eq!(tally.errors, 0, "{name}: every op is served");
+        new_keys += tally.new_keys;
     }
 
     // No lost updates: every accepted insert landed exactly once.
     assert_eq!(
-        target.index().len() as u64,
+        pipeline.index().len() as u64,
         500_000 + new_keys,
         "inserted ops must all be visible"
     );
     println!(
         "inserted {new_keys} new keys; store now holds {}",
-        target.index().len()
+        pipeline.index().len()
     );
 }
