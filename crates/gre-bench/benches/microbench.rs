@@ -10,7 +10,7 @@
 //! [`time_fresh_inserts`]).
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
-use gre_bench::registry::{single_thread_indexes, CONCURRENT, SINGLE_THREAD};
+use gre_bench::{single_thread_indexes, CONCURRENT, SINGLE_THREAD};
 use gre_core::{ConcurrentIndex, Index, ModelIndex, RangeSpec};
 use gre_datasets::Dataset;
 use gre_learned::AlexPlus;

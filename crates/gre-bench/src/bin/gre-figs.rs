@@ -3,8 +3,8 @@
 //! figure name, like a mistyped flag, exits 2 and says what would have been
 //! accepted.
 
-use gre_bench::figures::FIGURES;
 use gre_bench::RunOpts;
+use gre_bench::FIGURES;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -7,15 +7,14 @@
 
 use crate::heatmap::{concurrent_heatmap, single_thread_heatmap, HeatmapMode};
 use crate::registry::{concurrent_indexes, single_thread_indexes};
-use crate::report::print_phase_latency;
 use crate::RunOpts;
-use gre_core::{ConcurrentIndex, Index};
+use gre_core::{ConcurrentIndex, Index, RequestKind};
 use gre_datasets::Dataset;
 use gre_learned::{Alex, AlexConfig, AlexPlus, FinedexConfig, Lipp, LippConfig, XIndexConfig};
 use gre_pla::{DataHardness, HardnessConfig, SynthCorner};
-use gre_workloads::driver::Driver;
-use gre_workloads::generate::YcsbVariant;
-use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
+use gre_workloads::Driver;
+use gre_workloads::YcsbVariant;
+use gre_workloads::{KeyDist, Mix, Phase, Scenario};
 use gre_workloads::{LatencySummary, PhaseResult, WorkloadBuilder, WriteRatio};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -27,6 +26,27 @@ const MB: f64 = 1024.0 * 1024.0;
 /// index and return its phase.
 fn in_place<I: Index<u64> + ?Sized>(scenario: &Scenario, index: &mut I) -> PhaseResult {
     Driver::new().run_in_place(scenario, index).phases.remove(0)
+}
+
+/// Print one line per request kind of `phase` that recorded samples —
+/// `kind  n  p50  p99  p999  max` (latencies in µs) — so read and write
+/// tails stay separable in verbose output.
+fn print_phase_latency(indent: &str, phase: &PhaseResult) {
+    for kind in RequestKind::ALL {
+        let s = phase.kind_summary(kind);
+        if s.samples == 0 {
+            continue;
+        }
+        println!(
+            "{indent}{:<7} n={:<9} p50={:>9.1}us p99={:>9.1}us p999={:>9.1}us max={:>9.1}us",
+            kind.label(),
+            s.samples,
+            s.p50_ns as f64 / 1e3,
+            s.p99_ns as f64 / 1e3,
+            s.p999_ns as f64 / 1e3,
+            s.max_ns as f64 / 1e3,
+        );
+    }
 }
 
 pub(super) fn table1_configs(_opts: &RunOpts) {
@@ -49,7 +69,7 @@ pub(super) fn table1_configs(_opts: &RunOpts) {
     );
     println!(
         "PGM-Index         error bound: {}",
-        gre_learned::pgm::DEFAULT_EPSILON
+        gre_learned::PGM_EPSILON
     );
     println!(
         "XIndex            error bound: {}  delta size: {}  group size: {}",
@@ -68,11 +88,14 @@ pub(super) fn table2_datasets(opts: &RunOpts) {
         "dataset", "description", "H(eps=32)", "H(eps=4096)", "1-line MSE"
     );
     for ds in Dataset::ALL_REAL {
-        let profile = ds.profile();
         let h = ds.hardness(opts.keys, opts.seed, HardnessConfig::default());
         println!(
             "{:<10} {:<45} {:>12} {:>12} {:>14.3e}",
-            profile.name, profile.description, h.local, h.global, h.single_line_mse
+            ds.name(),
+            ds.description(),
+            h.local,
+            h.global,
+            h.single_line_mse
         );
     }
     // Figure 1: CDFs of planet and genome (16-point summaries).

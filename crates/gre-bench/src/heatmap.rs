@@ -7,38 +7,37 @@
 
 use crate::registry::{concurrent_indexes, single_thread_indexes};
 use crate::runopts::RunOpts;
-use gre_core::json::JsonWriter;
 use gre_datasets::Dataset;
 use gre_pla::{DataHardness, HardnessConfig};
 use gre_workloads::{Driver, Scenario, WorkloadBuilder, WriteRatio};
 
 /// One heatmap cell.
 #[derive(Debug, Clone)]
-pub struct HeatmapCell {
-    pub dataset: String,
-    pub write_ratio: String,
-    pub hardness_local: usize,
-    pub hardness_global: usize,
-    pub best_learned: String,
-    pub best_learned_mops: f64,
-    pub best_traditional: String,
-    pub best_traditional_mops: f64,
+pub(crate) struct HeatmapCell {
+    dataset: String,
+    write_ratio: String,
+    hardness_local: usize,
+    hardness_global: usize,
+    best_learned: String,
+    best_learned_mops: f64,
+    best_traditional: String,
+    best_traditional_mops: f64,
     /// `best_traditional / best_learned` if the traditional index wins
     /// (positive), `-(best_learned / best_traditional)` otherwise (negative),
     /// matching the red/blue convention of the paper.
-    pub ratio: f64,
+    ratio: f64,
 }
 
 /// A full heatmap.
 #[derive(Debug, Clone, Default)]
-pub struct Heatmap {
-    pub title: String,
-    pub cells: Vec<HeatmapCell>,
+pub(crate) struct Heatmap {
+    title: String,
+    cells: Vec<HeatmapCell>,
 }
 
 impl Heatmap {
     /// Fraction of cells won by a learned index (Message 1: >80% single-core).
-    pub fn learned_win_fraction(&self) -> f64 {
+    pub(crate) fn learned_win_fraction(&self) -> f64 {
         if self.cells.is_empty() {
             return 0.0;
         }
@@ -46,7 +45,7 @@ impl Heatmap {
     }
 
     /// Render as an aligned text table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("# {}\n", self.title));
         out.push_str(&format!(
@@ -81,36 +80,11 @@ impl Heatmap {
         ));
         out
     }
-
-    /// Serialize to JSON for GRE-style plotting scripts; infinite ratios
-    /// (possible in degenerate cells) are written as `null`.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.object(|w| {
-            w.key("title").str(&self.title);
-            w.key("cells").array(|w| {
-                for c in &self.cells {
-                    w.object(|w| {
-                        w.key("dataset").str(&c.dataset);
-                        w.key("write_ratio").str(&c.write_ratio);
-                        w.key("hardness_local").u64(c.hardness_local as u64);
-                        w.key("hardness_global").u64(c.hardness_global as u64);
-                        w.key("best_learned").str(&c.best_learned);
-                        w.key("best_learned_mops").f64(c.best_learned_mops);
-                        w.key("best_traditional").str(&c.best_traditional);
-                        w.key("best_traditional_mops").f64(c.best_traditional_mops);
-                        w.key("ratio").f64(c.ratio);
-                    });
-                }
-            });
-        });
-        w.finish()
-    }
 }
 
 /// Which operation mix the heatmap varies (insert- or delete-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeatmapMode {
+pub(crate) enum HeatmapMode {
     Inserts,
     Deletes,
 }
@@ -120,7 +94,7 @@ pub enum HeatmapMode {
 type Contender = (&'static str, bool, f64);
 
 /// Compute a single-threaded heatmap over `datasets` × the five write ratios.
-pub fn single_thread_heatmap(
+pub(crate) fn single_thread_heatmap(
     title: &str,
     datasets: &[Dataset],
     opts: &RunOpts,
@@ -141,7 +115,7 @@ pub fn single_thread_heatmap(
 }
 
 /// Compute a multi-threaded heatmap with `opts.threads` worker threads.
-pub fn concurrent_heatmap(
+pub(crate) fn concurrent_heatmap(
     title: &str,
     datasets: &[Dataset],
     opts: &RunOpts,
@@ -253,30 +227,7 @@ mod tests {
         }
         let rendered = hm.render();
         assert!(rendered.contains("covid"));
-        assert!(!hm.to_json().is_empty());
         assert!((0.0..=1.0).contains(&hm.learned_win_fraction()));
-    }
-
-    #[test]
-    fn to_json_golden_bytes() {
-        let hm = Heatmap {
-            title: String::from("t \"1\""),
-            cells: vec![HeatmapCell {
-                dataset: String::from("osm"),
-                write_ratio: String::from("50%"),
-                hardness_local: 7,
-                hardness_global: 2,
-                best_learned: String::from("ALEX"),
-                best_learned_mops: 2.5,
-                best_traditional: String::from("-"),
-                best_traditional_mops: 0.0,
-                ratio: -f64::INFINITY,
-            }],
-        };
-        assert_eq!(
-            hm.to_json(),
-            r#"{"title": "t \"1\"", "cells": [{"dataset": "osm", "write_ratio": "50%", "hardness_local": 7, "hardness_global": 2, "best_learned": "ALEX", "best_learned_mops": 2.5, "best_traditional": "-", "best_traditional_mops": 0, "ratio": null}]}"#
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use gre_shard::{
     OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY,
 };
 use gre_telemetry::Telemetry;
-use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
+use gre_workloads::{phase_stream, KeyDist, Mix, Phase, Scenario};
 use std::sync::Arc;
 use std::time::Instant;
 

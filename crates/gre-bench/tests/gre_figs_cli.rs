@@ -1,7 +1,7 @@
 //! The `gre-figs` command line: which figure to run is its first argument,
 //! and nothing it cannot act on is accepted in silence.
 
-use gre_bench::figures::FIGURES;
+use gre_bench::FIGURES;
 use std::process::{Command, Output};
 
 fn gre_figs(args: &[&str]) -> Output {

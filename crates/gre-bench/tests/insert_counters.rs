@@ -2,7 +2,7 @@
 //! `index.alex.*` rows, pinned through the `Box<dyn Index>` entries of
 //! `single_thread_indexes()` that the figures read.
 
-use gre_bench::registry::single_thread_indexes;
+use gre_bench::single_thread_indexes;
 use gre_core::{Index, OpCounters};
 use gre_datasets::Dataset;
 

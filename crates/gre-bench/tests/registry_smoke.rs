@@ -5,7 +5,7 @@
 //! registries and every concurrent backend behind range- and hash-sharded
 //! `ShardedIndex` composites.
 
-use gre_bench::registry::{concurrent_indexes, single_thread_indexes, CONCURRENT};
+use gre_bench::{concurrent_indexes, single_thread_indexes, CONCURRENT};
 use gre_core::ConcurrentIndex;
 use gre_shard::{Partitioner, ShardedIndex};
 

@@ -5,7 +5,7 @@
 //! tools outside this workspace.
 //!
 //! ```
-//! use gre_core::json::JsonWriter;
+//! use gre_core::JsonWriter;
 //!
 //! let mut w = JsonWriter::new();
 //! w.object(|w| {
@@ -23,7 +23,8 @@
 
 use std::fmt::Write as _;
 
-/// Streaming JSON writer; see the [module docs](self).
+/// Streaming JSON writer, well-formed by construction (the module docs
+/// show it in use).
 #[derive(Default)]
 pub struct JsonWriter {
     out: String,

@@ -240,11 +240,6 @@ impl KindLatency {
         &self.hists[kind.index()]
     }
 
-    /// Total recorded values across all kinds.
-    pub fn total_count(&self) -> u64 {
-        self.hists.iter().map(LatencyHistogram::count).sum()
-    }
-
     /// Kind-wise accumulation of another recorder.
     pub fn merge(&mut self, other: &KindLatency) {
         for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
@@ -390,7 +385,6 @@ mod tests {
         assert_eq!(kl.get(RequestKind::Get).count(), 2);
         assert_eq!(kl.get(RequestKind::Insert).count(), 1);
         assert_eq!(kl.get(RequestKind::Remove).count(), 0);
-        assert_eq!(kl.total_count(), 3);
 
         let reads = kl.merged(&[RequestKind::Get, RequestKind::Range]);
         assert_eq!(reads.count(), 2);

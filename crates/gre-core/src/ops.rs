@@ -235,6 +235,69 @@ impl<K> Response<K> {
     }
 }
 
+/// What a run of [`Response`]s came to: the one definition of an op's
+/// outcome, shared by the scenario driver's client-side counts and the
+/// shard workers' telemetry counters, so the two reconcile exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Completed operations.
+    pub ops: u64,
+    /// Lookups that found their key.
+    pub hits: u64,
+    /// Inserts that created a new key.
+    pub new_keys: u64,
+    /// Updates that found their key.
+    pub updated: u64,
+    /// Removes that found their key.
+    pub removed: u64,
+    /// Range scans answered.
+    pub scans: u64,
+    /// Keys returned by range scans.
+    pub scanned_keys: u64,
+    /// Operations answered [`Response::Error`].
+    pub errors: u64,
+}
+
+impl Tally {
+    /// Record one typed response.
+    #[inline]
+    pub fn record<K>(&mut self, response: &Response<K>) {
+        self.ops += 1;
+        match response {
+            Response::Get(found) => self.hits += u64::from(found.is_some()),
+            Response::Insert(new) => self.new_keys += u64::from(*new),
+            Response::Update(hit) => self.updated += u64::from(*hit),
+            Response::Remove(removed) => self.removed += u64::from(removed.is_some()),
+            Response::Range(entries) => {
+                self.scans += 1;
+                self.scanned_keys += entries.len() as u64;
+            }
+            Response::Error(_) => self.errors += 1,
+        }
+    }
+
+    /// The counters of a slice of responses, e.g. one executed batch.
+    pub fn of<K>(responses: &[Response<K>]) -> Tally {
+        let mut tally = Tally::default();
+        for response in responses {
+            tally.record(response);
+        }
+        tally
+    }
+
+    /// Element-wise accumulation.
+    pub fn merge(&mut self, other: &Tally) {
+        self.ops += other.ops;
+        self.hits += other.hits;
+        self.new_keys += other.new_keys;
+        self.updated += other.updated;
+        self.removed += other.removed;
+        self.scans += other.scans;
+        self.scanned_keys += other.scanned_keys;
+        self.errors += other.errors;
+    }
+}
+
 /// Errors surfaced per operation through [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexError {

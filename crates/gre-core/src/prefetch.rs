@@ -6,7 +6,7 @@
 //! latency instead of one per probe.
 
 /// Bytes per cache line assumed by [`prefetch_slice`].
-pub const CACHE_LINE: usize = 64;
+const CACHE_LINE: usize = 64;
 
 /// Best-effort read prefetch of the cache line holding `*ptr`. No-op on
 /// architectures without an exposed prefetch intrinsic.

@@ -23,15 +23,9 @@ pub struct InsertBreakdown {
 }
 
 impl InsertBreakdown {
-    /// Total time excluding the pre-insertion lookup ("remaining steps" in
-    /// Figure 3 bottom).
-    pub fn remaining_ns(&self) -> u64 {
-        self.insert_ns + self.smo_ns + self.shift_ns + self.chain_ns
-    }
-
     /// Total insert latency.
     pub fn total_ns(&self) -> u64 {
-        self.lookup_ns + self.remaining_ns()
+        self.lookup_ns + self.insert_ns + self.smo_ns + self.shift_ns + self.chain_ns
     }
 
     /// Element-wise mean over `n` accumulated operations.
@@ -127,7 +121,6 @@ mod tests {
             shift_ns: 90,
             chain_ns: 0,
         };
-        assert_eq!(total.remaining_ns(), 150);
         assert_eq!(total.total_ns(), 350);
         let mean = total.mean(2);
         assert_eq!(mean, one);

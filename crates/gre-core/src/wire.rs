@@ -33,7 +33,7 @@ const MIN_REQUEST_LEN: usize = 9;
 
 /// Append the wire encoding of `op` to `out`. Returns the number of bytes
 /// written.
-pub fn encode_request(op: &Request<u64>, out: &mut Vec<u8>) -> usize {
+fn encode_request(op: &Request<u64>, out: &mut Vec<u8>) -> usize {
     let before = out.len();
     match *op {
         Request::Get(k) => {
@@ -79,7 +79,7 @@ fn read_u64(buf: &[u8], at: usize) -> Option<u64> {
 /// Decode one operation from the front of `buf`. Returns the request and
 /// the number of bytes consumed, or `None` if the buffer is truncated or
 /// starts with an unknown tag (the caller treats either as corruption).
-pub fn decode_request(buf: &[u8]) -> Option<(Request<u64>, usize)> {
+fn decode_request(buf: &[u8]) -> Option<(Request<u64>, usize)> {
     let tag = *buf.first()?;
     match tag {
         TAG_GET => Some((Request::Get(read_u64(buf, 1)?), 9)),

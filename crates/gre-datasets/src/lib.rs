@@ -20,7 +20,7 @@
 //! assert!(keys.windows(2).all(|w| w[0] < w[1]));
 //! ```
 
-pub mod registry;
-pub mod shapes;
+mod registry;
+mod shapes;
 
-pub use registry::{Dataset, DatasetProfile};
+pub use registry::Dataset;

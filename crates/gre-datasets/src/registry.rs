@@ -1,7 +1,7 @@
 //! Dataset registry mirroring Table 2 of the paper.
 
 use crate::shapes;
-use gre_pla::{synth, DataHardness, HardnessConfig, SynthCorner};
+use gre_pla::{generate_corner, DataHardness, HardnessConfig, SynthCorner};
 
 /// The datasets of Table 2 plus the synthetic corner datasets of §7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,15 +30,6 @@ pub enum Dataset {
     Planet,
     /// Synthetic dataset positioned at a hardness-plane corner (§7).
     Synthetic(SynthCorner),
-}
-
-/// Static description of a dataset, used when printing Table 2.
-#[derive(Debug, Clone)]
-pub struct DatasetProfile {
-    pub name: String,
-    pub description: String,
-    pub source: String,
-    pub has_duplicates: bool,
 }
 
 impl Dataset {
@@ -100,37 +91,27 @@ impl Dataset {
         }
     }
 
-    /// Table 2 row for this dataset.
-    pub fn profile(&self) -> DatasetProfile {
-        let (description, source) = match self {
-            Dataset::Books => ("Amazon book sales popularity", "SOSD [23]"),
-            Dataset::Fb => ("Upsampled Facebook user ID", "SOSD [23]"),
-            Dataset::Osm => ("Uniformly sampled OpenStreetMap locations", "SOSD [23]"),
-            Dataset::Wiki => ("Wikipedia article edit timestamps", "SOSD [23]"),
-            Dataset::Covid => ("Uniformly sampled Tweet ID with tag COVID-19", "[34]"),
-            Dataset::Genome => ("Loci pairs in human chromosomes", "[49]"),
-            Dataset::Stack => ("Vote ID from Stackoverflow", "[53]"),
-            Dataset::Wise => ("Partition key from the WISE data", "[60]"),
-            Dataset::Libio => ("Repository ID from libraries.io", "[33]"),
-            Dataset::History => ("History node ID in OpenStreetMap", "[8]"),
-            Dataset::Planet => ("Planet ID in OpenStreetMap", "[8]"),
-            Dataset::Synthetic(_) => ("Synthetic hardness-driven dataset (§7)", "generator"),
-        };
-        DatasetProfile {
-            name: self.name(),
-            description: description.into(),
-            source: source.into(),
-            has_duplicates: self.has_duplicates(),
+    /// Table 2's description of this dataset.
+    pub fn description(&self) -> &'static str {
+        match self {
+            Dataset::Books => "Amazon book sales popularity",
+            Dataset::Fb => "Upsampled Facebook user ID",
+            Dataset::Osm => "Uniformly sampled OpenStreetMap locations",
+            Dataset::Wiki => "Wikipedia article edit timestamps",
+            Dataset::Covid => "Uniformly sampled Tweet ID with tag COVID-19",
+            Dataset::Genome => "Loci pairs in human chromosomes",
+            Dataset::Stack => "Vote ID from Stackoverflow",
+            Dataset::Wise => "Partition key from the WISE data",
+            Dataset::Libio => "Repository ID from libraries.io",
+            Dataset::History => "History node ID in OpenStreetMap",
+            Dataset::Planet => "Planet ID in OpenStreetMap",
+            Dataset::Synthetic(_) => "Synthetic hardness-driven dataset (§7)",
         }
     }
 
-    /// Whether the dataset contains duplicate keys (only wiki does).
-    pub fn has_duplicates(&self) -> bool {
-        matches!(self, Dataset::Wiki)
-    }
-
     /// Generate `n` keys of this dataset (sorted ascending; strictly
-    /// ascending unless [`Self::has_duplicates`]). Deterministic per seed.
+    /// ascending except for wiki, the one dataset with duplicate keys).
+    /// Deterministic per seed.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<u64> {
         if n == 0 {
             return Vec::new();
@@ -154,7 +135,7 @@ impl Dataset {
             Dataset::Fb => shapes::with_outliers(n, 16.min(n / 10).max(1), seed ^ 0xFB),
             // Timestamps with duplicates.
             Dataset::Wiki => shapes::timestamps_with_duplicates(n, 0.25, seed ^ 0x3137),
-            Dataset::Synthetic(corner) => synth::generate_corner(*corner, n, seed),
+            Dataset::Synthetic(corner) => generate_corner(*corner, n, seed),
         }
     }
 
@@ -182,7 +163,7 @@ mod tests {
                 "{} not sorted",
                 ds.name()
             );
-            if !ds.has_duplicates() {
+            if ds != Dataset::Wiki {
                 assert!(
                     keys.windows(2).all(|w| w[0] < w[1]),
                     "{} has unexpected duplicates",
@@ -201,9 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn wiki_has_duplicates_and_others_do_not() {
-        assert!(Dataset::Wiki.has_duplicates());
-        assert!(!Dataset::Osm.has_duplicates());
+    fn wiki_has_duplicates() {
         let wiki = Dataset::Wiki.generate(5_000, 1);
         assert!(wiki.windows(2).any(|w| w[0] == w[1]));
     }
@@ -249,9 +228,7 @@ mod tests {
     fn profiles_and_names_are_consistent() {
         assert_eq!(Dataset::Osm.name(), "osm");
         assert_eq!(Dataset::Synthetic(SynthCorner::Easy).name(), "syn_easy");
-        let p = Dataset::Genome.profile();
-        assert!(p.description.contains("chromosomes"));
-        assert!(!p.has_duplicates);
+        assert!(Dataset::Genome.description().contains("chromosomes"));
         assert_eq!(Dataset::HEATMAP_DATASETS.len(), 10);
         assert_eq!(Dataset::DRILLDOWN_DATASETS.len(), 4);
     }

@@ -11,7 +11,7 @@ use rand_distr::{Distribution, LogNormal, Normal};
 /// Finalize a raw key sample into a strictly ascending array of exactly `n`
 /// keys: sort, deduplicate, and densify (fill gaps deterministically) if the
 /// deduplication removed too many keys.
-pub fn finalize(mut keys: Vec<u64>, n: usize) -> Vec<u64> {
+pub(crate) fn finalize(mut keys: Vec<u64>, n: usize) -> Vec<u64> {
     keys.sort_unstable();
     keys.dedup();
     // Refill: spread replacement keys between existing ones.
@@ -42,14 +42,14 @@ pub fn finalize(mut keys: Vec<u64>, n: usize) -> Vec<u64> {
 
 /// Keys uniformly distributed over a domain (covid / stack / wise-like:
 /// the easy region of the hardness plane).
-pub fn uniform(n: usize, domain: u64, seed: u64) -> Vec<u64> {
+pub(crate) fn uniform(n: usize, domain: u64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let raw: Vec<u64> = (0..n * 11 / 10).map(|_| rng.gen_range(1..domain)).collect();
     finalize(raw, n)
 }
 
 /// Keys following a log-normal CDF (books-like sales popularity).
-pub fn lognormal(n: usize, mu: f64, sigma: f64, scale: f64, seed: u64) -> Vec<u64> {
+pub(crate) fn lognormal(n: usize, mu: f64, sigma: f64, scale: f64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = LogNormal::new(mu, sigma).expect("valid lognormal parameters");
     let raw: Vec<u64> = (0..n * 11 / 10)
@@ -61,7 +61,7 @@ pub fn lognormal(n: usize, mu: f64, sigma: f64, scale: f64, seed: u64) -> Vec<u6
 /// A mixture of Gaussian clusters at different scales (osm-like: the
 /// one-dimensional projection of spatial data produces many clusters of very
 /// different densities, which is both globally and locally hard).
-pub fn clustered(n: usize, clusters: usize, domain: u64, seed: u64) -> Vec<u64> {
+pub(crate) fn clustered(n: usize, clusters: usize, domain: u64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let clusters = clusters.max(1);
     let mut raw = Vec::with_capacity(n * 11 / 10);
@@ -83,7 +83,7 @@ pub fn clustered(n: usize, clusters: usize, domain: u64, seed: u64) -> Vec<u64> 
 
 /// A dense region followed by a sparse region (planet-like sharp CDF
 /// deflection, Figure 1a: dense keys below the knee, sparse keys above).
-pub fn deflected(n: usize, knee_fraction: f64, density_ratio: u64, seed: u64) -> Vec<u64> {
+pub(crate) fn deflected(n: usize, knee_fraction: f64, density_ratio: u64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let dense_n = ((n as f64) * knee_fraction) as usize;
     let sparse_n = n - dense_n;
@@ -103,7 +103,7 @@ pub fn deflected(n: usize, knee_fraction: f64, density_ratio: u64, seed: u64) ->
 /// Locally bumpy keys (genome-like): loci pairs form short dense runs with
 /// irregular run lengths and irregular jumps between runs, which defeats
 /// per-node models at small ε while the overall CDF still looks smooth.
-pub fn bumpy_runs(n: usize, mean_run: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn bumpy_runs(n: usize, mean_run: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut raw = Vec::with_capacity(n * 11 / 10);
     let mut cursor: u64 = 1;
@@ -121,7 +121,7 @@ pub fn bumpy_runs(n: usize, mean_run: usize, seed: u64) -> Vec<u64> {
 /// Mostly-uniform keys with a handful of extreme outliers appended at the top
 /// of the domain (fb-like up-sampled IDs: a few keys near 2^64 blow up the
 /// MSE metric while PLA hardness only rises slightly — Appendix D).
-pub fn with_outliers(n: usize, outliers: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn with_outliers(n: usize, outliers: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let outliers = outliers.min(n.saturating_sub(1));
     let body_n = n - outliers;
@@ -149,7 +149,7 @@ pub fn with_outliers(n: usize, outliers: usize, seed: u64) -> Vec<u64> {
 /// Timestamps with duplicates (wiki-like edit timestamps). Returns a sorted
 /// array of exactly `n` keys where roughly `dup_fraction` of positions repeat
 /// the previous key. This is the only dataset shape with duplicate keys.
-pub fn timestamps_with_duplicates(n: usize, dup_fraction: f64, seed: u64) -> Vec<u64> {
+pub(crate) fn timestamps_with_duplicates(n: usize, dup_fraction: f64, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut keys = Vec::with_capacity(n);
     let mut t: u64 = 1_000_000_000;
@@ -166,7 +166,7 @@ pub fn timestamps_with_duplicates(n: usize, dup_fraction: f64, seed: u64) -> Vec
 
 /// Near-contiguous identifiers with occasional gaps (libio / history /
 /// stack-like auto-increment IDs with deletions).
-pub fn auto_increment_with_gaps(
+pub(crate) fn auto_increment_with_gaps(
     n: usize,
     gap_probability: f64,
     max_gap: u64,

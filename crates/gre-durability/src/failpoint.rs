@@ -124,7 +124,7 @@ impl FailpointRegistry {
 }
 
 /// A [`WalSink`] wrapper that executes the registry's scripts.
-pub struct InjectingSink<S: WalSink> {
+pub(crate) struct InjectingSink<S: WalSink> {
     inner: S,
     registry: Arc<FailpointRegistry>,
     /// Point-name prefix, e.g. `"wal/3"`; operations evaluate
@@ -141,7 +141,11 @@ fn injected_error(what: &str) -> io::Error {
 }
 
 impl<S: WalSink> InjectingSink<S> {
-    pub fn new(inner: S, registry: Arc<FailpointRegistry>, prefix: impl Into<String>) -> Self {
+    pub(crate) fn new(
+        inner: S,
+        registry: Arc<FailpointRegistry>,
+        prefix: impl Into<String>,
+    ) -> Self {
         let prefix = prefix.into();
         let position = inner.position();
         InjectingSink {
@@ -152,11 +156,6 @@ impl<S: WalSink> InjectingSink<S> {
             position,
             crashed: false,
         }
-    }
-
-    /// Whether a scripted crash has stopped this sink for good.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     fn apply(&mut self, action: FailAction, what: &str) -> io::Error {
@@ -263,7 +262,7 @@ mod tests {
         sink.sync().unwrap(); // hit 1: survives
         sink.append(b"second").unwrap();
         assert!(sink.sync().is_err()); // hit 2: crash
-        assert!(sink.is_crashed());
+        assert!(sink.crashed);
         assert!(registry.fired("wal/0/sync"));
         assert_eq!(store.lock().unwrap().as_slice(), b"first");
         // Everything after a crash fails.
@@ -283,7 +282,7 @@ mod tests {
         sink.append(b"abcdef").unwrap();
         assert!(sink.sync().is_err());
         assert_eq!(store.lock().unwrap().as_slice(), b"abc", "torn prefix");
-        assert!(sink.is_crashed());
+        assert!(sink.crashed);
     }
 
     #[test]
@@ -291,7 +290,7 @@ mod tests {
         let (mut sink, registry, store) = injecting();
         registry.script("wal/0/append", Trigger::OnHit(1), FailAction::Error);
         assert!(sink.append(b"abc").is_err());
-        assert!(!sink.is_crashed());
+        assert!(!sink.crashed);
         // The failed append handed nothing over; later traffic works.
         sink.append(b"xyz").unwrap();
         sink.sync().unwrap();

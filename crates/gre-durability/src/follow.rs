@@ -1,12 +1,11 @@
-//! Tailing the WAL as a live shipping stream: [`LogFollower`] re-uses the
-//! record replay machinery ([`crate::record::decode_record`]) to turn each
+//! Tailing the WAL as a live shipping stream: [`LogFollower`] turns each
 //! shard's log file into an incremental iterator of committed groups, while
-//! a [`crate::wal::DurableLog`] keeps appending to it.
+//! a [`DurableLog`](crate::DurableLog) keeps appending to it.
 //!
 //! The layer-tax ledger times this stream as its log-shipping rows
 //! (`ship.poll_ns_per_op`, `ship.apply_ns_per_op`): a follower reads exactly
-//! the bytes recovery would replay — one code path, one format, one
-//! torn-tail discipline.
+//! the records recovery would replay — one record walk, one sequence rule
+//! (see [`Recovery`](crate::Recovery)), one torn-tail discipline.
 //!
 //! ## Safety of concurrent tailing
 //!
@@ -15,13 +14,13 @@
 //! quiesced shard and must not run under a live follower — see
 //! [`LogFollower::poll`]). The bytes a reader observes are therefore always
 //! a prefix of a valid record sequence: the only mid-flight artifact is a
-//! torn tail, exactly the crash signature [`decode_record`] already
-//! classifies. [`LogFollower::poll`] stops at the first
-//! [`RecordError::TornTail`] and re-reads from the same offset next time;
-//! any *other* decode error is a real corruption and surfaces as an
-//! [`io::Error`].
+//! torn tail, exactly the crash signature recovery already classifies.
+//! [`LogFollower::poll`] stops at a torn tail and re-reads from the same
+//! offset next time; a corrupt record, a sequence break or a gap after the
+//! snapshot is a real fault and surfaces as an [`io::Error`].
 
-use crate::record::{decode_record, Record, RecordError};
+use crate::record::Record;
+use crate::recover::{walk_records, SeqRule, StopReason};
 use crate::snapshot::{read_snapshot, snapshot_path};
 use crate::wal::{read_manifest, wal_path};
 use std::io::{self, Read, Seek, SeekFrom};
@@ -32,15 +31,13 @@ use std::path::{Path, PathBuf};
 struct Cursor {
     /// Byte offset of the first record not yet consumed.
     offset: u64,
-    /// The sequence number [`LogFollower::poll`] will yield next. Records
-    /// below this are skipped (the shard's snapshot already covers them); a
-    /// record *above* it is a sequence break and surfaces as an error.
-    next_seq: u64,
+    /// Where the shard's walk stands in the sequence rule.
+    rule: SeqRule,
 }
 
-/// An incremental reader of a [`crate::wal::DurableLog`] directory: one
-/// cursor per shard, each [`poll`](LogFollower::poll) returning the framed
-/// groups committed since the last call.
+/// An incremental reader of a [`DurableLog`](crate::DurableLog) directory:
+/// one cursor per shard, each [`poll`](LogFollower::poll) returning the
+/// framed groups committed since the last call.
 #[derive(Debug)]
 pub struct LogFollower {
     dir: PathBuf,
@@ -50,38 +47,21 @@ pub struct LogFollower {
 
 impl LogFollower {
     /// Follow the log under `dir` from the beginning of every shard's file,
-    /// yielding the records its snapshot does not cover: the first carries
-    /// the snapshot's `last_seq + 1`, or 1 when the shard has no snapshot
-    /// (a freshly created log). Shard count comes from the WAL manifest.
+    /// yielding the records its snapshot does not cover. Shard count comes
+    /// from the WAL manifest.
     pub fn from_start(dir: &Path) -> io::Result<LogFollower> {
         let shards = read_manifest(dir)?;
-        let mut cursors = Vec::new();
-        for s in 0..shards {
-            cursors.push(Cursor {
+        let cursors = (0..shards)
+            .map(|s| Cursor {
                 offset: 0,
-                next_seq: read_snapshot(&snapshot_path(dir, s)).map_or(1, |snap| snap.last_seq + 1),
-            });
-        }
+                rule: SeqRule::after(read_snapshot(&snapshot_path(dir, s)).as_ref()),
+            })
+            .collect();
         Ok(LogFollower {
             dir: dir.to_path_buf(),
             cursors,
             buf: Vec::new(),
         })
-    }
-
-    /// Number of shard logs being followed.
-    pub fn shards(&self) -> usize {
-        self.cursors.len()
-    }
-
-    /// The sequence number the next yielded record on `shard` will carry.
-    pub fn next_seq(&self, shard: usize) -> u64 {
-        self.cursors[shard].next_seq
-    }
-
-    /// Byte offset of `shard`'s cursor (bytes fully consumed so far).
-    pub fn offset(&self, shard: usize) -> u64 {
-        self.cursors[shard].offset
     }
 
     /// Read every complete record appended to `shard`'s log since the last
@@ -91,8 +71,8 @@ impl LogFollower {
     ///
     /// Errors: a shrunken file (a checkpoint truncated the log under the
     /// follower — unsupported while shipping), a non-torn decode failure
-    /// (corruption), or a sequence break (a gap the snapshot cannot
-    /// explain).
+    /// (corruption), a sequence break, or a first record that leaves a gap
+    /// after the snapshot.
     pub fn poll(&mut self, shard: usize) -> io::Result<Vec<Record>> {
         let path = wal_path(&self.dir, shard);
         let mut file = std::fs::File::open(&path)?;
@@ -116,52 +96,31 @@ impl LogFollower {
         file.take(len - cur.offset).read_to_end(&mut self.buf)?;
 
         let mut out = Vec::new();
-        let mut at = 0usize;
-        while at < self.buf.len() {
-            match decode_record(&self.buf, at) {
-                Ok(rec) => {
-                    at += rec.frame_len;
-                    cur.offset += rec.frame_len as u64;
-                    if rec.seq < cur.next_seq {
-                        // Covered by the snapshot: a crash between the
-                        // checkpoint's rename and its truncate leaves both.
-                        continue;
-                    }
-                    if rec.seq > cur.next_seq {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "sequence break on shard {shard}: \
-                                 expected {}, found {}",
-                                cur.next_seq, rec.seq
-                            ),
-                        ));
-                    }
-                    cur.next_seq = rec.seq + 1;
-                    out.push(rec);
-                }
-                // A torn tail is an append still in flight: stop here and
-                // re-read from the same offset next poll.
-                Err(RecordError::TornTail { .. }) => break,
-                Err(e) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "corrupt record on shard {shard} at offset {}: {e:?}",
-                            cur.offset
-                        ),
-                    ));
-                }
-            }
+        let (walked, stop) = walk_records(&self.buf, &mut cur.rule, shard, |rec| out.push(rec))?;
+        cur.offset += walked as u64;
+        match stop {
+            // A torn tail is an append still in flight: stop here and
+            // re-read from the same offset next poll.
+            StopReason::CleanEnd | StopReason::TornTail { .. } => Ok(out),
+            StopReason::Corrupt(e) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "corrupt record on shard {shard} at offset {}: {e:?}",
+                    cur.offset
+                ),
+            )),
+            StopReason::SeqBreak { expected, found } => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("sequence break on shard {shard}: expected {expected}, found {found}"),
+            )),
         }
-        Ok(out)
     }
 
     /// Poll every shard once, returning `(shard, record)` pairs in shard
     /// order. Convenience for single-threaded shippers.
     pub fn poll_all(&mut self) -> io::Result<Vec<(usize, Record)>> {
         let mut out = Vec::new();
-        for shard in 0..self.shards() {
+        for shard in 0..self.cursors.len() {
             for rec in self.poll(shard)? {
                 out.push((shard, rec));
             }
@@ -188,7 +147,7 @@ mod tests {
         let dir = TempDir::new("follow-tail");
         let log = DurableLog::create(dir.path(), 2, SyncPolicy::EveryGroup).unwrap();
         let mut follower = LogFollower::from_start(dir.path()).unwrap();
-        assert_eq!(follower.shards(), 2);
+        assert_eq!(follower.cursors.len(), 2);
         assert!(follower.poll(0).unwrap().is_empty());
 
         log.log_group(0, &inserts(10, 3)).unwrap();
@@ -211,7 +170,6 @@ mod tests {
         let got = follower.poll(0).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 3);
-        assert_eq!(follower.next_seq(0), 4);
     }
 
     #[test]
@@ -234,7 +192,7 @@ mod tests {
         let got = follower.poll(0).unwrap();
         assert_eq!(got.len(), 1, "complete record yielded");
         assert_eq!(
-            follower.offset(0),
+            follower.cursors[0].offset,
             full.len() as u64,
             "cursor stops at the tear"
         );
@@ -276,7 +234,7 @@ mod tests {
         let mut follower = LogFollower::from_start(dir.path()).unwrap();
         assert_eq!(seqs(&mut follower), [3]);
         assert_eq!(
-            follower.offset(0),
+            follower.cursors[0].offset,
             std::fs::metadata(wal_path(dir.path(), 0)).unwrap().len()
         );
     }

@@ -4,25 +4,24 @@
 //! logs with group commit, CRC-framed records, periodic snapshots,
 //! deterministic fault injection, and crash recovery.
 //!
-//! * [`record`] — the on-disk record frame: length-prefixed,
-//!   CRC-32C-checksummed groups of wire-encoded operations.
-//! * [`storage`] — the [`storage::WalSink`] byte-sink abstraction
-//!   (append / sync-barrier / truncate) with the production
-//!   [`storage::FileSink`] and an in-memory test sink.
-//! * [`failpoint`] — scripted failure injection: a
-//!   [`failpoint::FailpointRegistry`] of named triggers and an
-//!   [`failpoint::InjectingSink`] that turns them into deterministic
-//!   errors, short writes, and crashes.
-//! * [`wal`] — [`wal::DurableLog`]: one log per shard, one record per
+//! * [`Record`] — the on-disk record frame: length-prefixed,
+//!   CRC-32C-checksummed groups of wire-encoded operations
+//!   ([`decode_record`]).
+//! * A byte-sink abstraction (append / sync-barrier / truncate) under the
+//!   log, with the production file sink and an in-memory test sink.
+//! * Scripted failure injection: a [`FailpointRegistry`] of named
+//!   [`Trigger`]s whose [`FailAction`]s a sink wrapper turns into
+//!   deterministic errors, short writes, and crashes.
+//! * [`DurableLog`]: one log per shard, one record per
 //!   group (whatever the pipeline had queued for the shard), log-then-execute
 //!   fail-stop semantics, checkpoints.
-//! * [`snapshot`] — CRC-trailed, atomically renamed per-shard snapshots.
-//! * [`recover`] — [`recover::Recovery`]: scan, classify how each shard's
-//!   history ends (clean / torn / corrupt / sequence break), replay into
-//!   any [`gre_core::ConcurrentIndex`] backend, and resume logging.
-//! * [`follow`] — [`follow::LogFollower`]: tail a live log as a shipping
-//!   stream, starting after each shard's snapshot and re-using the same
-//!   record decode and torn-tail discipline as recovery.
+//! * CRC-trailed, atomically renamed per-shard snapshots.
+//! * [`Recovery`]: scan, classify how each shard's history ends (clean /
+//!   torn / corrupt / sequence break; a gap after the snapshot is an
+//!   error), replay into any [`gre_core::ConcurrentIndex`] backend, and
+//!   resume logging without rewriting the manifest.
+//! * [`LogFollower`]: tail a live log as a shipping stream, through the
+//!   same record walk, sequence rule and torn-tail discipline as recovery.
 //!
 //! The serving pipeline (`gre-shard`) consumes this crate the same way it
 //! consumes telemetry: an optional `Arc<DurableLog>` attached at
@@ -30,19 +29,18 @@
 //! record format, the group-commit protocol, and the crash matrix the tests
 //! cover.
 
-pub mod failpoint;
-pub mod follow;
-pub mod record;
-pub mod recover;
-pub mod snapshot;
-pub mod storage;
-pub mod util;
-pub mod wal;
+mod failpoint;
+mod follow;
+mod record;
+mod recover;
+mod snapshot;
+mod storage;
+mod util;
+mod wal;
 
-pub use failpoint::{FailAction, FailpointRegistry, InjectingSink, Trigger};
+pub use failpoint::{FailAction, FailpointRegistry, Trigger};
 pub use follow::LogFollower;
-pub use record::{decode_record, encode_record, Record, RecordError, MAX_RECORD_LEN};
-pub use recover::{Recovery, ShardRecovery, StopReason};
-pub use snapshot::{read_snapshot, snapshot_path, write_snapshot, Snapshot};
-pub use storage::{FileSink, MemSink, WalSink};
-pub use wal::{DurableLog, GroupReceipt, SyncPolicy, WalError, WalStats, MANIFEST};
+pub use record::{decode_record, Record, RecordError};
+pub use recover::{Recovery, StopReason};
+pub use util::TempDir;
+pub use wal::{DurableLog, GroupReceipt, SyncPolicy, WalError, MANIFEST};

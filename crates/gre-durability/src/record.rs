@@ -22,19 +22,19 @@
 //! (checksum or payload decode failure — bit rot or a bug). It never panics
 //! and never reads past the buffer.
 
-use gre_core::wire::{decode_requests, encode_requests};
 use gre_core::Request;
+use gre_core::{decode_requests, encode_requests};
 
 /// Bytes before the checksummed region: the `len` and `crc` fields.
-pub const FRAME_HEADER: usize = 8;
+const FRAME_HEADER: usize = 8;
 /// Checksummed bytes before the op payload: `seq` and `count`.
-pub const RECORD_HEADER: usize = 12;
+const RECORD_HEADER: usize = 12;
 /// Sanity cap on a single record's body, so a corrupt length prefix cannot
 /// ask recovery to buffer gigabytes. One group is one pipeline sub-batch;
 /// 16 MiB is orders of magnitude above any real group.
-pub const MAX_RECORD_LEN: u32 = 16 << 20;
+pub(crate) const MAX_RECORD_LEN: u32 = 16 << 20;
 /// Encode one group of operations as a framed record appended to `out`.
-pub fn encode_record(seq: u64, ops: &[Request<u64>], out: &mut Vec<u8>) -> usize {
+pub(crate) fn encode_record(seq: u64, ops: &[Request<u64>], out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER]); // len + crc backpatched below
     out.extend_from_slice(&seq.to_le_bytes());
@@ -66,7 +66,7 @@ pub enum RecordError {
         /// Bytes remaining at the failed offset.
         remaining: usize,
     },
-    /// The length prefix exceeds [`MAX_RECORD_LEN`] — a corrupt prefix, not
+    /// The length prefix exceeds the 16 MiB record cap — a corrupt prefix, not
     /// a plausible record.
     BadLength { claimed: u32 },
     /// The CRC-32C over the record body does not match the stored checksum.
@@ -110,7 +110,7 @@ pub fn decode_record(buf: &[u8], at: usize) -> Result<Record, RecordError> {
 /// CRC-32C (Castagnoli), bitwise-reflected, software table implementation.
 /// The polynomial choice matches what production log formats use (ext4,
 /// iSCSI, RocksDB WALs); the table is built at first use.
-pub fn crc32c(data: &[u8]) -> u32 {
+pub(crate) fn crc32c(data: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
         const POLY: u32 = 0x82F6_3B78; // reflected 0x1EDC6F41

@@ -13,12 +13,25 @@
 //!   of the previous one (e.g. a duplicate tail record left by a torn
 //!   rewrite); the scan stops before it.
 //!
-//! The scan never panics on any byte sequence and never reads past a file.
+//! ## The sequence rule
 //!
-//! Records whose seq is ≤ the shard snapshot's `last_seq` are *covered*: the
-//! snapshot already folds in their effects (this happens when a crash lands
-//! between a checkpoint's snapshot rename and its WAL truncate). They are
-//! counted but not replayed.
+//! Recovery and the [`LogFollower`](crate::LogFollower) read a shard's log
+//! through one record walk with one rule. Let `base` be the shard
+//! snapshot's `last_seq`, or 0 without a snapshot:
+//!
+//! * the first record's seq is at most `base + 1` (checkpoints truncate the
+//!   log without resetting seqs, so it need not be 1);
+//! * records at or below `base` are *covered*: the snapshot already folds
+//!   in their effects (a crash between a checkpoint's snapshot rename and
+//!   its WAL truncate leaves both), so they are skipped, not replayed;
+//! * every later record is its predecessor plus one, or the walk stops at
+//!   a sequence break;
+//! * a first record past `base + 1` is a **gap** — history the snapshot
+//!   should cover and does not (say, a rotted snapshot over a truncated
+//!   log) — and no prefix of it is a state that ever existed, so
+//!   [`Recovery::recover`] fails with `InvalidData` instead of replaying it.
+//!
+//! The walk never panics on any byte sequence and never reads past a file.
 //!
 //! A key's history never leaves its shard: every key routes to one shard
 //! during a run, and a restart keeps the shard cut the recovered shards
@@ -64,12 +77,10 @@ pub struct ShardRecovery {
     pub snapshot: Option<Snapshot>,
     /// Surviving WAL groups **not** covered by the snapshot, in seq order.
     pub groups: Vec<Record>,
-    /// WAL records skipped because the snapshot already covers their seq.
-    pub covered_groups: u64,
     /// Byte length of the valid WAL prefix (where a resume may append).
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Total bytes found in the WAL file.
-    pub wal_len: u64,
+    pub(crate) wal_len: u64,
     pub stop: StopReason,
 }
 
@@ -114,57 +125,94 @@ pub struct Recovery {
     pub shards: Vec<ShardRecovery>,
 }
 
-fn scan_shard(dir: &Path, shard: usize) -> io::Result<ShardRecovery> {
-    let snapshot = read_snapshot(&snapshot_path(dir, shard));
-    let snap_seq = snapshot.as_ref().map(|s| s.last_seq);
-    let wal = match std::fs::read(wal_path(dir, shard)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let mut groups = Vec::new();
-    let mut covered_groups = 0u64;
+/// One shard's place in the sequence rule (see the module docs): `base` is
+/// the seq its snapshot covers through, `last` the seq of the last record
+/// walked.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeqRule {
+    base: u64,
+    last: Option<u64>,
+}
+
+impl SeqRule {
+    /// The rule for a shard whose snapshot is `snapshot`, before its first
+    /// record.
+    pub(crate) fn after(snapshot: Option<&Snapshot>) -> SeqRule {
+        SeqRule {
+            base: snapshot.map_or(0, |s| s.last_seq),
+            last: None,
+        }
+    }
+}
+
+/// Walk the framed records at the front of `buf` under `rule`, handing
+/// every record the snapshot does not cover to `visit` in log order.
+/// Returns the byte length of the records walked and why the walk stopped,
+/// or `InvalidData` when the first record of the shard's log leaves a gap
+/// after the snapshot.
+pub(crate) fn walk_records(
+    buf: &[u8],
+    rule: &mut SeqRule,
+    shard: usize,
+    mut visit: impl FnMut(Record),
+) -> io::Result<(usize, StopReason)> {
     let mut at = 0usize;
-    // The first record's seq is accepted as-is (checkpoints truncate the log
-    // without resetting seqs); every later record must be its predecessor's
-    // successor.
-    let mut expected: Option<u64> = None;
     let stop = loop {
-        if at == wal.len() {
+        if at == buf.len() {
             break StopReason::CleanEnd;
         }
-        match decode_record(&wal, at) {
-            Ok(rec) => {
-                if let Some(exp) = expected {
-                    if rec.seq != exp {
-                        break StopReason::SeqBreak {
-                            expected: exp,
-                            found: rec.seq,
-                        };
-                    }
-                }
-                expected = Some(rec.seq + 1);
-                at += rec.frame_len;
-                if snap_seq.is_some_and(|s| rec.seq <= s) {
-                    covered_groups += 1;
-                } else {
-                    groups.push(rec);
-                }
-            }
+        let rec = match decode_record(buf, at) {
+            Ok(rec) => rec,
             Err(RecordError::TornTail { remaining }) => {
                 break StopReason::TornTail {
                     dropped: remaining as u64,
                 }
             }
             Err(e) => break StopReason::Corrupt(e),
+        };
+        match rule.last {
+            None if rec.seq > rule.base.saturating_add(1) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "gap on shard {shard}: the snapshot covers through seq {}, \
+                         the log starts at seq {}",
+                        rule.base, rec.seq
+                    ),
+                ));
+            }
+            Some(last) if last.checked_add(1) != Some(rec.seq) => {
+                break StopReason::SeqBreak {
+                    expected: last.saturating_add(1),
+                    found: rec.seq,
+                }
+            }
+            _ => {}
+        }
+        rule.last = Some(rec.seq);
+        at += rec.frame_len;
+        if rec.seq > rule.base {
+            visit(rec);
         }
     };
+    Ok((at, stop))
+}
+
+fn scan_shard(dir: &Path, shard: usize) -> io::Result<ShardRecovery> {
+    let snapshot = read_snapshot(&snapshot_path(dir, shard));
+    let wal = match std::fs::read(wal_path(dir, shard)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    let mut rule = SeqRule::after(snapshot.as_ref());
+    let mut groups = Vec::new();
+    let (valid_len, stop) = walk_records(&wal, &mut rule, shard, |rec| groups.push(rec))?;
     Ok(ShardRecovery {
         shard,
         snapshot,
         groups,
-        covered_groups,
-        valid_len: at as u64,
+        valid_len: valid_len as u64,
         wal_len: wal.len() as u64,
         stop,
     })
@@ -172,7 +220,9 @@ fn scan_shard(dir: &Path, shard: usize) -> io::Result<ShardRecovery> {
 
 impl Recovery {
     /// Scan the log directory at `dir` (as laid out by
-    /// [`DurableLog::create`]) into a recovery image.
+    /// [`DurableLog::create`]) into a recovery image. Fails with
+    /// `InvalidData` on an unreadable manifest or on a shard whose log
+    /// leaves a gap after its snapshot (see the module docs).
     pub fn recover(dir: &Path) -> io::Result<Recovery> {
         let shards = read_manifest(dir)?;
         let mut recovered = Vec::new();
@@ -260,6 +310,7 @@ impl Recovery {
 
     /// Truncate torn tails and re-open the directory for writing, with each
     /// shard's sequence numbering continuing after its recovered history.
+    /// The manifest is left as it was read: a restart writes none.
     pub fn resume(&self, policy: SyncPolicy) -> io::Result<Arc<DurableLog>> {
         self.truncate_torn_tails()?;
         let next_seqs: Vec<u64> = self.shards.iter().map(|s| s.last_seq() + 1).collect();
@@ -335,9 +386,17 @@ mod tests {
         );
         // Repair then resume: the tail is gone and seqs continue.
         let resumed = rec.resume(SyncPolicy::EveryGroup).unwrap();
-        assert_eq!(resumed.next_seq(0), 2);
-        assert_eq!(resumed.next_seq(1), 3);
-        resumed.log_group(0, &[Request::Insert(5, 50)]).unwrap();
+        assert_eq!(
+            resumed.log_group(0, &[Request::Insert(5, 50)]).unwrap().seq,
+            2
+        );
+        assert_eq!(
+            resumed
+                .log_group(1, &[Request::Insert(103, 1030)])
+                .unwrap()
+                .seq,
+            3
+        );
         let again = Recovery::recover(dir.path()).unwrap();
         assert!(again.is_clean());
         assert_eq!(again.shards[0].groups.last().unwrap().seq, 2);
@@ -364,7 +423,11 @@ mod tests {
 
         let rec = Recovery::recover(dir.path()).unwrap();
         let shard = &rec.shards[0];
-        assert_eq!(shard.covered_groups, 2, "wal fully covered by snapshot");
+        assert_eq!(shard.stop, StopReason::CleanEnd);
+        assert_eq!(
+            shard.valid_len, shard.wal_len,
+            "both covered records are walked"
+        );
         assert!(shard.groups.is_empty());
         assert_eq!(shard.last_seq(), 2);
         let mut index = model_backend();

@@ -29,7 +29,7 @@ const HEADER: usize = 24; // magic + last_seq + count
 const TRAILER: usize = 4;
 
 /// Path of shard `shard`'s snapshot inside a log directory.
-pub fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
+pub(crate) fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.snap"))
 }
 
@@ -46,7 +46,7 @@ pub struct Snapshot {
 /// registry is supplied, the point `snapshot/{shard}/commit` is evaluated
 /// *between* the temp-file sync and the rename — firing it models a crash
 /// that leaves only the temp file (i.e. no new snapshot published).
-pub fn write_snapshot(
+pub(crate) fn write_snapshot(
     dir: &Path,
     shard: usize,
     last_seq: u64,
@@ -86,7 +86,7 @@ pub fn write_snapshot(
 /// Read and validate the snapshot at `path`. `None` means "no usable
 /// snapshot" — missing file and corrupt file are deliberately
 /// indistinguishable to the caller.
-pub fn read_snapshot(path: &Path) -> Option<Snapshot> {
+pub(crate) fn read_snapshot(path: &Path) -> Option<Snapshot> {
     let buf = std::fs::read(path).ok()?;
     if buf.len() < HEADER + TRAILER || &buf[..8] != MAGIC {
         return None;

@@ -18,7 +18,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 /// An append-only byte sink with an explicit durability barrier.
-pub trait WalSink: Send {
+pub(crate) trait WalSink: Send {
     /// Hand `buf` to the sink. Not durable until [`WalSink::sync`] returns.
     fn append(&mut self, buf: &[u8]) -> io::Result<()>;
 
@@ -37,7 +37,7 @@ pub trait WalSink: Send {
 
 /// The production sink: a real file, `append` = buffered `write_all`,
 /// `sync` = flush + `sync_data`.
-pub struct FileSink {
+pub(crate) struct FileSink {
     file: File,
     /// Appended-but-unsynced bytes. Buffering in-process (instead of
     /// writing straight through) keeps one write syscall per group commit
@@ -48,7 +48,7 @@ pub struct FileSink {
 
 impl FileSink {
     /// Open (creating or appending to) the log at `path`.
-    pub fn open(path: &Path) -> io::Result<FileSink> {
+    pub(crate) fn open(path: &Path) -> io::Result<FileSink> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let position = file.metadata()?.len();
         Ok(FileSink {
@@ -89,14 +89,16 @@ impl WalSink for FileSink {
 /// An in-memory sink for unit tests: bytes survive "crashes" only if synced
 /// (same model the injecting sink enforces). The backing store is shared so
 /// a test can inspect what a crashed writer actually persisted.
-pub struct MemSink {
+#[cfg(test)]
+pub(crate) struct MemSink {
     store: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
     pending: Vec<u8>,
     position: u64,
 }
 
+#[cfg(test)]
 impl MemSink {
-    pub fn new() -> (MemSink, std::sync::Arc<std::sync::Mutex<Vec<u8>>>) {
+    pub(crate) fn new() -> (MemSink, std::sync::Arc<std::sync::Mutex<Vec<u8>>>) {
         let store = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         (
             MemSink {
@@ -109,6 +111,7 @@ impl MemSink {
     }
 }
 
+#[cfg(test)]
 impl WalSink for MemSink {
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
         self.pending.extend_from_slice(buf);

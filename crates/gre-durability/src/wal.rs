@@ -12,7 +12,7 @@
 //! processed FIFO by the pipeline, each shard's log is a faithful serial
 //! history of that shard's accepted writes — no cross-shard ordering is
 //! needed, since a key's history never leaves its shard: every key routes
-//! to one shard, and a restart keeps the shard cut (see [`crate::recover`]).
+//! to one shard, and a restart keeps the shard cut (see [`crate::Recovery`]).
 //!
 //! ## Durability contract
 //!
@@ -152,7 +152,7 @@ fn write_manifest(dir: &Path, shards: usize) -> io::Result<()> {
 /// after every shard file exists, so a count `n` whose `shard-{n-1}.wal` is
 /// missing is corrupt (`InvalidData`), and no caller sizes anything from an
 /// unbacked count.
-pub fn read_manifest(dir: &Path) -> io::Result<usize> {
+pub(crate) fn read_manifest(dir: &Path) -> io::Result<usize> {
     let body = std::fs::read_to_string(dir.join(MANIFEST))?;
     let mut lines = body.lines();
     if lines.next() != Some("gre-wal v1") {
@@ -170,9 +170,10 @@ pub fn read_manifest(dir: &Path) -> io::Result<usize> {
 }
 
 impl DurableLog {
-    /// Create (or re-open empty) per-shard logs under `dir`. For resuming
-    /// after recovery, use [`crate::recover::Recovery::resume`], which seeds
-    /// sequence numbers past the recovered history.
+    /// Create (or re-open empty) per-shard logs under `dir` and write its
+    /// manifest. For resuming after recovery, use
+    /// [`Recovery::resume`](crate::Recovery::resume), which seeds sequence
+    /// numbers past the recovered history and writes no manifest.
     pub fn create(dir: &Path, shards: usize, policy: SyncPolicy) -> io::Result<Arc<DurableLog>> {
         Self::build(dir, shards, policy, None, None)
     }
@@ -220,7 +221,12 @@ impl DurableLog {
                 buf: Vec::new(),
             }));
         }
-        write_manifest(dir, shards)?;
+        // Only a fresh log writes the manifest. A resume (`next_seqs`) keeps
+        // the one it was recovered from: rewriting it in place is a window
+        // in which a crash leaves a manifest no later restart can read.
+        if next_seqs.is_none() {
+            write_manifest(dir, shards)?;
+        }
         Ok(Arc::new(DurableLog {
             dir: dir.to_path_buf(),
             shards: shard_wals,
@@ -347,11 +353,6 @@ impl DurableLog {
     /// Whether `shard`'s log has fail-stopped.
     pub fn is_failed(&self, shard: usize) -> bool {
         self.shard(shard).failed
-    }
-
-    /// The seq the next group on `shard` would carry.
-    pub fn next_seq(&self, shard: usize) -> u64 {
-        self.shard(shard).next_seq
     }
 
     pub fn stats(&self) -> WalStats {

@@ -3,9 +3,9 @@
 //! may panic — including on adversarial random bytes.
 
 use gre_core::Request;
-use gre_durability::record::RecordError;
-use gre_durability::recover::StopReason;
-use gre_durability::util::TempDir;
+use gre_durability::RecordError;
+use gre_durability::StopReason;
+use gre_durability::TempDir;
 use gre_durability::{decode_record, DurableLog, LogFollower, Recovery, SyncPolicy, MANIFEST};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -162,4 +162,63 @@ fn manifest_counting_more_shards_than_the_directory_holds_is_invalid_data() {
             "follow, shards {count}"
         );
     }
+}
+
+/// A snapshot that rots after its checkpoint truncated the log leaves a
+/// log that starts past what any snapshot covers. No prefix of it is a
+/// state that ever existed, so recovery and the follower both refuse it
+/// instead of replaying the later records without the earlier ones.
+#[test]
+fn a_gap_between_the_snapshot_and_the_log_is_invalid_data() {
+    let dir = TempDir::new("corrupt-gap");
+    let log = DurableLog::create(dir.path(), 1, SyncPolicy::EveryGroup).unwrap();
+    log.log_group(0, &[Request::Insert(1, 10)]).unwrap();
+    log.checkpoint(0, &[(1, 10)]).unwrap();
+    log.log_group(0, &[Request::Insert(2, 20)]).unwrap();
+    drop(log);
+    let snap = dir.path().join("shard-0.snap");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let recovered = Recovery::recover(dir.path()).map(|_| ());
+    assert_eq!(recovered.unwrap_err().kind(), ErrorKind::InvalidData);
+    let mut follower = LogFollower::from_start(dir.path()).unwrap();
+    assert_eq!(
+        follower.poll_all().unwrap_err().kind(),
+        ErrorKind::InvalidData
+    );
+}
+
+/// A duplicated record is a sequence break for every reader: recovery
+/// stops before it, and the follower fails rather than skipping it as if
+/// a snapshot covered it.
+#[test]
+fn a_duplicated_record_stops_recovery_and_fails_the_follower() {
+    let dir = TempDir::new("corrupt-dup");
+    let log = DurableLog::create(dir.path(), 1, SyncPolicy::EveryGroup).unwrap();
+    log.log_group(0, &[Request::Insert(1, 10)]).unwrap();
+    log.log_group(0, &[Request::Insert(2, 20)]).unwrap();
+    drop(log);
+    let pristine = std::fs::read(wal_path(dir.path())).unwrap();
+    let second = decode_record(&pristine, 0).unwrap().frame_len;
+    let mut bytes = pristine.clone();
+    bytes.extend_from_slice(&pristine[second..]);
+    std::fs::write(wal_path(dir.path()), &bytes).unwrap();
+
+    let (groups, stop) = recovered_groups(dir.path());
+    assert_eq!(groups, 2);
+    assert_eq!(
+        stop,
+        StopReason::SeqBreak {
+            expected: 3,
+            found: 2
+        }
+    );
+    let mut follower = LogFollower::from_start(dir.path()).unwrap();
+    assert_eq!(
+        follower.poll_all().unwrap_err().kind(),
+        ErrorKind::InvalidData
+    );
 }

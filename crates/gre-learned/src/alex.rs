@@ -139,7 +139,7 @@ impl AlexConfig {
 
 /// A gapped-array data node (layout in the module doc).
 #[derive(Debug)]
-pub struct DataNode<K> {
+pub(crate) struct DataNode<K> {
     model: LinearModel,
     /// Gap-filled and non-decreasing: a gap repeats the key of the next
     /// occupied slot to its right, trailing gaps hold `K::MAX`.
@@ -510,11 +510,6 @@ impl<K: Key> Alex<K> {
         };
         alex.bulk_load(&[]);
         alex
-    }
-
-    /// Number of data nodes.
-    pub fn data_node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Retrain the inner routing model from the current node boundaries.
@@ -982,10 +977,7 @@ mod tests {
             "{left} {right} {retries}"
         );
         assert!(densest >= 0.8);
-        assert!(
-            alex.data_node_count() > 1,
-            "the shift trigger split the node"
-        );
+        assert!(alex.nodes.len() > 1, "the shift trigger split the node");
         let mut out = Vec::new();
         alex.range(RangeSpec::new(0, usize::MAX), &mut out);
         assert_eq!(out, model.into_iter().collect::<Vec<_>>());
@@ -1034,7 +1026,7 @@ mod tests {
         assert!(DataNode::build(&keys, 0.7, MAX_EXPECTED_SHIFT).is_none());
         let mut alex = Alex::new();
         alex.bulk_load(&keys);
-        assert!(alex.data_node_count() > 1);
+        assert!(alex.nodes.len() > 1);
         assert_sized(&alex);
         for &(k, v) in &keys {
             assert_eq!(alex.get(k), Some(v), "key {k}");
@@ -1053,7 +1045,7 @@ mod tests {
         let mut alex = Alex::new();
         alex.bulk_load(&keys);
         assert_sized(&alex);
-        assert!(alex.data_node_count() > 1);
+        assert!(alex.nodes.len() > 1);
         for &(k, v) in keys.iter().step_by(97) {
             assert_eq!(alex.get(k), Some(v), "key {k}");
         }
@@ -1091,7 +1083,7 @@ mod tests {
         let linear: Vec<(u64, Payload)> = (0..4_096u64).map(|i| (i << 24, i)).collect();
         let mut alex = Alex::new();
         alex.bulk_load(&linear);
-        assert_eq!(alex.data_node_count(), 1);
+        assert_eq!(alex.nodes.len(), 1);
         let mut model: BTreeMap<u64, u64> = linear.iter().copied().collect();
         let mut cluster: Vec<u64> = (1..=20_000u64).map(|i| (2_048u64 << 24) + i).collect();
         let mut x = 42u64;
@@ -1108,7 +1100,7 @@ mod tests {
             assert!(alex.insert(key, key));
             model.insert(key, key);
             shifts.push(alex.stats().counters.keys_shifted - before);
-            if split_at.is_none() && alex.data_node_count() > 1 {
+            if split_at.is_none() && alex.nodes.len() > 1 {
                 split_at = Some(i);
             }
             if i % 256 == 0 {
@@ -1134,7 +1126,7 @@ mod tests {
         for i in 0..10_000u64 {
             alex.insert(i, i);
         }
-        assert!(alex.data_node_count() > 4);
+        assert!(alex.nodes.len() > 4);
         for i in (0..10_000).step_by(487) {
             assert_eq!(alex.get(i), Some(i));
         }

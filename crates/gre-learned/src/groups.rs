@@ -135,11 +135,6 @@ impl<K: Key, D: Delta<K>> GroupIndex<K, D> {
         }
     }
 
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     fn locate(&self, key: K) -> usize {
         self.boundaries.partition_point(|b| *b <= key) - 1
     }

@@ -11,15 +11,14 @@
 //! insert throughput comes from this LSM design rather than from learning).
 
 use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
-use gre_pla::pla::{optimal_pla, PlaSegment};
-use gre_pla::window_partition_point;
+use gre_pla::{optimal_pla, optimal_pla_f64, window_partition_point, PlaSegment};
 
 /// Error bound of the PGM segments (Table 1: ε = 16).
-pub const DEFAULT_EPSILON: u64 = 16;
+pub const PGM_EPSILON: u64 = 16;
 
 /// One fully static PGM over a sorted array of entries.
 #[derive(Debug)]
-pub struct StaticPgm<K> {
+pub(crate) struct StaticPgm<K> {
     entries: Vec<(K, Payload)>,
     /// Bottom-level segments over `entries`.
     segments: Vec<PlaSegment>,
@@ -30,13 +29,13 @@ pub struct StaticPgm<K> {
 
 impl<K: Key> StaticPgm<K> {
     /// Build from entries sorted by strictly ascending key.
-    pub fn build(entries: Vec<(K, Payload)>, epsilon: u64) -> Self {
+    pub(crate) fn build(entries: Vec<(K, Payload)>, epsilon: u64) -> Self {
         let keys: Vec<K> = entries.iter().map(|e| e.0).collect();
         let segments = optimal_pla(&keys, epsilon);
         let mut upper_levels = Vec::new();
         let mut current: Vec<f64> = segments.iter().map(|s| s.first_key).collect();
         while current.len() > 1 {
-            let level = gre_pla::pla::optimal_pla_f64(current.iter().copied(), epsilon as f64);
+            let level = optimal_pla_f64(current.iter().copied(), epsilon as f64);
             let next: Vec<f64> = level.iter().map(|s| s.first_key).collect();
             upper_levels.push(level);
             if next.len() == current.len() {
@@ -50,19 +49,6 @@ impl<K: Key> StaticPgm<K> {
             upper_levels,
             epsilon,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of linear models across all levels.
-    pub fn model_count(&self) -> usize {
-        self.segments.len() + self.upper_levels.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Find the bottom-level segment covering `key` by descending the levels.
@@ -93,7 +79,7 @@ impl<K: Key> StaticPgm<K> {
         window_partition_point(&self.entries, lo, hi, |e| e.0 < key)
     }
 
-    pub fn get(&self, key: K) -> Option<Payload> {
+    pub(crate) fn get(&self, key: K) -> Option<Payload> {
         let pos = self.lower_bound(key);
         self.entries
             .get(pos)
@@ -101,11 +87,11 @@ impl<K: Key> StaticPgm<K> {
     }
 
     /// Entries with key >= start, in order.
-    pub fn entries_from(&self, start: K) -> &[(K, Payload)] {
+    pub(crate) fn entries_from(&self, start: K) -> &[(K, Payload)] {
         &self.entries[self.lower_bound(start)..]
     }
 
-    pub fn memory(&self) -> usize {
+    pub(crate) fn memory(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.entries.capacity() * std::mem::size_of::<(K, Payload)>()
             + self.segments.capacity() * std::mem::size_of::<PlaSegment>()
@@ -163,11 +149,6 @@ impl<K: Key> DynamicPgm<K> {
         }
     }
 
-    /// Number of non-empty static levels (LSM depth).
-    pub fn level_count(&self) -> usize {
-        self.levels.iter().filter(|l| l.is_some()).count()
-    }
-
     /// Merge the buffer into the levels using the logarithmic method.
     fn flush_buffer(&mut self) {
         if self.buffer.is_empty() {
@@ -186,7 +167,7 @@ impl<K: Key> DynamicPgm<K> {
                     // A level deep enough to hold the carry absorbs it.
                     if carry.len() <= self.buffer_capacity << level || level + 1 > self.levels.len()
                     {
-                        self.levels[level] = Some(StaticPgm::build(carry, DEFAULT_EPSILON));
+                        self.levels[level] = Some(StaticPgm::build(carry, PGM_EPSILON));
                         break;
                     }
                     level += 1;
@@ -265,7 +246,7 @@ impl<K: Key> Index<K> for DynamicPgm<K> {
         // Bulk data goes straight into one big static level, placed at the
         // depth matching its size so future merges keep the logarithmic
         // structure.
-        let level = StaticPgm::build(entries.to_vec(), DEFAULT_EPSILON);
+        let level = StaticPgm::build(entries.to_vec(), PGM_EPSILON);
         let mut depth = 0usize;
         while (self.buffer_capacity << depth) < entries.len() {
             depth += 1;
@@ -391,8 +372,8 @@ mod tests {
     fn static_pgm_lookups_respect_epsilon_window() {
         let data = entries(50_000);
         let pgm = StaticPgm::build(data.clone(), 16);
-        assert_eq!(pgm.len(), 50_000);
-        assert!(pgm.model_count() >= 1);
+        assert_eq!(pgm.entries.len(), 50_000);
+        assert!(!pgm.segments.is_empty());
         for i in (0..50_000).step_by(331) {
             assert_eq!(pgm.get(i * 7 + 1), Some(i));
             assert_eq!(pgm.get(i * 7 + 2), None);
@@ -407,7 +388,7 @@ mod tests {
             .collect();
         let data: Vec<(u64, Payload)> = keys.iter().map(|&k| (k, k ^ 7)).collect();
         let pgm = StaticPgm::build(data, 16);
-        assert!(pgm.model_count() > 10);
+        assert!(pgm.segments.len() > 10);
         for &k in keys.iter().step_by(173) {
             assert_eq!(pgm.get(k), Some(k ^ 7));
         }
@@ -430,7 +411,7 @@ mod tests {
             assert!(pgm.insert(i * 3, i));
         }
         assert_eq!(pgm.len(), 10_000);
-        assert!(pgm.level_count() >= 1);
+        assert!(pgm.levels.iter().any(Option::is_some));
         for i in (0..10_000).step_by(97) {
             assert_eq!(pgm.get(i * 3), Some(i));
         }

@@ -121,7 +121,7 @@ impl LinearModel {
 
     /// Mean squared error of this model on `(key, rank)` pairs with ranks
     /// `0..keys.len()` (Appendix D's alternative hardness metric).
-    pub fn mse_on_keys<K: Key>(&self, keys: &[K]) -> f64 {
+    pub(crate) fn mse_on_keys<K: Key>(&self, keys: &[K]) -> f64 {
         if keys.is_empty() {
             return 0.0;
         }

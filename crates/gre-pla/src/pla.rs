@@ -142,55 +142,36 @@ pub fn optimal_pla_f64<I: IntoIterator<Item = f64>>(keys: I, eps: f64) -> Vec<Pl
 }
 
 /// Number of ε-approximate segments (the hardness value `H_PLA(ε)`).
-pub fn segment_count<K: Key>(keys: &[K], eps: u64) -> usize {
+pub(crate) fn segment_count<K: Key>(keys: &[K], eps: u64) -> usize {
     optimal_pla(keys, eps).len()
-}
-
-/// Verify that a segmentation is ε-approximate for the given keys.
-/// Used by tests and by the PGM-Index build path as a debug assertion.
-pub fn validate_pla<K: Key>(keys: &[K], segments: &[PlaSegment], eps: u64) -> bool {
-    let eps = eps as f64;
-    let mut covered = 0usize;
-    for seg in segments {
-        if seg.start_rank != covered {
-            return false;
-        }
-        for rank in seg.start_rank..seg.end_rank() {
-            let Some(k) = keys.get(rank) else {
-                return false;
-            };
-            let predicted = seg.model.predict(*k);
-            // Allow a whisker of floating-point slack on top of ε.
-            if (predicted - rank as f64).abs() > eps + 1e-6 {
-                return false;
-            }
-        }
-        covered = seg.end_rank();
-    }
-    covered == keys.len()
-}
-
-/// Locate the segment covering `key` via binary search on `first_key`.
-/// Returns the index of the last segment whose first key is `<= key`
-/// (or 0 when `key` precedes every segment).
-pub fn locate_segment(segments: &[PlaSegment], key: f64) -> usize {
-    if segments.is_empty() {
-        return 0;
-    }
-    match segments.binary_search_by(|s| {
-        s.first_key
-            .partial_cmp(&key)
-            .unwrap_or(std::cmp::Ordering::Less)
-    }) {
-        Ok(i) => i,
-        Err(0) => 0,
-        Err(i) => i - 1,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Verify that a segmentation is ε-approximate for the given keys.
+    fn validate_pla<K: Key>(keys: &[K], segments: &[PlaSegment], eps: u64) -> bool {
+        let eps = eps as f64;
+        let mut covered = 0usize;
+        for seg in segments {
+            if seg.start_rank != covered {
+                return false;
+            }
+            for rank in seg.start_rank..seg.end_rank() {
+                let Some(k) = keys.get(rank) else {
+                    return false;
+                };
+                let predicted = seg.model.predict(*k);
+                // Allow a whisker of floating-point slack on top of ε.
+                if (predicted - rank as f64).abs() > eps + 1e-6 {
+                    return false;
+                }
+            }
+            covered = seg.end_rank();
+        }
+        covered == keys.len()
+    }
 
     fn ranks_within_eps(keys: &[u64], eps: u64) {
         let segs = optimal_pla(keys, eps);
@@ -261,28 +242,6 @@ mod tests {
         // With eps = 1 the duplicates force extra segments.
         let tight = optimal_pla(&keys, 1);
         assert!(tight.len() > segs.len());
-    }
-
-    #[test]
-    fn locate_segment_finds_covering_segment() {
-        let keys: Vec<u64> = (0..1000u64)
-            .map(|i| {
-                if i < 500 {
-                    i
-                } else {
-                    1_000_000 + (i - 500) * 1000
-                }
-            })
-            .collect();
-        let segs = optimal_pla(&keys, 4);
-        assert!(segs.len() >= 2);
-        let idx = locate_segment(&segs, 0.0);
-        assert_eq!(idx, 0);
-        let idx = locate_segment(&segs, 1_200_000.0);
-        assert!(segs[idx].first_key <= 1_200_000.0);
-        // Keys before the first segment clamp to 0.
-        assert_eq!(locate_segment(&segs, -5.0), 0);
-        assert_eq!(locate_segment(&[], 3.0), 0);
     }
 
     #[test]

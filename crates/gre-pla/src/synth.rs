@@ -16,21 +16,21 @@ use rand::{Rng, SeedableRng};
 
 /// Specification of a synthetic dataset in the hardness plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyntheticSpec {
+pub(crate) struct SyntheticSpec {
     /// Total number of keys to generate.
-    pub num_keys: usize,
+    num_keys: usize,
     /// Number of global segments (drives `H_PLA(ε=4096)`).
-    pub global_segments: usize,
+    global_segments: usize,
     /// Number of local segments inside each global segment
     /// (drives `H_PLA(ε=32)`).
-    pub local_segments_per_global: usize,
+    local_segments_per_global: usize,
     /// Error bound used when sampling keys inside a local segment.
-    pub local_eps: u64,
+    local_eps: u64,
     /// How violently the slope changes between global segments; larger
     /// values produce sharper CDF deflections (planet-like shapes).
-    pub global_slope_spread: f64,
+    global_slope_spread: f64,
     /// RNG seed for reproducibility.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Default for SyntheticSpec {
@@ -80,7 +80,7 @@ impl SynthCorner {
     }
 
     /// Build a spec positioned at this corner with `num_keys` keys.
-    pub fn spec(&self, num_keys: usize, seed: u64) -> SyntheticSpec {
+    pub(crate) fn spec(&self, num_keys: usize, seed: u64) -> SyntheticSpec {
         match self {
             SynthCorner::Easy => SyntheticSpec {
                 num_keys,
@@ -124,7 +124,7 @@ impl SynthCorner {
 /// exactly `spec.num_keys` keys unless the key domain saturates (only
 /// possible with absurd parameter choices), in which case generation stops at
 /// the domain boundary.
-pub fn generate(spec: &SyntheticSpec) -> Vec<u64> {
+pub(crate) fn generate(spec: &SyntheticSpec) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let globals = spec.global_segments.max(1);
     let locals = spec.local_segments_per_global.max(1);

@@ -18,12 +18,12 @@
 //! key-distribution skew and stay ordered for sequential cross-shard scans.
 //! Two pieces build on it:
 //!
-//! * [`sharded`] — [`ShardedIndex`], the composite store. It implements
+//! * [`ShardedIndex`], the composite store. It implements
 //!   `ConcurrentIndex` itself, so every existing harness entry point
 //!   (`Driver::run`, figure binaries, examples) serves a sharded variant
 //!   unchanged; `range()` stitches cross-shard scans in key order and
 //!   `len`/`memory_usage`/`stats`/`meta` report merged values.
-//! * [`pipeline`] — [`ShardPipeline`], the batched request path:
+//! * [`ShardPipeline`], the batched request path:
 //!   [`OpBatch`]es are split into per-shard sub-batches (amortizing routing
 //!   over many ops) and executed on a fixed worker pool with per-shard FIFO
 //!   order. Every operation is answered with a typed
@@ -49,8 +49,8 @@
 //! ([`ShardPipeline::submit`]) or takes the [`Backpressure`] and decides
 //! ([`ShardPipeline::try_submit`]).
 
-pub mod pipeline;
-pub mod sharded;
+mod pipeline;
+mod sharded;
 
 pub use gre_core::Partitioner;
 pub use pipeline::{

@@ -59,7 +59,7 @@
 //! per sub-batch.
 
 use crate::sharded::ShardedIndex;
-use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Request, Response};
+use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Request, Response, Tally};
 use gre_durability::{DurableLog, GroupReceipt};
 use gre_telemetry::{
     CounterId, CounterStripe, GaugeId, GlobalHistId, ShardHistId, SpanRecord, Telemetry,
@@ -896,38 +896,25 @@ fn execute_sub_batch<B: ConcurrentIndex<u64>>(
 }
 
 /// Fold one sub-batch's typed responses into the worker's counter stripe.
-/// Accumulates locally and issues one relaxed add per touched counter, so
-/// the per-op cost is a branchy match, not an atomic op.
-///
-/// The outcome definitions mirror `gre_workloads::driver::Tally::record`
-/// exactly — that equivalence is what lets telemetry counters be
-/// cross-checked against the driver's ground-truth tally (see the
-/// reconciliation test in `tests/telemetry_pipeline.rs`).
+/// Accumulates a [`Tally`] — the same outcome definitions the clients'
+/// own tallies use, which is what lets the two reconcile exactly (see
+/// `tests/telemetry_pipeline.rs`) — and issues one relaxed add per
+/// touched counter, so the per-op cost is a branchy match, not an atomic
+/// op.
 fn count_outcomes(stripe: &CounterStripe, responses: &[(usize, Response<u64>)]) {
-    let (mut hits, mut new_keys, mut updated, mut removed) = (0u64, 0u64, 0u64, 0u64);
-    let (mut scanned, mut scans, mut errors) = (0u64, 0u64, 0u64);
+    let mut tally = Tally::default();
     for (_, resp) in responses {
-        match resp {
-            Response::Get(found) => hits += u64::from(found.is_some()),
-            Response::Insert(new) => new_keys += u64::from(*new),
-            Response::Update(hit) => updated += u64::from(*hit),
-            Response::Remove(r) => removed += u64::from(r.is_some()),
-            Response::Range(entries) => {
-                scans += 1;
-                scanned += entries.len() as u64;
-            }
-            Response::Error(_) => errors += 1,
-        }
+        tally.record(resp);
     }
-    stripe.add(CounterId::OpsCompleted, responses.len() as u64);
+    stripe.add(CounterId::OpsCompleted, tally.ops);
     for (id, n) in [
-        (CounterId::GetHits, hits),
-        (CounterId::InsertedNew, new_keys),
-        (CounterId::Updated, updated),
-        (CounterId::Removed, removed),
-        (CounterId::ScannedKeys, scanned),
-        (CounterId::RangeScans, scans),
-        (CounterId::OpErrors, errors),
+        (CounterId::GetHits, tally.hits),
+        (CounterId::InsertedNew, tally.new_keys),
+        (CounterId::Updated, tally.updated),
+        (CounterId::Removed, tally.removed),
+        (CounterId::ScannedKeys, tally.scanned_keys),
+        (CounterId::RangeScans, tally.scans),
+        (CounterId::OpErrors, tally.errors),
     ] {
         if n > 0 {
             stripe.add(id, n);
@@ -1067,7 +1054,6 @@ mod tests {
     use crate::Partitioner;
     use gre_core::index::MutexIndex;
     use gre_core::{Index, IndexMeta, ModelIndex, Payload, RangeSpec};
-    use gre_workloads::Tally;
 
     fn pipeline(shards: usize, workers: usize) -> ShardPipeline<MutexIndex<ModelIndex>> {
         let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| {
@@ -1436,7 +1422,7 @@ mod tests {
 
     #[test]
     fn durable_pipeline_group_commits_writes_before_execution() {
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::{Recovery, SyncPolicy};
 
         let tmp = TempDir::new("pipeline-wal");
@@ -1485,7 +1471,7 @@ mod tests {
 
     #[test]
     fn wal_counters_reconcile_with_log_stats_when_both_services_attach() {
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::{DurableLog, SyncPolicy};
         use gre_telemetry::CounterId;
 
@@ -1526,7 +1512,7 @@ mod tests {
 
     #[test]
     fn one_batch_in_flight_logs_one_record_and_one_barrier_per_sub_batch() {
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::{DurableLog, SyncPolicy};
 
         let tmp = TempDir::new("pipeline-wal-depth1");
@@ -1678,7 +1664,7 @@ mod tests {
 
     #[test]
     fn shutdown_after_a_group_is_logged_still_executes_and_acknowledges_its_members() {
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::{DurableLog, SyncPolicy};
 
         let tmp = TempDir::new("pipeline-wal-shutdown");
@@ -1713,7 +1699,7 @@ mod tests {
 
     #[test]
     fn a_group_the_log_refuses_refuses_every_member_and_executes_none() {
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::{DurableLog, FailAction, FailpointRegistry, SyncPolicy, Trigger};
 
         let tmp = TempDir::new("pipeline-wal-refused-group");
@@ -1755,7 +1741,7 @@ mod tests {
 
     #[test]
     fn queued_sub_batches_coalesce_into_one_record() {
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::{decode_record, DurableLog, SyncPolicy};
 
         let tmp = TempDir::new("pipeline-wal-coalesce");

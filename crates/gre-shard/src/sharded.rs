@@ -453,7 +453,7 @@ mod tests {
     fn durable_load_restores_a_previous_incarnation() {
         use crate::pipeline::{OpBatch, ShardPipeline, DEFAULT_QUEUE_CAPACITY};
         use gre_core::Request;
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use std::sync::Arc;
 
         let tmp = TempDir::new("sharded-restart");
@@ -511,7 +511,7 @@ mod tests {
     fn durable_load_refuses_a_log_directory_it_cannot_read() {
         use crate::pipeline::{OpBatch, ShardPipeline, DEFAULT_QUEUE_CAPACITY};
         use gre_core::Request;
-        use gre_durability::util::TempDir;
+        use gre_durability::TempDir;
         use gre_durability::MANIFEST;
         use std::path::PathBuf;
         use std::sync::Arc;

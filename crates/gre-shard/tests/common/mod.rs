@@ -1,15 +1,14 @@
 //! Serving a scenario through the pipeline the way its clients do: one
 //! [`Session`] per client thread.
 
-use gre_core::ConcurrentIndex;
+use gre_core::{ConcurrentIndex, Tally};
 use gre_shard::{OpBatch, Session, ShardPipeline};
-use gre_workloads::scenario::{phase_stream, Phase, Scenario};
-use gre_workloads::Tally;
+use gre_workloads::{phase_stream, Phase, Scenario};
 use std::sync::Arc;
 
 /// Client `client`'s share of `phase`'s op budget, as the `Driver` splits
 /// it: an even share, the first `ops % clients` clients one op more.
-pub fn client_budget(phase: &Phase, client: usize) -> u64 {
+pub(crate) fn client_budget(phase: &Phase, client: usize) -> u64 {
     let clients = phase.threads.max(1) as u64;
     phase.ops / clients + u64::from((client as u64) < phase.ops % clients)
 }
@@ -20,7 +19,7 @@ pub fn client_budget(phase: &Phase, client: usize) -> u64 {
 /// submits it in `batch`-op batches through one session holding at most
 /// `window.max(1)` of them in flight, then drains the session. The caller
 /// loads `scenario.bulk` into the store before it builds the pipeline.
-pub fn serve_scenario<B: ConcurrentIndex<u64> + 'static>(
+pub(crate) fn serve_scenario<B: ConcurrentIndex<u64> + 'static>(
     pipeline: &ShardPipeline<B>,
     scenario: &Scenario,
     batch: usize,

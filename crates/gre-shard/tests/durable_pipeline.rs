@@ -10,9 +10,9 @@
 //! reproduce the model of accepted operations — no lost ack, no ghost op.
 
 use gre_core::{ConcurrentIndex, IndexError, Payload, Response};
-use gre_durability::util::TempDir;
+use gre_durability::TempDir;
 use gre_durability::{
-    DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger, WalError,
+    DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger, WalError, MANIFEST,
 };
 use gre_learned::AlexPlus;
 use gre_shard::{
@@ -23,6 +23,8 @@ use gre_workloads::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -362,33 +364,53 @@ fn sync_error_on_a_coalesced_group_refuses_every_member() {
     }
 }
 
-/// A restart that dies while it loads loses no acknowledged key. The keys
-/// served here sit low, so a quantile cut over the restarted store would
-/// move keys between shards; a restart that rewrote the shards' snapshots
-/// under such a cut, one shard at a time, and died after the first one
-/// (a directory squatting on shard 1's snapshot temp file) would leave
-/// keys that no shard's history holds.
+/// A restart repairs a torn tail and writes nothing else. Shard 1's WAL
+/// ends in a torn frame, the signature of a crash mid-append, so the
+/// restart's one write, truncating the tear, runs. The MANIFEST it read is
+/// left as it was: rewriting it in place would open a window in which a
+/// crash leaves a manifest no later restart can read. Every acknowledged
+/// key survives that restart and a second one.
 #[test]
-fn a_restart_that_dies_while_loading_loses_no_key() {
+fn a_restart_that_truncates_a_torn_tail_keeps_every_key_and_writes_no_manifest() {
     for (name, factory) in backends() {
-        let tmp = TempDir::new("durable-restart-crash");
+        let tmp = TempDir::new("durable-restart-torn");
         let bulk: Vec<(u64, Payload)> = (0..4_000u64).map(|i| (i * 10, i)).collect();
         let pipeline = durable(factory, tmp.path(), &bulk).unwrap();
         let low: Vec<Op> = (0..3_000u64).map(|i| Op::Insert(i * 10 + 1, i)).collect();
         let responses = pipeline.submit(OpBatch::new(low)).wait();
         assert!(responses.iter().all(|r| !r.is_error()), "{name}");
         drop(pipeline);
+        let mut acknowledged = bulk.clone();
+        acknowledged.extend((0..3_000u64).map(|i| (i * 10 + 1, i)));
 
-        let squat = tmp.path().join("shard-1.snap.tmp");
-        std::fs::create_dir(&squat).unwrap();
-        let _ = durable(factory, tmp.path(), &[]);
-        std::fs::remove_dir(&squat).unwrap();
+        let wal = tmp.path().join("shard-1.wal");
+        let logged = std::fs::metadata(&wal).unwrap().len();
+        assert!(logged > 0, "{name}: shard 1 logged writes");
+        let mut file = OpenOptions::new().append(true).open(&wal).unwrap();
+        file.write_all(&[0x40, 0, 0]).unwrap(); // a torn length prefix
+        drop(file);
+        let manifest = tmp.path().join(MANIFEST);
+        let written = std::fs::metadata(&manifest).unwrap().modified().unwrap();
 
-        let mut rebuilt = factory();
-        Recovery::recover(tmp.path())
-            .unwrap()
-            .replay_into(&mut *rebuilt);
-        assert_eq!(rebuilt.len(), 7_000, "{name}: acknowledged keys lost");
+        for restart in 1..=2 {
+            let pipeline = durable(factory, tmp.path(), &[]).unwrap();
+            let index = pipeline.index();
+            assert_eq!(index.len(), 7_000, "{name}: restart {restart}");
+            for &(k, v) in &acknowledged {
+                assert_eq!(index.get(k), Some(v), "{name}: restart {restart}, key {k}");
+            }
+            drop(pipeline);
+            assert_eq!(
+                std::fs::metadata(&wal).unwrap().len(),
+                logged,
+                "{name}: restart {restart} leaves the tear truncated"
+            );
+            assert_eq!(
+                std::fs::metadata(&manifest).unwrap().modified().unwrap(),
+                written,
+                "{name}: restart {restart} rewrote the manifest"
+            );
+        }
     }
 }
 

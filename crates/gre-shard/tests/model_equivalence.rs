@@ -5,11 +5,11 @@
 //! learned (ALEX+) and a traditional (B+tree/p64) backend. The randomized runs are seeded, so failures
 //! reproduce deterministically.
 
-use gre_core::{ConcurrentIndex, Payload, RangeSpec};
+use gre_core::{ConcurrentIndex, Payload, RangeSpec, Tally};
 use gre_learned::AlexPlus;
 use gre_shard::{OpBatch, Partitioner, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
-use gre_workloads::{Op, Tally};
+use gre_workloads::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;

@@ -18,8 +18,8 @@ use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_learned::AlexPlus;
 use gre_shard::{Partitioner, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
-use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
-use gre_workloads::spec::payload_for;
+use gre_workloads::payload_for;
+use gre_workloads::{phase_stream, KeyDist, Mix, Phase, Scenario};
 use gre_workloads::{Driver, Op};
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -7,15 +7,14 @@
 mod common;
 
 use common::serve_scenario;
-use gre_core::ConcurrentIndex;
+use gre_core::{ConcurrentIndex, Tally};
 use gre_learned::AlexPlus;
 use gre_shard::{Partitioner, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY};
 use gre_telemetry::{
     CounterId, GaugeId, GlobalHistId, MetricsSnapshot, ShardHistId, Telemetry, TelemetryConfig,
 };
 use gre_traditional::btree_olc;
-use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
-use gre_workloads::Tally;
+use gre_workloads::{KeyDist, Mix, Phase, Scenario};
 use std::sync::Arc;
 
 type DynBackend = Box<dyn ConcurrentIndex<u64>>;

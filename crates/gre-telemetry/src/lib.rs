@@ -4,37 +4,33 @@
 //! instrumented hot path costs a handful of relaxed atomic operations per
 //! *batch* (not per op) and nothing at all when telemetry is not attached:
 //!
-//! * [`metrics`] — the static-id metrics registry: per-worker cache-padded
-//!   counter stripes, per-shard gauges, and concurrent log-linear
-//!   histograms ([`metrics::AtomicHistogram`]) that share
-//!   [`gre_core::latency::LatencyHistogram`]'s bucket layout and snapshot
-//!   back into it.
-//! * [`trace`] — [`trace::TraceRing`], a fixed-capacity power-of-two ring
-//!   of operation spans with seqlock-style readers, fed by a deterministic
-//!   1-in-N [`trace::Sampler`].
+//! * The static-id metrics registry, read through [`MetricsSnapshot`]:
+//!   per-worker cache-padded counter stripes ([`CounterStripe`]),
+//!   per-shard gauges, and concurrent log-linear histograms that share
+//!   [`gre_core::LatencyHistogram`]'s bucket layout and snapshot back into
+//!   it.
+//! * [`TraceRing`], a fixed-capacity power-of-two ring of operation spans
+//!   ([`SpanRecord`]) with seqlock-style readers, fed by a deterministic
+//!   1-in-N sampler.
 //!
 //! [`Telemetry`] bundles the two with a shared monotonic epoch; the
 //! serving layer (`gre-shard`) takes an `Option<Arc<Telemetry>>` and
 //! records into it when present. See `docs/OBSERVABILITY.md` for the
 //! metric catalog and measured overhead.
 
-pub mod metrics;
-pub mod trace;
+mod metrics;
+mod trace;
 
 pub use metrics::{
-    AtomicHistogram, CounterId, CounterStripe, GaugeId, GlobalHistId, MetricsRegistry,
-    MetricsSnapshot, ShardHistId, ShardScope, ShardSnapshot,
+    CounterId, CounterStripe, GaugeId, GlobalHistId, MetricsSnapshot, ShardHistId, ShardSnapshot,
 };
-pub use trace::{Sampler, SpanRecord, TraceRing};
+pub use trace::{SpanRecord, TraceRing};
+
+use metrics::MetricsRegistry;
+use trace::Sampler;
 
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default trace ring capacity (slots).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// Default span sampling period: one traced op per this many submitted ops.
-pub const DEFAULT_TRACE_SAMPLE: u64 = 1024;
 
 /// Construction-time sizing for [`Telemetry`].
 #[derive(Debug, Clone)]
@@ -51,13 +47,14 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Tracing-enabled defaults for `shards` shards and `writers` writers.
+    /// Tracing-enabled defaults for `shards` shards and `writers` writers:
+    /// a 4 096-slot trace ring, one op traced in 1 024.
     pub fn new(shards: usize, writers: usize) -> TelemetryConfig {
         TelemetryConfig {
             shards,
             writers,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            trace_sample_one_in: DEFAULT_TRACE_SAMPLE,
+            trace_capacity: 4096,
+            trace_sample_one_in: 1024,
         }
     }
 
@@ -141,7 +138,12 @@ mod tests {
         let t = Telemetry::new(TelemetryConfig::new(4, 2).trace_sample(1));
         assert_eq!(t.metrics().shard_count(), 4);
         assert!(t.trace().is_some());
-        assert_eq!(t.sampler().one_in(), 1);
+        t.sampler().claim(1);
+        assert_eq!(
+            t.sampler().claim(1),
+            Some((1, 0)),
+            "one in 1 traces every op"
+        );
         let a = t.now_ns();
         let b = t.now_ns();
         assert!(b >= a);

@@ -13,12 +13,12 @@
 //! consistent-enough view (relaxed reads; exact once writers quiesce).
 //!
 //! Histograms ([`AtomicHistogram`]) mirror the exact bucket layout of
-//! [`gre_core::latency::LatencyHistogram`] via the public
-//! [`gre_core::latency::bucket_index`] mapping, and snapshot
+//! [`gre_core::LatencyHistogram`] via the public
+//! [`gre_core::bucket_index`] mapping, and snapshot
 //! back into a `LatencyHistogram` so every existing percentile/summary path
 //! works on telemetry data unchanged.
 
-use gre_core::latency::{bucket_index, bucket_span, LatencyHistogram, BUCKET_COUNT};
+use gre_core::{bucket_index, bucket_span, LatencyHistogram, BUCKET_COUNT};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Monotonic event counters, one logical value per id (striped per worker).

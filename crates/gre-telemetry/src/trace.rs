@@ -13,7 +13,7 @@
 //! "recent window" semantics a flight recorder wants. [`TraceRing::recent`]
 //! returns the currently-consistent spans.
 
-use gre_core::ops::RequestKind;
+use gre_core::RequestKind;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// One sampled operation's lifecycle timestamps (nanoseconds since the
@@ -228,11 +228,6 @@ impl Sampler {
         }
     }
 
-    /// The configured sampling period.
-    pub fn one_in(&self) -> u64 {
-        self.one_in
-    }
-
     /// Claim `n` op ids; if one of them is a sampling point, return
     /// `(op_id, offset_in_batch)` of the first such op.
     #[inline]
@@ -368,7 +363,6 @@ mod tests {
     #[test]
     fn sampler_one_in_one_samples_everything() {
         let s = Sampler::new(0); // clamped to 1
-        assert_eq!(s.one_in(), 1);
         for i in 0..5 {
             assert_eq!(s.claim(1), Some((i, 0)));
         }

@@ -18,7 +18,7 @@
 //! * An inner node is `{ len, keys: [K; N], children: [u32; N] }`: `len`
 //!   separators and `len + 1` children, so at most `N` children.
 //!
-//! `N` is a const parameter: 64 for the B+tree, [`MASSTREE_FANOUT`] for
+//! `N` is a const parameter: 64 for the B+tree, 15 (`MASSTREE_FANOUT`) for
 //! Masstree's layer. Leaves are never freed; a remove only shifts its leaf.
 //!
 //! # Why a node is fetched whole
@@ -35,8 +35,6 @@
 //! without the prefetch gained only 12–30 % on `write_hard` inserts; a
 //! branch-free count over all of a node's keys gained more on misses but
 //! cost 12 % on cache-resident lookups (`read_fit`).
-//!
-//! [`MASSTREE_FANOUT`]: crate::masstree::MASSTREE_FANOUT
 
 use gre_core::{prefetch_slice, Index, IndexMeta, Key, Payload, RangeSpec};
 
@@ -229,11 +227,6 @@ impl<K: Key> BPlusTree<K> {
 }
 
 impl<K: Key, const N: usize> BPlusTree<K, N> {
-    /// Tree height (number of levels, leaves included).
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Descend to the id of the leaf that should hold `key`.
     #[inline]
     fn find_leaf(&self, key: K) -> u32 {
@@ -503,7 +496,7 @@ mod tests {
         let mut t = BPlusTree::new();
         t.bulk_load(&entries(10_000));
         assert_eq!(t.len(), 10_000);
-        assert!(t.height() > 1);
+        assert!(t.height > 1);
         for i in (0..10_000).step_by(37) {
             assert_eq!(t.get(i * 10), Some(i));
             assert_eq!(t.get(i * 10 + 5), None);
@@ -743,7 +736,7 @@ mod tests {
                 model.insert(x % 100_000, i).is_none()
             );
         }
-        assert!(t.height() >= 6, "height {}", t.height());
+        assert!(t.height >= 6, "height {}", t.height);
         for (&k, &v) in &model {
             assert_eq!(t.get(k), Some(v));
         }

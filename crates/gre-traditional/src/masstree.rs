@@ -13,7 +13,7 @@ use crate::btree::BPlusTree;
 use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 /// Masstree's per-node key fanout.
-pub const MASSTREE_FANOUT: usize = 15;
+const MASSTREE_FANOUT: usize = 15;
 
 /// A Masstree-like index over 8-byte keys.
 #[derive(Debug)]
@@ -32,11 +32,6 @@ impl<K: Key> Masstree<K> {
         Masstree {
             layer0: BPlusTree::default(),
         }
-    }
-
-    /// Height of the (single) B+-tree layer.
-    pub fn height(&self) -> usize {
-        self.layer0.height()
     }
 }
 
@@ -118,17 +113,5 @@ mod tests {
         assert_eq!(m.get(1), None, "update must not insert");
         assert_eq!(m.get(10), Some(3));
         assert_eq!(m.len(), 3_000);
-    }
-
-    #[test]
-    fn small_fanout_produces_taller_trees_than_default_btree() {
-        let entries: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i, i)).collect();
-        let mut m = Masstree::new();
-        m.bulk_load(&entries);
-        let mut b = BPlusTree::new();
-        b.bulk_load(&entries);
-        assert!(m.height() > b.height());
-        // Smaller nodes also mean more per-node overhead.
-        assert!(m.memory_usage() > 0);
     }
 }

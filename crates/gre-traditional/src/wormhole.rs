@@ -14,7 +14,7 @@
 use gre_core::{Index, IndexMeta, Key, Payload, RangeSpec};
 
 /// Target number of entries per leaf segment.
-pub const LEAF_TARGET: usize = 128;
+const LEAF_TARGET: usize = 128;
 /// Number of slots in the hash hint table per leaf.
 const HINT_FACTOR: usize = 4;
 

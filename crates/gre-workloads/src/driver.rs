@@ -20,7 +20,7 @@
 //! ```
 //! use gre_core::index::MutexIndex;
 //! use gre_core::ModelIndex;
-//! use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
+//! use gre_workloads::{KeyDist, Mix, Phase, Scenario};
 //! use gre_workloads::Driver;
 //!
 //! let keys: Vec<u64> = (1..=1_000u64).map(|i| i * 4).collect();
@@ -48,8 +48,8 @@
 
 use crate::scenario::{phase_stream, OpStream, Phase, Scenario};
 use crate::spec::Op;
-use gre_core::ops::RequestKind;
-use gre_core::{ConcurrentIndex, Index, KindLatency, LatencyHistogram, Response};
+use gre_core::RequestKind;
+use gre_core::{ConcurrentIndex, Index, KindLatency, LatencyHistogram, Response, Tally};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ use std::time::Instant;
 /// (§6.1 samples to keep measurement overhead negligible). An odd prime
 /// stride avoids aliasing with the read/write interleaving pattern of the
 /// generated request streams.
-const LATENCY_SAMPLE_RATE: usize = 101;
+const LATENCY_SAMPLE_RATE: u64 = 101;
 
 /// Summary statistics over a set of sampled latencies (nanoseconds).
 #[derive(Debug, Clone, Default)]
@@ -88,62 +88,6 @@ impl LatencySummary {
     }
 }
 
-/// Typed-response counters accumulated over a phase, or over one batch's
-/// responses ([`Tally::of`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tally {
-    /// Completed operations.
-    pub ops: u64,
-    /// Lookups that found their key.
-    pub hits: u64,
-    /// Inserts that created a new key.
-    pub new_keys: u64,
-    /// Updates that found their key.
-    pub updated: u64,
-    /// Removes that found their key.
-    pub removed: u64,
-    /// Keys returned by range scans.
-    pub scanned_keys: u64,
-    /// Operations rejected as unsupported by the index.
-    pub errors: u64,
-}
-
-impl Tally {
-    /// Record one typed response.
-    #[inline]
-    fn record(&mut self, response: &Response<u64>) {
-        self.ops += 1;
-        match response {
-            Response::Get(found) => self.hits += u64::from(found.is_some()),
-            Response::Insert(new) => self.new_keys += u64::from(*new),
-            Response::Update(hit) => self.updated += u64::from(*hit),
-            Response::Remove(removed) => self.removed += u64::from(removed.is_some()),
-            Response::Range(entries) => self.scanned_keys += entries.len() as u64,
-            Response::Error(_) => self.errors += 1,
-        }
-    }
-
-    /// The counters of a slice of responses, e.g. one executed batch.
-    pub fn of(responses: &[Response<u64>]) -> Tally {
-        let mut tally = Tally::default();
-        for response in responses {
-            tally.record(response);
-        }
-        tally
-    }
-
-    /// Element-wise accumulation.
-    pub fn merge(&mut self, other: &Tally) {
-        self.ops += other.ops;
-        self.hits += other.hits;
-        self.new_keys += other.new_keys;
-        self.updated += other.updated;
-        self.removed += other.removed;
-        self.scanned_keys += other.scanned_keys;
-        self.errors += other.errors;
-    }
-}
-
 /// Per-thread measurement sink for one phase: kind-indexed latency
 /// histograms of the timed completions and typed-response counters of all
 /// of them.
@@ -166,32 +110,14 @@ impl PhaseRecorder {
     }
 }
 
-/// Executes scenarios against indexes.
-///
-/// Construction is builder-style; by default 1 op in
-/// `LATENCY_SAMPLE_RATE` (101) is timed.
-#[derive(Debug, Clone)]
-pub struct Driver {
-    sample_stride: usize,
-}
-
-impl Default for Driver {
-    fn default() -> Self {
-        Driver {
-            sample_stride: LATENCY_SAMPLE_RATE,
-        }
-    }
-}
+/// Executes scenarios against indexes, timing 1 op in
+/// `LATENCY_SAMPLE_RATE` (101).
+#[derive(Debug, Clone, Default)]
+pub struct Driver;
 
 impl Driver {
     pub fn new() -> Driver {
-        Driver::default()
-    }
-
-    /// Latency sampling stride (1 = time every op).
-    pub fn sample_stride(mut self, stride: usize) -> Driver {
-        self.sample_stride = stride.max(1);
-        self
+        Driver
     }
 
     /// Execute `scenario` against `index`: bulk load, then run each phase
@@ -319,17 +245,16 @@ impl Driver {
     }
 
     /// Hand `budget` ops of `stream` to `serve` one after another, with
-    /// the issue time of one in `sample_stride`.
+    /// the issue time of one in `LATENCY_SAMPLE_RATE`.
     fn drive(
         &self,
         budget: u64,
         stream: &mut dyn OpStream,
         mut serve: impl FnMut(Op, Option<Instant>),
     ) {
-        let stride = self.sample_stride as u64;
         for i in 0..budget {
             let Some(op) = stream.next_op() else { break };
-            let issued = (i % stride == 0).then(Instant::now);
+            let issued = (i % LATENCY_SAMPLE_RATE == 0).then(Instant::now);
             serve(op, issued);
         }
     }
@@ -450,7 +375,7 @@ mod tests {
             3,
         ));
         let mut index = MutexIndex::new(ModelIndex::default(), "model-mutex");
-        let result = Driver::new().sample_stride(7).run(&scenario, &mut index);
+        let result = Driver::new().run(&scenario, &mut index);
         assert_eq!(result.target, "model-mutex");
         assert_eq!(result.phases.len(), 1);
         let p = &result.phases[0];

@@ -20,7 +20,7 @@
 //! read/insert mix:
 //!
 //! ```
-//! use gre_workloads::scenario::{KeyDist, Mix, Phase, Scenario};
+//! use gre_workloads::{KeyDist, Mix, Phase, Scenario};
 //!
 //! let keys: Vec<u64> = (1..=10_000u64).map(|i| i * 16).collect();
 //! let scenario = Scenario::new("warm-then-burst", 42, &keys)

@@ -1,16 +1,16 @@
 //! Operation types.
 //!
 //! The operation vocabulary itself is the canonical typed request enum from
-//! `gre-core` ([`gre_core::ops::Request`]); this module pins it to the
+//! `gre-core` ([`gre_core::Request`]); this module pins it to the
 //! benchmark's `u64` key type as [`Op`] and adds the paper's write-ratio
 //! axis.
 
 use gre_core::Payload;
 
 /// A single request issued against an index: the canonical
-/// [`Request`](gre_core::ops::Request) over the benchmark's `u64` keys.
+/// [`Request`](gre_core::Request) over the benchmark's `u64` keys.
 /// Range scans are expressed as `Op::Range(RangeSpec::new(start, count))`.
-pub type Op = gre_core::ops::Request<u64>;
+pub type Op = gre_core::Request<u64>;
 
 /// The five write-ratio points of the paper's workload axis (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

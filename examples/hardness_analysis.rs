@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example hardness_analysis`.
 
 use gre::datasets::Dataset;
-use gre::pla::{synth, DataHardness, HardnessConfig, SynthCorner};
+use gre::pla::{generate_corner, DataHardness, HardnessConfig, SynthCorner};
 
 fn main() {
     let n = 200_000;
@@ -26,7 +26,7 @@ fn main() {
     }
     println!("\nSynthetic corner datasets (Figure 15):");
     for corner in SynthCorner::ALL {
-        let keys = synth::generate_corner(corner, n, 42);
+        let keys = generate_corner(corner, n, 42);
         let h = DataHardness::compute_default(&keys);
         println!("{:<20} {:>12} {:>12}", corner.name(), h.local, h.global);
     }

@@ -18,9 +18,9 @@
 
 use gre::learned::AlexPlus;
 use gre::shard::{OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex};
-use gre_core::{ConcurrentIndex, RangeSpec, Response};
-use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Phase, Scenario};
-use gre_workloads::{Op, Tally};
+use gre_core::{ConcurrentIndex, RangeSpec, Response, Tally};
+use gre_workloads::Op;
+use gre_workloads::{phase_stream, KeyDist, Mix, Phase, Scenario};
 use std::sync::Arc;
 use std::time::Instant;
 

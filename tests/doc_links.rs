@@ -6,12 +6,12 @@
 //! (resolved against the repo root, the citing file's directory, or — for a
 //! bare `NAME.md` — `docs/`), `--bin <name>` (a file in some crate's
 //! `src/bin/`), and the figure a `gre-figs <name>` or `gre-figs -- <name>`
-//! command line names (a row of `gre_bench::figures::FIGURES`).
+//! command line names (a row of `gre_bench::FIGURES`).
 //!
 //! The metric catalog of `docs/OBSERVABILITY.md` lists exactly the names
 //! `gre-telemetry` exports.
 
-use gre_bench::figures::FIGURES;
+use gre_bench::FIGURES;
 use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
 use std::collections::BTreeSet;
 use std::fs;

@@ -6,7 +6,7 @@ use gre::datasets::Dataset;
 use gre::learned::{Alex, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
 use gre::traditional::{art_olc, btree_olc, Art, BPlusTree, Hot};
 use gre::workloads::{Driver, WorkloadBuilder, WriteRatio};
-use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
+use gre_bench::{concurrent_indexes, single_thread_indexes};
 use gre_core::{ConcurrentIndex, Index};
 
 const N: usize = 20_000;
