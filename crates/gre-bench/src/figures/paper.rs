@@ -13,8 +13,8 @@ use gre_datasets::Dataset;
 use gre_learned::{Alex, AlexConfig, AlexPlus, FinedexConfig, Lipp, LippConfig, XIndexConfig};
 use gre_pla::{DataHardness, HardnessConfig, SynthCorner};
 use gre_workloads::Driver;
+use gre_workloads::Scenario;
 use gre_workloads::YcsbVariant;
-use gre_workloads::{KeyDist, Mix, Phase, Scenario};
 use gre_workloads::{LatencySummary, PhaseResult, WorkloadBuilder, WriteRatio};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -622,11 +622,9 @@ pub(super) fn figc_hardness_validation(opts: &RunOpts) {
 /// Figure G (appendix): YCSB A/B/C with Zipfian (0.99) request keys,
 /// single-threaded and multi-threaded.
 ///
-/// The multi-threaded sweep is expressed natively in the scenario engine —
-/// YCSB *is* a one-phase scenario (a get/update `Mix` over
-/// `KeyDist::Zipf { theta: 0.99 }`) — instead of pre-materializing the
-/// request stream; the single-threaded rows replay the materialized
-/// workload in place.
+/// Both kinds of row replay the one materialized YCSB workload of
+/// [`WorkloadBuilder::ycsb`]: in place on the single-threaded indexes, and
+/// split over `--threads` closed-loop clients on the concurrent ones.
 pub(super) fn figg_ycsb(opts: &RunOpts) {
     let builder = WorkloadBuilder::new(opts.seed);
     println!("# Figure G: YCSB throughput (Mop/s), Zipfian 0.99");
@@ -649,24 +647,7 @@ pub(super) fn figg_ycsb(opts: &RunOpts) {
                     r.throughput_mops()
                 );
             }
-            // The scenario mix of a YCSB variant: lookups plus in-place updates.
-            let mix = match variant {
-                YcsbVariant::A => Mix::ycsb_a(),
-                YcsbVariant::B => Mix::ycsb_b(),
-                YcsbVariant::C => Mix::read_only(),
-            };
-            let scenario = Scenario::new(
-                &format!("{}/{}", ds.name(), variant.name()),
-                opts.seed,
-                &keys,
-            )
-            .phase(Phase::new(
-                variant.name(),
-                mix,
-                KeyDist::Zipf { theta: 0.99 },
-                opts.keys as u64,
-                opts.threads,
-            ));
+            let scenario = workload.closed_loop(opts.threads);
             for mut index in concurrent_indexes(true) {
                 let result = Driver::new().run(&scenario, index.as_mut());
                 let phase = result.phases.into_iter().next().expect("one phase");

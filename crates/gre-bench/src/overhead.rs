@@ -6,7 +6,7 @@ use gre_learned::AlexPlus;
 use gre_shard::{
     OpBatch, Partitioner, Session, ShardPipeline, ShardedIndex, DEFAULT_QUEUE_CAPACITY,
 };
-use gre_telemetry::Telemetry;
+use gre_telemetry::{Telemetry, TelemetryConfig};
 use gre_workloads::{phase_stream, KeyDist, Mix, Phase, Scenario};
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +21,8 @@ const BATCH: usize = 1024;
 pub struct OverheadProbe {
     /// Read-only pipeline throughput without telemetry, Mop/s.
     pub base_mops: f64,
-    /// Same cell with full telemetry (metrics + default trace sampling).
+    /// Same cell with full telemetry (metrics, and a 4 096-slot trace ring
+    /// sampling one op in 1 024).
     pub instrumented_mops: f64,
 }
 
@@ -64,7 +65,14 @@ pub fn telemetry_overhead_probe(opts: &RunOpts, trials: usize) -> OverheadProbe 
         let mut index =
             ShardedIndex::from_factory(Partitioner::range(SHARDS), |_| AlexPlus::<u64>::new());
         index.bulk_load(&scenario.bulk);
-        let telemetry = instrument.then(|| Telemetry::shared(SHARDS, workers + 1));
+        let telemetry = instrument.then(|| {
+            Arc::new(Telemetry::new(TelemetryConfig {
+                shards: SHARDS,
+                writers: workers + 1,
+                trace_capacity: 4096,
+                trace_sample_one_in: 1024,
+            }))
+        });
         let pipeline = ShardPipeline::with_services(
             Arc::new(index),
             workers,

@@ -68,21 +68,6 @@ impl Key for u64 {
 /// The 8-byte payload type used throughout the benchmark.
 pub type Payload = u64;
 
-/// A `(key, payload)` pair, the unit stored by every index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Entry<K> {
-    pub key: K,
-    pub value: Payload,
-}
-
-impl<K: Key> Entry<K> {
-    /// Create a new entry.
-    #[inline]
-    pub fn new(key: K, value: Payload) -> Self {
-        Entry { key, value }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +98,5 @@ mod tests {
     fn successor_saturates() {
         assert_eq!(u64::MAX.successor(), u64::MAX);
         assert_eq!(41u64.successor(), 42);
-    }
-
-    #[test]
-    fn entry_ordering_follows_key() {
-        let a = Entry::new(1u64, 99);
-        let b = Entry::new(2u64, 0);
-        assert!(a < b);
     }
 }

@@ -4,8 +4,8 @@
 //! benchmarking harness:
 //!
 //! * [`Key`] — the key abstraction (ordered, copyable, convertible to/from
-//!   `f64` so linear models can be trained on it) and the canonical
-//!   `(key, payload)` [`Entry`].
+//!   `f64` so linear models can be trained on it) and the 8-byte
+//!   [`Payload`] every index stores beside it.
 //! * [`index`] — the [`Index`] and [`ConcurrentIndex`] traits every
 //!   evaluated index implements, mirroring the operation set of the GRE
 //!   benchmark (bulk load, lookup, insert, remove, range scan, memory
@@ -48,7 +48,7 @@ mod wire;
 
 pub use index::{ConcurrentIndex, Index, IndexMeta, ModelIndex, RangeSpec};
 pub use json::JsonWriter;
-pub use key::{Entry, Key, Payload};
+pub use key::{Key, Payload};
 pub use latency::{bucket_index, bucket_span, KindLatency, LatencyHistogram, BUCKET_COUNT};
 pub use ops::{IndexError, Request, RequestKind, Response, Tally};
 pub use partition::Partitioner;

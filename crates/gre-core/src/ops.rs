@@ -236,8 +236,8 @@ impl<K> Response<K> {
 }
 
 /// What a run of [`Response`]s came to: the one definition of an op's
-/// outcome, shared by the scenario driver's client-side counts and the
-/// shard workers' telemetry counters, so the two reconcile exactly.
+/// outcome, used by the scenario driver's per-phase counts and by every
+/// client that classifies the responses a pipeline hands back.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Completed operations.
@@ -250,8 +250,6 @@ pub struct Tally {
     pub updated: u64,
     /// Removes that found their key.
     pub removed: u64,
-    /// Range scans answered.
-    pub scans: u64,
     /// Keys returned by range scans.
     pub scanned_keys: u64,
     /// Operations answered [`Response::Error`].
@@ -268,10 +266,7 @@ impl Tally {
             Response::Insert(new) => self.new_keys += u64::from(*new),
             Response::Update(hit) => self.updated += u64::from(*hit),
             Response::Remove(removed) => self.removed += u64::from(removed.is_some()),
-            Response::Range(entries) => {
-                self.scans += 1;
-                self.scanned_keys += entries.len() as u64;
-            }
+            Response::Range(entries) => self.scanned_keys += entries.len() as u64,
             Response::Error(_) => self.errors += 1,
         }
     }
@@ -292,7 +287,6 @@ impl Tally {
         self.new_keys += other.new_keys;
         self.updated += other.updated;
         self.removed += other.removed;
-        self.scans += other.scans;
         self.scanned_keys += other.scanned_keys;
         self.errors += other.errors;
     }

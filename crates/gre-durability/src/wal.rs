@@ -241,10 +241,6 @@ impl DurableLog {
         self.shards.len()
     }
 
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     fn shard(&self, shard: usize) -> std::sync::MutexGuard<'_, ShardWal> {
         self.shards[shard].lock().expect("shard wal poisoned")
     }

@@ -22,7 +22,7 @@
 //!   `ConcurrentIndex` itself, so every existing harness entry point
 //!   (`Driver::run`, figure binaries, examples) serves a sharded variant
 //!   unchanged; `range()` stitches cross-shard scans in key order and
-//!   `len`/`memory_usage`/`stats`/`meta` report merged values.
+//!   `len`/`memory_usage`/`meta` report merged values.
 //! * [`ShardPipeline`], the batched request path:
 //!   [`OpBatch`]es are split into per-shard sub-batches (amortizing routing
 //!   over many ops) and executed on a fixed worker pool with per-shard FIFO
@@ -33,10 +33,10 @@
 //!   with [`Backpressure`] instead of queueing without limit.
 //!
 //! The pipeline can carry a [`Telemetry`](gre_telemetry::Telemetry)
-//! registry ([`ShardPipeline::with_services`]): per-shard queue/in-flight
-//! gauges, sub-batch histograms, outcome counters mirroring a client's
-//! tally of its responses, and 1-in-N sampled request spans. The
-//! uninstrumented path records nothing and reads no clocks.
+//! registry ([`ShardPipeline::with_services`]): batch, sub-batch,
+//! completed-op and WAL counters, per-shard service time, the session
+//! window, and 1-in-N sampled request spans. The uninstrumented path
+//! records nothing and reads no clocks.
 //!
 //! Durability attaches the same way: an optional per-shard write-ahead log
 //! ([`gre_durability::DurableLog`], opened over a fresh or restarted store

@@ -59,11 +59,9 @@
 //! per sub-batch.
 
 use crate::sharded::ShardedIndex;
-use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Request, Response, Tally};
+use gre_core::{ConcurrentIndex, IndexError, IndexMeta, Payload, Request, Response};
 use gre_durability::{DurableLog, GroupReceipt};
-use gre_telemetry::{
-    CounterId, CounterStripe, GaugeId, GlobalHistId, ShardHistId, SpanRecord, Telemetry,
-};
+use gre_telemetry::{CounterId, GlobalHistId, ShardHistId, SpanRecord, Telemetry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -88,43 +86,26 @@ impl OpBatch {
     }
 }
 
-/// A batch was rejected without being enqueued (rejection is
-/// all-or-nothing). Carries the rejected batch back to the caller for retry;
-/// its `Display` says what was saturated.
+/// A batch was rejected without being enqueued because a shard's bounded
+/// queue was at capacity (rejection is all-or-nothing). Carries the
+/// rejected batch back to the caller for retry; its `Display` names the
+/// saturated shard.
 #[derive(Debug)]
 pub struct Backpressure {
     /// The rejected batch, returned for retry.
     pub batch: OpBatch,
-    /// What was saturated.
-    reason: BackpressureReason,
-}
-
-/// Why a non-blocking submission was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackpressureReason {
-    /// A pipeline shard's bounded queue was at capacity.
-    QueueFull {
-        /// The saturated shard.
-        shard: usize,
-    },
-    /// The submitting [`Session`]'s in-flight window was full.
-    WindowFull,
+    /// The saturated shard.
+    shard: usize,
 }
 
 impl std::fmt::Display for Backpressure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.reason {
-            BackpressureReason::QueueFull { shard } => write!(
-                f,
-                "shard {shard} queue full; batch of {} ops rejected",
-                self.batch.ops.len()
-            ),
-            BackpressureReason::WindowFull => write!(
-                f,
-                "session in-flight window full; batch of {} ops rejected",
-                self.batch.ops.len()
-            ),
-        }
+        write!(
+            f,
+            "shard {} queue full; batch of {} ops rejected",
+            self.shard,
+            self.batch.ops.len()
+        )
     }
 }
 
@@ -306,11 +287,11 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
     /// Like [`ShardPipeline::new`] with an explicit per-shard queue bound
     /// (in sub-batches; clamped to at least 1) and two optional services,
     /// each attached independently: `telemetry` records every submission
-    /// and execution (counters, per-shard gauges and histograms, sampled
-    /// spans — see `gre-telemetry`), and `durability` group-commits each
-    /// sub-batch's writes before execution — one record for everything its
-    /// shard had queued (log-then-execute; see the module docs' durability
-    /// section).
+    /// and execution (batch and sub-batch counters, per-shard service time,
+    /// the session window, sampled spans — see `gre-telemetry`), and
+    /// `durability` group-commits each sub-batch's writes before execution —
+    /// one record for everything its shard had queued (log-then-execute; see
+    /// the module docs' durability section).
     ///
     /// # Panics
     /// If `telemetry` or `durability` was sized for a different shard count
@@ -426,7 +407,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
         // A shut-down pipeline refuses instantly with a pre-completed
         // handle: every slot already holds the terminal `Shutdown` error,
         // the queues are never touched, and no telemetry is recorded (the
-        // ops neither enter nor leave the pipeline, so gauges stay exact).
+        // ops neither enter nor leave the pipeline).
         if self.stopping.load(Ordering::SeqCst) {
             return Ok(SubmitHandle {
                 shared: Arc::new(BatchShared::refused(batch.ops.len())),
@@ -459,10 +440,7 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
                         .stripe(self.workers.len())
                         .inc(CounterId::BatchesRejected);
                 }
-                return Err(Backpressure {
-                    batch,
-                    reason: BackpressureReason::QueueFull { shard },
-                });
+                return Err(Backpressure { batch, shard });
             }
             reserved.push(shard);
         }
@@ -476,19 +454,9 @@ impl<B: ConcurrentIndex<u64> + 'static> ShardPipeline<B> {
             enqueue_ns = t.now_ns();
             // Submitters share the stripe after the workers' (wraps when
             // telemetry was sized with exactly `workers` stripes).
-            let stripe = t.metrics().stripe(self.workers.len());
-            stripe.inc(CounterId::BatchesSubmitted);
-            stripe.add(CounterId::OpsSubmitted, ops as u64);
             t.metrics()
-                .global(GlobalHistId::BatchOps)
-                .record(ops as u64);
-            for (shard, sub) in sub_batches.iter().enumerate() {
-                if !sub.is_empty() {
-                    let scope = t.metrics().shard(shard);
-                    scope.gauge_add(GaugeId::QueueDepth, 1);
-                    scope.gauge_add(GaugeId::InFlightOps, sub.len() as i64);
-                }
-            }
+                .stripe(self.workers.len())
+                .inc(CounterId::BatchesSubmitted);
             if t.trace().is_some() {
                 if let Some((op_id, offset)) = t.sampler().claim(ops as u64) {
                     traced = sub_batches.iter().enumerate().find_map(|(shard, sub)| {
@@ -706,22 +674,11 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
 
     /// Gate, execute and answer one sub-batch.
     fn serve(&mut self, mut job: Job) {
-        // Dequeue-side telemetry: queue wait and sub-batch size, stamped
-        // before the gate so service time is separable. A group's log time
-        // is therefore service time of the member that opened it; the other
-        // members are still queued while it runs, so per-job service
-        // intervals never overlap.
-        let execute_ns = self.telemetry.as_deref().map(|t| {
-            let now = t.now_ns();
-            let scope = t.metrics().shard(job.shard);
-            scope
-                .hist(ShardHistId::QueueWaitNs)
-                .record(now.saturating_sub(job.enqueue_ns));
-            scope
-                .hist(ShardHistId::SubBatchSize)
-                .record(job.ops.len() as u64);
-            now
-        });
+        // Dequeue stamp, taken before the gate so service time is
+        // separable. A group's log time is therefore service time of the
+        // member that opened it; the other members are still queued while
+        // it runs, so per-job service intervals never overlap.
+        let execute_ns = self.telemetry.as_deref().map(Telemetry::now_ns);
         let receipt = self.admit(&mut job);
         let batched_gets = if job.gate == Gate::Refused {
             self.scratch.responses.extend(
@@ -745,28 +702,23 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
             job.ops.len(),
             "every submitted op must have exactly one response"
         );
-        // All counters and gauges a snapshot must reconcile are updated
-        // *before* the responses become visible below: once a client
-        // observes its batch complete, a snapshot accounts for every one of
-        // its ops. A group's record is counted once, with the member that
-        // wrote it.
+        // Every counter a snapshot must reconcile is updated *before* the
+        // responses become visible below: once a client observes its batch
+        // complete, a snapshot accounts for every one of its ops. A group's
+        // record is counted once, with the member that wrote it.
         let complete_ns = self.telemetry.as_deref().map(|t| {
             let now = t.now_ns();
-            let stripe = t.metrics().stripe(self.worker_id);
-            let scope = t.metrics().shard(job.shard);
-            scope
-                .hist(ShardHistId::ServiceNs)
+            t.metrics()
+                .shard_hist(job.shard, ShardHistId::ServiceNs)
                 .record(now.saturating_sub(execute_ns.unwrap_or(now)));
+            let stripe = t.metrics().stripe(self.worker_id);
             stripe.inc(CounterId::SubBatchesExecuted);
+            stripe.add(CounterId::OpsCompleted, job.ops.len() as u64);
             stripe.add(CounterId::BatchedGetOps, batched_gets as u64);
             if let Some(r) = &receipt {
                 stripe.inc(CounterId::WalAppends);
                 stripe.add(CounterId::WalFsyncs, r.fsyncs);
             }
-            count_outcomes(stripe, responses);
-            scope.gauge_add(GaugeId::QueueDepth, -1);
-            scope.gauge_add(GaugeId::InFlightOps, -(job.ops.len() as i64));
-            scope.add_ops_completed(job.ops.len() as u64);
             now
         });
         {
@@ -795,9 +747,6 @@ impl<B: ConcurrentIndex<u64> + 'static> Worker<B> {
                     complete_ns: complete_ns.unwrap_or(0),
                     respond_ns: t.now_ns(),
                 });
-                t.metrics()
-                    .stripe(self.worker_id)
-                    .inc(CounterId::TraceSpans);
             }
         }
     }
@@ -895,33 +844,6 @@ fn execute_sub_batch<B: ConcurrentIndex<u64>>(
     batched_gets
 }
 
-/// Fold one sub-batch's typed responses into the worker's counter stripe.
-/// Accumulates a [`Tally`] — the same outcome definitions the clients'
-/// own tallies use, which is what lets the two reconcile exactly (see
-/// `tests/telemetry_pipeline.rs`) — and issues one relaxed add per
-/// touched counter, so the per-op cost is a branchy match, not an atomic
-/// op.
-fn count_outcomes(stripe: &CounterStripe, responses: &[(usize, Response<u64>)]) {
-    let mut tally = Tally::default();
-    for (_, resp) in responses {
-        tally.record(resp);
-    }
-    stripe.add(CounterId::OpsCompleted, tally.ops);
-    for (id, n) in [
-        (CounterId::GetHits, tally.hits),
-        (CounterId::InsertedNew, tally.new_keys),
-        (CounterId::Updated, tally.updated),
-        (CounterId::Removed, tally.removed),
-        (CounterId::ScannedKeys, tally.scanned_keys),
-        (CounterId::RangeScans, tally.scans),
-        (CounterId::OpErrors, tally.errors),
-    ] {
-        if n > 0 {
-            stripe.add(id, n);
-        }
-    }
-}
-
 /// A client-side handle that pipelines many in-flight batches over one
 /// [`ShardPipeline`], handing results back in **FIFO submission order**.
 ///
@@ -976,27 +898,8 @@ impl<'p, B: ConcurrentIndex<u64> + 'static> Session<'p, B> {
             self.completed.push_back(handle.wait());
         }
         self.inflight.push_back(self.pipeline.submit(batch));
-        self.record_window();
-    }
-
-    /// Non-blocking submit: `Err(Backpressure)` if the in-flight window or
-    /// a shard queue is full, with the batch returned for retry.
-    pub fn try_submit(&mut self, batch: OpBatch) -> Result<(), Backpressure> {
-        self.harvest_ready();
-        if self.inflight.len() >= self.max_inflight {
-            return Err(Backpressure {
-                batch,
-                reason: BackpressureReason::WindowFull,
-            });
-        }
-        self.inflight.push_back(self.pipeline.try_submit(batch)?);
-        self.record_window();
-        Ok(())
-    }
-
-    /// Sample the in-flight window occupancy (including the batch just
-    /// submitted) into the session-window histogram.
-    fn record_window(&self) {
+        // Sample the in-flight window occupancy, the batch just submitted
+        // included.
         if let Some(t) = self.pipeline.telemetry() {
             t.metrics()
                 .global(GlobalHistId::SessionWindow)
@@ -1034,18 +937,6 @@ impl<'p, B: ConcurrentIndex<u64> + 'static> Session<'p, B> {
         all.extend(self.inflight.drain(..).map(SubmitHandle::wait));
         all
     }
-
-    fn harvest_ready(&mut self) {
-        while let Some(front) = self.inflight.front_mut() {
-            match front.try_take() {
-                Some(responses) => {
-                    self.inflight.pop_front();
-                    self.completed.push_back(responses);
-                }
-                None => break,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1053,7 +944,17 @@ mod tests {
     use super::*;
     use crate::Partitioner;
     use gre_core::index::MutexIndex;
-    use gre_core::{Index, IndexMeta, ModelIndex, Payload, RangeSpec};
+    use gre_core::{Index, IndexMeta, ModelIndex, Payload, RangeSpec, Tally};
+
+    /// Telemetry for `shards` shards and two writers, tracing every op.
+    fn telemetry(shards: usize) -> Arc<Telemetry> {
+        Arc::new(Telemetry::new(gre_telemetry::TelemetryConfig {
+            shards,
+            writers: 2,
+            trace_capacity: 64,
+            trace_sample_one_in: 1,
+        }))
+    }
 
     fn pipeline(shards: usize, workers: usize) -> ShardPipeline<MutexIndex<ModelIndex>> {
         let mut idx = ShardedIndex::from_factory(Partitioner::range(shards), |_| {
@@ -1473,7 +1374,6 @@ mod tests {
     fn wal_counters_reconcile_with_log_stats_when_both_services_attach() {
         use gre_durability::TempDir;
         use gre_durability::{DurableLog, SyncPolicy};
-        use gre_telemetry::CounterId;
 
         let tmp = TempDir::new("pipeline-wal-telemetry");
         let shards = 2usize;
@@ -1482,7 +1382,7 @@ mod tests {
         });
         idx.bulk_load(&[(0, 0), (u64::MAX / 2 + 1, 1)]);
         let log = DurableLog::create(tmp.path(), shards, SyncPolicy::EveryGroup).unwrap();
-        let telemetry = Telemetry::shared(shards, 2);
+        let telemetry = telemetry(shards);
         let p = ShardPipeline::with_services(
             Arc::new(idx),
             2,
@@ -1632,9 +1532,12 @@ mod tests {
         }
     }
 
-    /// One shard, one worker, empty store, logging to `log`.
+    /// One shard, one worker, empty store, logging to `log`, with the given
+    /// queue bound and telemetry.
     fn gated_pipeline(
         log: Arc<DurableLog>,
+        queue_capacity: usize,
+        telemetry: Option<Arc<Telemetry>>,
     ) -> (ShardPipeline<MutexIndex<GatedIndex>>, Arc<WriteGate>) {
         let gate = Arc::new(WriteGate::default());
         let idx = ShardedIndex::from_factory(Partitioner::range(1), |_| {
@@ -1647,7 +1550,7 @@ mod tests {
             )
         });
         let p =
-            ShardPipeline::with_services(Arc::new(idx), 1, DEFAULT_QUEUE_CAPACITY, None, Some(log));
+            ShardPipeline::with_services(Arc::new(idx), 1, queue_capacity, telemetry, Some(log));
         (p, gate)
     }
 
@@ -1669,7 +1572,7 @@ mod tests {
 
         let tmp = TempDir::new("pipeline-wal-shutdown");
         let log = DurableLog::create(tmp.path(), 1, SyncPolicy::EveryGroup).unwrap();
-        let (p, gate) = gated_pipeline(log);
+        let (p, gate) = gated_pipeline(log, DEFAULT_QUEUE_CAPACITY, None);
         gate.arm();
         let a = p.submit(OpBatch::new(vec![Op::Insert(1, 1)]));
         gate.wait_held();
@@ -1713,7 +1616,7 @@ mod tests {
             Arc::clone(&registry),
         )
         .unwrap();
-        let (p, gate) = gated_pipeline(log);
+        let (p, gate) = gated_pipeline(log, DEFAULT_QUEUE_CAPACITY, None);
         gate.arm();
         let a = p.submit(OpBatch::new(vec![Op::Insert(1, 1)]));
         gate.wait_held();
@@ -1746,7 +1649,7 @@ mod tests {
 
         let tmp = TempDir::new("pipeline-wal-coalesce");
         let log = DurableLog::create(tmp.path(), 1, SyncPolicy::EveryGroup).unwrap();
-        let (p, gate) = gated_pipeline(log);
+        let (p, gate) = gated_pipeline(log, DEFAULT_QUEUE_CAPACITY, None);
         let stats = || p.durability.as_ref().unwrap().stats();
         // Batch `b`: overwrite the shared key, read it back, add an own key.
         let batch = |b: u64| vec![Op::Insert(7, b), Op::Get(7), Op::Insert(100 + b, b)];
@@ -1815,7 +1718,7 @@ mod tests {
                 Err(bp) => {
                     // The rejected batch comes back intact for retry.
                     assert_eq!(bp.batch.ops, vec![Op::Insert(key, i)]);
-                    assert_eq!(bp.reason, BackpressureReason::QueueFull { shard: 0 });
+                    assert_eq!(bp.shard, 0);
                     rejected += 1;
                 }
             }
@@ -1834,5 +1737,47 @@ mod tests {
             rejected > 0,
             "a 2-deep queue must reject under a 2k-op flood"
         );
+    }
+
+    #[test]
+    fn every_counter_and_histogram_is_written() {
+        use gre_durability::TempDir;
+        use gre_durability::{DurableLog, SyncPolicy};
+
+        let tmp = TempDir::new("pipeline-every-metric");
+        let log = DurableLog::create(tmp.path(), 1, SyncPolicy::EveryGroup).unwrap();
+        let telemetry = telemetry(1);
+        let (p, gate) = gated_pipeline(log, 1, Some(Arc::clone(&telemetry)));
+        // Park the worker inside a logged write: its sub-batch holds the
+        // shard's one queue slot, so a non-blocking submit is rejected.
+        gate.arm();
+        let held = p.submit(OpBatch::new(vec![Op::Insert(1, 1)]));
+        gate.wait_held();
+        let bp = p
+            .try_submit(OpBatch::new(vec![Op::Get(1)]))
+            .err()
+            .expect("the only queue slot is taken");
+        assert_eq!(bp.shard, 0);
+        gate.release();
+        assert_eq!(held.wait(), vec![Response::Insert(true)]);
+        // Two consecutive gets run batched; the session samples its window.
+        let mut session = Session::new(&p);
+        session.submit(OpBatch::new(vec![Op::Get(1), Op::Get(2)]));
+        assert_eq!(
+            session.drain(),
+            vec![vec![Response::Get(Some(1)), Response::Get(None)]]
+        );
+
+        let snap = telemetry.snapshot();
+        for id in CounterId::ALL {
+            assert!(snap.counter(id) > 0, "{id:?} was never written");
+        }
+        let service: u64 = snap
+            .shards
+            .iter()
+            .map(|s| s.hist(ShardHistId::ServiceNs).count())
+            .sum();
+        assert_eq!(service, snap.counter(CounterId::SubBatchesExecuted));
+        assert_eq!(snap.global(GlobalHistId::SessionWindow).count(), 1);
     }
 }

@@ -5,10 +5,11 @@
 //! *batch* (not per op) and nothing at all when telemetry is not attached:
 //!
 //! * The static-id metrics registry, read through [`MetricsSnapshot`]:
-//!   per-worker cache-padded counter stripes ([`CounterStripe`]),
-//!   per-shard gauges, and concurrent log-linear histograms that share
+//!   seven [`CounterId`] counters in per-worker cache-padded stripes, and
+//!   concurrent log-linear histograms ([`ShardHistId::ServiceNs`] per
+//!   shard, [`GlobalHistId::SessionWindow`] process-wide) that share
 //!   [`gre_core::LatencyHistogram`]'s bucket layout and snapshot back into
-//!   it.
+//!   it. Each instrument is one the layer-tax ledger reads.
 //! * [`TraceRing`], a fixed-capacity power-of-two ring of operation spans
 //!   ([`SpanRecord`]) with seqlock-style readers, fed by a deterministic
 //!   1-in-N sampler.
@@ -16,26 +17,23 @@
 //! [`Telemetry`] bundles the two with a shared monotonic epoch; the
 //! serving layer (`gre-shard`) takes an `Option<Arc<Telemetry>>` and
 //! records into it when present. See `docs/OBSERVABILITY.md` for the
-//! metric catalog and measured overhead.
+//! metric catalog, the ledger row each metric feeds, and measured overhead.
 
 mod metrics;
 mod trace;
 
-pub use metrics::{
-    CounterId, CounterStripe, GaugeId, GlobalHistId, MetricsSnapshot, ShardHistId, ShardSnapshot,
-};
+pub use metrics::{CounterId, GlobalHistId, MetricsSnapshot, ShardHistId, ShardSnapshot};
 pub use trace::{SpanRecord, TraceRing};
 
 use metrics::MetricsRegistry;
 use trace::Sampler;
 
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Construction-time sizing for [`Telemetry`].
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Shards served (one gauge/histogram scope each).
+    /// Shards served (one row of per-shard histograms each).
     pub shards: usize,
     /// Concurrent writers (one counter stripe each); typically the worker
     /// count plus one stripe for submitters.
@@ -44,31 +42,6 @@ pub struct TelemetryConfig {
     pub trace_capacity: usize,
     /// Trace one in this many operations.
     pub trace_sample_one_in: u64,
-}
-
-impl TelemetryConfig {
-    /// Tracing-enabled defaults for `shards` shards and `writers` writers:
-    /// a 4 096-slot trace ring, one op traced in 1 024.
-    pub fn new(shards: usize, writers: usize) -> TelemetryConfig {
-        TelemetryConfig {
-            shards,
-            writers,
-            trace_capacity: 4096,
-            trace_sample_one_in: 1024,
-        }
-    }
-
-    /// Disable the span tracer (metrics only).
-    pub fn without_trace(mut self) -> TelemetryConfig {
-        self.trace_capacity = 0;
-        self
-    }
-
-    /// Set the trace sampling period (1 = trace everything).
-    pub fn trace_sample(mut self, one_in: u64) -> TelemetryConfig {
-        self.trace_sample_one_in = one_in.max(1);
-        self
-    }
 }
 
 /// One serving stack's telemetry: metrics registry + optional span tracer,
@@ -89,13 +62,6 @@ impl Telemetry {
             sampler: Sampler::new(config.trace_sample_one_in),
             epoch: Instant::now(),
         }
-    }
-
-    /// Telemetry with the tracing-enabled defaults of
-    /// [`TelemetryConfig::new`] for `shards` shards and `writers` writers,
-    /// wrapped for sharing.
-    pub fn shared(shards: usize, writers: usize) -> Arc<Telemetry> {
-        Arc::new(Telemetry::new(TelemetryConfig::new(shards, writers)))
     }
 
     /// The metrics registry.
@@ -133,9 +99,18 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    fn config(trace_capacity: usize) -> TelemetryConfig {
+        TelemetryConfig {
+            shards: 4,
+            writers: 2,
+            trace_capacity,
+            trace_sample_one_in: 1,
+        }
+    }
+
     #[test]
     fn telemetry_bundles_metrics_and_trace() {
-        let t = Telemetry::new(TelemetryConfig::new(4, 2).trace_sample(1));
+        let t = Telemetry::new(config(16));
         assert_eq!(t.metrics().shard_count(), 4);
         assert!(t.trace().is_some());
         t.sampler().claim(1);
@@ -153,9 +128,6 @@ mod tests {
 
     #[test]
     fn trace_can_be_disabled() {
-        let t = Telemetry::new(TelemetryConfig::new(1, 1).without_trace());
-        assert!(t.trace().is_none());
-        let shared = Telemetry::shared(2, 2);
-        assert!(shared.trace().is_some());
+        assert!(Telemetry::new(config(0)).trace().is_none());
     }
 }

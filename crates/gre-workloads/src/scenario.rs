@@ -87,16 +87,6 @@ impl Mix {
         Mix::points(100 - write_pct, write_pct, 0, 0)
     }
 
-    /// YCSB-A: 50% lookups / 50% updates over loaded keys.
-    pub const fn ycsb_a() -> Mix {
-        Mix::points(1, 0, 1, 0)
-    }
-
-    /// YCSB-B: 95% lookups / 5% updates.
-    pub const fn ycsb_b() -> Mix {
-        Mix::points(95, 0, 5, 0)
-    }
-
     /// Add range scans of `scan_len` keys with the given weight.
     pub const fn with_range(mut self, weight: u32, scan_len: usize) -> Mix {
         self.range = weight;
@@ -409,8 +399,6 @@ mod tests {
     fn mix_fractions_and_builders() {
         assert_eq!(Mix::read_only(), Mix::points(1, 0, 0, 0));
         assert_eq!(Mix::read_mostly(20), Mix::points(80, 20, 0, 0));
-        assert_eq!(Mix::ycsb_a(), Mix::points(1, 0, 1, 0));
-        assert_eq!(Mix::ycsb_b(), Mix::points(95, 0, 5, 0));
         let with_scans = Mix::read_only().with_range(1, 50);
         assert_eq!(with_scans.total(), 2);
         assert_eq!(with_scans.scan_len, 50);

@@ -8,11 +8,11 @@
 //! `src/bin/`), and the figure a `gre-figs <name>` or `gre-figs -- <name>`
 //! command line names (a row of `gre_bench::FIGURES`).
 //!
-//! The metric catalog of `docs/OBSERVABILITY.md` lists exactly the names
-//! `gre-telemetry` exports.
+//! The metric catalog of `docs/OBSERVABILITY.md` lists exactly the metric
+//! ids `gre-telemetry` defines.
 
 use gre_bench::FIGURES;
-use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
+use gre_telemetry::{CounterId, GlobalHistId, ShardHistId};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -158,8 +158,10 @@ fn a_cited_figure_must_be_a_table_row() {
     );
 }
 
-/// The `` `gre_…` `` names in the table rows of the metric catalog section.
-fn catalog_names(doc: &str) -> BTreeSet<String> {
+/// The `` `CounterId::…` ``, `` `ShardHistId::…` `` and
+/// `` `GlobalHistId::…` `` ids in the table rows of the metric catalog
+/// section.
+fn catalog_ids(doc: &str) -> BTreeSet<String> {
     let section = doc
         .split("\n## ")
         .find(|s| s.starts_with("Metric catalog"))
@@ -168,32 +170,34 @@ fn catalog_names(doc: &str) -> BTreeSet<String> {
         .lines()
         .filter(|l| l.starts_with('|'))
         .flat_map(|l| l.split('`').skip(1).step_by(2))
-        .filter(|name| name.starts_with("gre_"))
+        .filter(|name| name.contains("Id::"))
         .map(str::to_string)
         .collect()
 }
 
 #[test]
 fn metric_catalog_lists_every_exported_name() {
-    let exported: BTreeSet<String> = CounterId::ALL
+    let defined: BTreeSet<String> = CounterId::ALL
         .iter()
-        .map(|id| id.name())
-        .chain(GaugeId::ALL.iter().map(|id| id.name()))
-        .chain(ShardHistId::ALL.iter().map(|id| id.name()))
-        .chain(GlobalHistId::ALL.iter().map(|id| id.name()))
-        .map(|name| format!("gre_{name}"))
+        .map(|id| format!("CounterId::{id:?}"))
+        .chain(
+            ShardHistId::ALL
+                .iter()
+                .map(|id| format!("ShardHistId::{id:?}")),
+        )
+        .chain(
+            GlobalHistId::ALL
+                .iter()
+                .map(|id| format!("GlobalHistId::{id:?}")),
+        )
         .collect();
     let doc = fs::read_to_string(root().join("docs/OBSERVABILITY.md")).expect("catalog exists");
-    let listed = catalog_names(&doc);
-    let missing: Vec<_> = exported.difference(&listed).collect();
-    // The per-shard load counter is exported beside the gauges, not by id.
-    let unknown: Vec<_> = listed
-        .difference(&exported)
-        .filter(|n| *n != "gre_shard_ops_completed")
-        .collect();
+    let listed = catalog_ids(&doc);
+    let missing: Vec<_> = defined.difference(&listed).collect();
+    let unknown: Vec<_> = listed.difference(&defined).collect();
     assert!(
         missing.is_empty() && unknown.is_empty(),
-        "metric catalog out of date: exported but not listed {missing:?}, \
-         listed but not exported {unknown:?}"
+        "metric catalog out of date: defined but not listed {missing:?}, \
+         listed but not defined {unknown:?}"
     );
 }
